@@ -102,7 +102,7 @@ def eval_matrix(A, env, strict=True):
     out = np.empty((k, len(rows), len(rows[0])))
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            out[:, i, j] = np.broadcast_to(x, (k,))
+            out[:, i, j] = x
     return out
 
 
@@ -113,7 +113,7 @@ def eval_vector(v, env, strict=True):
         return np.array([float(x) for x in vals])
     out = np.empty((k, len(vals)))
     for j, x in enumerate(vals):
-        out[:, j] = np.broadcast_to(x, (k,))
+        out[:, j] = x
     return out
 
 

@@ -14,6 +14,11 @@ re-rescales the previous fields along the new one (stage 2).  Transport
 equations are solved symbolically when the flow field moves a single
 coordinate and the source has a recognized antiderivative, and otherwise
 by backward flows to a transversal section with an RK4 accumulator.
+
+The flows evaluate bracket coefficients at every RK4 stage: each field
+derives a symbolic bracket once and caches it on itself, and the span
+coefficients of all rows come from one batched two-column least-squares
+solve (`solve_two_columns`).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .expr import (
     is_zero,
     simplify,
 )
-from .geometry import ConditionCheck, Verdict, lie_bracket
+from .geometry import ConditionCheck, Verdict, fit_symbolic, lie_bracket
 
 
 class FrobeniusError(Exception):
@@ -78,8 +83,8 @@ class ScalarFn:
     def ev(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.expr is not None:
-            env = {nm: U[:, i] for i, nm in enumerate(self.names)}
-            out = np.asarray(self.expr.evaluate(env, strict=False), dtype=float)
+            out = np.asarray(self.expr.evaluate(_columns(U, self.names),
+                                                strict=False), dtype=float)
             return np.broadcast_to(out, (U.shape[0],)).copy()
         return np.asarray(self._fn(U), dtype=float).reshape(U.shape[0])
 
@@ -91,16 +96,17 @@ class ScalarFn:
 class VectorField:
     """Symbolic base field with an optional scalar factor (symbolic or
     numeric); evaluates on coordinate batches and differentiates scalars
-    along itself."""
+    along itself.  Fields are immutable, so each caches the symbolic
+    brackets and directional derivatives it derives, for its own lifetime.
+    """
 
     def __init__(self, exprs, names, factor=None):
         self.exprs = tuple(exprs)
         self.names = tuple(names)
         self.factor = factor  # ScalarFn or None (meaning 1)
-
-    @property
-    def d(self):
-        return len(self.names)
+        self._scaled = None
+        self._brackets = {}     # other.exprs -> [self, other] base bracket
+        self._directionals = {}  # scalar expr -> its derivative along self
 
     @property
     def symbolic(self):
@@ -112,28 +118,39 @@ class VectorField:
             return self.exprs
         if self.factor.expr is None:
             return None
-        return tuple(simplify(Bin("*", self.factor.expr, e)) for e in self.exprs)
+        if self._scaled is None:
+            self._scaled = tuple(simplify(Bin("*", self.factor.expr, e))
+                                 for e in self.exprs)
+        return self._scaled
 
     def eval(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        env = {nm: U[:, i] for i, nm in enumerate(self.names)}
-        out = exprmat.eval_vector(self.exprs, env, strict=False)
+        out = exprmat.eval_vector(self.exprs, _columns(U, self.names),
+                                  strict=False)
         if out.ndim == 1:
             out = np.broadcast_to(out, U.shape).copy()
         if self.factor is not None:
             out = out * self.factor.ev(U)[:, None]
         return out
 
-    def directional(self, scalar: ScalarFn, U, h=1e-4):
-        """Derivative of ``scalar`` along this field at rows of U."""
+    def directional_expr(self, e: Expr):
+        """Symbolic derivative of ``e`` along this (symbolic) field."""
+        out = self._directionals.get(e)
+        if out is None:
+            acc = Const(0)
+            for c, nm in zip(self.scaled_exprs(), self.names):
+                acc = Bin("+", acc, Bin("*", c, e.diff(nm)))
+            out = self._directionals[e] = simplify(acc)
+        return out
+
+    def directional(self, scalar: ScalarFn, U, h=1e-4, v=None):
+        """Derivative of ``scalar`` along this field at rows of U; ``v``
+        may pass this field's values at U when already known."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if scalar.expr is not None and self.symbolic:
-            comps = self.scaled_exprs()
-            acc = Const(0)
-            for c, nm in zip(comps, self.names):
-                acc = Bin("+", acc, Bin("*", c, scalar.expr.diff(nm)))
-            return ScalarFn(simplify(acc), self.names).ev(U)
-        v = self.eval(U)
+            return ScalarFn(self.directional_expr(scalar.expr),
+                            self.names).ev(U)
+        v = self.eval(U) if v is None else v
         eps = h / np.maximum(np.linalg.norm(v, axis=1), 1e-12)
         return (scalar.ev(U + eps[:, None] * v)
                 - scalar.ev(U - eps[:, None] * v)) / (2.0 * eps)
@@ -142,38 +159,36 @@ class VectorField:
         """[self, other](U); symbolic expansion of the factored Leibniz rule
         with finite differences only where a factor is numeric."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        base = lie_bracket(self.exprs, other.exprs, self.names)
-        env = {nm: U[:, i] for i, nm in enumerate(self.names)}
-        B = exprmat.eval_vector(base, env, strict=False)
-        if B.ndim == 1:
-            B = np.broadcast_to(B, U.shape).copy()
+        base = self._brackets.get(other.exprs)
+        if base is None:
+            base = self._brackets[other.exprs] = lie_bracket(
+                self.exprs, other.exprs, self.names)
+        B = VectorField(base, self.names).eval(U)
         fi = self.factor.ev(U) if self.factor is not None else np.ones(len(U))
         fj = other.factor.ev(U) if other.factor is not None else np.ones(len(U))
         out = (fi * fj)[:, None] * B
+        if self.factor is None and other.factor is None:
+            return out
+        Xi = VectorField(self.exprs, self.names).eval(U)
+        Xj = VectorField(other.exprs, self.names).eval(U)
+        # each directional runs along a scaled field, which carries its own
+        # factor; its values reuse fi, fj instead of re-evaluating them
         if other.factor is not None:
-            # directional along the scaled field already carries f_i
-            dfj = self.directional(other.factor, U, h)
-            Xj = VectorField(other.exprs, self.names).eval(U)
+            dfj = self.directional(other.factor, U, h, v=Xi * fi[:, None])
             out += dfj[:, None] * Xj
         if self.factor is not None:
-            dfi = other.directional(self.factor, U, h)
-            Xi = VectorField(self.exprs, self.names).eval(U)
+            dfi = other.directional(self.factor, U, h, v=Xj * fj[:, None])
             out -= dfi[:, None] * Xi
         return out
 
     def single_direction(self):
         """(index, coefficient expr) when exactly one component is nonzero
         and the factor is symbolic, else None."""
-        idx = None
-        for i, e in enumerate(self.exprs):
-            if simplify(e) != Const(0):
-                if idx is not None:
-                    return None
-                idx = i
-        if idx is None or not self.symbolic:
+        moving = [i for i, e in enumerate(self.exprs)
+                  if simplify(e) != Const(0)]
+        if len(moving) != 1 or not self.symbolic:
             return None
-        coeff = self.scaled_exprs()[idx]
-        return idx, coeff
+        return moving[0], self.scaled_exprs()[moving[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +242,6 @@ class TransportTerm:
         return -out[:, d]
 
 
-def _zero_fn(names):
-    return ScalarFn(Const(0), names)
-
-
 class LogFactor:
     """ln f as a sum of symbolic and transport terms."""
 
@@ -261,13 +272,8 @@ class LogFactor:
 
         def fn(U):
             U = np.atleast_2d(np.asarray(U, dtype=float))
-            out = np.zeros(U.shape[0])
-            for t in terms:
-                if isinstance(t, Expr):
-                    out += ScalarFn(t, names).ev(U)
-                else:
-                    out += t(U)
-            return out
+            return sum((ScalarFn(t, names).ev(U) for t in terms),
+                       np.zeros(U.shape[0]))
 
         return ScalarFn(fn, names)
 
@@ -318,8 +324,7 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
     """
     g = LogFactor(names)
     base_arr = np.asarray([base[nm] for nm in names], dtype=float)
-    env_samples = box.sample(rng, trials)
-    U_samples = np.stack([env_samples[nm] for nm in names], axis=1)
+    U_samples = _sample(box, rng, trials, names)
 
     def residual_fn(i):
         # snapshot the accumulated terms: the transport term created from
@@ -384,14 +389,11 @@ def _cheapen_source(src: ScalarFn, U_samples, names, box, rng,
     when one reproduces it to tight tolerance on fresh samples."""
     if src.expr is not None:
         return src
-    from .geometry import _fit_symbolic
     vals = src.ev(U_samples)
-    env_named = {nm: U_samples[:, k] for k, nm in enumerate(names)}
-    e = _fit_symbolic(vals, env_named, names)
+    e = fit_symbolic(vals, _columns(U_samples, names), names)
     if e is None:
         return src
-    fresh = box.sample(rng, 12)
-    Uf = np.stack([fresh[nm] for nm in names], axis=1)
+    Uf = _sample(box, rng, 12, names)
     cand = ScalarFn(e, names)
     err = float(np.max(np.abs(cand.ev(Uf) - src.ev(Uf))))
     scale = 1.0 + float(np.max(np.abs(vals)))
@@ -434,6 +436,57 @@ def _symbolic_transport(Y: VectorField, source: ScalarFn, names, box, rng):
 
 
 # ---------------------------------------------------------------------------
+# sample batches and the batched two-column least squares
+
+def _sample(box: Box, rng, n, names):
+    env = box.sample(rng, n)
+    return np.stack([env[nm] for nm in names], axis=1)
+
+
+def _columns(U, names):
+    return {nm: U[:, k] for k, nm in enumerate(names)}
+
+
+def _witness(U, row, names):
+    return {nm: float(U[row, k]) for k, nm in enumerate(names)}
+
+
+def solve_two_columns(a, b, y, U, names):
+    """Least-squares (c0, c1) with c0 a + c1 b ~ y on every row of the
+    (n, d) batches, by a closed-form two-column QR (Gram-Schmidt).  The
+    singular values of R, which are those of [a b], give the dependence
+    rule sigma_min < 1e-10 max(1, sigma_max); a dependent or non-finite
+    row raises NotInSpan with that row of U as witness."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r11 = np.linalg.norm(a, axis=1)
+        q1 = a / r11[:, None]
+        r12 = np.einsum("ij,ij->i", q1, b)
+        w = b - r12[:, None] * q1
+        r22 = np.linalg.norm(w, axis=1)
+        s = r11 * r11 + r12 * r12 + r22 * r22
+        p = np.abs(r11 * r22)
+        s_max = np.sqrt(0.5 * (s + np.sqrt(np.abs((s - 2 * p) * (s + 2 * p)))))
+        s_min = p / s_max
+        c1 = np.einsum("ij,ij->i", w, y) / (r22 * r22)
+        c0 = (np.einsum("ij,ij->i", q1, y) - r12 * c1) / r11
+    ok = (s_min >= 1e-10 * np.maximum(1.0, s_max)) & np.isfinite(c0 + c1)
+    if not np.all(ok):
+        raise NotInSpan("fields are dependent or not finite at a point",
+                        _witness(U, int(np.argmin(ok)), names))
+    return np.stack([c0, c1], axis=1)
+
+
+def _coefficient_fn(Xi, Xj, col, names):
+    """Coefficient ``col`` of [X_i, X_j] in span{X_i, X_j} at rows of U."""
+
+    def fn(U):
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        return solve_two_columns(Xi.eval(U), Xj.eval(U), Xi.bracket_with(Xj, U),
+                                 U, names)[:, col]
+    return fn
+
+
+# ---------------------------------------------------------------------------
 # pairwise bracket coefficients
 
 @dataclass
@@ -449,58 +502,32 @@ def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None, trials=40,
     """Coefficients with [X_i, X_j] = h^i X_i + h^j X_j.
 
     Expression fields get an exact symbolic bracket; the coefficients are
-    solved pointwise (least squares on the two columns) and fitted back to
-    expressions where recognizable.  NotInSpan carries a witness point when
-    the bracket leaves the pairwise span.
+    solved at the samples in one batched two-column least-squares solve
+    and fitted back to expressions where recognizable.  NotInSpan carries
+    a witness point when the bracket leaves the pairwise span.
     """
     rng = np.random.default_rng(rng)
     Xi = Xi if isinstance(Xi, VectorField) else VectorField(Xi, names)
     Xj = Xj if isinstance(Xj, VectorField) else VectorField(Xj, names)
-    env = box.sample(rng, trials)
-    U = np.stack([env[nm] for nm in names], axis=1)
+    U = _sample(box, rng, trials, names)
     B = Xi.bracket_with(Xj, U)
     Vi, Vj = Xi.eval(U), Xj.eval(U)
-    n = U.shape[0]
-    coeffs = np.empty((n, 2))
-    worst = 0.0
-    worst_at = None
-    for idx in range(n):
-        A = np.stack([Vi[idx], Vj[idx]], axis=1)
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] < 1e-10 * max(1.0, sv[0]):
-            raise NotInSpan("fields are dependent at a sample point",
-                            {nm: float(U[idx, k]) for k, nm in enumerate(names)})
-        c, *_ = np.linalg.lstsq(A, B[idx], rcond=None)
-        coeffs[idx] = c
-        r = float(np.max(np.abs(A @ c - B[idx])))
-        if r > worst:
-            worst = r
-            worst_at = {nm: float(U[idx, k]) for k, nm in enumerate(names)}
+    coeffs = solve_two_columns(Vi, Vj, B, U, names)
+    resid = np.max(np.abs(coeffs[:, :1] * Vi + coeffs[:, 1:] * Vj - B), axis=1)
+    at = int(np.argmax(resid))
+    worst = float(resid[at])
     if worst > tol * (1.0 + float(np.max(np.abs(B)))):
-        raise NotInSpan(
-            f"bracket leaves span{{X_i, X_j}} (residual {worst:.2e})", worst_at)
+        raise NotInSpan(f"bracket leaves span{{X_i, X_j}} (residual "
+                        f"{worst:.2e})", _witness(U, at, names))
 
-    from .geometry import _fit_symbolic
-    env_named = {nm: U[:, k] for k, nm in enumerate(names)}
-    h_first = _fit_symbolic(coeffs[:, 0], env_named, names)
-    h_second = _fit_symbolic(coeffs[:, 1], env_named, names)
+    env_named = _columns(U, names)
+    h_first = fit_symbolic(coeffs[:, 0], env_named, names)
+    h_second = fit_symbolic(coeffs[:, 1], env_named, names)
     symbolic = h_first is not None and h_second is not None
-
-    def pointwise(col):
-        def fn(Uq):
-            Uq = np.atleast_2d(np.asarray(Uq, dtype=float))
-            Bq = Xi.bracket_with(Xj, Uq)
-            out = np.empty(Uq.shape[0])
-            Viq, Vjq = Xi.eval(Uq), Xj.eval(Uq)
-            for t in range(Uq.shape[0]):
-                A = np.stack([Viq[t], Vjq[t]], axis=1)
-                c, *_ = np.linalg.lstsq(A, Bq[t], rcond=None)
-                out[t] = c[col]
-            return out
-        return fn
-
-    hf = ScalarFn(h_first if h_first is not None else pointwise(0), names)
-    hs = ScalarFn(h_second if h_second is not None else pointwise(1), names)
+    hf = ScalarFn(h_first if h_first is not None
+                  else _coefficient_fn(Xi, Xj, 0, names), names)
+    hs = ScalarFn(h_second if h_second is not None
+                  else _coefficient_fn(Xi, Xj, 1, names), names)
     return PairCoefficients(h_first=hf, h_second=hs, residual_max=worst,
                             symbolic=symbolic)
 
@@ -515,15 +542,14 @@ def compatibility_check(h_list, frame_fields, names, box: Box, rng=None,
     fields = [f if isinstance(f, VectorField) else VectorField(f, names)
               for f in frame_fields]
     hs = [h if isinstance(h, ScalarFn) else ScalarFn(h, names) for h in h_list]
-    env = box.sample(rng, trials)
-    U = np.stack([env[nm] for nm in names], axis=1)
+    U = _sample(box, rng, trials, names)
     worst = 0.0
     for i, j in combinations(range(len(fields)), 2):
         sym_ok = (hs[i].expr is not None and hs[j].expr is not None
                   and fields[i].symbolic and fields[j].symbolic)
         if sym_ok:
-            lhs = _directional_expr(fields[j], hs[i].expr)
-            rhs = _directional_expr(fields[i], hs[j].expr)
+            lhs = fields[j].directional_expr(hs[i].expr)
+            rhs = fields[i].directional_expr(hs[j].expr)
             chk = is_zero(simplify(Bin("-", lhs, rhs)), box, trials=trials,
                           rng=rng)
             if chk.verdict is ZeroVerdict.PROVABLY_NONZERO:
@@ -535,19 +561,10 @@ def compatibility_check(h_list, frame_fields, names, box: Box, rng=None,
             m = float(np.max(np.abs(vals)))
             if m > tol:
                 at = int(np.argmax(np.abs(vals)))
-                witness = {nm: float(U[at, k]) for k, nm in enumerate(names)}
-                return ConditionCheck(Verdict.FAILS, m, witness,
+                return ConditionCheck(Verdict.FAILS, m, _witness(U, at, names),
                                       detail=f"pair ({i}, {j})")
             worst = max(worst, m)
     return ConditionCheck(Verdict.HOLDS, worst)
-
-
-def _directional_expr(Y: VectorField, e: Expr):
-    comps = Y.scaled_exprs()
-    acc = Const(0)
-    for c, nm in zip(comps, Y.names):
-        acc = Bin("+", acc, Bin("*", c, e.diff(nm)))
-    return simplify(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +589,7 @@ class FrameRescaling:
 
     def factors_nonvanishing(self, rng=None, trials=40):
         rng = np.random.default_rng(rng)
-        env = self.box.sample(rng, trials)
-        U = np.stack([env[nm] for nm in self.names], axis=1)
+        U = _sample(self.box, rng, trials, self.names)
         return all(np.all(np.abs(fac.as_scalar_fn(self.names).ev(U)) > 1e-12)
                    for fac in self.factors)
 
@@ -587,23 +603,17 @@ class FrameRescaling:
         }
 
 
-def _identity_factor(names):
-    lf = LogFactor(names)
-    return FactorFn(lf)
-
-
 def commutation_residual(fields, box: Box, rng=None, n_samples=100, h=1e-4):
     """Max pairwise commutator magnitude at samples, relative to the field
     scale, via the factored Leibniz expansion."""
     rng = np.random.default_rng(rng)
     names = fields[0].names
-    env = box.sample(rng, n_samples)
-    U = np.stack([env[nm] for nm in names], axis=1)
+    U = _sample(box, rng, n_samples, names)
+    size = [float(np.max(np.abs(f.eval(U)))) for f in fields]
     worst = 0.0
     for i, j in combinations(range(len(fields)), 2):
         B = fields[i].bracket_with(fields[j], U, h=h)
-        scale = 1.0 + max(float(np.max(np.abs(fields[i].eval(U)))),
-                          float(np.max(np.abs(fields[j].eval(U)))))
+        scale = 1.0 + max(size[i], size[j])
         worst = max(worst, float(np.max(np.abs(B))) / scale)
     return worst
 
@@ -646,8 +656,7 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
                 tol=span_tol)
     stages.append("pair_coefficients")
 
-    env = box.sample(rng, trials)
-    U = np.stack([env[nm] for nm in names], axis=1)
+    U = _sample(box, rng, trials, names)
 
     def bracket_is_zero(Fi, Fj):
         B = Fi.bracket_with(Fj, U)
@@ -658,7 +667,8 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
            for i, j in combinations(range(r), 2)) and not pair_overrides:
         stages.append("identity")
         return FrameRescaling(names=names, fields=fields,
-                              factors=[_identity_factor(names) for _ in fields],
+                              factors=[FactorFn(LogFactor(names))
+                                       for _ in fields],
                               pair_coefficients=pair, stage1_residuals=[],
                               commutation_max=commutation_residual(fields, box,
                                                                    rng=rng),
@@ -724,9 +734,15 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
             B = Yi.bracket_with(Z, U)
             if float(np.max(np.abs(B))) < 1e-7:
                 continue
-            rho = _span_coefficient(Yi, Z, U, names, box)
+            # rho with [Y_i, Z] = rho Y_i, fitted to an expression when
+            # recognizable for exact transports downstream
+            rho = fit_symbolic(
+                solve_two_columns(Yi.eval(U), Z.eval(U), B, U, names)[:, 0],
+                _columns(U, names), names)
+            if rho is None:
+                rho = _coefficient_fn(Yi, Z, 0, names)
             gi, res_i = solve_transport_system(
-                [Z], [rho], names, box, base, rng,
+                [Z], [ScalarFn(rho, names)], names, box, base, rng,
                 prefer_symbolic=prefer_symbolic)
             for t in gi.terms:
                 logs[i].add(t)
@@ -749,25 +765,3 @@ def _negate(h: ScalarFn, names):
         return simplify(Call("neg", h.expr))
     return lambda U: -h.ev(U)
 
-
-def _span_coefficient(Yi: VectorField, Z: VectorField, U, names, box):
-    """rho with [Y_i, Z] = rho Y_i (the stage-2 source Z(ln g) = rho)."""
-
-    def fn(Uq):
-        Uq = np.atleast_2d(np.asarray(Uq, dtype=float))
-        B = Yi.bracket_with(Z, Uq)
-        Vi = Yi.eval(Uq)
-        Vz = Z.eval(Uq)
-        out = np.empty(Uq.shape[0])
-        for t in range(Uq.shape[0]):
-            A = np.stack([Vi[t], Vz[t]], axis=1)
-            c, *_ = np.linalg.lstsq(A, B[t], rcond=None)
-            out[t] = c[0]
-        return out
-
-    # try to fit a symbolic form for exact transports downstream
-    from .geometry import _fit_symbolic
-    vals = fn(U)
-    env_named = {nm: U[:, k] for k, nm in enumerate(names)}
-    e = _fit_symbolic(vals, env_named, names)
-    return ScalarFn(e if e is not None else fn, names)

@@ -235,7 +235,7 @@ class BracketDecomposition:
 _FIT_TOL = 1e-7
 
 
-def _fit_symbolic(samples, env, names):
+def fit_symbolic(samples, env, names):
     """Best-effort symbolic form for sampled coefficient values: a constant,
     or a univariate combination c0 + c1 b(v) from a small basis."""
     vals = np.asarray(samples, dtype=float)
@@ -315,7 +315,7 @@ def decompose_in_frame(v, frame, box: Box, dep_names=None, rng=None,
     sym = []
     env_ok = {n: np.asarray(val)[ok] for n, val in env.items()}
     for j in range(k):
-        sym.append(_fit_symbolic(coeffs[ok, j], env_ok, sorted(box.names())))
+        sym.append(fit_symbolic(coeffs[ok, j], env_ok, sorted(box.names())))
     residual = None
     if all(s is not None for s in sym):
         recon = exprmat.lin_comb(sym, frame)

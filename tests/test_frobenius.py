@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rwave import frobenius
 from rwave.expr import Box, Const, is_zero, parse, simplify
 from rwave.frobenius import (
     FrobeniusError,
@@ -11,6 +14,7 @@ from rwave.frobenius import (
     compatibility_check,
     pair_bracket_coefficients,
     rescale_frame,
+    solve_two_columns,
 )
 from rwave.geometry import Verdict
 
@@ -236,3 +240,90 @@ def test_serialization_grid_path_sampled_factors():
     U = np.stack([m.ravel() for m in mesh], axis=1)
     direct = res.factors[0].as_scalar_fn(NAMES4).ev(U)
     assert np.allclose(fac["values"], direct, atol=1e-12)
+
+
+def conditioned_rows(seed, n, d, scale):
+    """(a, b, y, U) with [a b] = Q R per row: orthonormal Q and a random
+    upper-triangular R whose condition number stays below ~200."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, d, 2)))
+    R = np.zeros((n, 2, 2))
+    R[:, 0, 0] = rng.uniform(1, 10, n)
+    R[:, 1, 1] = rng.uniform(1, 10, n)
+    R[:, 0, 1] = rng.uniform(-10, 10, n)
+    A = scale * (Q @ R)
+    c = rng.uniform(0.5, 2, (n, 2)) * rng.choice([-1, 1], (n, 2))
+    y = np.einsum("nij,nj->ni", A, c) + scale * rng.normal(scale=0.1,
+                                                           size=(n, d))
+    return A[:, :, 0], A[:, :, 1], y, rng.uniform(-1, 1, (n, d))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=2, max_value=6),
+       st.integers(min_value=1, max_value=60),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_solve_two_columns_matches_rowwise_lstsq(seed, d, n, scale):
+    a, b, y, U = conditioned_rows(seed, n, d, scale)
+    names = tuple(f"u{k}" for k in range(d))
+    c = solve_two_columns(a, b, y, U, names)
+    for t in range(n):
+        ref, *_ = np.linalg.lstsq(np.stack([a[t], b[t]], axis=1), y[t],
+                                  rcond=None)
+        assert np.max(np.abs(c[t] - ref)) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind", ["parallel", "zero_column", "nan", "inf"])
+def test_solve_two_columns_dependent_row_raises(kind):
+    a, b, y, U = conditioned_rows(7, 12, 3, 1.0)
+    bad = 5
+    if kind == "parallel":
+        b[bad] = -3.0 * a[bad]
+    elif kind == "zero_column":
+        a[bad] = 0.0
+    elif kind == "nan":
+        b[bad, 1] = np.nan
+    else:
+        y[bad, 0] = np.inf
+    names = ("x", "y", "z")
+    with pytest.raises(NotInSpan) as err:
+        solve_two_columns(a, b, y, U, names)
+    assert err.value.witness == {nm: float(U[bad, k])
+                                 for k, nm in enumerate(names)}
+
+
+def test_numeric_pair_coefficients_raise_where_fields_become_dependent():
+    # [(1+y^2) d_x, x d_y] = -2xy d_x + (1+y^2) d_y: both coefficients
+    # depend on two variables, so they stay pointwise solves, and x d_y
+    # vanishes on x = 0, outside the sampling box
+    X1 = (pexpr("1+y^2"), Const(0), Const(0))
+    X2 = (Const(0), pexpr("x"), Const(0))
+    box = Box.from_dict({"x": (0.5, 1.0), "y": (-0.5, 0.5), "z": (-0.5, 0.5)})
+    pc = pair_bracket_coefficients(X1, X2, NAMES3, box, rng=24)
+    assert not pc.symbolic and pc.h_first.expr is None
+    U = np.array([[0.7, 0.3, 0.1], [0.0, 0.2, 0.1]])
+    assert np.allclose(pc.h_first.ev(U[:1]), -2 * 0.7 * 0.3 / 1.09)
+    for h in (pc.h_first, pc.h_second):
+        with pytest.raises(NotInSpan) as err:
+            h.ev(U)
+        assert err.value.witness == {"x": 0.0, "y": 0.2, "z": 0.1}
+
+
+def test_rescale_derives_each_bracket_a_few_times(monkeypatch):
+    pairs = []
+
+    def counting(a, b, dep_names):
+        pairs.append((tuple(a), tuple(b)))
+        return original(a, b, dep_names)
+
+    original = frobenius.lie_bracket
+    monkeypatch.setattr(frobenius, "lie_bracket", counting)
+    names = ("x", "y", "z")
+    box = Box.from_dict({n: (-0.2, 0.2) for n in names})
+    X1 = (parse("1+y^2", names), Const(0), Const(0))
+    X2 = (Const(0), parse("1+x^2", names), Const(0))
+    res = rescale_frame([X1, X2], names, box, rng=25)
+    assert "base_pair" in res.stages_run and res.commutation_max < 1e-6
+    # the transports evaluate the bracket at every RK4 stage; each field
+    # derives it once
+    assert 0 < len(pairs) <= 4 * len(set(pairs)), len(pairs)
