@@ -37,7 +37,14 @@ from .solver import (
     solve_implicit,
 )
 from .system import SystemError, homogenize
-from .verify import constancy_along_kernel, recover_decomposition, residual_report
+from .verify import (
+    DegenerateElements,
+    NeighborDiverged,
+    constancy_along_kernel,
+    fd_jacobian_batch,
+    recover_decomposition,
+    residual_report,
+)
 
 PIPELINE = ("homogenize", "elements", "conditions", "rescale", "solve", "verify")
 
@@ -171,6 +178,17 @@ def run(request: AnalysisRequest):
     seed_of = {stage: seeds[i] for i, stage in enumerate(PIPELINE)}
     outcomes = {}
 
+    def finish(code):
+        reports.write_json(out / "outcomes.json",
+                           {k: {"ok": v.ok, "detail": v.detail}
+                            for k, v in outcomes.items()})
+        return code, artifacts
+
+    def fail(stage, code, err):
+        print(f"{stage}: {err}", file=sys.stderr)
+        outcomes[stage] = StageOutcome(False, str(err))
+        return finish(code)
+
     work_system = system
     if "homogenize" in request.stages:
         try:
@@ -228,8 +246,11 @@ def run(request: AnalysisRequest):
 
     if "conditions" in request.stages:
         rng = np.random.default_rng(seed_of["conditions"])
-        report = check_kwave_conditions(work_system, elements, box, rng=rng,
-                                        trials=request.trials)
+        try:
+            report = check_kwave_conditions(work_system, elements, box,
+                                            rng=rng, trials=request.trials)
+        except GeometryError as err:
+            return fail("conditions", EXIT_CONDITION, err)
         artifacts["conditions"] = reports.write_json(
             out / "conditions.json",
             reports.condition_report_payload(report, box,
@@ -246,10 +267,12 @@ def run(request: AnalysisRequest):
     if len(request.stages) >= 4:  # rescale and beyond need potentials
         rngp = np.random.default_rng(seed_of["conditions"])
         base = box.midpoint()
-        for elem in elements:
-            res = find_potential(elem, base, box, rng=rngp,
-                                 trials=request.trials)
-            potentials.append(res)
+        try:
+            for elem in elements:
+                potentials.append(find_potential(elem, base, box, rng=rngp,
+                                                 trials=request.trials))
+        except GeometryError as err:
+            return fail("potentials", EXIT_CONDITION, err)
 
     if "rescale" in request.stages:
         rng = np.random.default_rng(seed_of["rescale"])
@@ -312,33 +335,33 @@ def run(request: AnalysisRequest):
 
     if "verify" in request.stages and field_solution is not None:
         rng = np.random.default_rng(seed_of["verify"])
-        rep = residual_report(work_system, field_solution, h=request.fd_step,
-                              richardson=True)
         elements_final = [p.element for p in potentials]
-        xi = np.empty((field_solution.n, len(elements_final)))
-        ranks = np.empty(field_solution.n, dtype=int)
-        errs = np.empty(field_solution.n)
-        from .verify import fd_jacobian_batch
-        jacs = fd_jacobian_batch(field_solution, h=request.fd_step,
-                                 richardson=True)
-        for i in range(field_solution.n):
-            rec = recover_decomposition(jacs[i], elements_final,
-                                        field_solution.point_env(i))
-            xi[i] = rec.xi
-            ranks[i] = rec.rank
-            errs[i] = rec.reconstruction_error
         sample = rng.choice(field_solution.n, size=min(field_solution.n, 20),
                             replace=False)
-        const_ok, const_worst = constancy_along_kernel(
-            field_solution, elements_final, indices=sample, h=request.fd_step)
+        try:
+            jacs = fd_jacobian_batch(field_solution, h=request.fd_step,
+                                     richardson=True)
+            rep = residual_report(work_system, field_solution,
+                                  h=request.fd_step, richardson=True, jac=jacs)
+            rec = recover_decomposition(jacs, elements_final,
+                                        field_solution.grid_env())
+            const_ok, const_worst = constancy_along_kernel(
+                field_solution, elements_final, indices=sample,
+                h=request.fd_step)
+        except (NeighborDiverged, DegenerateElements) as err:
+            artifacts["solution"] = reports.write_solution_field(
+                out / "solution.csv", field_solution)
+            code = (EXIT_SOLVER if isinstance(err, NeighborDiverged)
+                    else EXIT_CONDITION)
+            return fail("verify", code, err)
         payload = {
             "residual": rep.as_dict(),
-            "xi_mean": [float(v) for v in xi.mean(axis=0)],
-            "xi_min": [float(v) for v in xi.min(axis=0)],
-            "xi_max": [float(v) for v in xi.max(axis=0)],
-            "xi_spread": [float(v) for v in np.ptp(xi, axis=0)],
-            "rank_min": int(ranks.min()), "rank_max": int(ranks.max()),
-            "reconstruction_error_max": float(errs.max()),
+            "xi_mean": [float(v) for v in rec.xi.mean(axis=0)],
+            "xi_min": [float(v) for v in rec.xi.min(axis=0)],
+            "xi_max": [float(v) for v in rec.xi.max(axis=0)],
+            "xi_spread": [float(v) for v in np.ptp(rec.xi, axis=0)],
+            "rank_min": int(rec.rank.min()), "rank_max": int(rec.rank.max()),
+            "reconstruction_error_max": float(rec.reconstruction_error.max()),
             "constancy_along_kernel": {"holds": bool(const_ok),
                                        "max_derivative": float(const_worst)},
         }
@@ -352,12 +375,8 @@ def run(request: AnalysisRequest):
         artifacts["solution"] = reports.write_solution_field(
             out / "solution.csv", field_solution)
 
-    reports.write_json(out / "outcomes.json",
-                       {k: {"ok": v.ok, "detail": v.detail}
-                        for k, v in outcomes.items()})
-    if all(v.ok for v in outcomes.values()):
-        return EXIT_OK, artifacts
-    return EXIT_CONDITION, artifacts
+    return finish(EXIT_OK if all(v.ok for v in outcomes.values())
+                  else EXIT_CONDITION)
 
 
 def _build_surface(system, potentials, solver_cfg):

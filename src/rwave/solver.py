@@ -9,7 +9,7 @@ indicator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -169,8 +169,9 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
     """du/ds_j along internal axis j: sum_a axes[a][j] V_a(tau, u) with
     V_a = sum_a' mu[a'][a](tau) gamma_a'(u).
 
-    The returned closure flows one internal coordinate (a scalar shared by
-    every lane) while the others stay fixed, possibly per lane.
+    The returned closure flows one internal coordinate while the others
+    stay fixed; both the flowing and the fixed coordinates may be scalars
+    shared by every lane or arrays with one value per lane.
     """
     dep = space.dependent
     k = len(gammas)
@@ -182,15 +183,13 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
             lanes = u2.shape[0]
             s_mat = np.empty((lanes, k))
             for a in range(k):
-                if a == axis_idx:
-                    s_mat[:, a] = float(s)
-                else:
-                    s_mat[:, a] = np.broadcast_to(
-                        np.asarray(fixed_coords[a], dtype=float), (lanes,))
+                s_mat[:, a] = s if a == axis_idx else fixed_coords[a]
             tau = s_mat @ axes.T
             env = {name: tau[:, a] for a, name in enumerate(tau_names)}
             for b, name in enumerate(dep):
                 env[name] = u2[:, b]
+            gvecs = [np.broadcast_to(exprmat.eval_vector(g, env, strict=False),
+                                     u2.shape) for g in gammas]
             out = np.zeros_like(u2)
             for a in range(k):
                 coeff = axes[a][axis_idx]
@@ -200,14 +199,26 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
                 for ap in range(k):
                     mu_val = np.asarray(mu[ap][a].evaluate(env, strict=False),
                                         dtype=float)
-                    gvec = exprmat.eval_vector(gammas[ap], env, strict=False)
-                    if gvec.ndim == 1:
-                        gvec = np.broadcast_to(gvec, u2.shape)
-                    acc += np.broadcast_to(mu_val, (lanes,))[:, None] * gvec
+                    acc += (np.broadcast_to(mu_val, (lanes,))[:, None]
+                            * gvecs[ap])
                 out += coeff * acc
             return out.reshape(np.shape(u))
         return rhs
     return field
+
+
+def _flow_from_anchor(rhs, y0, start, targets, step):
+    """States at the sorted ``targets``: integrate down and up from the
+    anchor y(start) = y0, then stitch the two sweeps in target order."""
+    out = np.empty((len(targets),) + np.shape(y0))
+    below = targets < start
+    if below.any():
+        out[np.where(below)[0][::-1]] = ode.rk4_dense(
+            rhs, y0, start, targets[below][::-1], max_step=step, tol=1e-12)
+    if (~below).any():
+        out[np.where(~below)[0]] = ode.rk4_dense(
+            rhs, y0, start, targets[~below], max_step=step, tol=1e-12)
+    return out
 
 
 def integrate_characteristic(gamma, alpha, u0, s_range, step, space,
@@ -238,16 +249,8 @@ def integrate_characteristic(gamma, alpha, u0, s_range, step, space,
     if step <= 0:
         raise ValueError("step must be positive")
     s_grid = np.linspace(lo, hi, n_out)
-    states = np.empty((n_out, len(u0)))
-    below = s_grid < s0
-    if below.any():
-        states[np.where(below)[0][::-1]] = ode.rk4_dense(
-            rhs, np.asarray(u0, dtype=float), s0, s_grid[below][::-1],
-            max_step=step, tol=1e-12)
-    if (~below).any():
-        states[np.where(~below)[0]] = ode.rk4_dense(
-            rhs, np.asarray(u0, dtype=float), s0, s_grid[~below],
-            max_step=step, tol=1e-12)
+    states = _flow_from_anchor(rhs, np.asarray(u0, dtype=float), s0, s_grid,
+                               step)
     surf = Surface1D(s_grid, states, space, (s_name,),
                      provenance or SurfaceProvenance(("gamma",), None,
                                                      tuple(np.asarray(u0, float)),
@@ -259,7 +262,7 @@ def integrate_characteristic(gamma, alpha, u0, s_range, step, space,
 def _check_tangency_1d(surf, rhs, n=17, tol=1e-8):
     s = np.linspace(surf.s_grid[0], surf.s_grid[-1], n)
     u = surf.value(s)
-    want = np.stack([rhs(float(si), u[i]) for i, si in enumerate(s)])
+    want = rhs(s, u)
     got = surf.jac(s)[:, :, 0]
     scale = 1.0 + np.max(np.abs(want))
     worst = np.max(np.abs(got - want)) / scale
@@ -275,8 +278,9 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
     Solves df/dtau^a = sum_a' mu^a'_a(tau) gamma_(a') by successive flows
     from the anchor (tau_base, u0) over a parameter rectangle in internal
     coordinates (tau = axes @ s; axes defaults to identity).  The flow
-    order is swapped at probe points and a mismatch beyond ``swap_tol``
-    raises NonIntegrable.
+    order is swapped at probe points, integrated together as lanes, and a
+    mismatch beyond ``swap_tol`` raises NonIntegrable.  For k = 1 the
+    surface is the characteristic of ``integrate_characteristic``.
     """
     k = len(gammas)
     if tau_names is None:
@@ -289,30 +293,9 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
                              tuple(np.asarray(u0, float)), tuple(tau_base))
     if k == 1:
         mu_gamma = tuple(simplify(mu[0][0] * g) for g in gammas[0])
-        lo, hi = axis_ranges[0]
-        # anchor sits at tau_base; integrate down and up, then stitch
-        sb = float(tau_base[0])
-        grid = np.linspace(lo, hi, n_grid)
-
-        def rhs(s, u):
-            u2 = np.atleast_2d(u)
-            env = {name: u2[..., b] for b, name in enumerate(space.dependent)}
-            env[tau_names[0]] = np.asarray(s, dtype=float)
-            g = exprmat.eval_vector(mu_gamma, env, strict=False)
-            if g.ndim == 1:
-                g = np.broadcast_to(g, u2.shape)
-            return g.reshape(np.shape(u))
-
-        below = grid[grid < sb][::-1]
-        above = grid[grid >= sb]
-        states = np.empty((n_grid, len(u0)))
-        if below.size:
-            states[np.flip(np.where(grid < sb)[0])] = ode.rk4_dense(
-                rhs, np.asarray(u0, float), sb, below, max_step=step, tol=1e-12)
-        if above.size:
-            states[np.where(grid >= sb)[0]] = ode.rk4_dense(
-                rhs, np.asarray(u0, float), sb, above, max_step=step, tol=1e-12)
-        return Surface1D(grid, states, space, tau_names, prov)
+        return integrate_characteristic(
+            mu_gamma, None, u0, axis_ranges[0], step, space,
+            s_name=tau_names[0], s0=tau_base[0], n_out=n_grid, provenance=prov)
 
     if k != 2:
         raise SolverError("surface construction supports k = 1 or 2")
@@ -323,24 +306,11 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
     s1_grid = np.linspace(l1, h1, n_grid)
     s2_grid = np.linspace(l2, h2, n_grid)
 
-    # sweep axis 1 from the anchor, then axis 2 in a single batch
-    def sweep(axis_idx, fixed_coords, y0, start, targets):
-        rhs = field(axis_idx, fixed_coords)
-        out = np.empty((len(targets),) + np.shape(y0))
-        below = targets < start
-        down = targets[below][::-1]
-        up = targets[~below]
-        if down.size:
-            out[np.where(below)[0][::-1]] = ode.rk4_dense(
-                rhs, y0, start, down, max_step=step, tol=1e-12)
-        if up.size:
-            out[np.where(~below)[0]] = ode.rk4_dense(
-                rhs, y0, start, up, max_step=step, tol=1e-12)
-        return out
-
-    line = sweep(0, [None, s_base[1]], np.asarray(u0, float), s_base[0], s1_grid)
-    # batch: all s1 lanes flow together along axis 2
-    states = sweep(1, [s1_grid, None], line, s_base[1], s2_grid)
+    # sweep axis 1 from the anchor, then all s1 lanes together along axis 2
+    line = _flow_from_anchor(field(0, [None, s_base[1]]),
+                             np.asarray(u0, float), s_base[0], s1_grid, step)
+    states = _flow_from_anchor(field(1, [s1_grid, None]), line, s_base[1],
+                               s2_grid, step)
     u_grid = np.transpose(states, (1, 0, 2))  # (n1, n2, q)
 
     surf = Surface2D(axes, s1_grid, s2_grid, u_grid, space, tau_names, prov)
@@ -348,27 +318,42 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
     return surf
 
 
+def _flow_both_orders(field, s_base, u0, probes, step):
+    """End states at each probe (s1, s2) flowing axis 1 then axis 2 (a)
+    and axis 2 then axis 1 (b).  Probes are lanes: each leg integrates
+    sigma in [0, 1] with the right-hand side scaled by each lane's span,
+    and no lane moves more than ``step`` in s per step."""
+    s1, s2 = probes[:, 0], probes[:, 1]
+    y0 = np.tile(u0, (len(probes), 1))
+
+    def leg(axis_idx, fixed_coords, y, start, end):
+        span = end - start
+        rhs = field(axis_idx, fixed_coords)
+
+        def f(sigma, u):
+            return span[:, None] * rhs(start + sigma * span, u)
+
+        return ode.rk4(f, y, 0.0, 1.0, tol=1e-12,
+                       max_step=step / max(np.max(np.abs(span)), step))
+
+    a = leg(0, [None, s_base[1]], y0, s_base[0], s1)
+    a = leg(1, [s1, None], a, s_base[1], s2)
+    b = leg(1, [s_base[0], None], y0, s_base[1], s2)
+    b = leg(0, [None, s2], b, s_base[0], s1)
+    return a, b
+
+
 def _swap_order_check(surf, field, s_base, u0, step, tol, n_probe=5):
     rng = np.random.default_rng(0)
     (l1, h1), (l2, h2) = surf.tau_ranges
     probes = np.stack([rng.uniform(l1, h1, n_probe), rng.uniform(l2, h2, n_probe)],
                       axis=1)
-    worst = 0.0
-    worst_pt = None
-    for s1, s2 in probes:
-        a = ode.rk4(field(0, [None, s_base[1]]), u0, s_base[0], s1,
-                    max_step=step, tol=1e-12)
-        a = ode.rk4(field(1, [s1, None]), a, s_base[1], s2,
-                    max_step=step, tol=1e-12)
-        b = ode.rk4(field(1, [s_base[0], None]), u0, s_base[1], s2,
-                    max_step=step, tol=1e-12)
-        b = ode.rk4(field(0, [None, s2]), b, s_base[0], s1,
-                    max_step=step, tol=1e-12)
-        m = float(np.max(np.abs(a - b)))
-        if m > worst:
-            worst, worst_pt = m, (float(s1), float(s2))
+    a, b = _flow_both_orders(field, s_base, u0, probes, step)
+    m = np.max(np.abs(a - b), axis=1)
+    i = int(np.argmax(m))
+    worst = float(m[i])
     if worst > tol:
-        raise NonIntegrable(worst, worst_pt)
+        raise NonIntegrable(worst, (float(probes[i, 0]), float(probes[i, 1])))
     return worst
 
 
@@ -398,22 +383,10 @@ def surface_tangency_residual(surf, gammas, mu, rng=None, n=25):
         tau = surf.from_internal(s)
     u = surf.value(tau)
     J = surf.jac(tau)
-    env = {}
-    for a, name in enumerate(surf.tau_names):
-        env[name] = tau[:, a]
-    for b, name in enumerate(surf.space.dependent):
-        env[name] = u[:, b]
-    worst = 0.0
-    for a in range(k):
-        want = np.zeros_like(u)
-        for ap in range(k):
-            mv = np.asarray(mu[ap][a].evaluate(env, strict=False), dtype=float)
-            gv = exprmat.eval_vector(gammas[ap], env, strict=False)
-            if gv.ndim == 1:
-                gv = np.broadcast_to(gv, u.shape)
-            want += np.broadcast_to(mv, (n,))[:, None] * gv
-        worst = max(worst, float(np.max(np.abs(J[:, :, a] - want))))
-    return worst
+    field = _gamma_field(gammas, mu, np.eye(k), surf.space, surf.tau_names)
+    fixed = list(tau.T)
+    return float(max(np.max(np.abs(J[:, :, a] - field(a, fixed)(tau[:, a], u)))
+                     for a in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +466,15 @@ class SolutionField:
         env.update(self.params)
         for j, name in enumerate(self.space.dependent):
             env[name] = float(self.u[idx, j])
+        return env
+
+    def grid_env(self):
+        """Every variable at every grid point, as arrays of shape (n,)."""
+        env = {name: self.x[:, i] for i, name in enumerate(self.x_names)}
+        env.update({k: np.broadcast_to(v, (self.n,))
+                    for k, v in self.params.items()})
+        for j, name in enumerate(self.space.dependent):
+            env[name] = self.u[:, j]
         return env
 
     def resolve(self, env_x):

@@ -3,7 +3,9 @@
 Everything here works from finite differences of re-solved points, never
 from the solver's own internals: residual reports against the defining
 system, tangent-map recovery onto the wave dyads, rank estimation, and
-constancy of u along the common kernel of the wave covectors.
+constancy of u along the common kernel of the wave covectors.  Each
+check makes one batched pass over the grid: stacked Jacobians, stacked
+SVDs, and one re-solve per displaced grid.
 """
 
 from __future__ import annotations
@@ -32,60 +34,32 @@ SVD_GAP = 1e6  # sigma_i / sigma_{i+1} beyond this marks the rank cut
 
 
 def fd_jacobian(field, index, h=1e-5, richardson=False):
-    """Central-difference Jacobian du/dx at grid point ``index`` by
-    re-solving the field at displaced points.
+    """Central-difference Jacobian du/dx at grid point ``index``: the
+    one-point case of ``fd_jacobian_batch``, re-solving one-point grids.
+    """
+    return _fd_jacobians(field, np.array([index]), h, richardson)[0]
+
+
+def fd_jacobian_batch(field, h=1e-5, richardson=False):
+    """Central-difference Jacobians du/dx for every grid point, re-solving
+    whole displaced grids at once.  Returns (n, q, p).
 
     With ``richardson=True`` combines steps h and h/2 for an O(h^4)
     estimate.
     """
-    if field.analytic_jacobian is not None and h is None:
-        return field.analytic_jacobian(field.point_env(index))
+    return _fd_jacobians(field, np.arange(field.n), h, richardson)
 
+
+def _fd_jacobians(field, rows, h, richardson):
     def jac_at(step):
-        p = len(field.x_names)
-        q = field.u.shape[1]
-        J = np.empty((q, p))
+        J = np.empty((rows.size, field.u.shape[1], len(field.x_names)))
+        base = {nm: field.x[rows, j] for j, nm in enumerate(field.x_names)}
         for i, name in enumerate(field.x_names):
-            up_env = {nm: np.array([field.x[index, j]])
-                      for j, nm in enumerate(field.x_names)}
-            dn_env = {nm: np.array([field.x[index, j]])
-                      for j, nm in enumerate(field.x_names)}
-            up_env[name] = up_env[name] + step
-            dn_env[name] = dn_env[name] - step
-            up = field.resolve(up_env)
-            dn = field.resolve(dn_env)
-            if not (up.converged.all() and dn.converged.all()):
-                raise NeighborDiverged(
-                    f"displaced solve failed near index {index} along {name}")
-            J[:, i] = (up.u[0] - dn.u[0]) / (2.0 * step)
-        return J
-
-    J = jac_at(h)
-    if richardson:
-        J2 = jac_at(h / 2.0)
-        J = (4.0 * J2 - J) / 3.0
-    return J
-
-
-def fd_jacobian_batch(field, h=1e-5, richardson=False):
-    """Vectorized central-difference Jacobians for every grid point,
-    re-solving whole displaced grids at once.  Returns (n, q, p)."""
-
-    def jac_at(step):
-        n = field.n
-        p = len(field.x_names)
-        q = field.u.shape[1]
-        J = np.empty((n, q, p))
-        base = {nm: field.x[:, j] for j, nm in enumerate(field.x_names)}
-        for i, name in enumerate(field.x_names):
-            up_env = dict(base)
-            dn_env = dict(base)
-            up_env[name] = base[name] + step
-            dn_env[name] = base[name] - step
-            up = field.resolve(up_env)
-            dn = field.resolve(dn_env)
-            if not (up.converged.all() and dn.converged.all()):
-                bad = int(np.argmin(up.converged & dn.converged))
+            up = field.resolve(dict(base, **{name: base[name] + step}))
+            dn = field.resolve(dict(base, **{name: base[name] - step}))
+            ok = up.converged & dn.converged
+            if not ok.all():
+                bad = int(rows[np.argmin(ok)])
                 raise NeighborDiverged(
                     f"displaced solve failed at point {bad} along {name}")
             J[:, :, i] = (up.u - dn.u) / (2.0 * step)
@@ -114,15 +88,14 @@ class ResidualReport:
 
 
 def residual_report(sys: QuasilinearSystem, field, h=1e-5,
-                    richardson=False) -> ResidualReport:
-    """Finite-difference residual of the system at every converged point."""
-    J = fd_jacobian_batch(field, h=h, richardson=richardson)
-    env = {nm: field.x[:, j] for j, nm in enumerate(field.x_names)}
-    env.update({k: np.broadcast_to(v, (field.n,))
-                for k, v in field.params.items()})
-    for j, nm in enumerate(field.space.dependent):
-        env[nm] = field.u[:, j]
-    res = sys.residual_batch(env, J)
+                    richardson=False, jac=None) -> ResidualReport:
+    """Finite-difference residual of the system at every converged point.
+
+    ``jac`` takes the (n, q, p) Jacobians from ``fd_jacobian_batch`` when
+    the caller already has them; otherwise they are computed here.
+    """
+    J = jac if jac is not None else fd_jacobian_batch(field, h, richardson)
+    res = sys.residual_batch(field.grid_env(), J)
     norms = np.max(np.abs(res), axis=1)
     failures = [int(i) for i in np.where(~field.converged)[0]]
     ok = field.converged
@@ -133,51 +106,65 @@ def residual_report(sys: QuasilinearSystem, field, h=1e-5,
 
 @dataclass
 class DecompositionRecovery:
+    """One point's recovery; for a stack of n points every field gains a
+    leading axis of length n."""
+
     xi: np.ndarray
     reconstruction_error: float
     rank: int
     singular_values: np.ndarray
 
-    def as_dict(self):
-        return {"xi": [float(v) for v in self.xi],
-                "reconstruction_error": self.reconstruction_error,
-                "rank": self.rank,
-                "singular_values": [float(s) for s in self.singular_values]}
-
 
 def estimate_rank(singular_values, gap=SVD_GAP, floor=1e-12):
+    """Count of leading singular values above ``floor`` with no ratio to
+    the predecessor beyond ``gap``; a stack (..., m) gives one per row."""
     s = np.asarray(singular_values, dtype=float)
-    if s.size == 0 or s[0] <= floor:
-        return 0
-    rank = 1
-    for i in range(s.size - 1):
-        if s[i + 1] <= floor or s[i] / max(s[i + 1], 1e-300) > gap:
-            return rank
-        rank += 1
-    return rank
+    keep = s > floor
+    with np.errstate(over="ignore"):
+        keep[..., 1:] &= s[..., :-1] / np.maximum(s[..., 1:], 1e-300) <= gap
+    rank = np.cumprod(keep, axis=-1).sum(axis=-1)
+    return int(rank) if s.ndim == 1 else rank
 
 
-def recover_decomposition(jac, elements, point_env) -> DecompositionRecovery:
+def recover_decomposition(jac, elements, env) -> DecompositionRecovery:
     """Least-squares xi with jac ~ sum_sigma xi^sigma gamma_sigma (x) lam^sigma.
 
-    ``elements`` are wave elements whose lam/gamma evaluate at point_env;
-    the rank estimate comes from the SVD gap of the Jacobian itself.
+    ``jac`` is one (q, p) Jacobian with a point ``env`` of scalars, or a
+    stack (n, q, p) with ``env`` values of shape (n,).  Each lam and gamma
+    is evaluated once over the stack; one stacked SVD of the dyad matrix
+    gives both the independence guard and the least-squares solution.
+    The rank estimate comes from the SVD gap of each Jacobian itself.
+    Raises DegenerateElements naming the first point whose dyads are
+    linearly dependent.
     """
     J = np.asarray(jac, dtype=float)
-    dyads = []
+    single = J.ndim == 2
+    if single:
+        J = J[None]
+    n, q, p = J.shape
+    cols = []
     for e in elements:
-        lam = exprmat.eval_vector(e.lam, point_env)
-        gam = exprmat.eval_vector(e.gamma, point_env)
-        dyads.append(np.outer(gam, lam))
-    G = np.stack([d.ravel() for d in dyads], axis=1)
-    sv = np.linalg.svd(G, compute_uv=False)
-    if sv[-1] < 1e-10 * max(1.0, sv[0]):
-        raise DegenerateElements("wave dyads are linearly dependent at this point")
-    xi, *_ = np.linalg.lstsq(G, J.ravel(), rcond=None)
-    err = float(np.linalg.norm(G @ xi - J.ravel()))
+        lam = np.broadcast_to(exprmat.eval_vector(e.lam, env), (n, p))
+        gam = np.broadcast_to(exprmat.eval_vector(e.gamma, env), (n, q))
+        cols.append((gam[:, :, None] * lam[:, None, :]).reshape(n, q * p))
+    G = np.stack(cols, axis=2)                       # (n, q*p, k)
+    U, sv, Vt = np.linalg.svd(G, full_matrices=False)
+    bad = sv[:, -1] < 1e-10 * np.maximum(1.0, sv[:, 0])
+    if bad.any():
+        raise DegenerateElements("wave dyads are linearly dependent at grid "
+                                 f"index {int(np.argmax(bad))}")
+    b = J.reshape(n, q * p)
+    coef = np.einsum("nij,ni->nj", U, b) / sv
+    xi = np.einsum("nji,nj->ni", Vt, coef)
+    err = np.linalg.norm(np.einsum("nij,nj->ni", G, xi) - b, axis=1)
     s = np.linalg.svd(J, compute_uv=False)
-    return DecompositionRecovery(xi=xi, reconstruction_error=err,
-                                 rank=estimate_rank(s), singular_values=s)
+    rank = estimate_rank(s)
+    if single:
+        return DecompositionRecovery(xi=xi[0], rank=int(rank[0]),
+                                     reconstruction_error=float(err[0]),
+                                     singular_values=s[0])
+    return DecompositionRecovery(xi=xi, reconstruction_error=err, rank=rank,
+                                 singular_values=s)
 
 
 def constancy_along_kernel(field, elements, indices=None, h=1e-5, tol=1e-6,
@@ -185,33 +172,39 @@ def constancy_along_kernel(field, elements, indices=None, h=1e-5, tol=1e-6,
     """Directional derivative of u along the common kernel of the wave
     covectors, by re-solving at displaced points.
 
+    The kernel at each sample comes from one stacked SVD of the covector
+    rows (or is ``directions``, the same at every sample); every displaced
+    point, sample x kernel direction x +-h, is re-solved in one grid.
     Returns (holds, max_derivative).  Vacuously true when the covectors
     span the whole cotangent space.
     """
     if indices is None:
         indices = range(min(field.n, 20))
+    idx = np.asarray(list(indices), dtype=int)
     p = len(field.x_names)
-    worst = 0.0
-    for idx in indices:
-        env = field.point_env(idx)
-        if directions is not None:
-            kernel = [np.asarray(d, dtype=float) for d in directions]
-        else:
-            lam_rows = np.stack([exprmat.eval_vector(e.lam, env) for e in elements])
-            _, s, vt = np.linalg.svd(lam_rows)
-            ker_dim = p - np.sum(s > 1e-10 * max(s[0], 1.0))
-            kernel = [vt[p - 1 - j] for j in range(ker_dim)]
-        if not kernel:
-            continue
-        for theta in kernel:
-            theta = theta / np.linalg.norm(theta)
-            up_env = {nm: np.array([field.x[idx, j] + h * theta[j]])
-                      for j, nm in enumerate(field.x_names)}
-            dn_env = {nm: np.array([field.x[idx, j] - h * theta[j]])
-                      for j, nm in enumerate(field.x_names)}
-            up = field.resolve(up_env)
-            dn = field.resolve(dn_env)
-            if not (up.converged.all() and dn.converged.all()):
-                raise NeighborDiverged(f"displaced solve failed at index {idx}")
-            worst = max(worst, float(np.max(np.abs(up.u[0] - dn.u[0])) / (2 * h)))
+    if directions is not None:
+        theta = np.asarray(directions, dtype=float).reshape(-1, p)
+        owner = np.repeat(np.arange(idx.size), len(theta))
+        theta = np.tile(theta, (idx.size, 1))
+    else:
+        env = {k: v[idx] for k, v in field.grid_env().items()}
+        lam_rows = np.stack([np.broadcast_to(exprmat.eval_vector(e.lam, env),
+                                             (idx.size, p)) for e in elements],
+                            axis=1)                  # (m, k, p)
+        _, s, vt = np.linalg.svd(lam_rows)
+        ker_dim = p - np.sum(s > 1e-10 * np.maximum(s[:, :1], 1.0), axis=1)
+        kernel = np.arange(p) >= (p - ker_dim)[:, None]  # last rows of vt
+        owner, theta = np.nonzero(kernel)[0], vt[kernel]
+    if owner.size == 0:
+        return True, 0.0
+    theta = theta / np.linalg.norm(theta, axis=1, keepdims=True)
+    base = field.x[idx[owner]]
+    pts = np.concatenate([base + h * theta, base - h * theta])
+    sol = field.resolve({nm: pts[:, j] for j, nm in enumerate(field.x_names)})
+    m = owner.size
+    ok = sol.converged[:m] & sol.converged[m:]
+    if not ok.all():
+        raise NeighborDiverged("displaced solve failed at index "
+                               f"{int(idx[owner[np.argmin(ok)]])}")
+    worst = float(np.max(np.abs(sol.u[:m] - sol.u[m:]))) / (2 * h)
     return worst <= tol, worst

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from rwave import cli
 from rwave.cli import (
     EXIT_CONDITION,
     EXIT_OK,
     EXIT_REQUEST,
+    EXIT_SOLVER,
     AnalysisRequest,
     describe,
     main,
@@ -118,6 +121,67 @@ def test_run_condition_failure_exit3(tmp_path):
     assert rep["closedness"]["verdict"] == "fails"
     assert rep["closedness"]["witness"] is not None
     assert rep["closedness"]["magnitude"] > 1e-3
+
+
+def test_run_dependent_covectors_exit3(tmp_path, capsys):
+    req = base_request(
+        tmp_path, stages=("homogenize", "elements", "conditions"),
+        lambdas=[["1", "0", "-(1/(y*sqrt(u1)))"],
+                 ["2", "0", "-(2/(y*sqrt(u1)))"]])
+    code, _ = run(req)
+    assert code == EXIT_CONDITION
+    assert "conditions:" in capsys.readouterr().err
+    outcomes = json.loads((Path(req.out_dir) / "outcomes.json").read_text())
+    assert outcomes["conditions"]["ok"] is False
+
+
+def test_run_verify_neighbor_diverged_exit4(tmp_path, monkeypatch, capsys):
+    real_solve = cli.solve_implicit
+
+    def solve_with_failing_resolver(*args, **kwargs):
+        field = real_solve(*args, **kwargs)
+        resolve = field.resolver
+
+        def resolver(env):
+            out = resolve(env)
+            out.converged[:] = False
+            return out
+
+        field.resolver = resolver
+        return field
+
+    monkeypatch.setattr(cli, "solve_implicit", solve_with_failing_resolver)
+    req = base_request(tmp_path)
+    code, _ = run(req)
+    assert code == EXIT_SOLVER
+    assert "verify: displaced solve failed" in capsys.readouterr().err
+    out = Path(req.out_dir)
+    assert (out / "solution.csv").exists()
+    assert not (out / "verification.json").exists()
+    outcomes = json.loads((out / "outcomes.json").read_text())
+    assert outcomes["solve"]["ok"] is True
+    assert outcomes["verify"]["ok"] is False
+
+
+def test_run_verify_dependent_dyads_exit3(tmp_path, monkeypatch, capsys):
+    real_build = cli._build_surface
+
+    def build_then_duplicate_element(system, potentials, solver_cfg):
+        surface = real_build(system, potentials, solver_cfg)
+        # the solve keeps both potentials; verify sees one element twice
+        potentials[1] = dataclasses.replace(potentials[1],
+                                            element=potentials[0].element)
+        return surface
+
+    monkeypatch.setattr(cli, "_build_surface", build_then_duplicate_element)
+    req = base_request(tmp_path)
+    code, _ = run(req)
+    assert code == EXIT_CONDITION
+    assert "linearly dependent at grid index 0" in capsys.readouterr().err
+    out = Path(req.out_dir)
+    assert (out / "solution.csv").exists()
+    outcomes = json.loads((out / "outcomes.json").read_text())
+    assert outcomes["verify"]["ok"] is False
 
 
 def test_run_noncharacteristic_ansatz_exit2(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rwave import ode, solver
 from rwave.expr import Const, VarSpace, parse
 from rwave.fixtures import PRESETS, load_fixture
 from rwave.solver import (
@@ -99,6 +100,55 @@ def test_build_hodograph_two_wave_matches_closed_form():
     mu = [[parse(e, VarSpace((), (), ("taup", "taum"))) for e in row]
           for row in cfg["mu"]]
     assert surface_tangency_residual(surf, [gam_p, gam_m], mu, rng=1) < 1e-8
+
+
+def ex2_frame():
+    gam_p = (parse("sqrt(u1)", SP2), Const(1))
+    gam_m = (parse("-sqrt(u1)", SP2), Const(1))
+    mu = [[parse(e, VarSpace((), (), ("taup", "taum"))) for e in row]
+          for row in PRESETS["example2"]["solver"]["mu"]]
+    return ex2_two_wave_surface(), [gam_p, gam_m], mu
+
+
+def tau_weighted_frame():
+    # weights depend on tau and the axes are rotated, so every flow also
+    # depends on the coordinate held fixed: f = (tau1^2/2, tau2^2/2) + c
+    space = VarSpace((), ("u1", "u2"))
+    tau_space = VarSpace((), (), ("tau1", "tau2"))
+    gammas = [(Const(1), Const(0)), (Const(0), Const(1))]
+    mu = [[parse("tau1", tau_space), Const(0)],
+          [Const(0), parse("tau2", tau_space)]]
+    surf = build_hodograph(gammas, mu, [0.0, 0.0], [1.0, 1.0],
+                           [[1.0, 2.0], [-0.5, 0.5]], step=0.02, space=space,
+                           tau_names=("tau1", "tau2"),
+                           axes=[[1.0, 1.0], [1.0, -1.0]], n_grid=21)
+    return surf, gammas, mu
+
+
+@pytest.mark.parametrize("frame", [ex2_frame, tau_weighted_frame])
+def test_swap_order_lanes_match_serial_probes(frame):
+    surf, gammas, mu = frame()
+    field = solver._gamma_field(gammas, mu, surf.axes, surf.space,
+                                surf.tau_names)
+    s_base = np.linalg.solve(surf.axes, np.asarray(surf.provenance.tau_base))
+    u0 = np.asarray(surf.provenance.u0)
+    step = 0.02
+    rng = np.random.default_rng(1)
+    (l1, h1), (l2, h2) = surf.tau_ranges
+    probes = np.stack([rng.uniform(l1, h1, 5), rng.uniform(l2, h2, 5)], axis=1)
+    a, b = solver._flow_both_orders(field, s_base, u0, probes, step)
+    for i, (s1, s2) in enumerate(probes):
+        # reference: one single-lane integration per leg and probe
+        want_a = ode.rk4(field(0, [None, s_base[1]]), u0, s_base[0], s1,
+                         max_step=step, tol=1e-12)
+        want_a = ode.rk4(field(1, [s1, None]), want_a, s_base[1], s2,
+                         max_step=step, tol=1e-12)
+        want_b = ode.rk4(field(1, [s_base[0], None]), u0, s_base[1], s2,
+                         max_step=step, tol=1e-12)
+        want_b = ode.rk4(field(0, [None, s2]), want_b, s_base[0], s1,
+                         max_step=step, tol=1e-12)
+        assert np.max(np.abs(a[i] - want_a)) < 1e-12
+        assert np.max(np.abs(b[i] - want_b)) < 1e-12
 
 
 def test_build_hodograph_half_weights_quarter_form():

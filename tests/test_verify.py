@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from rwave.expr import Const, parse
+from rwave import exprmat
+from rwave.expr import Const, VarSpace, parse
 from rwave.fixtures import PRESETS, load_fixture
 from rwave.geometry import WaveElement
-from rwave.solver import double_wave_fixture
+from rwave.solver import (
+    ImplicitSolveConfig,
+    double_wave_fixture,
+    integrate_characteristic,
+    solve_implicit,
+)
 from rwave.verify import (
     DegenerateElements,
     constancy_along_kernel,
@@ -16,6 +22,7 @@ from rwave.verify import (
 )
 
 EX2 = load_fixture("example2")
+EX3 = load_fixture("example3")
 
 
 def ex2_elements():
@@ -113,6 +120,46 @@ def test_recover_decomposition_degenerate():
         recover_decomposition(np.zeros((2, 3)), [plus, plus], env)
 
 
+def test_recover_decomposition_stack_names_degenerate_index():
+    # gamma = (u1, 1) and (u2, 1) on one covector: dyads dependent where u1 = u2
+    lam = (Const(1), Const(0), Const(0))
+    elems = [WaveElement(EX2.space, lam, (parse("u1", EX2.space), Const(1))),
+             WaveElement(EX2.space, lam, (parse("u2", EX2.space), Const(1)))]
+    n = 6
+    env = {"t": np.full(n, 1.5), "x": np.full(n, 2.0), "y": np.full(n, 0.5),
+           "u1": np.linspace(1.0, 2.0, n), "u2": np.full(n, -1.0)}
+    recover_decomposition(np.zeros((n, 2, 3)), elems, env)
+    env["u2"][3] = env["u1"][3]
+    with pytest.raises(DegenerateElements, match="grid index 3"):
+        recover_decomposition(np.zeros((n, 2, 3)), elems, env)
+
+
+def test_recover_decomposition_stack_matches_pointwise_lstsq():
+    rng = np.random.default_rng(3)
+    plus, minus = ex2_elements()
+    n = 200
+    env = {"t": rng.uniform(1, 3, n), "x": rng.uniform(1, 3, n),
+           "y": rng.uniform(0.2, 0.9, n), "u1": rng.uniform(0.3, 4, n),
+           "u2": rng.uniform(-1, 1, n)}
+    xi_true = np.where(rng.random((n, 2)) < 0.25, 0.0,
+                       rng.uniform(0.5, 2, (n, 2)))
+    G = np.stack([(exprmat.eval_vector(e.gamma, env)[:, :, None]
+                   * exprmat.eval_vector(e.lam, env)[:, None, :]).reshape(n, 6)
+                  for e in (plus, minus)], axis=2)
+    J = (np.einsum("nij,nj->ni", G, xi_true)
+         + 1e-3 * rng.standard_normal((n, 6))).reshape(n, 2, 3)
+    rec = recover_decomposition(J, [plus, minus], env)
+    assert rec.xi.shape == (n, 2) and rec.rank.shape == (n,)
+    for i in range(n):
+        want, *_ = np.linalg.lstsq(G[i], J[i].ravel(), rcond=None)
+        assert np.max(np.abs(rec.xi[i] - want)) <= 1e-12 * np.max(np.abs(want))
+        err = np.linalg.norm(G[i] @ want - J[i].ravel())
+        assert abs(rec.reconstruction_error[i] - err) <= 1e-12 * max(err, 1e-3)
+        s = np.linalg.svd(J[i], compute_uv=False)
+        assert np.array_equal(rec.singular_values[i], s)
+        assert rec.rank[i] == estimate_rank(s)
+
+
 def test_recover_decomposition_synthesized_roundtrip():
     rng = np.random.default_rng(0)
     plus, minus = ex2_elements()
@@ -137,6 +184,9 @@ def test_estimate_rank_gap():
     assert estimate_rank([1.0, 1e-8]) == 1
     assert estimate_rank([0.0]) == 0
     assert estimate_rank([1.0, 0.9, 0.8]) == 3
+    stack = [[1.0, 0.5, 1e-9], [1.0, 1e-8, 0.0], [0.0, 0.0, 0.0],
+             [1.0, 0.9, 0.8]]
+    assert estimate_rank(stack).tolist() == [2, 1, 0, 3]
 
 
 def test_constancy_along_kernel_double_wave():
@@ -167,3 +217,50 @@ def test_fd_jacobian_batch_matches_pointwise():
     for idx in (0, 5, 17):
         Jp = fd_jacobian(field, idx, h=1e-5)
         assert np.allclose(J[idx], Jp, atol=1e-12)
+
+
+def example3_field():
+    pre = PRESETS["example3"]["solver"]
+    surf = integrate_characteristic((Const(1),), None, [0.0], pre["s_range"],
+                                    step=0.05, space=VarSpace((), ("u",)),
+                                    s0=0.0)
+    pot = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", EX3.space)
+    rng = np.random.default_rng(5)
+    n = 30
+    grid = {"t": rng.uniform(0.1, 1.0, n), "x": rng.uniform(1, 3, n),
+            "y": rng.uniform(1, 3, n)}
+    cfg = ImplicitSolveConfig(initial_guess=np.array([-2.0]),
+                              tau_window=tuple(pre["tau_window"]),
+                              root_select="lowest")
+    return solve_implicit(surf, [pot], grid, cfg, params={"m": 1.0, "k": 1.0},
+                          space=EX3.space)
+
+
+@pytest.mark.parametrize("directions", [None, [np.array([0.0, 2.0, -1.0])]])
+def test_constancy_along_kernel_batch_matches_pointwise(directions):
+    field = example3_field()
+    lam = tuple(parse(s, EX3.space) for s in PRESETS["example3"]["lambdas"][0])
+    elem = WaveElement(EX3.space, lam, (Const(1),))
+    indices = range(0, field.n, 4)
+    h = 1e-4
+    holds, worst = constancy_along_kernel(field, [elem], indices=indices, h=h,
+                                          directions=directions)
+    # reference: one re-solve per displaced point
+    want = 0.0
+    for idx in indices:
+        if directions is None:
+            rows = exprmat.eval_vector(lam, field.point_env(idx))[None]
+            _, s, vt = np.linalg.svd(rows)
+            ker_dim = 3 - np.sum(s > 1e-10 * max(s[0], 1.0))
+            kernel = [vt[2 - j] for j in range(ker_dim)]
+        else:
+            kernel = directions
+        for theta in kernel:
+            theta = theta / np.linalg.norm(theta)
+            up = field.resolve({nm: np.array([field.x[idx, j] + h * theta[j]])
+                                for j, nm in enumerate(field.x_names)})
+            dn = field.resolve({nm: np.array([field.x[idx, j] - h * theta[j]])
+                                for j, nm in enumerate(field.x_names)})
+            want = max(want, float(np.max(np.abs(up.u[0] - dn.u[0])) / (2 * h)))
+    assert holds == (want <= 1e-6)
+    assert abs(worst - want) <= 1e-12
