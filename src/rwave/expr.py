@@ -395,6 +395,91 @@ class Call(Expr):
 
 
 # ---------------------------------------------------------------------------
+# compiled evaluation
+
+_BIN_CODE = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
+             "/": "true_divide({}, {})",
+             "^": "power(asarray({}, dtype=float), {})"}
+
+
+def _lanes(env):
+    """Broadcast length of the 1-D array values of ``env``; 1 when every
+    value is a scalar."""
+    n = 1
+    for v in env.values():
+        if isinstance(v, np.ndarray) and v.ndim and v.shape[0] != 1:
+            n = v.shape[0]
+    return n
+
+
+def compile_exprs(exprs):
+    """Compile ``exprs`` into one generated function ``kernel(env)``.
+
+    The kernel returns an (n, m) float array with column j equal to
+    ``exprs[j].evaluate(env, strict=False)`` bitwise, broadcast to the n
+    lanes of ``env`` (see ``_lanes``).  It runs the same numpy operations
+    as the tree-walk, but once per distinct subexpression and under one
+    ``np.errstate``; variable-free subexpressions are evaluated once here.
+    Domain violations give NaN lanes, and a missing variable raises
+    MissingVariableError.  Compiling costs about ten tree-walks, so it
+    pays only for expressions evaluated over and over.
+    """
+    exprs = tuple(exprs)
+    ns = {"errstate": np.errstate, "empty": np.empty, "asarray": np.asarray,
+          "true_divide": np.true_divide, "power": np.power, "lanes": _lanes,
+          "MissingVariableError": MissingVariableError, **_UNARY_EVAL}
+    body = []
+    slots = {}      # structural key over child slot names -> slot name
+    consts = set()  # slot names bound to values computed here
+    by_id = {}      # id(node) -> slot name, for subtrees shared by identity
+
+    def slot(key, code=None, value=None):
+        name = slots.get(key)
+        if name is None:
+            name = slots[key] = f"t{len(slots)}"
+            if code is None:
+                ns[name] = value
+                consts.add(name)
+            else:
+                body.append(f"            {name} = {code}")
+        return name
+
+    def visit(e):
+        name = by_id.get(id(e))
+        if name is not None:
+            return name
+        kids = [visit(c) for c in ((e.left, e.right) if isinstance(e, Bin)
+                                   else (e.arg,) if isinstance(e, Call)
+                                   else ())]
+        if isinstance(e, Var):
+            name = slot(("var", e.name), f"env[{e.name!r}]")
+        elif all(k in consts for k in kids):
+            # signed zeros compare equal, so key constants by their bits
+            v = e.evaluate({}, strict=False)
+            name = slot(("const", type(v), float(v).hex()), value=v)
+        elif isinstance(e, Bin):
+            name = slot(("bin", e.op, *kids), _BIN_CODE[e.op].format(*kids))
+        else:
+            name = slot(("call", e.fn, *kids), f"{e.fn}({kids[0]})")
+        by_id[id(e)] = name
+        return name
+
+    results = [visit(e) for e in exprs]
+    lines = ["def kernel(env):"]
+    if body:
+        lines += ["    try:", '        with errstate(all="ignore"):', *body,
+                  "    except KeyError as exc:",
+                  "        raise MissingVariableError(",
+                  "            f\"no value assigned for '{exc.args[0]}'\")"
+                  " from None"]
+    lines.append(f"    out = empty((lanes(env), {len(exprs)}))")
+    lines += [f"    out[:, {j}] = {name}" for j, name in enumerate(results)]
+    lines.append("    return out")
+    exec(compile("\n".join(lines), "<compiled expressions>", "exec"), ns)
+    return ns["kernel"]
+
+
+# ---------------------------------------------------------------------------
 # simplification
 
 def _const_val(e):

@@ -16,9 +16,10 @@ coordinate and the source has a recognized antiderivative, and otherwise
 by backward flows to a transversal section with an RK4 accumulator.
 
 The flows evaluate bracket coefficients at every RK4 stage: each field
-derives a symbolic bracket once and caches it on itself, and the span
-coefficients of all rows come from one batched two-column least-squares
-solve (`solve_two_columns`).
+derives a symbolic bracket once and caches it on itself, fields and
+scalars compile their expressions into one kernel (`compile_exprs`) once
+and keep it, and the span coefficients of all rows come from one batched
+two-column least-squares solve (`solve_two_columns`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import exprmat, ode
+from . import ode
 from .expr import (
     Bin,
     Box,
@@ -37,6 +38,7 @@ from .expr import (
     Expr,
     ZeroVerdict,
     antiderivative,
+    compile_exprs,
     is_zero,
     simplify,
 )
@@ -79,14 +81,15 @@ class ScalarFn:
             obj = Const(float(obj)) if isinstance(obj, float) else Const(obj)
         self.expr = obj if isinstance(obj, Expr) else None
         self._fn = None if self.expr is not None else obj
+        self._kernel = None
 
     def ev(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        if self.expr is not None:
-            out = np.asarray(self.expr.evaluate(_columns(U, self.names),
-                                                strict=False), dtype=float)
-            return np.broadcast_to(out, (U.shape[0],)).copy()
-        return np.asarray(self._fn(U), dtype=float).reshape(U.shape[0])
+        if self.expr is None:
+            return np.asarray(self._fn(U), dtype=float).reshape(U.shape[0])
+        if self._kernel is None:
+            self._kernel = compile_exprs((self.expr,))
+        return self._kernel(_columns(U, self.names))[:, 0]
 
     def __repr__(self):
         return f"<ScalarFn {self.expr}>" if self.expr is not None \
@@ -96,8 +99,10 @@ class ScalarFn:
 class VectorField:
     """Symbolic base field with an optional scalar factor (symbolic or
     numeric); evaluates on coordinate batches and differentiates scalars
-    along itself.  Fields are immutable, so each caches the symbolic
-    brackets and directional derivatives it derives, for its own lifetime.
+    along itself.  Fields are immutable, so each keeps what it derives for
+    its own lifetime: the compiled kernel of its components, its bracket
+    fields and its directional-derivative functions.  A scaled field
+    shares its bare field's kernel and brackets (see ``with_factor``).
     """
 
     def __init__(self, exprs, names, factor=None):
@@ -105,8 +110,17 @@ class VectorField:
         self.names = tuple(names)
         self.factor = factor  # ScalarFn or None (meaning 1)
         self._scaled = None
-        self._brackets = {}     # other.exprs -> [self, other] base bracket
-        self._directionals = {}  # scalar expr -> its derivative along self
+        self._kernel = None
+        self.bare = self if factor is None else VectorField(exprs, names)
+        self._brackets = {}     # other.exprs -> bare field [self, other]
+        self._directionals = {}  # scalar expr -> ScalarFn of its derivative
+
+    def with_factor(self, factor):
+        """The field ``factor`` times this field's components."""
+        out = VectorField(self.exprs, self.names)
+        out.factor = factor
+        out.bare = self.bare
+        return out
 
     @property
     def symbolic(self):
@@ -125,31 +139,31 @@ class VectorField:
 
     def eval(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        out = exprmat.eval_vector(self.exprs, _columns(U, self.names),
-                                  strict=False)
-        if out.ndim == 1:
-            out = np.broadcast_to(out, U.shape).copy()
         if self.factor is not None:
-            out = out * self.factor.ev(U)[:, None]
-        return out
+            return self.bare.eval(U) * self.factor.ev(U)[:, None]
+        if self._kernel is None:
+            self._kernel = compile_exprs(self.exprs)
+        return self._kernel(_columns(U, self.names))
 
-    def directional_expr(self, e: Expr):
-        """Symbolic derivative of ``e`` along this (symbolic) field."""
+    def _directional_fn(self, e: Expr):
         out = self._directionals.get(e)
         if out is None:
             acc = Const(0)
             for c, nm in zip(self.scaled_exprs(), self.names):
                 acc = Bin("+", acc, Bin("*", c, e.diff(nm)))
-            out = self._directionals[e] = simplify(acc)
+            out = self._directionals[e] = ScalarFn(simplify(acc), self.names)
         return out
+
+    def directional_expr(self, e: Expr):
+        """Symbolic derivative of ``e`` along this (symbolic) field."""
+        return self._directional_fn(e).expr
 
     def directional(self, scalar: ScalarFn, U, h=1e-4, v=None):
         """Derivative of ``scalar`` along this field at rows of U; ``v``
         may pass this field's values at U when already known."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if scalar.expr is not None and self.symbolic:
-            return ScalarFn(self.directional_expr(scalar.expr),
-                            self.names).ev(U)
+            return self._directional_fn(scalar.expr).ev(U)
         v = self.eval(U) if v is None else v
         eps = h / np.maximum(np.linalg.norm(v, axis=1), 1e-12)
         return (scalar.ev(U + eps[:, None] * v)
@@ -159,18 +173,19 @@ class VectorField:
         """[self, other](U); symbolic expansion of the factored Leibniz rule
         with finite differences only where a factor is numeric."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        base = self._brackets.get(other.exprs)
+        brackets = self.bare._brackets
+        base = brackets.get(other.exprs)
         if base is None:
-            base = self._brackets[other.exprs] = lie_bracket(
-                self.exprs, other.exprs, self.names)
-        B = VectorField(base, self.names).eval(U)
+            base = brackets[other.exprs] = VectorField(
+                lie_bracket(self.exprs, other.exprs, self.names), self.names)
+        B = base.eval(U)
         fi = self.factor.ev(U) if self.factor is not None else np.ones(len(U))
         fj = other.factor.ev(U) if other.factor is not None else np.ones(len(U))
         out = (fi * fj)[:, None] * B
         if self.factor is None and other.factor is None:
             return out
-        Xi = VectorField(self.exprs, self.names).eval(U)
-        Xj = VectorField(other.exprs, self.names).eval(U)
+        Xi = self.bare.eval(U)
+        Xj = other.bare.eval(U)
         # each directional runs along a scaled field, which carries its own
         # factor; its values reuse fi, fj instead of re-evaluating them
         if other.factor is not None:
@@ -267,15 +282,13 @@ class LogFactor:
     def as_scalar_fn(self):
         if self.symbolic:
             return ScalarFn(self.expr(), self.names)
-        terms = list(self.terms)
-        names = self.names
+        fns = [ScalarFn(t, self.names) for t in self.terms]
 
         def fn(U):
             U = np.atleast_2d(np.asarray(U, dtype=float))
-            return sum((ScalarFn(t, names).ev(U) for t in terms),
-                       np.zeros(U.shape[0]))
+            return sum((f.ev(U) for f in fns), np.zeros(U.shape[0]))
 
-        return ScalarFn(fn, names)
+        return ScalarFn(fn, self.names)
 
 
 class FactorFn:
@@ -356,7 +369,7 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
         if not solved:
             # flow along the bare expression field: f X(g) = s becomes
             # X(g) = s / f, keeping nested factors out of the flow itself
-            bare = VectorField(Y.exprs, names)
+            bare = Y.bare
             src = _divide_by_factor(resid, Y.factor, names)
             src = _cheapen_source(src, U_samples, names, box, rng)
             vy = bare.eval(base_arr[None])[0]
@@ -583,8 +596,7 @@ class FrameRescaling:
     base: dict
 
     def scaled_fields(self):
-        return [VectorField(f.exprs, self.names,
-                            factor=fac.as_scalar_fn(self.names))
+        return [f.with_factor(fac.as_scalar_fn(self.names))
                 for f, fac in zip(self.fields, self.factors)]
 
     def factors_nonvanishing(self, rng=None, trials=40):
@@ -684,8 +696,7 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
     stage1_residuals = []
 
     def scaled(i):
-        return VectorField(fields[i].exprs, names,
-                           factor=FactorFn(logs[i]).as_scalar_fn(names))
+        return fields[i].with_factor(FactorFn(logs[i]).as_scalar_fn(names))
 
     # base pair: X2(ln f1) = h^1_{12}, X1(ln f2) = -h^2_{12}
     pc = pair[(0, 1)]

@@ -9,13 +9,13 @@ indicator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from . import exprmat, ode
-from .expr import Expr, VarSpace, simplify
+from . import ode
+from .expr import Expr, VarSpace, compile_exprs, simplify
 from .geometry import NumericPotential
 
 
@@ -175,9 +175,16 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
     """
     dep = space.dependent
     k = len(gammas)
+    q = len(dep)
     axes = np.asarray(axes, dtype=float)
+    # columns: gamma_a's q components for each a, then mu[a'][a] row-major
+    kernel = compile_exprs([e for g in gammas for e in g]
+                           + [m for row in mu for m in row])
 
     def field(axis_idx, fixed_coords):
+        terms = [(a, axes[a][axis_idx]) for a in range(k)
+                 if axes[a][axis_idx] != 0.0]
+
         def rhs(s, u):
             u2 = np.atleast_2d(np.asarray(u, dtype=float))
             lanes = u2.shape[0]
@@ -188,19 +195,13 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
             env = {name: tau[:, a] for a, name in enumerate(tau_names)}
             for b, name in enumerate(dep):
                 env[name] = u2[:, b]
-            gvecs = [np.broadcast_to(exprmat.eval_vector(g, env, strict=False),
-                                     u2.shape) for g in gammas]
-            out = np.zeros_like(u2)
-            for a in range(k):
-                coeff = axes[a][axis_idx]
-                if coeff == 0.0:
-                    continue
-                acc = np.zeros_like(u2)
+            vals = kernel(env)
+            out = np.zeros(u2.shape)
+            for a, coeff in terms:
+                acc = np.zeros(u2.shape)
                 for ap in range(k):
-                    mu_val = np.asarray(mu[ap][a].evaluate(env, strict=False),
-                                        dtype=float)
-                    acc += (np.broadcast_to(mu_val, (lanes,))[:, None]
-                            * gvecs[ap])
+                    acc += (vals[:, k * q + ap * k + a, None]
+                            * vals[:, ap * q:(ap + 1) * q])
                 out += coeff * acc
             return out.reshape(np.shape(u))
         return rhs
@@ -233,17 +234,17 @@ def integrate_characteristic(gamma, alpha, u0, s_range, step, space,
     if not lo <= s0 <= hi:
         raise ValueError("anchor s0 must lie inside s_range")
     dep = space.dependent
+    q = len(gamma)
+    kernel = compile_exprs(tuple(gamma) + ((alpha,) if alpha is not None else ()))
 
     def rhs(s, u):
         u2 = np.atleast_2d(u)
         env = {name: u2[..., b] for b, name in enumerate(dep)}
         env[s_name] = np.asarray(s, dtype=float)
-        g = exprmat.eval_vector(gamma, env, strict=False)
-        if g.ndim == 1:
-            g = np.broadcast_to(g, u2.shape)
+        vals = kernel(env)
+        g = vals[:, :q]
         if alpha is not None:
-            a = np.asarray(alpha.evaluate(env, strict=False), dtype=float)
-            g = np.asarray(a)[..., None] * g
+            g = vals[:, q:] * g
         return g.reshape(np.shape(u))
 
     if step <= 0:
@@ -400,7 +401,8 @@ class PotentialFn:
         self.phi = phi
         if isinstance(phi, Expr):
             self.symbolic = True
-            self._du = [simplify(phi.diff(n)) for n in space.dependent]
+            self._kernel = compile_exprs(
+                [phi] + [simplify(phi.diff(n)) for n in space.dependent])
         elif isinstance(phi, NumericPotential):
             self.symbolic = False
         else:
@@ -408,7 +410,7 @@ class PotentialFn:
 
     def value(self, env):
         if self.symbolic:
-            return np.asarray(self.phi.evaluate(env, strict=False), dtype=float)
+            return self._kernel(env)[:, 0]
         n = max(np.shape(v)[0] if np.shape(v) else 1 for v in env.values())
         out = np.empty(n)
         for i in range(n):
@@ -419,10 +421,7 @@ class PotentialFn:
 
     def du(self, env, h=1e-6):
         if self.symbolic:
-            cols = [np.asarray(g.evaluate(env, strict=False), dtype=float)
-                    for g in self._du]
-            n = max((c.shape[0] for c in cols if c.shape), default=1)
-            return np.stack([np.broadcast_to(c, (n,)) for c in cols], axis=1)
+            return self._kernel(env)[:, 1:]
         base = self.value(env)
         cols = []
         for name in self.space.dependent:
@@ -450,7 +449,7 @@ class SolutionField:
     det_monitor: np.ndarray
     converged: np.ndarray
     catastrophe: np.ndarray
-    resolver: object = None            # callable(env_x) -> SolutionField
+    resolver: object = None   # callable(env_x, initial_guess) -> SolutionField
     analytic_jacobian: object = None   # callable(point) -> (q, p), if known
 
     @property
@@ -477,10 +476,12 @@ class SolutionField:
             env[name] = self.u[:, j]
         return env
 
-    def resolve(self, env_x):
+    def resolve(self, env_x, initial_guess=None):
+        """Re-solve at the points of ``env_x``; ``initial_guess`` (one tau
+        row per point) warm-starts the Newton iteration."""
         if self.resolver is None:
             raise SolverError("this field does not carry a resolver")
-        return self.resolver(env_x)
+        return self.resolver(env_x, initial_guess)
 
 
 def _env_from_grid(x_names, grid_env, params):
@@ -526,7 +527,7 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
         env = dict(env_x)
         for j, name in enumerate(space.dependent):
             env[name] = u[:, j]
-        vals = np.stack([np.broadcast_to(p.value(env), (n,)) for p in pots], axis=1)
+        vals = np.stack([p.value(env) for p in pots], axis=1)
         return vals, u, env
 
     def jacobian(tau, env):
@@ -561,14 +562,10 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     cat = np.abs(det) < cfg.catastrophe_threshold
     xs = np.stack([env_x[name] for name in x_names], axis=1)
 
-    def resolver(new_grid_env):
-        # displaced grids of the same shape warm-start from this solution
-        new_n = max(np.shape(v)[0] if np.shape(v) else 1
-                    for v in new_grid_env.values())
+    def resolver(new_grid_env, initial_guess=None):
         cfg2 = cfg
-        if k > 1 and new_n == n and conv.all():
-            import dataclasses
-            cfg2 = dataclasses.replace(cfg, initial_guess=tau.copy())
+        if initial_guess is not None and k > 1 and conv.all():
+            cfg2 = replace(cfg, initial_guess=initial_guess)
         return solve_implicit(surface, pots, new_grid_env, cfg2, params, space)
 
     return SolutionField(space=space, x_names=x_names, x=xs, params=params,
@@ -584,7 +581,7 @@ def _initial_guess(cfg, pots, surface, env_x, n, k):
         env = dict(env_x)
         for j, name in enumerate(surface.space.dependent):
             env[name] = np.full(n, u0[j])
-        return np.stack([np.broadcast_to(p.value(env), (n,)) for p in pots], axis=1)
+        return np.stack([p.value(env) for p in pots], axis=1)
     if callable(g):
         return np.asarray(g(env_x), dtype=float).reshape(n, k)
     arr = np.asarray(g, dtype=float)
@@ -716,7 +713,7 @@ def double_wave_fixture(grid_env=None):
     tau = np.stack([tv + 2 * root, tv - 2 * root], axis=1)
     xs = np.stack([env_x[nm] for nm in space.independent], axis=1)
 
-    def resolver(new_grid_env):
+    def resolver(new_grid_env, initial_guess=None):
         return double_wave_fixture(new_grid_env)
 
     def analytic_jacobian(point):

@@ -42,7 +42,8 @@ def fd_jacobian(field, index, h=1e-5, richardson=False):
 
 def fd_jacobian_batch(field, h=1e-5, richardson=False):
     """Central-difference Jacobians du/dx for every grid point, re-solving
-    whole displaced grids at once.  Returns (n, q, p).
+    whole displaced grids at once, warm-started from the field's tau.
+    Returns (n, q, p).
 
     With ``richardson=True`` combines steps h and h/2 for an O(h^4)
     estimate.
@@ -54,9 +55,10 @@ def _fd_jacobians(field, rows, h, richardson):
     def jac_at(step):
         J = np.empty((rows.size, field.u.shape[1], len(field.x_names)))
         base = {nm: field.x[rows, j] for j, nm in enumerate(field.x_names)}
+        guess = field.tau[rows]
         for i, name in enumerate(field.x_names):
-            up = field.resolve(dict(base, **{name: base[name] + step}))
-            dn = field.resolve(dict(base, **{name: base[name] - step}))
+            up = field.resolve(dict(base, **{name: base[name] + step}), guess)
+            dn = field.resolve(dict(base, **{name: base[name] - step}), guess)
             ok = up.converged & dn.converged
             if not ok.all():
                 bad = int(rows[np.argmin(ok)])

@@ -142,8 +142,8 @@ def test_run_verify_neighbor_diverged_exit4(tmp_path, monkeypatch, capsys):
         field = real_solve(*args, **kwargs)
         resolve = field.resolver
 
-        def resolver(env):
-            out = resolve(env)
+        def resolver(env, initial_guess=None):
+            out = resolve(env, initial_guess)
             out.converged[:] = False
             return out
 
@@ -189,6 +189,19 @@ def test_run_noncharacteristic_ansatz_exit2(tmp_path):
                        lambdas=[["1", "0", "0"]])
     code, _ = run(req)
     assert code == EXIT_REQUEST
+
+
+def test_run_constancy_grid_of_field_size_not_warm_started(tmp_path):
+    # 40 points, and the constancy check re-solves 2 x 20 samples x 1
+    # kernel direction = 40 displaced points, unrelated to the grid points
+    # of the same index; a cold start finds u exactly constant there
+    req = base_request(tmp_path, seed=4, grid={"t": (1.0, 3.0, 2),
+                                               "x": (1.0, 3.0, 4),
+                                               "y": (0.2, 0.9, 5)})
+    assert run(req)[0] == EXIT_OK
+    ver = json.loads((Path(req.out_dir) / "verification.json").read_text())
+    assert ver["constancy_along_kernel"] == {"holds": True,
+                                             "max_derivative": 0.0}
 
 
 def test_run_seed_reproducibility_byte_identical(tmp_path):

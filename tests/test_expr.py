@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwave.expr import (
     Bin,
@@ -11,12 +12,14 @@ from rwave.expr import (
     Const,
     DomainExhausted,
     EvalDomainError,
+    MissingVariableError,
     ParseError,
     UnknownIdentifierError,
     Var,
     VarSpace,
     ZeroVerdict,
     antiderivative,
+    compile_exprs,
     is_zero,
     parse,
     simplify,
@@ -206,3 +209,59 @@ def test_is_zero_self_difference(e):
 def test_simplify_diff_absent_is_structural_zero():
     e = parse("sqrt(1+u1^2)*sin(u2)", SPACE)
     assert simplify(e.diff("x")) == Const(0)
+
+
+def assert_bitwise(got, want):
+    got = np.ascontiguousarray(got, dtype=float)
+    want = np.ascontiguousarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (got, want)
+
+
+def assert_kernel_matches_tree_walk(exprs, env):
+    got = compile_exprs(exprs)(env)
+    lanes = max([len(v) for v in env.values() if np.ndim(v)], default=1)
+    assert got.shape == (lanes, len(exprs))
+    for j, e in enumerate(exprs):
+        want = np.asarray(e.evaluate(env, strict=False), dtype=float)
+        assert_bitwise(got[:, j], np.broadcast_to(want, (lanes,)))
+
+
+CONSTANT_EXPRS = expr_strategy(NAMES).map(
+    lambda e: e.substitute({n: Const(0.5) for n in NAMES}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=expr_strategy(NAMES), b=expr_strategy(NAMES), c=CONSTANT_EXPRS,
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_kernel_matches_tree_walk_bitwise(a, b, c, seed):
+    # shared subexpressions across the tuple, a repeated entry and a
+    # constant-only entry that must broadcast to every lane
+    exprs = (a, b, c, Bin("+", a, b), Bin("*", Call("sin", a), c), a)
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.5, 1.5, (len(NAMES), 7))
+    assert_kernel_matches_tree_walk(
+        exprs, {n: float(v[0]) for n, v in zip(NAMES, values)})
+    for lanes in (1, 7):
+        assert_kernel_matches_tree_walk(
+            exprs, {n: v[:lanes] for n, v in zip(NAMES, values)})
+
+
+def test_compiled_kernel_nan_lanes_and_signed_zeros():
+    x = Var("x")
+    exprs = (Call("sqrt", x), Call("ln", x), Bin("/", Const(1), x),
+             Bin("^", x, Const(0.5)), Bin("^", x, Const(-1)),
+             # equal as expressions, but 1/(x*-0.0) and 1/(x*0.0) differ
+             Bin("/", Const(1.0), Bin("*", x, Const(-0.0))),
+             Bin("/", Const(1.0), Bin("*", x, Const(0.0))),
+             Bin("/", Const(1), Const(0)), Call("neg", Const(0.0)))
+    for env in ({"x": np.array([-1.0, 0.0, -0.0, 2.0, np.inf, np.nan])},
+                {"x": -1.0}, {"x": np.array([0])}):
+        assert_kernel_matches_tree_walk(exprs, env)
+
+
+def test_compiled_kernel_missing_variable_raises():
+    kernel = compile_exprs((parse("x*u1", SPACE), Const(1)))
+    with pytest.raises(MissingVariableError, match="'u1'"):
+        kernel({"x": np.ones(3)})
+    assert compile_exprs((Const(1),))({}).shape == (1, 1)

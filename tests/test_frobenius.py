@@ -8,7 +8,9 @@ from rwave.expr import Box, Const, is_zero, parse, simplify
 from rwave.frobenius import (
     FrobeniusError,
     IncompatibleSystem,
+    LogFactor,
     NotInSpan,
+    ScalarFn,
     VectorField,
     commutation_residual,
     compatibility_check,
@@ -327,3 +329,55 @@ def test_rescale_derives_each_bracket_a_few_times(monkeypatch):
     # the transports evaluate the bracket at every RK4 stage; each field
     # derives it once
     assert 0 < len(pairs) <= 4 * len(set(pairs)), len(pairs)
+
+
+def count_compiles(monkeypatch):
+    compiled = []
+    original = frobenius.compile_exprs
+
+    def counting(exprs):
+        compiled.append(tuple(exprs))
+        return original(exprs)
+
+    monkeypatch.setattr(frobenius, "compile_exprs", counting)
+    return compiled
+
+
+def assert_compiled_once(compiled):
+    assert compiled
+    repeated = {e for e in compiled if compiled.count(e) > 1}
+    assert not repeated, repeated
+
+
+def test_rescale_compiles_each_expression_tuple_once(monkeypatch):
+    compiled = count_compiles(monkeypatch)
+    names = ("x", "y", "z")
+    box = Box.from_dict({n: (-0.2, 0.2) for n in names})
+    X1 = (parse("1+y^2", names), Const(0), Const(0))
+    X2 = (Const(0), parse("1+x^2", names), Const(0))
+    res = rescale_frame([X1, X2], names, box, rng=25)
+    assert "base_pair" in res.stages_run and res.commutation_max < 1e-6
+    # the transports evaluate fields, brackets and directionals at every
+    # RK4 stage; each object built there compiles its kernel once
+    assert_compiled_once(compiled)
+
+
+def test_repeated_field_evaluation_compiles_once(monkeypatch):
+    compiled = count_compiles(monkeypatch)
+    X1, X2 = exp_field_pair()
+    Xi = VectorField(X1, NAMES3, factor=ScalarFn(pexpr("exp(x)"), NAMES3))
+    Xj = VectorField(X2, NAMES3, factor=ScalarFn(pexpr("1+z^2"), NAMES3))
+    log = LogFactor(NAMES3)
+    log.add(pexpr("x*y"))
+    log.add(lambda U: U[:, 2])      # a numeric term makes the sum a closure
+    logfn = log.as_scalar_fn()
+    g = ScalarFn(pexpr("x*y"), NAMES3)
+    U = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 3))
+    counts = []
+    for _ in range(3):
+        Xi.directional(g, U)
+        Xi.bracket_with(Xj, U)
+        logfn.ev(U)
+        counts.append(len(compiled))
+    # the first round compiles every kernel it needs, later rounds none
+    assert counts[0] > 0 and counts == counts[:1] * 3, counts

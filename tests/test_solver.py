@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rwave import ode, solver
-from rwave.expr import Const, VarSpace, parse
+from rwave import exprmat, ode, solver
+from rwave.expr import Const, VarSpace, parse, simplify
 from rwave.fixtures import PRESETS, load_fixture
 from rwave.solver import (
     ImplicitSolveConfig,
@@ -149,6 +149,69 @@ def test_swap_order_lanes_match_serial_probes(frame):
                          max_step=step, tol=1e-12)
         assert np.max(np.abs(a[i] - want_a)) < 1e-12
         assert np.max(np.abs(b[i] - want_b)) < 1e-12
+
+
+def assert_bitwise(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == float
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def tree_walk_gamma_rhs(gammas, mu, surf, axis_idx, s_mat, u):
+    """The weighted frame along one internal axis, tree-walking every gamma
+    and mu entry per call."""
+    k = len(gammas)
+    tau = s_mat @ surf.axes.T
+    env = {name: tau[:, a] for a, name in enumerate(surf.tau_names)}
+    env.update({name: u[:, b] for b, name in enumerate(surf.space.dependent)})
+    out = np.zeros_like(u)
+    for a in range(k):
+        coeff = surf.axes[a][axis_idx]
+        if coeff == 0.0:
+            continue
+        acc = np.zeros_like(u)
+        for ap in range(k):
+            m = np.asarray(mu[ap][a].evaluate(env, strict=False), dtype=float)
+            g = exprmat.eval_vector(gammas[ap], env, strict=False)
+            acc += np.broadcast_to(m, (len(u),))[:, None] * g
+        out += coeff * acc
+    return out
+
+
+@pytest.mark.parametrize("frame", [ex2_frame, tau_weighted_frame])
+def test_gamma_field_kernel_matches_tree_walk_bitwise(frame):
+    surf, gammas, mu = frame()
+    field = solver._gamma_field(gammas, mu, surf.axes, surf.space,
+                                surf.tau_names)
+    rng = np.random.default_rng(3)
+    (l1, h1), (l2, h2) = surf.tau_ranges
+    s = np.stack([rng.uniform(l1, h1, 9), rng.uniform(l2, h2, 9)], axis=1)
+    u = surf.value(surf.from_internal(s))
+    for axis in (0, 1):
+        fixed = [s[:, 0], s[:, 1]]
+        fixed[axis] = None
+        assert_bitwise(field(axis, fixed)(s[:, axis], u),
+                       tree_walk_gamma_rhs(gammas, mu, surf, axis, s, u))
+    # one state and scalar coordinates, as in a single-lane RK4 march
+    got = field(1, [s[0, 0], None])(s[0, 1], u[0])
+    assert_bitwise(got, tree_walk_gamma_rhs(gammas, mu, surf, 1, s[:1],
+                                            u[:1])[0])
+
+
+@pytest.mark.parametrize("phi", [*ex2_potentials(), parse("t + 2*u1", SP2)])
+def test_potential_fn_kernel_matches_tree_walk_bitwise(phi):
+    rng = np.random.default_rng(4)
+    n = 11
+    env = {"t": rng.uniform(1, 3, n), "x": rng.uniform(1, 3, n),
+           "y": rng.uniform(0.2, 0.9, n), "u1": rng.uniform(0.25, 4, n),
+           "u2": rng.uniform(1, 3, n)}
+    pot = solver.PotentialFn(phi, SP2)
+    assert_bitwise(pot.value(env),
+                   np.asarray(phi.evaluate(env, strict=False), dtype=float))
+    want_du = np.stack([np.broadcast_to(np.asarray(
+        simplify(phi.diff(nm)).evaluate(env, strict=False), dtype=float), (n,))
+        for nm in SP2.dependent], axis=1)
+    assert_bitwise(pot.du(env), want_du)
 
 
 def test_build_hodograph_half_weights_quarter_form():

@@ -57,7 +57,7 @@ def test_fd_jacobian_constant_field_zero():
     # constant resolver: freeze u
     const_u = field.u.copy()
 
-    def resolver(env):
+    def resolver(env, initial_guess=None):
         n = len(next(iter(env.values())))
         out = double_wave_fixture(env)
         out.u = np.tile(const_u[:1], (n, 1))
