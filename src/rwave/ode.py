@@ -17,8 +17,9 @@ class StiffnessAbort(Exception):
     """Step size underflowed while controlling the local error."""
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
+def _rk4_step(f, t, y, h, k1=None):
+    if k1 is None:
+        k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -32,6 +33,11 @@ def rk4(f, y0, t0, t1, max_step, tol=1e-10, guard=None, min_step=1e-12):
     steps; the step halves until the discrepancy is below ``tol`` and the
     doubly-halved result (local extrapolation) is kept.  ``guard(y) ->
     bool lanes`` may flag escaping lanes, raising BlowUp.
+
+    Cost in right-hand-side evaluations: f(t, y) once per accepted step,
+    shared by the full and the first half step of every attempt, plus 10
+    per attempt; a retry reuses the rejected first half step as its full
+    step, so each rejection saves 3 of those 10.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
@@ -43,11 +49,13 @@ def rk4(f, y0, t0, t1, max_step, tol=1e-10, guard=None, min_step=1e-12):
     while (t1 - t) * direction > 1e-14 * max(1.0, span):
         if abs(h) > abs(t1 - t):
             h = t1 - t
+        with np.errstate(all="ignore"):
+            k1 = f(t, y)
+            full = _rk4_step(f, t, y, h, k1)
         while True:
             with np.errstate(all="ignore"):
-                full = _rk4_step(f, t, y, h)
-                half = _rk4_step(f, t, y, 0.5 * h)
-                half = _rk4_step(f, t + 0.5 * h, half, 0.5 * h)
+                first = _rk4_step(f, t, y, 0.5 * h, k1)
+                half = _rk4_step(f, t + 0.5 * h, first, 0.5 * h)
             if np.all(np.isfinite(half)) and np.all(np.isfinite(full)):
                 err = np.max(np.abs(full - half))
                 scale = 1.0 + np.max(np.abs(half))
@@ -58,6 +66,7 @@ def rk4(f, y0, t0, t1, max_step, tol=1e-10, guard=None, min_step=1e-12):
             h *= 0.5
             if abs(h) < min_step:
                 raise StiffnessAbort(f"step underflow at t={t}")
+            full = first  # a full step of the halved h, bit for bit
         y = half + (half - full) / 15.0  # one Richardson extrapolation
         t += h
         if guard is not None:

@@ -10,6 +10,7 @@ indicator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -91,12 +92,17 @@ class Surface1D:
         lo, hi = self.tau_ranges[0]
         return np.clip(tau, lo, hi)
 
-    def value(self, tau):
+    def _internal(self, tau, rows):
         s = np.asarray(tau, dtype=float).reshape(-1)
+        return s if rows is None else s[rows]
+
+    def value(self, tau, rows=None):
+        """f at tau; with ``rows``, at those lanes of tau only."""
+        s = self._internal(tau, rows)
         return np.stack([sp(s) for sp in self._splines], axis=1)
 
-    def jac(self, tau):
-        s = np.asarray(tau, dtype=float).reshape(-1)
+    def jac(self, tau, rows=None):
+        s = self._internal(tau, rows)
         d = np.stack([sp(s) for sp in self._dsplines], axis=1)
         return d[:, :, None]
 
@@ -147,12 +153,20 @@ class Surface2D:
         s[:, 1] = np.clip(s[:, 1], l2, h2)
         return self.from_internal(s)
 
-    def value(self, tau):
+    def _internal(self, tau, rows):
+        # the change of coordinates runs over every lane of tau: BLAS rounds
+        # a one-row product differently, and a lane's value must not depend
+        # on which other lanes are asked for
         s = self.to_internal(tau)
+        return s if rows is None else s[rows]
+
+    def value(self, tau, rows=None):
+        """f at tau; with ``rows``, at those lanes of tau only."""
+        s = self._internal(tau, rows)
         return np.stack([sp.ev(s[:, 0], s[:, 1]) for sp in self._sp], axis=1)
 
-    def jac(self, tau):
-        s = self.to_internal(tau)
+    def jac(self, tau, rows=None):
+        s = self._internal(tau, rows)
         cols = []
         for sp in self._sp:
             d1 = sp.ev(s[:, 0], s[:, 1], dx=1)
@@ -438,6 +452,14 @@ class PotentialFn:
 
 @dataclass
 class SolutionField:
+    """The solve's result at every grid point.
+
+    ``det_monitor``, det(I - (dphi/du)(df/dtau)) at each point, is computed
+    by ``determinant()`` when it or ``catastrophe`` (|det| below
+    ``catastrophe_threshold`` at a converged point) is first read, and kept;
+    a re-solve whose caller reads only ``u`` never computes it.
+    """
+
     space: VarSpace
     x_names: tuple
     x: np.ndarray          # (n, p)
@@ -446,11 +468,20 @@ class SolutionField:
     tau: np.ndarray        # (n, k)
     u: np.ndarray          # (n, q)
     iters: np.ndarray
-    det_monitor: np.ndarray
     converged: np.ndarray
-    catastrophe: np.ndarray
+    determinant: object    # callable() -> det_monitor
+    catastrophe_threshold: float
     resolver: object = None   # callable(env_x, initial_guess) -> SolutionField
     analytic_jacobian: object = None   # callable(point) -> (q, p), if known
+
+    @cached_property
+    def det_monitor(self):
+        return self.determinant()
+
+    @cached_property
+    def catastrophe(self):
+        return ((np.abs(self.det_monitor) < self.catastrophe_threshold)
+                & self.converged)
 
     @property
     def n(self):
@@ -522,16 +553,23 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     x_names = space.independent
     env_x, n = _env_from_grid(x_names, grid_env, params)
 
-    def phi_all(tau):
-        u = surface.value(tau)
-        env = dict(env_x)
+    # every function below works on the lanes ``rows`` of the grid (all
+    # when None), with ``tau`` holding every lane and ``u`` those rows
+    def lanes_env(rows, u):
+        env = (dict(env_x) if rows is None
+               else {name: v[rows] for name, v in env_x.items()})
         for j, name in enumerate(space.dependent):
             env[name] = u[:, j]
-        vals = np.stack([p.value(env) for p in pots], axis=1)
-        return vals, u, env
+        return env
 
-    def jacobian(tau, env):
-        dfdtau = surface.jac(tau)                   # (n, q, k)
+    def phi_all(tau, rows=None):
+        u = surface.value(tau, rows)
+        env = lanes_env(rows, u)
+        return np.stack([p.value(env) for p in pots], axis=1), u
+
+    def jacobian(tau, u, rows=None):
+        dfdtau = surface.jac(tau, rows)             # (n, q, k)
+        env = lanes_env(rows, u)
         dphi = np.stack([p.du(env) for p in pots], axis=1)  # (n, k, q)
         return np.eye(k)[None] - dphi @ dfdtau
 
@@ -539,27 +577,30 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     if k == 1:
         tau, iters, conv = _solve_scalar(surface, phi_all, tau0, cfg, n)
+        u = surface.value(tau)
     else:
-        tau, iters, conv = _newton(surface, phi_all, jacobian, tau0, cfg, n)
+        tau, iters, conv, u, stale = _newton(surface, phi_all, jacobian,
+                                             tau0, cfg)
         if cfg.warm_start_retry and (~conv).any() and conv.any():
             bad = np.where(~conv)[0]
-            good = np.where(conv)[0]
             guess = tau.copy()
-            for b in bad:
-                guess[b] = tau[good[np.argmin(np.abs(good - b))]]
-            tau2, it2, conv2 = _newton(surface, phi_all, jacobian, guess, cfg, n,
-                                       only=bad)
+            guess[bad] = tau[_nearest(np.where(conv)[0], bad)]
+            tau2, it2, conv2, u2, stale = _newton(surface, phi_all, jacobian,
+                                                  guess, cfg, only=bad)
             tau[bad] = tau2[bad]
             iters[bad] += it2[bad]
             conv[bad] = conv2[bad]
+            u[bad] = u2[bad]
+        if stale.size:
+            u[stale] = surface.value(tau, stale)
 
     if not conv.any():
         raise SolveFailed("Newton diverged at every grid point")
 
-    phi_vals, u, env = phi_all(tau)
-    with np.errstate(invalid="ignore"):
-        det = np.linalg.det(jacobian(tau, env))
-    cat = np.abs(det) < cfg.catastrophe_threshold
+    def determinant():
+        with np.errstate(invalid="ignore"):
+            return np.linalg.det(jacobian(tau, u))
+
     xs = np.stack([env_x[name] for name in x_names], axis=1)
 
     def resolver(new_grid_env, initial_guess=None):
@@ -570,8 +611,9 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     return SolutionField(space=space, x_names=x_names, x=xs, params=params,
                          tau_names=surface.tau_names, tau=tau, u=u,
-                         iters=iters, det_monitor=det, converged=conv,
-                         catastrophe=cat & conv, resolver=resolver)
+                         iters=iters, converged=conv, determinant=determinant,
+                         catastrophe_threshold=cfg.catastrophe_threshold,
+                         resolver=resolver)
 
 
 def _initial_guess(cfg, pots, surface, env_x, n, k):
@@ -590,46 +632,96 @@ def _initial_guess(cfg, pots, surface, env_x, n, k):
     return arr.reshape(n, k)
 
 
-def _newton(surface, phi_all, jacobian, tau0, cfg, n, only=None):
-    tau = np.array(tau0, dtype=float)
+def _nearest(good, bad):
+    """For each index in ``bad``, the nearest index in the sorted ``good``;
+    a tie goes to the lower one."""
+    pos = np.searchsorted(good, bad)
+    left = good[np.maximum(pos - 1, 0)]
+    right = good[np.minimum(pos, len(good) - 1)]
+    return np.where(right - bad < bad - left, right, left)
+
+
+def _newton(surface, phi_all, jacobian, tau0, cfg, only=None):
+    """Damped Newton on tau - phi(x, f(tau)) = 0 over the lanes ``only``
+    (every lane when None).  Returns tau, iterations, convergence, u and
+    the lanes whose u is not that at their final tau (the last damping
+    trial was halved after it was evaluated).
+
+    Each lane keeps phi and u with the point they belong to, so a point is
+    evaluated once however often the iteration asks for it (an accepted
+    trial is the next iterate), and every call covers only the lanes still
+    iterating or, in the damping loop, still halving.
+    """
+    tau = surface.clip(np.array(tau0, dtype=float))
+    n, k = tau.shape
     iters = np.zeros(n, dtype=int)
     conv = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    if only is not None:
-        active[:] = False
-        active[only] = True
-    tau = surface.clip(tau)
-    for it in range(cfg.max_iter):
-        phi_vals, u, env = phi_all(tau)
-        G = tau - phi_vals
+    phi = np.empty((n, k))
+    u = np.full((n, surface.q), np.nan)
+    at = np.empty((n, k))                  # the point phi and u belong to
+    known = np.zeros(n, dtype=bool)
+    rows = np.arange(n) if only is None else np.asarray(only)
+
+    def elsewhere(point, lanes):
+        # bit patterns, so that -0.0 and 0.0 (or two NaNs) stay apart
+        return lanes[~known[lanes] | np.any(point[lanes].view(np.int64)
+                                            != at[lanes].view(np.int64), axis=1)]
+
+    def evaluate(point, lanes):
+        lanes = elsewhere(point, lanes)
+        if lanes.size:
+            phi[lanes], u[lanes] = phi_all(point, lanes)
+            at[lanes] = point[lanes]
+            known[lanes] = True
+
+    for _ in range(cfg.max_iter):
+        evaluate(tau, rows)
+        G = tau[rows] - phi[rows]
         Gn = np.nanmax(np.abs(G), axis=1)
-        newly = active & (Gn < cfg.newton_tol)
-        conv |= newly
-        active &= ~newly
-        if not active.any():
+        done = Gn < cfg.newton_tol
+        conv[rows[done]] = True
+        rows, G, Gn = rows[~done], G[~done], Gn[~done]
+        if not rows.size:
             break
-        J = jacobian(tau, env)
-        delta = np.full_like(tau, np.nan)
+        J = jacobian(tau, u[rows], rows)
         ok = np.all(np.isfinite(J), axis=(1, 2)) & np.all(np.isfinite(G), axis=1)
         solvable = ok & (np.abs(np.linalg.det(np.where(ok[:, None, None], J,
-                                                       np.eye(tau.shape[1])))) > 1e-14)
+                                                       np.eye(k)))) > 1e-14)
+        step = np.zeros_like(tau)
         if solvable.any():
-            delta[solvable] = np.linalg.solve(J[solvable],
-                                              G[solvable][..., None])[..., 0]
-        step = np.where((active & solvable)[:, None], delta, 0.0)
+            step[rows[solvable]] = np.linalg.solve(
+                J[solvable], G[solvable][..., None])[..., 0]
         scale = np.ones(n)
         trial = surface.clip(tau - scale[:, None] * step)
+        pending, Gp = rows, Gn
         for _ in range(cfg.damping_steps):
-            phi_t, _, _ = phi_all(trial)
-            Gt = np.nanmax(np.abs(trial - phi_t), axis=1)
-            worse = active & ~(Gt <= Gn * (1 - 1e-4) + cfg.newton_tol)
-            if not worse.any():
+            evaluate(trial, pending)
+            Gt = np.nanmax(np.abs(trial[pending] - phi[pending]), axis=1)
+            worse = ~(Gt <= Gp * (1 - 1e-4) + cfg.newton_tol)
+            pending, Gp = pending[worse], Gp[worse]
+            if not pending.size:
                 break
-            scale[worse] *= 0.5
+            scale[pending] *= 0.5
             trial = surface.clip(tau - scale[:, None] * step)
-        tau = np.where(active[:, None], trial, tau)
-        iters[active] += 1
-    return tau, iters, conv
+        tau[rows] = trial[rows]
+        iters[rows] += 1
+    return tau, iters, conv, u, elsewhere(tau, rows)
+
+
+def _select_cell(flips, ws, tau0, root_select):
+    """Per row, the scan cell of the root ``root_select`` picks among the
+    sign-change cells ``flips`` (n, W - 1): the lowest, the highest, or the
+    one whose centre is nearest ``tau0`` (the lowest of equals); 0 in a row
+    without any."""
+    if root_select == "lowest":
+        return np.argmax(flips, axis=1)
+    if root_select == "highest":
+        last = flips.shape[1] - 1 - np.argmax(flips[:, ::-1], axis=1)
+        return np.where(flips.any(axis=1), last, 0)
+    dist = np.abs(0.5 * (ws[:-1] + ws[1:]) - tau0[:, None])
+    nearest = np.min(np.where(flips, dist, np.inf), axis=1, keepdims=True)
+    # a NaN distance (NaN tau0) ties with every cell, as argmin reads it
+    return np.argmax(flips & ~(dist > nearest), axis=1)
 
 
 def _solve_scalar(surface, phi_all, tau0, cfg, n):
@@ -643,7 +735,7 @@ def _solve_scalar(surface, phi_all, tau0, cfg, n):
     ws = np.linspace(lo, hi, W)
     Gm = np.empty((n, W))
     for j, w in enumerate(ws):
-        phi_vals, _, _ = phi_all(np.full((n, 1), w))
+        phi_vals, _ = phi_all(np.full((n, 1), w))
         Gm[:, j] = w - phi_vals[:, 0]
     sign = np.sign(Gm)
     with np.errstate(invalid="ignore"):
@@ -655,23 +747,14 @@ def _solve_scalar(surface, phi_all, tau0, cfg, n):
     if not conv.any():
         return tau, iters, conv
 
-    idx = np.zeros(n, dtype=int)
-    for i in np.where(conv)[0]:
-        cand = np.where(flips[i])[0]
-        if cfg.root_select == "lowest":
-            idx[i] = cand[0]
-        elif cfg.root_select == "highest":
-            idx[i] = cand[-1]
-        else:
-            centers = 0.5 * (ws[cand] + ws[cand + 1])
-            idx[i] = cand[np.argmin(np.abs(centers - tau0[i, 0]))]
+    idx = _select_cell(flips, ws, tau0[:, 0], cfg.root_select)
     a = ws[idx].astype(float)
     b = ws[idx + 1].astype(float)
     ga = np.take_along_axis(Gm, idx[:, None], axis=1)[:, 0]
     act = conv.copy()
     for _ in range(90):
         mid = 0.5 * (a + b)
-        phi_vals, _, _ = phi_all(mid[:, None])
+        phi_vals, _ = phi_all(mid[:, None])
         gm = mid - phi_vals[:, 0]
         left = ga * gm <= 0
         b = np.where(act & left, mid, b)
@@ -723,6 +806,7 @@ def double_wave_fixture(grid_env=None):
     return SolutionField(
         space=space, x_names=space.independent, x=xs, params={},
         tau_names=("taup", "taum"), tau=tau, u=u,
-        iters=np.zeros(n, dtype=int), det_monitor=np.full(n, 2.0),
-        converged=np.ones(n, dtype=bool), catastrophe=np.zeros(n, dtype=bool),
+        iters=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool),
+        determinant=lambda: np.full(n, 2.0),
+        catastrophe_threshold=ImplicitSolveConfig.catastrophe_threshold,
         resolver=resolver, analytic_jacobian=analytic_jacobian)

@@ -439,3 +439,274 @@ def test_double_wave_fixture_residual_zero():
         J = np.array([[0.0, 0.0, -1.0 / y], [1.0, 0.0, 0.0]])
         res = sys.residual_at(pt, field.u[i], J)
         assert np.max(np.abs(res)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Newton accounting: each (lane, point) pair is evaluated once, and only
+# while the lane still iterates; results stay bitwise those of the loop
+# that evaluated every lane at every call, kept here as the reference
+
+class LaneLog:
+    """Surface wrapper recording, per lane, the tau points ``value`` sees,
+    and how many lanes ``jac`` sees."""
+
+    def __init__(self, surface):
+        self._surface = surface
+        self.points = {}
+        self.jac_lanes = 0
+
+    def __getattr__(self, name):
+        return getattr(self._surface, name)
+
+    def value(self, tau, rows=None):
+        lanes = range(len(tau)) if rows is None else rows
+        for i in lanes:
+            self.points.setdefault(int(i), []).append(tau[i].tobytes())
+        return self._surface.value(tau, rows)
+
+    def jac(self, tau, rows=None):
+        self.jac_lanes += len(tau) if rows is None else len(rows)
+        return self._surface.jac(tau, rows)
+
+
+def reference_newton(surface, phi_all, jacobian, tau0, cfg, n, only, need):
+    # the loop before evaluations were shared, plus ``need`` calls naming
+    # the points the lanes still iterating (or still halving) use
+    tau = np.array(tau0, dtype=float)
+    iters = np.zeros(n, dtype=int)
+    conv = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
+    if only is not None:
+        active[:] = False
+        active[only] = True
+    tau = surface.clip(tau)
+    need("run", tau, active)
+    for it in range(cfg.max_iter):
+        phi_vals, u, env = phi_all(tau)
+        need("value", tau, active)
+        G = tau - phi_vals
+        Gn = np.nanmax(np.abs(G), axis=1)
+        newly = active & (Gn < cfg.newton_tol)
+        conv |= newly
+        active &= ~newly
+        if not active.any():
+            break
+        J = jacobian(tau, env)
+        need("jac", tau, active)
+        delta = np.full_like(tau, np.nan)
+        ok = np.all(np.isfinite(J), axis=(1, 2)) & np.all(np.isfinite(G), axis=1)
+        solvable = ok & (np.abs(np.linalg.det(np.where(ok[:, None, None], J,
+                                                       np.eye(tau.shape[1])))) > 1e-14)
+        if solvable.any():
+            delta[solvable] = np.linalg.solve(J[solvable],
+                                              G[solvable][..., None])[..., 0]
+        step = np.where((active & solvable)[:, None], delta, 0.0)
+        scale = np.ones(n)
+        trial = surface.clip(tau - scale[:, None] * step)
+        halving = active
+        for _ in range(cfg.damping_steps):
+            phi_t, _, _ = phi_all(trial)
+            need("value", trial, halving)
+            need("halving", trial, halving)
+            Gt = np.nanmax(np.abs(trial - phi_t), axis=1)
+            worse = active & ~(Gt <= Gn * (1 - 1e-4) + cfg.newton_tol)
+            if not worse.any():
+                break
+            scale[worse] *= 0.5
+            trial = surface.clip(tau - scale[:, None] * step)
+            halving = worse
+        tau = np.where(active[:, None], trial, tau)
+        iters[active] += 1
+    return tau, iters, conv
+
+
+def reference_solve(surface, potentials, grid, cfg, need):
+    """solve_implicit's k = 2 path as it was when every call covered every
+    lane; returns tau, u, iterations, convergence and the determinant."""
+    pots = [solver.PotentialFn(p, SP2) for p in potentials]
+    env_x, n = solver._env_from_grid(SP2.independent, grid, {})
+
+    def phi_all(tau):
+        u = surface.value(tau)
+        env = dict(env_x)
+        for j, name in enumerate(SP2.dependent):
+            env[name] = u[:, j]
+        return np.stack([p.value(env) for p in pots], axis=1), u, env
+
+    def jacobian(tau, env):
+        dphi = np.stack([p.du(env) for p in pots], axis=1)
+        return np.eye(2)[None] - dphi @ surface.jac(tau)
+
+    tau0 = solver._initial_guess(cfg, pots, surface, env_x, n, 2)
+    tau, iters, conv = reference_newton(surface, phi_all, jacobian, tau0, cfg,
+                                        n, None, need)
+    if cfg.warm_start_retry and (~conv).any() and conv.any():
+        bad = np.where(~conv)[0]
+        good = np.where(conv)[0]
+        guess = tau.copy()
+        for b in bad:
+            guess[b] = tau[good[np.argmin(np.abs(good - b))]]
+        tau2, it2, conv2 = reference_newton(surface, phi_all, jacobian, guess,
+                                            cfg, n, bad, need)
+        tau[bad] = tau2[bad]
+        iters[bad] += it2[bad]
+        conv[bad] = conv2[bad]
+    _, u, env = phi_all(tau)
+    need("value", tau, np.ones(n, dtype=bool))
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(jacobian(tau, env))
+    return tau, u, iters, conv, det
+
+
+class Needs:
+    """Per lane, the points a reference solve needs ``value`` at, plus the
+    lanes ``jac`` needs and the damping trials taken.  Within one Newton
+    run each point counts once however often in a row the reference asks;
+    a warm-start retry starts a new run, which evaluates its first point
+    even where a lane stopped at that very point."""
+
+    def __init__(self):
+        self.points = {}
+        self.jac_lanes = 0
+        self.trials = 0
+        self._restarted = set()
+
+    def __call__(self, kind, tau, lanes):
+        if kind == "jac":
+            self.jac_lanes += int(lanes.sum())
+        elif kind == "halving":
+            self.trials += int(lanes.sum())
+        elif kind == "run":
+            self._restarted.update(np.where(lanes)[0].tolist())
+        else:
+            for i in np.where(lanes)[0].tolist():
+                seq = self.points.setdefault(i, [])
+                if (i in self._restarted or not seq
+                        or seq[-1] != tau[i].tobytes()):
+                    seq.append(tau[i].tobytes())
+                self._restarted.discard(i)
+
+
+def ex2_grid(nt=8, nx=3, ny=8):
+    t = np.linspace(1.0, 3.0, nt)
+    x = np.linspace(1.0, 3.0, nx)
+    y = np.linspace(0.2, 0.9, ny)
+    T, X, Y = np.meshgrid(t, x, y, indexing="ij")
+    return {"t": T.ravel(), "x": X.ravel(), "y": Y.ravel()}
+
+
+def wavy_potentials():
+    # the example2 pair with a ripple in u1: full Newton steps overshoot,
+    # so the iteration halves its steps and some points need the retry
+    plus, minus = ex2_potentials()
+    return plus, simplify(minus + parse("0.5*sin(4*u1)", SP2))
+
+
+NEWTON_CASES = {
+    "example2": (ex2_potentials, {}),
+    "halvings and retry": (wavy_potentials, {}),
+    "damping runs out": (wavy_potentials, {"damping_steps": 3}),
+    "no damping": (wavy_potentials, {"damping_steps": 0, "max_iter": 8}),
+}
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES)
+def test_newton_evaluates_each_point_once_bitwise(case):
+    make_pots, settings = NEWTON_CASES[case]
+    surf = ex2_two_wave_surface()
+    pots = list(make_pots())
+    grid = ex2_grid()
+    cfg = ImplicitSolveConfig(**settings)
+    need = Needs()
+    tau, u, iters, conv, det = reference_solve(surf, pots, grid, cfg, need)
+    log = LaneLog(surf)
+    field = solve_implicit(log, pots, grid, cfg)
+
+    if case == "halvings and retry":
+        assert need.trials > need.jac_lanes           # some steps halved
+        assert (iters > cfg.max_iter).any()           # some lanes retried
+    assert_bitwise(field.tau, tau)
+    assert_bitwise(field.u, u)
+    assert np.array_equal(field.iters, iters)
+    assert np.array_equal(field.converged, conv)
+    # value sees each lane only at the points it still needs
+    assert log.points == need.points
+    assert log.jac_lanes == need.jac_lanes
+    # the determinant costs one jac call over every lane, when first read
+    assert_bitwise(field.det_monitor, det)
+    assert np.array_equal(field.catastrophe,
+                          (np.abs(det) < cfg.catastrophe_threshold) & conv)
+    assert log.jac_lanes == need.jac_lanes + field.n
+
+
+def test_resolve_leaves_determinant_until_read():
+    surf = LaneLog(ex2_two_wave_surface())
+    pots = list(ex2_potentials())
+    field = solve_implicit(surf, pots, ex2_grid(), ImplicitSolveConfig())
+    sub = ex2_grid(3, 2, 3)
+    need = Needs()
+    reference_solve(surf._surface, pots, sub, ImplicitSolveConfig(), need)
+    before = surf.jac_lanes
+    again = field.resolve(sub)
+    assert surf.jac_lanes == before + need.jac_lanes     # Newton's own only
+    again.catastrophe
+    assert surf.jac_lanes == before + need.jac_lanes + again.n
+
+    # the scalar solve takes no Jacobian at all
+    line = LaneLog(example3_surface())
+    pot = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", SP3)
+    cfg = ImplicitSolveConfig(initial_guess=np.array([-2.0]),
+                              tau_window=(-24.0, -0.01), root_select="lowest")
+    grid = {"t": np.linspace(0.1, 1.0, 5), "x": np.full(5, 2.0),
+            "y": np.full(5, 1.5)}
+    field = solve_implicit(line, [pot], grid, cfg, params={"m": 1.0, "k": 1.0},
+                           space=SP3)
+    field.resolve(grid)
+    assert line.jac_lanes == 0
+    field.det_monitor
+    assert line.jac_lanes == field.n
+
+
+def reference_select_cell(flips, ws, tau0, root_select):
+    # the per-row loop of the scalar solve's root selection
+    idx = np.zeros(len(flips), dtype=int)
+    for i in np.where(flips.any(axis=1))[0]:
+        cand = np.where(flips[i])[0]
+        if root_select == "lowest":
+            idx[i] = cand[0]
+        elif root_select == "highest":
+            idx[i] = cand[-1]
+        else:
+            centers = 0.5 * (ws[cand] + ws[cand + 1])
+            idx[i] = cand[np.argmin(np.abs(centers - tau0[i]))]
+    return idx
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+def test_select_cell_matches_row_loop(root_select):
+    rng = np.random.default_rng(11)
+    ws = np.linspace(-2.0, 2.0, 9)
+    centers = 0.5 * (ws[:-1] + ws[1:])
+    flips = rng.random((400, 8)) < 0.3
+    flips[:20] = False                          # rows without a root
+    # tau0 on a cell centre, halfway between two centres (a tie), on a
+    # scan point, outside the window, NaN and infinite
+    tau0 = rng.choice(np.concatenate([centers, ws, [-5.0, 5.0, np.nan,
+                                                    np.inf, -np.inf]]), 400)
+    tau0[20:40] = 0.5 * (centers[2] + centers[5])
+    flips[20:40, [2, 5]] = True
+    got = solver._select_cell(flips, ws, tau0, root_select)
+    assert np.array_equal(got, reference_select_cell(flips, ws, tau0,
+                                                     root_select))
+
+
+def test_nearest_matches_neighbour_loop():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7, 50):
+        for _ in range(40):
+            conv = rng.random(n) < 0.5
+            if not conv.any() or conv.all():
+                continue
+            good, bad = np.where(conv)[0], np.where(~conv)[0]
+            want = [good[np.argmin(np.abs(good - b))] for b in bad]
+            assert np.array_equal(solver._nearest(good, bad), want)
