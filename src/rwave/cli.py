@@ -197,8 +197,7 @@ def run(request: AnalysisRequest):
                              new_var=request.homogenize_var
                              or preset.get("homogenize_var"))
         except SystemError as err:
-            print(f"homogenize: {err}", file=sys.stderr)
-            return EXIT_REQUEST, artifacts
+            return fail("homogenize", EXIT_REQUEST, err)
         artifacts["homogenized_system"] = reports.write_json(
             out / "homogenized_system.json", system_to_dict(res.system))
         reports.write_json(out / "homogenization.json", {
@@ -215,9 +214,8 @@ def run(request: AnalysisRequest):
     elements = []
     if "elements" in request.stages:
         if not lambdas:
-            print("error: elements stage needs a wave-covector ansatz "
-                  "(--covector)", file=sys.stderr)
-            return EXIT_REQUEST, artifacts
+            return fail("elements", EXIT_REQUEST,
+                        "needs a wave-covector ansatz (--covector)")
         rng = np.random.default_rng(seed_of["elements"])
         payload = []
         try:
@@ -238,8 +236,7 @@ def run(request: AnalysisRequest):
                     "gamma": [str(e) for e in elem.gamma],
                 })
         except (ParseError, GeometryError) as err:
-            print(f"elements: {err}", file=sys.stderr)
-            return EXIT_REQUEST, artifacts
+            return fail("elements", EXIT_REQUEST, err)
         artifacts["elements"] = reports.write_json(out / "elements.json",
                                                    {"elements": payload})
         outcomes["elements"] = StageOutcome(True)

@@ -617,12 +617,6 @@ def _simplify_once(e: Expr) -> Expr:
     raise AssertionError(op)
 
 
-def _split_neg(t):
-    if isinstance(t, Call) and t.fn == "neg":
-        return True, t.arg
-    return False, t
-
-
 def _term_coefficient(t):
     """Split a term into (exact coefficient, core) for like-term grouping;
     returns None as the coefficient for float-scaled terms (not grouped)."""
@@ -839,12 +833,6 @@ class VarSpace:
     def q(self):
         return len(self.dependent)
 
-    def index_independent(self, name):
-        return self.independent.index(name)
-
-    def index_dependent(self, name):
-        return self.dependent.index(name)
-
 
 Point = dict  # name -> float; every referenced variable must be assigned
 
@@ -875,11 +863,6 @@ class Box:
 
     def midpoint(self):
         return {name: 0.5 * (lo + hi) for name, lo, hi in self.ranges}
-
-    def merged(self, other: "Box"):
-        d = {n: (lo, hi) for n, lo, hi in self.ranges}
-        d.update({n: (lo, hi) for n, lo, hi in other.ranges})
-        return Box.from_dict(d)
 
     def restrict(self, names):
         keep = set(names)
@@ -1000,10 +983,6 @@ def parse(text: str, space) -> Expr:
     """
     names = space.all_names if isinstance(space, VarSpace) else tuple(space)
     return _Parser(text, names).parse()
-
-
-def to_str(e: Expr) -> str:
-    return str(e)
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ def vec_add(a, b):
     return tuple(simplify(Bin("+", x, y)) for x, y in zip(a, b))
 
 
-def vec_sub(a, b):
-    return tuple(simplify(Bin("-", x, y)) for x, y in zip(a, b))
-
-
 def vec_scale(c, v):
     return tuple(simplify(Bin("*", c, x)) for x in v)
 
@@ -119,7 +115,3 @@ def eval_vector(v, env, strict=True):
 
 def simplify_matrix(A):
     return tuple(tuple(simplify(e) for e in row) for row in A)
-
-
-def simplify_vector(v):
-    return tuple(simplify(e) for e in v)

@@ -228,9 +228,6 @@ class BracketDecomposition:
     residual_max: float
     involutive: bool
 
-    def coefficient(self, idx):
-        return self.coefficients[idx]
-
 
 _FIT_TOL = 1e-7
 
@@ -588,10 +585,6 @@ class NumericPotential:
             raise PathDependent(
                 f"segment-order mismatch {abs(fwd - rev):.2e} at {point}")
         return fwd
-
-    def gradient_x(self, point):
-        env = dict(point)
-        return np.array([lam.evaluate(env, strict=True) for lam in self.lam])
 
 
 @dataclass

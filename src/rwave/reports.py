@@ -65,17 +65,16 @@ def write_solution_field(path, field, residual_norms=None):
     cols = solution_field_header(field)
     res = residual_norms if residual_norms is not None \
         else np.full(field.n, np.nan)
+    floats = np.column_stack([field.x, field.tau, field.u,
+                              np.asarray(res, dtype=float), field.det_monitor])
+    flags = zip(field.iters.tolist(), field.converged.tolist(),
+                field.catastrophe.tolist())
     with open(path, "w") as fh:
         fh.write("# solution-field v%d\n" % SOLUTION_SCHEMA_VERSION)
         fh.write(",".join(cols) + "\n")
-        for i in range(field.n):
-            row = [repr(float(v)) for v in field.x[i]]
-            row += [repr(float(v)) for v in field.tau[i]]
-            row += [repr(float(v)) for v in field.u[i]]
-            row += [repr(float(res[i])), repr(float(field.det_monitor[i])),
-                    str(int(field.iters[i])), str(bool(field.converged[i])),
-                    str(bool(field.catastrophe[i]))]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join([*map(repr, row), str(int(it)), str(bool(cv)),
+                                str(bool(cat))]) + "\n"
+                      for row, (it, cv, cat) in zip(floats.tolist(), flags))
     return path
 
 

@@ -81,16 +81,8 @@ class Surface1D:
         self._dsplines = [sp.derivative() for sp in self._splines]
 
     @property
-    def q(self):
-        return self.u_samples.shape[1]
-
-    @property
     def tau_ranges(self):
         return ((float(self.s_grid[0]), float(self.s_grid[-1])),)
-
-    def clip(self, tau):
-        lo, hi = self.tau_ranges[0]
-        return np.clip(tau, lo, hi)
 
     def _internal(self, tau, rows):
         s = np.asarray(tau, dtype=float).reshape(-1)
@@ -408,15 +400,20 @@ def surface_tangency_residual(surf, gammas, mu, rng=None, n=25):
 # potentials as batch-evaluable functions
 
 class PotentialFn:
-    """Uniform batch interface over symbolic and quadrature potentials."""
+    """Uniform batch interface over symbolic and quadrature potentials:
+    phi and dphi/du (n, q) at the lanes of ``env``, where a 0-d value is
+    shared by every lane.  A symbolic phi compiles one kernel for the value
+    and one for the derivatives, so each call computes only what it returns.
+    """
 
     def __init__(self, phi, space: VarSpace):
         self.space = space
         self.phi = phi
         if isinstance(phi, Expr):
             self.symbolic = True
-            self._kernel = compile_exprs(
-                [phi] + [simplify(phi.diff(n)) for n in space.dependent])
+            self._value = compile_exprs([phi])
+            self._du = compile_exprs([simplify(phi.diff(n))
+                                      for n in space.dependent])
         elif isinstance(phi, NumericPotential):
             self.symbolic = False
         else:
@@ -424,7 +421,7 @@ class PotentialFn:
 
     def value(self, env):
         if self.symbolic:
-            return self._kernel(env)[:, 0]
+            return self._value(env)[:, 0]
         n = max(np.shape(v)[0] if np.shape(v) else 1 for v in env.values())
         out = np.empty(n)
         for i in range(n):
@@ -435,8 +432,7 @@ class PotentialFn:
 
     def du(self, env, h=1e-6):
         if self.symbolic:
-            return self._kernel(env)[:, 1:]
-        base = self.value(env)
+            return self._du(env)
         cols = []
         for name in self.space.dependent:
             up = dict(env)
@@ -534,10 +530,10 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     surface's, which suffices only when it already lists the independent
     variables).  The scalar case scans ``cfg.tau_window`` for sign
     changes, selects a root per ``cfg.root_select``, and polishes by
-    bisection; the multi-parameter case runs a damped, vectorized Newton
-    iteration from the configured initial guess with warm-start retries
-    from converged neighbors.  No point failure is fatal; SolveFailed is
-    raised only when every point diverges.
+    bisection (see ``_solve_scalar``); the multi-parameter case runs a
+    damped, vectorized Newton iteration from the configured initial guess
+    with warm-start retries from converged neighbors.  No point failure is
+    fatal; SolveFailed is raised only when every point diverges.
     """
     params = dict(params or {})
     if space is None:
@@ -554,18 +550,22 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     env_x, n = _env_from_grid(x_names, grid_env, params)
 
     # every function below works on the lanes ``rows`` of the grid (all
-    # when None), with ``tau`` holding every lane and ``u`` those rows
+    # when None), with ``tau`` holding every lane and ``u`` those rows, or
+    # one u of shape (q,) shared by them all
     def lanes_env(rows, u):
         env = (dict(env_x) if rows is None
                else {name: v[rows] for name, v in env_x.items()})
         for j, name in enumerate(space.dependent):
-            env[name] = u[:, j]
+            env[name] = u[..., j]
         return env
+
+    def phi_of_u(u, rows=None):
+        env = lanes_env(rows, u)
+        return np.stack([p.value(env) for p in pots], axis=1)
 
     def phi_all(tau, rows=None):
         u = surface.value(tau, rows)
-        env = lanes_env(rows, u)
-        return np.stack([p.value(env) for p in pots], axis=1), u
+        return phi_of_u(u, rows), u
 
     def jacobian(tau, u, rows=None):
         dfdtau = surface.jac(tau, rows)             # (n, q, k)
@@ -576,7 +576,7 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     tau0 = _initial_guess(cfg, pots, surface, env_x, n, k)
 
     if k == 1:
-        tau, iters, conv = _solve_scalar(surface, phi_all, tau0, cfg, n)
+        tau, iters, conv = _solve_scalar(surface, phi_of_u, tau0, cfg, n)
         u = surface.value(tau)
     else:
         tau, iters, conv, u, stale = _newton(surface, phi_all, jacobian,
@@ -708,62 +708,78 @@ def _newton(surface, phi_all, jacobian, tau0, cfg, only=None):
     return tau, iters, conv, u, elsewhere(tau, rows)
 
 
-def _select_cell(flips, ws, tau0, root_select):
-    """Per row, the scan cell of the root ``root_select`` picks among the
-    sign-change cells ``flips`` (n, W - 1): the lowest, the highest, or the
-    one whose centre is nearest ``tau0`` (the lowest of equals); 0 in a row
-    without any."""
-    if root_select == "lowest":
-        return np.argmax(flips, axis=1)
-    if root_select == "highest":
-        last = flips.shape[1] - 1 - np.argmax(flips[:, ::-1], axis=1)
-        return np.where(flips.any(axis=1), last, 0)
-    dist = np.abs(0.5 * (ws[:-1] + ws[1:]) - tau0[:, None])
-    nearest = np.min(np.where(flips, dist, np.inf), axis=1, keepdims=True)
-    # a NaN distance (NaN tau0) ties with every cell, as argmin reads it
-    return np.argmax(flips & ~(dist > nearest), axis=1)
+class _CellPicker:
+    """Per lane, the sign-change cell ``root_select`` picks, offered one
+    cell at a time in scan order: the lowest, the highest, or the one whose
+    centre is nearest ``tau0`` (the lowest of equals, and the first when
+    ``tau0`` is NaN or infinite).  A lane keeps whether it has a cell, its
+    index (0 without one), G at its left end and its distance."""
+
+    def __init__(self, tau0, root_select):
+        n = len(tau0)
+        self.tau0 = tau0
+        self.root_select = root_select
+        self.found = np.zeros(n, dtype=bool)
+        self.idx = np.zeros(n, dtype=int)
+        self.g_left = np.zeros(n)
+        self.dist = np.full(n, np.inf)
+
+    def offer(self, cell, flip, g_left, centre):
+        if self.root_select == "lowest":
+            take = flip & ~self.found
+        elif self.root_select == "highest":
+            take = flip
+        else:
+            dist = np.abs(centre - self.tau0)
+            take = flip & (~self.found | (dist < self.dist))
+            self.dist[take] = dist[take]
+        self.found |= take
+        self.idx[take] = cell
+        self.g_left[take] = g_left[take]
 
 
-def _solve_scalar(surface, phi_all, tau0, cfg, n):
+def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
+    """Per lane, a root of G(tau) = tau - phi(x, f(tau)) on a curve: scan
+    the window for sign changes, pick a cell while scanning (one column of
+    G at a time, so memory grows with the lanes only) and bisect it.  The
+    curve is evaluated once per scan point, its u shared by every lane.
+    Returns tau (n, 1), bisection steps and whether a lane has a root."""
     (lo, hi) = surface.tau_ranges[0]
     if cfg.tau_window is not None:
         lo = max(lo, cfg.tau_window[0])
         hi = min(hi, cfg.tau_window[1])
     if not lo < hi:
         raise SolverError("empty scan window")
-    W = cfg.scan_points
-    ws = np.linspace(lo, hi, W)
-    Gm = np.empty((n, W))
+    ws = np.linspace(lo, hi, cfg.scan_points)
+    us = surface.value(ws[:, None])
+    pick = _CellPicker(tau0[:, 0], cfg.root_select)
     for j, w in enumerate(ws):
-        phi_vals, _ = phi_all(np.full((n, 1), w))
-        Gm[:, j] = w - phi_vals[:, 0]
-    sign = np.sign(Gm)
-    with np.errstate(invalid="ignore"):
-        flips = (sign[:, :-1] * sign[:, 1:]) <= 0
-    flips &= np.isfinite(Gm[:, :-1]) & np.isfinite(Gm[:, 1:])
-    conv = flips.any(axis=1)
+        g = w - phi_of_u(us[j])[:, 0]
+        sign, finite = np.sign(g), np.isfinite(g)
+        if j:
+            flip = (prev_sign * sign <= 0) & prev_finite & finite
+            pick.offer(j - 1, flip, prev_g, 0.5 * (ws[j - 1] + w))
+        prev_g, prev_sign, prev_finite = g, sign, finite
+    conv = pick.found
     tau = np.full((n, 1), np.nan)
     iters = np.zeros(n, dtype=int)
     if not conv.any():
         return tau, iters, conv
 
-    idx = _select_cell(flips, ws, tau0[:, 0], cfg.root_select)
-    a = ws[idx].astype(float)
-    b = ws[idx + 1].astype(float)
-    ga = np.take_along_axis(Gm, idx[:, None], axis=1)[:, 0]
-    act = conv.copy()
+    rows = np.where(conv)[0]
+    idx = pick.idx[rows]
+    a, b, ga = ws[idx], ws[idx + 1], pick.g_left[rows]
     for _ in range(90):
         mid = 0.5 * (a + b)
-        phi_vals, _ = phi_all(mid[:, None])
-        gm = mid - phi_vals[:, 0]
+        gm = mid - phi_of_u(surface.value(mid), rows)[:, 0]
         left = ga * gm <= 0
-        b = np.where(act & left, mid, b)
-        a = np.where(act & ~left, mid, a)
-        ga = np.where(act & ~left, gm, ga)
-        iters[act] += 1
-        if np.max(b[act] - a[act]) < 1e-14 * max(1.0, abs(hi), abs(lo)):
+        b = np.where(left, mid, b)
+        a = np.where(left, a, mid)
+        ga = np.where(left, ga, gm)
+        iters[rows] += 1
+        if np.max(b - a) < 1e-14 * max(1.0, abs(hi), abs(lo)):
             break
-    tau[conv, 0] = 0.5 * (a + b)[conv]
+    tau[rows, 0] = 0.5 * (a + b)
     return tau, iters, conv
 
 

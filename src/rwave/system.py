@@ -96,10 +96,6 @@ class QuasilinearSystem:
             return False
         return all(bool(is_zero(e, box, rng=rng)) for e in self.source)
 
-    def eval_coeffs(self, env):
-        """Stacked coefficient values, shape (p, m, q) or (p, n, m, q)."""
-        return np.stack([exprmat.eval_matrix(A, env) for A in self.coeffs])
-
     def residual_at(self, x_point, u_values, jacobian):
         """Evaluate sum_i A^i u_i - b at one point.
 

@@ -249,3 +249,42 @@ def test_cli_entrypoint_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (out / "conditions.json").exists()
+
+
+def test_run_early_request_errors_write_outcomes(tmp_path, capsys):
+    # no covector for the elements stage, and a covector that does not
+    # parse: exit 2, with outcomes.json naming the failed stage
+    cases = {
+        "brownian": base_request(tmp_path, system="brownian",
+                                 out_dir=str(tmp_path / "brownian"),
+                                 stages=("homogenize", "elements")),
+        "trautman": base_request(tmp_path, system="trautman",
+                                 out_dir=str(tmp_path / "trautman")),
+        "parse": base_request(tmp_path, out_dir=str(tmp_path / "parse"),
+                              stages=("homogenize", "elements"),
+                              lambdas=[["1", "0", "sqrt(("]]),
+    }
+    for name, req in cases.items():
+        code, _ = run(req)
+        assert code == EXIT_REQUEST, name
+        outcomes = json.loads((Path(req.out_dir) / "outcomes.json").read_text())
+        assert outcomes["homogenize"]["ok"] is True, name
+        assert outcomes["elements"]["ok"] is False, name
+        assert outcomes["elements"]["detail"], name
+    assert "--covector" in capsys.readouterr().err
+
+
+def test_run_homogenize_error_writes_outcomes(tmp_path):
+    # two equations in one unknown: homogenize refuses it with exit 2
+    path = tmp_path / "overdetermined.json"
+    path.write_text(json.dumps({
+        "independent": ["t", "x"], "dependent": ["u"],
+        "A": [[["1"], ["0"]], [["u"], ["1"]]], "b": ["0", "0"]}))
+    req = base_request(tmp_path, system=str(path), stages=("homogenize",),
+                       domain={"t": (0.0, 1.0), "x": (0.0, 1.0),
+                               "u": (0.0, 1.0)})
+    assert run(req)[0] == EXIT_REQUEST
+    outcomes = json.loads((Path(req.out_dir) / "outcomes.json").read_text())
+    assert outcomes == {"homogenize": {
+        "ok": False,
+        "detail": "homogenization requires a properly determined system"}}

@@ -695,9 +695,16 @@ def test_select_cell_matches_row_loop(root_select):
                                                     np.inf, -np.inf]]), 400)
     tau0[20:40] = 0.5 * (centers[2] + centers[5])
     flips[20:40, [2, 5]] = True
-    got = solver._select_cell(flips, ws, tau0, root_select)
-    assert np.array_equal(got, reference_select_cell(flips, ws, tau0,
-                                                     root_select))
+    pick = solver._CellPicker(tau0, root_select)
+    g = rng.standard_normal((400, 9))
+    for j in range(8):                          # one scan cell at a time
+        pick.offer(j, flips[:, j], g[:, j], centers[j])
+    want = reference_select_cell(flips, ws, tau0, root_select)
+    assert np.array_equal(pick.idx, want)
+    assert np.array_equal(pick.found, flips.any(axis=1))
+    # G is kept at the left end of the picked cell
+    has = flips.any(axis=1)
+    assert_bitwise(pick.g_left[has], g[has, want[has]])
 
 
 def test_nearest_matches_neighbour_loop():
@@ -710,3 +717,249 @@ def test_nearest_matches_neighbour_loop():
             good, bad = np.where(conv)[0], np.where(~conv)[0]
             want = [good[np.argmin(np.abs(good - b))] for b in bad]
             assert np.array_equal(solver._nearest(good, bad), want)
+
+
+# ---------------------------------------------------------------------------
+# the scalar solve scans one column at a time and shares u(w) between
+# lanes; it stays bitwise the matrix scan that evaluated the curve and the
+# potential on every lane at every scan point, kept here as the reference
+
+def reference_scan_solve(surface, phi, tau0, cfg, n):
+    # ``phi(tau)`` gives phi at tau (n, 1) on every lane, shape (n,)
+    lo, hi = surface.tau_ranges[0]
+    if cfg.tau_window is not None:
+        lo, hi = max(lo, cfg.tau_window[0]), min(hi, cfg.tau_window[1])
+    ws = np.linspace(lo, hi, cfg.scan_points)
+    Gm = np.empty((n, len(ws)))
+    for j, w in enumerate(ws):
+        Gm[:, j] = w - phi(np.full((n, 1), w))
+    sign = np.sign(Gm)
+    with np.errstate(invalid="ignore"):
+        flips = (sign[:, :-1] * sign[:, 1:]) <= 0
+    flips &= np.isfinite(Gm[:, :-1]) & np.isfinite(Gm[:, 1:])
+    conv = flips.any(axis=1)
+    tau = np.full((n, 1), np.nan)
+    iters = np.zeros(n, dtype=int)
+    if not conv.any():
+        return tau, iters, conv
+    idx = reference_select_cell(flips, ws, tau0, cfg.root_select)
+    a, b = ws[idx], ws[idx + 1]
+    ga = Gm[np.arange(n), idx]
+    for _ in range(90):
+        mid = 0.5 * (a + b)
+        gm = mid - phi(mid[:, None])
+        left = ga * gm <= 0
+        b = np.where(conv & left, mid, b)
+        a = np.where(conv & ~left, mid, a)
+        ga = np.where(conv & ~left, gm, ga)
+        iters[conv] += 1
+        if np.max(b[conv] - a[conv]) < 1e-14 * max(1.0, abs(hi), abs(lo)):
+            break
+    tau[conv, 0] = 0.5 * (a + b)[conv]
+    return tau, iters, conv
+
+
+def reference_solve_scalar(surface, potentials, grid, cfg, params, space):
+    env_x, n = solver._env_from_grid(space.independent, grid, params)
+
+    def phi(tau):
+        env = dict(env_x)
+        u = surface.value(tau)
+        env.update({name: u[:, j] for j, name in enumerate(space.dependent)})
+        return np.broadcast_to(np.asarray(potentials[0].evaluate(
+            env, strict=False), dtype=float), (n,))
+
+    pots = [solver.PotentialFn(p, space) for p in potentials]
+    tau0 = solver._initial_guess(cfg, pots, surface, env_x, n, 1)[:, 0]
+    return reference_scan_solve(surface, phi, tau0, cfg, n)
+
+
+EX3_POT = "-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)"
+
+
+def mixed_guess(env):
+    # finite guesses on both roots' sides, plus NaN and infinite ones
+    t = env["t"]
+    guess = np.where(np.arange(len(t)) % 2, -8.0 * t, 0.5 + 0 * t)
+    guess[::7] = np.nan
+    guess[3::11] = np.inf
+    guess[5::13] = -np.inf
+    return guess
+
+
+def ex3_scalar_case(extra=""):
+    # x y < 1 leaves some lanes without a root, and the window reaches
+    # above 0, so others have two
+    rng = np.random.default_rng(8)
+    n = 150
+    grid = {"t": rng.uniform(0.1, 1.0, n), "x": rng.uniform(0.3, 3.0, n),
+            "y": rng.uniform(0.3, 3.0, n)}
+    return (example3_surface(), [parse(EX3_POT + extra, SP3)], grid,
+            {"tau_window": (-24.0, 0.99), "initial_guess": mixed_guess},
+            {"m": 1.0, "k": 1.0}, SP3)
+
+
+def ex2_scalar_case():
+    # a curve with two components: u = ((s/2)^2, s)
+    space = VarSpace((), ("u1", "u2"))
+    surf = integrate_characteristic((parse("-sqrt(u1)", space), Const(1)),
+                                    None, [2.6 ** 2 / 4.0, -2.6],
+                                    (-2.6, -0.03), step=0.003, space=SP2)
+    rng = np.random.default_rng(9)
+    n = 120
+    grid = {"t": rng.uniform(1.0, 3.0, n), "x": rng.uniform(1, 3, n),
+            "y": rng.uniform(0.2, 0.9, n)}
+    return (surf, [parse("t + ln(|y|)/sqrt(u1)", SP2)], grid,
+            {"initial_guess": mixed_guess}, {}, SP2)
+
+
+SCALAR_CASES = {
+    "example3, two roots or none": ex3_scalar_case,
+    "example3, NaN below u = -6": lambda: ex3_scalar_case("+0.5*sqrt(u+6)"),
+    "example2 curve, q = 2": ex2_scalar_case,
+}
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_scalar_solve_matches_matrix_scan_bitwise(case, root_select):
+    surf, pots, grid, settings, params, space = SCALAR_CASES[case]()
+    cfg = ImplicitSolveConfig(root_select=root_select, **settings)
+    tau, iters, conv = reference_solve_scalar(surf, pots, grid, cfg, params,
+                                              space)
+    if case.startswith("example3"):
+        assert 0 < conv.sum() < conv.size        # some lanes have no root
+    field = solve_implicit(surf, pots, grid, cfg, params=params, space=space)
+    assert_bitwise(field.tau, tau)
+    assert np.array_equal(field.iters, iters)
+    assert np.array_equal(field.converged, conv)
+    assert_bitwise(field.u, surf.value(tau))
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select):
+    # G = w - u + c (u - r1)(u - r2)(u - r3) has up to three roots per
+    # lane, and phi is -inf or +inf where u hits a lane's pole exactly,
+    # which happens at one scan point per lane
+    surf = example3_surface()
+    cfg = ImplicitSolveConfig(tau_window=(-24.0, 0.99),
+                              root_select=root_select)
+    rng = np.random.default_rng(12)
+    n = 80
+    ws = np.linspace(-24.0, 0.99, cfg.scan_points)
+    pole = surf.value(ws[:, None])[rng.integers(1, len(ws) - 1, n), 0]
+    roots = np.sort(rng.uniform(-24.0, 0.99, (3, n)), axis=0)
+    c = rng.choice([-1.0, 1.0], n) * rng.uniform(0.01, 0.1, n)
+    side = rng.choice([-np.inf, np.inf], n)
+
+    def phi_lanes(u, lanes):
+        cubic = c[lanes] * ((u - roots[0, lanes]) * (u - roots[1, lanes])
+                            * (u - roots[2, lanes]))
+        return np.where(u == pole[lanes], side[lanes], u - cubic)
+
+    def phi_of_u(u, rows=None):
+        lanes = slice(None) if rows is None else rows
+        return phi_lanes(u[..., 0], lanes)[:, None]
+
+    tau0 = rng.uniform(-24.0, 0.99, n)
+    tau0[::9] = np.nan
+    tau, iters, conv = reference_scan_solve(
+        surf, lambda t: phi_lanes(surf.value(t)[:, 0], slice(None)), tau0,
+        cfg, n)
+    got = solver._solve_scalar(surf, phi_of_u, tau0[:, None], cfg, n)
+    assert_bitwise(got[0], tau)
+    assert np.array_equal(got[1], iters)
+    assert np.array_equal(got[2], conv)
+
+
+def test_scalar_solve_evaluates_curve_once_per_scan_point():
+    # the scan evaluates the curve at each scan point once, and the
+    # bisection only on the lanes with a root
+    class Count:
+        def __init__(self, surface):
+            self._surface, self.points = surface, 0
+
+        def __getattr__(self, name):
+            return getattr(self._surface, name)
+
+        def value(self, tau, rows=None):
+            self.points += len(tau) if rows is None else len(rows)
+            return self._surface.value(tau, rows)
+
+    surf, pots, grid, settings, params, space = ex3_scalar_case()
+    counted = Count(surf)
+    cfg = ImplicitSolveConfig(root_select="lowest", **settings)
+    field = solve_implicit(counted, pots, grid, cfg, params=params,
+                           space=space)
+    assert not field.converged.all()
+    # scan points, bisection steps, then u at every lane's final tau
+    assert counted.points == cfg.scan_points + field.iters.sum() + field.n
+
+
+def test_scalar_solve_root_selection_differs_between_rules():
+    # the bitwise cases above exercise three different picks
+    surf, pots, grid, settings, params, space = ex3_scalar_case()
+    taus = [solve_implicit(surf, pots, grid,
+                           ImplicitSolveConfig(root_select=rule, **settings),
+                           params=params, space=space).tau
+            for rule in ("lowest", "highest", "nearest")]
+    assert not np.array_equal(taus[0], taus[1], equal_nan=True)
+    assert not np.array_equal(taus[2], taus[0], equal_nan=True)
+    assert not np.array_equal(taus[2], taus[1], equal_nan=True)
+
+
+def test_scalar_solve_memory_linear_in_lanes():
+    # the (n, scan points) matrices took about 6.4 KB per lane
+    import tracemalloc
+
+    surf, pots, _, _, params, space = ex3_scalar_case()
+    n = 3000
+    rng = np.random.default_rng(1)
+    grid = {"t": rng.uniform(0.1, 1.0, n), "x": rng.uniform(1, 3, n),
+            "y": rng.uniform(1, 3, n)}
+    cfg = ImplicitSolveConfig(initial_guess=np.array([-2.0]),
+                              tau_window=(-24.0, -0.3), root_select="nearest")
+    solve_implicit(surf, pots, grid, cfg, params=params, space=space)
+    tracemalloc.start()
+    try:
+        field = solve_implicit(surf, pots, grid, cfg, params=params,
+                               space=space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.converged.all()
+    assert peak < 1024 * n
+
+
+# ---------------------------------------------------------------------------
+# PotentialFn: separate value and derivative kernels, with per-lane or 0-d u
+
+FIXTURE_POTENTIALS = [(SP2, "t - ln(|y|)/sqrt(u1)"),
+                      (SP2, "t + ln(|y|)/sqrt(u1)"),
+                      (SP3, EX3_POT)]
+
+
+@pytest.mark.parametrize("shared_u", [False, True], ids=["per-lane u", "0-d u"])
+@pytest.mark.parametrize("space,text", FIXTURE_POTENTIALS)
+def test_potential_fn_value_and_du_kernels_bitwise(space, text, shared_u):
+    rng = np.random.default_rng(6)
+    n = 13
+    phi = parse(text, space)
+    env = {name: rng.uniform(1.0, 3.0, n) for name in space.independent}
+    env.update({name: np.full(n, 1.0) for name in space.parameters})
+    u = {name: rng.uniform(0.3, 2.0, n) for name in space.dependent}
+    if shared_u:
+        u = {name: v[0] for name, v in u.items()}    # numpy 0-d scalars
+    env.update(u)
+    pot = solver.PotentialFn(phi, space)
+    assert_bitwise(pot.value(env), np.broadcast_to(np.asarray(
+        phi.evaluate(env, strict=False), dtype=float), (n,)))
+    want_du = np.stack([np.broadcast_to(np.asarray(
+        simplify(phi.diff(nm)).evaluate(env, strict=False), dtype=float), (n,))
+        for nm in space.dependent], axis=1)
+    assert_bitwise(pot.du(env), want_du)
+    if shared_u:
+        # a shared u gives the bits of the same u spread over every lane
+        full = dict(env, **{name: np.full(n, v) for name, v in u.items()})
+        assert_bitwise(pot.value(env), pot.value(full))
+        assert_bitwise(pot.du(env), pot.du(full))
