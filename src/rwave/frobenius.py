@@ -216,9 +216,13 @@ class TransportTerm:
     The defining flow is reparametrized by the signed section distance
     psi = <normal, u - base>, which makes the section an exact endpoint
     (no event detection) and lets all query points integrate as one
-    batched RK4 march with per-lane spans.  Requires <normal, Y> to stay
-    bounded away from zero along the orbits, i.e. the field crosses its
-    section transversally throughout the working box.
+    batched RK4 march with per-lane spans.  Each lane takes
+    max(min_steps, ceil(|psi0| / step)) steps of its own, and the
+    tangency check runs on the lanes still marching, so a point's value
+    does not depend on which other points are asked for at the same time.
+    Requires <normal, Y> to stay bounded away from zero along the orbits,
+    i.e. the field crosses its section transversally throughout the
+    working box.
     """
 
     def __init__(self, Y: VectorField, source: ScalarFn, base, normal,
@@ -234,13 +238,13 @@ class TransportTerm:
     def __call__(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         n, d = U.shape
-        psi0 = (U - self.base) @ self.normal
+        psi0 = _rows_dot(U - self.base, self.normal)
         span = -psi0  # integrate psi from psi0 down (or up) to exactly 0
 
         def rhs(s, state):
             u = state[:, :d]
             v = self.Y.eval(u)
-            denom = v @ self.normal
+            denom = _rows_dot(v, self.normal)
             if np.any(np.abs(denom) < 1e-12):
                 raise StraighteningFailed(
                     "transport field becomes tangent to its section")
@@ -249,12 +253,21 @@ class TransportTerm:
                                    (src / denom)[:, None]], axis=1)
 
         state0 = np.concatenate([U, np.zeros((n, 1))], axis=1)
-        n_steps = max(self.min_steps,
-                      int(np.ceil(float(np.max(np.abs(span))) / self.step)))
+        n_steps = np.maximum(self.min_steps,
+                             np.ceil(np.abs(span) / self.step).astype(int))
         out = ode.rk4_lanes(rhs, state0, span, n_steps)
         if not np.all(np.isfinite(out)):
             raise StraighteningFailed("transport flow left the domain")
         return -out[:, d]
+
+
+def _rows_dot(v, w):
+    """v @ w, rounded alike whatever the number of rows: numpy hands a
+    one-row product to BLAS dot, which rounds otherwise than the gemv that
+    takes two or more rows, so a single row is padded to two."""
+    if len(v) == 1:
+        return (np.concatenate([v, v]) @ w)[:1]
+    return v @ w
 
 
 class LogFactor:

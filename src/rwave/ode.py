@@ -92,23 +92,39 @@ def rk4_dense(f, y0, t0, ts, max_step, tol=1e-10, guard=None):
 
 
 def rk4_lanes(f, y0, dt, n_steps):
-    """March all lanes n_steps of RK4 with per-lane step dt/n_steps.
+    """March lane i ``n_steps[i]`` RK4 steps of size dt[i] / n_steps[i].
 
-    ``f(s, y)`` receives the per-lane pseudo-time s of shape (n,); used
-    for batched flows whose lanes integrate over different spans.
+    ``f(s, y)`` receives the per-lane pseudo-time s of shape (m,) and the
+    states of the m lanes that still have steps left; used for batched
+    flows whose lanes integrate over different spans.  Each step advances
+    only those lanes, so a lane's arithmetic depends on its own span and
+    count alone, never on which other lanes share the march, provided
+    ``f`` computes every row of its result on its own.  A scalar
+    ``n_steps`` gives every lane the same count.
     """
-    y = np.array(y0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
     dt = np.asarray(dt, dtype=float)
-    h = dt / n_steps
-    s = np.zeros_like(dt)
+    n_steps = np.broadcast_to(n_steps, dt.shape)
+    # lanes by descending count, so that those with steps left are a prefix
+    order = np.argsort(-n_steps, kind="stable")
+    counts = n_steps[order]
+    y = y0[order]
+    h = dt[order] / counts
+    s = np.zeros_like(h)
     hcol = h[:, None] if y.ndim == 2 else h
-    for _ in range(n_steps):
-        k1 = f(s, y)
-        k2 = f(s + 0.5 * h, y + 0.5 * hcol * k1)
-        k3 = f(s + 0.5 * h, y + 0.5 * hcol * k2)
-        k4 = f(s + h, y + hcol * k3)
-        y = y + (hcol / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = s + h
+    for k in range(int(counts.max(initial=0))):
+        m = np.count_nonzero(counts > k)
+        ym, sm, hm, hc = y[:m], s[:m], h[:m], hcol[:m]
+        k1 = f(sm, ym)
+        k2 = f(sm + 0.5 * hm, ym + 0.5 * hc * k1)
+        k3 = f(sm + 0.5 * hm, ym + 0.5 * hc * k2)
+        k4 = f(sm + hm, ym + hc * k3)
+        # new arrays, not in-place updates: f may keep the rows it was given
+        y = np.concatenate([ym + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                            y[m:]])
+        s = np.concatenate([sm + hm, s[m:]])
     if not np.all(np.isfinite(y)):
         raise BlowUp("non-finite state in batched flow")
-    return y
+    out = np.empty_like(y)
+    out[order] = y
+    return out
