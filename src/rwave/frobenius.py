@@ -13,13 +13,19 @@ frame, solves the stage-1 transport system for the new factor, and then
 re-rescales the previous fields along the new one (stage 2).  Transport
 equations are solved symbolically when the flow field moves a single
 coordinate and the source has a recognized antiderivative, and otherwise
-by backward flows to a transversal section with an RK4 accumulator.
+by backward flows to a transversal section with an RK4 accumulator;
+every point takes its own number of steps, so its value does not depend
+on the other points evaluated with it.
 
 The flows evaluate bracket coefficients at every RK4 stage: each field
 derives a symbolic bracket once and caches it on itself, fields and
 scalars compile their expressions into one kernel (`compile_exprs`) once
 and keep it, and the span coefficients of all rows come from one batched
-two-column least-squares solve (`solve_two_columns`).
+two-column least-squares solve (`solve_two_columns`).  Brackets come from
+one table per point set (`_bracket_table`): a numeric factor, whose every
+evaluation is a transport march, is evaluated once at the points and once
+at their displacements along all its partner fields, for the finite
+differences of the Leibniz rule, however many pairs share it.
 """
 
 from __future__ import annotations
@@ -158,43 +164,27 @@ class VectorField:
         """Symbolic derivative of ``e`` along this (symbolic) field."""
         return self._directional_fn(e).expr
 
-    def directional(self, scalar: ScalarFn, U, h=1e-4, v=None):
-        """Derivative of ``scalar`` along this field at rows of U; ``v``
-        may pass this field's values at U when already known."""
+    def directional(self, scalar: ScalarFn, U, h=1e-4):
+        """Derivative of ``scalar`` along this field at rows of U; one
+        evaluation of a numeric scalar covers both displaced point sets."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if scalar.expr is not None and self.symbolic:
             return self._directional_fn(scalar.expr).ev(U)
-        v = self.eval(U) if v is None else v
-        eps = h / np.maximum(np.linalg.norm(v, axis=1), 1e-12)
-        return (scalar.ev(U + eps[:, None] * v)
-                - scalar.ev(U - eps[:, None] * v)) / (2.0 * eps)
+        points, eps = _displaced(U, self.eval(U), h)
+        return _difference_quotient(scalar.ev(points), eps)
 
-    def bracket_with(self, other, U, h=1e-5):
-        """[self, other](U); symbolic expansion of the factored Leibniz rule
-        with finite differences only where a factor is numeric."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
+    def _bare_bracket(self, other):
+        """[bare self, bare other] as a field, derived once per pair."""
         brackets = self.bare._brackets
         base = brackets.get(other.exprs)
         if base is None:
             base = brackets[other.exprs] = VectorField(
                 lie_bracket(self.exprs, other.exprs, self.names), self.names)
-        B = base.eval(U)
-        fi = self.factor.ev(U) if self.factor is not None else np.ones(len(U))
-        fj = other.factor.ev(U) if other.factor is not None else np.ones(len(U))
-        out = (fi * fj)[:, None] * B
-        if self.factor is None and other.factor is None:
-            return out
-        Xi = self.bare.eval(U)
-        Xj = other.bare.eval(U)
-        # each directional runs along a scaled field, which carries its own
-        # factor; its values reuse fi, fj instead of re-evaluating them
-        if other.factor is not None:
-            dfj = self.directional(other.factor, U, h, v=Xi * fi[:, None])
-            out += dfj[:, None] * Xj
-        if self.factor is not None:
-            dfi = other.directional(self.factor, U, h, v=Xj * fj[:, None])
-            out -= dfi[:, None] * Xi
-        return out
+        return base
+
+    def bracket_with(self, other, U, h=1e-5):
+        """[self, other](U): the one-pair case of ``_bracket_table``."""
+        return _bracket_table([self, other], [(0, 1)], U, h)[0][0]
 
     def single_direction(self):
         """(index, coefficient expr) when exactly one component is nonzero
@@ -204,6 +194,73 @@ class VectorField:
         if len(moving) != 1 or not self.symbolic:
             return None
         return moving[0], self.scaled_exprs()[moving[0]]
+
+
+def _displaced(U, v, h):
+    """The points U + eps v and U - eps v stacked, with eps = h / |v| per
+    row, for a central difference along v."""
+    eps = h / np.maximum(np.linalg.norm(v, axis=1), 1e-12)
+    step = eps[:, None] * v
+    return np.concatenate([U + step, U - step]), eps
+
+
+def _difference_quotient(values, eps):
+    """Central differences from a scalar's values at ``_displaced`` points."""
+    n = len(eps)
+    return (values[:n] - values[n:]) / (2.0 * eps)
+
+
+def _bracket_table(fields, pairs, U, h=1e-5):
+    """Brackets [X_i, X_j](U) for each (i, j) in ``pairs``, and the values
+    X_k(U) of all ``fields``, as (brackets, values).
+
+    Each bracket is the factored Leibniz rule for X = f A, Y = g B,
+
+        [X, Y] = f g [A, B] + X(g) B - Y(f) A,
+
+    symbolic except for the directionals X(g), Y(f) that take central
+    differences because a factor or the field it runs along is numeric.
+    Each factor is evaluated once at U and once over the displaced points
+    U +/- eps_k X_k of all its partners k stacked, so a factor made of
+    transport terms marches twice per table however many pairs it is in.
+    """
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    bare = [X.bare.eval(U) for X in fields]
+    fac = [np.ones(len(U)) if X.factor is None else X.factor.ev(U)
+           for X in fields]
+    values = [b * f[:, None] for b, f in zip(bare, fac)]
+
+    along = {}      # factor k -> the fields its directionals run along
+    for i, j in pairs:
+        if fields[j].factor is not None:
+            along.setdefault(j, {})[i] = None
+        if fields[i].factor is not None:
+            along.setdefault(i, {})[j] = None
+    deriv = {}      # (k, m) -> X_m(f_k)
+    for k, partners in along.items():
+        g = fields[k].factor
+        numeric = []
+        for m in partners:
+            if g.expr is not None and fields[m].symbolic:
+                deriv[k, m] = fields[m].directional(g, U)
+            else:
+                numeric.append(m)
+        if numeric:
+            points, eps = zip(*(_displaced(U, values[m], h) for m in numeric))
+            vals = np.split(g.ev(np.concatenate(points)), len(numeric))
+            for m, e, v in zip(numeric, eps, vals):
+                deriv[k, m] = _difference_quotient(v, e)
+
+    brackets = []
+    for i, j in pairs:
+        Xi, Xj = fields[i], fields[j]
+        out = (fac[i] * fac[j])[:, None] * Xi._bare_bracket(Xj).eval(U)
+        if Xj.factor is not None:
+            out += deriv[j, i][:, None] * bare[j]
+        if Xi.factor is not None:
+            out -= deriv[i, j][:, None] * bare[i]
+        brackets.append(out)
+    return brackets, values
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +564,8 @@ def _coefficient_fn(Xi, Xj, col, names):
 
     def fn(U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        return solve_two_columns(Xi.eval(U), Xj.eval(U), Xi.bracket_with(Xj, U),
-                                 U, names)[:, col]
+        (B,), (Vi, Vj) = _bracket_table([Xi, Xj], [(0, 1)], U)
+        return solve_two_columns(Vi, Vj, B, U, names)[:, col]
     return fn
 
 
@@ -536,8 +593,7 @@ def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None, trials=40,
     Xi = Xi if isinstance(Xi, VectorField) else VectorField(Xi, names)
     Xj = Xj if isinstance(Xj, VectorField) else VectorField(Xj, names)
     U = _sample(box, rng, trials, names)
-    B = Xi.bracket_with(Xj, U)
-    Vi, Vj = Xi.eval(U), Xj.eval(U)
+    (B,), (Vi, Vj) = _bracket_table([Xi, Xj], [(0, 1)], U)
     coeffs = solve_two_columns(Vi, Vj, B, U, names)
     resid = np.max(np.abs(coeffs[:, :1] * Vi + coeffs[:, 1:] * Vj - B), axis=1)
     at = int(np.argmax(resid))
@@ -634,10 +690,11 @@ def commutation_residual(fields, box: Box, rng=None, n_samples=100, h=1e-4):
     rng = np.random.default_rng(rng)
     names = fields[0].names
     U = _sample(box, rng, n_samples, names)
-    size = [float(np.max(np.abs(f.eval(U)))) for f in fields]
+    pairs = list(combinations(range(len(fields)), 2))
+    brackets, values = _bracket_table(fields, pairs, U, h)
+    size = [float(np.max(np.abs(v))) for v in values]
     worst = 0.0
-    for i, j in combinations(range(len(fields)), 2):
-        B = fields[i].bracket_with(fields[j], U, h=h)
+    for (i, j), B in zip(pairs, brackets):
         scale = 1.0 + max(size[i], size[j])
         worst = max(worst, float(np.max(np.abs(B))) / scale)
     return worst
@@ -683,13 +740,12 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
 
     U = _sample(box, rng, trials, names)
 
-    def bracket_is_zero(Fi, Fj):
-        B = Fi.bracket_with(Fj, U)
+    def vanishes(B):
         return float(np.max(np.abs(B))) < 1e-7
 
     # already commuting: identity factors (valid at any rank)
-    if all(bracket_is_zero(fields[i], fields[j])
-           for i, j in combinations(range(r), 2)) and not pair_overrides:
+    brackets, _ = _bracket_table(fields, list(combinations(range(r), 2)), U)
+    if all(map(vanishes, brackets)) and not pair_overrides:
         stages.append("identity")
         return FrameRescaling(names=names, fields=fields,
                               factors=[FactorFn(LogFactor(names))
@@ -753,18 +809,18 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
 
         # stage 2: re-rescale the earlier fields along Z = f_next X_next
         Z = scaled(nxt)
-        for i in range(nxt):
-            Yi = scaled(i)
-            B = Yi.bracket_with(Z, U)
-            if float(np.max(np.abs(B))) < 1e-7:
+        brackets, values = _bracket_table(
+            commuting + [Z], [(i, nxt) for i in range(nxt)], U)
+        for i, B in enumerate(brackets):
+            if vanishes(B):
                 continue
             # rho with [Y_i, Z] = rho Y_i, fitted to an expression when
             # recognizable for exact transports downstream
             rho = fit_symbolic(
-                solve_two_columns(Yi.eval(U), Z.eval(U), B, U, names)[:, 0],
+                solve_two_columns(values[i], values[nxt], B, U, names)[:, 0],
                 _columns(U, names), names)
             if rho is None:
-                rho = _coefficient_fn(Yi, Z, 0, names)
+                rho = _coefficient_fn(commuting[i], Z, 0, names)
             gi, res_i = solve_transport_system(
                 [Z], [ScalarFn(rho, names)], names, box, base, rng,
                 prefer_symbolic=prefer_symbolic)

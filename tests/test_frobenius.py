@@ -1,8 +1,12 @@
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfbench import workloads
 from rwave import frobenius
 from rwave.expr import Box, Const, is_zero, parse, simplify
 from rwave.frobenius import (
@@ -11,6 +15,7 @@ from rwave.frobenius import (
     LogFactor,
     NotInSpan,
     ScalarFn,
+    TransportTerm,
     VectorField,
     commutation_residual,
     compatibility_check,
@@ -381,3 +386,144 @@ def test_repeated_field_evaluation_compiles_once(monkeypatch):
         counts.append(len(compiled))
     # the first round compiles every kernel it needs, later rounds none
     assert counts[0] > 0 and counts == counts[:1] * 3, counts
+
+
+# ---------------------------------------------------------------------------
+# the bracket table against the per-pair Leibniz loop it replaced
+
+def reference_bracket(Xi, Xj, U, h=1e-5):
+    """[X_i, X_j](U) as one pair was assembled before the bracket table:
+    both factors evaluated at U for this pair alone, and each central
+    difference as two separate evaluations of the factor."""
+
+    def directional(X, g, v):
+        if g.expr is not None and X.symbolic:
+            return X.directional(g, U)
+        eps = h / np.maximum(np.linalg.norm(v, axis=1), 1e-12)
+        return (g.ev(U + eps[:, None] * v)
+                - g.ev(U - eps[:, None] * v)) / (2.0 * eps)
+
+    B = Xi._bare_bracket(Xj).eval(U)
+    fi = Xi.factor.ev(U) if Xi.factor is not None else np.ones(len(U))
+    fj = Xj.factor.ev(U) if Xj.factor is not None else np.ones(len(U))
+    out = (fi * fj)[:, None] * B
+    if Xi.factor is None and Xj.factor is None:
+        return out
+    Ai, Aj = Xi.bare.eval(U), Xj.bare.eval(U)
+    if Xj.factor is not None:
+        out += directional(Xi, Xj.factor, Ai * fi[:, None])[:, None] * Aj
+    if Xi.factor is not None:
+        out -= directional(Xj, Xi.factor, Aj * fj[:, None])[:, None] * Ai
+    return out
+
+
+def reference_commutation_residual(fields, box, rng, n_samples, h=1e-4):
+    rng = np.random.default_rng(rng)
+    U = frobenius._sample(box, rng, n_samples, fields[0].names)
+    size = [float(np.max(np.abs(f.eval(U)))) for f in fields]
+    worst = 0.0
+    for i, j in combinations(range(len(fields)), 2):
+        B = reference_bracket(fields[i], fields[j], U, h)
+        worst = max(worst, float(np.max(np.abs(B)))
+                    / (1.0 + max(size[i], size[j])))
+    return worst
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def benchmark_frames():
+    """The benchmark's cyclic and pair frames rescaled at seeds 1-3, each
+    with the seed of its check and every bracket table its construction
+    built, nested ones included."""
+    original = frobenius._bracket_table
+    out = []
+    tables = []
+
+    def recording(fields, pairs, U, h=1e-5):
+        got = original(fields, pairs, U, h)
+        tables.append((list(fields), list(pairs), U, h, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frobenius, "_bracket_table", recording)
+        for seed in (1, 2, 3):
+            bench = workloads.FramesWorkload(seed)
+            for (label, fields, names, box, opts, _), (r1, r2) in zip(
+                    bench.frames, bench.rngs):
+                del tables[:]
+                res = rescale_frame(list(fields), names, box, rng=r1, **opts)
+                out.append((label, res, box, r2, list(tables)))
+    return out
+
+
+def test_bracket_tables_match_per_pair_reference(benchmark_frames):
+    stage2 = 0
+    for label, res, box, _, tables in benchmark_frames:
+        assert tables, label
+        for fields, pairs, U, h, (brackets, values) in tables:
+            for (i, j), B in zip(pairs, brackets):
+                want = reference_bracket(fields[i], fields[j], U, h)
+                assert np.array_equal(bits(B), bits(want)), (label, i, j)
+            for X, V in zip(fields, values):
+                assert np.array_equal(bits(V), bits(X.eval(U))), label
+            # stage 2 brackets the two earlier scaled fields with the third
+            stage2 += pairs == [(0, 2), (1, 2)] and all(
+                X.factor is not None for X in fields)
+    assert stage2 == 3
+
+
+def test_commutation_residual_matches_per_pair_reference(benchmark_frames):
+    for label, res, box, r2, _ in benchmark_frames:
+        fields = res.scaled_fields()
+        got = commutation_residual(fields, box, rng=r2, n_samples=20)
+        want = reference_commutation_residual(fields, box, r2, 20)
+        assert got == want and 0.0 < got < 1e-6, (label, got, want)
+
+
+def test_commutation_residual_marches_each_transport_twice(benchmark_frames,
+                                                          monkeypatch):
+    label, res, box, r2, _ = benchmark_frames[0]
+    assert label == "cyclic"
+    terms = [t for fac in res.factors for t in fac.log.terms
+             if isinstance(t, TransportTerm)]
+    calls = Counter()
+    original = TransportTerm.__call__
+
+    def counting(self, U):
+        calls[self] += 1
+        return original(self, U)
+
+    monkeypatch.setattr(TransportTerm, "__call__", counting)
+    commutation_residual(res.scaled_fields(), box, rng=r2, n_samples=20)
+    # once at the samples and once at every partner's displaced samples;
+    # the per-pair loop marched each term 7 times on this frame
+    assert len(terms) == 3 and calls == {t: 2 for t in terms}, calls
+
+
+def test_numeric_directional_is_one_evaluation_of_both_sides():
+    # a transport along e^y d_x to the section x = 0: lanes at different
+    # distances take different step counts
+    Y = VectorField((pexpr("exp(y)", NAMES4), Const(0), Const(0), Const(0)),
+                    NAMES4)
+    term = TransportTerm(Y, ScalarFn(pexpr("x*z", NAMES4), NAMES4),
+                         np.zeros(4), [1.0, 0.0, 0.0, 0.0])
+    rows = []
+
+    def numeric(U):
+        rows.append(len(U))
+        return term(U)
+
+    X = VectorField((pexpr("exp(z)", NAMES4), pexpr("w", NAMES4), Const(0),
+                     Const(1)), NAMES4,
+                    factor=ScalarFn(pexpr("1+y^2", NAMES4), NAMES4))
+    U = np.random.default_rng(5).uniform(-0.7, 0.7, (20, 4))
+    got = X.directional(ScalarFn(numeric, NAMES4), U, h=1e-4)
+    assert rows == [40]
+    v = X.eval(U)
+    eps = 1e-4 / np.maximum(np.linalg.norm(v, axis=1), 1e-12)
+    want = (term(U + eps[:, None] * v) - term(U - eps[:, None] * v)) \
+        / (2.0 * eps)
+    assert np.array_equal(bits(got), bits(want))
