@@ -312,9 +312,10 @@ class TransportTerm:
         state0 = np.concatenate([U, np.zeros((n, 1))], axis=1)
         n_steps = np.maximum(self.min_steps,
                              np.ceil(np.abs(span) / self.step).astype(int))
-        out = ode.rk4_lanes(rhs, state0, span, n_steps)
-        if not np.all(np.isfinite(out)):
-            raise StraighteningFailed("transport flow left the domain")
+        try:
+            out = ode.rk4_lanes(rhs, state0, span, n_steps)
+        except ode.BlowUp as err:
+            raise StraighteningFailed("transport flow left the domain") from err
         return -out[:, d]
 
 

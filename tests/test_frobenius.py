@@ -15,6 +15,7 @@ from rwave.frobenius import (
     LogFactor,
     NotInSpan,
     ScalarFn,
+    StraighteningFailed,
     TransportTerm,
     VectorField,
     commutation_residual,
@@ -527,3 +528,13 @@ def test_numeric_directional_is_one_evaluation_of_both_sides():
     want = (term(U + eps[:, None] * v) - term(U - eps[:, None] * v)) \
         / (2.0 * eps)
     assert np.array_equal(bits(got), bits(want))
+
+
+def test_transport_leaving_the_domain_is_a_frobenius_error():
+    # the source is infinite on y = 0, which the first lane's orbit follows
+    Y = VectorField((Const(1), Const(0), Const(0)), NAMES3)
+    source = ScalarFn(lambda U: 1.0 / U[:, 1], NAMES3)
+    term = TransportTerm(Y, source, np.zeros(3), [1.0, 0.0, 0.0])
+    U = np.array([[0.5, 0.0, 0.1], [0.3, 0.2, 0.0]])
+    with pytest.raises(StraighteningFailed), np.errstate(all="ignore"):
+        term(U)
