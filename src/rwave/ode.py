@@ -99,12 +99,11 @@ def rk4_lanes(f, y0, dt, n_steps):
     flows whose lanes integrate over different spans.  Each step advances
     only those lanes, so a lane's arithmetic depends on its own span and
     count alone, never on which other lanes share the march, provided
-    ``f`` computes every row of its result on its own.  A scalar
-    ``n_steps`` gives every lane the same count.
+    ``f`` computes every row of its result on its own.
     """
     y0 = np.asarray(y0, dtype=float)
     dt = np.asarray(dt, dtype=float)
-    n_steps = np.broadcast_to(n_steps, dt.shape)
+    n_steps = np.asarray(n_steps)
     # lanes by descending count, so that those with steps left are a prefix
     order = np.argsort(-n_steps, kind="stable")
     counts = n_steps[order]

@@ -136,7 +136,7 @@ def test_rk4_lanes_equal_counts_match_reference_loop(n_steps):
     got = ode.rk4_lanes(sheared_rotation, y0, dt, np.full(9, n_steps))
     want = reference_rk4_lanes(sheared_rotation, y0, dt, n_steps)
     assert np.array_equal(bits(got), bits(want))
-    got = ode.rk4_lanes(scalar_decay, y0[:, 0], dt, n_steps)
+    got = ode.rk4_lanes(scalar_decay, y0[:, 0], dt, np.full(9, n_steps))
     want = reference_rk4_lanes(scalar_decay, y0[:, 0], dt, n_steps)
     assert np.array_equal(bits(got), bits(want))
 
