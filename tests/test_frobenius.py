@@ -530,6 +530,46 @@ def test_numeric_directional_is_one_evaluation_of_both_sides():
     assert np.array_equal(bits(got), bits(want))
 
 
+@pytest.mark.parametrize("factors", [("numeric", "numeric"),
+                                     ("symbolic", "numeric"),
+                                     ("symbolic", "symbolic"),
+                                     (None, "numeric")])
+def test_bracket_with_matches_per_pair_reference(factors):
+    # overlapping components, so the order in which the two directional
+    # terms are added shows in the bits
+    def factor(kind, text, fn):
+        if kind is None:
+            return None
+        return ScalarFn(pexpr(text) if kind == "symbolic" else fn, NAMES3)
+
+    Xi = VectorField((Const(1), pexpr("y"), pexpr("x*z")), NAMES3,
+                     factor=factor(factors[0], "exp(x*y)",
+                                   lambda U: np.exp(U[:, 0] * U[:, 1])))
+    Xj = VectorField((pexpr("z"), Const(1), pexpr("x")), NAMES3,
+                     factor=factor(factors[1], "1+y^2+z",
+                                   lambda U: 1 + U[:, 1] ** 2 + U[:, 2]))
+    U = np.random.default_rng(8).uniform(-0.8, 0.8, (30, 3))
+    got = Xi.bracket_with(Xj, U)
+    assert np.array_equal(bits(got), bits(reference_bracket(Xi, Xj, U)))
+
+
+def test_transport_value_does_not_depend_on_other_points():
+    # lanes farther from the section take more steps; a one-point batch
+    # rounds its section distances as any larger batch does (the tilted
+    # normal makes them inexact)
+    Y = VectorField((pexpr("exp(y)", NAMES4), Const(0.5), Const(0),
+                     Const(0)), NAMES4)
+    term = TransportTerm(Y, ScalarFn(pexpr("x*z+w", NAMES4), NAMES4),
+                         np.zeros(4), [1.0, 0.5, 0.3, 0.0])
+    U = np.random.default_rng(6).uniform(-0.4, 0.4, (8, 4))
+    alone = term(U)
+    corner = np.full((1, 4), 0.7)
+    assert np.array_equal(bits(term(np.concatenate([U, corner]))[:8]),
+                          bits(alone))
+    for k in range(len(U)):
+        assert np.array_equal(bits(term(U[k:k + 1])), bits(alone[k:k + 1]))
+
+
 def test_transport_leaving_the_domain_is_a_frobenius_error():
     # the source is infinite on y = 0, which the first lane's orbit follows
     Y = VectorField((Const(1), Const(0), Const(0)), NAMES3)
