@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import exprmat, reports
-from .expr import Box, Const, ParseError, VarSpace, parse, simplify
+from .expr import Box, Const, MissingVariableError, ParseError, VarSpace, parse, simplify
 from .fixtures import PRESETS, SYSTEMS, load_fixture, system_from_dict, system_to_dict
 from .frobenius import FrobeniusError, rescale_frame
 from .geometry import (
@@ -80,22 +81,12 @@ class AnalysisRequest:
             raise RequestError(
                 f"stages must form a prefix of {list(PIPELINE)}, got "
                 f"{list(self.stages)}")
-        for name, (lo, hi, count) in self.grid.items():
-            if count <= 0:
-                raise RequestError("empty grid")
-
-    def as_dict(self):
-        return {
-            "system": self.system, "domain": {k: list(v) for k, v in
-                                              sorted(self.domain.items())},
-            "stages": list(self.stages),
-            "grid": {k: list(v) for k, v in sorted(self.grid.items())},
-            "seed": self.seed, "lambdas": self.lambdas,
-            "parameters": dict(sorted(self.parameters.items())),
-            "solver": self.solver, "homogenize_var": self.homogenize_var,
-            "tol_newton": self.tol_newton, "tol_zero": self.tol_zero,
-            "fd_step": self.fd_step, "trials": self.trials,
-        }
+        if any(count <= 0 for _, _, count in self.grid.values()) or (
+                "solve" in self.stages and not self.grid):
+            raise RequestError("empty grid")
+        if not min(self.tol_newton, self.tol_zero, self.fd_step, self.trials) > 0:
+            raise RequestError("--tol-newton, --tol-zero, --fd-step and "
+                               "--trials must be positive")
 
 
 def load_system(spec: str):
@@ -106,11 +97,7 @@ def load_system(spec: str):
     if not path.exists():
         raise RequestError(f"system file '{spec}' not found")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise RequestError(f"system file '{spec}': {err}")
-    try:
-        return system_from_dict(data), {}
+        return system_from_dict(json.loads(path.read_text())), {}
     except (ParseError, ValueError, KeyError) as err:
         raise RequestError(f"system file '{spec}': {err}")
 
@@ -142,216 +129,164 @@ def _grid_env(grid):
     return {n: m.ravel() for n, m in zip(names, mesh)}
 
 
-@dataclass
-class StageOutcome:
-    ok: bool
-    detail: str = ""
+class _Run:
+    """What the stages share: the request with its presets merged in, and
+    the results of the stages run so far.  Construction makes the request
+    checks, raising RequestError before any file is written."""
 
-
-def run(request: AnalysisRequest):
-    """Execute the requested pipeline prefix; returns (exit_code, artifacts)."""
-    try:
+    def __init__(self, request: AnalysisRequest):
         request.validate()
-        system, preset = load_system(request.system)
-    except RequestError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_REQUEST, {}
-
-    out = Path(request.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = {}
-    reports.write_metadata(out / "metadata.json", {"system": request.system})
-    reports.write_json(out / "request.json", request.as_dict())
-
-    solver_cfg = dict(preset.get("solver", {}))
-    solver_cfg.update(request.solver or {})
-    lambdas = request.lambdas or preset.get("lambdas", [])
-    params = dict(preset.get("parameters", {}))
-    params.update(request.parameters or {})
-    domain = dict(preset.get("domain", {}))
-    domain.update(request.domain or {})
-    if not domain:
-        print("error: no domain box given", file=sys.stderr)
-        return EXIT_REQUEST, {}
-    box = Box.from_dict(domain)
-    seeds = np.random.SeedSequence(request.seed).spawn(len(PIPELINE))
-    seed_of = {stage: seeds[i] for i, stage in enumerate(PIPELINE)}
-    outcomes = {}
-
-    def finish(code):
-        reports.write_json(out / "outcomes.json",
-                           {k: {"ok": v.ok, "detail": v.detail}
-                            for k, v in outcomes.items()})
-        return code, artifacts
-
-    def fail(stage, code, err):
-        print(f"{stage}: {err}", file=sys.stderr)
-        outcomes[stage] = StageOutcome(False, str(err))
-        return finish(code)
-
-    work_system = system
-    if "homogenize" in request.stages:
+        self.request = request
+        self.system, self.preset = load_system(request.system)
+        domain = {**self.preset.get("domain", {}), **request.domain}
+        if not domain:
+            raise RequestError("no domain box given")
         try:
-            res = homogenize(system, box=box,
-                             rng=np.random.default_rng(seed_of["homogenize"]),
-                             new_var=request.homogenize_var
-                             or preset.get("homogenize_var"))
-        except SystemError as err:
-            return fail("homogenize", EXIT_REQUEST, err)
-        artifacts["homogenized_system"] = reports.write_json(
-            out / "homogenized_system.json", system_to_dict(res.system))
-        reports.write_json(out / "homogenization.json", {
-            "all_sources_zero": res.all_sources_zero,
-            "new_variable": res.substitution.new_var,
-            "shifted_dependent": res.substitution.shifted_dependent,
-            "row_permutation": list(res.substitution.row_permutation),
-            "m_matrix": [[str(e) for e in row] for row in res.m_matrix],
-        })
-        outcomes["homogenize"] = StageOutcome(True)
-        if not res.all_sources_zero:
-            work_system = res.system
+            self.box = Box.from_dict(domain)
+        except ValueError as err:
+            raise RequestError(f"domain: {err}") from err
+        self.out = Path(request.out_dir)
+        seeds = np.random.SeedSequence(request.seed).spawn(len(PIPELINE))
+        self.seed_of = dict(zip(PIPELINE, seeds))
+        self.artifacts, self.elements, self.potentials = {}, [], []
+        self.solution = None
 
-    elements = []
-    if "elements" in request.stages:
-        if not lambdas:
-            return fail("elements", EXIT_REQUEST,
-                        "needs a wave-covector ansatz (--covector)")
-        rng = np.random.default_rng(seed_of["elements"])
-        payload = []
+    def rng(self, stage):
+        return np.random.default_rng(self.seed_of[stage])
+
+
+def _homogenize(st):
+    res = homogenize(st.system, box=st.box, rng=st.rng("homogenize"),
+                     new_var=st.request.homogenize_var
+                     or st.preset.get("homogenize_var"))
+    st.artifacts["homogenized_system"] = reports.write_json(
+        st.out / "homogenized_system.json", system_to_dict(res.system))
+    reports.write_json(st.out / "homogenization.json", {
+        "all_sources_zero": res.all_sources_zero,
+        "new_variable": res.substitution.new_var,
+        "shifted_dependent": res.substitution.shifted_dependent,
+        "row_permutation": list(res.substitution.row_permutation),
+        "m_matrix": [[str(e) for e in row] for row in res.m_matrix],
+    })
+    if not res.all_sources_zero:
+        st.system = res.system
+
+
+def _elements(st):
+    lambdas = st.request.lambdas or st.preset.get("lambdas", [])
+    if not lambdas:
+        raise RequestError("needs a wave-covector ansatz (--covector)")
+    rng = st.rng("elements")
+    space = st.system.space
+    for idx, lam_strings in enumerate(lambdas):
+        lam = tuple(parse(s, space) for s in lam_strings)
         try:
-            for idx, lam_strings in enumerate(lambdas):
-                lam = tuple(parse(s, work_system.space) for s in lam_strings)
-                kers = kernel_elements(work_system, lam, box, rng=rng,
-                                       trials=request.trials)
-                if isinstance(kers, NumericKernelSampler):
-                    raise GeometryError(
-                        "kernel is only available as a numeric sampler; "
-                        "supply a symbolic ansatz for the solve stages")
-                elem = WaveElement(work_system.space, lam, kers[0],
-                                   label=f"w{idx}")
-                elements.append(elem)
-                payload.append({
-                    "label": elem.label,
-                    "lambda": [str(e) for e in lam],
-                    "gamma": [str(e) for e in elem.gamma],
-                })
-        except (ParseError, GeometryError) as err:
-            return fail("elements", EXIT_REQUEST, err)
-        artifacts["elements"] = reports.write_json(out / "elements.json",
-                                                   {"elements": payload})
-        outcomes["elements"] = StageOutcome(True)
+            kers = kernel_elements(st.system, lam, st.box, rng=rng,
+                                   trials=st.request.trials)
+        except GeometryError as err:   # the ansatz is not characteristic
+            raise RequestError(str(err)) from err
+        if isinstance(kers, NumericKernelSampler):
+            raise RequestError("kernel is only available as a numeric sampler; "
+                               "supply a symbolic ansatz for the solve stages")
+        st.elements.append(WaveElement(space, lam, kers[0], label=f"w{idx}"))
+    st.artifacts["elements"] = reports.write_json(st.out / "elements.json", {
+        "elements": [{"label": e.label, "lambda": [str(x) for x in e.lam],
+                      "gamma": [str(g) for g in e.gamma]}
+                     for e in st.elements]})
 
-    if "conditions" in request.stages:
-        rng = np.random.default_rng(seed_of["conditions"])
+
+def _conditions(st):
+    report = check_kwave_conditions(st.system, st.elements, st.box,
+                                    rng=st.rng("conditions"),
+                                    trials=st.request.trials)
+    st.artifacts["conditions"] = reports.write_json(
+        st.out / "conditions.json",
+        reports.condition_report_payload(report, st.box,
+                                         [e.label for e in st.elements],
+                                         seed_label=f"request:{st.request.seed}"))
+    if not report.all_hold():
+        raise GeometryError("a k-wave existence condition failed; see "
+                            "conditions.json")
+
+
+def _potentials(st):
+    rng = st.rng("conditions")   # seeded reports were recorded with this stream
+    base = st.box.midpoint()
+    for elem in st.elements:
+        st.potentials.append(find_potential(elem, base, st.box, rng=rng,
+                                            trials=st.request.trials))
+
+
+def _rescale(st):
+    dep = st.system.space.dependent
+    gammas = [p.element.gamma for p in st.potentials]
+    payload = {"fields": len(gammas)}
+    failure = None
+    if len(gammas) < 2:
+        payload["result"] = "single field; identity rescaling"
+    elif any(set().union(*(g.variables() for g in gamma)) - set(dep)
+             for gamma in gammas):
+        payload["result"] = ("skipped: frame depends on independent "
+                             "variables; rescale applies per fixed x")
+    else:
         try:
-            report = check_kwave_conditions(work_system, elements, box,
-                                            rng=rng, trials=request.trials)
-        except GeometryError as err:
-            return fail("conditions", EXIT_CONDITION, err)
-        artifacts["conditions"] = reports.write_json(
-            out / "conditions.json",
-            reports.condition_report_payload(report, box,
-                                             [e.label for e in elements],
-                                             seed_label=f"request:{request.seed}"))
-        ok = report.all_hold()
-        outcomes["conditions"] = StageOutcome(ok)
-        if not ok:
-            print("conditions: a k-wave existence condition failed; see "
-                  "conditions.json", file=sys.stderr)
-            return EXIT_CONDITION, artifacts
+            resc = rescale_frame(gammas, dep, st.box.restrict(dep),
+                                 rng=st.rng("rescale"))
+            payload["result"] = "rescaled"
+            payload.update(resc.serializable())
+        except FrobeniusError as err:
+            payload["result"] = f"failed: {err}"
+            failure = err
+    st.artifacts["rescaling"] = reports.write_json(st.out / "rescaling.json",
+                                                   payload)
+    if failure:
+        raise failure
 
-    potentials = []
-    if len(request.stages) >= 4:  # rescale and beyond need potentials
-        rngp = np.random.default_rng(seed_of["conditions"])
-        base = box.midpoint()
-        try:
-            for elem in elements:
-                potentials.append(find_potential(elem, base, box, rng=rngp,
-                                                 trials=request.trials))
-        except GeometryError as err:
-            return fail("potentials", EXIT_CONDITION, err)
 
-    if "rescale" in request.stages:
-        rng = np.random.default_rng(seed_of["rescale"])
-        dep = work_system.space.dependent
-        gammas = [p.element.gamma for p in potentials]
-        payload = {"fields": len(gammas)}
-        ok = True
-        if len(gammas) < 2:
-            payload["result"] = "single field; identity rescaling"
-        elif any(set().union(*(g.variables() for g in gamma)) -
-                 set(dep) for gamma in gammas):
-            payload["result"] = ("skipped: frame depends on independent "
-                                 "variables; rescale applies per fixed x")
-        else:
-            try:
-                resc = rescale_frame(gammas, dep, box.restrict(dep), rng=rng)
-                payload["result"] = "rescaled"
-                payload.update(resc.serializable())
-            except FrobeniusError as err:
-                payload["result"] = f"failed: {err}"
-                ok = False
-        artifacts["rescaling"] = reports.write_json(out / "rescaling.json",
-                                                    payload)
-        outcomes["rescale"] = StageOutcome(ok)
-        if not ok:
-            return EXIT_CONDITION, artifacts
+def _solve(st):
+    cfg = {**st.preset.get("solver", {}), **st.request.solver}
+    try:
+        surface = _build_surface(st.system, st.potentials, cfg)
+        solve_cfg = ImplicitSolveConfig(
+            newton_tol=st.request.tol_newton,
+            initial_guess=cfg.get("initial_guess", "potential_at_base"),
+            tau_window=tuple(cfg["tau_window"]) if cfg.get("tau_window")
+            else None,
+            root_select=cfg.get("root_select", "nearest"))
+        st.solution = solve_implicit(
+            surface, [p.phi for p in st.potentials],
+            _grid_env(st.request.grid), solve_cfg,
+            params={**st.preset.get("parameters", {}), **st.request.parameters},
+            space=st.system.space)
+    except (KeyError, ValueError, IndexError, TypeError) as err:  # bad settings
+        raise SolverError(f"{type(err).__name__}: {err}") from err
+    conv = st.solution.converged
+    if not conv.all() or "verify" not in st.request.stages:
+        st.artifacts["solution"] = reports.write_solution_field(
+            st.out / "solution.csv", st.solution)
+    if not conv.all():
+        raise SolverError(f"{int((~conv).sum())} of {conv.size} grid points "
+                          "diverged")
+    return f"{int(conv.sum())}/{conv.size}"
 
-    field_solution = None
-    if "solve" in request.stages:
-        rng = np.random.default_rng(seed_of["solve"])
-        grid_env = _grid_env(request.grid)
-        n_points = len(next(iter(grid_env.values()), []))
-        if n_points == 0:
-            print("error: empty grid", file=sys.stderr)
-            return EXIT_REQUEST, artifacts
-        try:
-            surface = _build_surface(work_system, potentials, solver_cfg)
-            cfg = ImplicitSolveConfig(
-                newton_tol=request.tol_newton,
-                initial_guess=solver_cfg.get("initial_guess",
-                                             "potential_at_base"),
-                tau_window=tuple(solver_cfg["tau_window"])
-                if solver_cfg.get("tau_window") else None,
-                root_select=solver_cfg.get("root_select", "nearest"))
-            field_solution = solve_implicit(
-                surface, [p.phi for p in potentials], grid_env, cfg,
-                params=params, space=work_system.space)
-        except (SolverError, KeyError, ValueError) as err:
-            print(f"solve: {err}", file=sys.stderr)
-            return EXIT_SOLVER, artifacts
-        conv = field_solution.converged
-        outcomes["solve"] = StageOutcome(bool(conv.all()),
-                                         f"{int(conv.sum())}/{conv.size}")
-        if not conv.all():
-            artifacts["solution"] = reports.write_solution_field(
-                out / "solution.csv", field_solution)
-            print(f"solve: {int((~conv).sum())} grid points diverged",
-                  file=sys.stderr)
-            return EXIT_SOLVER, artifacts
 
-    if "verify" in request.stages and field_solution is not None:
-        rng = np.random.default_rng(seed_of["verify"])
-        elements_final = [p.element for p in potentials]
-        sample = rng.choice(field_solution.n, size=min(field_solution.n, 20),
-                            replace=False)
-        try:
-            jacs = fd_jacobian_batch(field_solution, h=request.fd_step,
-                                     richardson=True)
-            rep = residual_report(work_system, field_solution,
-                                  h=request.fd_step, richardson=True, jac=jacs)
-            rec = recover_decomposition(jacs, elements_final,
-                                        field_solution.grid_env())
-            const_ok, const_worst = constancy_along_kernel(
-                field_solution, elements_final, indices=sample,
-                h=request.fd_step)
-        except (NeighborDiverged, DegenerateElements) as err:
-            artifacts["solution"] = reports.write_solution_field(
-                out / "solution.csv", field_solution)
-            code = (EXIT_SOLVER if isinstance(err, NeighborDiverged)
-                    else EXIT_CONDITION)
-            return fail("verify", code, err)
-        payload = {
+def _verify(st):
+    sol, h = st.solution, st.request.fd_step
+    elements = [p.element for p in st.potentials]
+    sample = st.rng("verify").choice(sol.n, size=min(sol.n, 20),
+                                     replace=False)
+    try:
+        jacs = fd_jacobian_batch(sol, h=h, richardson=True)
+        rep = residual_report(st.system, sol, h=h, richardson=True, jac=jacs)
+        rec = recover_decomposition(jacs, elements, sol.grid_env())
+        const_ok, const_worst = constancy_along_kernel(sol, elements,
+                                                       indices=sample, h=h)
+    except (NeighborDiverged, DegenerateElements):
+        st.artifacts["solution"] = reports.write_solution_field(
+            st.out / "solution.csv", sol)
+        raise
+    st.artifacts["verification"] = reports.write_json(
+        st.out / "verification.json", {
             "residual": rep.as_dict(),
             "xi_mean": [float(v) for v in rec.xi.mean(axis=0)],
             "xi_min": [float(v) for v in rec.xi.min(axis=0)],
@@ -361,19 +296,72 @@ def run(request: AnalysisRequest):
             "reconstruction_error_max": float(rec.reconstruction_error.max()),
             "constancy_along_kernel": {"holds": bool(const_ok),
                                        "max_derivative": float(const_worst)},
-        }
-        artifacts["verification"] = reports.write_json(
-            out / "verification.json", payload)
-        artifacts["solution"] = reports.write_solution_field(
-            out / "solution.csv", field_solution, residual_norms=rep.norms)
-        outcomes["verify"] = StageOutcome(
-            rep.max < 1e-6 and const_ok and not rep.failures)
-    elif field_solution is not None:
-        artifacts["solution"] = reports.write_solution_field(
-            out / "solution.csv", field_solution)
+        })
+    st.artifacts["solution"] = reports.write_solution_field(
+        st.out / "solution.csv", sol, residual_norms=rep.norms)
+    if not (rep.max < 1e-6 and const_ok and not rep.failures):
+        raise GeometryError(
+            f"verification missed its bounds: residual max {rep.max:.3e} "
+            f"(bound 1e-6), u constant along the kernel: {bool(const_ok)}, "
+            f"unconverged points: {len(rep.failures)}")
 
-    return finish(EXIT_OK if all(v.ok for v in outcomes.values())
-                  else EXIT_CONDITION)
+
+# (name, stage, the requested stage that makes it run); the potentials
+# are found whenever the frame is rescaled, and are reported only on failure
+STAGES = (("homogenize", _homogenize, "homogenize"),
+          ("elements", _elements, "elements"),
+          ("conditions", _conditions, "conditions"),
+          ("potentials", _potentials, "rescale"),
+          ("rescale", _rescale, "rescale"),
+          ("solve", _solve, "solve"),
+          ("verify", _verify, "verify"))
+
+EXIT_CODES = {RequestError: EXIT_REQUEST, ParseError: EXIT_REQUEST,
+              MissingVariableError: EXIT_REQUEST, SystemError: EXIT_REQUEST,
+              GeometryError: EXIT_CONDITION, FrobeniusError: EXIT_CONDITION,
+              DegenerateElements: EXIT_CONDITION, SolverError: EXIT_SOLVER,
+              NeighborDiverged: EXIT_SOLVER}
+
+
+def run(request: AnalysisRequest):
+    """Execute the requested pipeline prefix; returns (exit_code, artifacts).
+
+    A request error found before the first stage writes nothing.  Every
+    later exit writes outcomes.json, naming the failed stage and its
+    message, and then metadata.json with each stage's wall time."""
+    try:
+        st = _Run(request)
+    except RequestError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_REQUEST, {}
+    st.out.mkdir(parents=True, exist_ok=True)
+    reports.write_json(st.out / "request.json",
+                       {k: v for k, v in asdict(request).items()
+                        if k != "out_dir"})
+    code, outcomes, seconds = EXIT_OK, {}, {}
+    try:
+        for name, stage, needed_by in STAGES:
+            if needed_by not in request.stages:
+                continue
+            t0 = time.perf_counter()
+            try:
+                detail = stage(st)
+            except tuple(EXIT_CODES) as err:
+                print(f"{name}: {err}", file=sys.stderr)
+                outcomes[name] = {"ok": False, "detail": str(err)}
+                code = next(c for cls, c in EXIT_CODES.items()
+                            if isinstance(err, cls))
+                break
+            finally:
+                seconds[name] = time.perf_counter() - t0
+            if name in request.stages:
+                outcomes[name] = {"ok": True, "detail": detail or ""}
+    finally:
+        reports.write_json(st.out / "outcomes.json", outcomes)
+        reports.write_metadata(st.out / "metadata.json",
+                               {"system": request.system,
+                                "stage_seconds": seconds})
+    return code, st.artifacts
 
 
 def _build_surface(system, potentials, solver_cfg):
@@ -381,7 +369,6 @@ def _build_surface(system, potentials, solver_cfg):
     or user-supplied via --solver-config)."""
     k = len(potentials)
     space = system.space
-    u_space = VarSpace((), space.dependent, space.parameters)
     if k == 1:
         scale = Const(float(solver_cfg.get("gamma_scale", 1.0)))
         gamma = tuple(simplify(scale * g) for g in potentials[0].element.gamma)
@@ -442,7 +429,7 @@ def build_parser():
                    help="comma list forming a prefix of: " + ",".join(PIPELINE))
     r.add_argument("--grid", default="",
                    help="grid spec, e.g. t=1:3:20,x=1:3:20,y=0.2:0.9:20")
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=int, default=AnalysisRequest.seed)
     r.add_argument("--out", required=True)
     r.add_argument("--covector", action="append", default=[],
                    help="wave covector ansatz as comma-joined expressions; "
@@ -452,10 +439,10 @@ def build_parser():
     r.add_argument("--solver-config", default=None,
                    help="JSON file with surface/solve settings")
     r.add_argument("--homogenize-var", default=None)
-    r.add_argument("--tol-newton", type=float, default=1e-12)
-    r.add_argument("--tol-zero", type=float, default=1e-9)
-    r.add_argument("--fd-step", type=float, default=1e-4)
-    r.add_argument("--trials", type=int, default=32)
+    r.add_argument("--tol-newton", type=float, default=AnalysisRequest.tol_newton)
+    r.add_argument("--tol-zero", type=float, default=AnalysisRequest.tol_zero)
+    r.add_argument("--fd-step", type=float, default=AnalysisRequest.fd_step)
+    r.add_argument("--trials", type=int, default=AnalysisRequest.trials)
     return ap
 
 
@@ -495,7 +482,7 @@ def main(argv=None):
             fd_step=args.fd_step,
             trials=args.trials,
         )
-    except (RequestError, json.JSONDecodeError, ValueError) as err:
+    except (RequestError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_REQUEST
 

@@ -42,6 +42,7 @@ from .expr import (
     Call,
     Const,
     Expr,
+    MissingVariableError,
     ZeroVerdict,
     antiderivative,
     compile_exprs,
@@ -523,6 +524,9 @@ def _symbolic_transport(Y: VectorField, source: ScalarFn, names, box, rng):
 # sample batches and the batched two-column least squares
 
 def _sample(box: Box, rng, n, names):
+    missing = set(names) - set(box.names())
+    if missing:
+        raise MissingVariableError(f"box lacks ranges for {sorted(missing)}")
     env = box.sample(rng, n)
     return np.stack([env[nm] for nm in names], axis=1)
 

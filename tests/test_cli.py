@@ -10,11 +10,14 @@ from rwave.cli import (
     EXIT_OK,
     EXIT_REQUEST,
     EXIT_SOLVER,
+    PIPELINE,
     AnalysisRequest,
     describe,
     main,
     run,
 )
+from rwave.fixtures import PRESETS, load_fixture, system_to_dict
+from rwave.frobenius import NotInSpan
 from rwave.reports import read_solution_field_table
 
 
@@ -27,6 +30,17 @@ def base_request(tmp_path, **overrides):
               out_dir=str(tmp_path / "out"), seed=11)
     kw.update(overrides)
     return AnalysisRequest(**kw)
+
+
+def read_report(req, name):
+    return json.loads((Path(req.out_dir) / name).read_text())
+
+
+def example2_file(tmp_path):
+    """example2 as a system file, which carries none of the presets."""
+    path = tmp_path / "example2.json"
+    path.write_text(json.dumps(system_to_dict(load_fixture("example2"))))
+    return str(path)
 
 
 def test_describe_brownian():
@@ -78,6 +92,14 @@ def test_run_full_pipeline_example2(tmp_path):
     assert header[:3] == ["x:t", "x:x", "x:y"]
     assert len(rows) == 5 * 3 * 5
     assert all(r[header.index("converged")] == "True" for r in rows)
+    # the potentials step is reported only when it fails
+    outcomes = read_report(req, "outcomes.json")
+    assert outcomes == {stage: {"ok": True, "detail": ""}
+                        for stage in PIPELINE if stage != "solve"} | {
+        "solve": {"ok": True, "detail": "75/75"}}
+    seconds = read_report(req, "metadata.json")["stage_seconds"]
+    assert set(seconds) == set(PIPELINE) | {"potentials"}
+    assert all(s >= 0.0 for s in seconds.values())
 
 
 def test_run_homogenize_stage_brownian_round_trip(tmp_path):
@@ -121,6 +143,11 @@ def test_run_condition_failure_exit3(tmp_path):
     assert rep["closedness"]["verdict"] == "fails"
     assert rep["closedness"]["witness"] is not None
     assert rep["closedness"]["magnitude"] > 1e-3
+    assert read_report(req, "outcomes.json")["conditions"] == {
+        "ok": False,
+        "detail": "a k-wave existence condition failed; see conditions.json"}
+    seconds = read_report(req, "metadata.json")["stage_seconds"]
+    assert set(seconds) == {"homogenize", "elements", "conditions"}
 
 
 def test_run_dependent_covectors_exit3(tmp_path, capsys):
@@ -237,6 +264,100 @@ def test_run_solver_failure_exit4(tmp_path):
                        solver={"tau_window": [0.5, 0.9]})
     code, _ = run(req)
     assert code == 4
+    assert read_report(req, "outcomes.json")["solve"] == {
+        "ok": False, "detail": "16 of 27 grid points diverged"}
+    assert (Path(req.out_dir) / "solution.csv").exists()
+    assert not (Path(req.out_dir) / "verification.json").exists()
+
+
+def test_run_solver_config_errors_exit4(tmp_path):
+    # a mu of the wrong shape or type, a system file without solver
+    # settings, and a u0 that is not a number
+    cases = {
+        "IndexError": base_request(tmp_path, out_dir=str(tmp_path / "mu"),
+                                   solver={"mu": [["1"]]}),
+        "TypeError": base_request(tmp_path, out_dir=str(tmp_path / "mu5"),
+                                  solver={"mu": 5}),
+        "KeyError": base_request(
+            tmp_path, system=example2_file(tmp_path),
+            out_dir=str(tmp_path / "file"),
+            domain=PRESETS["example2"]["domain"],
+            lambdas=PRESETS["example2"]["lambdas"]),
+        "ValueError": base_request(tmp_path, out_dir=str(tmp_path / "u0"),
+                                   solver={"u0": ["a", "b"]}),
+    }
+    for name, req in cases.items():
+        assert run(req)[0] == EXIT_SOLVER, name
+        outcomes = read_report(req, "outcomes.json")
+        assert outcomes["rescale"]["ok"] is True, name
+        assert outcomes["solve"]["ok"] is False, name
+        assert outcomes["solve"]["detail"].startswith(name + ": "), name
+        assert "verify" not in outcomes, name
+
+
+def test_run_rescale_failure_exit3(tmp_path, monkeypatch, capsys):
+    def dependent_frame(*args, **kwargs):
+        raise NotInSpan("bracket not in the span of the frame",
+                        witness={"u1": 1.0, "u2": 0.0})
+
+    monkeypatch.setattr(cli, "rescale_frame", dependent_frame)
+    req = base_request(tmp_path)
+    assert run(req)[0] == EXIT_CONDITION
+    assert "rescale: bracket not in the span" in capsys.readouterr().err
+    assert read_report(req, "rescaling.json")["result"] == (
+        "failed: bracket not in the span of the frame")
+    outcomes = read_report(req, "outcomes.json")
+    assert outcomes["rescale"] == {
+        "ok": False, "detail": "bracket not in the span of the frame"}
+    assert "solve" not in outcomes
+
+
+def test_run_verify_misses_bounds_exit3(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "constancy_along_kernel",
+                        lambda *args, **kwargs: (False, 0.25))
+    req = base_request(tmp_path)
+    assert run(req)[0] == EXIT_CONDITION
+    ver = read_report(req, "verification.json")
+    assert ver["constancy_along_kernel"] == {"holds": False,
+                                             "max_derivative": 0.25}
+    assert (Path(req.out_dir) / "solution.csv").exists()
+    verify = read_report(req, "outcomes.json")["verify"]
+    assert verify["ok"] is False
+    assert verify["detail"].startswith("verification missed its bounds")
+    assert "u constant along the kernel: False" in verify["detail"]
+
+
+def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
+    # a reversed range, a --solver-config file that does not exist, and
+    # numeric flags that must be positive
+    cases = {"empty range for t": ["--domain", "t=3:1"],
+             "No such file": ["--solver-config",
+                              str(tmp_path / "missing.json")],
+             "must be positive": ["--trials", "0", "--fd-step", "0"]}
+    for message, argv in cases.items():
+        out = tmp_path / "out"
+        assert main(["run", "--system", "example2", "--out", str(out),
+                     *argv]) == EXIT_REQUEST, message
+        assert message in capsys.readouterr().err
+        assert not out.exists(), message
+
+
+def test_run_partial_domain_box(tmp_path):
+    # a box without u2: the conditions still hold, and the rescale stage,
+    # which samples every dependent variable, exits 2
+    partial = {k: v for k, v in PRESETS["example2"]["domain"].items()
+               if k != "u2"}
+    kw = dict(system=example2_file(tmp_path), domain=partial,
+              lambdas=PRESETS["example2"]["lambdas"])
+    upto_conditions = base_request(tmp_path, out_dir=str(tmp_path / "c"),
+                                   stages=PIPELINE[:3], **kw)
+    assert run(upto_conditions)[0] == EXIT_OK
+    full = base_request(tmp_path, out_dir=str(tmp_path / "full"), **kw)
+    assert run(full)[0] == EXIT_REQUEST
+    outcomes = read_report(full, "outcomes.json")
+    assert outcomes["conditions"]["ok"] is True
+    assert outcomes["rescale"] == {"ok": False,
+                                   "detail": "box lacks ranges for ['u2']"}
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
