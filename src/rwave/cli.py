@@ -183,7 +183,7 @@ def _elements(st):
         try:
             kers = kernel_elements(st.system, lam, st.box, rng=rng,
                                    trials=st.request.trials)
-        except GeometryError as err:   # the ansatz is not characteristic
+        except (GeometryError, ValueError) as err:  # a bad ansatz
             raise RequestError(str(err)) from err
         if isinstance(kers, NumericKernelSampler):
             raise RequestError("kernel is only available as a numeric sampler; "
@@ -331,10 +331,10 @@ def run(request: AnalysisRequest):
     message, and then metadata.json with each stage's wall time."""
     try:
         st = _Run(request)
-    except RequestError as err:
+        st.out.mkdir(parents=True, exist_ok=True)
+    except (RequestError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_REQUEST, {}
-    st.out.mkdir(parents=True, exist_ok=True)
     reports.write_json(st.out / "request.json",
                        {k: v for k, v in asdict(request).items()
                         if k != "out_dir"})

@@ -329,7 +329,7 @@ def test_run_verify_misses_bounds_exit3(tmp_path, monkeypatch):
 
 def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
     # a reversed range, a --solver-config file that does not exist, and
-    # numeric flags that must be positive
+    # numeric flags that must be positive: nothing is written
     cases = {"empty range for t": ["--domain", "t=3:1"],
              "No such file": ["--solver-config",
                               str(tmp_path / "missing.json")],
@@ -340,6 +340,13 @@ def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
                      *argv]) == EXIT_REQUEST, message
         assert message in capsys.readouterr().err
         assert not out.exists(), message
+    # an --out that names a file
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    assert main(["run", "--system", "brownian", "--stages", "homogenize",
+                 "--out", str(blocker)]) == EXIT_REQUEST
+    assert "File exists" in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
 
 
 def test_run_partial_domain_box(tmp_path):
@@ -373,8 +380,9 @@ def test_cli_entrypoint_subprocess(tmp_path):
 
 
 def test_run_early_request_errors_write_outcomes(tmp_path, capsys):
-    # no covector for the elements stage, and a covector that does not
-    # parse: exit 2, with outcomes.json naming the failed stage
+    # no covector for the elements stage, a covector that does not parse,
+    # and one of the wrong length: exit 2, with outcomes.json naming the
+    # failed stage
     cases = {
         "brownian": base_request(tmp_path, system="brownian",
                                  out_dir=str(tmp_path / "brownian"),
@@ -384,6 +392,9 @@ def test_run_early_request_errors_write_outcomes(tmp_path, capsys):
         "parse": base_request(tmp_path, out_dir=str(tmp_path / "parse"),
                               stages=("homogenize", "elements"),
                               lambdas=[["1", "0", "sqrt(("]]),
+        "arity": base_request(tmp_path, out_dir=str(tmp_path / "arity"),
+                              stages=("homogenize", "elements"),
+                              lambdas=[["1", "0"]]),
     }
     for name, req in cases.items():
         code, _ = run(req)
