@@ -154,9 +154,6 @@ class Const(Expr):
     def is_exact(self):
         return isinstance(self.value, Fraction)
 
-    def as_float(self):
-        return float(self.value)
-
     def variables(self):
         return frozenset()
 

@@ -1,10 +1,11 @@
-"""Small helpers for matrices and vectors of symbolic expressions."""
+"""Small helpers for matrices and vectors of symbolic expressions, their
+evaluation, and the stacked least squares their sampled values feed."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import Bin, Call, ONE, ZERO, simplify
+from .expr import Bin, Call, ONE, ZERO, _lanes, simplify
 
 
 def identity(n):
@@ -39,21 +40,6 @@ def mat_vec(A, v):
     return tuple(out)
 
 
-def vec_add(a, b):
-    return tuple(simplify(Bin("+", x, y)) for x, y in zip(a, b))
-
-
-def vec_scale(c, v):
-    return tuple(simplify(Bin("*", c, x)) for x in v)
-
-
-def lin_comb(coeffs, vectors):
-    acc = zeros_vector(len(vectors[0]))
-    for c, v in zip(coeffs, vectors):
-        acc = vec_add(acc, vec_scale(c, v))
-    return acc
-
-
 def det(A):
     n = len(A)
     if n == 1:
@@ -84,33 +70,49 @@ def adjugate(A):
     return tuple(tuple(row) for row in out)
 
 
-def eval_matrix(A, env, strict=True):
-    """Evaluate an expression matrix at an environment.
+def _lead_shape(env):
+    """() for a point env of scalars; (n,) when env holds arrays over n
+    lanes (see ``expr._lanes``)."""
+    if any(isinstance(v, np.ndarray) and v.ndim for v in env.values()):
+        return (_lanes(env),)
+    return ()
 
-    Scalar env values give an (m, n) array; array values of shape (k,)
-    give (k, m, n).
-    """
-    rows = [[np.asarray(e.evaluate(env, strict=strict), dtype=float) for e in row]
-            for row in A]
-    k = max((x.shape[0] for row in rows for x in row if x.shape), default=0)
-    if k == 0:
-        return np.array([[float(x) for x in row] for row in rows])
-    out = np.empty((k, len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[:, i, j] = x
+
+def eval_matrix(A, env, strict=True):
+    """Evaluate an expression matrix: (m, q) at a point env of scalars,
+    (n, m, q) over the n lanes of an env holding arrays, constant entries
+    included."""
+    out = np.empty(_lead_shape(env) + (len(A), len(A[0])))
+    for i, row in enumerate(A):
+        for j, e in enumerate(row):
+            out[..., i, j] = e.evaluate(env, strict=strict)
     return out
 
 
 def eval_vector(v, env, strict=True):
-    vals = [np.asarray(e.evaluate(env, strict=strict), dtype=float) for e in v]
-    k = max((x.shape[0] for x in vals if x.shape), default=0)
-    if k == 0:
-        return np.array([float(x) for x in vals])
-    out = np.empty((k, len(vals)))
-    for j, x in enumerate(vals):
-        out[:, j] = x
+    """Evaluate an expression vector: (m,) at a point env of scalars,
+    (n, m) over the n lanes of an env holding arrays, constant entries
+    included."""
+    out = np.empty(_lead_shape(env) + (len(v),))
+    for j, e in enumerate(v):
+        out[..., j] = e.evaluate(env, strict=strict)
     return out
+
+
+def lstsq_stack(A, b, rtol):
+    """Least-squares x[i] minimising |A[i] x[i] - b[i]| for a stack A of
+    shape (n, m, k), m >= k, and b (n, m), from one stacked SVD.
+
+    Returns (x, None), or (None, i) for the first matrix i whose columns
+    are dependent: its smallest singular value is below
+    ``rtol * max(1, largest)``.  That guard runs before any division.
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    dependent = s[:, -1] < rtol * np.maximum(1.0, s[:, 0])
+    if dependent.any():
+        return None, int(np.argmax(dependent))
+    coef = np.einsum("nij,ni->nj", U, b) / s
+    return np.einsum("nji,nj->ni", Vt, coef), None
 
 
 def simplify_matrix(A):

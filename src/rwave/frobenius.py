@@ -707,7 +707,7 @@ def commutation_residual(fields, box: Box, rng=None, n_samples=100, h=1e-4):
 
 def rescale_frame(fields, names, box: Box, base=None, rng=None,
                   pair_overrides=None, prefer_symbolic=True, trials=40,
-                  span_tol=1e-7, zero_tol=1e-9) -> FrameRescaling:
+                  span_tol=1e-7) -> FrameRescaling:
     """Factors making the frame commute.
 
     ``pair_overrides`` may supply a precomputed coefficient table

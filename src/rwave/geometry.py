@@ -163,6 +163,13 @@ def _normalize_kernel_column(col, box, rng, trials):
     return tuple(simplify(Bin("/", e, pivot)) for e in col)
 
 
+def _proportional(v, w):
+    """Whether the sampled vectors v and w (n, m) are proportional: every
+    finite cross[:, a, b] = v_a w_b - v_b w_a vanishes."""
+    cross = v[:, :, None] * w[:, None, :] - v[:, None, :] * w[:, :, None]
+    return not np.any(np.abs(cross[np.isfinite(cross)]) > 1e-7)
+
+
 def _dedupe_proportional(cands, box, rng, samples=8):
     if not cands:
         return []
@@ -171,20 +178,7 @@ def _dedupe_proportional(cands, box, rng, samples=8):
     vals = []
     for c in cands:
         v = exprmat.eval_vector(c, env, strict=False)
-        v = v if v.ndim == 2 else np.tile(v, (samples, 1))
-        keep = True
-        for w in vals:
-            cross_ok = True
-            for a in range(v.shape[1]):
-                for b in range(a + 1, v.shape[1]):
-                    cross = v[:, a] * w[:, b] - v[:, b] * w[:, a]
-                    finite = np.isfinite(cross)
-                    if np.any(np.abs(cross[finite]) > 1e-7):
-                        cross_ok = False
-            if cross_ok:
-                keep = False
-                break
-        if keep:
+        if not any(_proportional(v, w) for w in vals):
             kept.append(c)
             vals.append(v)
     return kept
@@ -224,7 +218,6 @@ def directional_derivative(vec, direction, dep_names):
 class BracketDecomposition:
     coefficients: list          # Expr or None per frame member
     coefficient_samples: np.ndarray   # (n, k) least-squares values
-    residual: list | None       # Exprs when all coefficients are symbolic
     residual_max: float
     involutive: bool
 
@@ -277,49 +270,36 @@ def _snap(v, tol=1e-9):
     return None
 
 
-def decompose_in_frame(v, frame, box: Box, dep_names=None, rng=None,
-                       n_samples=40, tol=1e-8):
+def decompose_in_frame(v, frame, box: Box, rng=None, n_samples=40, tol=1e-8):
     """Least-squares coefficients of ``v`` in ``frame`` at sampled points,
     fitted back to symbolic form when recognizable.
 
-    The involutivity verdict reports whether the pointwise residual stays
+    One stacked SVD solves every finite sample (``exprmat.lstsq_stack``);
+    samples where the frame or ``v`` is not finite are skipped.  The
+    involutivity verdict reports whether the pointwise residual stays
     below tolerance; DegenerateFrame carries a witness point where the
     frame loses pointwise linear independence.
     """
     rng = np.random.default_rng(rng)
     env = box.sample(rng, n_samples)
-    cols = [exprmat.eval_vector(g, env, strict=False) for g in frame]
-    vvals = exprmat.eval_vector(v, env, strict=False)
-    if vvals.ndim == 1:
-        vvals = np.tile(vvals, (n_samples, 1))
-    cols = [c if c.ndim == 2 else np.tile(c, (n_samples, 1)) for c in cols]
-    k = len(frame)
-    coeffs = np.zeros((n_samples, k))
-    resmax = 0.0
-    for idx in range(n_samples):
-        Amat = np.stack([c[idx] for c in cols], axis=1)
-        if not np.all(np.isfinite(Amat)) or not np.all(np.isfinite(vvals[idx])):
-            coeffs[idx] = np.nan
-            continue
-        sv = np.linalg.svd(Amat, compute_uv=False)
-        if sv[-1] < 1e-8 * max(1.0, sv[0]):
-            witness = {n: float(val[idx]) for n, val in env.items()}
-            raise DegenerateFrame("frame is pointwise dependent", witness)
-        ci, *_ = np.linalg.lstsq(Amat, vvals[idx], rcond=None)
-        coeffs[idx] = ci
-        resmax = max(resmax, float(np.max(np.abs(Amat @ ci - vvals[idx]))))
-    ok = np.all(np.isfinite(coeffs), axis=1)
-    sym = []
-    env_ok = {n: np.asarray(val)[ok] for n, val in env.items()}
-    for j in range(k):
-        sym.append(fit_symbolic(coeffs[ok, j], env_ok, sorted(box.names())))
-    residual = None
-    if all(s is not None for s in sym):
-        recon = exprmat.lin_comb(sym, frame)
-        residual = [simplify(Bin("-", a, b)) for a, b in zip(v, recon)]
+    A = np.stack([exprmat.eval_vector(g, env, strict=False) for g in frame],
+                 axis=2)                                  # (n, q, k)
+    b = exprmat.eval_vector(v, env, strict=False)         # (n, q)
+    rows = np.flatnonzero(np.isfinite(A).all(axis=(1, 2))
+                          & np.isfinite(b).all(axis=1))
+    A, b = A[rows], b[rows]
+    coeffs, bad = exprmat.lstsq_stack(A, b, 1e-8)
+    if bad is not None:
+        witness = {n: float(val[rows[bad]]) for n, val in env.items()}
+        raise DegenerateFrame("frame is pointwise dependent", witness)
+    resmax = float(np.max(np.abs(np.einsum("nij,nj->ni", A, coeffs) - b),
+                          initial=0.0))
+    env_ok = {n: np.asarray(val)[rows] for n, val in env.items()}
+    sym = [fit_symbolic(coeffs[:, j], env_ok, sorted(box.names()))
+           for j in range(len(frame))]
     return BracketDecomposition(
-        coefficients=sym, coefficient_samples=coeffs[ok],
-        residual=residual, residual_max=resmax, involutive=resmax <= tol)
+        coefficients=sym, coefficient_samples=coeffs, residual_max=resmax,
+        involutive=resmax <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +374,24 @@ def closedness_three_form(lam, ind_names):
     return out
 
 
+def _sample_rows(vectors, env):
+    """The vectors evaluated over the lanes of ``env`` as stacked rows
+    (n, len(vectors), m), and the indices of the finite samples."""
+    M = np.stack([exprmat.eval_vector(v, env, strict=False) for v in vectors],
+                 axis=1)
+    return M, np.flatnonzero(np.isfinite(M).all(axis=(1, 2)))
+
+
 def independence_min_singular(vectors, env_samples):
-    """Smallest singular value of the stacked vector matrix at samples."""
-    mats = [exprmat.eval_vector(v, env_samples, strict=False) for v in vectors]
-    n = max(m.shape[0] if m.ndim == 2 else 1 for m in mats)
-    mats = [m if m.ndim == 2 else np.tile(m, (n, 1)) for m in mats]
-    worst = np.inf
-    worst_idx = 0
-    for idx in range(n):
-        M = np.stack([m[idx] for m in mats])
-        if not np.all(np.isfinite(M)):
-            continue
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] < worst:
-            worst = float(sv[-1])
-            worst_idx = idx
-    return worst, worst_idx
+    """Smallest singular value of the stacked vector matrix over the finite
+    samples, and the first sample attaining it (inf and 0 when none is
+    finite)."""
+    M, rows = _sample_rows(vectors, env_samples)
+    if not rows.size:
+        return np.inf, 0
+    s_min = np.linalg.svd(M[rows], compute_uv=False)[:, -1]
+    i = int(np.argmin(s_min))
+    return float(s_min[i]), int(rows[i])
 
 
 def check_kwave_conditions(sys: QuasilinearSystem, elements, box: Box,
@@ -511,28 +493,22 @@ def check_kwave_conditions(sys: QuasilinearSystem, elements, box: Box,
 
 def _triple_wedge_max(rows, env):
     """Max over samples of the largest 3x3 minor determinant of the stacked
-    row-normalized covectors."""
-    mats = [exprmat.eval_vector(r, env, strict=False) for r in rows]
-    n = max(m.shape[0] if m.ndim == 2 else 1 for m in mats)
-    mats = [m if m.ndim == 2 else np.tile(m, (n, 1)) for m in mats]
-    p = mats[0].shape[1]
-    worst = 0.0
-    witness = None
-    for idx in range(n):
-        M = np.stack([m[idx] for m in mats])
-        if not np.all(np.isfinite(M)):
-            continue
-        norms = np.linalg.norm(M, axis=1)
-        # zero rows make the wedge trivially zero
-        if np.any(norms < 1e-14):
-            continue
-        Mn = M / norms[:, None]
-        for cols in combinations(range(p), 3):
-            d = abs(np.linalg.det(Mn[:, cols]))
-            if d > worst:
-                worst = d
-                witness = {name: float(v[idx]) for name, v in env.items()}
-    return worst, witness
+    row-normalized covectors, and the first sample attaining it (None when
+    the max is 0)."""
+    M, finite = _sample_rows(rows, env)
+    norms = np.linalg.norm(M[finite], axis=2)
+    # zero rows make the wedge trivially zero
+    keep = np.all(norms >= 1e-14, axis=1)
+    samples, Mn = finite[keep], M[finite[keep]] / norms[keep][:, :, None]
+    dets = [np.abs(np.linalg.det(Mn[:, :, list(cols)]))
+            for cols in combinations(range(M.shape[2]), 3)]
+    if not dets or not samples.size:
+        return 0.0, None
+    best = np.max(dets, axis=0)
+    i = int(np.argmax(best))
+    if best[i] <= 0.0:
+        return 0.0, None
+    return float(best[i]), {name: float(v[samples[i]]) for name, v in env.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +519,8 @@ class NumericPotential:
 
     phi(x; u) integrates the covector from the base point along axis
     segments; path independence is spot-checked against the reversed
-    segment order.
+    segment order.  A point gives a scalar; point values of shape (n,)
+    give phi over n lanes, each lane's nodes a row of an (n, n_quad) grid.
     """
 
     def __init__(self, lam, space: VarSpace, basepoint, n_quad=48):
@@ -554,36 +531,31 @@ class NumericPotential:
         self._nodes = 0.5 * (nodes + 1.0)
         self._weights = 0.5 * weights
 
-    def _segment(self, i, lo, hi, env, order):
-        name = order[i]
-        ts = lo + (hi - lo) * self._nodes
-        seg_env = dict(env)
-        seg_env[name] = ts
-        idx = self.space.independent.index(name)
-        vals = np.asarray(self.lam[idx].evaluate(seg_env, strict=True), dtype=float)
-        vals = np.broadcast_to(vals, ts.shape)
-        return float((hi - lo) * np.dot(self._weights, vals))
-
     def evaluate_path(self, point, order):
-        env = {n: self.base[n] for n in order}
-        for n in self.space.dependent + self.space.parameters:
-            if n in point:
-                env[n] = point[n]
+        # each lane's nodes are a row; a sum over each row (not a product
+        # with the weights) keeps a lane's value independent of the others
+        pt = {n: np.asarray(point[n], dtype=float)[..., None]
+              for n in self.space.all_names if n in point}
+        env = dict(pt, **self.base)
         total = 0.0
-        for i, name in enumerate(order):
-            total += self._segment(i, self.base[name], point[name], env, order)
-            env[name] = point[name]
+        for name in order:
+            lo, hi = self.base[name], pt[name]
+            env[name] = lo + (hi - lo) * self._nodes
+            idx = self.space.independent.index(name)
+            vals = self.lam[idx].evaluate(env, strict=True)
+            total = total + (hi - lo)[..., 0] * (vals * self._weights).sum(axis=-1)
+            env[name] = hi
         return total
 
-    def evaluate(self, point, strict=True):
+    def evaluate(self, point):
         return self.evaluate_path(point, self.space.independent)
 
     def check_paths(self, point, tol=1e-8):
         fwd = self.evaluate_path(point, self.space.independent)
         rev = self.evaluate_path(point, tuple(reversed(self.space.independent)))
-        if abs(fwd - rev) > tol:
-            raise PathDependent(
-                f"segment-order mismatch {abs(fwd - rev):.2e} at {point}")
+        gap = float(np.max(np.abs(fwd - rev)))
+        if gap > tol:
+            raise PathDependent(f"segment-order mismatch {gap:.2e} at {point}")
         return fwd
 
 

@@ -403,7 +403,8 @@ class PotentialFn:
     """Uniform batch interface over symbolic and quadrature potentials:
     phi and dphi/du (n, q) at the lanes of ``env``, where a 0-d value is
     shared by every lane.  A symbolic phi compiles one kernel for the value
-    and one for the derivatives, so each call computes only what it returns.
+    and one for the derivatives, so each call computes only what it returns;
+    a quadrature phi integrates every lane in one pass.
     """
 
     def __init__(self, phi, space: VarSpace):
@@ -422,13 +423,7 @@ class PotentialFn:
     def value(self, env):
         if self.symbolic:
             return self._value(env)[:, 0]
-        n = max(np.shape(v)[0] if np.shape(v) else 1 for v in env.values())
-        out = np.empty(n)
-        for i in range(n):
-            pt = {k: (float(v[i]) if np.shape(v) else float(v))
-                  for k, v in env.items()}
-            out[i] = self.phi.evaluate(pt)
-        return out
+        return np.atleast_1d(self.phi.evaluate(env))
 
     def du(self, env, h=1e-6):
         if self.symbolic:

@@ -97,7 +97,8 @@ class QuasilinearSystem:
         return all(bool(is_zero(e, box, rng=rng)) for e in self.source)
 
     def residual_at(self, x_point, u_values, jacobian):
-        """Evaluate sum_i A^i u_i - b at one point.
+        """Evaluate sum_i A^i u_i - b at one point: the one-row case of
+        ``residual_batch``.
 
         ``jacobian[beta, i]`` holds du^beta/dx^i in the declared variable
         orders.  Raises EvalDomainError naming the offending entry when a
@@ -111,26 +112,18 @@ class QuasilinearSystem:
         J = np.asarray(jacobian, dtype=float)
         if J.shape != (self.q, self.p):
             raise ValueError(f"jacobian must be q x p = {(self.q, self.p)}, got {J.shape}")
-        res = np.zeros(self.m)
-        for i, A in enumerate(self.coeffs):
-            res += exprmat.eval_matrix(A, env) @ J[:, i]
-        res -= exprmat.eval_vector(self.source, env)
-        return res
+        env = {k: np.reshape(v, 1) for k, v in env.items()}
+        return self.residual_batch(env, J[None])[0]
 
     def residual_batch(self, env, jacobians):
-        """Vectorized residuals; ``jacobians`` has shape (n, q, p)."""
+        """Vectorized residuals; ``jacobians`` has shape (n, q, p) and the
+        values of ``env`` shape (n,)."""
         J = np.asarray(jacobians, dtype=float)
-        n = J.shape[0]
-        res = np.zeros((n, self.m))
+        res = np.zeros((J.shape[0], self.m))
         for i, A in enumerate(self.coeffs):
-            Ai = exprmat.eval_matrix(A, env)
-            if Ai.ndim == 2:
-                Ai = np.broadcast_to(Ai, (n,) + Ai.shape)
-            res += np.einsum("nmq,nq->nm", Ai, J[:, :, i])
-        bv = exprmat.eval_vector(self.source, env)
-        if bv.ndim == 1:
-            bv = np.broadcast_to(bv, (n, self.m))
-        return res - bv
+            res += np.einsum("nmq,nq->nm", exprmat.eval_matrix(A, env),
+                             J[:, :, i])
+        return res - exprmat.eval_vector(self.source, env)
 
     def wave_matrix(self, lam):
         """sum_i lambda_i A^i as an expression matrix."""

@@ -132,8 +132,9 @@ def recover_decomposition(jac, elements, env) -> DecompositionRecovery:
     """Least-squares xi with jac ~ sum_sigma xi^sigma gamma_sigma (x) lam^sigma.
 
     ``jac`` is one (q, p) Jacobian with a point ``env`` of scalars, or a
-    stack (n, q, p) with ``env`` values of shape (n,).  Each lam and gamma
-    is evaluated once over the stack; one stacked SVD of the dyad matrix
+    stack (n, q, p) with ``env`` values of shape (n,); the single case is
+    the one-lane stack.  Each lam and gamma is evaluated once over the
+    stack; one stacked SVD of the dyad matrix (``exprmat.lstsq_stack``)
     gives both the independence guard and the least-squares solution.
     The rank estimate comes from the SVD gap of each Jacobian itself.
     Raises DegenerateElements naming the first point whose dyads are
@@ -143,21 +144,19 @@ def recover_decomposition(jac, elements, env) -> DecompositionRecovery:
     single = J.ndim == 2
     if single:
         J = J[None]
+        env = {k: np.reshape(v, 1) for k, v in env.items()}
     n, q, p = J.shape
     cols = []
     for e in elements:
-        lam = np.broadcast_to(exprmat.eval_vector(e.lam, env), (n, p))
-        gam = np.broadcast_to(exprmat.eval_vector(e.gamma, env), (n, q))
+        lam = exprmat.eval_vector(e.lam, env)
+        gam = exprmat.eval_vector(e.gamma, env)
         cols.append((gam[:, :, None] * lam[:, None, :]).reshape(n, q * p))
     G = np.stack(cols, axis=2)                       # (n, q*p, k)
-    U, sv, Vt = np.linalg.svd(G, full_matrices=False)
-    bad = sv[:, -1] < 1e-10 * np.maximum(1.0, sv[:, 0])
-    if bad.any():
-        raise DegenerateElements("wave dyads are linearly dependent at grid "
-                                 f"index {int(np.argmax(bad))}")
     b = J.reshape(n, q * p)
-    coef = np.einsum("nij,ni->nj", U, b) / sv
-    xi = np.einsum("nji,nj->ni", Vt, coef)
+    xi, bad = exprmat.lstsq_stack(G, b, 1e-10)
+    if bad is not None:
+        raise DegenerateElements("wave dyads are linearly dependent at grid "
+                                 f"index {bad}")
     err = np.linalg.norm(np.einsum("nij,nj->ni", G, xi) - b, axis=1)
     s = np.linalg.svd(J, compute_uv=False)
     rank = estimate_rank(s)
@@ -190,9 +189,8 @@ def constancy_along_kernel(field, elements, indices=None, h=1e-5, tol=1e-6,
         theta = np.tile(theta, (idx.size, 1))
     else:
         env = {k: v[idx] for k, v in field.grid_env().items()}
-        lam_rows = np.stack([np.broadcast_to(exprmat.eval_vector(e.lam, env),
-                                             (idx.size, p)) for e in elements],
-                            axis=1)                  # (m, k, p)
+        lam_rows = np.stack([exprmat.eval_vector(e.lam, env)
+                             for e in elements], axis=1)   # (m, k, p)
         _, s, vt = np.linalg.svd(lam_rows)
         ker_dim = p - np.sum(s > 1e-10 * np.maximum(s[:, :1], 1.0), axis=1)
         kernel = np.arange(p) >= (p - ker_dim)[:, None]  # last rows of vt

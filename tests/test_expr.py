@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwave import exprmat
 from rwave.expr import (
     Bin,
     Box,
@@ -258,6 +259,35 @@ def test_compiled_kernel_nan_lanes_and_signed_zeros():
     for env in ({"x": np.array([-1.0, 0.0, -0.0, 2.0, np.inf, np.nan])},
                 {"x": -1.0}, {"x": np.array([0])}):
         assert_kernel_matches_tree_walk(exprs, env)
+
+
+def test_eval_vector_and_matrix_shape_contract():
+    # over n lanes every entry gets a lane axis, constant entries included;
+    # a point env keeps the point shape; values are the tree-walk's bits
+    v = (Const(2), parse("x*u1", SPACE), Const(0.5))
+    A = ((Const(1), parse("sqrt(y)", SPACE)), (parse("x - u1", SPACE), Const(-3)))
+    consts_v = (Const(1), Const(-0.25))
+    consts_A = ((Const(1), Const(2)), (Const(0), Const(4)))
+    rng = np.random.default_rng(8)
+    n = 6
+    lanes = {"x": rng.uniform(-1, 1, n), "y": rng.uniform(-1, 1, n),
+             "u1": rng.uniform(-1, 1, n), "u2": np.float64(0.3)}
+    point = {name: float(val[0]) if np.ndim(val) else float(val)
+             for name, val in lanes.items()}
+    for env, lead in ((lanes, (n,)), (point, ())):
+        for vec in (v, consts_v):
+            got = exprmat.eval_vector(vec, env, strict=False)
+            assert got.shape == lead + (len(vec),)
+            for j, e in enumerate(vec):
+                assert_bitwise(got[..., j], np.broadcast_to(np.asarray(
+                    e.evaluate(env, strict=False), dtype=float), lead))
+        for mat in (A, consts_A):
+            got = exprmat.eval_matrix(mat, env, strict=False)
+            assert got.shape == lead + (2, 2)
+            for i, row in enumerate(mat):
+                for j, e in enumerate(row):
+                    assert_bitwise(got[..., i, j], np.broadcast_to(np.asarray(
+                        e.evaluate(env, strict=False), dtype=float), lead))
 
 
 def test_compiled_kernel_missing_variable_raises():

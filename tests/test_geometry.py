@@ -1,12 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwave import exprmat
+from rwave import exprmat, geometry
 from rwave.expr import (
     Bin,
     Box,
+    Call,
     Const,
     Var,
     VarSpace,
@@ -194,6 +197,145 @@ def test_decompose_degenerate_frame():
                            [(Const(1), Const(1)), (Const(2), Const(2))],
                            box, rng=6)
     assert err.value.witness is not None
+
+
+def test_decompose_matches_per_row_lstsq():
+    # a vector outside the frame's span, and a frame that is not finite on
+    # part of the box (those samples are skipped)
+    names = ("u1", "u2", "u3")
+    box = Box.from_dict({"u1": (0.5, 1.5), "u2": (-1.0, 1.0), "u3": (0.2, 2.0)})
+    frame = [tuple(parse(e, names) for e in ("1", "u1", "sqrt(u2)")),
+             tuple(parse(e, names) for e in ("u2", "1", "u1^2"))]
+    v = tuple(parse(e, names) for e in ("u1*u2", "sqrt(u3)", "1"))
+    dec = decompose_in_frame(v, frame, box, rng=7)
+    env = box.sample(np.random.default_rng(7), 40)
+    A = np.stack([exprmat.eval_vector(g, env, strict=False) for g in frame],
+                 axis=2)
+    b = exprmat.eval_vector(v, env, strict=False)
+    want, resmax = [], 0.0
+    for i in range(40):
+        if np.all(np.isfinite(A[i])) and np.all(np.isfinite(b[i])):
+            c, *_ = np.linalg.lstsq(A[i], b[i], rcond=None)
+            want.append(c)
+            resmax = max(resmax, float(np.max(np.abs(A[i] @ c - b[i]))))
+    want = np.array(want)
+    assert 0 < len(want) < 40
+    assert dec.coefficient_samples.shape == want.shape
+    assert np.all(np.abs(dec.coefficient_samples - want)
+                  <= 1e-12 * np.max(np.abs(want)))
+    assert abs(dec.residual_max - resmax) <= 1e-12 * resmax
+    assert not dec.involutive
+
+
+def test_decompose_degenerate_frame_names_first_dependent_sample():
+    # the frame is NaN where u2 < 0 and dependent where u1 >= 0; the witness
+    # is the first finite dependent sample, after earlier NaN and
+    # independent ones
+    u1, u2 = Var("u1"), Var("u2")
+    nan_or_one = Bin("+", Const(1), Bin("*", Const(0), Call("sqrt", u2)))
+    frame = [(nan_or_one, u1), (Const(1), Call("abs", u1))]
+    box = Box.from_dict({"u1": (-1.0, 1.0), "u2": (-1.0, 1.0)})
+    env = box.sample(np.random.default_rng(6), 40)
+    finite = env["u2"] >= 0
+    first = int(np.argmax(finite & (env["u1"] >= 0)))
+    assert not finite[0] and np.any(finite[:first] & (env["u1"][:first] < 0))
+    with pytest.raises(DegenerateFrame) as err:
+        decompose_in_frame((Const(1), Const(0)), frame, box, rng=6)
+    assert err.value.witness == {n: float(val[first]) for n, val in env.items()}
+
+
+def ref_independence_min_singular(vectors, env_samples):
+    """The per-sample loop the stacked check replaced."""
+    mats = [exprmat.eval_vector(v, env_samples, strict=False) for v in vectors]
+    n = max(m.shape[0] if m.ndim == 2 else 1 for m in mats)
+    mats = [m if m.ndim == 2 else np.tile(m, (n, 1)) for m in mats]
+    worst = np.inf
+    worst_idx = 0
+    for idx in range(n):
+        M = np.stack([m[idx] for m in mats])
+        if not np.all(np.isfinite(M)):
+            continue
+        sv = np.linalg.svd(M, compute_uv=False)
+        if sv[-1] < worst:
+            worst = float(sv[-1])
+            worst_idx = idx
+    return worst, worst_idx
+
+
+def ref_triple_wedge_max(rows, env):
+    """The per-sample loop the stacked check replaced."""
+    mats = [exprmat.eval_vector(r, env, strict=False) for r in rows]
+    n = max(m.shape[0] if m.ndim == 2 else 1 for m in mats)
+    mats = [m if m.ndim == 2 else np.tile(m, (n, 1)) for m in mats]
+    p = mats[0].shape[1]
+    worst = 0.0
+    witness = None
+    for idx in range(n):
+        M = np.stack([m[idx] for m in mats])
+        if not np.all(np.isfinite(M)):
+            continue
+        norms = np.linalg.norm(M, axis=1)
+        if np.any(norms < 1e-14):
+            continue
+        Mn = M / norms[:, None]
+        for cols in combinations(range(p), 3):
+            d = abs(np.linalg.det(Mn[:, cols]))
+            if d > worst:
+                worst = d
+                witness = {name: float(v[idx]) for name, v in env.items()}
+    return worst, witness
+
+
+WEDGE_NAMES = ("x", "y", "z")
+
+
+def wedge_env():
+    """Samples: 1 has x < 0 (sqrt is NaN), 2 has x = y = 0 (zero rows),
+    3 and 5 repeat 0 and 4 (tied extrema)."""
+    x = np.array([0.5, -1.0, 0.0, 0.5, 1.5, 1.5, 0.3])
+    y = np.array([0.2, 0.4, 0.0, 0.2, -0.7, -0.7, 0.9])
+    z = np.array([1.1, 0.3, 0.6, 1.1, 0.4, 0.4, -0.2])
+    return {"x": x, "y": y, "z": z}
+
+
+def vecs(*rows):
+    return [tuple(parse(e, WEDGE_NAMES) for e in row) for row in rows]
+
+
+def assert_same_bits(got, want):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("vectors", [
+    vecs(("x", "y", "1"), ("sqrt(x)", "y*z", "z")),
+    vecs(("x", "y", "0"), ("1", "z", "x*y")),
+    vecs(("1", "0", "0"), ("0", "2", "0")),
+    vecs(("1", "0", "0"), ("x", "y", "z")),
+    vecs(("x", "y"), ("z", "sqrt(x)")),
+], ids=["nan-sample", "zero-row", "constants", "mixed", "two-by-two"])
+def test_independence_min_singular_matches_loop_bitwise(vectors):
+    env = wedge_env()
+    got = geometry.independence_min_singular(vectors, env)
+    want = ref_independence_min_singular(vectors, env)
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("rows", [
+    vecs(("x", "y", "z"), ("sqrt(x)", "1", "z*y"), ("1", "x", "y^2")),
+    vecs(("x", "y", "x*y", "1"), ("sqrt(x)", "z", "1", "y"),
+         ("1", "x", "y^2", "z")),
+    vecs(("x", "y", "x*y"), ("1", "z", "y"), ("z", "1", "x")),
+    vecs(("1", "0", "0", "0"), ("0", "1", "0", "0"), ("0", "0", "1", "1")),
+    vecs(("x", "y", "z"), ("2*x", "2*y", "2*z"), ("1", "z", "y")),
+    vecs(("x", "y"), ("1", "z"), ("y", "1")),
+], ids=["nan-sample", "p4", "zero-row", "constants", "zero-wedge", "p2"])
+def test_triple_wedge_max_matches_loop_bitwise(rows):
+    env = wedge_env()
+    got = geometry._triple_wedge_max(rows, env)
+    want = ref_triple_wedge_max(rows, env)
+    assert_same_bits(got[0], want[0])
+    assert got[1] == want[1]
 
 
 def test_conditions_example2_all_hold():

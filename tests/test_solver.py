@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rwave import exprmat, ode, solver
-from rwave.expr import Const, VarSpace, parse, simplify
+from rwave.expr import Box, Const, VarSpace, parse, simplify
 from rwave.fixtures import PRESETS, load_fixture
+from rwave.geometry import WaveElement, find_potential
 from rwave.solver import (
     ImplicitSolveConfig,
     NonIntegrable,
@@ -963,3 +964,29 @@ def test_potential_fn_value_and_du_kernels_bitwise(space, text, shared_u):
         full = dict(env, **{name: np.full(n, v) for name, v in u.items()})
         assert_bitwise(pot.value(env), pot.value(full))
         assert_bitwise(pot.du(env), pot.du(full))
+
+
+def test_potential_fn_numeric_lanes():
+    # d_x(x1*x2^2) needs the quadrature potential; every lane is integrated
+    # in one pass and gets the bits it gets alone
+    space = VarSpace(("x1", "x2"), ("u",))
+    box = Box.from_dict({"x1": (0.2, 1.0), "x2": (0.2, 1.0), "u": (0.5, 1)})
+    lam = (parse("x2^2", space), parse("2*x1*x2", space))
+    res = find_potential(WaveElement(space, lam, (Const(1),)),
+                         {"x1": 0.2, "x2": 0.2}, box, rng=18)
+    assert not res.symbolic
+    pot = solver.PotentialFn(res.phi, space)
+    rng = np.random.default_rng(4)
+    n = 50
+    env = {"x1": rng.uniform(0.2, 1.0, n), "x2": rng.uniform(0.2, 1.0, n),
+           "u": rng.uniform(0.5, 1.0, n)}
+    val = pot.value(env)
+    assert val.shape == (n,)
+    assert np.max(np.abs(val - (env["x1"] * env["x2"] ** 2 - 0.008))) < 1e-12
+    for i in range(n):
+        alone = pot.value({k: float(v[i]) for k, v in env.items()})
+        assert_bitwise(alone, val[i:i + 1])
+    du = pot.du(env)
+    assert du.shape == (n, 1) and np.all(np.isfinite(du))
+    res.phi.check_paths({"x1": 0.7, "x2": 0.9, "u": 0.6})
+    res.phi.check_paths(env)
