@@ -21,7 +21,7 @@ from rwave.solver import ImplicitSolveConfig, integrate_characteristic, solve_im
 
 def main():
     sys3 = load_fixture("example3")
-    surf = integrate_characteristic((Const(1),), None, [0.0], (-25.0, 1.0),
+    surf = integrate_characteristic((Const(1),), [0.0], (-25.0, 1.0),
                                     step=0.05, space=sys3.space, s0=0.0)
     pot = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", sys3.space)
     xv = math.exp(-0.75)

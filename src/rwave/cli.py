@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exprmat, reports
-from .expr import Box, Const, MissingVariableError, ParseError, VarSpace, parse, simplify
+from . import exprmat, ode, reports
+from .expr import Box, Const, ExprError, ParseError, VarSpace, parse, simplify
 from .fixtures import PRESETS, SYSTEMS, load_fixture, system_from_dict, system_to_dict
 from .frobenius import FrobeniusError, rescale_frame
 from .geometry import (
@@ -316,11 +316,11 @@ STAGES = (("homogenize", _homogenize, "homogenize"),
           ("solve", _solve, "solve"),
           ("verify", _verify, "verify"))
 
-EXIT_CODES = {RequestError: EXIT_REQUEST, ParseError: EXIT_REQUEST,
-              MissingVariableError: EXIT_REQUEST, SystemError: EXIT_REQUEST,
-              GeometryError: EXIT_CONDITION, FrobeniusError: EXIT_CONDITION,
+EXIT_CODES = {RequestError: EXIT_REQUEST, ExprError: EXIT_REQUEST,
+              SystemError: EXIT_REQUEST, GeometryError: EXIT_CONDITION,
+              FrobeniusError: EXIT_CONDITION,
               DegenerateElements: EXIT_CONDITION, SolverError: EXIT_SOLVER,
-              NeighborDiverged: EXIT_SOLVER}
+              NeighborDiverged: EXIT_SOLVER, ode.StiffnessAbort: EXIT_SOLVER}
 
 
 def run(request: AnalysisRequest):
@@ -373,7 +373,7 @@ def _build_surface(system, potentials, solver_cfg):
         scale = Const(float(solver_cfg.get("gamma_scale", 1.0)))
         gamma = tuple(simplify(scale * g) for g in potentials[0].element.gamma)
         return integrate_characteristic(
-            gamma, None, solver_cfg["u0"], solver_cfg["s_range"],
+            gamma, solver_cfg["u0"], solver_cfg["s_range"],
             step=solver_cfg.get("grid_step", 0.01), space=space,
             s0=solver_cfg.get("s0"))
     if k == 2:

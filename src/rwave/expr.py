@@ -99,9 +99,6 @@ class Expr:
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         raise NotImplementedError
 
-    def simplified(self) -> "Expr":
-        return self
-
     # operator sugar, used heavily when assembling systems
     def __add__(self, other):
         return Bin("+", self, _as_expr(other))
@@ -515,10 +512,6 @@ def _fold_binary(op, a, b):
     return None
 
 
-_FN_FOLD = {"neg": lambda v: -v, "sqrt": math.sqrt, "ln": math.log,
-            "abs": abs, "exp": math.exp, "sin": math.sin, "cos": math.cos}
-
-
 def _flatten(op, e, out):
     if isinstance(e, Bin) and e.op == op:
         _flatten(op, e.left, out)
@@ -829,9 +822,6 @@ class VarSpace:
     @property
     def q(self):
         return len(self.dependent)
-
-
-Point = dict  # name -> float; every referenced variable must be assigned
 
 
 @dataclass(frozen=True)

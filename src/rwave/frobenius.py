@@ -49,7 +49,25 @@ from .expr import (
     is_zero,
     simplify,
 )
-from .geometry import ConditionCheck, Verdict, fit_symbolic, lie_bracket
+from .geometry import (
+    ConditionCheck,
+    Verdict,
+    directional_derivative,
+    fit_symbolic,
+    lie_bracket,
+)
+
+# samples and relative tolerance of a bracket's pairwise span decomposition
+_PAIR_TRIALS = 40
+_SPAN_TOL = 1e-7
+# samples and tolerances of a transport solve's residual check and of the
+# compatibility check
+_TRANSPORT_TRIALS = 24
+_TRANSPORT_TOL = 1e-7
+_COMPATIBILITY_TOL = 1e-5
+_SURROGATE_TOL = 3e-8      # fit of a symbolic stand-in for a numeric source
+_COMMUTATION_STEP = 1e-4   # central-difference step of commutation_residual
+_GRID_PER_AXIS = 4         # grid points per axis of a serialized numeric factor
 
 
 class FrobeniusError(Exception):
@@ -155,10 +173,8 @@ class VectorField:
     def _directional_fn(self, e: Expr):
         out = self._directionals.get(e)
         if out is None:
-            acc = Const(0)
-            for c, nm in zip(self.scaled_exprs(), self.names):
-                acc = Bin("+", acc, Bin("*", c, e.diff(nm)))
-            out = self._directionals[e] = ScalarFn(simplify(acc), self.names)
+            (d,) = directional_derivative((e,), self.scaled_exprs(), self.names)
+            out = self._directionals[e] = ScalarFn(d, self.names)
         return out
 
     def directional_expr(self, e: Expr):
@@ -183,9 +199,9 @@ class VectorField:
                 lie_bracket(self.exprs, other.exprs, self.names), self.names)
         return base
 
-    def bracket_with(self, other, U, h=1e-5):
+    def bracket_with(self, other, U):
         """[self, other](U): the one-pair case of ``_bracket_table``."""
-        return _bracket_table([self, other], [(0, 1)], U, h)[0][0]
+        return _bracket_table([self, other], [(0, 1)], U)[0][0]
 
     def single_direction(self):
         """(index, coefficient expr) when exactly one component is nonzero
@@ -275,7 +291,7 @@ class TransportTerm:
     psi = <normal, u - base>, which makes the section an exact endpoint
     (no event detection) and lets all query points integrate as one
     batched RK4 march with per-lane spans.  Each lane takes
-    max(min_steps, ceil(|psi0| / step)) steps of its own, and the
+    max(MIN_STEPS, ceil(|psi0| / STEP)) steps of its own, and the
     tangency check runs on the lanes still marching, so a point's value
     does not depend on which other points are asked for at the same time.
     Requires <normal, Y> to stay bounded away from zero along the orbits,
@@ -283,15 +299,15 @@ class TransportTerm:
     working box.
     """
 
-    def __init__(self, Y: VectorField, source: ScalarFn, base, normal,
-                 step=0.004, min_steps=60):
+    STEP = 0.004
+    MIN_STEPS = 60
+
+    def __init__(self, Y: VectorField, source: ScalarFn, base, normal):
         self.Y = Y
         self.source = source
         self.base = np.asarray(base, dtype=float)
         normal = np.asarray(normal, dtype=float)
         self.normal = normal / np.linalg.norm(normal)
-        self.step = step
-        self.min_steps = min_steps
 
     def __call__(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -311,8 +327,8 @@ class TransportTerm:
                                    (src / denom)[:, None]], axis=1)
 
         state0 = np.concatenate([U, np.zeros((n, 1))], axis=1)
-        n_steps = np.maximum(self.min_steps,
-                             np.ceil(np.abs(span) / self.step).astype(int))
+        n_steps = np.maximum(self.MIN_STEPS,
+                             np.ceil(np.abs(span) / self.STEP).astype(int))
         try:
             out = ode.rk4_lanes(rhs, state0, span, n_steps)
         except ode.BlowUp as err:
@@ -381,27 +397,25 @@ class FactorFn:
         logfn = self.log.as_scalar_fn()
         return ScalarFn(lambda U: np.exp(logfn.ev(U)), names)
 
-    def serializable(self, names=None, box=None, n_per_axis=4):
+    def serializable(self, names, box):
         if self._expr is not None:
             return {"kind": "expression", "value": str(self._expr)}
-        if names is None or box is None:
-            return {"kind": "sampled_grid", "values": None}
         axes = {}
         ranges = {n: (lo, hi) for n, lo, hi in box.ranges}
         for nm in names:
             lo, hi = ranges[nm]
-            axes[nm] = np.linspace(lo, hi, n_per_axis).tolist()
+            axes[nm] = np.linspace(lo, hi, _GRID_PER_AXIS).tolist()
         mesh = np.meshgrid(*[axes[nm] for nm in names], indexing="ij")
         U = np.stack([m.ravel() for m in mesh], axis=1)
         vals = self.as_scalar_fn(names).ev(U)
         return {"kind": "sampled_grid", "axes": axes,
-                "shape": [n_per_axis] * len(names),
+                "shape": [_GRID_PER_AXIS] * len(names),
                 "values": [float(v) for v in vals],
                 "interpolation": "multilinear over the axis product"}
 
 
 def solve_transport_system(fields, sources, names, box: Box, base, rng,
-                           tol=1e-7, trials=24, prefer_symbolic=True):
+                           prefer_symbolic=True):
     """g with Y_i(g) = s_i for all i, built greedily one equation at a
     time; each correction is solved along a single field, and the loop
     relies on the compatibility of the sources (checked by the caller)
@@ -409,7 +423,7 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
     """
     g = LogFactor(names)
     base_arr = np.asarray([base[nm] for nm in names], dtype=float)
-    U_samples = _sample(box, rng, trials, names)
+    U_samples = _sample(box, rng, _TRANSPORT_TRIALS, names)
 
     def residual_fn(i):
         # snapshot the accumulated terms: the transport term created from
@@ -429,7 +443,7 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
     for i, (Y, s) in enumerate(zip(fields, sources)):
         resid = residual_fn(i)
         vals = resid.ev(U_samples)
-        if np.max(np.abs(vals)) <= tol:
+        if np.max(np.abs(vals)) <= _TRANSPORT_TOL:
             continue
         solved = False
         if prefer_symbolic and s.expr is not None and g.symbolic:
@@ -468,8 +482,7 @@ def _divide_by_factor(src: ScalarFn, factor, names):
     return ScalarFn(lambda U: src.ev(U) / factor.ev(U), names)
 
 
-def _cheapen_source(src: ScalarFn, U_samples, names, box, rng,
-                    fit_tol=3e-8):
+def _cheapen_source(src: ScalarFn, U_samples, names, box, rng):
     """Replace an expensive callable source by a fitted symbolic surrogate
     when one reproduces it to tight tolerance on fresh samples."""
     if src.expr is not None:
@@ -482,7 +495,7 @@ def _cheapen_source(src: ScalarFn, U_samples, names, box, rng,
     cand = ScalarFn(e, names)
     err = float(np.max(np.abs(cand.ev(Uf) - src.ev(Uf))))
     scale = 1.0 + float(np.max(np.abs(vals)))
-    if err <= fit_tol * scale:
+    if err <= _SURROGATE_TOL * scale:
         return cand
     return src
 
@@ -585,8 +598,7 @@ class PairCoefficients:
     symbolic: bool
 
 
-def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None, trials=40,
-                              tol=1e-7):
+def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None):
     """Coefficients with [X_i, X_j] = h^i X_i + h^j X_j.
 
     Expression fields get an exact symbolic bracket; the coefficients are
@@ -597,13 +609,13 @@ def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None, trials=40,
     rng = np.random.default_rng(rng)
     Xi = Xi if isinstance(Xi, VectorField) else VectorField(Xi, names)
     Xj = Xj if isinstance(Xj, VectorField) else VectorField(Xj, names)
-    U = _sample(box, rng, trials, names)
+    U = _sample(box, rng, _PAIR_TRIALS, names)
     (B,), (Vi, Vj) = _bracket_table([Xi, Xj], [(0, 1)], U)
     coeffs = solve_two_columns(Vi, Vj, B, U, names)
     resid = np.max(np.abs(coeffs[:, :1] * Vi + coeffs[:, 1:] * Vj - B), axis=1)
     at = int(np.argmax(resid))
     worst = float(resid[at])
-    if worst > tol * (1.0 + float(np.max(np.abs(B)))):
+    if worst > _SPAN_TOL * (1.0 + float(np.max(np.abs(B)))):
         raise NotInSpan(f"bracket leaves span{{X_i, X_j}} (residual "
                         f"{worst:.2e})", _witness(U, at, names))
 
@@ -619,8 +631,8 @@ def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None, trials=40,
                             symbolic=symbolic)
 
 
-def compatibility_check(h_list, frame_fields, names, box: Box, rng=None,
-                        trials=24, tol=1e-5) -> ConditionCheck:
+def compatibility_check(h_list, frame_fields, names, box: Box,
+                        rng=None) -> ConditionCheck:
     """Symmetry of the stage-1 sources along the straightened frame:
     Y_j(h_i) = Y_i(h_j) for all i < j.  Exact via is_zero when both
     coefficients and fields are symbolic, sampled finite differences
@@ -629,7 +641,7 @@ def compatibility_check(h_list, frame_fields, names, box: Box, rng=None,
     fields = [f if isinstance(f, VectorField) else VectorField(f, names)
               for f in frame_fields]
     hs = [h if isinstance(h, ScalarFn) else ScalarFn(h, names) for h in h_list]
-    U = _sample(box, rng, trials, names)
+    U = _sample(box, rng, _TRANSPORT_TRIALS, names)
     worst = 0.0
     for i, j in combinations(range(len(fields)), 2):
         sym_ok = (hs[i].expr is not None and hs[j].expr is not None
@@ -637,8 +649,8 @@ def compatibility_check(h_list, frame_fields, names, box: Box, rng=None,
         if sym_ok:
             lhs = fields[j].directional_expr(hs[i].expr)
             rhs = fields[i].directional_expr(hs[j].expr)
-            chk = is_zero(simplify(Bin("-", lhs, rhs)), box, trials=trials,
-                          rng=rng)
+            chk = is_zero(simplify(Bin("-", lhs, rhs)), box,
+                          trials=_TRANSPORT_TRIALS, rng=rng)
             if chk.verdict is ZeroVerdict.PROVABLY_NONZERO:
                 return ConditionCheck(Verdict.FAILS, abs(chk.value), chk.witness,
                                       detail=f"pair ({i}, {j})")
@@ -646,7 +658,7 @@ def compatibility_check(h_list, frame_fields, names, box: Box, rng=None,
         else:
             vals = fields[j].directional(hs[i], U) - fields[i].directional(hs[j], U)
             m = float(np.max(np.abs(vals)))
-            if m > tol:
+            if m > _COMPATIBILITY_TOL:
                 at = int(np.argmax(np.abs(vals)))
                 return ConditionCheck(Verdict.FAILS, m, _witness(U, at, names),
                                       detail=f"pair ({i}, {j})")
@@ -662,12 +674,10 @@ class FrameRescaling:
     names: tuple
     fields: list                 # input fields as VectorField
     factors: list                # FactorFn per field
-    pair_coefficients: dict      # (i, j) -> PairCoefficients
     stage1_residuals: list
     commutation_max: float
     stages_run: list
     box: Box
-    base: dict
 
     def scaled_fields(self):
         return [f.with_factor(fac.as_scalar_fn(self.names))
@@ -689,14 +699,14 @@ class FrameRescaling:
         }
 
 
-def commutation_residual(fields, box: Box, rng=None, n_samples=100, h=1e-4):
+def commutation_residual(fields, box: Box, rng=None, n_samples=100):
     """Max pairwise commutator magnitude at samples, relative to the field
     scale, via the factored Leibniz expansion."""
     rng = np.random.default_rng(rng)
     names = fields[0].names
     U = _sample(box, rng, n_samples, names)
     pairs = list(combinations(range(len(fields)), 2))
-    brackets, values = _bracket_table(fields, pairs, U, h)
+    brackets, values = _bracket_table(fields, pairs, U, _COMMUTATION_STEP)
     size = [float(np.max(np.abs(v))) for v in values]
     worst = 0.0
     for (i, j), B in zip(pairs, brackets):
@@ -706,8 +716,7 @@ def commutation_residual(fields, box: Box, rng=None, n_samples=100, h=1e-4):
 
 
 def rescale_frame(fields, names, box: Box, base=None, rng=None,
-                  pair_overrides=None, prefer_symbolic=True, trials=40,
-                  span_tol=1e-7) -> FrameRescaling:
+                  pair_overrides=None, prefer_symbolic=True) -> FrameRescaling:
     """Factors making the frame commute.
 
     ``pair_overrides`` may supply a precomputed coefficient table
@@ -739,11 +748,10 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
                 residual_max=0.0, symbolic=True)
         else:
             pair[(i, j)] = pair_bracket_coefficients(
-                fields[i], fields[j], names, box, rng=rng, trials=trials,
-                tol=span_tol)
+                fields[i], fields[j], names, box, rng=rng)
     stages.append("pair_coefficients")
 
-    U = _sample(box, rng, trials, names)
+    U = _sample(box, rng, _PAIR_TRIALS, names)
 
     def vanishes(B):
         return float(np.max(np.abs(B))) < 1e-7
@@ -755,10 +763,10 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
         return FrameRescaling(names=names, fields=fields,
                               factors=[FactorFn(LogFactor(names))
                                        for _ in fields],
-                              pair_coefficients=pair, stage1_residuals=[],
+                              stage1_residuals=[],
                               commutation_max=commutation_residual(fields, box,
                                                                    rng=rng),
-                              stages_run=stages, box=box, base=dict(base))
+                              stages_run=stages, box=box)
 
     if r >= d:
         raise FrobeniusError(
@@ -792,8 +800,7 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
         hs = []
         for i in range(nxt):
             pci = pair_bracket_coefficients(commuting[i], X_next, names, box,
-                                            rng=rng, trials=trials,
-                                            tol=span_tol) \
+                                            rng=rng) \
                 if not (pair_overrides and (i, nxt) in pair_overrides) \
                 else pair[(i, nxt)]
             hs.append(pci.h_second)  # coefficient on X_next
@@ -836,10 +843,8 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
 
     factors = [FactorFn(lg) for lg in logs]
     result = FrameRescaling(names=names, fields=fields, factors=factors,
-                            pair_coefficients=pair,
                             stage1_residuals=stage1_residuals,
-                            commutation_max=0.0, stages_run=stages, box=box,
-                            base=dict(base))
+                            commutation_max=0.0, stages_run=stages, box=box)
     result.commutation_max = commutation_residual(result.scaled_fields(), box,
                                                   rng=rng)
     return result

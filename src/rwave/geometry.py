@@ -102,12 +102,12 @@ class NumericKernelSampler:
 
     system: QuasilinearSystem
     lam: tuple
-    tol: float = 1e-8
+    TOL = 1e-8   # relative singular value counted as zero
 
     def at(self, env):
         W = exprmat.eval_matrix(self.system.wave_matrix(self.lam), env)
         u, s, vt = np.linalg.svd(W)
-        null = [vt[i] for i in range(len(s)) if s[i] <= self.tol * max(s[0], 1.0)]
+        null = [vt[i] for i in range(len(s)) if s[i] <= self.TOL * max(s[0], 1.0)]
         extra = vt[len(s):]
         return [v for v in null] + [v for v in extra]
 
@@ -270,7 +270,11 @@ def _snap(v, tol=1e-9):
     return None
 
 
-def decompose_in_frame(v, frame, box: Box, rng=None, n_samples=40, tol=1e-8):
+_FRAME_SAMPLES = 40
+_INVOLUTIVE_TOL = 1e-8   # pointwise residual of an involutive decomposition
+
+
+def decompose_in_frame(v, frame, box: Box, rng=None):
     """Least-squares coefficients of ``v`` in ``frame`` at sampled points,
     fitted back to symbolic form when recognizable.
 
@@ -281,7 +285,7 @@ def decompose_in_frame(v, frame, box: Box, rng=None, n_samples=40, tol=1e-8):
     frame loses pointwise linear independence.
     """
     rng = np.random.default_rng(rng)
-    env = box.sample(rng, n_samples)
+    env = box.sample(rng, _FRAME_SAMPLES)
     A = np.stack([exprmat.eval_vector(g, env, strict=False) for g in frame],
                  axis=2)                                  # (n, q, k)
     b = exprmat.eval_vector(v, env, strict=False)         # (n, q)
@@ -299,7 +303,7 @@ def decompose_in_frame(v, frame, box: Box, rng=None, n_samples=40, tol=1e-8):
            for j in range(len(frame))]
     return BracketDecomposition(
         coefficients=sym, coefficient_samples=coeffs, residual_max=resmax,
-        involutive=resmax <= tol)
+        involutive=resmax <= _INVOLUTIVE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +357,16 @@ class ConditionReport:
 
 
 def _x_closedness_two_form(lam, ind_names):
-    """Components of d_x lambda over pairs i < j, u frozen."""
-    comps = {}
+    """Components ((i, j), B_ij) of d_x lambda over pairs i < j in order,
+    u frozen; each is built when reached, so a caller may stop early."""
     for i, j in combinations(range(len(ind_names)), 2):
-        comps[(i, j)] = simplify(Bin("-", lam[j].diff(ind_names[i]),
-                                     lam[i].diff(ind_names[j])))
-    return comps
+        yield (i, j), simplify(Bin("-", lam[j].diff(ind_names[i]),
+                                   lam[i].diff(ind_names[j])))
 
 
 def closedness_three_form(lam, ind_names):
     """Coefficients of d_x lambda ^ lambda over triples i < j < l."""
-    B = _x_closedness_two_form(lam, ind_names)
+    B = dict(_x_closedness_two_form(lam, ind_names))
     out = {}
     for i, j, l in combinations(range(len(ind_names)), 3):
         # (B ^ lam)_{ijl} = B_ij lam_l - B_il lam_j + B_jl lam_i
@@ -595,20 +598,14 @@ def find_potential(element: WaveElement, basepoint, box: Box, rng=None,
     space = element.space
     ind = space.independent
 
-    def exactness(lam):
-        worst = None
-        for i, j in combinations(range(len(ind)), 2):
-            comp = simplify(Bin("-", lam[j].diff(ind[i]), lam[i].diff(ind[j])))
-            chk = is_zero(comp, box, trials=trials, rng=rng)
-            if chk.verdict is ZeroVerdict.PROVABLY_NONZERO:
-                worst = chk
-                return False, worst
-        return True, None
+    def exact(lam):
+        return all(is_zero(comp, box, trials=trials, rng=rng).verdict
+                   is not ZeroVerdict.PROVABLY_NONZERO
+                   for _, comp in _x_closedness_two_form(lam, ind))
 
-    exact, _ = exactness(element.lam)
     factor = ONE
     work = element
-    if not exact:
+    if not exact(element.lam):
         if len(ind) >= 3:
             for triple, comp in closedness_three_form(element.lam, ind).items():
                 chk = is_zero(comp, box, trials=trials, rng=rng)
@@ -619,8 +616,7 @@ def find_potential(element: WaveElement, basepoint, box: Box, rng=None,
         found = None
         for cand in _integrating_factor_candidates(space):
             lam_try = tuple(simplify(Bin("*", cand, e)) for e in element.lam)
-            ok, _ = exactness(lam_try)
-            if ok:
+            if exact(lam_try):
                 found = cand
                 break
         if found is None:

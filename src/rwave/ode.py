@@ -1,16 +1,19 @@
 """Fixed-step RK4 with halving-based error control, batched over lanes.
 
-The integrators accept right-hand sides f(t, y) where y has shape (n, d)
-and return arrays of the same shape; scalar problems pass n = 1.
+The integrators accept right-hand sides f(t, y) where y has shape (d,)
+for one trajectory (a characteristic curve, the first sweep of a sheet)
+or (n, d) for n lanes, and return arrays of the same shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_MIN_STEP = 1e-12  # |h| below which rk4 gives up with StiffnessAbort
+
 
 class BlowUp(Exception):
-    """Trajectory left the guard box or became non-finite."""
+    """A batched flow became non-finite."""
 
 
 class StiffnessAbort(Exception):
@@ -26,13 +29,12 @@ def _rk4_step(f, t, y, h, k1=None):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4(f, y0, t0, t1, max_step, tol=1e-10, guard=None, min_step=1e-12):
+def rk4(f, y0, t0, t1, max_step, tol=1e-10):
     """Integrate from t0 to t1 (either direction).
 
     Each step is checked by comparing one full step against two half
     steps; the step halves until the discrepancy is below ``tol`` and the
-    doubly-halved result (local extrapolation) is kept.  ``guard(y) ->
-    bool lanes`` may flag escaping lanes, raising BlowUp.
+    doubly-halved result (local extrapolation) is kept.
 
     Cost in right-hand-side evaluations: f(t, y) once per accepted step,
     shared by the full and the first half step of every attempt, plus 10
@@ -64,28 +66,24 @@ def rk4(f, y0, t0, t1, max_step, tol=1e-10, guard=None, min_step=1e-12):
             else:
                 err, scale = np.inf, 1.0  # stage left the domain; shrink
             h *= 0.5
-            if abs(h) < min_step:
+            if abs(h) < _MIN_STEP:
                 raise StiffnessAbort(f"step underflow at t={t}")
             full = first  # a full step of the halved h, bit for bit
         y = half + (half - full) / 15.0  # one Richardson extrapolation
         t += h
-        if guard is not None:
-            esc = guard(y)
-            if np.any(esc):
-                raise BlowUp(f"trajectory left the domain at t={t}")
         if err < 0.25 * tol * scale and abs(h) < max_step:
             h = direction * min(abs(h) * 2.0, max_step)
     return y
 
 
-def rk4_dense(f, y0, t0, ts, max_step, tol=1e-10, guard=None):
+def rk4_dense(f, y0, t0, ts, max_step, tol=1e-10):
     """Integrate through the sorted output times ``ts`` (monotone away
     from t0); returns an array of states of shape (len(ts),) + y0.shape."""
     out = np.empty((len(ts),) + np.shape(y0))
     y = np.array(y0, dtype=float)
     t = float(t0)
     for i, tnext in enumerate(ts):
-        y = rk4(f, y, t, float(tnext), max_step, tol=tol, guard=guard)
+        y = rk4(f, y, t, float(tnext), max_step, tol=tol)
         t = float(tnext)
         out[i] = y
     return out

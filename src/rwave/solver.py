@@ -19,6 +19,12 @@ from . import ode
 from .expr import Expr, VarSpace, compile_exprs, simplify
 from .geometry import NumericPotential
 
+_SWAP_TOL = 1e-7         # flow-order swap mismatch a built sheet may have
+_SWAP_PROBES = 5         # probe parameters of the swap-order check
+_TANGENCY_TOL = 1e-8     # relative tangent defect a characteristic may have
+_TANGENCY_POINTS = 17    # where a characteristic's tangent is checked
+_TANGENCY_SAMPLES = 25   # samples of surface_tangency_residual
+
 
 class SolverError(Exception):
     pass
@@ -44,12 +50,11 @@ class ImplicitSolveConfig:
     newton_tol: float = 1e-12
     max_iter: int = 60
     catastrophe_threshold: float = 1e-8
-    initial_guess: object = "potential_at_base"  # policy, array, or callable
+    initial_guess: object = "potential_at_base"  # policy or array
     tau_window: tuple | None = None   # scan window for the scalar solve
     scan_points: int = 257
     root_select: str = "nearest"      # nearest | lowest | highest
     damping_steps: int = 25
-    warm_start_retry: bool = True
 
     def __post_init__(self):
         if self.newton_tol <= 0 or self.catastrophe_threshold <= 0:
@@ -228,9 +233,9 @@ def _flow_from_anchor(rhs, y0, start, targets, step):
     return out
 
 
-def integrate_characteristic(gamma, alpha, u0, s_range, step, space,
+def integrate_characteristic(gamma, u0, s_range, step, space,
                              s_name="s", s0=None, n_out=241, provenance=None):
-    """Characteristic trajectory du/ds = alpha(s) gamma(u, s) anchored at
+    """Characteristic trajectory du/ds = gamma(u, s) anchored at
     u(s0) = u0 (s0 defaults to the left end of s_range), sampled densely
     and wrapped as a 1-parameter hodograph surface."""
     lo, hi = float(s_range[0]), float(s_range[1])
@@ -240,18 +245,13 @@ def integrate_characteristic(gamma, alpha, u0, s_range, step, space,
     if not lo <= s0 <= hi:
         raise ValueError("anchor s0 must lie inside s_range")
     dep = space.dependent
-    q = len(gamma)
-    kernel = compile_exprs(tuple(gamma) + ((alpha,) if alpha is not None else ()))
+    kernel = compile_exprs(tuple(gamma))
 
     def rhs(s, u):
         u2 = np.atleast_2d(u)
         env = {name: u2[..., b] for b, name in enumerate(dep)}
         env[s_name] = np.asarray(s, dtype=float)
-        vals = kernel(env)
-        g = vals[:, :q]
-        if alpha is not None:
-            g = vals[:, q:] * g
-        return g.reshape(np.shape(u))
+        return kernel(env).reshape(np.shape(u))
 
     if step <= 0:
         raise ValueError("step must be positive")
@@ -266,27 +266,26 @@ def integrate_characteristic(gamma, alpha, u0, s_range, step, space,
     return surf
 
 
-def _check_tangency_1d(surf, rhs, n=17, tol=1e-8):
-    s = np.linspace(surf.s_grid[0], surf.s_grid[-1], n)
+def _check_tangency_1d(surf, rhs):
+    s = np.linspace(surf.s_grid[0], surf.s_grid[-1], _TANGENCY_POINTS)
     u = surf.value(s)
     want = rhs(s, u)
     got = surf.jac(s)[:, :, 0]
     scale = 1.0 + np.max(np.abs(want))
     worst = np.max(np.abs(got - want)) / scale
-    if worst > tol:
+    if worst > _TANGENCY_TOL:
         raise SolverError(f"trajectory tangent deviates from the field by {worst:.2e}")
 
 
 def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
-                    tau_names=None, axes=None, n_grid=161, swap_tol=1e-7,
-                    labels=None):
+                    tau_names=None, axes=None, n_grid=161):
     """Hodograph surface of a commuting weighted frame.
 
     Solves df/dtau^a = sum_a' mu^a'_a(tau) gamma_(a') by successive flows
     from the anchor (tau_base, u0) over a parameter rectangle in internal
     coordinates (tau = axes @ s; axes defaults to identity).  The flow
     order is swapped at probe points, integrated together as lanes, and a
-    mismatch beyond ``swap_tol`` raises NonIntegrable.  For k = 1 the
+    mismatch beyond ``_SWAP_TOL`` raises NonIntegrable.  For k = 1 the
     surface is the characteristic of ``integrate_characteristic``.
     """
     k = len(gammas)
@@ -295,13 +294,13 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
     if axes is None:
         axes = np.eye(k)
     axes = np.asarray(axes, dtype=float)
-    prov = SurfaceProvenance(tuple(labels or [f"g{i}" for i in range(k)]),
+    prov = SurfaceProvenance(tuple(f"g{i}" for i in range(k)),
                              tuple(tuple(str(e) for e in row) for row in mu),
                              tuple(np.asarray(u0, float)), tuple(tau_base))
     if k == 1:
         mu_gamma = tuple(simplify(mu[0][0] * g) for g in gammas[0])
         return integrate_characteristic(
-            mu_gamma, None, u0, axis_ranges[0], step, space,
+            mu_gamma, u0, axis_ranges[0], step, space,
             s_name=tau_names[0], s0=tau_base[0], n_out=n_grid, provenance=prov)
 
     if k != 2:
@@ -321,7 +320,8 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
     u_grid = np.transpose(states, (1, 0, 2))  # (n1, n2, q)
 
     surf = Surface2D(axes, s1_grid, s2_grid, u_grid, space, tau_names, prov)
-    _swap_order_check(surf, field, s_base, np.asarray(u0, float), step, swap_tol)
+    _swap_order_check(surf, field, s_base, np.asarray(u0, float), step,
+                      _SWAP_TOL)
     return surf
 
 
@@ -350,11 +350,11 @@ def _flow_both_orders(field, s_base, u0, probes, step):
     return a, b
 
 
-def _swap_order_check(surf, field, s_base, u0, step, tol, n_probe=5):
+def _swap_order_check(surf, field, s_base, u0, step, tol):
     rng = np.random.default_rng(0)
     (l1, h1), (l2, h2) = surf.tau_ranges
-    probes = np.stack([rng.uniform(l1, h1, n_probe), rng.uniform(l2, h2, n_probe)],
-                      axis=1)
+    probes = np.stack([rng.uniform(l1, h1, _SWAP_PROBES),
+                       rng.uniform(l2, h2, _SWAP_PROBES)], axis=1)
     a, b = _flow_both_orders(field, s_base, u0, probes, step)
     m = np.max(np.abs(a - b), axis=1)
     i = int(np.argmax(m))
@@ -364,7 +364,7 @@ def _swap_order_check(surf, field, s_base, u0, step, tol, n_probe=5):
     return worst
 
 
-def flow_order_mismatch(surf: Surface2D, gammas, mu, step=0.01, n_probe=5):
+def flow_order_mismatch(surf: Surface2D, gammas, mu, step=0.01):
     """Worst swap-order defect of the defining flows at probe parameters;
     the construction itself enforces this below its tolerance, so this is
     the independent re-measurement."""
@@ -372,15 +372,15 @@ def flow_order_mismatch(surf: Surface2D, gammas, mu, step=0.01, n_probe=5):
     s_base = np.linalg.solve(surf.axes,
                              np.asarray(surf.provenance.tau_base, dtype=float))
     u0 = np.asarray(surf.provenance.u0, dtype=float)
-    return _swap_order_check(surf, field, s_base, u0, step, tol=np.inf,
-                             n_probe=n_probe)
+    return _swap_order_check(surf, field, s_base, u0, step, tol=np.inf)
 
 
-def surface_tangency_residual(surf, gammas, mu, rng=None, n=25):
+def surface_tangency_residual(surf, gammas, mu, rng=None):
     """Max deviation of df/dtau from the mu-weighted gamma frame at random
     surface parameters (the defining property, sampled)."""
     rng = np.random.default_rng(rng)
     k = surf.k
+    n = _TANGENCY_SAMPLES
     if k == 1:
         lo, hi = surf.tau_ranges[0]
         tau = rng.uniform(lo, hi, n)[:, None]
@@ -576,7 +576,7 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     else:
         tau, iters, conv, u, stale = _newton(surface, phi_all, jacobian,
                                              tau0, cfg)
-        if cfg.warm_start_retry and (~conv).any() and conv.any():
+        if (~conv).any() and conv.any():
             bad = np.where(~conv)[0]
             guess = tau.copy()
             guess[bad] = tau[_nearest(np.where(conv)[0], bad)]
@@ -619,8 +619,6 @@ def _initial_guess(cfg, pots, surface, env_x, n, k):
         for j, name in enumerate(surface.space.dependent):
             env[name] = np.full(n, u0[j])
         return np.stack([p.value(env) for p in pots], axis=1)
-    if callable(g):
-        return np.asarray(g(env_x), dtype=float).reshape(n, k)
     arr = np.asarray(g, dtype=float)
     if arr.shape == (k,):
         return np.tile(arr, (n, 1))

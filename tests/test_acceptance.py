@@ -117,7 +117,7 @@ def test_criterion_2_simple_wave_closed_forms():
             s_range, u0 = (0.01, 1.0), [0.01 ** 2 / 4.0, 0.01]
         else:
             s_range, u0 = (-2.6, -0.03), [2.6 ** 2 / 4.0, -2.6]
-        surf = integrate_characteristic(gamma, None, u0, s_range, step=0.003,
+        surf = integrate_characteristic(gamma, u0, s_range, step=0.003,
                                         space=EX2.space)
         pot = parse("t - ln(|y|)/sqrt(u1)" if sign > 0
                     else "t + ln(|y|)/sqrt(u1)", EX2.space)
@@ -144,7 +144,7 @@ def example3_closed_form(t, x, y, c=1.0, m=1.0, k=1.0):
 
 def example3_field(grid, window=(-24.0, -0.3), select="lowest"):
     space_u = EX3.space
-    surf = integrate_characteristic((Const(1),), None, [0.0], (-25.0, 1.0),
+    surf = integrate_characteristic((Const(1),), [0.0], (-25.0, 1.0),
                                     step=0.05, space=space_u, s0=0.0)
     pot = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", EX3.space)
     cfg = ImplicitSolveConfig(initial_guess=np.array([-2.0]),

@@ -295,6 +295,33 @@ def test_run_solver_config_errors_exit4(tmp_path):
         assert "verify" not in outcomes, name
 
 
+def test_run_singular_domain_box_exit2(tmp_path, capsys):
+    # u1 < 0 makes sqrt(u1) singular at every sample of the zero test
+    req = base_request(tmp_path, domain={"u1": (-4.0, -0.25)},
+                       stages=PIPELINE[:3])
+    assert run(req)[0] == EXIT_REQUEST
+    assert "elements: more than 320 samples hit singular points" in (
+        capsys.readouterr().err)
+    outcomes = read_report(req, "outcomes.json")
+    assert outcomes["homogenize"]["ok"] is True
+    assert outcomes["elements"]["ok"] is False
+    assert "conditions" not in outcomes
+
+
+def test_run_surface_step_underflow_exit4(tmp_path):
+    # the preset's second axis starts at 0.08, off the sqrt branch line at
+    # 0; a range across it makes the surface flow's step size underflow
+    req = base_request(tmp_path, grid={"t": (1.0, 3.0, 3), "x": (1.0, 3.0, 3),
+                                       "y": (0.2, 0.9, 3)},
+                       solver={"axis_ranges": [[0.8, 3.4], [-6.0, 1.8]]})
+    assert run(req)[0] == EXIT_SOLVER
+    outcomes = read_report(req, "outcomes.json")
+    assert outcomes["rescale"]["ok"] is True
+    assert outcomes["solve"]["ok"] is False
+    assert outcomes["solve"]["detail"].startswith("step underflow at t=")
+    assert "verify" not in outcomes
+
+
 def test_run_rescale_failure_exit3(tmp_path, monkeypatch, capsys):
     def dependent_frame(*args, **kwargs):
         raise NotInSpan("bracket not in the span of the frame",

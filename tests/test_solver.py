@@ -39,7 +39,7 @@ def ex2_potentials():
 
 def test_integrate_characteristic_linear_exact():
     space = VarSpace((), ("u",))
-    surf = integrate_characteristic((Const(1),), None, [0.0], (0.0, 1.0),
+    surf = integrate_characteristic((Const(1),), [0.0], (0.0, 1.0),
                                     step=0.05, space=space)
     s = np.linspace(0.0, 1.0, 7)
     assert np.allclose(surf.value(s)[:, 0], s, atol=1e-13)
@@ -47,7 +47,7 @@ def test_integrate_characteristic_linear_exact():
 
 def test_integrate_characteristic_zero_gamma_constant():
     space = VarSpace((), ("u1", "u2"))
-    surf = integrate_characteristic((Const(0), Const(0)), None, [2.0, -1.0],
+    surf = integrate_characteristic((Const(0), Const(0)), [2.0, -1.0],
                                     (0.0, 1.0), step=0.1, space=space)
     vals = surf.value(np.linspace(0, 1, 5))
     assert np.allclose(vals, [2.0, -1.0], atol=1e-14)
@@ -63,7 +63,7 @@ def test_integrate_characteristic_ex2_closed_form(sign):
         s_range, u0 = (0.05, 1.2), [0.05 ** 2 / 4.0, 0.05]
     else:
         s_range, u0 = (-2.6, -0.05), [2.6 ** 2 / 4.0, -2.6]
-    surf = integrate_characteristic(gamma, None, u0, s_range, step=0.004,
+    surf = integrate_characteristic(gamma, u0, s_range, step=0.004,
                                     space=space)
     s = np.linspace(s_range[0], s_range[1], 9)
     vals = surf.value(s)
@@ -270,7 +270,7 @@ def test_solve_implicit_simple_wave_matches_closed_form(sign, box):
     else:
         s_range, u0 = (-2.6, -0.03), [2.6 ** 2 / 4.0, -2.6]
         window = None
-    surf = integrate_characteristic(gamma, None, u0, s_range, step=0.003,
+    surf = integrate_characteristic(gamma, u0, s_range, step=0.003,
                                     space=SP2)
     pot = parse("t - ln(|y|)/sqrt(u1)" if sign > 0 else "t + ln(|y|)/sqrt(u1)",
                 SP2)
@@ -298,7 +298,7 @@ def example3_closed_form(t, x, y, c=1.0, m=1.0, k=1.0):
 def example3_surface():
     space = VarSpace((), ("u",))
     pre = PRESETS["example3"]["solver"]
-    return integrate_characteristic((Const(1),), None, [0.0],
+    return integrate_characteristic((Const(1),), [0.0],
                                     pre["s_range"], step=0.05, space=space,
                                     s0=0.0)
 
@@ -325,7 +325,7 @@ def test_solve_implicit_example3_matches_closed_form():
 def test_solve_implicit_example3_small_t_regular_branch():
     # the branch continuous through t = 0 follows u -> ln(x^m y^k)
     space = VarSpace((), ("u",))
-    surf = integrate_characteristic((Const(1),), None, [0.0], (-2.0, 3.0),
+    surf = integrate_characteristic((Const(1),), [0.0], (-2.0, 3.0),
                                     step=0.05, space=space, s0=0.0)
     pot = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", SP3)
     cfg = ImplicitSolveConfig(initial_guess="potential_at_base",
@@ -402,7 +402,7 @@ def test_catastrophe_monitor_tracks_discriminant():
 
 def test_solve_failed_when_no_roots():
     space = VarSpace((), ("u",))
-    surf = integrate_characteristic((Const(1),), None, [0.0], (0.0, 1.0),
+    surf = integrate_characteristic((Const(1),), [0.0], (0.0, 1.0),
                                     step=0.05, space=space)
     # phi = t with window shifted away from any root
     pot = parse("t", VarSpace(("t",), ("u",)))
@@ -541,7 +541,7 @@ def reference_solve(surface, potentials, grid, cfg, need):
     tau0 = solver._initial_guess(cfg, pots, surface, env_x, n, 2)
     tau, iters, conv = reference_newton(surface, phi_all, jacobian, tau0, cfg,
                                         n, None, need)
-    if cfg.warm_start_retry and (~conv).any() and conv.any():
+    if (~conv).any() and conv.any():
         bad = np.where(~conv)[0]
         good = np.where(conv)[0]
         guess = tau.copy()
@@ -796,7 +796,7 @@ def ex3_scalar_case(extra=""):
     grid = {"t": rng.uniform(0.1, 1.0, n), "x": rng.uniform(0.3, 3.0, n),
             "y": rng.uniform(0.3, 3.0, n)}
     return (example3_surface(), [parse(EX3_POT + extra, SP3)], grid,
-            {"tau_window": (-24.0, 0.99), "initial_guess": mixed_guess},
+            {"tau_window": (-24.0, 0.99), "initial_guess": mixed_guess(grid)},
             {"m": 1.0, "k": 1.0}, SP3)
 
 
@@ -804,14 +804,14 @@ def ex2_scalar_case():
     # a curve with two components: u = ((s/2)^2, s)
     space = VarSpace((), ("u1", "u2"))
     surf = integrate_characteristic((parse("-sqrt(u1)", space), Const(1)),
-                                    None, [2.6 ** 2 / 4.0, -2.6],
+                                    [2.6 ** 2 / 4.0, -2.6],
                                     (-2.6, -0.03), step=0.003, space=SP2)
     rng = np.random.default_rng(9)
     n = 120
     grid = {"t": rng.uniform(1.0, 3.0, n), "x": rng.uniform(1, 3, n),
             "y": rng.uniform(0.2, 0.9, n)}
     return (surf, [parse("t + ln(|y|)/sqrt(u1)", SP2)], grid,
-            {"initial_guess": mixed_guess}, {}, SP2)
+            {"initial_guess": mixed_guess(grid)}, {}, SP2)
 
 
 SCALAR_CASES = {

@@ -221,7 +221,7 @@ def test_fd_jacobian_batch_matches_pointwise():
 
 def example3_field():
     pre = PRESETS["example3"]["solver"]
-    surf = integrate_characteristic((Const(1),), None, [0.0], pre["s_range"],
+    surf = integrate_characteristic((Const(1),), [0.0], pre["s_range"],
                                     step=0.05, space=VarSpace((), ("u",)),
                                     s0=0.0)
     pot = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", EX3.space)
