@@ -21,7 +21,7 @@ import numpy as np
 from . import exprmat, ode, reports
 from .expr import Box, Const, ExprError, ParseError, VarSpace, parse, simplify
 from .fixtures import PRESETS, SYSTEMS, load_fixture, system_from_dict, system_to_dict
-from .frobenius import FrobeniusError, rescale_frame
+from .frobenius import FrobeniusError, commutation_residual, rescale_frame
 from .geometry import (
     GeometryError,
     NumericKernelSampler,
@@ -87,6 +87,11 @@ class AnalysisRequest:
         if not min(self.tol_newton, self.tol_zero, self.fd_step, self.trials) > 0:
             raise RequestError("--tol-newton, --tol-zero, --fd-step and "
                                "--trials must be positive")
+        if not isinstance(self.solver, dict):
+            raise RequestError("the solver config must be a JSON object")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise RequestError(f"--seed must be a non-negative integer, got "
+                               f"{self.seed!r}")
 
 
 def load_system(spec: str):
@@ -229,11 +234,13 @@ def _rescale(st):
         payload["result"] = ("skipped: frame depends on independent "
                              "variables; rescale applies per fixed x")
     else:
+        rng = st.rng("rescale")
         try:
-            resc = rescale_frame(gammas, dep, st.box.restrict(dep),
-                                 rng=st.rng("rescale"))
+            resc = rescale_frame(gammas, dep, st.box.restrict(dep), rng=rng)
             payload["result"] = "rescaled"
             payload.update(resc.serializable())
+            payload["commutation_max"] = commutation_residual(
+                resc.scaled_fields(), resc.box, rng=rng)
         except FrobeniusError as err:
             payload["result"] = f"failed: {err}"
             failure = err

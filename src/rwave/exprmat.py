@@ -16,28 +16,22 @@ def zeros_vector(n):
     return tuple(ZERO for _ in range(n))
 
 
+def sum_exprs(terms):
+    """simplify(0 + t1 + t2 + ...), the sum folded from the left."""
+    acc = ZERO
+    for t in terms:
+        acc = Bin("+", acc, t)
+    return simplify(acc)
+
+
 def mat_mul(A, B):
-    m, inner, n = len(A), len(B), len(B[0])
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for k in range(inner):
-                acc = Bin("+", acc, Bin("*", A[i][k], B[k][j]))
-            row.append(simplify(acc))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(sum_exprs(Bin("*", a, B[k][j]) for k, a in enumerate(row))
+                       for j in range(len(B[0])))
+                 for row in A)
 
 
 def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = ZERO
-        for a, x in zip(row, v):
-            acc = Bin("+", acc, Bin("*", a, x))
-        out.append(simplify(acc))
-    return tuple(out)
+    return tuple(sum_exprs(Bin("*", a, x) for a, x in zip(row, v)) for row in A)
 
 
 def det(A):
@@ -113,7 +107,3 @@ def lstsq_stack(A, b, rtol):
         return None, int(np.argmax(dependent))
     coef = np.einsum("nij,ni->nj", U, b) / s
     return np.einsum("nji,nj->ni", Vt, coef), None
-
-
-def simplify_matrix(A):
-    return tuple(tuple(simplify(e) for e in row) for row in A)

@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import ode
+from . import exprmat, ode
 from .expr import (
     Bin,
     Box,
@@ -67,6 +67,8 @@ _TRANSPORT_TOL = 1e-7
 _COMPATIBILITY_TOL = 1e-5
 _SURROGATE_TOL = 3e-8      # fit of a symbolic stand-in for a numeric source
 _COMMUTATION_STEP = 1e-4   # central-difference step of commutation_residual
+_DIRECTIONAL_STEP = 1e-4   # central-difference step of a numeric directional
+_NONVANISHING_TRIALS = 40  # samples of FrameRescaling.factors_nonvanishing
 _GRID_PER_AXIS = 4         # grid points per axis of a serialized numeric factor
 
 
@@ -181,13 +183,13 @@ class VectorField:
         """Symbolic derivative of ``e`` along this (symbolic) field."""
         return self._directional_fn(e).expr
 
-    def directional(self, scalar: ScalarFn, U, h=1e-4):
+    def directional(self, scalar: ScalarFn, U):
         """Derivative of ``scalar`` along this field at rows of U; one
         evaluation of a numeric scalar covers both displaced point sets."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if scalar.expr is not None and self.symbolic:
             return self._directional_fn(scalar.expr).ev(U)
-        points, eps = _displaced(U, self.eval(U), h)
+        points, eps = _displaced(U, self.eval(U), _DIRECTIONAL_STEP)
         return _difference_quotient(scalar.ev(points), eps)
 
     def _bare_bracket(self, other):
@@ -362,10 +364,7 @@ class LogFactor:
     def expr(self):
         if not self.symbolic:
             return None
-        acc = Const(0)
-        for t in self.terms:
-            acc = Bin("+", acc, t)
-        return simplify(acc)
+        return exprmat.sum_exprs(self.terms)
 
     def as_scalar_fn(self):
         if self.symbolic:
@@ -675,7 +674,6 @@ class FrameRescaling:
     fields: list                 # input fields as VectorField
     factors: list                # FactorFn per field
     stage1_residuals: list
-    commutation_max: float
     stages_run: list
     box: Box
 
@@ -683,9 +681,9 @@ class FrameRescaling:
         return [f.with_factor(fac.as_scalar_fn(self.names))
                 for f, fac in zip(self.fields, self.factors)]
 
-    def factors_nonvanishing(self, rng=None, trials=40):
+    def factors_nonvanishing(self, rng=None):
         rng = np.random.default_rng(rng)
-        U = _sample(self.box, rng, trials, self.names)
+        U = _sample(self.box, rng, _NONVANISHING_TRIALS, self.names)
         return all(np.all(np.abs(fac.as_scalar_fn(self.names).ev(U)) > 1e-12)
                    for fac in self.factors)
 
@@ -694,7 +692,6 @@ class FrameRescaling:
             "names": list(self.names),
             "factors": [f.serializable(self.names, self.box)
                         for f in self.factors],
-            "commutation_max": self.commutation_max,
             "stages": list(self.stages_run),
         }
 
@@ -719,6 +716,9 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
                   pair_overrides=None, prefer_symbolic=True) -> FrameRescaling:
     """Factors making the frame commute.
 
+    Construction does not measure the result: ``commutation_residual`` on
+    ``scaled_fields()`` is the measurement, and a caller that wants it
+    reproducible passes it the generator given here as ``rng``.
     ``pair_overrides`` may supply a precomputed coefficient table
     {(i, j): (h_i, h_j)} (expressions or callables), e.g. from an external
     derivation; it is still subjected to the compatibility check, and an
@@ -763,10 +763,7 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
         return FrameRescaling(names=names, fields=fields,
                               factors=[FactorFn(LogFactor(names))
                                        for _ in fields],
-                              stage1_residuals=[],
-                              commutation_max=commutation_residual(fields, box,
-                                                                   rng=rng),
-                              stages_run=stages, box=box)
+                              stage1_residuals=[], stages_run=stages, box=box)
 
     if r >= d:
         raise FrobeniusError(
@@ -841,13 +838,10 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
             stage1_residuals.append(res_i)
         stages.append("stage2")
 
-    factors = [FactorFn(lg) for lg in logs]
-    result = FrameRescaling(names=names, fields=fields, factors=factors,
-                            stage1_residuals=stage1_residuals,
-                            commutation_max=0.0, stages_run=stages, box=box)
-    result.commutation_max = commutation_residual(result.scaled_fields(), box,
-                                                  rng=rng)
-    return result
+    return FrameRescaling(names=names, fields=fields,
+                          factors=[FactorFn(lg) for lg in logs],
+                          stage1_residuals=stage1_residuals, stages_run=stages,
+                          box=box)
 
 
 def _negate(h: ScalarFn, names):

@@ -170,10 +170,13 @@ def _proportional(v, w):
     return not np.any(np.abs(cross[np.isfinite(cross)]) > 1e-7)
 
 
-def _dedupe_proportional(cands, box, rng, samples=8):
+_DEDUPE_SAMPLES = 8  # samples of the proportionality test between candidates
+
+
+def _dedupe_proportional(cands, box, rng):
     if not cands:
         return []
-    env = box.sample(rng, samples)
+    env = box.sample(rng, _DEDUPE_SAMPLES)
     kept = []
     vals = []
     for c in cands:
@@ -192,26 +195,17 @@ def lie_bracket(a, b, dep_names):
     with the independent variables frozen as parameters."""
     if len(a) != len(b):
         raise ValueError("bracket arguments must have equal length")
-    out = []
-    for beta in range(len(a)):
-        acc = Const(0)
-        for alpha, name in enumerate(dep_names):
-            acc = Bin("+", acc, Bin("-",
-                                    Bin("*", a[alpha], b[beta].diff(name)),
-                                    Bin("*", b[alpha], a[beta].diff(name))))
-        out.append(simplify(acc))
-    return tuple(out)
+    return tuple(exprmat.sum_exprs(
+        Bin("-", Bin("*", a[alpha], b[beta].diff(name)),
+            Bin("*", b[alpha], a[beta].diff(name)))
+        for alpha, name in enumerate(dep_names)) for beta in range(len(a)))
 
 
 def directional_derivative(vec, direction, dep_names):
     """Componentwise derivative of ``vec`` along ``direction`` in u."""
-    out = []
-    for comp in vec:
-        acc = Const(0)
-        for alpha, name in enumerate(dep_names):
-            acc = Bin("+", acc, Bin("*", direction[alpha], comp.diff(name)))
-        out.append(simplify(acc))
-    return tuple(out)
+    return tuple(exprmat.sum_exprs(Bin("*", direction[alpha], comp.diff(name))
+                                   for alpha, name in enumerate(dep_names))
+                 for comp in vec)
 
 
 @dataclass
@@ -251,14 +245,11 @@ def fit_symbolic(samples, env, names):
         coef, res, *_ = np.linalg.lstsq(Bm, vals, rcond=None)
         fit = Bm @ coef
         if np.max(np.abs(fit - vals)) < _FIT_TOL * scale:
-            expr = Const(0)
-            for c, (_, bexpr) in zip(coef, basis):
-                if abs(c) < 1e-10:
-                    continue
-                cs = _snap(float(c))
-                cexpr = Const(cs) if cs is not None else Const(float(c))
-                expr = Bin("+", expr, Bin("*", cexpr, bexpr))
-            return simplify(expr)
+            snapped = [(_snap(float(c)), float(c), bexpr)
+                       for c, (_, bexpr) in zip(coef, basis) if abs(c) >= 1e-10]
+            return exprmat.sum_exprs(
+                Bin("*", Const(cs if cs is not None else c), bexpr)
+                for cs, c, bexpr in snapped)
     return None
 
 
@@ -517,20 +508,25 @@ def _triple_wedge_max(rows, env):
 # ---------------------------------------------------------------------------
 # potentials
 
+_QUAD_NODES = 48   # Gauss-Legendre nodes per segment of a numeric potential
+_PATH_TOL = 1e-8   # segment-order mismatch a numeric potential may have
+
+
 class NumericPotential:
     """Line-integral potential of an x-closed covector, u frozen.
 
     phi(x; u) integrates the covector from the base point along axis
     segments; path independence is spot-checked against the reversed
     segment order.  A point gives a scalar; point values of shape (n,)
-    give phi over n lanes, each lane's nodes a row of an (n, n_quad) grid.
+    give phi over n lanes, each lane's nodes a row of an (n, _QUAD_NODES)
+    grid.
     """
 
-    def __init__(self, lam, space: VarSpace, basepoint, n_quad=48):
+    def __init__(self, lam, space: VarSpace, basepoint):
         self.lam = tuple(lam)
         self.space = space
         self.base = {n: float(basepoint[n]) for n in space.independent}
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+        nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
         self._nodes = 0.5 * (nodes + 1.0)
         self._weights = 0.5 * weights
 
@@ -553,11 +549,11 @@ class NumericPotential:
     def evaluate(self, point):
         return self.evaluate_path(point, self.space.independent)
 
-    def check_paths(self, point, tol=1e-8):
+    def check_paths(self, point):
         fwd = self.evaluate_path(point, self.space.independent)
         rev = self.evaluate_path(point, tuple(reversed(self.space.independent)))
         gap = float(np.max(np.abs(fwd - rev)))
-        if gap > tol:
+        if gap > _PATH_TOL:
             raise PathDependent(f"segment-order mismatch {gap:.2e} at {point}")
         return fwd
 
@@ -672,19 +668,15 @@ def x_fields(sys: QuasilinearSystem, gammas):
             raise ValueError("each gamma must have q components")
         per_alpha = []
         for alpha in range(sys.m):
-            comps = []
-            for i in range(sys.p):
-                acc = Const(0)
-                for beta in range(sys.q):
-                    acc = Bin("+", acc, Bin("*", sys.coeffs[i][alpha][beta],
-                                            gamma[beta]))
-                comps.append(simplify(acc))
-            per_alpha.append(tuple(comps))
+            per_alpha.append(tuple(
+                exprmat.sum_exprs(Bin("*", A[alpha][beta], gamma[beta])
+                                  for beta in range(sys.q))
+                for A in sys.coeffs))
         out.append(per_alpha)
     return out
 
 
 def contract_covector(lam, fields):
     """<lambda, X> for each field; zero exactly when the wave relation holds."""
-    return [simplify(sum((Bin("*", l, f) for l, f in zip(lam, X)), Const(0)))
+    return [exprmat.sum_exprs(Bin("*", l, f) for l, f in zip(lam, X))
             for X in fields]

@@ -24,6 +24,8 @@ _SWAP_PROBES = 5         # probe parameters of the swap-order check
 _TANGENCY_TOL = 1e-8     # relative tangent defect a characteristic may have
 _TANGENCY_POINTS = 17    # where a characteristic's tangent is checked
 _TANGENCY_SAMPLES = 25   # samples of surface_tangency_residual
+_SCAN_POINTS = 257       # points of the scalar solve's scan window
+_DU_STEP = 1e-6          # central-difference step of a numeric potential's du
 
 
 class SolverError(Exception):
@@ -52,7 +54,6 @@ class ImplicitSolveConfig:
     catastrophe_threshold: float = 1e-8
     initial_guess: object = "potential_at_base"  # policy or array
     tau_window: tuple | None = None   # scan window for the scalar solve
-    scan_points: int = 257
     root_select: str = "nearest"      # nearest | lowest | highest
     damping_steps: int = 25
 
@@ -425,16 +426,16 @@ class PotentialFn:
             return self._value(env)[:, 0]
         return np.atleast_1d(self.phi.evaluate(env))
 
-    def du(self, env, h=1e-6):
+    def du(self, env):
         if self.symbolic:
             return self._du(env)
         cols = []
         for name in self.space.dependent:
             up = dict(env)
             dn = dict(env)
-            up[name] = np.asarray(env[name]) + h
-            dn[name] = np.asarray(env[name]) - h
-            cols.append((self.value(up) - self.value(dn)) / (2 * h))
+            up[name] = np.asarray(env[name]) + _DU_STEP
+            dn[name] = np.asarray(env[name]) - _DU_STEP
+            cols.append((self.value(up) - self.value(dn)) / (2 * _DU_STEP))
         return np.stack(cols, axis=1)
 
 
@@ -743,7 +744,7 @@ def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
         hi = min(hi, cfg.tau_window[1])
     if not lo < hi:
         raise SolverError("empty scan window")
-    ws = np.linspace(lo, hi, cfg.scan_points)
+    ws = np.linspace(lo, hi, _SCAN_POINTS)
     us = surface.value(ws[:, None])
     pick = _CellPicker(tau0[:, 0], cfg.root_select)
     for j, w in enumerate(ws):

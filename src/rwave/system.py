@@ -129,12 +129,10 @@ class QuasilinearSystem:
         """sum_i lambda_i A^i as an expression matrix."""
         if len(lam) != self.p:
             raise ValueError("covector length must equal the independent count")
-        acc = [[Const(0)] * self.q for _ in range(self.m)]
-        for lam_i, A in zip(lam, self.coeffs):
-            for r in range(self.m):
-                for c in range(self.q):
-                    acc[r][c] = Bin("+", acc[r][c], Bin("*", lam_i, A[r][c]))
-        return exprmat.simplify_matrix(acc)
+        return tuple(tuple(exprmat.sum_exprs(Bin("*", lam_i, A[r][c])
+                                             for lam_i, A in zip(lam, self.coeffs))
+                           for c in range(self.q))
+                     for r in range(self.m))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ class DegenerateElements(VerifyError):
 
 
 SVD_GAP = 1e6  # sigma_i / sigma_{i+1} beyond this marks the rank cut
+_RANK_FLOOR = 1e-12  # singular values at or below this never count
 
 
 def fd_jacobian(field, index, h=1e-5, richardson=False):
@@ -117,13 +118,14 @@ class DecompositionRecovery:
     singular_values: np.ndarray
 
 
-def estimate_rank(singular_values, gap=SVD_GAP, floor=1e-12):
-    """Count of leading singular values above ``floor`` with no ratio to
-    the predecessor beyond ``gap``; a stack (..., m) gives one per row."""
+def estimate_rank(singular_values):
+    """Count of leading singular values above ``_RANK_FLOOR`` with no ratio
+    to the predecessor beyond ``SVD_GAP``; a stack (..., m) gives one per
+    row."""
     s = np.asarray(singular_values, dtype=float)
-    keep = s > floor
+    keep = s > _RANK_FLOOR
     with np.errstate(over="ignore"):
-        keep[..., 1:] &= s[..., :-1] / np.maximum(s[..., 1:], 1e-300) <= gap
+        keep[..., 1:] &= s[..., :-1] / np.maximum(s[..., 1:], 1e-300) <= SVD_GAP
     rank = np.cumprod(keep, axis=-1).sum(axis=-1)
     return int(rank) if s.ndim == 1 else rank
 

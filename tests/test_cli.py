@@ -97,6 +97,9 @@ def test_run_full_pipeline_example2(tmp_path):
     assert outcomes == {stage: {"ok": True, "detail": ""}
                         for stage in PIPELINE if stage != "solve"} | {
         "solve": {"ok": True, "detail": "75/75"}}
+    # example2's frame already commutes: identity factors, measured by the
+    # rescale stage after construction
+    assert read_report(req, "rescaling.json")["commutation_max"] == 0.0
     seconds = read_report(req, "metadata.json")["stage_seconds"]
     assert set(seconds) == set(PIPELINE) | {"potentials"}
     assert all(s >= 0.0 for s in seconds.values())
@@ -374,6 +377,27 @@ def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
                  "--out", str(blocker)]) == EXIT_REQUEST
     assert "File exists" in capsys.readouterr().err
     assert blocker.read_text() == "kept"
+
+
+def test_run_solver_config_not_an_object_exit2(tmp_path, capsys):
+    # a solver-config file that parses to a list or a string: exit 2 before
+    # any stage runs, and nothing is written
+    for name, text in (("list", "[1]"), ("string", '"abc"')):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(text)
+        out = tmp_path / f"out-{name}"
+        assert main(["run", "--system", "example3", "--solver-config",
+                     str(cfg), "--out", str(out)]) == EXIT_REQUEST, name
+        assert "solver config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists(), name
+
+
+def test_run_negative_seed_exit2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example3", "--seed", "-1",
+                 "--out", str(out)]) == EXIT_REQUEST
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_partial_domain_box(tmp_path):

@@ -295,3 +295,27 @@ def test_compiled_kernel_missing_variable_raises():
     with pytest.raises(MissingVariableError, match="'u1'"):
         kernel({"x": np.ones(3)})
     assert compile_exprs((Const(1),))({}).shape == (1, 1)
+
+
+def reference_fold(terms):
+    # the hand-rolled sum the matrix, bracket and contraction helpers built
+    acc = Const(0)
+    for t in terms:
+        acc = Bin("+", acc, t)
+    return simplify(acc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=st.lists(expr_strategy(NAMES, max_depth=4), min_size=6,
+                        max_size=6))
+def test_symbolic_sums_match_left_fold(entries):
+    A = (tuple(entries[:3]), tuple(entries[3:]))        # 2 x 3
+    B = tuple((e,) for e in entries[:3])                # 3 x 1
+    assert exprmat.sum_exprs(()) == Const(0)
+    assert exprmat.sum_exprs(entries) == reference_fold(entries)
+    assert exprmat.mat_vec(A, entries[:3]) == tuple(
+        reference_fold(Bin("*", a, x) for a, x in zip(row, entries[:3]))
+        for row in A)
+    assert exprmat.mat_mul(A, B) == tuple(
+        (reference_fold(Bin("*", row[k], B[k][0]) for k in range(3)),)
+        for row in A)

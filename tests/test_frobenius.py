@@ -42,6 +42,14 @@ def exp_field_pair(names=NAMES3):
     return X1, X2
 
 
+def rescale_measured(fields, names, box, seed, **kwargs):
+    """``rescale_frame`` and the commutation residual of its scaled fields,
+    measured with the generator that built them."""
+    rng = np.random.default_rng(seed)
+    res = rescale_frame(fields, names, box, rng=rng, **kwargs)
+    return res, commutation_residual(res.scaled_fields(), box, rng=rng)
+
+
 def test_pair_coefficients_exponential():
     X1, X2 = exp_field_pair()
     pc = pair_bracket_coefficients(X1, X2, NAMES3, BOX3, rng=0)
@@ -89,13 +97,13 @@ def test_compatibility_fabricated_failure():
 
 def test_rescale_pair_symbolic_exponential():
     X1, X2 = exp_field_pair()
-    res = rescale_frame([X1, X2], NAMES3, BOX3, rng=6)
+    res, worst = rescale_measured([X1, X2], NAMES3, BOX3, 6)
     f1, f2 = res.factors
     assert f1.expr is not None and f2.expr is not None
     rng = np.random.default_rng(7)
     assert is_zero(simplify(f1.expr - Const(1)), BOX3, rng=rng)
     assert is_zero(simplify(f2.expr - parse("exp(-x)", NAMES3)), BOX3, rng=rng)
-    assert res.commutation_max < 1e-10
+    assert worst < 1e-10
     assert "compatibility" not in res.stages_run
     assert res.factors_nonvanishing(rng=8)
 
@@ -103,11 +111,11 @@ def test_rescale_pair_symbolic_exponential():
 def test_rescale_already_commuting_identity():
     X1 = (Const(1), Const(0), Const(0))
     X2 = (Const(0), pexpr("1+z^2"), Const(0))
-    res = rescale_frame([X1, X2], NAMES3, BOX3, rng=9)
+    res, worst = rescale_measured([X1, X2], NAMES3, BOX3, 9)
     assert "identity" in res.stages_run
     for f in res.factors:
         assert simplify(f.expr) == Const(1)
-    assert res.commutation_max < 1e-10
+    assert worst < 1e-10
 
 
 def test_rescale_wave_pair_identity():
@@ -116,9 +124,9 @@ def test_rescale_wave_pair_identity():
     box = Box.from_dict({"u1": (0.3, 3.0), "u2": (-1, 1), "u3": (-1, 1)})
     gp = (parse("sqrt(u1)", names), Const(1), Const(0))
     gm = (parse("-sqrt(u1)", names), Const(1), Const(0))
-    res = rescale_frame([gp, gm], names, box, rng=10)
+    res, worst = rescale_measured([gp, gm], names, box, 10)
     assert "identity" in res.stages_run
-    assert res.commutation_max < 1e-9
+    assert worst < 1e-9
 
 
 def test_rescale_three_fields_symbolic():
@@ -126,8 +134,8 @@ def test_rescale_three_fields_symbolic():
     X1 = (Const(1), Const(0), Const(0), Const(0))
     X2 = (Const(0), parse("exp(x)", NAMES4), Const(0), Const(0))
     X3 = (Const(0), Const(0), parse("exp(x+y)", NAMES4), Const(0))
-    res = rescale_frame([X1, X2, X3], NAMES4, BOX4, rng=11)
-    assert res.commutation_max < 1e-8
+    res, worst = rescale_measured([X1, X2, X3], NAMES4, BOX4, 11)
+    assert worst < 1e-8
     assert "compatibility" in res.stages_run
     rng = np.random.default_rng(12)
     assert is_zero(simplify(res.factors[2].expr - parse("exp(-x-y)", NAMES4)),
@@ -191,16 +199,16 @@ def test_rescale_full_rank_commuting_frame_is_identity():
     box = Box.from_dict({"u1": (0.3, 3.0), "u2": (-1, 1)})
     gp = (parse("sqrt(u1)", names), Const(1))
     gm = (parse("-sqrt(u1)", names), Const(1))
-    res = rescale_frame([gp, gm], names, box, rng=30)
+    res, worst = rescale_measured([gp, gm], names, box, 30)
     assert "identity" in res.stages_run
-    assert res.commutation_max < 1e-9
+    assert worst < 1e-9
 
 
 def test_rescale_constant_input_scaling_spans_same_distribution():
     X1, X2 = exp_field_pair()
-    res1 = rescale_frame([X1, X2], NAMES3, BOX3, rng=19)
+    res1, worst1 = rescale_measured([X1, X2], NAMES3, BOX3, 19)
     X2s = tuple(simplify(Const(2) * e) for e in X2)
-    res2 = rescale_frame([X1, X2s], NAMES3, BOX3, rng=20)
+    res2, worst2 = rescale_measured([X1, X2s], NAMES3, BOX3, 20)
     rng = np.random.default_rng(21)
     env = BOX3.sample(rng, 30)
     U = np.stack([env[n] for n in NAMES3], axis=1)
@@ -212,8 +220,8 @@ def test_rescale_constant_input_scaling_spans_same_distribution():
             cross = V[:, :, None] * W[:, None, :] - W[:, :, None] * V[:, None, :]
             assert np.max(np.abs(cross)) < 1e-9
     # both rescalings commute
-    assert res1.commutation_max < 1e-10
-    assert res2.commutation_max < 1e-10
+    assert worst1 < 1e-10
+    assert worst2 < 1e-10
 
 
 def test_stage1_transport_verification_recorded():
@@ -330,8 +338,8 @@ def test_rescale_derives_each_bracket_a_few_times(monkeypatch):
     box = Box.from_dict({n: (-0.2, 0.2) for n in names})
     X1 = (parse("1+y^2", names), Const(0), Const(0))
     X2 = (Const(0), parse("1+x^2", names), Const(0))
-    res = rescale_frame([X1, X2], names, box, rng=25)
-    assert "base_pair" in res.stages_run and res.commutation_max < 1e-6
+    res, worst = rescale_measured([X1, X2], names, box, 25)
+    assert "base_pair" in res.stages_run and worst < 1e-6
     # the transports evaluate the bracket at every RK4 stage; each field
     # derives it once
     assert 0 < len(pairs) <= 4 * len(set(pairs)), len(pairs)
@@ -361,8 +369,8 @@ def test_rescale_compiles_each_expression_tuple_once(monkeypatch):
     box = Box.from_dict({n: (-0.2, 0.2) for n in names})
     X1 = (parse("1+y^2", names), Const(0), Const(0))
     X2 = (Const(0), parse("1+x^2", names), Const(0))
-    res = rescale_frame([X1, X2], names, box, rng=25)
-    assert "base_pair" in res.stages_run and res.commutation_max < 1e-6
+    res, worst = rescale_measured([X1, X2], names, box, 25)
+    assert "base_pair" in res.stages_run and worst < 1e-6
     # the transports evaluate fields, brackets and directionals at every
     # RK4 stage; each object built there compiles its kernel once
     assert_compiled_once(compiled)
@@ -521,7 +529,7 @@ def test_numeric_directional_is_one_evaluation_of_both_sides():
                      Const(1)), NAMES4,
                     factor=ScalarFn(pexpr("1+y^2", NAMES4), NAMES4))
     U = np.random.default_rng(5).uniform(-0.7, 0.7, (20, 4))
-    got = X.directional(ScalarFn(numeric, NAMES4), U, h=1e-4)
+    got = X.directional(ScalarFn(numeric, NAMES4), U)
     assert rows == [40]
     v = X.eval(U)
     eps = 1e-4 / np.maximum(np.linalg.norm(v, axis=1), 1e-12)

@@ -730,7 +730,7 @@ def reference_scan_solve(surface, phi, tau0, cfg, n):
     lo, hi = surface.tau_ranges[0]
     if cfg.tau_window is not None:
         lo, hi = max(lo, cfg.tau_window[0]), min(hi, cfg.tau_window[1])
-    ws = np.linspace(lo, hi, cfg.scan_points)
+    ws = np.linspace(lo, hi, solver._SCAN_POINTS)
     Gm = np.empty((n, len(ws)))
     for j, w in enumerate(ws):
         Gm[:, j] = w - phi(np.full((n, 1), w))
@@ -847,7 +847,7 @@ def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select):
                               root_select=root_select)
     rng = np.random.default_rng(12)
     n = 80
-    ws = np.linspace(-24.0, 0.99, cfg.scan_points)
+    ws = np.linspace(-24.0, 0.99, solver._SCAN_POINTS)
     pole = surf.value(ws[:, None])[rng.integers(1, len(ws) - 1, n), 0]
     roots = np.sort(rng.uniform(-24.0, 0.99, (3, n)), axis=0)
     c = rng.choice([-1.0, 1.0], n) * rng.uniform(0.01, 0.1, n)
@@ -894,7 +894,7 @@ def test_scalar_solve_evaluates_curve_once_per_scan_point():
                            space=space)
     assert not field.converged.all()
     # scan points, bisection steps, then u at every lane's final tau
-    assert counted.points == cfg.scan_points + field.iters.sum() + field.n
+    assert counted.points == solver._SCAN_POINTS + field.iters.sum() + field.n
 
 
 def test_scalar_solve_root_selection_differs_between_rules():
