@@ -143,6 +143,10 @@ class _Run:
         request.validate()
         self.request = request
         self.system, self.preset = load_system(request.system)
+        undeclared = set(request.parameters) - set(self.system.space.parameters)
+        if undeclared:
+            raise RequestError(f"--param names undeclared parameters "
+                               f"{sorted(undeclared)}")
         domain = {**self.preset.get("domain", {}), **request.domain}
         if not domain:
             raise RequestError("no domain box given")
@@ -251,6 +255,10 @@ def _rescale(st):
 
 
 def _solve(st):
+    independent = st.system.space.independent   # homogenize may add one
+    if set(st.request.grid) != set(independent):
+        raise RequestError(f"grid axes {list(st.request.grid)} must be the "
+                           f"independent variables {list(independent)}")
     cfg = {**st.preset.get("solver", {}), **st.request.solver}
     try:
         surface = _build_surface(st.system, st.potentials, cfg)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 import math
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -77,9 +79,15 @@ def _as_expr(value):
 
 
 class Expr:
-    """Immutable expression node. Safe to share across threads."""
+    """Immutable expression node, interned: building the same structure
+    twice returns the same node, so ``==`` and hashing are by identity.
+    Float constants are keyed by their bits (``0.0`` and ``-0.0`` differ)
+    and a NaN constant equals nothing.  Safe to share across threads."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__", "_simplified")
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def variables(self) -> frozenset:
         raise NotImplementedError
@@ -134,18 +142,40 @@ class Expr:
         return f"<Expr {self}>"
 
 
+_NODES = weakref.WeakValueDictionary()  # (class, structure key) -> node
+_NODES_LOCK = threading.Lock()
+
+
+def _node(cls, key, **fields):
+    """The one live ``cls`` node with structure ``key``; children enter keys
+    by ``id()``, safe as a node holds its children.  Hits read the weak refs
+    in ``_NODES.data`` directly; inserts lock, so threads never get two."""
+    ref = _NODES.data.get((cls, key))
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        object.__setattr__(node, "_simplified", None)
+        for name, value in fields.items():
+            object.__setattr__(node, name, value)
+        with _NODES_LOCK:
+            node = _NODES.setdefault((cls, key), node)
+    return node
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
+    def __new__(cls, value):
+        if isinstance(value, float):
+            value = float(value)  # np.float64 prints as a plain float
+            # a NaN gets a key of its own, so it equals no other node
+            key = object() if math.isnan(value) else value.hex()
+            return _node(cls, key, value=value)
         if isinstance(value, int):
             value = Fraction(value)
-        if not isinstance(value, (float, Fraction)):
+        elif not isinstance(value, Fraction):
             raise TypeError(f"bad constant {value!r}")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Const is immutable")
+        return _node(cls, (value.numerator, value.denominator), value=value)
 
     @property
     def is_exact(self):
@@ -162,13 +192,6 @@ class Const(Expr):
 
     def substitute(self, mapping):
         return self
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value \
-            and type(self.value) is type(other.value)
-
-    def __hash__(self):
-        return hash(("const", self.value))
 
     def __str__(self):
         if isinstance(self.value, Fraction):
@@ -187,11 +210,8 @@ ONE = Const(1)
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Var is immutable")
+    def __new__(cls, name):
+        return _node(cls, name, name=name)
 
     def variables(self):
         return frozenset((self.name,))
@@ -208,12 +228,6 @@ class Var(Expr):
     def substitute(self, mapping):
         return mapping.get(self.name, self)
 
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("var", self.name))
-
     def __str__(self):
         return self.name
 
@@ -224,15 +238,10 @@ _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 class Bin(Expr):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op, left, right):
+    def __new__(cls, op, left, right):
         if op not in _PREC:
             raise ValueError(f"bad operator {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Bin is immutable")
+        return _node(cls, (op, id(left), id(right)), op=op, left=left, right=right)
 
     def variables(self):
         return self.left.variables() | self.right.variables()
@@ -292,13 +301,6 @@ class Bin(Expr):
         return Bin(self.op, self.left.substitute(mapping),
                    self.right.substitute(mapping))
 
-    def __eq__(self, other):
-        return (isinstance(other, Bin) and self.op == other.op
-                and self.left == other.left and self.right == other.right)
-
-    def __hash__(self):
-        return hash(("bin", self.op, self.left, self.right))
-
     def __str__(self):
         p = _PREC[self.op]
         ls = _wrap(self.left, p, right_side=False, parent=self.op)
@@ -327,14 +329,10 @@ def _wrap(e, parent_prec, right_side, parent):
 class Call(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn, arg):
+    def __new__(cls, fn, arg):
         if fn not in FUNCTION_NAMES:
             raise ValueError(f"unknown function {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Call is immutable")
+        return _node(cls, (fn, id(arg)), fn=fn, arg=arg)
 
     def variables(self):
         return self.arg.variables()
@@ -372,12 +370,6 @@ class Call(Expr):
 
     def substitute(self, mapping):
         return Call(self.fn, self.arg.substitute(mapping))
-
-    def __eq__(self, other):
-        return isinstance(other, Call) and self.fn == other.fn and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("call", self.fn, self.arg))
 
     def __str__(self):
         if self.fn == "neg":
@@ -423,39 +415,25 @@ def compile_exprs(exprs):
           "true_divide": np.true_divide, "power": np.power, "lanes": _lanes,
           "MissingVariableError": MissingVariableError, **_UNARY_EVAL}
     body = []
-    slots = {}      # structural key over child slot names -> slot name
+    slots = {}      # node -> slot name
     consts = set()  # slot names bound to values computed here
-    by_id = {}      # id(node) -> slot name, for subtrees shared by identity
-
-    def slot(key, code=None, value=None):
-        name = slots.get(key)
-        if name is None:
-            name = slots[key] = f"t{len(slots)}"
-            if code is None:
-                ns[name] = value
-                consts.add(name)
-            else:
-                body.append(f"            {name} = {code}")
-        return name
 
     def visit(e):
-        name = by_id.get(id(e))
-        if name is not None:
-            return name
+        if e in slots:
+            return slots[e]
         kids = [visit(c) for c in ((e.left, e.right) if isinstance(e, Bin)
                                    else (e.arg,) if isinstance(e, Call)
                                    else ())]
+        name = slots[e] = f"t{len(slots)}"
         if isinstance(e, Var):
-            name = slot(("var", e.name), f"env[{e.name!r}]")
+            body.append(f"            {name} = env[{e.name!r}]")
         elif all(k in consts for k in kids):
-            # signed zeros compare equal, so key constants by their bits
-            v = e.evaluate({}, strict=False)
-            name = slot(("const", type(v), float(v).hex()), value=v)
+            ns[name] = e.evaluate({}, strict=False)
+            consts.add(name)
         elif isinstance(e, Bin):
-            name = slot(("bin", e.op, *kids), _BIN_CODE[e.op].format(*kids))
+            body.append(f"            {name} = {_BIN_CODE[e.op].format(*kids)}")
         else:
-            name = slot(("call", e.fn, *kids), f"{e.fn}({kids[0]})")
-        by_id[id(e)] = name
+            body.append(f"            {name} = {e.fn}({kids[0]})")
         return name
 
     results = [visit(e) for e in exprs]
@@ -536,23 +514,30 @@ def simplify(e: Expr) -> Expr:
     """
     for _ in range(4):
         simplified = _simplify_once(e)
-        if simplified == e:
+        if simplified is e:
             return simplified
         e = simplified
     return e
 
 
+_SELF = object()  # kept by a node that simplifies to itself, in place of a cycle
+
+
 def _simplify_once(e: Expr) -> Expr:
     if isinstance(e, (Const, Var)):
         return e
+    done = e._simplified
+    if done is None:
+        done = _simplify_node(e)
+        object.__setattr__(e, "_simplified", _SELF if done is e else done)
+    return e if done is _SELF else done
+
+
+def _simplify_node(e):
     if isinstance(e, Call):
         a = _simplify_once(e.arg)
         if e.fn == "neg":
-            if isinstance(a, Const):
-                return Const(-a.value)
-            if isinstance(a, Call) and a.fn == "neg":
-                return a.arg
-            return Call("neg", a)
+            return _negate_simple(a)
         if isinstance(a, Const) and a.is_exact:
             # exact-value folds only, to keep Const exactness honest
             if e.fn == "abs":
@@ -583,7 +568,7 @@ def _simplify_once(e: Expr) -> Expr:
     if op == "+":
         return _simplify_sum([a, b])
     if op == "-":
-        if a == b:
+        if a is b:
             return ZERO
         if vb is not None and vb == 0:
             return a
@@ -638,7 +623,7 @@ def _simplify_sum(parts):
     const = Fraction(0)
     fconst = 0.0
     has_f = False
-    grouped = []  # (coeff Fraction, core Expr)
+    grouped = {}  # core Expr -> summed Fraction coefficient
     loose = []
     for t in terms:
         v = _const_val(t)
@@ -653,17 +638,12 @@ def _simplify_sum(parts):
         if c is None:
             loose.append(t)
             continue
-        for entry in grouped:
-            if entry[1] == core:
-                entry[0] += c
-                break
-        else:
-            grouped.append([c, core])
+        grouped[core] = grouped.get(core, 0) + c
     out = []
-    for c, core in grouped:
+    for core, c in grouped.items():
         if c == 0:
             continue
-        if core == ONE:
+        if core is ONE:
             const += c
         elif c == 1:
             out.append(core)
@@ -703,7 +683,7 @@ def _split_rational_signed(t, num, den):
 
 def _simplify_ratio(num_parts, den_parts):
     """Products and quotients share one path: flatten both sides, cancel
-    structurally equal non-constant factors, rebuild."""
+    equal non-constant factors, rebuild."""
     num, den = [], []
     sign = 1
     for p in num_parts:
@@ -715,7 +695,7 @@ def _simplify_ratio(num_parts, den_parts):
         for f in den:
             if _const_val(f) is None:
                 for i, g in enumerate(num):
-                    if g == f:
+                    if g is f:
                         del num[i]
                         break
                 else:
@@ -737,7 +717,7 @@ def _simplify_ratio(num_parts, den_parts):
                 return folded
     if vn is not None and vn == 0:
         return ZERO
-    if num_expr == den_expr:
+    if num_expr is den_expr:
         return ONE
     return Bin("/", num_expr, den_expr)
 
@@ -777,7 +757,7 @@ def _simplify_product(parts):
         arg = _simplify_sum([f.arg for f in exps])
         merged = ONE if (isinstance(arg, Const) and arg.is_exact and arg.value == 0) \
             else Call("exp", arg)
-        out = rest + ([merged] if merged != ONE else [])
+        out = rest + ([merged] if merged is not ONE else [])
     if has_f:
         c = fconst * float(const)
         if c != 1.0:
@@ -1108,16 +1088,16 @@ def _linear_coefficient(arg, name):
     d = simplify(arg.diff(name))
     if name in d.variables():
         return None
-    if simplify(Bin("-", arg, Bin("*", d, Var(name)))) != ZERO:
+    if simplify(Bin("-", arg, Bin("*", d, Var(name)))) is not ZERO:
         return None
     return d
 
 
 def _atom_antiderivative(atom, name):
     v = Var(name)
-    if atom == v:
+    if atom is v:
         return Bin("/", Bin("^", v, Const(2)), Const(2))
-    if isinstance(atom, Bin) and atom.op == "^" and atom.left == v \
+    if isinstance(atom, Bin) and atom.op == "^" and atom.left is v \
             and isinstance(atom.right, Const) and atom.right.is_exact:
         n = atom.right.value
         if n == -1:
@@ -1137,9 +1117,9 @@ def _atom_antiderivative(atom, name):
 
 def _atom_antiderivative_reciprocal(atom, name):
     v = Var(name)
-    if atom == v:
+    if atom is v:
         return Call("ln", Call("abs", v))
-    if isinstance(atom, Bin) and atom.op == "^" and atom.left == v \
+    if isinstance(atom, Bin) and atom.op == "^" and atom.left is v \
             and isinstance(atom.right, Const) and atom.right.is_exact:
         n = -atom.right.value
         if n == -1:

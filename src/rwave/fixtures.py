@@ -149,13 +149,25 @@ PRESETS = {
 }
 
 
+def _strings(value, key, depth):
+    """``value`` checked to be strings in lists nested ``depth`` deep."""
+    if depth == 0 and not isinstance(value, str):
+        raise ValueError(f"'{key}' holds {value!r}, not a string")
+    if depth and not isinstance(value, (list, tuple)):
+        raise ValueError(f"'{key}' holds {value!r}, not a list")
+    return value if depth == 0 else [_strings(v, key, depth - 1) for v in value]
+
+
 def system_from_dict(data: dict) -> QuasilinearSystem:
-    space = VarSpace(tuple(data["independent"]), tuple(data["dependent"]),
-                     tuple(data.get("parameters", ())))
+    if not isinstance(data, dict):
+        raise ValueError("a system definition must be a JSON object")
+    space = VarSpace(_strings(data["independent"], "independent", 1),
+                     _strings(data["dependent"], "dependent", 1),
+                     _strings(data.get("parameters", ()), "parameters", 1))
     coeffs = tuple(
         tuple(tuple(parse(e, space) for e in row) for row in A)
-        for A in data["A"])
-    source = tuple(parse(e, space) for e in data["b"])
+        for A in _strings(data["A"], "A", 3))
+    source = tuple(parse(e, space) for e in _strings(data["b"], "b", 1))
     return QuasilinearSystem(space=space, coeffs=coeffs, source=source,
                              source_text=copy.deepcopy(data))
 

@@ -471,3 +471,51 @@ def test_run_homogenize_error_writes_outcomes(tmp_path):
     assert outcomes == {"homogenize": {
         "ok": False,
         "detail": "homogenization requires a properly determined system"}}
+
+
+def test_malformed_system_file_exit2(tmp_path, capsys):
+    # an expression entry that is not a string, a top level that is not an
+    # object, and names that are not a list of strings: describe and run
+    # exit 2 naming the key, and run writes nothing
+    good = {"independent": ["t", "x"], "dependent": ["u"],
+            "A": [[["1"]], [["u"]]], "b": ["0"]}
+    cases = {"'b'": dict(good, b=[0]),
+             "'A'": dict(good, A=[[[1]], [["u"]]]),
+             "JSON object": [good],
+             "'independent'": dict(good, independent="tx"),
+             "'parameters'": dict(good, parameters=[["m"]])}
+    for i, (message, data) in enumerate(cases.items()):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["describe", "--system", str(path)]) == EXIT_REQUEST
+        assert message in capsys.readouterr().err, message
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--system", str(path), "--domain",
+                     "t=0:1,x=0:1,u=0:1", "--grid", "t=0:1:2,x=0:1:2",
+                     "--out", str(out)]) == EXIT_REQUEST
+        assert message in capsys.readouterr().err, message
+        assert not out.exists(), message
+
+
+def test_run_undeclared_param_exit2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example3", "--param", "zz=2",
+                 "--out", str(out)]) == EXIT_REQUEST
+    assert "undeclared parameters ['zz']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_grid_axes_must_be_the_independent_variables(tmp_path):
+    # an extra axis (each point was solved twice) and a missing one (a
+    # KeyError in the solver): exit 2 from the solve stage, no solution
+    for name, grid in (("extra", "t=0.1:1:3,x=1:3:3,y=1:3:3,zz=0:1:2"),
+                       ("missing", "t=0.1:1:3,x=1:3:3")):
+        out = tmp_path / name
+        assert main(["run", "--system", "example3", "--grid", grid,
+                     "--out", str(out)]) == EXIT_REQUEST, name
+        outcomes = json.loads((out / "outcomes.json").read_text())
+        assert outcomes["rescale"]["ok"] is True, name
+        assert outcomes["solve"]["ok"] is False, name
+        assert "must be the independent variables ['t', 'x', 'y']" in \
+            outcomes["solve"]["detail"], name
+        assert not (out / "solution.csv").exists(), name

@@ -1,11 +1,15 @@
+import gc
 import math
+import sys
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwave import exprmat
+from rwave import expr, exprmat
 from rwave.expr import (
     Bin,
     Box,
@@ -252,7 +256,7 @@ def test_compiled_kernel_nan_lanes_and_signed_zeros():
     x = Var("x")
     exprs = (Call("sqrt", x), Call("ln", x), Bin("/", Const(1), x),
              Bin("^", x, Const(0.5)), Bin("^", x, Const(-1)),
-             # equal as expressions, but 1/(x*-0.0) and 1/(x*0.0) differ
+             # 0.0 and -0.0 are two nodes, and 1/(x*-0.0) and 1/(x*0.0) differ
              Bin("/", Const(1.0), Bin("*", x, Const(-0.0))),
              Bin("/", Const(1.0), Bin("*", x, Const(0.0))),
              Bin("/", Const(1), Const(0)), Call("neg", Const(0.0)))
@@ -319,3 +323,143 @@ def test_symbolic_sums_match_left_fold(entries):
     assert exprmat.mat_mul(A, B) == tuple(
         (reference_fold(Bin("*", row[k], B[k][0]) for k in range(3)),)
         for row in A)
+
+
+# ---------------------------------------------------------------------------
+# interning: one node per structure
+
+def structurally_equal(a, b):
+    """The equality expressions had before interning: same kind, operator,
+    function or name, equal children, and constants of one type and equal
+    value (so 0.0 equals -0.0, and a NaN equals nothing)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Const):
+        return type(a.value) is type(b.value) and a.value == b.value
+    if isinstance(a, Var):
+        return a.name == b.name
+    if isinstance(a, Bin):
+        return (a.op == b.op and structurally_equal(a.left, b.left)
+                and structurally_equal(a.right, b.right))
+    return a.fn == b.fn and structurally_equal(a.arg, b.arg)
+
+
+def zero_signs_differ(a, b):
+    """Whether two structurally equal trees pair a 0.0 with a -0.0."""
+    if isinstance(a, Const):
+        return a.value == 0 and math.copysign(1, a.value) != math.copysign(
+            1, b.value)
+    if isinstance(a, Bin):
+        return zero_signs_differ(a.left, b.left) or zero_signs_differ(
+            a.right, b.right)
+    return isinstance(a, Call) and zero_signs_differ(a.arg, b.arg)
+
+
+def rebuild(e, flip_zeros=False):
+    """``e`` built again bottom-up from fresh values; with ``flip_zeros``
+    every float zero constant changes sign."""
+    if isinstance(e, Const):
+        v = e.value
+        if isinstance(v, Fraction):
+            return Const(Fraction(v.numerator, v.denominator))
+        return Const(-v if flip_zeros and v == 0 else float.fromhex(v.hex()))
+    if isinstance(e, Var):
+        return Var("".join(list(e.name)))
+    if isinstance(e, Bin):
+        return Bin(e.op, rebuild(e.left, flip_zeros),
+                   rebuild(e.right, flip_zeros))
+    return Call(e.fn, rebuild(e.arg, flip_zeros))
+
+
+def subtrees(e):
+    out = [e]
+    for c in ((e.left, e.right) if isinstance(e, Bin)
+              else (e.arg,) if isinstance(e, Call) else ()):
+        out += subtrees(c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=expr_strategy(NAMES), b=expr_strategy(NAMES),
+       flip=st.booleans())
+def test_interning_identity_is_structural_equality(a, b, flip):
+    assert rebuild(a) is a
+    assert simplify(rebuild(a)) is simplify(a)
+    # every pair of subtrees of a, b and a copy of a whose float zeros
+    # may have changed sign: identity is the old structural equality,
+    # apart from a 0.0 paired with a -0.0 (the trees hold no NaN)
+    nodes = subtrees(a) + subtrees(b) + subtrees(rebuild(a, flip))
+    for x in nodes:
+        for y in nodes:
+            old = structurally_equal(x, y)
+            assert (x is y) == (old and not zero_signs_differ(x, y)), (x, y)
+            assert (x == y) is (x is y)
+
+
+def test_interning_constants():
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(0.0) is Const(0.0) and Const(-0.0) is Const(-0.0)
+    assert Const(1) is not Const(1.0)
+    assert Const(1) is Const(Fraction(1))
+    assert Const(Fraction(1, 2)) is Const(Fraction(2, 4))
+    assert Const(np.float64(0.5)) is Const(0.5)
+    assert str(Const(np.float64(0.5))) == "0.5"
+    fresh = np.float64(0.7109375)   # a value no other live node holds
+    assert type(Const(fresh).value) is float
+    assert str(Const(fresh)) == "0.7109375"
+    nan = float("nan")
+    assert Const(nan) is not Const(nan)
+    assert Const(nan) != Const(nan)
+    assert Bin("+", Var("x"), Const(nan)) is not Bin("+", Var("x"), Const(nan))
+    x = Var("x")
+    assert Bin("*", x, Const(2)) is parse("x*2", SPACE)
+    with pytest.raises(AttributeError, match="Bin is immutable"):
+        Bin("*", x, Const(2)).op = "+"
+
+
+def test_intern_table_keeps_nothing_alive():
+    gc.collect()
+    before = len(expr._NODES)
+    # reference counting alone must free the nodes: a node that simplifies
+    # to itself holds a marker, not a cycle through itself
+    gc.disable()
+    try:
+        # a balanced tree over 512 fresh terms, simplified so the nodes also
+        # hold their simplification results (sin keeps sums from flattening)
+        level = [Bin("*", Const(i + 0.123456789), Call("sin", Var("x")))
+                 for i in range(512)]
+        while len(level) > 1:
+            level = [Call("sin", Bin("+", level[i], level[i + 1]))
+                     for i in range(0, len(level), 2)]
+        tree, simplified = level[0], simplify(level[0])
+        assert len(expr._NODES) > before + 1500
+        del level, tree, simplified
+        assert len(expr._NODES) == before
+    finally:
+        gc.enable()
+    gc.collect()
+    assert len(expr._NODES) == before
+
+
+def test_interning_across_threads():
+    # more threads than cores build the same fresh structures in the same
+    # order, switching often: each structure must still be one node
+    def build(out):
+        out.extend(Bin("+", Var("x"), Const(k + 0.987654321))
+                   for k in range(3000))
+
+    results = [[] for _ in range(8)]
+    threads = [threading.Thread(target=build, args=(r,)) for r in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(r) == 3000 for r in results)
+    for r in results[1:]:
+        assert all(a is b for a, b in zip(results[0], r))
