@@ -37,7 +37,7 @@ from .solver import (
     integrate_characteristic,
     solve_implicit,
 )
-from .system import SystemError, homogenize
+from .system import SystemError, homogenize, homogenizing_variable
 from .verify import (
     DegenerateElements,
     NeighborDiverged,
@@ -143,9 +143,16 @@ class _Run:
         request.validate()
         self.request = request
         self.system, self.preset = load_system(request.system)
-        undeclared = set(request.parameters) - set(self.system.space.parameters)
+        space = self.system.space
+        undeclared = set(request.parameters) - set(space.parameters)
         if undeclared:
             raise RequestError(f"--param names undeclared parameters "
+                               f"{sorted(undeclared)}")
+        new_var = request.homogenize_var or self.preset.get("homogenize_var")
+        undeclared = (set(request.domain) - set(space.all_names)
+                      - {homogenizing_variable(space, new_var)})
+        if undeclared:
+            raise RequestError(f"--domain names undeclared variables "
                                f"{sorted(undeclared)}")
         domain = {**self.preset.get("domain", {}), **request.domain}
         if not domain:
@@ -155,8 +162,11 @@ class _Run:
         except ValueError as err:
             raise RequestError(f"domain: {err}") from err
         self.out = Path(request.out_dir)
-        seeds = np.random.SeedSequence(request.seed).spawn(len(PIPELINE))
-        self.seed_of = dict(zip(PIPELINE, seeds))
+        # a child per stage, in pipeline order, and the potentials step's
+        # last: a child's stream depends only on its index
+        names = PIPELINE + ("potentials",)
+        seeds = np.random.SeedSequence(request.seed).spawn(len(names))
+        self.seed_of = dict(zip(names, seeds))
         self.artifacts, self.elements, self.potentials = {}, [], []
         self.solution = None
 
@@ -219,7 +229,7 @@ def _conditions(st):
 
 
 def _potentials(st):
-    rng = st.rng("conditions")   # seeded reports were recorded with this stream
+    rng = st.rng("potentials")
     base = st.box.midpoint()
     for elem in st.elements:
         st.potentials.append(find_potential(elem, base, st.box, rng=rng,
@@ -413,15 +423,18 @@ def _parse_ranges(text, with_count=False):
         return out
     for part in text.split(","):
         name, _, spec = part.partition("=")
-        bits = spec.split(":")
+        name, bits = name.strip(), spec.split(":")
+        if name in out:
+            raise RequestError(f"{'grid' if with_count else 'domain'} names "
+                               f"'{name}' twice")
         if with_count:
             if len(bits) != 3:
                 raise RequestError(f"grid entry '{part}' must be name=lo:hi:count")
-            out[name.strip()] = (float(bits[0]), float(bits[1]), int(bits[2]))
+            out[name] = (float(bits[0]), float(bits[1]), int(bits[2]))
         else:
             if len(bits) != 2:
                 raise RequestError(f"domain entry '{part}' must be name=lo:hi")
-            out[name.strip()] = (float(bits[0]), float(bits[1]))
+            out[name] = (float(bits[0]), float(bits[1]))
     return out
 
 

@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from . import ode
 from .expr import Expr, VarSpace, compile_exprs, simplify
 from .geometry import NumericPotential
+from .spline import Spline1D, Spline2D
 
 _SWAP_TOL = 1e-7         # flow-order swap mismatch a built sheet may have
 _SWAP_PROBES = 5         # probe parameters of the swap-order check
@@ -71,8 +71,9 @@ class SurfaceProvenance:
 
 
 class Surface1D:
-    """Hodograph curve u = f(s) sampled on a grid with spline interpolation
-    (exact on the low-degree closed forms the fixtures produce)."""
+    """Hodograph curve u = f(s) sampled on a grid with not-a-knot cubic
+    spline interpolation (exact on the low-degree closed forms the fixtures
+    produce); beyond the grid the end cubics extrapolate."""
 
     k = 1
 
@@ -82,9 +83,7 @@ class Surface1D:
         self.space = space
         self.tau_names = tuple(tau_names)
         self.provenance = provenance
-        self._splines = [CubicSpline(self.s_grid, self.u_samples[:, j])
-                         for j in range(self.u_samples.shape[1])]
-        self._dsplines = [sp.derivative() for sp in self._splines]
+        self._spline = Spline1D(self.s_grid, self.u_samples)
 
     @property
     def tau_ranges(self):
@@ -96,12 +95,10 @@ class Surface1D:
 
     def value(self, tau, rows=None):
         """f at tau; with ``rows``, at those lanes of tau only."""
-        s = self._internal(tau, rows)
-        return np.stack([sp(s) for sp in self._splines], axis=1)
+        return self._spline(self._internal(tau, rows))
 
     def jac(self, tau, rows=None):
-        s = self._internal(tau, rows)
-        d = np.stack([sp(s) for sp in self._dsplines], axis=1)
+        _, d = self._spline(self._internal(tau, rows), grad=True)
         return d[:, :, None]
 
 
@@ -111,6 +108,8 @@ class Surface2D:
 
     A rotated rectangle lets the grid hug the strip where the surface is
     regular, e.g. away from the sqrt branch line of the two-wave fixture.
+    f is the tensor-product not-a-knot cubic spline of the grid samples;
+    points outside the rectangle are clamped to it.
     """
 
     k = 2
@@ -125,9 +124,7 @@ class Surface2D:
         self.space = space
         self.tau_names = tuple(tau_names)
         self.provenance = provenance
-        self._sp = [RectBivariateSpline(self.s1_grid, self.s2_grid,
-                                        self.u_grid[:, :, j], kx=3, ky=3, s=0)
-                    for j in range(self.u_grid.shape[2])]
+        self._spline = Spline2D(self.s1_grid, self.s2_grid, self.u_grid)
 
     @property
     def q(self):
@@ -161,16 +158,12 @@ class Surface2D:
     def value(self, tau, rows=None):
         """f at tau; with ``rows``, at those lanes of tau only."""
         s = self._internal(tau, rows)
-        return np.stack([sp.ev(s[:, 0], s[:, 1]) for sp in self._sp], axis=1)
+        return self._spline(s[:, 0], s[:, 1])
 
     def jac(self, tau, rows=None):
         s = self._internal(tau, rows)
-        cols = []
-        for sp in self._sp:
-            d1 = sp.ev(s[:, 0], s[:, 1], dx=1)
-            d2 = sp.ev(s[:, 0], s[:, 1], dy=1)
-            cols.append(np.stack([d1, d2], axis=1))
-        dfs = np.stack(cols, axis=1)           # (n, q, 2) wrt internal coords
+        _, d1, d2 = self._spline(s[:, 0], s[:, 1], grad=True)
+        dfs = np.stack([d1, d2], axis=2)       # (n, q, 2) wrt internal coords
         return dfs @ self.axes_inv             # chain rule to tau
 
 

@@ -157,10 +157,13 @@ class HomogenizationResult:
         return np.hstack([J, extra])
 
 
-def _fresh_name(base, taken):
-    name = base
+def homogenizing_variable(space, new_var=None):
+    """The independent variable ``homogenize`` adds to a system on
+    ``space``: ``new_var`` (default "xh"), with the first numeric suffix that
+    makes it a new name."""
+    base = name = new_var or "xh"
     k = 1
-    while name in taken:
+    while name in space.all_names:
         name = f"{base}{k}"
         k += 1
     return name
@@ -218,9 +221,7 @@ def homogenize(sys: QuasilinearSystem, box: Box | None = None, rng=None,
 
     curly = [exprmat.mat_mul(M, A) for A in A_perm]
 
-    taken = set(sys.space.all_names)
-    name = _fresh_name(new_var or "xh", taken) if new_var is None or new_var in taken \
-        else new_var
+    name = homogenizing_variable(sys.space, new_var)
     shifted = sys.space.dependent[0]
     sub = {shifted: Bin("+", Var(shifted), Var(name))}
     tilde = [tuple(tuple(simplify(e.substitute(sub)) for e in row) for row in A)

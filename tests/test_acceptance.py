@@ -384,14 +384,17 @@ def test_criterion_7_property_suites():
 def test_criterion_8_catastrophe_detection():
     """The flagged locus brackets the root of the closed form's square-root
     argument within one grid cell."""
-    from scipy.optimize import brentq
     xv = math.exp(-0.75)
     L = 2 * math.log(xv)
 
     def disc(t):
         return (t + 1.0) ** 2 + 4.0 * t * L
 
-    t_root = brentq(disc, 0.05, 0.6)
+    # disc(t) = t^2 + (2 + 4L) t + 1 has roots of product 1; the smaller one
+    # is the root in (0.05, 0.6)
+    b = 2.0 + 4.0 * L
+    t_root = 2.0 / (-b + math.sqrt(b * b - 4.0))
+    assert 0.05 < t_root < 0.6 and abs(disc(t_root)) < 1e-14
     ts = np.linspace(0.05, 0.6, 111)
     cell = ts[1] - ts[0]
     grid = {"t": ts, "x": np.full_like(ts, xv), "y": np.full_like(ts, xv)}

@@ -505,6 +505,33 @@ def test_run_undeclared_param_exit2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_undeclared_domain_name_exit2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example3", "--domain", "zz=0:1",
+                 "--stages", "homogenize,elements,conditions",
+                 "--out", str(out)]) == EXIT_REQUEST
+    assert "undeclared variables ['zz']" in capsys.readouterr().err
+    assert not out.exists()
+    # the variable homogenization adds is declared, under its given name
+    out = tmp_path / "homogenized"
+    assert main(["run", "--system", "brownian", "--homogenize-var", "w",
+                 "--domain", "w=-0.4:0.4", "--stages", "homogenize",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "homogenization.json").read_text())[
+        "new_variable"] == "w"
+
+
+def test_run_repeated_range_name_exit2(tmp_path, capsys):
+    # the last range used to win silently
+    for flag, spec in (("--grid", "t=0.1:1:3,t=0.2:1:3,x=1:3:3,y=1:3:3"),
+                       ("--domain", "t=0.1:1,x=1:3,t=0.2:1")):
+        out = tmp_path / flag.strip("-")
+        assert main(["run", "--system", "example3", flag, spec,
+                     "--out", str(out)]) == EXIT_REQUEST, flag
+        assert "names 't' twice" in capsys.readouterr().err, flag
+        assert not out.exists(), flag
+
+
 def test_run_grid_axes_must_be_the_independent_variables(tmp_path):
     # an extra axis (each point was solved twice) and a missing one (a
     # KeyError in the solver): exit 2 from the solve stage, no solution

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwave import exprmat, ode, solver
 from rwave.expr import Box, Const, VarSpace, parse, simplify
@@ -18,6 +24,7 @@ from rwave.solver import (
     solve_implicit,
     surface_tangency_residual,
 )
+from rwave.spline import Spline1D, Spline2D
 
 EX2 = load_fixture("example2")
 SP2 = EX2.space
@@ -990,3 +997,154 @@ def test_potential_fn_numeric_lanes():
     assert du.shape == (n, 1) and np.all(np.isfinite(du))
     res.phi.check_paths({"x1": 0.7, "x2": 0.9, "u": 0.6})
     res.phi.check_paths(env)
+
+
+# ---------------------------------------------------------------------------
+# not-a-knot cubic splines
+
+def uneven_grid(rng, lo, hi, n):
+    """n increasing nodes from lo to hi, each inner one moved by up to a
+    quarter of the spacing."""
+    x = np.linspace(lo, hi, n)
+    x[1:-1] += rng.uniform(-0.25, 0.25, n - 2) * (hi - lo) / (n - 1)
+    return x
+
+
+def cubic(coef, x, nu=0):
+    """sum_a coef[a] x^a, or its first derivative."""
+    if nu:
+        return sum(a * c * x ** (a - 1) for a, c in enumerate(coef) if a)
+    return sum(c * x ** a for a, c in enumerate(coef))
+
+
+def test_spline_1d_reproduces_cubics():
+    rng = np.random.default_rng(0)
+    x = uneven_grid(rng, -1.0, 2.0, 23)
+    coefs = [(0.5, -1.0, 2.0, 0.75), (1.0, 0.0, -0.5, 0.0)]
+    y = np.stack([cubic(c, x) for c in coefs], axis=1)
+    sp = Spline1D(x, y)
+    assert_bitwise(sp(x[:-1]), y[:-1])       # t = 0 at every lower node
+    assert np.max(np.abs(sp(x[-1:]) - y[-1:])) < 1e-12
+    # inside the grid, and beyond it, where the end cubics extrapolate
+    s = np.concatenate([rng.uniform(-1.0, 2.0, 200), [-3.0, -1.5, 2.5, 4.0]])
+    val, der = sp(s, grad=True)
+    for j, c in enumerate(coefs):
+        assert np.max(np.abs(val[:, j] - cubic(c, s))) < 1e-11
+        assert np.max(np.abs(der[:, j] - cubic(c, s, nu=1))) < 1e-11
+
+
+@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("b", range(4))
+def test_spline_2d_reproduces_bicubic_products(a, b):
+    rng = np.random.default_rng(10 * a + b)
+    x1 = uneven_grid(rng, 0.5, 2.0, 9)
+    x2 = uneven_grid(rng, -1.0, 1.5, 12)
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    z = np.stack([X1 ** a * X2 ** b, 2.0 - X1 ** a * X2 ** b], axis=2)
+    sp = Spline2D(x1, x2, z)
+    N1, N2 = np.meshgrid(x1[:-1], x2[:-1], indexing="ij")
+    assert_bitwise(sp(N1.ravel(), N2.ravel()), z[:-1, :-1].reshape(-1, 2))
+    val = sp(X1.ravel(), X2.ravel())
+    assert np.max(np.abs(val - z.reshape(-1, 2))) < 1e-12
+    s1, s2 = rng.uniform(0.5, 2.0, 300), rng.uniform(-1.0, 1.5, 300)
+    val, d1, d2 = sp(s1, s2, grad=True)
+    f = s1 ** a * s2 ** b
+    f1 = a * s1 ** max(a - 1, 0) * s2 ** b
+    f2 = b * s1 ** a * s2 ** max(b - 1, 0)
+    assert np.max(np.abs(val - np.stack([f, 2.0 - f], axis=1))) < 1e-12
+    assert np.max(np.abs(d1 - np.stack([f1, -f1], axis=1))) < 1e-11
+    assert np.max(np.abs(d2 - np.stack([f2, -f2], axis=1))) < 1e-11
+
+
+def test_spline_edges_clamp_extrapolate_and_nan():
+    rng = np.random.default_rng(2)
+    x1, x2 = np.linspace(0.0, 1.0, 7), np.linspace(-1.0, 1.0, 6)
+    sp2 = Spline2D(x1, x2, rng.normal(size=(7, 6, 2)))
+    s1 = np.array([-0.5, 1.5, -np.inf, np.inf, 0.3, 0.3, np.nan, 0.3])
+    s2 = np.array([0.2, 0.2, 0.4, -0.4, -7.0, np.inf, 0.1, np.nan])
+    clamped1 = np.array([0.0, 1.0, 0.0, 1.0, 0.3, 0.3, np.nan, 0.3])
+    clamped2 = np.array([0.2, 0.2, 0.4, -0.4, -1.0, 1.0, 0.1, np.nan])
+    got = sp2(s1, s2, grad=True)
+    want = sp2(clamped1, clamped2, grad=True)
+    for g, w in zip(got, want):
+        assert_bitwise(g, w)
+        assert np.all(np.isfinite(g[:6])) and np.all(np.isnan(g[6:]))
+
+    # beyond the grid, the end cells' cubics go on; they are not clamped
+    x = np.linspace(0.0, 1.0, 9)
+    sp1 = Spline1D(x, np.exp(x)[:, None])
+    val = sp1(np.array([-0.5, 1.7, np.nan]))
+    assert val[0, 0] == pytest.approx(cubic(sp1.c[0, :, 0], -0.5), rel=1e-14)
+    assert val[1, 0] == pytest.approx(cubic(sp1.c[-1, :, 0], 1.7 - x[-2]),
+                                      rel=1e-14)
+    assert val[1, 0] == pytest.approx(np.exp(1.7), rel=0.02)   # not e
+    assert np.isnan(val[2, 0])
+
+
+def test_spline_needs_four_points_per_axis():
+    x = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError):
+        Spline1D(x, x[:, None])
+    with pytest.raises(ValueError):
+        Spline2D(x, np.linspace(0, 1, 5), np.zeros((3, 5, 1)))
+    with pytest.raises(ValueError):
+        Spline2D(np.linspace(0, 1, 5), x, np.zeros((5, 3, 1)))
+    Spline1D(np.linspace(0, 1, 4), np.zeros((4, 1)))
+    space = VarSpace((), ("u",))
+    prov = solver.SurfaceProvenance(("g",), None, (0.0,), (0.0,))
+    with pytest.raises(ValueError):
+        solver.Surface1D(x, x[:, None], space, ("s",), prov)
+
+
+def lane_surfaces():
+    rng = np.random.default_rng(5)
+    space = VarSpace((), ("u1", "u2"))
+    prov = solver.SurfaceProvenance(("g0", "g1"), None, (0.0, 0.0), (0.0, 0.0))
+    s1, s2 = np.linspace(0.0, 2.0, 17), np.linspace(-1.0, 1.0, 13)
+    sheet = Surface2D([[1.0, 0.3], [0.7, -1.1]], s1, s2,
+                      rng.normal(size=(17, 13, 2)), space, ("tau1", "tau2"),
+                      prov)
+    curve = solver.Surface1D(s1, rng.normal(size=(17, 2)), space, ("s",), prov)
+    return sheet, curve
+
+
+LANE_SURFACES = lane_surfaces()
+LANE_COORD = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
+    [0.0, -0.0, 2.0, -1.0, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=st.lists(st.tuples(LANE_COORD, LANE_COORD), min_size=1,
+                       max_size=40),
+       data=st.data())
+def test_spline_lanes_are_independent_bitwise(points, data):
+    # a lane's value and Jacobian do not depend on which other lanes share
+    # the call: no product runs across lanes
+    tau = np.array(points, dtype=float)
+    n = len(tau)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)),
+                    dtype=int)
+    sheet, curve = LANE_SURFACES
+    for surf, lanes in ((sheet, tau), (curve, tau[:, :1])):
+        with np.errstate(invalid="ignore"):
+            assert_bitwise(surf.value(lanes, rows), surf.value(lanes)[rows])
+            assert_bitwise(surf.jac(lanes, rows), surf.jac(lanes)[rows])
+    sp = Spline2D(sheet.s1_grid, sheet.s2_grid, sheet.u_grid)
+    with np.errstate(invalid="ignore"):
+        full = sp(tau[:, 0], tau[:, 1], grad=True)
+        part = sp(tau[rows, 0], tau[rows, 1], grad=True)
+    for f, p in zip(full, part):
+        assert_bitwise(p, f[rows])
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rwave.cli; print(sorted(m for m in "
+         "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

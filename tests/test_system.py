@@ -31,8 +31,10 @@ def consistent_jet(sys, env, rng):
         A[:, i::p] += Ai  # column block for d/dx^i: J[beta, i]
     b = exprmat.eval_vector(sys.source, env)
     Jflat, *_ = np.linalg.lstsq(A, b, rcond=None)
-    from scipy.linalg import null_space
-    N = null_space(A)
+    # null space: the right singular vectors past the numerical rank
+    _, sv, Vt = np.linalg.svd(A)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * max(A.shape) * np.finfo(float).eps))
+    N = Vt[rank:].T
     if N.size:
         Jflat = Jflat + N @ rng.normal(size=N.shape[1])
     assert np.linalg.norm(A @ Jflat - b) < 1e-9
