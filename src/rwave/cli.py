@@ -59,6 +59,12 @@ class RequestError(Exception):
     pass
 
 
+# the solver-config keys that the solve stage reads
+_SOLVER_KEYS = frozenset(("u0", "s_range", "s0", "grid_step", "gamma_scale",
+                         "mu", "tau_base", "axis_ranges", "axes",
+                         "initial_guess", "tau_window", "root_select"))
+
+
 @dataclass
 class AnalysisRequest:
     system: str                      # path or bundled fixture name
@@ -89,6 +95,10 @@ class AnalysisRequest:
                                "--trials must be positive")
         if not isinstance(self.solver, dict):
             raise RequestError("the solver config must be a JSON object")
+        unread = set(self.solver) - _SOLVER_KEYS
+        if unread:
+            raise RequestError(f"the solver config has keys no stage reads "
+                               f"{sorted(map(str, unread))}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise RequestError(f"--seed must be a non-negative integer, got "
                                f"{self.seed!r}")

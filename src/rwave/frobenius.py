@@ -100,7 +100,9 @@ class StraighteningFailed(FrobeniusError):
 
 class ScalarFn:
     """Uniform wrapper over Expr scalars and plain callables of the
-    coordinate matrix U (n, d)."""
+    coordinate matrix U (n, d).  Negation, division, ``exp`` and ``sum``
+    build a simplified expression when every operand is symbolic, and
+    otherwise a closure over the operands' values."""
 
     def __init__(self, obj, names):
         self.names = tuple(names)
@@ -122,6 +124,31 @@ class ScalarFn:
         return f"<ScalarFn {self.expr}>" if self.expr is not None \
             else "<ScalarFn numeric>"
 
+    def __neg__(self):
+        if self.expr is not None:
+            return ScalarFn(simplify(Call("neg", self.expr)), self.names)
+        return ScalarFn(lambda U: -self.ev(U), self.names)
+
+    def __truediv__(self, other):
+        if self.expr is not None and other.expr is not None:
+            return ScalarFn(simplify(Bin("/", self.expr, other.expr)),
+                            self.names)
+        return ScalarFn(lambda U: self.ev(U) / other.ev(U), self.names)
+
+    def exp(self):
+        if self.expr is not None:
+            return ScalarFn(simplify(Call("exp", self.expr)), self.names)
+        return ScalarFn(lambda U: np.exp(self.ev(U)), self.names)
+
+    @classmethod
+    def sum(cls, terms, names):
+        """The sum of Expr and callable ``terms``, added in term order."""
+        if all(isinstance(t, Expr) for t in terms):
+            return cls(exprmat.sum_exprs(terms), names)
+        fns = [cls(t, names) for t in terms]
+        return cls(lambda U: sum((f.ev(U) for f in fns), np.zeros(len(U))),
+                   names)
+
 
 class VectorField:
     """Symbolic base field with an optional scalar factor (symbolic or
@@ -132,13 +159,13 @@ class VectorField:
     shares its bare field's kernel and brackets (see ``with_factor``).
     """
 
-    def __init__(self, exprs, names, factor=None):
+    def __init__(self, exprs, names):
         self.exprs = tuple(exprs)
         self.names = tuple(names)
-        self.factor = factor  # ScalarFn or None (meaning 1)
+        self.factor = None  # ScalarFn, or None meaning 1
         self._scaled = None
         self._kernel = None
-        self.bare = self if factor is None else VectorField(exprs, names)
+        self.bare = self
         self._brackets = {}     # other.exprs -> bare field [self, other]
         self._directionals = {}  # scalar expr -> ScalarFn of its derivative
 
@@ -347,80 +374,15 @@ def _rows_dot(v, w):
     return v @ w
 
 
-class LogFactor:
-    """ln f as a sum of symbolic and transport terms."""
-
-    def __init__(self, names):
-        self.names = tuple(names)
-        self.terms = []
-
-    def add(self, term):
-        self.terms.append(term)
-
-    @property
-    def symbolic(self):
-        return all(isinstance(t, Expr) for t in self.terms)
-
-    def expr(self):
-        if not self.symbolic:
-            return None
-        return exprmat.sum_exprs(self.terms)
-
-    def as_scalar_fn(self):
-        if self.symbolic:
-            return ScalarFn(self.expr(), self.names)
-        fns = [ScalarFn(t, self.names) for t in self.terms]
-
-        def fn(U):
-            U = np.atleast_2d(np.asarray(U, dtype=float))
-            return sum((f.ev(U) for f in fns), np.zeros(U.shape[0]))
-
-        return ScalarFn(fn, self.names)
-
-
-class FactorFn:
-    """f = exp(ln f), guaranteed positive hence nonvanishing."""
-
-    def __init__(self, log_factor: LogFactor):
-        self.log = log_factor
-        e = log_factor.expr()
-        self._expr = None if e is None else simplify(Call("exp", e))
-
-    @property
-    def expr(self):
-        return self._expr
-
-    def as_scalar_fn(self, names):
-        if self._expr is not None:
-            return ScalarFn(self._expr, names)
-        logfn = self.log.as_scalar_fn()
-        return ScalarFn(lambda U: np.exp(logfn.ev(U)), names)
-
-    def serializable(self, names, box):
-        if self._expr is not None:
-            return {"kind": "expression", "value": str(self._expr)}
-        axes = {}
-        ranges = {n: (lo, hi) for n, lo, hi in box.ranges}
-        for nm in names:
-            lo, hi = ranges[nm]
-            axes[nm] = np.linspace(lo, hi, _GRID_PER_AXIS).tolist()
-        mesh = np.meshgrid(*[axes[nm] for nm in names], indexing="ij")
-        U = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = self.as_scalar_fn(names).ev(U)
-        return {"kind": "sampled_grid", "axes": axes,
-                "shape": [_GRID_PER_AXIS] * len(names),
-                "values": [float(v) for v in vals],
-                "interpolation": "multilinear over the axis product"}
-
-
 def solve_transport_system(fields, sources, names, box: Box, base, rng,
                            prefer_symbolic=True):
     """g with Y_i(g) = s_i for all i, built greedily one equation at a
     time; each correction is solved along a single field, and the loop
     relies on the compatibility of the sources (checked by the caller)
-    to leave earlier equations intact.  Returns (LogFactor, worst_residual).
+    to leave earlier equations intact.  Returns (terms, worst_residual):
+    g is the sum of the terms, each an Expr or a TransportTerm.
     """
-    g = LogFactor(names)
+    g = []
     base_arr = np.asarray([base[nm] for nm in names], dtype=float)
     U_samples = _sample(box, rng, _TRANSPORT_TRIALS, names)
 
@@ -428,9 +390,7 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
         # snapshot the accumulated terms: the transport term created from
         # this residual must not see itself through the growing factor
         src = sources[i]
-        prior = LogFactor(names)
-        prior.terms = list(g.terms)
-        prior_fn = prior.as_scalar_fn() if prior.terms else None
+        prior_fn = ScalarFn.sum(g, names) if g else None
 
         def fn(U):
             out = src.ev(U)
@@ -444,41 +404,33 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
         vals = resid.ev(U_samples)
         if np.max(np.abs(vals)) <= _TRANSPORT_TOL:
             continue
-        solved = False
-        if prefer_symbolic and s.expr is not None and g.symbolic:
-            term = _symbolic_transport(Y, ScalarFn(_residual_expr(Y, s, g),
-                                                   names), names, box, rng)
-            if term is not None:
-                g.add(term)
-                solved = True
-        if not solved:
+        term = None
+        if prefer_symbolic and s.expr is not None:
+            ge = ScalarFn.sum(g, names).expr
+            if ge is not None:
+                term = _symbolic_transport(
+                    Y, ScalarFn(_residual_expr(Y, s, ge), names), names, box,
+                    rng)
+        if term is None:
             # flow along the bare expression field: f X(g) = s becomes
             # X(g) = s / f, keeping nested factors out of the flow itself
             bare = Y.bare
-            src = _divide_by_factor(resid, Y.factor, names)
+            src = resid if Y.factor is None else resid / Y.factor
             src = _cheapen_source(src, U_samples, names, box, rng)
             vy = bare.eval(base_arr[None])[0]
             if np.linalg.norm(vy) < 1e-12:
                 raise StraighteningFailed(
                     "transport field vanishes at the base point")
             term = TransportTerm(bare, src, base_arr, vy)
-            g.add(term)
+        g.append(term)
     # verify the full system
     worst = 0.0
-    gfn = g.as_scalar_fn()
+    gfn = ScalarFn.sum(g, names)
     for Y, s in zip(fields, sources):
-        vals = s.ev(U_samples) - (Y.directional(gfn, U_samples) if g.terms
+        vals = s.ev(U_samples) - (Y.directional(gfn, U_samples) if g
                                   else 0.0)
         worst = max(worst, float(np.max(np.abs(vals))))
     return g, worst
-
-
-def _divide_by_factor(src: ScalarFn, factor, names):
-    if factor is None:
-        return src
-    if src.expr is not None and factor.expr is not None:
-        return ScalarFn(simplify(Bin("/", src.expr, factor.expr)), names)
-    return ScalarFn(lambda U: src.ev(U) / factor.ev(U), names)
 
 
 def _cheapen_source(src: ScalarFn, U_samples, names, box, rng):
@@ -499,11 +451,9 @@ def _cheapen_source(src: ScalarFn, U_samples, names, box, rng):
     return src
 
 
-def _residual_expr(Y, s, g):
+def _residual_expr(Y, s, ge):
+    """s - Y(g) for the symbolic log sum ``ge``."""
     e = s.expr
-    ge = g.expr()
-    if ge is None:
-        return e
     comps = Y.scaled_exprs()
     acc = Const(0)
     for c, nm in zip(comps, Y.names):
@@ -672,28 +622,41 @@ def compatibility_check(h_list, frame_fields, names, box: Box,
 class FrameRescaling:
     names: tuple
     fields: list                 # input fields as VectorField
-    factors: list                # FactorFn per field
+    factors: list                # ScalarFn f = exp(ln f) per field
     stage1_residuals: list
     stages_run: list
     box: Box
 
     def scaled_fields(self):
-        return [f.with_factor(fac.as_scalar_fn(self.names))
-                for f, fac in zip(self.fields, self.factors)]
+        return [f.with_factor(fac) for f, fac in zip(self.fields, self.factors)]
 
     def factors_nonvanishing(self, rng=None):
         rng = np.random.default_rng(rng)
         U = _sample(self.box, rng, _NONVANISHING_TRIALS, self.names)
-        return all(np.all(np.abs(fac.as_scalar_fn(self.names).ev(U)) > 1e-12)
-                   for fac in self.factors)
+        return all(np.all(np.abs(fac.ev(U)) > 1e-12) for fac in self.factors)
 
     def serializable(self):
         return {
             "names": list(self.names),
-            "factors": [f.serializable(self.names, self.box)
+            "factors": [_serializable_factor(f, self.names, self.box)
                         for f in self.factors],
             "stages": list(self.stages_run),
         }
+
+
+def _serializable_factor(fac: ScalarFn, names, box: Box):
+    """A factor's expression, or its values on a grid over the box."""
+    if fac.expr is not None:
+        return {"kind": "expression", "value": str(fac.expr)}
+    ranges = {n: (lo, hi) for n, lo, hi in box.ranges}
+    axes = {nm: np.linspace(*ranges[nm], _GRID_PER_AXIS).tolist()
+            for nm in names}
+    mesh = np.meshgrid(*[axes[nm] for nm in names], indexing="ij")
+    U = np.stack([m.ravel() for m in mesh], axis=1)
+    return {"kind": "sampled_grid", "axes": axes,
+            "shape": [_GRID_PER_AXIS] * len(names),
+            "values": [float(v) for v in fac.ev(U)],
+            "interpolation": "multilinear over the axis product"}
 
 
 def commutation_residual(fields, box: Box, rng=None, n_samples=100):
@@ -761,8 +724,7 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
     if all(map(vanishes, brackets)) and not pair_overrides:
         stages.append("identity")
         return FrameRescaling(names=names, fields=fields,
-                              factors=[FactorFn(LogFactor(names))
-                                       for _ in fields],
+                              factors=[_factor([], names) for _ in fields],
                               stage1_residuals=[], stages_run=stages, box=box)
 
     if r >= d:
@@ -771,11 +733,11 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
             "is not supported; the staged construction needs a transversal "
             "direction (r < dimension)")
 
-    logs = [LogFactor(names) for _ in range(r)]
+    logs = [[] for _ in range(r)]   # the terms of ln f per field
     stage1_residuals = []
 
     def scaled(i):
-        return fields[i].with_factor(FactorFn(logs[i]).as_scalar_fn(names))
+        return fields[i].with_factor(_factor(logs[i], names))
 
     # base pair: X2(ln f1) = h^1_{12}, X1(ln f2) = -h^2_{12}
     pc = pair[(0, 1)]
@@ -784,7 +746,7 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
         prefer_symbolic=prefer_symbolic)
     logs[0] = g1
     g2, res2 = solve_transport_system(
-        [fields[0]], [ScalarFn(_negate(pc.h_second, names), names)],
+        [fields[0]], [-pc.h_second],
         names, box, base, rng, prefer_symbolic=prefer_symbolic)
     logs[1] = g2
     stage1_residuals.extend([res1, res2])
@@ -808,7 +770,7 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
                 raise IncompatibleSystem(
                     f"stage-1 sources are asymmetric ({chk.detail}, "
                     f"magnitude {chk.magnitude:.2e})", chk.witness)
-        sources = [ScalarFn(_negate(h, names), names) for h in hs]
+        sources = [-h for h in hs]
         g_next, res = solve_transport_system(commuting, sources, names, box,
                                              base, rng,
                                              prefer_symbolic=prefer_symbolic)
@@ -833,19 +795,17 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
             gi, res_i = solve_transport_system(
                 [Z], [ScalarFn(rho, names)], names, box, base, rng,
                 prefer_symbolic=prefer_symbolic)
-            for t in gi.terms:
-                logs[i].add(t)
+            logs[i].extend(gi)
             stage1_residuals.append(res_i)
         stages.append("stage2")
 
     return FrameRescaling(names=names, fields=fields,
-                          factors=[FactorFn(lg) for lg in logs],
+                          factors=[_factor(lg, names) for lg in logs],
                           stage1_residuals=stage1_residuals, stages_run=stages,
                           box=box)
 
 
-def _negate(h: ScalarFn, names):
-    if h.expr is not None:
-        return simplify(Call("neg", h.expr))
-    return lambda U: -h.ev(U)
+def _factor(log_terms, names):
+    """f = exp(ln f) from the terms of ln f: positive, hence nonvanishing."""
+    return ScalarFn.sum(log_terms, names).exp()
 

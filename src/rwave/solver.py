@@ -60,6 +60,9 @@ class ImplicitSolveConfig:
     def __post_init__(self):
         if self.newton_tol <= 0 or self.catastrophe_threshold <= 0:
             raise ValueError("tolerances must be positive")
+        if self.root_select not in ("nearest", "lowest", "highest"):
+            raise ValueError(f"root_select must be nearest, lowest or "
+                             f"highest, got {self.root_select!r}")
 
 
 @dataclass(frozen=True)

@@ -400,6 +400,34 @@ def test_run_negative_seed_exit2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_unread_solver_config_key_exit2(tmp_path, capsys):
+    # a misspelt root_select would be silently ignored by every stage
+    cfg = tmp_path / "k.json"
+    cfg.write_text('{"root_selct": "highest"}')
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example3", "--solver-config", str(cfg),
+                 "--out", str(out)]) == EXIT_REQUEST
+    assert "keys no stage reads ['root_selct']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_unknown_root_select_exit4(tmp_path):
+    # the preset asks for the lowest root; a misspelling must not fall back
+    # to the nearest one
+    cfg = tmp_path / "k.json"
+    cfg.write_text('{"root_select": "lowset"}')
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example3", "--grid",
+                 "t=0.1:1:3,x=1:3:3,y=1:3:3", "--solver-config", str(cfg),
+                 "--out", str(out)]) == EXIT_SOLVER
+    outcomes = json.loads((out / "outcomes.json").read_text())
+    assert outcomes["rescale"]["ok"] is True
+    assert outcomes["solve"]["ok"] is False
+    assert outcomes["solve"]["detail"].startswith(
+        "ValueError: root_select must be nearest, lowest or highest")
+    assert not (out / "solution.csv").exists()
+
+
 def test_run_partial_domain_box(tmp_path):
     # a box without u2: the conditions still hold, and the rescale stage,
     # which samples every dependent variable, exits 2

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench import workloads
-from rwave import frobenius
-from rwave.expr import Box, Const, is_zero, parse, simplify
+from rwave import exprmat, frobenius
+from rwave.expr import Bin, Box, Call, Const, Expr, is_zero, parse, simplify
 from rwave.frobenius import (
     FrobeniusError,
     IncompatibleSystem,
-    LogFactor,
     NotInSpan,
     ScalarFn,
     StraighteningFailed,
@@ -25,6 +24,8 @@ from rwave.frobenius import (
     solve_two_columns,
 )
 from rwave.geometry import Verdict
+
+from .strategies import expr_strategy
 
 NAMES3 = ("x", "y", "z")
 BOX3 = Box.from_dict({n: (-0.8, 0.8) for n in NAMES3})
@@ -254,7 +255,7 @@ def test_serialization_grid_path_sampled_factors():
     import numpy as np
     mesh = np.meshgrid(*[fac["axes"][n] for n in NAMES4], indexing="ij")
     U = np.stack([m.ravel() for m in mesh], axis=1)
-    direct = res.factors[0].as_scalar_fn(NAMES4).ev(U)
+    direct = res.factors[0].ev(U)
     assert np.allclose(fac["values"], direct, atol=1e-12)
 
 
@@ -379,12 +380,10 @@ def test_rescale_compiles_each_expression_tuple_once(monkeypatch):
 def test_repeated_field_evaluation_compiles_once(monkeypatch):
     compiled = count_compiles(monkeypatch)
     X1, X2 = exp_field_pair()
-    Xi = VectorField(X1, NAMES3, factor=ScalarFn(pexpr("exp(x)"), NAMES3))
-    Xj = VectorField(X2, NAMES3, factor=ScalarFn(pexpr("1+z^2"), NAMES3))
-    log = LogFactor(NAMES3)
-    log.add(pexpr("x*y"))
-    log.add(lambda U: U[:, 2])      # a numeric term makes the sum a closure
-    logfn = log.as_scalar_fn()
+    Xi = VectorField(X1, NAMES3).with_factor(ScalarFn(pexpr("exp(x)"), NAMES3))
+    Xj = VectorField(X2, NAMES3).with_factor(ScalarFn(pexpr("1+z^2"), NAMES3))
+    # a numeric term makes the sum a closure
+    logfn = ScalarFn.sum([pexpr("x*y"), lambda U: U[:, 2]], NAMES3)
     g = ScalarFn(pexpr("x*y"), NAMES3)
     U = np.random.default_rng(0).uniform(-0.5, 0.5, (6, 3))
     counts = []
@@ -395,6 +394,91 @@ def test_repeated_field_evaluation_compiles_once(monkeypatch):
         counts.append(len(compiled))
     # the first round compiles every kernel it needs, later rounds none
     assert counts[0] > 0 and counts == counts[:1] * 3, counts
+
+
+def test_rescaled_frame_compiles_each_factor_once(monkeypatch):
+    compiled = count_compiles(monkeypatch)
+    X1, X2 = exp_field_pair()
+    res = rescale_frame([X1, X2], NAMES3, BOX3, rng=6)
+    assert all(f.expr is not None for f in res.factors)
+    U = np.random.default_rng(0).uniform(-0.8, 0.8, (6, 3))
+    counts = []
+    for k in range(3):
+        for X in res.scaled_fields():
+            X.eval(U)
+        assert res.factors_nonvanishing(rng=k)
+        counts.append(len(compiled))
+    # the factors are kept, so their kernels compile in the first round only
+    assert counts == counts[:1] * 3, counts
+
+
+# the operations the construction made before ScalarFn had them: each
+# returned an expression when all operands were, else a closure
+
+def reference_negate(h):
+    if h.expr is not None:
+        return simplify(Call("neg", h.expr))
+    return lambda U: -h.ev(U)
+
+
+def reference_divide(src, factor):
+    if src.expr is not None and factor.expr is not None:
+        return simplify(Bin("/", src.expr, factor.expr))
+    return lambda U: src.ev(U) / factor.ev(U)
+
+
+def reference_log_sum(terms):
+    if all(isinstance(t, Expr) for t in terms):
+        return exprmat.sum_exprs(terms)
+    fns = [ScalarFn(t, NAMES3) for t in terms]
+
+    def fn(U):
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        return sum((f.ev(U) for f in fns), np.zeros(U.shape[0]))
+    return fn
+
+
+def reference_factor(terms):
+    log = reference_log_sum(terms)
+    if isinstance(log, Expr):
+        return simplify(Call("exp", log))
+    logfn = ScalarFn(log, NAMES3)
+    return lambda U: np.exp(logfn.ev(U))
+
+
+def operand(e, symbolic):
+    """``e`` as itself, or as a closure evaluating it."""
+    if symbolic:
+        return e
+    f = ScalarFn(e, NAMES3)
+    return lambda U: f.ev(U)
+
+
+def assert_same(got, want, U):
+    """``got`` is the node ``want``, or evaluates to its bits."""
+    if isinstance(want, Expr):
+        assert got.expr is want
+    else:
+        assert got.expr is None
+        with np.errstate(all="ignore"):
+            assert np.array_equal(bits(got.ev(U)),
+                                  bits(ScalarFn(want, NAMES3).ev(U)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(expr_strategy(NAMES3), st.booleans()),
+                min_size=2, max_size=4),
+       st.integers(min_value=0, max_value=10_000))
+def test_scalar_operations_match_the_construction_they_replace(drawn, seed):
+    U = np.random.default_rng(seed).uniform(-1.5, 1.5, (7, 3))
+    terms = [operand(e, sym) for e, sym in drawn]
+    a, b = (ScalarFn(t, NAMES3) for t in terms[:2])
+    assert_same(-a, reference_negate(a), U)
+    assert_same(a / b, reference_divide(a, b), U)
+    for part in (terms, terms[:1], []):
+        assert_same(ScalarFn.sum(part, NAMES3), reference_log_sum(part), U)
+        assert_same(ScalarFn.sum(part, NAMES3).exp(), reference_factor(part),
+                    U)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +576,31 @@ def test_commutation_residual_matches_per_pair_reference(benchmark_frames):
         assert got == want and 0.0 < got < 1e-6, (label, got, want)
 
 
+def transport_terms(factors):
+    """The distinct transport terms that numeric factors sum, found through
+    the closures of their ``ScalarFn``s."""
+    found, seen, todo = [], set(), list(factors)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, TransportTerm):
+            found.append(obj)
+        elif isinstance(obj, ScalarFn):
+            todo.append(obj._fn)
+        elif isinstance(obj, list):
+            todo.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            todo.extend(c.cell_contents for c in obj.__closure__)
+    return found
+
+
 def test_commutation_residual_marches_each_transport_twice(benchmark_frames,
                                                           monkeypatch):
     label, res, box, r2, _ = benchmark_frames[0]
     assert label == "cyclic"
-    terms = [t for fac in res.factors for t in fac.log.terms
-             if isinstance(t, TransportTerm)]
+    terms = transport_terms(res.factors)
     calls = Counter()
     original = TransportTerm.__call__
 
@@ -526,8 +629,8 @@ def test_numeric_directional_is_one_evaluation_of_both_sides():
         return term(U)
 
     X = VectorField((pexpr("exp(z)", NAMES4), pexpr("w", NAMES4), Const(0),
-                     Const(1)), NAMES4,
-                    factor=ScalarFn(pexpr("1+y^2", NAMES4), NAMES4))
+                     Const(1)), NAMES4).with_factor(
+        ScalarFn(pexpr("1+y^2", NAMES4), NAMES4))
     U = np.random.default_rng(5).uniform(-0.7, 0.7, (20, 4))
     got = X.directional(ScalarFn(numeric, NAMES4), U)
     assert rows == [40]
@@ -545,17 +648,17 @@ def test_numeric_directional_is_one_evaluation_of_both_sides():
 def test_bracket_with_matches_per_pair_reference(factors):
     # overlapping components, so the order in which the two directional
     # terms are added shows in the bits
-    def factor(kind, text, fn):
+    def field(exprs, kind, text, fn):
+        X = VectorField(exprs, NAMES3)
         if kind is None:
-            return None
-        return ScalarFn(pexpr(text) if kind == "symbolic" else fn, NAMES3)
+            return X
+        return X.with_factor(ScalarFn(pexpr(text) if kind == "symbolic"
+                                      else fn, NAMES3))
 
-    Xi = VectorField((Const(1), pexpr("y"), pexpr("x*z")), NAMES3,
-                     factor=factor(factors[0], "exp(x*y)",
-                                   lambda U: np.exp(U[:, 0] * U[:, 1])))
-    Xj = VectorField((pexpr("z"), Const(1), pexpr("x")), NAMES3,
-                     factor=factor(factors[1], "1+y^2+z",
-                                   lambda U: 1 + U[:, 1] ** 2 + U[:, 2]))
+    Xi = field((Const(1), pexpr("y"), pexpr("x*z")), factors[0], "exp(x*y)",
+               lambda U: np.exp(U[:, 0] * U[:, 1]))
+    Xj = field((pexpr("z"), Const(1), pexpr("x")), factors[1], "1+y^2+z",
+               lambda U: 1 + U[:, 1] ** 2 + U[:, 2])
     U = np.random.default_rng(8).uniform(-0.8, 0.8, (30, 3))
     got = Xi.bracket_with(Xj, U)
     assert np.array_equal(bits(got), bits(reference_bracket(Xi, Xj, U)))
