@@ -281,13 +281,14 @@ def _solve(st):
                            f"independent variables {list(independent)}")
     cfg = {**st.preset.get("solver", {}), **st.request.solver}
     try:
-        surface = _build_surface(st.system, st.potentials, cfg)
+        # the settings are checked before the surface is built
         solve_cfg = ImplicitSolveConfig(
             newton_tol=st.request.tol_newton,
             initial_guess=cfg.get("initial_guess", "potential_at_base"),
             tau_window=tuple(cfg["tau_window"]) if cfg.get("tau_window")
             else None,
             root_select=cfg.get("root_select", "nearest"))
+        surface = _build_surface(st.system, st.potentials, cfg)
         st.solution = solve_implicit(
             surface, [p.phi for p in st.potentials],
             _grid_env(st.request.grid), solve_cfg,

@@ -1,15 +1,16 @@
-"""Fixed-step RK4 with halving-based error control, batched over lanes.
+"""Integrators batched over lanes: an embedded Runge-Kutta pair with
+per-lane step control and dense output, and fixed-step RK4 for transport.
 
-The integrators accept right-hand sides f(t, y) where y has shape (d,)
-for one trajectory (a characteristic curve, the first sweep of a sheet)
-or (n, d) for n lanes, and return arrays of the same shape.
+The right-hand sides f(t, y) take y of shape (q,) for one trajectory (a
+characteristic curve, the first sweep of a sheet) or (n, q) for n lanes,
+and return an array of the same shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MIN_STEP = 1e-12  # |h| below which rk4 gives up with StiffnessAbort
+_MIN_STEP = 1e-12  # |h| below which flow gives up with StiffnessAbort
 
 
 class BlowUp(Exception):
@@ -20,73 +21,218 @@ class StiffnessAbort(Exception):
     """Step size underflowed while controlling the local error."""
 
 
-def _rk4_step(f, t, y, h, k1=None):
-    if k1 is None:
-        k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# Dormand-Prince 8(5,3): the 12-stage 8th-order method with its 5th- and
+# 3rd-order error estimates and the three extra stages of its 7th-order
+# dense output.  P. J. Prince and J. R. Dormand, J. Comput. Appl. Math. 7
+# (1981); E. Hairer, S. P. Norsett and G. Wanner, Solving Ordinary
+# Differential Equations I, 2nd ed., sections II.4-II.6.  The coefficients
+# are those of Hairer's DOP853 code rounded to doubles (the same doubles as
+# scipy's integrate/_ivp/dop853_coefficients.py).
+# Row s of _A holds the nonzero a_sj; row 12 is the weights b of the 8th-
+# order solution, so stage 12 is f at the step's end, the next step's first
+# stage.  Rows 13-15 are the extra stages of the dense output.
+
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+      0.7777777777777778)
+_A = (
+    {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+     5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932,
+     11: 0.0003825710908356584, 12: -0.00034046500868740456,
+     13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+     13: 2.9475147891527724, 14: -9.15095847217987},
+)
+_E5 = {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+       7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+       10: 0.08192320648511571, 11: -0.022355307863886294}
+_E3 = {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+       7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+       10: 0.20136540080403034, 11: 0.02265179219836082}
+_D = (
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+     13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+     13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+     13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+)
 
 
-def rk4(f, y0, t0, t1, max_step, tol=1e-10):
-    """Integrate from t0 to t1 (either direction).
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
-    Each step is checked by comparing one full step against two half
-    steps; the step halves until the discrepancy is below ``tol`` and the
-    doubly-halved result (local extrapolation) is kept.
 
-    Cost in right-hand-side evaluations: f(t, y) once per accepted step,
-    shared by the full and the first half step of every attempt, plus 10
-    per attempt; a retry reuses the rejected first half step as its full
-    step, so each rejection saves 3 of those 10.
+def _combine(coeffs, K):
+    """sum_j c_j K[j] over the nonzero c_j, term by term in a fixed order,
+    so that every element is rounded alike whatever the number of lanes."""
+    terms = iter(coeffs.items())
+    j, c = next(terms)
+    acc = c * K[j]
+    for j, c in terms:
+        acc += c * K[j]
+    return acc
+
+
+def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
+    """States at the output times ``ts``, sorted away from t0 in either
+    direction, of y' = f(t, y) with y(t0) = y0; shape (len(ts),) + y0.shape.
+
+    For y0 of shape (n, q), each lane keeps its own t, step size and
+    accept/reject, and f receives every lane at every stage with t of
+    shape (n,); a lane that has reached the last output time takes steps
+    of size 0.  So, provided f computes every row of its result on its
+    own, a lane's result does not depend on which other lanes share the
+    call.  For y0 of shape (q,), f receives a float t.
+
+    A step is accepted when the RMS over a lane's components of the
+    scaled error estimate is below 1, with absolute and relative
+    tolerance ``tol``; ``first_step`` (positive, a scalar or one per lane)
+    is the size of the first trial step.  A step with a non-finite stage
+    or error estimate is rejected and h halves; below ``_MIN_STEP`` that
+    raises StiffnessAbort.  Output times inside a step are read from the
+    7th-order interpolant; one that a step ends on takes the step's state.
     """
-    y = np.array(y0, dtype=float)
-    t = float(t0)
-    direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
-    if span == 0.0:
-        return y
-    h = min(max_step, span) * direction
-    while (t1 - t) * direction > 1e-14 * max(1.0, span):
-        if abs(h) > abs(t1 - t):
-            h = t1 - t
-        with np.errstate(all="ignore"):
-            k1 = f(t, y)
-            full = _rk4_step(f, t, y, h, k1)
-        while True:
-            with np.errstate(all="ignore"):
-                first = _rk4_step(f, t, y, 0.5 * h, k1)
-                half = _rk4_step(f, t + 0.5 * h, first, 0.5 * h)
-            if np.all(np.isfinite(half)) and np.all(np.isfinite(full)):
-                err = np.max(np.abs(full - half))
-                scale = 1.0 + np.max(np.abs(half))
-                if err <= tol * scale:
-                    break
-            else:
-                err, scale = np.inf, 1.0  # stage left the domain; shrink
-            h *= 0.5
-            if abs(h) < _MIN_STEP:
-                raise StiffnessAbort(f"step underflow at t={t}")
-            full = first  # a full step of the halved h, bit for bit
-        y = half + (half - full) / 15.0  # one Richardson extrapolation
-        t += h
-        if err < 0.25 * tol * scale and abs(h) < max_step:
-            h = direction * min(abs(h) * 2.0, max_step)
-    return y
+    y0 = np.asarray(y0, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    single = y0.ndim == 1
+    y = np.atleast_2d(y0)
+    n, q = y.shape
+    out = np.empty((len(ts), n, q))
+    if single:
+        def rhs(t, u):
+            return np.reshape(f(float(t[0]), u[0]), (1, q))
+    else:
+        rhs = f
+    start = np.count_nonzero(ts == t0)  # outputs at t0 itself
+    out[:start] = y
+    t_end = ts[-1]
+    direction = 1.0 if t_end >= t0 else -1.0
+    key = direction * ts    # ascending
+    t = np.full(n, float(t0))
+    first = np.broadcast_to(np.asarray(first_step, dtype=float), (n,))
+    if not np.all(first > 0.0):
+        raise ValueError("first_step must be positive")
+    h = direction * first
+    nxt = np.full(n, start)
+    rejected = np.zeros(n, dtype=bool)
+    live = t != t_end
+    k_first = rhs(t, y) if live.any() else None
+    with np.errstate(all="ignore"):
+        while live.any():
+            t_new = np.where(live, t + h, t)
+            t_new = np.where(direction * (t_new - t_end) > 0, t_end, t_new)
+            hs = t_new - t
+            hc = hs[:, None]
+            K = [k_first]
+            ok = np.isfinite(k_first).all(axis=1)
+            for s in range(1, 13):
+                K.append(rhs(t + _C[s] * hs, y + _combine(_A[s], K) * hc))
+                ok &= np.isfinite(K[s]).all(axis=1)
+            y_new = y + _combine(_A[12], K) * hc
+            ok &= np.isfinite(y_new).all(axis=1)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            e5 = np.sum((_combine(_E5, K) / scale) ** 2, axis=1)
+            e3 = np.sum((_combine(_E3, K) / scale) ** 2, axis=1)
+            denom = e5 + 0.01 * e3
+            err = np.where(denom > 0, np.abs(hs) * e5 / np.sqrt(denom * q),
+                           0.0)
+            ok &= np.isfinite(err)
+            accept = live & ok & (err < 1.0)
+            retry = live & ~accept
+            factor = _SAFETY * err ** -0.125
+            grow = np.where(err == 0, _MAX_FACTOR,
+                            np.minimum(_MAX_FACTOR, factor))
+            grow = np.where(rejected, np.minimum(1.0, grow), grow)
+            shrink = np.where(ok, np.maximum(_MIN_FACTOR, factor), 0.5)
+            h = np.where(accept, hs * grow, np.where(retry, hs * shrink, h))
+            small = retry & (np.abs(h) < _MIN_STEP)
+            if small.any():
+                lane = int(np.argmax(small))
+                raise StiffnessAbort(f"step underflow at t={float(t[lane])}")
+            stop = np.where(accept, np.searchsorted(key, direction * t_new,
+                                                    side="right"), nxt)
+            _dense(rhs, out, ts, t, t_new, y, y_new, K, nxt, stop)
+            y = np.where(accept[:, None], y_new, y)
+            k_first = np.where(accept[:, None], K[12], k_first)
+            t = np.where(accept, t_new, t)
+            nxt = stop
+            rejected = retry
+            live = t != t_end
+    return out[:, 0] if single else out
 
 
-def rk4_dense(f, y0, t0, ts, max_step, tol=1e-10):
-    """Integrate through the sorted output times ``ts`` (monotone away
-    from t0); returns an array of states of shape (len(ts),) + y0.shape."""
-    out = np.empty((len(ts),) + np.shape(y0))
-    y = np.array(y0, dtype=float)
-    t = float(t0)
-    for i, tnext in enumerate(ts):
-        y = rk4(f, y, t, float(tnext), max_step, tol=tol)
-        t = float(tnext)
-        out[i] = y
-    return out
+def _dense(rhs, out, ts, t, t_new, y, y_new, K, first, stop):
+    """Fill out[j, i] for the outputs first[i] <= j < stop[i] that lane i's
+    step from t to t_new covers: y_new where the step ends on ts[j], else
+    the dense output, whose extra stages run only if some lane needs them."""
+    count = stop - first
+    if not count.any():
+        return
+    # one (lane, output) pair per output a lane's step covers
+    lanes = np.repeat(np.arange(len(t)), count)
+    offsets = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                 count)
+    js = np.repeat(first, count) + offsets
+    ends = ts[js] == t_new[lanes]
+    inside = ~ends
+    if inside.any():
+        hs = t_new - t
+        hc = hs[:, None]
+        for s in range(13, 16):
+            K.append(rhs(t + _C[s] * hs, y + _combine(_A[s], K) * hc))
+        dy = y_new - y
+        F = [dy, hc * K[0] - dy, 2.0 * dy - hc * (K[12] + K[0])]
+        F += [hc * _combine(row, K) for row in _D]
+        li = lanes[inside]
+        x = ((ts[js[inside]] - t[li]) / hs[li])[:, None]
+        acc = np.zeros((len(li), y.shape[1]))
+        for i, coeff in enumerate(reversed(F)):
+            acc += coeff[li]
+            acc *= x if i % 2 == 0 else 1.0 - x
+        out[js[inside], li] = acc + y[li]
+    out[js[ends], lanes[ends]] = y_new[lanes[ends]]
+
+
+rk4 = flow  # the name the per-layer probes wrap
 
 
 def rk4_lanes(f, y0, dt, n_steps):

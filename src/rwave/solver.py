@@ -218,15 +218,16 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
 
 def _flow_from_anchor(rhs, y0, start, targets, step):
     """States at the sorted ``targets``: integrate down and up from the
-    anchor y(start) = y0, then stitch the two sweeps in target order."""
+    anchor y(start) = y0, each sweep's first trial step ``step``, then
+    stitch the two sweeps in target order."""
     out = np.empty((len(targets),) + np.shape(y0))
     below = targets < start
     if below.any():
-        out[np.where(below)[0][::-1]] = ode.rk4_dense(
-            rhs, y0, start, targets[below][::-1], max_step=step, tol=1e-12)
+        out[np.where(below)[0][::-1]] = ode.flow(
+            rhs, y0, start, targets[below][::-1], tol=1e-12, first_step=step)
     if (~below).any():
-        out[np.where(~below)[0]] = ode.rk4_dense(
-            rhs, y0, start, targets[~below], max_step=step, tol=1e-12)
+        out[np.where(~below)[0]] = ode.flow(
+            rhs, y0, start, targets[~below], tol=1e-12, first_step=step)
     return out
 
 
@@ -250,8 +251,6 @@ def integrate_characteristic(gamma, u0, s_range, step, space,
         env[s_name] = np.asarray(s, dtype=float)
         return kernel(env).reshape(np.shape(u))
 
-    if step <= 0:
-        raise ValueError("step must be positive")
     s_grid = np.linspace(lo, hi, n_out)
     states = _flow_from_anchor(rhs, np.asarray(u0, dtype=float), s0, s_grid,
                                step)
@@ -326,7 +325,7 @@ def _flow_both_orders(field, s_base, u0, probes, step):
     """End states at each probe (s1, s2) flowing axis 1 then axis 2 (a)
     and axis 2 then axis 1 (b).  Probes are lanes: each leg integrates
     sigma in [0, 1] with the right-hand side scaled by each lane's span,
-    and no lane moves more than ``step`` in s per step."""
+    and a lane's first trial step moves it at most ``step`` in s."""
     s1, s2 = probes[:, 0], probes[:, 1]
     y0 = np.tile(u0, (len(probes), 1))
 
@@ -337,8 +336,8 @@ def _flow_both_orders(field, s_base, u0, probes, step):
         def f(sigma, u):
             return span[:, None] * rhs(start + sigma * span, u)
 
-        return ode.rk4(f, y, 0.0, 1.0, tol=1e-12,
-                       max_step=step / max(np.max(np.abs(span)), step))
+        return ode.flow(f, y, 0.0, [1.0], tol=1e-12,
+                        first_step=step / np.maximum(np.abs(span), step))[0]
 
     a = leg(0, [None, s_base[1]], y0, s_base[0], s1)
     a = leg(1, [s1, None], a, s_base[1], s2)
@@ -731,9 +730,10 @@ class _CellPicker:
 def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
     """Per lane, a root of G(tau) = tau - phi(x, f(tau)) on a curve: scan
     the window for sign changes, pick a cell while scanning (one column of
-    G at a time, so memory grows with the lanes only) and bisect it.  The
-    curve is evaluated once per scan point, its u shared by every lane.
-    Returns tau (n, 1), bisection steps and whether a lane has a root."""
+    G at a time, so memory grows with the lanes only) and bisect it until
+    its ends are adjacent floats on every lane.  The curve is evaluated
+    once per scan point, its u shared by every lane.  Returns tau (n, 1),
+    bisection steps and whether a lane has a root."""
     (lo, hi) = surface.tau_ranges[0]
     if cfg.tau_window is not None:
         lo = max(lo, cfg.tau_window[0])
@@ -767,9 +767,10 @@ def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
         a = np.where(left, a, mid)
         ga = np.where(left, ga, gm)
         iters[rows] += 1
-        if np.max(b - a) < 1e-14 * max(1.0, abs(hi), abs(lo)):
+        mid = 0.5 * (a + b)
+        if np.all((mid == a) | (mid == b)):  # adjacent floats on every lane
             break
-    tau[rows, 0] = 0.5 * (a + b)
+    tau[rows, 0] = mid
     return tau, iters, conv
 
 

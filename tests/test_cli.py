@@ -428,6 +428,21 @@ def test_run_unknown_root_select_exit4(tmp_path):
     assert not (out / "solution.csv").exists()
 
 
+def test_run_unknown_root_select_fails_before_the_surface(tmp_path,
+                                                          monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_build_surface",
+                        lambda *args: built.append(args))
+    req = base_request(tmp_path, system="example3",
+                       grid={"t": (0.1, 1.0, 3), "x": (1.0, 3.0, 3),
+                             "y": (1.0, 3.0, 3)},
+                       solver={"root_select": "lowset"})
+    assert run(req)[0] == EXIT_SOLVER
+    assert built == []
+    assert read_report(req, "outcomes.json")["solve"]["detail"].startswith(
+        "ValueError: root_select must be nearest, lowest or highest")
+
+
 def test_run_partial_domain_box(tmp_path):
     # a box without u2: the conditions still hold, and the rescale stage,
     # which samples every dependent variable, exits 2

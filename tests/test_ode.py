@@ -1,91 +1,120 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwave import ode
 
 
-def reference_rk4(f, y0, t0, t1, max_step, tol=1e-10, min_step=1e-12):
-    """The step-doubling loop before stages were shared: every attempt
-    evaluates one full and two half steps from scratch.  Returns the end
-    state with the accepted steps and the attempts made."""
-
-    def step(t, y, h):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    y = np.array(y0, dtype=float)
-    t = float(t0)
-    direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
-    accepted = attempts = 0
-    h = min(max_step, span) * direction
-    while (t1 - t) * direction > 1e-14 * max(1.0, span):
-        if abs(h) > abs(t1 - t):
-            h = t1 - t
-        while True:
-            attempts += 1
-            with np.errstate(all="ignore"):
-                full = step(t, y, h)
-                half = step(t, y, 0.5 * h)
-                half = step(t + 0.5 * h, half, 0.5 * h)
-            if np.all(np.isfinite(half)) and np.all(np.isfinite(full)):
-                err = np.max(np.abs(full - half))
-                scale = 1.0 + np.max(np.abs(half))
-                if err <= tol * scale:
-                    break
-            else:
-                err, scale = np.inf, 1.0
-            h *= 0.5
-            assert abs(h) >= min_step
-        accepted += 1
-        y = half + (half - full) / 15.0
-        t += h
-        if err < 0.25 * tol * scale and abs(h) < max_step:
-            h = direction * min(abs(h) * 2.0, max_step)
-    return y, accepted, attempts
+def rounding(row):
+    # the error of a sum of coefficients rounded to doubles
+    return 4 * np.finfo(float).eps * math.fsum(map(abs, row.values()))
 
 
-def decay(t, y):
-    return -50.0 * y
+def test_tableau_is_consistent():
+    # row sums are the nodes c, the weights b (row 12) sum to 1, and the
+    # two error estimates are differences of weights that each sum to 1
+    for s in range(1, 16):
+        assert abs(math.fsum(ode._A[s].values()) - ode._C[s]) \
+            <= rounding(ode._A[s])
+    assert ode._C[12] == 1.0
+    for row in (ode._E5, ode._E3):
+        assert abs(math.fsum(row.values())) <= rounding(row)
+    # explicit: stage s reads only the stages before it
+    assert all(max(row, default=-1) < s for s, row in enumerate(ode._A))
+
+
+def growth(t, y):
+    return y
 
 
 def rotation(t, y):
-    return np.cos(t) * np.stack([-y[:, 1], y[:, 0]], axis=1)
+    # y' = cos(t) J y turns y by sin(t) - sin(t0)
+    y2 = np.atleast_2d(y)
+    turn = np.reshape(np.cos(t), (-1, 1)) * np.stack([-y2[:, 1], y2[:, 0]],
+                                                     axis=1)
+    return turn.reshape(np.shape(y))
 
 
-def sqrt_drain(t, y):
-    return -3.0 * np.sqrt(y)   # a large step drives y negative: NaN stages
+def growth_exact(y0, t0, ts):
+    return np.exp(ts - t0).reshape((-1,) + (1,) * np.ndim(y0)) * y0
 
 
-PROBLEMS = {
-    # f, y0, t0, t1, max_step, tol
-    "stiff decay, lanes": (decay, [[1.0], [2.0], [-0.5]], 0.0, 1.0, 1.0, 1e-12),
-    "backward rotation": (rotation, [[1.0, 0.0], [0.3, -2.0]], 3.0, 0.0, 2.0,
-                          1e-12),
-    "non-finite stages": (sqrt_drain, [[1.0]], 0.0, 0.6, 1.0, 1e-10),
-}
+def rotation_exact(y0, t0, ts):
+    th = (np.sin(ts) - np.sin(t0)).reshape((-1,) + (1,) * (np.ndim(y0) - 1))
+    y0 = np.asarray(y0)
+    return np.stack([np.cos(th) * y0[..., 0] - np.sin(th) * y0[..., 1],
+                     np.sin(th) * y0[..., 0] + np.cos(th) * y0[..., 1]],
+                    axis=-1)
 
 
-@pytest.mark.parametrize("name", PROBLEMS)
-def test_rk4_shares_stages_bitwise(name):
-    f, y0, t0, t1, max_step, tol = PROBLEMS[name]
-    calls = 0
+@pytest.mark.parametrize("f, exact", [(growth, growth_exact),
+                                      (rotation, rotation_exact)])
+@pytest.mark.parametrize("ts", [np.linspace(0.3, 1.3, 41),
+                                np.linspace(0.3, -1.2, 23)])
+@pytest.mark.parametrize("y0", [[0.4, -0.7],
+                                [[0.4, -0.7], [1.0, 0.0], [-0.2, 0.5]]])
+def test_flow_matches_closed_forms_at_dense_outputs(f, exact, ts, y0):
+    y0 = np.asarray(y0)
+    # at tol 1e-12 the interpolant strays by up to 2e-12 on growth
+    got = ode.flow(f, y0, 0.3, ts, tol=1e-13, first_step=0.05)
+    assert got.shape == (len(ts),) + y0.shape
+    # an output at t0 is the anchor itself
+    assert np.array_equal(got[0], y0)
+    assert np.max(np.abs(got - exact(y0, 0.3, ts))) < 1e-12
 
-    def counted(t, y):
-        nonlocal calls
-        calls += 1
-        return f(t, y)
 
-    got = ode.rk4(counted, y0, t0, t1, max_step, tol=tol)
-    want, accepted, attempts = reference_rk4(f, y0, t0, t1, max_step, tol=tol)
-    rejected = attempts - accepted
-    assert rejected > 0
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    # f(t, y) once per accepted step, 10 per attempt, 3 fewer per retry
-    assert calls == accepted + 10 * attempts - 3 * rejected
+def damped_turn(s, y):
+    # a per-lane rate y[:, 2] makes lanes reject and accept steps apart
+    rate = y[:, 2]
+    return np.stack([-rate * y[:, 0] + np.cos(s) * y[:, 1],
+                     -np.sin(s) * y[:, 0], 0.0 * rate], axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=7), st.booleans())
+def test_flow_lane_subsets_match_full_call_bitwise(seed, n, backward):
+    rng = np.random.default_rng(seed)
+    sign = -1.0 if backward else 1.0      # damped in the direction of travel
+    y0 = np.concatenate([rng.uniform(-1.0, 1.0, (n, 2)),
+                         sign * rng.uniform(0.0, 80.0, (n, 1))], axis=1)
+    first = rng.uniform(0.01, 0.5, n)
+    ts = sign * np.sort(rng.uniform(0.0, 2.0, 5))
+    full = ode.flow(damped_turn, y0, 0.0, ts, tol=1e-10, first_step=first)
+    rows = np.flatnonzero(rng.random(n) < 0.5)
+    if rows.size == 0:
+        rows = np.array([int(rng.integers(n))])
+    part = ode.flow(damped_turn, y0[rows], 0.0, ts, tol=1e-10,
+                    first_step=first[rows])
+    assert np.array_equal(part.view(np.uint64), full[:, rows].view(np.uint64))
+
+
+@pytest.mark.parametrize("y0", [[0.0], [[0.0], [1.0]]])
+def test_flow_into_a_nan_region_aborts(y0):
+    def root(t, y):
+        # NaN beyond t = 0.5
+        return np.sqrt(0.5 - np.reshape(t, (-1, 1))) + 0.0 * y
+
+    with pytest.raises(ode.StiffnessAbort, match="^step underflow at t="):
+        ode.flow(root, np.asarray(y0), 0.0, [0.2, 1.0], tol=1e-12,
+                 first_step=0.1)
+
+
+@pytest.mark.parametrize("first_step", [0.0, -0.1, np.nan, [0.1, 0.0]])
+def test_flow_rejects_a_first_step_that_is_not_positive(first_step):
+    with pytest.raises(ValueError, match="first_step must be positive"):
+        ode.flow(growth, np.ones((2, 1)), 0.0, [1.0], first_step=first_step)
+
+
+def test_flow_recovers_from_non_finite_stages():
+    # a long first step drives y negative: NaN stages, then smaller steps
+    got = ode.flow(lambda t, y: -3.0 * np.sqrt(y), np.array([1.0]), 0.0,
+                   [0.3, 0.6], tol=1e-12, first_step=1.0)
+    want = (1.0 - 1.5 * np.array([0.3, 0.6])) ** 2
+    assert np.max(np.abs(got[:, 0] - want)) < 1e-12
 
 
 def reference_rk4_lanes(f, y0, dt, n_steps):

@@ -145,16 +145,16 @@ def test_swap_order_lanes_match_serial_probes(frame):
     (l1, h1), (l2, h2) = surf.tau_ranges
     probes = np.stack([rng.uniform(l1, h1, 5), rng.uniform(l2, h2, 5)], axis=1)
     a, b = solver._flow_both_orders(field, s_base, u0, probes, step)
+
+    def serial(rhs, y0, start, end):
+        return ode.flow(rhs, y0, start, [end], tol=1e-12, first_step=step)[0]
+
     for i, (s1, s2) in enumerate(probes):
         # reference: one single-lane integration per leg and probe
-        want_a = ode.rk4(field(0, [None, s_base[1]]), u0, s_base[0], s1,
-                         max_step=step, tol=1e-12)
-        want_a = ode.rk4(field(1, [s1, None]), want_a, s_base[1], s2,
-                         max_step=step, tol=1e-12)
-        want_b = ode.rk4(field(1, [s_base[0], None]), u0, s_base[1], s2,
-                         max_step=step, tol=1e-12)
-        want_b = ode.rk4(field(0, [None, s2]), want_b, s_base[0], s1,
-                         max_step=step, tol=1e-12)
+        want_a = serial(field(0, [None, s_base[1]]), u0, s_base[0], s1)
+        want_a = serial(field(1, [s1, None]), want_a, s_base[1], s2)
+        want_b = serial(field(1, [s_base[0], None]), u0, s_base[1], s2)
+        want_b = serial(field(0, [None, s2]), want_b, s_base[0], s1)
         assert np.max(np.abs(a[i] - want_a)) < 1e-12
         assert np.max(np.abs(b[i] - want_b)) < 1e-12
 
@@ -761,9 +761,10 @@ def reference_scan_solve(surface, phi, tau0, cfg, n):
         a = np.where(conv & ~left, mid, a)
         ga = np.where(conv & ~left, gm, ga)
         iters[conv] += 1
-        if np.max(b[conv] - a[conv]) < 1e-14 * max(1.0, abs(hi), abs(lo)):
+        mid = 0.5 * (a + b)
+        if np.all(((mid == a) | (mid == b))[conv]):
             break
-    tau[conv, 0] = 0.5 * (a + b)[conv]
+    tau[conv, 0] = mid[conv]
     return tau, iters, conv
 
 
