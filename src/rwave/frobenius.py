@@ -13,11 +13,11 @@ frame, solves the stage-1 transport system for the new factor, and then
 re-rescales the previous fields along the new one (stage 2).  Transport
 equations are solved symbolically when the flow field moves a single
 coordinate and the source has a recognized antiderivative, and otherwise
-by backward flows to a transversal section with an RK4 accumulator;
-every point takes its own number of steps, so its value does not depend
-on the other points evaluated with it.
+by backward flows to a transversal section with an accumulator, one
+DOP853 march per term in which every point keeps its own steps, so its
+value does not depend on the other points evaluated with it.
 
-The flows evaluate bracket coefficients at every RK4 stage: each field
+The flows evaluate bracket coefficients at every stage: each field
 derives a symbolic bracket once and caches it on itself, fields and
 scalars compile their expressions into one kernel (`compile_exprs`) once
 and keep it, and the span coefficients of all rows come from one batched
@@ -68,6 +68,7 @@ _COMPATIBILITY_TOL = 1e-5
 _SURROGATE_TOL = 3e-8      # fit of a symbolic stand-in for a numeric source
 _COMMUTATION_STEP = 1e-4   # central-difference step of commutation_residual
 _DIRECTIONAL_STEP = 1e-4   # central-difference step of a numeric directional
+_TRANSPORT_STEP = 1.0      # largest psi move of a transport's first trial step
 _NONVANISHING_TRIALS = 40  # samples of FrameRescaling.factors_nonvanishing
 _GRID_PER_AXIS = 4         # grid points per axis of a serialized numeric factor
 
@@ -318,18 +319,15 @@ class TransportTerm:
 
     The defining flow is reparametrized by the signed section distance
     psi = <normal, u - base>, which makes the section an exact endpoint
-    (no event detection) and lets all query points integrate as one
-    batched RK4 march with per-lane spans.  Each lane takes
-    max(MIN_STEPS, ceil(|psi0| / STEP)) steps of its own, and the
-    tangency check runs on the lanes still marching, so a point's value
-    does not depend on which other points are asked for at the same time.
+    (no event detection).  All query points march as lanes of one DOP853
+    flow in s in [0, 1], each with its right-hand side scaled by its own
+    span -psi0, and are read at s = 1.  The flow keeps each lane's steps
+    and runs the tangency check row by row, so a point's value does not
+    depend on which other points are asked for at the same time.
     Requires <normal, Y> to stay bounded away from zero along the orbits,
     i.e. the field crosses its section transversally throughout the
     working box.
     """
-
-    STEP = 0.004
-    MIN_STEPS = 60
 
     def __init__(self, Y: VectorField, source: ScalarFn, base, normal):
         self.Y = Y
@@ -341,8 +339,7 @@ class TransportTerm:
     def __call__(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         n, d = U.shape
-        psi0 = _rows_dot(U - self.base, self.normal)
-        span = -psi0  # integrate psi from psi0 down (or up) to exactly 0
+        span = -_rows_dot(U - self.base, self.normal)  # psi runs from psi0 to 0
 
         def rhs(s, state):
             u = state[:, :d]
@@ -352,17 +349,17 @@ class TransportTerm:
                 raise StraighteningFailed(
                     "transport field becomes tangent to its section")
             src = self.source.ev(u)
-            return np.concatenate([v / denom[:, None],
-                                   (src / denom)[:, None]], axis=1)
+            return span[:, None] * np.concatenate(
+                [v / denom[:, None], (src / denom)[:, None]], axis=1)
 
         state0 = np.concatenate([U, np.zeros((n, 1))], axis=1)
-        n_steps = np.maximum(self.MIN_STEPS,
-                             np.ceil(np.abs(span) / self.STEP).astype(int))
+        step = _TRANSPORT_STEP
         try:
-            out = ode.rk4_lanes(rhs, state0, span, n_steps)
-        except ode.BlowUp as err:
+            out = ode.flow(rhs, state0, 0.0, [1.0], tol=1e-12,
+                           first_step=step / np.maximum(np.abs(span), step))
+        except ode.StiffnessAbort as err:
             raise StraighteningFailed("transport flow left the domain") from err
-        return -out[:, d]
+        return -out[0, :, d]
 
 
 def _rows_dot(v, w):

@@ -1,5 +1,5 @@
 """Integrators batched over lanes: an embedded Runge-Kutta pair with
-per-lane step control and dense output, and fixed-step RK4 for transport.
+per-lane step control and dense output, and a fixed-step RK4 march.
 
 The right-hand sides f(t, y) take y of shape (q,) for one trajectory (a
 characteristic curve, the first sweep of a sheet) or (n, q) for n lanes,
@@ -235,6 +235,7 @@ def _dense(rhs, out, ts, t, t_new, y, y_new, K, first, stop):
 rk4 = flow  # the name the per-layer probes wrap
 
 
+# kept only as a probe target; ROADMAP item 1 deletes it together with BlowUp
 def rk4_lanes(f, y0, dt, n_steps):
     """March lane i ``n_steps[i]`` RK4 steps of size dt[i] / n_steps[i].
 

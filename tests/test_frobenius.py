@@ -341,7 +341,7 @@ def test_rescale_derives_each_bracket_a_few_times(monkeypatch):
     X2 = (Const(0), parse("1+x^2", names), Const(0))
     res, worst = rescale_measured([X1, X2], names, box, 25)
     assert "base_pair" in res.stages_run and worst < 1e-6
-    # the transports evaluate the bracket at every RK4 stage; each field
+    # the transports evaluate the bracket at every stage; each field
     # derives it once
     assert 0 < len(pairs) <= 4 * len(set(pairs)), len(pairs)
 
@@ -373,7 +373,7 @@ def test_rescale_compiles_each_expression_tuple_once(monkeypatch):
     res, worst = rescale_measured([X1, X2], names, box, 25)
     assert "base_pair" in res.stages_run and worst < 1e-6
     # the transports evaluate fields, brackets and directionals at every
-    # RK4 stage; each object built there compiles its kernel once
+    # stage; each object built there compiles its kernel once
     assert_compiled_once(compiled)
 
 
@@ -689,3 +689,23 @@ def test_transport_leaving_the_domain_is_a_frobenius_error():
     U = np.array([[0.5, 0.0, 0.1], [0.3, 0.2, 0.0]])
     with pytest.raises(StraighteningFailed), np.errstate(all="ignore"):
         term(U)
+
+
+@pytest.mark.parametrize("source, closed_form", [
+    ("1", np.arctan),
+    ("2*y", lambda y: np.log1p(y ** 2)),
+])
+def test_transport_matches_closed_form(source, closed_form):
+    # Y = (1+y^2) d_y with g = 0 on y = 0: Y(g) = 1 gives g = arctan y and
+    # Y(g) = 2y gives g = ln(1+y^2); the point on the section marches a
+    # span of zero
+    names = ("x", "y")
+    Y = VectorField((Const(0), parse("1+y^2", names)), names)
+    term = TransportTerm(Y, ScalarFn(parse(source, names), names),
+                         np.zeros(2), [0.0, 1.0])
+    y = np.array([-1.5, -0.6, -0.05, 0.0, 0.3, 0.9, 2.0])
+    U = np.stack([np.linspace(-1.0, 1.0, len(y)), y], axis=1)
+    with np.errstate(all="raise"):
+        got = term(U)
+    assert np.max(np.abs(got - closed_form(y))) < 1e-11
+    assert got[3] == 0.0
