@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""Frame-rescaling demos: a symbolic pair, and a cyclic three-field frame
-that exercises the numeric transport path."""
+"""Frame-rescaling demos: a symbolic pair, a pair whose bracket
+coefficients depend on two variables, and a cyclic three-field frame that
+exercises the numeric transport path.
+
+Exits 1 when the two-variable pair's coefficients are not expressions or
+its rescaled fields do not commute to 1e-6."""
 
 import sys
 from pathlib import Path
@@ -10,7 +14,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rwave.expr import Box, Const, parse
-from rwave.frobenius import commutation_residual, rescale_frame
+from rwave.frobenius import (
+    commutation_residual,
+    pair_bracket_coefficients,
+    rescale_frame,
+)
 
 
 def main():
@@ -26,6 +34,23 @@ def main():
     worst = commutation_residual(res.scaled_fields(), box3, rng=rng)
     print(f"  commutation residual: {worst:.3e}")
 
+    box2 = Box.from_dict({n: (-0.2, 0.2) for n in names3})
+    Z1 = (parse("1+y^2", names3), Const(0), Const(0))
+    Z2 = (Const(0), parse("1+x^2", names3), Const(0))
+    pc = pair_bracket_coefficients(Z1, Z2, names3, box2, rng=3)
+    res = rescale_frame([Z1, Z2], names3, box2, rng=4)
+    pair_worst = commutation_residual(res.scaled_fields(), box2, rng=5)
+    print("pair {(1+y^2) d_x, (1+x^2) d_y}:")
+    print(f"  bracket coefficients: {pc.h_first.expr}, {pc.h_second.expr}")
+    print(f"  commutation residual: {pair_worst:.3e}")
+    status = 0
+    if pc.h_first.expr is None or pc.h_second.expr is None:
+        print("  a bracket coefficient is not an expression")
+        status = 1
+    if not pair_worst < 1e-6:
+        print("  the rescaled pair does not commute to 1e-6")
+        status = 1
+
     names4 = ("x", "y", "z", "w")
     box4 = Box.from_dict({n: (-0.7, 0.7) for n in names4})
     Y1 = (parse("exp(y)", names4), Const(0), Const(0), Const(0))
@@ -38,7 +63,7 @@ def main():
     print("cyclic frame {e^y d_x, e^z d_y, e^x d_z} (numeric transports):")
     print(f"  stages: {', '.join(res.stages_run)}")
     print(f"  commutation residual at 100 samples: {worst:.3e}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

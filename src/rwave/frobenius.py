@@ -17,12 +17,17 @@ by backward flows to a transversal section with an accumulator, one
 DOP853 march per term in which every point keeps its own steps, so its
 value does not depend on the other points evaluated with it.
 
-The flows evaluate bracket coefficients at every stage: each field
-derives a symbolic bracket once and caches it on itself, fields and
+The flows evaluate bracket coefficients at every stage.  Each field
+derives a symbolic bracket once and caches it on itself, and fields and
 scalars compile their expressions into one kernel (`compile_exprs`) once
-and keep it, and the span coefficients of all rows come from one batched
-two-column least-squares solve (`solve_two_columns`).  Brackets come from
-one table per point set (`_bracket_table`): a numeric factor, whose every
+and keep it.  The span coefficients of expression fields are
+expressions: a fit of sampled values where one is recognizable, else the
+exact form from the symbolic bracket.  A sampled span check guards their
+construction, and the Gram determinant guards the exact forms'
+evaluation against dependent fields.  Where a numeric factor leaves no
+fit, the coefficients are solved pointwise in one batched two-column
+least-squares solve (`solve_two_columns`).  Brackets come from one table
+per point set (`_bracket_table`): a numeric factor, whose every
 evaluation is a transport march, is evaluated once at the points and once
 at their displacements along all its partner fields, for the finite
 differences of the Leibniz rule, however many pairs share it.
@@ -103,14 +108,24 @@ class ScalarFn:
     """Uniform wrapper over Expr scalars and plain callables of the
     coordinate matrix U (n, d).  Negation, division, ``exp`` and ``sum``
     build a simplified expression when every operand is symbolic, and
-    otherwise a closure over the operands' values."""
+    otherwise a closure over the operands' values.
 
-    def __init__(self, obj, names):
+    ``span`` is None or (s, det G), with s = |a|^2 + |b|^2 and G the
+    Gram matrix of the field pair a, b whose span defines an expression
+    scalar: ``ev`` raises NotInSpan (``_check_independent``) where the
+    pair is dependent.  Only negation keeps the guard.  Quotients, ``exp``
+    and sums drop it, and so does any use of ``expr`` alone, such as the
+    symbolic compatibility check; ``solve_transport_system`` therefore
+    flows a guarded source as it is, with no antiderivative or fitted
+    surrogate."""
+
+    def __init__(self, obj, names, span=None):
         self.names = tuple(names)
         if isinstance(obj, (int, float)):
             obj = Const(float(obj)) if isinstance(obj, float) else Const(obj)
         self.expr = obj if isinstance(obj, Expr) else None
         self._fn = None if self.expr is not None else obj
+        self.span = span
         self._kernel = None
 
     def ev(self, U):
@@ -118,8 +133,11 @@ class ScalarFn:
         if self.expr is None:
             return np.asarray(self._fn(U), dtype=float).reshape(U.shape[0])
         if self._kernel is None:
-            self._kernel = compile_exprs((self.expr,))
-        return self._kernel(_columns(U, self.names))[:, 0]
+            self._kernel = compile_exprs((self.expr,) + (self.span or ()))
+        out = self._kernel(_columns(U, self.names))
+        if self.span is not None:
+            _check_independent(out[:, 1], out[:, 2], out[:, 0], U, self.names)
+        return out[:, 0]
 
     def __repr__(self):
         return f"<ScalarFn {self.expr}>" if self.expr is not None \
@@ -127,7 +145,8 @@ class ScalarFn:
 
     def __neg__(self):
         if self.expr is not None:
-            return ScalarFn(simplify(Call("neg", self.expr)), self.names)
+            return ScalarFn(simplify(Call("neg", self.expr)), self.names,
+                            self.span)
         return ScalarFn(lambda U: -self.ev(U), self.names)
 
     def __truediv__(self, other):
@@ -402,7 +421,11 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
         if np.max(np.abs(vals)) <= _TRANSPORT_TOL:
             continue
         term = None
-        if prefer_symbolic and s.expr is not None:
+        # a guarded source keeps its guard only through ev, so the flow,
+        # whose every stage evaluates it, takes it as it is: neither an
+        # antiderivative nor a fitted surrogate would carry the guard
+        guarded = s.span is not None
+        if prefer_symbolic and s.expr is not None and not guarded:
             ge = ScalarFn.sum(g, names).expr
             if ge is not None:
                 term = _symbolic_transport(
@@ -413,7 +436,8 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
             # X(g) = s / f, keeping nested factors out of the flow itself
             bare = Y.bare
             src = resid if Y.factor is None else resid / Y.factor
-            src = _cheapen_source(src, U_samples, names, box, rng)
+            if not guarded:
+                src = _cheapen_source(src, U_samples, names, box, rng)
             vy = bare.eval(base_arr[None])[0]
             if np.linalg.norm(vy) < 1e-12:
                 raise StraighteningFailed(
@@ -502,8 +526,7 @@ def solve_two_columns(a, b, y, U, names):
     """Least-squares (c0, c1) with c0 a + c1 b ~ y on every row of the
     (n, d) batches, by a closed-form two-column QR (Gram-Schmidt).  The
     singular values of R, which are those of [a b], give the dependence
-    rule sigma_min < 1e-10 max(1, sigma_max); a dependent or non-finite
-    row raises NotInSpan with that row of U as witness."""
+    rule of ``_check_independent``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r11 = np.linalg.norm(a, axis=1)
         q1 = a / r11[:, None]
@@ -511,16 +534,27 @@ def solve_two_columns(a, b, y, U, names):
         w = b - r12[:, None] * q1
         r22 = np.linalg.norm(w, axis=1)
         s = r11 * r11 + r12 * r12 + r22 * r22
-        p = np.abs(r11 * r22)
-        s_max = np.sqrt(0.5 * (s + np.sqrt(np.abs((s - 2 * p) * (s + 2 * p)))))
-        s_min = p / s_max
+        det = (r11 * r22) ** 2
         c1 = np.einsum("ij,ij->i", w, y) / (r22 * r22)
         c0 = (np.einsum("ij,ij->i", q1, y) - r12 * c1) / r11
-    ok = (s_min >= 1e-10 * np.maximum(1.0, s_max)) & np.isfinite(c0 + c1)
+    _check_independent(s, det, c0 + c1, U, names)
+    return np.stack([c0, c1], axis=1)
+
+
+def _check_independent(s, det, values, U, names):
+    """The dependence rule sigma_min < 1e-10 max(1, sigma_max) on the
+    singular values of two columns a, b, from s = |a|^2 + |b|^2 and
+    det G, G their Gram matrix: a dependent row, or one where ``values``
+    is not finite, raises NotInSpan with that row of U as witness.  It is
+    squared, as det G >= 1e-20 t max(1, t) for t = sigma_max^2 > 0, the
+    larger root of t^2 - s t + det G, so that no root of det G is taken."""
+    with np.errstate(invalid="ignore"):
+        t = 0.5 * (s + np.sqrt(np.abs(s * s - 4.0 * det)))
+        ok = (det >= 1e-20 * t * np.maximum(1.0, t)) & (t > 0) \
+            & np.isfinite(values)
     if not np.all(ok):
         raise NotInSpan("fields are dependent or not finite at a point",
                         _witness(U, int(np.argmin(ok)), names))
-    return np.stack([c0, c1], axis=1)
 
 
 def _coefficient_fn(Xi, Xj, col, names):
@@ -541,20 +575,34 @@ class PairCoefficients:
     h_first: ScalarFn
     h_second: ScalarFn
     residual_max: float
-    symbolic: bool
+
+    @property
+    def symbolic(self):
+        return self.h_first.expr is not None and self.h_second.expr is not None
 
 
 def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None):
     """Coefficients with [X_i, X_j] = h^i X_i + h^j X_j.
 
-    Expression fields get an exact symbolic bracket; the coefficients are
-    solved at the samples in one batched two-column least-squares solve
-    and fitted back to expressions where recognizable.  NotInSpan carries
-    a witness point when the bracket leaves the pairwise span.
+    The bracket is checked against the pairwise span at samples, through
+    one batched two-column least-squares solve; NotInSpan carries a
+    witness point when it leaves the span.  Each coefficient is a fit of
+    its sampled values where one is recognizable; otherwise expression
+    fields get the exact form from the symbolic bracket
+    (``_span_coefficients``), which raises NotInSpan where it is
+    evaluated on dependent fields, and other fields a pointwise solve.
     """
-    rng = np.random.default_rng(rng)
     Xi = Xi if isinstance(Xi, VectorField) else VectorField(Xi, names)
     Xj = Xj if isinstance(Xj, VectorField) else VectorField(Xj, names)
+    coeffs, U, worst = _span_check(Xi, Xj, names, box,
+                                   np.random.default_rng(rng))
+    hf, hs = _span_fns(Xi, Xj, coeffs, U, names, (0, 1))
+    return PairCoefficients(h_first=hf, h_second=hs, residual_max=worst)
+
+
+def _span_check(Xi, Xj, names, box, rng):
+    """(coefficients, U, worst residual) of [X_i, X_j] in span{X_i, X_j}
+    at samples U; NotInSpan with a witness when the bracket leaves it."""
     U = _sample(box, rng, _PAIR_TRIALS, names)
     (B,), (Vi, Vj) = _bracket_table([Xi, Xj], [(0, 1)], U)
     coeffs = solve_two_columns(Vi, Vj, B, U, names)
@@ -564,17 +612,53 @@ def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None):
     if worst > _SPAN_TOL * (1.0 + float(np.max(np.abs(B)))):
         raise NotInSpan(f"bracket leaves span{{X_i, X_j}} (residual "
                         f"{worst:.2e})", _witness(U, at, names))
+    return coeffs, U, worst
 
-    env_named = _columns(U, names)
-    h_first = fit_symbolic(coeffs[:, 0], env_named, names)
-    h_second = fit_symbolic(coeffs[:, 1], env_named, names)
-    symbolic = h_first is not None and h_second is not None
-    hf = ScalarFn(h_first if h_first is not None
-                  else _coefficient_fn(Xi, Xj, 0, names), names)
-    hs = ScalarFn(h_second if h_second is not None
-                  else _coefficient_fn(Xi, Xj, 1, names), names)
-    return PairCoefficients(h_first=hf, h_second=hs, residual_max=worst,
-                            symbolic=symbolic)
+
+def _span_fns(Xi, Xj, coeffs, U, names, cols):
+    """ScalarFns of the span coefficients ``cols`` of [X_i, X_j], sampled
+    as ``coeffs`` at U: the fit of the samples where there is one, else
+    the exact form for expression fields, else a pointwise solve.  The
+    fit was the smaller form on every frame measured (simplify leaves
+    exp(a)/exp(b) where the fit finds exp(a - b)), and the exact form
+    costs a simplify per pair, so it is built only where no fit exists."""
+    fits = [fit_symbolic(coeffs[:, k], _columns(U, names), names)
+            for k in cols]
+    exact = _span_coefficients(Xi, Xj, names) \
+        if None in fits and Xi.symbolic and Xj.symbolic else None
+    return [ScalarFn(fit, names) if fit is not None
+            else exact[k] if exact is not None
+            else ScalarFn(_coefficient_fn(Xi, Xj, k, names), names)
+            for k, fit in zip(cols, fits)]
+
+
+def _span_coefficients(Xi, Xj, names):
+    """Exact (h^i, h^j) of [X_i, X_j] in span{X_i, X_j} for expression
+    fields, by the Gram (normal-equation) solve h = G^-1 (<X_i, B>,
+    <X_j, B>).  det G = |X_i|^2 |X_j|^2 - <X_i, X_j>^2 vanishes exactly
+    where the fields are dependent.  The span guard both coefficients
+    carry takes det G as the sum of the squared 2x2 minors (Lagrange
+    identity), which keeps its digits where the fields nearly align."""
+    a, b = Xi.scaled_exprs(), Xj.scaled_exprs()
+    B = Xi._bare_bracket(Xj).exprs if Xi.factor is None and Xj.factor is None \
+        else lie_bracket(a, b, names)
+
+    def dot(v, w):
+        return exprmat.sum_exprs(Bin("*", p, q) for p, q in zip(v, w))
+
+    g11, g12, g22 = dot(a, a), dot(a, b), dot(b, b)
+    bi, bj = dot(a, B), dot(b, B)
+    det = Bin("-", Bin("*", g11, g22), Bin("*", g12, g12))
+    minors = exprmat.sum_exprs(
+        Bin("^", Bin("-", Bin("*", a[p], b[q]), Bin("*", a[q], b[p])),
+            Const(2)) for p, q in combinations(range(len(a)), 2))
+    span = (simplify(Bin("+", g11, g22)), minors)
+
+    def coefficient(p, q, r, t):
+        return ScalarFn(simplify(Bin("/", Bin("-", Bin("*", p, q),
+                                              Bin("*", r, t)), det)),
+                        names, span)
+    return coefficient(g22, bi, g12, bj), coefficient(g11, bj, g12, bi)
 
 
 def compatibility_check(h_list, frame_fields, names, box: Box,
@@ -705,10 +789,14 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
             pair[(i, j)] = PairCoefficients(
                 h_first=hi if isinstance(hi, ScalarFn) else ScalarFn(hi, names),
                 h_second=hj if isinstance(hj, ScalarFn) else ScalarFn(hj, names),
-                residual_max=0.0, symbolic=True)
-        else:
+                residual_max=0.0)
+        elif (i, j) == (0, 1):
             pair[(i, j)] = pair_bracket_coefficients(
                 fields[i], fields[j], names, box, rng=rng)
+        else:
+            # the extension steps take these coefficients along the scaled
+            # frame, so only the span is checked here
+            _span_check(fields[i], fields[j], names, box, rng)
     stages.append("pair_coefficients")
 
     U = _sample(box, rng, _PAIR_TRIALS, names)
@@ -782,15 +870,15 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
         for i, B in enumerate(brackets):
             if vanishes(B):
                 continue
-            # rho with [Y_i, Z] = rho Y_i, fitted to an expression when
-            # recognizable for exact transports downstream
-            rho = fit_symbolic(
-                solve_two_columns(values[i], values[nxt], B, U, names)[:, 0],
-                _columns(U, names), names)
-            if rho is None:
-                rho = _coefficient_fn(commuting[i], Z, 0, names)
+            # rho with [Y_i, Z] = rho Y_i, an expression for exact
+            # transports downstream unless a factor is numeric and no fit
+            # recognizes it
+            (rho,) = _span_fns(
+                commuting[i], Z,
+                solve_two_columns(values[i], values[nxt], B, U, names), U,
+                names, (0,))
             gi, res_i = solve_transport_system(
-                [Z], [ScalarFn(rho, names)], names, box, base, rng,
+                [Z], [rho], names, box, base, rng,
                 prefer_symbolic=prefer_symbolic)
             logs[i].extend(gi)
             stage1_residuals.append(res_i)

