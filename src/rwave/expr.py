@@ -388,17 +388,39 @@ _BIN_CODE = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
              "^": "power(asarray({}, dtype=float), {})"}
 
 
-def _lanes(env):
-    """Broadcast length of the 1-D array values of ``env``; 1 when every
-    value is a scalar."""
-    n = 1
+def _lanes(env, n=1):
+    """Broadcast length of the 1-D array values of ``env``; ``n`` when
+    every value is a scalar."""
     for v in env.values():
         if isinstance(v, np.ndarray) and v.ndim and v.shape[0] != 1:
             n = v.shape[0]
     return n
 
 
-def compile_exprs(exprs):
+class BoundKernel:
+    """A staged kernel with its early part evaluated at ``n`` lanes.
+
+    Calling it with an env of the late names evaluates the rest and
+    returns the (n, m) array the unstaged kernel gives on the full env;
+    ``rows(rows)`` is the same kernel at a subset of the lanes, its early
+    values sliced once.
+    """
+
+    __slots__ = ("_late", "_early", "n")
+
+    def __init__(self, late, early, n):
+        self._late, self._early, self.n = late, early, n
+
+    def __call__(self, env):
+        return self._late(self._early, self.n, env)
+
+    def rows(self, rows):
+        return BoundKernel(self._late, tuple(
+            v[rows] if np.ndim(v) and np.shape(v)[0] != 1 else v
+            for v in self._early), len(rows))
+
+
+def compile_exprs(exprs, late=()):
     """Compile ``exprs`` into one generated function ``kernel(env)``.
 
     The kernel returns an (n, m) float array with column j equal to
@@ -409,14 +431,26 @@ def compile_exprs(exprs):
     Domain violations give NaN lanes, and a missing variable raises
     MissingVariableError.  Compiling costs about ten tree-walks, so it
     pays only for expressions evaluated over and over.
+
+    With ``late`` names the kernel is staged (partial evaluation), and
+    the result is its bind step ``bind(env)``: it evaluates, once, every
+    subtree that contains no late name, and the BoundKernel it returns
+    evaluates only the rest when called with the late names.  Whole
+    subtrees are hoisted and nothing is reassociated, so each lane gets
+    the bits of the unstaged kernel on the same env.  A missing name
+    raises at the step that reads it.
     """
     exprs = tuple(exprs)
+    late = frozenset(late)
     ns = {"errstate": np.errstate, "empty": np.empty, "asarray": np.asarray,
           "true_divide": np.true_divide, "power": np.power, "lanes": _lanes,
-          "MissingVariableError": MissingVariableError, **_UNARY_EVAL}
-    body = []
-    slots = {}      # node -> slot name
-    consts = set()  # slot names bound to values computed here
+          "MissingVariableError": MissingVariableError,
+          "BoundKernel": BoundKernel, **_UNARY_EVAL}
+    early_body, late_body = [], []
+    slots = {}        # node -> slot name
+    consts = set()    # slot names bound to values computed here
+    late_slots = set()
+    handed = {}       # early slot names the late step reads, in order
 
     def visit(e):
         if e in slots:
@@ -426,29 +460,54 @@ def compile_exprs(exprs):
                                    else ())]
         name = slots[e] = f"t{len(slots)}"
         if isinstance(e, Var):
-            body.append(f"            {name} = env[{e.name!r}]")
+            line = f"env[{e.name!r}]"
         elif all(k in consts for k in kids):
             ns[name] = e.evaluate({}, strict=False)
             consts.add(name)
+            return name
         elif isinstance(e, Bin):
-            body.append(f"            {name} = {_BIN_CODE[e.op].format(*kids)}")
+            line = _BIN_CODE[e.op].format(*kids)
         else:
-            body.append(f"            {name} = {e.fn}({kids[0]})")
+            line = f"{e.fn}({kids[0]})"
+        if (e.name in late if isinstance(e, Var)
+                else any(k in late_slots for k in kids)):
+            late_slots.add(name)
+            handed.update(dict.fromkeys(
+                k for k in kids if k not in consts and k not in late_slots))
+            late_body.append(f"            {name} = {line}")
+        else:
+            early_body.append(f"            {name} = {line}")
         return name
 
     results = [visit(e) for e in exprs]
-    lines = ["def kernel(env):"]
-    if body:
-        lines += ["    try:", '        with errstate(all="ignore"):', *body,
-                  "    except KeyError as exc:",
-                  "        raise MissingVariableError(",
-                  "            f\"no value assigned for '{exc.args[0]}'\")"
-                  " from None"]
-    lines.append(f"    out = empty((lanes(env), {len(exprs)}))")
-    lines += [f"    out[:, {j}] = {name}" for j, name in enumerate(results)]
-    lines.append("    return out")
+    handed.update(dict.fromkeys(
+        r for r in results if r not in consts and r not in late_slots))
+
+    def guarded(body):
+        if not body:
+            return []
+        return ["    try:", '        with errstate(all="ignore"):', *body,
+                "    except KeyError as exc:",
+                "        raise MissingVariableError(",
+                "            f\"no value assigned for '{exc.args[0]}'\")"
+                " from None"]
+
+    out = [f"    out = empty(({'lanes(env, n)' if late_body else 'n'}, "
+           f"{len(exprs)}))",
+           *(f"    out[:, {j}] = {name}" for j, name in enumerate(results)),
+           "    return out"]
+    if late:
+        early = "".join(f"{name}, " for name in handed)
+        lines = ["def bind(env):", *guarded(early_body),
+                 f"    return BoundKernel(late, ({early}), lanes(env))",
+                 "def late(early, n, env):",
+                 *([f"    ({early}) = early"] if handed else []),
+                 *guarded(late_body), *out]
+    else:
+        lines = ["def kernel(env):", *guarded(early_body),
+                 "    n = lanes(env)", *out]
     exec(compile("\n".join(lines), "<compiled expressions>", "exec"), ns)
-    return ns["kernel"]
+    return ns["bind" if late else "kernel"]
 
 
 # ---------------------------------------------------------------------------

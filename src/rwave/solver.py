@@ -397,10 +397,14 @@ def surface_tangency_residual(surf, gammas, mu, rng=None):
 
 class PotentialFn:
     """Uniform batch interface over symbolic and quadrature potentials:
-    phi and dphi/du (n, q) at the lanes of ``env``, where a 0-d value is
-    shared by every lane.  A symbolic phi compiles one kernel for the value
-    and one for the derivatives, so each call computes only what it returns;
-    a quadrature phi integrates every lane in one pass.
+    phi and dphi/du (n, q) at the lanes of an env, where a 0-d value is
+    shared by every lane.  ``bind(env)`` fixes the lanes' x and parameters
+    and leaves u free (see BoundPotential); ``value(env)`` and ``du(env)``
+    are a bind followed by one call.  A symbolic phi compiles one kernel
+    for the value and one for the derivatives, each staged on u, so a bound
+    potential evaluates its u-free subtrees once and each call computes
+    only what it returns; a quadrature phi integrates every lane in one
+    pass.
     """
 
     def __init__(self, phi, space: VarSpace):
@@ -408,29 +412,60 @@ class PotentialFn:
         self.phi = phi
         if isinstance(phi, Expr):
             self.symbolic = True
-            self._value = compile_exprs([phi])
-            self._du = compile_exprs([simplify(phi.diff(n))
-                                      for n in space.dependent])
+            late = space.dependent
+            self._bind_value = compile_exprs([phi], late=late)
+            self._bind_du = compile_exprs(
+                [simplify(phi.diff(n)) for n in late], late=late)
         elif isinstance(phi, NumericPotential):
             self.symbolic = False
         else:
             raise TypeError(f"unsupported potential {phi!r}")
 
+    def bind(self, env):
+        return BoundPotential(self, env)
+
     def value(self, env):
-        if self.symbolic:
-            return self._value(env)[:, 0]
-        return np.atleast_1d(self.phi.evaluate(env))
+        return self.bind(env).value(env)
 
     def du(self, env):
-        if self.symbolic:
-            return self._du(env)
+        return self.bind(env).du(env)
+
+
+class BoundPotential:
+    """A PotentialFn at the fixed lanes of an env, u free: ``value(u_env)``
+    (n,) and ``du(u_env)`` (n, q) read only the dependent variables of
+    ``u_env``, per lane or 0-d.  ``rows(rows)`` is the potential at a
+    subset of the lanes; a symbolic one slices its bound kernels, so their
+    u-free parts are evaluated once per bind.
+    """
+
+    def __init__(self, pot, env, kernels=None):
+        self.pot, self._env = pot, env
+        if pot.symbolic and kernels is None:
+            kernels = (pot._bind_value(env), pot._bind_du(env))
+        self._kernels = kernels
+
+    def rows(self, rows):
+        if self.pot.symbolic:
+            return BoundPotential(self.pot, None,
+                                  tuple(k.rows(rows) for k in self._kernels))
+        return BoundPotential(self.pot,
+                              {name: v[rows] for name, v in self._env.items()})
+
+    def value(self, u_env):
+        if self.pot.symbolic:
+            return self._kernels[0](u_env)[:, 0]
+        return np.atleast_1d(self.pot.phi.evaluate({**self._env, **u_env}))
+
+    def du(self, u_env):
+        if self.pot.symbolic:
+            return self._kernels[1](u_env)
         cols = []
-        for name in self.space.dependent:
-            up = dict(env)
-            dn = dict(env)
-            up[name] = np.asarray(env[name]) + _DU_STEP
-            dn[name] = np.asarray(env[name]) - _DU_STEP
-            cols.append((self.value(up) - self.value(dn)) / (2 * _DU_STEP))
+        for name in self.pot.space.dependent:
+            u = np.asarray(u_env[name])
+            up = self.value({**u_env, name: u + _DU_STEP})
+            dn = self.value({**u_env, name: u - _DU_STEP})
+            cols.append((up - dn) / (2 * _DU_STEP))
         return np.stack(cols, axis=1)
 
 
@@ -542,16 +577,26 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     # every function below works on the lanes ``rows`` of the grid (all
     # when None), with ``tau`` holding every lane and ``u`` those rows, or
     # one u of shape (q,) shared by them all
-    def lanes_env(rows, u):
-        env = (dict(env_x) if rows is None
-               else {name: v[rows] for name, v in env_x.items()})
-        for j, name in enumerate(space.dependent):
-            env[name] = u[..., j]
-        return env
+    bound = [p.bind(env_x) for p in pots]
+    subset = (None, bound)
+
+    def at(rows):
+        # the bound potentials at ``rows``, sliced once per row set (the
+        # bisection passes one row set throughout)
+        nonlocal subset
+        if rows is None:
+            return bound
+        if subset[0] is not rows:
+            subset = (rows, [b.rows(rows) for b in bound])
+        return subset[1]
+
+    def u_env(u):
+        return {name: u[..., j] for j, name in enumerate(space.dependent)}
 
     def phi_of_u(u, rows=None):
-        env = lanes_env(rows, u)
-        return np.stack([p.value(env) for p in pots], axis=1)
+        env = u_env(u)
+        # (k, n) transposed: a few microseconds cheaper than np.stack
+        return np.array([b.value(env) for b in at(rows)]).T
 
     def phi_all(tau, rows=None):
         u = surface.value(tau, rows)
@@ -559,11 +604,11 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     def jacobian(tau, u, rows=None):
         dfdtau = surface.jac(tau, rows)             # (n, q, k)
-        env = lanes_env(rows, u)
-        dphi = np.stack([p.du(env) for p in pots], axis=1)  # (n, k, q)
+        env = u_env(u)
+        dphi = np.stack([b.du(env) for b in at(rows)], axis=1)  # (n, k, q)
         return np.eye(k)[None] - dphi @ dfdtau
 
-    tau0 = _initial_guess(cfg, pots, surface, env_x, n, k)
+    tau0 = _initial_guess(cfg, bound, surface, n, k)
 
     if k == 1:
         tau, iters, conv = _solve_scalar(surface, phi_of_u, tau0, cfg, n)
@@ -606,14 +651,13 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
                          resolver=resolver)
 
 
-def _initial_guess(cfg, pots, surface, env_x, n, k):
+def _initial_guess(cfg, bound, surface, n, k):
     g = cfg.initial_guess
     if isinstance(g, str) and g == "potential_at_base":
         u0 = surface.provenance.u0
-        env = dict(env_x)
-        for j, name in enumerate(surface.space.dependent):
-            env[name] = np.full(n, u0[j])
-        return np.stack([p.value(env) for p in pots], axis=1)
+        env = {name: np.full(n, u0[j])
+               for j, name in enumerate(surface.space.dependent)}
+        return np.stack([b.value(env) for b in bound], axis=1)
     arr = np.asarray(g, dtype=float)
     if arr.shape == (k,):
         return np.tile(arr, (n, 1))
@@ -731,8 +775,11 @@ def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
     the window for sign changes, pick a cell while scanning (one column of
     G at a time, so memory grows with the lanes only) and bisect it until
     its ends are adjacent floats on every lane.  The curve is evaluated
-    once per scan point, its u shared by every lane.  Returns tau (n, 1),
-    bisection steps and whether a lane has a root."""
+    once per scan point, its u shared by every lane.  Under ``lowest`` a
+    lane reads only its first sign change, so the scan ends once every
+    lane has its cell; ``highest`` and ``nearest`` scan every point.  The
+    bisection passes one row set to ``phi_of_u`` throughout.  Returns tau
+    (n, 1), bisection steps and whether a lane has a root."""
     (lo, hi) = surface.tau_ranges[0]
     if cfg.tau_window is not None:
         lo = max(lo, cfg.tau_window[0])
@@ -742,12 +789,15 @@ def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
     ws = np.linspace(lo, hi, _SCAN_POINTS)
     us = surface.value(ws[:, None])
     pick = _CellPicker(tau0[:, 0], cfg.root_select)
+    lowest = cfg.root_select == "lowest"
     for j, w in enumerate(ws):
         g = w - phi_of_u(us[j])[:, 0]
         sign, finite = np.sign(g), np.isfinite(g)
         if j:
             flip = (prev_sign * sign <= 0) & prev_finite & finite
             pick.offer(j - 1, flip, prev_g, 0.5 * (ws[j - 1] + w))
+            if lowest and pick.found.all():
+                break
         prev_g, prev_sign, prev_finite = g, sign, finite
     conv = pick.found
     tau = np.full((n, 1), np.nan)

@@ -301,6 +301,53 @@ def test_compiled_kernel_missing_variable_raises():
     assert compile_exprs((Const(1),))({}).shape == (1, 1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(a=expr_strategy(NAMES), b=expr_strategy(NAMES), data=st.data(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_staged_kernel_bound_rows_match_unstaged_bitwise(a, b, data, seed):
+    # the u-free subtrees are evaluated once over every lane and then
+    # sliced; each row must keep the bits the unstaged kernel gives on the
+    # sliced env, where numpy's SIMD log/exp/sin may round a lane in an
+    # array's body and in its tail differently.  37 lanes leave a tail
+    exprs = (a, b, Bin("*", Call("exp", Call("sin", a)), b),
+             Call("ln", Bin("+", Const(2), Call("cos", Bin("+", a, b)))))
+    names = sorted(set().union(*(e.variables() for e in exprs)))
+    late = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True)
+                     if names else st.just(["x"]), label="late")
+    shared = data.draw(st.booleans(), label="0-d late values")
+    n = 37
+    rows = np.array(data.draw(st.permutations(range(n)), label="lanes"))
+    rows = rows[:data.draw(st.integers(1, n), label="rows")]
+    rng = np.random.default_rng(seed)
+    full = {name: rng.uniform(-1.5, 1.5, n) for name in NAMES}
+    late_env = {name: full[name][rows] for name in late}
+    if shared:
+        late_env = {name: np.float64(rng.uniform(-1.5, 1.5)) for name in late}
+    early_env = {name: v for name, v in full.items() if name not in late}
+    bound = compile_exprs(exprs, late=late)(early_env)
+    sliced = {name: v[rows] for name, v in early_env.items()}
+    want = compile_exprs(exprs)(dict(sliced, **late_env))
+    assert_bitwise(bound.rows(rows)(late_env), want)
+    if not shared:
+        late_env = {name: full[name] for name in late}
+    assert_bitwise(bound(late_env), compile_exprs(exprs)(dict(full, **late_env)))
+
+
+def test_staged_kernel_missing_variable_raises_at_its_step():
+    bind = compile_exprs((parse("x*u1 + ln(y)", SPACE),), late=("u1",))
+    with pytest.raises(MissingVariableError,
+                       match="^no value assigned for 'y'$"):
+        bind({"x": np.ones(3)})
+    bound = bind({"x": np.ones(3), "y": np.ones(3)})
+    with pytest.raises(MissingVariableError,
+                       match="^no value assigned for 'u1'$"):
+        bound({"x": np.ones(3)})
+    assert bound({"u1": np.float64(2.0)}).shape == (3, 1)
+    # a point bind takes its lanes from the late values
+    point = bind({"x": 1.0, "y": 2.0})
+    assert point({"u1": np.ones(5)}).shape == (5, 1)
+
+
 def reference_fold(terms):
     # the hand-rolled sum the matrix, bracket and contraction helpers built
     acc = Const(0)

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwave import exprmat, ode, solver
-from rwave.expr import Box, Const, VarSpace, parse, simplify
+from rwave.expr import (
+    Box,
+    Const,
+    MissingVariableError,
+    VarSpace,
+    parse,
+    simplify,
+)
 from rwave.fixtures import PRESETS, load_fixture
 from rwave.geometry import WaveElement, find_potential
 from rwave.solver import (
@@ -551,7 +558,8 @@ def reference_solve(surface, potentials, grid, cfg, need):
         dphi = np.stack([p.du(env) for p in pots], axis=1)
         return np.eye(2)[None] - dphi @ surface.jac(tau)
 
-    tau0 = solver._initial_guess(cfg, pots, surface, env_x, n, 2)
+    tau0 = solver._initial_guess(cfg, [p.bind(env_x) for p in pots],
+                                 surface, n, 2)
     tau, iters, conv = reference_newton(surface, phi_all, jacobian, tau0, cfg,
                                         n, None, need)
     if (~conv).any() and conv.any():
@@ -785,7 +793,8 @@ def reference_solve_scalar(surface, potentials, grid, cfg, params, space):
             env, strict=False), dtype=float), (n,))
 
     pots = [solver.PotentialFn(p, space) for p in potentials]
-    tau0 = solver._initial_guess(cfg, pots, surface, env_x, n, 1)[:, 0]
+    tau0 = solver._initial_guess(cfg, [p.bind(env_x) for p in pots],
+                                 surface, n, 1)[:, 0]
     return reference_scan_solve(surface, phi, tau0, cfg, n)
 
 
@@ -828,8 +837,20 @@ def ex2_scalar_case():
             {"initial_guess": mixed_guess(grid)}, {}, SP2)
 
 
+def ex3_all_roots_case():
+    # x y > 1 gives every lane a root below 0 and one above, so under
+    # ``lowest`` every lane has its cell before the scan's last column
+    surf, pots, grid, settings, params, space = ex3_scalar_case()
+    rng = np.random.default_rng(10)
+    n = len(grid["t"])
+    grid = dict(grid, x=rng.uniform(1.2, 3.0, n), y=rng.uniform(1.2, 3.0, n))
+    settings = dict(settings, initial_guess=mixed_guess(grid))
+    return surf, pots, grid, settings, params, space
+
+
 SCALAR_CASES = {
     "example3, two roots or none": ex3_scalar_case,
+    "all roots: example3 with x y > 1": ex3_all_roots_case,
     "example3, NaN below u = -6": lambda: ex3_scalar_case("+0.5*sqrt(u+6)"),
     "example2 curve, q = 2": ex2_scalar_case,
 }
@@ -844,6 +865,8 @@ def test_scalar_solve_matches_matrix_scan_bitwise(case, root_select):
                                               space)
     if case.startswith("example3"):
         assert 0 < conv.sum() < conv.size        # some lanes have no root
+    if case.startswith("all roots"):
+        assert conv.all()
     field = solve_implicit(surf, pots, grid, cfg, params=params, space=space)
     assert_bitwise(field.tau, tau)
     assert np.array_equal(field.iters, iters)
@@ -909,6 +932,49 @@ def test_scalar_solve_evaluates_curve_once_per_scan_point():
     assert not field.converged.all()
     # scan points, bisection steps, then u at every lane's final tau
     assert counted.points == solver._SCAN_POINTS + field.iters.sum() + field.n
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+def test_lowest_scan_ends_once_every_lane_has_its_cell(root_select):
+    # ``lowest`` reads only a lane's first sign change, so the scan ends
+    # when every lane has one; the other rules read every column
+    surf, pots, grid, settings, params, space = ex3_all_roots_case()
+    env_x, n = solver._env_from_grid(space.independent, grid, params)
+    bound = solver.PotentialFn(pots[0], space).bind(env_x)
+    columns = []
+
+    def phi_of_u(u, rows=None):
+        if rows is None:
+            columns.append(u)
+        lanes = bound if rows is None else bound.rows(rows)
+        return lanes.value({"u": u[..., 0]})[:, None]
+
+    cfg = ImplicitSolveConfig(root_select=root_select, **settings)
+    tau0 = settings["initial_guess"][:, None]
+    conv = solver._solve_scalar(surf, phi_of_u, tau0, cfg, n)[2]
+    assert conv.all()
+    if root_select == "lowest":
+        assert len(columns) < solver._SCAN_POINTS
+    else:
+        assert len(columns) == solver._SCAN_POINTS
+
+
+def test_bisection_slices_the_bound_potentials_once(monkeypatch):
+    # the bisection's row set is fixed, so its bound arrays are sliced once
+    # for the whole loop, not at every step
+    sliced = []
+    rows = solver.BoundPotential.rows
+
+    def counting(self, r):
+        sliced.append(len(r))
+        return rows(self, r)
+
+    monkeypatch.setattr(solver.BoundPotential, "rows", counting)
+    surf, pots, grid, settings, params, space = ex3_scalar_case()
+    cfg = ImplicitSolveConfig(root_select="lowest", **settings)
+    field = solve_implicit(surf, pots, grid, cfg, params=params, space=space)
+    assert field.iters.max() > 40
+    assert sliced == [field.converged.sum()]
 
 
 def test_scalar_solve_root_selection_differs_between_rules():
@@ -1004,6 +1070,45 @@ def test_potential_fn_numeric_lanes():
     assert du.shape == (n, 1) and np.all(np.isfinite(du))
     res.phi.check_paths({"x1": 0.7, "x2": 0.9, "u": 0.6})
     res.phi.check_paths(env)
+
+
+@pytest.mark.parametrize("text", ["t + m*ln(|x|)", "u^2*k", "2*u"],
+                         ids=["u-free", "u and a parameter", "u only"])
+def test_potential_fn_binding_keeps_every_lane(text):
+    # a phi with no u-free part, or no u at all, still gives n lanes, from
+    # a bind over every lane and from a row subset of it
+    rng = np.random.default_rng(3)
+    n = 9
+    env = {"t": rng.uniform(0.1, 1, n), "x": rng.uniform(1, 3, n),
+           "y": rng.uniform(1, 3, n), "m": np.full(n, 1.0),
+           "k": np.full(n, 1.0)}
+    phi = parse(text, SP3)
+    pot = solver.PotentialFn(phi, SP3)
+    rows = np.array([1, 4, 8])
+    for u in (np.float64(0.7), rng.uniform(-2, 0, n)):
+        full = dict(env, u=u)
+        want = np.broadcast_to(np.asarray(phi.evaluate(full, strict=False),
+                                          dtype=float), (n,))
+        assert_bitwise(pot.value(full), want)
+        assert pot.du(full).shape == (n, 1)
+        bound = pot.bind(env).rows(rows)
+        u_rows = {"u": u[rows] if np.ndim(u) else u}
+        assert_bitwise(bound.value(u_rows), want[rows])
+        assert bound.du(u_rows).shape == (len(rows), 1)
+
+
+@pytest.mark.parametrize("missing", ["x", "m", "u"])
+def test_potential_fn_missing_variable_raises(missing):
+    # an early name raises at the bind, a late one at the call, with the
+    # message an unstaged kernel gives
+    pot = solver.PotentialFn(parse(EX3_POT, SP3), SP3)
+    env = {name: np.ones(4) for name in ("t", "x", "y", "m", "k", "u")}
+    del env[missing]
+    message = f"^no value assigned for '{missing}'$"
+    with pytest.raises(MissingVariableError, match=message):
+        pot.value(env)
+    with pytest.raises(MissingVariableError, match=message):
+        pot.du(env)
 
 
 # ---------------------------------------------------------------------------
