@@ -42,7 +42,6 @@ from .solver import (
 )
 from .verify import (
     constancy_along_kernel,
-    fd_jacobian,
     recover_decomposition,
     residual_report,
 )
@@ -57,7 +56,7 @@ __all__ = [
     "compatibility_check", "pair_bracket_coefficients", "rescale_frame",
     "ImplicitSolveConfig", "SolutionField", "build_hodograph",
     "double_wave_fixture", "integrate_characteristic", "solve_implicit",
-    "constancy_along_kernel", "fd_jacobian", "recover_decomposition",
+    "constancy_along_kernel", "recover_decomposition",
     "residual_report",
 ]
 

@@ -111,8 +111,8 @@ class Surface2D:
 
     A rotated rectangle lets the grid hug the strip where the surface is
     regular, e.g. away from the sqrt branch line of the two-wave fixture.
-    f is the tensor-product not-a-knot cubic spline of the grid samples;
-    points outside the rectangle are clamped to it.
+    f is the tensor-product not-a-knot cubic spline of the grid samples,
+    clamped to the rectangle; ``value_and_jac`` is one lookup for f and df.
     """
 
     k = 2
@@ -163,11 +163,15 @@ class Surface2D:
         s = self._internal(tau, rows)
         return self._spline(s[:, 0], s[:, 1])
 
-    def jac(self, tau, rows=None):
+    def value_and_jac(self, tau, rows=None):
+        """f (n, q) and df/dtau (n, q, 2) at tau, from one spline call."""
         s = self._internal(tau, rows)
-        _, d1, d2 = self._spline(s[:, 0], s[:, 1], grad=True)
+        value, d1, d2 = self._spline(s[:, 0], s[:, 1], grad=True)
         dfs = np.stack([d1, d2], axis=2)       # (n, q, 2) wrt internal coords
-        return dfs @ self.axes_inv             # chain rule to tau
+        return value, dfs @ self.axes_inv      # chain rule to tau
+
+    def jac(self, tau, rows=None):
+        return self.value_and_jac(tau, rows)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +461,12 @@ class BoundPotential:
             return self._kernels[0](u_env)[:, 0]
         return np.atleast_1d(self.pot.phi.evaluate({**self._env, **u_env}))
 
+    def du_only(self):
+        """The potential without its bound value kernel, for ``du`` only."""
+        if self.pot.symbolic:
+            return BoundPotential(self.pot, None, (None, self._kernels[1]))
+        return self
+
     def du(self, u_env):
         if self.pot.symbolic:
             return self._kernels[1](u_env)
@@ -598,15 +608,8 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
         # (k, n) transposed: a few microseconds cheaper than np.stack
         return np.array([b.value(env) for b in at(rows)]).T
 
-    def phi_all(tau, rows=None):
-        u = surface.value(tau, rows)
-        return phi_of_u(u, rows), u
-
-    def jacobian(tau, u, rows=None):
-        dfdtau = surface.jac(tau, rows)             # (n, q, k)
-        env = u_env(u)
-        dphi = np.stack([b.du(env) for b in at(rows)], axis=1)  # (n, k, q)
-        return np.eye(k)[None] - dphi @ dfdtau
+    def jacobian(u, dfdtau, rows=None):
+        return _jacobian(at(rows), u_env(u), dfdtau)
 
     tau0 = _initial_guess(cfg, bound, surface, n, k)
 
@@ -614,13 +617,13 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
         tau, iters, conv = _solve_scalar(surface, phi_of_u, tau0, cfg, n)
         u = surface.value(tau)
     else:
-        tau, iters, conv, u, stale = _newton(surface, phi_all, jacobian,
+        tau, iters, conv, u, stale = _newton(surface, phi_of_u, jacobian,
                                              tau0, cfg)
         if (~conv).any() and conv.any():
             bad = np.where(~conv)[0]
             guess = tau.copy()
             guess[bad] = tau[_nearest(np.where(conv)[0], bad)]
-            tau2, it2, conv2, u2, stale = _newton(surface, phi_all, jacobian,
+            tau2, it2, conv2, u2, stale = _newton(surface, phi_of_u, jacobian,
                                                   guess, cfg, only=bad)
             tau[bad] = tau2[bad]
             iters[bad] += it2[bad]
@@ -631,10 +634,11 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     if not conv.any():
         raise SolveFailed("Newton diverged at every grid point")
+    du = [b.du_only() for b in bound]    # all that determinant() reads
 
     def determinant():
         with np.errstate(invalid="ignore"):
-            return np.linalg.det(jacobian(tau, u))
+            return np.linalg.det(_jacobian(du, u_env(u), surface.jac(tau)))
 
     xs = np.stack([env_x[name] for name in x_names], axis=1)
 
@@ -649,6 +653,12 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
                          iters=iters, converged=conv, determinant=determinant,
                          catastrophe_threshold=cfg.catastrophe_threshold,
                          resolver=resolver)
+
+
+def _jacobian(bound, u_env, dfdtau):
+    """I - (dphi/du)(df/dtau) at each lane, (n, k, k)."""
+    dphi = np.stack([b.du(u_env) for b in bound], axis=1)   # (n, k, q)
+    return np.eye(len(bound))[None] - dphi @ dfdtau
 
 
 def _initial_guess(cfg, bound, surface, n, k):
@@ -673,16 +683,17 @@ def _nearest(good, bad):
     return np.where(right - bad < bad - left, right, left)
 
 
-def _newton(surface, phi_all, jacobian, tau0, cfg, only=None):
+def _newton(surface, phi_of_u, jacobian, tau0, cfg, only=None):
     """Damped Newton on tau - phi(x, f(tau)) = 0 over the lanes ``only``
     (every lane when None).  Returns tau, iterations, convergence, u and
     the lanes whose u is not that at their final tau (the last damping
     trial was halved after it was evaluated).
 
-    Each lane keeps phi and u with the point they belong to, so a point is
-    evaluated once however often the iteration asks for it (an accepted
-    trial is the next iterate), and every call covers only the lanes still
-    iterating or, in the damping loop, still halving.
+    Each lane keeps phi, u and df/dtau (one surface lookup) with the point
+    they belong to, so a point is evaluated once however often the
+    iteration or its Jacobian asks for it (an accepted trial is the next
+    iterate), and every call covers only the lanes still iterating or, in
+    the damping loop, still halving.
     """
     tau = surface.clip(np.array(tau0, dtype=float))
     n, k = tau.shape
@@ -690,7 +701,8 @@ def _newton(surface, phi_all, jacobian, tau0, cfg, only=None):
     conv = np.zeros(n, dtype=bool)
     phi = np.empty((n, k))
     u = np.full((n, surface.q), np.nan)
-    at = np.empty((n, k))                  # the point phi and u belong to
+    dfdtau = np.empty((n, surface.q, k))
+    at = np.empty((n, k))                  # the point phi, u, dfdtau are at
     known = np.zeros(n, dtype=bool)
     rows = np.arange(n) if only is None else np.asarray(only)
 
@@ -702,7 +714,8 @@ def _newton(surface, phi_all, jacobian, tau0, cfg, only=None):
     def evaluate(point, lanes):
         lanes = elsewhere(point, lanes)
         if lanes.size:
-            phi[lanes], u[lanes] = phi_all(point, lanes)
+            u[lanes], dfdtau[lanes] = surface.value_and_jac(point, lanes)
+            phi[lanes] = phi_of_u(u[lanes], lanes)
             at[lanes] = point[lanes]
             known[lanes] = True
 
@@ -715,7 +728,7 @@ def _newton(surface, phi_all, jacobian, tau0, cfg, only=None):
         rows, G, Gn = rows[~done], G[~done], Gn[~done]
         if not rows.size:
             break
-        J = jacobian(tau, u[rows], rows)
+        J = jacobian(u[rows], dfdtau[rows], rows)
         ok = np.all(np.isfinite(J), axis=(1, 2)) & np.all(np.isfinite(G), axis=1)
         solvable = ok & (np.abs(np.linalg.det(np.where(ok[:, None, None], J,
                                                        np.eye(k)))) > 1e-14)

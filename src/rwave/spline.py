@@ -8,8 +8,9 @@ one n x n collocation solve for the node slopes per axis and stores
 power-form coefficients about each cell's lower corner.  A call finds every point's
 cell with one ``searchsorted`` per axis and applies Horner's rule to the
 gathered coefficients, so the value and the first partials come from one
-interval search.  Every operation on the points is elementwise: a point's
-result does not depend on which other points share the call.
+interval search; the 2-D coefficients are lane-major, so every Horner step
+runs over whole lanes.  Every operation on the points is elementwise: a
+point's result does not depend on which other points share the call.
 
 Outside the grid the 1-D spline extrapolates with its end cubic, and the
 2-D spline clamps each coordinate to its range (infinities too).  NaN in
@@ -119,29 +120,28 @@ class Spline1D:
 
 class Spline2D:
     """Tensor-product cubic spline through (x1[i], x2[j], z[i, j, :]) for
-    z of shape (n1, n2, q)."""
+    z (n1, n2, q); c[a, b, :, i*(n2-1)+j] has (s1-x1[i])**a (s2-x2[j])**b."""
 
     def __init__(self, x1, x2, z):
         self.x1, self.x2, z = _checked(z, x1, x2)
         # along x2 at every x1 node, then each x2-coefficient along x1
         c2 = _cell_coefficients(self.x2, np.swapaxes(z, 0, 1))  # (j, b, i, q)
-        c = _cell_coefficients(self.x1, np.moveaxis(c2, 2, 0))  # (i, a, j, b, q)
-        self.c = np.ascontiguousarray(c.swapaxes(1, 2)).reshape(
-            -1, 4, 4, z.shape[2])             # cell i * (n2-1) + j
+        c = _cell_coefficients(self.x1, c2.transpose(2, 1, 3, 0))  # i a b q j
+        self.c = np.ascontiguousarray(c.transpose(1, 2, 3, 0, 4)).reshape(
+            4, 4, z.shape[2], -1)     # one copy, moving whole (b, q, j) rows
 
     def __call__(self, s1, s2, grad=False):
         """Values (m, q) at the points (s1, s2); with ``grad``, also the
         partials d/ds1 and d/ds2."""
         i, t = _cells(self.x1, np.clip(s1, self.x1[0], self.x1[-1]))
         j, w = _cells(self.x2, np.clip(s2, self.x2[0], self.x2[-1]))
-        c = self.c.take(i * (len(self.x2) - 1) + j, axis=0)   # (m, 4, 4, q)
-        t, w = t[:, None], w[:, None, None]
+        c = self.c.take(i * (len(self.x2) - 1) + j, axis=3)   # (4, 4, q, m)
         # the cubic in s2 of each power of s1, then the cubic in s1
-        r = ((c[:, :, 3] * w + c[:, :, 2]) * w + c[:, :, 1]) * w + c[:, :, 0]
-        value = ((r[:, 3] * t + r[:, 2]) * t + r[:, 1]) * t + r[:, 0]
+        r = ((c[:, 3] * w + c[:, 2]) * w + c[:, 1]) * w + c[:, 0]
+        value = ((r[3] * t + r[2]) * t + r[1]) * t + r[0]
         if not grad:
-            return value
-        d1 = (3 * r[:, 3] * t + 2 * r[:, 2]) * t + r[:, 1]
-        rw = (3 * c[:, :, 3] * w + 2 * c[:, :, 2]) * w + c[:, :, 1]
-        d2 = ((rw[:, 3] * t + rw[:, 2]) * t + rw[:, 1]) * t + rw[:, 0]
-        return value, d1, d2
+            return value.T
+        d1 = (3 * r[3] * t + 2 * r[2]) * t + r[1]
+        rw = (3 * c[:, 3] * w + 2 * c[:, 2]) * w + c[:, 1]
+        d2 = ((rw[3] * t + rw[2]) * t + rw[1]) * t + rw[0]
+        return value.T, d1.T, d2.T

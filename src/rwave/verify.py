@@ -34,13 +34,6 @@ SVD_GAP = 1e6  # sigma_i / sigma_{i+1} beyond this marks the rank cut
 _RANK_FLOOR = 1e-12  # singular values at or below this never count
 
 
-def fd_jacobian(field, index, h=1e-5, richardson=False):
-    """Central-difference Jacobian du/dx at grid point ``index``: the
-    one-point case of ``fd_jacobian_batch``, re-solving one-point grids.
-    """
-    return _fd_jacobians(field, np.array([index]), h, richardson)[0]
-
-
 def fd_jacobian_batch(field, h=1e-5, richardson=False):
     """Central-difference Jacobians du/dx for every grid point, re-solving
     whole displaced grids at once, warm-started from the field's tau.
@@ -49,20 +42,15 @@ def fd_jacobian_batch(field, h=1e-5, richardson=False):
     With ``richardson=True`` combines steps h and h/2 for an O(h^4)
     estimate.
     """
-    return _fd_jacobians(field, np.arange(field.n), h, richardson)
-
-
-def _fd_jacobians(field, rows, h, richardson):
     def jac_at(step):
-        J = np.empty((rows.size, field.u.shape[1], len(field.x_names)))
-        base = {nm: field.x[rows, j] for j, nm in enumerate(field.x_names)}
-        guess = field.tau[rows]
+        J = np.empty((field.n, field.u.shape[1], len(field.x_names)))
+        base = {nm: field.x[:, j] for j, nm in enumerate(field.x_names)}
         for i, name in enumerate(field.x_names):
-            up = field.resolve(dict(base, **{name: base[name] + step}), guess)
-            dn = field.resolve(dict(base, **{name: base[name] - step}), guess)
+            up = field.resolve({**base, name: base[name] + step}, field.tau)
+            dn = field.resolve({**base, name: base[name] - step}, field.tau)
             ok = up.converged & dn.converged
             if not ok.all():
-                bad = int(rows[np.argmin(ok)])
+                bad = int(np.argmin(ok))
                 raise NeighborDiverged(
                     f"displaced solve failed at point {bad} along {name}")
             J[:, :, i] = (up.u - dn.u) / (2.0 * step)

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwave import exprmat, ode, solver
+from rwave import exprmat, ode, solver, spline
 from rwave.expr import (
     Box,
     Const,
@@ -463,27 +465,39 @@ def test_double_wave_fixture_residual_zero():
 
 
 # ---------------------------------------------------------------------------
-# Newton accounting: each (lane, point) pair is evaluated once, and only
-# while the lane still iterates; results stay bitwise those of the loop
-# that evaluated every lane at every call, kept here as the reference
+# Newton accounting: each (lane, point) pair is evaluated once, with one
+# surface lookup for u and df/dtau together, and only while the lane still
+# iterates; results stay bitwise those of the loop that evaluated every
+# lane at every call, with separate value and Jacobian calls, kept here as
+# the reference
 
 class LaneLog:
-    """Surface wrapper recording, per lane, the tau points ``value`` sees,
-    and how many lanes ``jac`` sees."""
+    """Surface wrapper recording, per lane, the tau points a lookup
+    (``value`` or ``value_and_jac``) sees, how many lookups there are, and
+    how many lanes ``jac`` sees."""
 
     def __init__(self, surface):
         self._surface = surface
         self.points = {}
+        self.lookups = 0
         self.jac_lanes = 0
 
     def __getattr__(self, name):
         return getattr(self._surface, name)
 
-    def value(self, tau, rows=None):
+    def _look(self, tau, rows):
         lanes = range(len(tau)) if rows is None else rows
         for i in lanes:
             self.points.setdefault(int(i), []).append(tau[i].tobytes())
+        self.lookups += 1
+
+    def value(self, tau, rows=None):
+        self._look(tau, rows)
         return self._surface.value(tau, rows)
+
+    def value_and_jac(self, tau, rows=None):
+        self._look(tau, rows)
+        return self._surface.value_and_jac(tau, rows)
 
     def jac(self, tau, rows=None):
         self.jac_lanes += len(tau) if rows is None else len(rows)
@@ -580,6 +594,17 @@ def reference_solve(surface, potentials, grid, cfg, need):
     return tau, u, iters, conv, det
 
 
+class CallCount:
+    """A callable's wrapper counting its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
 class Needs:
     """Per lane, the points a reference solve needs ``value`` at, plus the
     lanes ``jac`` needs and the damping trials taken.  Within one Newton
@@ -641,6 +666,7 @@ def test_newton_evaluates_each_point_once_bitwise(case):
     cfg = ImplicitSolveConfig(**settings)
     need = Needs()
     tau, u, iters, conv, det = reference_solve(surf, pots, grid, cfg, need)
+    spline = surf._spline = CallCount(surf._spline)
     log = LaneLog(surf)
     field = solve_implicit(log, pots, grid, cfg)
 
@@ -651,28 +677,28 @@ def test_newton_evaluates_each_point_once_bitwise(case):
     assert_bitwise(field.u, u)
     assert np.array_equal(field.iters, iters)
     assert np.array_equal(field.converged, conv)
-    # value sees each lane only at the points it still needs
+    # one lookup sees each lane only at the points it still needs, and
+    # gives u and df/dtau together: Newton never calls jac, and each
+    # lookup is one spline call
     assert log.points == need.points
-    assert log.jac_lanes == need.jac_lanes
+    assert log.jac_lanes == 0
+    assert spline.calls == log.lookups
     # the determinant costs one jac call over every lane, when first read
     assert_bitwise(field.det_monitor, det)
     assert np.array_equal(field.catastrophe,
                           (np.abs(det) < cfg.catastrophe_threshold) & conv)
-    assert log.jac_lanes == need.jac_lanes + field.n
+    assert log.jac_lanes == field.n
+    assert spline.calls == log.lookups + 1
 
 
 def test_resolve_leaves_determinant_until_read():
     surf = LaneLog(ex2_two_wave_surface())
     pots = list(ex2_potentials())
     field = solve_implicit(surf, pots, ex2_grid(), ImplicitSolveConfig())
-    sub = ex2_grid(3, 2, 3)
-    need = Needs()
-    reference_solve(surf._surface, pots, sub, ImplicitSolveConfig(), need)
-    before = surf.jac_lanes
-    again = field.resolve(sub)
-    assert surf.jac_lanes == before + need.jac_lanes     # Newton's own only
+    again = field.resolve(ex2_grid(3, 2, 3))
+    assert surf.jac_lanes == 0       # Newton reads df/dtau from its lookups
     again.catastrophe
-    assert surf.jac_lanes == before + need.jac_lanes + again.n
+    assert surf.jac_lanes == again.n
 
     # the scalar solve takes no Jacobian at all
     line = LaneLog(example3_surface())
@@ -1247,6 +1273,86 @@ def test_spline_lanes_are_independent_bitwise(points, data):
         part = sp(tau[rows, 0], tau[rows, 1], grad=True)
     for f, p in zip(full, part):
         assert_bitwise(p, f[rows])
+
+
+def reference_spline_2d(x1, x2, z):
+    """Spline2D as it was with cell-major coefficients (cell, a, b, q):
+    the fit's last pass ran over columns in (j, b, q) order, and Horner's
+    rule over strided (m, 4, q) slices.  Kept as the reference."""
+    c2 = spline._cell_coefficients(x2, np.swapaxes(z, 0, 1))
+    c = spline._cell_coefficients(x1, np.moveaxis(c2, 2, 0))
+    c = np.ascontiguousarray(c.swapaxes(1, 2)).reshape(-1, 4, 4, z.shape[2])
+
+    def call(s1, s2):
+        i, t = spline._cells(x1, np.clip(s1, x1[0], x1[-1]))
+        j, w = spline._cells(x2, np.clip(s2, x2[0], x2[-1]))
+        g = c.take(i * (len(x2) - 1) + j, axis=0)
+        t, w = t[:, None], w[:, None, None]
+        r = ((g[:, :, 3] * w + g[:, :, 2]) * w + g[:, :, 1]) * w + g[:, :, 0]
+        value = ((r[:, 3] * t + r[:, 2]) * t + r[:, 1]) * t + r[:, 0]
+        d1 = (3 * r[:, 3] * t + 2 * r[:, 2]) * t + r[:, 1]
+        rw = (3 * g[:, :, 3] * w + 2 * g[:, :, 2]) * w + g[:, :, 1]
+        d2 = ((rw[:, 3] * t + rw[:, 2]) * t + rw[:, 1]) * t + rw[:, 0]
+        return value, d1, d2
+    return call
+
+
+def assert_spline_2d_matches_reference(x1, x2, z, s1, s2):
+    sp = Spline2D(x1, x2, z)
+    with np.errstate(invalid="ignore"):
+        want = reference_spline_2d(x1, x2, z)(s1, s2)
+        assert_bitwise(sp(s1, s2), want[0])
+        for got, w in zip(sp(s1, s2, grad=True), want):
+            assert_bitwise(got, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n1=st.integers(4, 12),
+       n2=st.integers(4, 12), q=st.integers(1, 3),
+       points=st.lists(st.tuples(LANE_COORD, LANE_COORD), min_size=1,
+                       max_size=40),
+       data=st.data())
+def test_spline_2d_lane_major_matches_cell_major_bitwise(seed, n1, n2, q,
+                                                         points, data):
+    # the lane-major layout changes where coefficients sit, not one bit of
+    # the fit or of the value and partials, inside the grid, clamped
+    # (infinities too), at NaN and on any subset of the rows
+    rng = np.random.default_rng(seed)
+    x1, x2 = uneven_grid(rng, 0.0, 2.0, n1), uneven_grid(rng, -1.0, 1.0, n2)
+    s = np.array(points, dtype=float)
+    rows = np.array(data.draw(st.lists(st.integers(0, len(s) - 1),
+                                       max_size=len(s))), dtype=int)
+    assert_spline_2d_matches_reference(x1, x2, rng.normal(size=(n1, n2, q)),
+                                       s[rows, 0], s[rows, 1])
+
+
+def test_spline_2d_lane_major_matches_cell_major_on_a_full_sheet():
+    # example2's sheet size, where the fit's products run through BLAS
+    rng = np.random.default_rng(19)
+    x1, x2 = uneven_grid(rng, 0.0, 2.0, 161), uneven_grid(rng, -1.0, 1.0, 161)
+    s1, s2 = rng.uniform(-0.5, 2.5, 4000), rng.uniform(-1.5, 1.5, 4000)
+    assert_spline_2d_matches_reference(x1, x2, rng.normal(size=(161, 161, 2)),
+                                       s1, s2)
+
+
+def test_solution_field_keeps_only_du_kernels(monkeypatch):
+    # after the solve a field reads only the dphi/du kernels, for its
+    # determinant; the bound value kernels are freed with the solve
+    made = []
+    init = solver.BoundPotential.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver.BoundPotential, "__init__", record)
+    field = solve_implicit(ex2_two_wave_surface(), list(ex2_potentials()),
+                           ex2_grid(), ImplicitSolveConfig())
+    gc.collect()
+    alive = [b for b in (r() for r in made) if b is not None]
+    assert len(alive) == 2
+    assert all(b._kernels[0] is None for b in alive)
+    assert np.all(np.isfinite(field.det_monitor[field.converged]))
 
 
 def test_import_loads_no_scipy():
