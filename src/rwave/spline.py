@@ -71,15 +71,15 @@ def _slopes(x, y):
     return np.linalg.solve(A, rhs(y))
 
 
-def _cell_coefficients(x, y):
+def _cell_coefficients(x, y, out=None):
     """Power-form coefficients of the spline through y along its first
-    axis, shape (n-1, 4) + y.shape[1:]: [i, a] multiplies (s - x[i])**a on
-    cell i (scipy's cubic Hermite form)."""
-    v = y.reshape(len(x), -1)       # 2-D, so each operation runs along rows
-    h = np.diff(x)[:, None]
-    m = _slopes(x, v)
+    axis, (n-1, 4) + y.shape[1:], in ``out`` (any strides) if given: [i, a]
+    multiplies (s - x[i])**a on cell i (scipy's cubic Hermite form)."""
+    v = y.reshape(len(x), -1)       # 2-D for the slope solve
+    v, m = v.reshape(y.shape), _slopes(x, v).reshape(y.shape)
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
     # in place where it keeps the rounding: a 2-D fit's time is memory traffic
-    c = np.empty((len(x) - 1, 4, v.shape[1]))
+    c = np.empty((len(x) - 1, 4) + y.shape[1:]) if out is None else out
     c[:, 0], c[:, 1] = v[:-1], m[:-1]
     slope = np.subtract(v[1:], v[:-1])
     slope /= h
@@ -90,7 +90,7 @@ def _cell_coefficients(x, y):
     c[:, 2] /= h
     c[:, 2] -= t
     np.divide(t, h, out=c[:, 3])
-    return c.reshape((len(x) - 1, 4) + y.shape[1:])
+    return c
 
 
 def _cells(x, s):
@@ -124,11 +124,12 @@ class Spline2D:
 
     def __init__(self, x1, x2, z):
         self.x1, self.x2, z = _checked(z, x1, x2)
-        # along x2 at every x1 node, then each x2-coefficient along x1
+        # along x2 at every x1 node, then along x1 into (a, b, q, i, j)
         c2 = _cell_coefficients(self.x2, np.swapaxes(z, 0, 1))  # (j, b, i, q)
-        c = _cell_coefficients(self.x1, c2.transpose(2, 1, 3, 0))  # i a b q j
-        self.c = np.ascontiguousarray(c.transpose(1, 2, 3, 0, 4)).reshape(
-            4, 4, z.shape[2], -1)     # one copy, moving whole (b, q, j) rows
+        c = np.empty((4, 4, z.shape[2], len(self.x1) - 1, len(self.x2) - 1))
+        _cell_coefficients(self.x1, c2.transpose(2, 1, 3, 0),
+                           out=c.transpose(3, 0, 1, 2, 4))
+        self.c = c.reshape(4, 4, z.shape[2], -1)
 
     def __call__(self, s1, s2, grad=False):
         """Values (m, q) at the points (s1, s2); with ``grad``, also the

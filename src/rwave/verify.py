@@ -50,9 +50,8 @@ def fd_jacobian_batch(field, h=1e-5, richardson=False):
             dn = field.resolve({**base, name: base[name] - step}, field.tau)
             ok = up.converged & dn.converged
             if not ok.all():
-                bad = int(np.argmin(ok))
-                raise NeighborDiverged(
-                    f"displaced solve failed at point {bad} along {name}")
+                raise NeighborDiverged("displaced solve failed at point "
+                                       f"{int(np.argmin(ok))} along {name}")
             J[:, :, i] = (up.u - dn.u) / (2.0 * step)
         return J
 
