@@ -112,7 +112,7 @@ class Surface2D:
     A rotated rectangle lets the grid hug the strip where the surface is
     regular, e.g. away from the sqrt branch line of the two-wave fixture.
     f is the tensor-product not-a-knot cubic spline of the grid samples,
-    clamped to the rectangle; ``value_and_jac`` is one lookup for f and df.
+    clamped to the rectangle; one ``value_and_jac`` lookup gives f, df/dtau.
     """
 
     k = 2
@@ -608,7 +608,7 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
         # (k, n) transposed: a few microseconds cheaper than np.stack
         return np.array([b.value(env) for b in at(rows)]).T
 
-    def jacobian(u, dfdtau, rows=None):
+    def jacobian(u, dfdtau, rows):
         return _jacobian(at(rows), u_env(u), dfdtau)
 
     tau0 = _initial_guess(cfg, bound, surface, n, k)
