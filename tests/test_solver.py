@@ -666,7 +666,7 @@ def test_newton_evaluates_each_point_once_bitwise(case):
     cfg = ImplicitSolveConfig(**settings)
     need = Needs()
     tau, u, iters, conv, det = reference_solve(surf, pots, grid, cfg, need)
-    spline = surf._spline = CallCount(surf._spline)
+    counted = surf._spline = CallCount(surf._spline)
     log = LaneLog(surf)
     field = solve_implicit(log, pots, grid, cfg)
 
@@ -682,13 +682,13 @@ def test_newton_evaluates_each_point_once_bitwise(case):
     # lookup is one spline call
     assert log.points == need.points
     assert log.jac_lanes == 0
-    assert spline.calls == log.lookups
+    assert counted.calls == log.lookups
     # the determinant costs one jac call over every lane, when first read
     assert_bitwise(field.det_monitor, det)
     assert np.array_equal(field.catastrophe,
                           (np.abs(det) < cfg.catastrophe_threshold) & conv)
     assert log.jac_lanes == field.n
-    assert spline.calls == log.lookups + 1
+    assert counted.calls == log.lookups + 1
 
 
 def test_resolve_leaves_determinant_until_read():
