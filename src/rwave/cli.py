@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -90,7 +91,8 @@ class AnalysisRequest:
         if any(count <= 0 for _, _, count in self.grid.values()) or (
                 "solve" in self.stages and not self.grid):
             raise RequestError("empty grid")
-        if not min(self.tol_newton, self.tol_zero, self.fd_step, self.trials) > 0:
+        if not all(math.isfinite(v) and v > 0 for v in (
+                self.tol_newton, self.tol_zero, self.fd_step, self.trials)):
             raise RequestError("--tol-newton, --tol-zero, --fd-step and "
                                "--trials must be positive")
         if not isinstance(self.solver, dict):

@@ -397,11 +397,23 @@ def _lanes(env, n=1):
     return n
 
 
+def _late_lanes(env, n):
+    """Leading shape of a late step's output: (B, n) when a value of
+    ``env`` is a block of shape (B, 1), else (``_lanes(env, n)``,)."""
+    for v in env.values():
+        if isinstance(v, np.ndarray) and v.ndim == 2:
+            return (v.shape[0], n)
+    return (_lanes(env, n),)
+
+
 class BoundKernel:
     """A staged kernel with its early part evaluated at ``n`` lanes.
 
     Calling it with an env of the late names evaluates the rest and
-    returns the (n, m) array the unstaged kernel gives on the full env;
+    returns the (n, m) array the unstaged kernel gives on the full env.
+    Late values of shape (B, 1) are a block of B envs: they broadcast
+    against the early (n,) arrays, never repeated, and row b of the
+    (B, n, m) result has the bits of a call with row b's values.
     ``rows(rows)`` is the same kernel at a subset of the lanes, its early
     values sliced once.
     """
@@ -435,15 +447,17 @@ def compile_exprs(exprs, late=()):
     With ``late`` names the kernel is staged (partial evaluation), and
     the result is its bind step ``bind(env)``: it evaluates, once, every
     subtree that contains no late name, and the BoundKernel it returns
-    evaluates only the rest when called with the late names.  Whole
-    subtrees are hoisted and nothing is reassociated, so each lane gets
-    the bits of the unstaged kernel on the same env.  A missing name
-    raises at the step that reads it.
+    evaluates only the rest when called with the late names, one env or a
+    block of them (late values of shape (B, 1)).  Whole subtrees are
+    hoisted and nothing is reassociated, so each lane gets the bits of the
+    unstaged kernel on the same env.  A missing name raises at the step
+    that reads it.
     """
     exprs = tuple(exprs)
     late = frozenset(late)
     ns = {"errstate": np.errstate, "empty": np.empty, "asarray": np.asarray,
           "true_divide": np.true_divide, "power": np.power, "lanes": _lanes,
+          "late_lanes": _late_lanes,
           "MissingVariableError": MissingVariableError,
           "BoundKernel": BoundKernel, **_UNARY_EVAL}
     early_body, late_body = [], []
@@ -492,9 +506,9 @@ def compile_exprs(exprs, late=()):
                 "            f\"no value assigned for '{exc.args[0]}'\")"
                 " from None"]
 
-    out = [f"    out = empty(({'lanes(env, n)' if late_body else 'n'}, "
-           f"{len(exprs)}))",
-           *(f"    out[:, {j}] = {name}" for j, name in enumerate(results)),
+    out = [f"    out = empty({'late_lanes(env, n)' if late else '(n,)'} "
+           f"+ ({len(exprs)},))",
+           *(f"    out[..., {j}] = {name}" for j, name in enumerate(results)),
            "    return out"]
     if late:
         early = "".join(f"{name}, " for name in handed)

@@ -25,6 +25,7 @@ _TANGENCY_TOL = 1e-8     # relative tangent defect a characteristic may have
 _TANGENCY_POINTS = 17    # where a characteristic's tangent is checked
 _TANGENCY_SAMPLES = 25   # samples of surface_tangency_residual
 _SCAN_POINTS = 257       # points of the scalar solve's scan window
+_SCAN_BLOCK = 8192       # lane-columns of G per block of the scan
 _DU_STEP = 1e-6          # central-difference step of a numeric potential's du
 
 
@@ -438,9 +439,10 @@ class PotentialFn:
 class BoundPotential:
     """A PotentialFn at the fixed lanes of an env, u free: ``value(u_env)``
     (n,) and ``du(u_env)`` (n, q) read only the dependent variables of
-    ``u_env``, per lane or 0-d.  ``rows(rows)`` is the potential at a
-    subset of the lanes; a symbolic one slices its bound kernels, so their
-    u-free parts are evaluated once per bind.
+    ``u_env``, per lane or 0-d; ``value`` also takes a block of B values
+    of shape (B, 1) and gives (B, n).  ``rows(rows)`` is the potential at
+    a subset of the lanes; a symbolic one slices its bound kernels, so
+    their u-free parts are evaluated once per bind.
     """
 
     def __init__(self, pot, env, kernels=None):
@@ -458,8 +460,11 @@ class BoundPotential:
 
     def value(self, u_env):
         if self.pot.symbolic:
-            return self._kernels[0](u_env)[:, 0]
-        return np.atleast_1d(self.pot.phi.evaluate({**self._env, **u_env}))
+            return self._kernels[0](u_env)[..., 0]
+        value = np.atleast_1d(self.pot.phi.evaluate({**self._env, **u_env}))
+        # a phi free of u still spreads over a block of u
+        return np.broadcast_to(value, np.broadcast_shapes(
+            value.shape, *map(np.shape, u_env.values())))
 
     def du_only(self):
         """The potential without its bound value kernel, for ``du`` only."""
@@ -586,7 +591,8 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     # every function below works on the lanes ``rows`` of the grid (all
     # when None), with ``tau`` holding every lane and ``u`` those rows, or
-    # one u of shape (q,) shared by them all
+    # one u of shape (q,) shared by them all; ``phi_of_u`` also takes a
+    # block of B such u, shape (B, 1, q), and gives (B, n, k)
     bound = [p.bind(env_x) for p in pots]
     subset = (None, bound)
 
@@ -605,8 +611,9 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     def phi_of_u(u, rows=None):
         env = u_env(u)
-        # (k, n) transposed: a few microseconds cheaper than np.stack
-        return np.array([b.value(env) for b in at(rows)]).T
+        # (k, ..., n) with k moved last: cheaper than np.stack
+        phi = np.array([b.value(env) for b in at(rows)])
+        return phi.transpose(*range(1, phi.ndim), 0)
 
     def jacobian(u, dfdtau, rows):
         return _jacobian(at(rows), u_env(u), dfdtau)
@@ -714,8 +721,9 @@ def _newton(surface, phi_of_u, jacobian, tau0, cfg, only=None):
     def evaluate(point, lanes):
         lanes = elsewhere(point, lanes)
         if lanes.size:
-            u[lanes], dfdtau[lanes] = surface.value_and_jac(point, lanes)
-            phi[lanes] = phi_of_u(u[lanes], lanes)
+            ul, dfdtau[lanes] = surface.value_and_jac(point, lanes)
+            u[lanes] = ul
+            phi[lanes] = phi_of_u(ul, lanes)
             at[lanes] = point[lanes]
             known[lanes] = True
 
@@ -754,11 +762,12 @@ def _newton(surface, phi_of_u, jacobian, tau0, cfg, only=None):
 
 
 class _CellPicker:
-    """Per lane, the sign-change cell ``root_select`` picks, offered one
-    cell at a time in scan order: the lowest, the highest, or the one whose
-    centre is nearest ``tau0`` (the lowest of equals, and the first when
-    ``tau0`` is NaN or infinite).  A lane keeps whether it has a cell, its
-    index (0 without one), G at its left end and its distance."""
+    """Per lane, the sign-change cell ``root_select`` picks, offered a
+    block of consecutive cells at a time in scan order: the lowest, the
+    highest, or the one whose centre is nearest ``tau0`` (the lowest of
+    equals, and the first when ``tau0`` is NaN or infinite).  A lane keeps
+    whether it has a cell, its index (0 without one), G at its left end
+    and its distance."""
 
     def __init__(self, tau0, root_select):
         n = len(tau0)
@@ -769,27 +778,49 @@ class _CellPicker:
         self.g_left = np.zeros(n)
         self.dist = np.full(n, np.inf)
 
-    def offer(self, cell, flip, g_left, centre):
+    def offer(self, first, g, centres):
+        """The cells ``first``, ``first`` + 1, ... between consecutive rows
+        of ``g`` (b + 1, n), G at consecutive scan points; ``centres`` (b,)
+        are the cells' centres."""
+        # both ends finite, and G changes sign or is zero at an end
+        pos, zero, finite = g > 0, g == 0, np.isfinite(g)
+        flip = (((pos[:-1] != pos[1:]) | zero[:-1] | zero[1:])
+                & finite[:-1] & finite[1:])
+        has = flip.any(axis=0)
         if self.root_select == "lowest":
-            take = flip & ~self.found
+            has &= ~self.found
+        lanes = np.flatnonzero(has)
+        flip = flip[:, lanes]
+        if self.root_select == "lowest":
+            cell = flip.argmax(axis=0)
         elif self.root_select == "highest":
-            take = flip
+            cell = len(flip) - 1 - flip[::-1].argmax(axis=0)
         else:
-            dist = np.abs(centre - self.tau0)
-            take = flip & (~self.found | (dist < self.dist))
-            self.dist[take] = dist[take]
-        self.found |= take
-        self.idx[take] = cell
-        self.g_left[take] = g_left[take]
+            key = np.where(flip, np.abs(centres[:, None] - self.tau0[lanes]),
+                           np.inf)
+            cell = key.argmin(axis=0)
+            dist = key[cell, np.arange(len(lanes))]
+            # no finite distance (tau0 NaN or infinite): a cell at a time,
+            # the first flip is never replaced
+            cell = np.where(dist < np.inf, cell, flip.argmax(axis=0))
+            better = ~self.found[lanes] | (dist < self.dist[lanes])
+            lanes, cell = lanes[better], cell[better]
+            self.dist[lanes] = dist[better]
+        self.found[lanes] = True
+        self.idx[lanes] = first + cell
+        self.g_left[lanes] = g[cell, lanes]
 
 
 def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
     """Per lane, a root of G(tau) = tau - phi(x, f(tau)) on a curve: scan
-    the window for sign changes, pick a cell while scanning (one column of
-    G at a time, so memory grows with the lanes only) and bisect it until
-    its ends are adjacent floats on every lane.  The curve is evaluated
-    once per scan point, its u shared by every lane.  Under ``lowest`` a
-    lane reads only its first sign change, so the scan ends once every
+    the window for sign changes, pick a cell while scanning and bisect it
+    until its ends are adjacent floats on every lane.  The scan runs in
+    blocks of B = ``_SCAN_BLOCK`` // n columns of G, each one
+    ``phi_of_u`` call with the block's u broadcast over the lanes (never
+    repeated) and one cell pick that starts at the last column of the
+    block before, so memory grows with the lanes only.  The curve is
+    evaluated once per scan point.  Under ``lowest`` a lane reads only its
+    first sign change, so the scan ends after the block in which every
     lane has its cell; ``highest`` and ``nearest`` scan every point.  The
     bisection passes one row set to ``phi_of_u`` throughout.  Returns tau
     (n, 1), bisection steps and whether a lane has a root."""
@@ -801,17 +832,20 @@ def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
         raise SolverError("empty scan window")
     ws = np.linspace(lo, hi, _SCAN_POINTS)
     us = surface.value(ws[:, None])
+    centres = 0.5 * (ws[:-1] + ws[1:])
     pick = _CellPicker(tau0[:, 0], cfg.root_select)
     lowest = cfg.root_select == "lowest"
-    for j, w in enumerate(ws):
-        g = w - phi_of_u(us[j])[:, 0]
-        sign, finite = np.sign(g), np.isfinite(g)
-        if j:
-            flip = (prev_sign * sign <= 0) & prev_finite & finite
-            pick.offer(j - 1, flip, prev_g, 0.5 * (ws[j - 1] + w))
-            if lowest and pick.found.all():
-                break
-        prev_g, prev_sign, prev_finite = g, sign, finite
+    size = max(1, _SCAN_BLOCK // max(n, 1))
+    g = np.empty((size + 1, n))     # row 0: the block before's last column
+    g[0] = ws[0] - phi_of_u(us[:1, None])[0, :, 0]
+    for j in range(1, len(ws), size):
+        cols = slice(j, j + size)
+        width = len(ws[cols])
+        g[1:width + 1] = ws[cols, None] - phi_of_u(us[cols, None])[..., 0]
+        pick.offer(j - 1, g[:width + 1], centres[j - 1:j - 1 + width])
+        if lowest and pick.found.all():
+            break
+        g[0] = g[width]
     conv = pick.found
     tau = np.full((n, 1), np.nan)
     iters = np.zeros(n, dtype=int)

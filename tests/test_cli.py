@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rwave import cli
 from rwave.cli import (
     EXIT_CONDITION,
@@ -359,17 +361,33 @@ def test_run_verify_misses_bounds_exit3(tmp_path, monkeypatch):
 
 def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
     # a reversed range, a --solver-config file that does not exist, and
-    # numeric flags that must be positive: nothing is written
-    cases = {"empty range for t": ["--domain", "t=3:1"],
-             "No such file": ["--solver-config",
-                              str(tmp_path / "missing.json")],
-             "must be positive": ["--trials", "0", "--fd-step", "0"]}
-    for message, argv in cases.items():
+    # numeric flags that must be positive (and finite): nothing is written
+    cases = [("empty range for t", ["--domain", "t=3:1"]),
+             ("No such file", ["--solver-config",
+                               str(tmp_path / "missing.json")]),
+             ("must be positive", ["--trials", "0", "--fd-step", "0"]),
+             *(("must be positive", [flag, value])
+               for flag in ("--tol-newton", "--tol-zero", "--fd-step")
+               for value in ("nan", "inf"))]
+    for message, argv in cases:
         out = tmp_path / "out"
         assert main(["run", "--system", "example2", "--out", str(out),
-                     *argv]) == EXIT_REQUEST, message
+                     *argv]) == EXIT_REQUEST, argv
         assert message in capsys.readouterr().err
-        assert not out.exists(), message
+        assert not out.exists(), argv
+    # --trials parses as an integer, so NaN and inf stop at the parser,
+    # and a request that carries them anyway stops at its validation
+    for value in ("nan", "inf"):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--system", "example2", "--out", str(out),
+                  "--trials", value])
+        assert stop.value.code == EXIT_REQUEST
+        assert "invalid int value" in capsys.readouterr().err
+        req = base_request(tmp_path, trials=float(value))
+        assert run(req)[0] == EXIT_REQUEST
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists(), value
     # an --out that names a file
     blocker = tmp_path / "file"
     blocker.write_text("kept")

@@ -333,6 +333,44 @@ def test_staged_kernel_bound_rows_match_unstaged_bitwise(a, b, data, seed):
     assert_bitwise(bound(late_env), compile_exprs(exprs)(dict(full, **late_env)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(a=expr_strategy(NAMES), data=st.data(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_staged_kernel_block_of_late_values_matches_rows_bitwise(a, data,
+                                                                 seed):
+    # B late values of shape (B, 1) broadcast against the bound arrays in
+    # one call; row b must keep the bits of a call with row b's values
+    # alone, although numpy's SIMD exp/log/sqrt/power loops then run over
+    # B lanes of u, or B times n lanes, instead of one or n.  37 lanes and
+    # blocks of 1-9 leave a tail
+    u1, u2 = Var("u1"), Var("u2")
+    exprs = (a,
+             Bin("*", Call("exp", Bin("*", u1, Call("sin", a))), u2),
+             Call("ln", Bin("+", Const(2), Bin("*", u1, Call("cos", a)))),
+             Bin("-", Call("sqrt", Bin("+", Const(1), Bin("^", u1, Const(2)))),
+                 Bin("^", u2, Const(3))),
+             Bin("^", Bin("+", Const(2), Bin("*", u2, a)), Const(0.5)),
+             Bin("+", Call("exp", u1), Call("ln", Bin("+", Const(2), u2))))
+    late = ("u1", "u2")
+    per_lane = data.draw(st.booleans(), label="per-lane early values")
+    size = data.draw(st.integers(1, 9), label="block size")
+    n = 37
+    rng = np.random.default_rng(seed)
+    early_env = {name: rng.uniform(-1.5, 1.5, n) if per_lane
+                 else np.float64(rng.uniform(-1.5, 1.5))
+                 for name in ("x", "y")}
+    block = {name: rng.uniform(-1.5, 1.5, (size, 1)) for name in late}
+    bound = compile_exprs(exprs, late=late)(early_env)
+    rows = np.array(data.draw(st.permutations(range(n)), label="lanes"))
+    rows = rows[:data.draw(st.integers(1, n), label="rows")]
+    for kernel in (bound, bound.rows(rows)):
+        got = kernel(block)
+        assert got.shape == (size, kernel.n, len(exprs))
+        for b in range(size):
+            alone = kernel({name: v[b, 0] for name, v in block.items()})
+            assert_bitwise(got[b], alone)
+
+
 def test_staged_kernel_missing_variable_raises_at_its_step():
     bind = compile_exprs((parse("x*u1 + ln(y)", SPACE),), late=("u1",))
     with pytest.raises(MissingVariableError,

@@ -730,29 +730,66 @@ def reference_select_cell(flips, ws, tau0, root_select):
     return idx
 
 
+def scan_flips(g):
+    # the reference's sign changes of G (n, points)
+    sign = np.sign(g)
+    with np.errstate(invalid="ignore"):
+        flips = (sign[:, :-1] * sign[:, 1:]) <= 0
+    return flips & np.isfinite(g[:, :-1]) & np.isfinite(g[:, 1:])
+
+
+def offer_in_blocks(pick, g, ws, widths):
+    # G (n, points) offered as the scan offers it: a block of ``width``
+    # cells starts at the last column of the block before
+    centers = 0.5 * (ws[:-1] + ws[1:])
+    first = 0
+    for width in widths:
+        block = np.ascontiguousarray(g[:, first:first + width + 1].T)
+        pick.offer(first, block, centers[first:first + width])
+        first += width
+
+
 @pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
 def test_select_cell_matches_row_loop(root_select):
     rng = np.random.default_rng(11)
-    ws = np.linspace(-2.0, 2.0, 9)
+    n, points = 400, 41
+    ws = np.linspace(-2.0, 2.0, points)
     centers = 0.5 * (ws[:-1] + ws[1:])
-    flips = rng.random((400, 8)) < 0.3
-    flips[:20] = False                          # rows without a root
-    # tau0 on a cell centre, halfway between two centres (a tie), on a
-    # scan point, outside the window, NaN and infinite
-    tau0 = rng.choice(np.concatenate([centers, ws, [-5.0, 5.0, np.nan,
-                                                    np.inf, -np.inf]]), 400)
-    tau0[20:40] = 0.5 * (centers[2] + centers[5])
-    flips[20:40, [2, 5]] = True
-    pick = solver._CellPicker(tau0, root_select)
-    g = rng.standard_normal((400, 9))
-    for j in range(8):                          # one scan cell at a time
-        pick.offer(j, flips[:, j], g[:, j], centers[j])
-    want = reference_select_cell(flips, ws, tau0, root_select)
-    assert np.array_equal(pick.idx, want)
-    assert np.array_equal(pick.found, flips.any(axis=1))
-    # G is kept at the left end of the picked cell
-    has = flips.any(axis=1)
-    assert_bitwise(pick.g_left[has], g[has, want[has]])
+    for _ in range(30):
+        # cells per block 1-9, the last block whatever is left
+        widths = []
+        while sum(widths) < points - 1:
+            left = points - 1 - sum(widths)
+            widths.append(min(int(rng.integers(1, 10)), left))
+        ends = np.cumsum(widths)            # each block's last column
+        # runs of one sign, zeros, and NaN or an infinity in columns that
+        # end one block and start the next, and elsewhere
+        sign = np.cumprod(np.where(rng.random((n, points)) < 0.15, -1.0, 1.0),
+                          axis=1)
+        g = sign * rng.uniform(0.1, 2.0, (n, points))
+        g[rng.random((n, points)) < 0.03] = 0.0
+        odd = [np.nan, np.inf, -np.inf]
+        for cols in (ends, rng.integers(0, points, 5)):
+            hit = rng.random((n, len(cols))) < 0.15
+            g[:, cols] = np.where(hit, rng.choice(odd, hit.shape), g[:, cols])
+        g[:20] = np.abs(g[:20]) + 1.0              # rows without a root
+        # tau0 on a cell centre, halfway between two centres (a tie), on a
+        # scan point, outside the window, NaN and infinite
+        tau0 = rng.choice(np.concatenate([centers, ws, [-5.0, 5.0, *odd]]), n)
+        tau0[20:40] = 0.5 * (centers[2] + centers[5])
+        g[20:40] = np.where((np.arange(points) > 2) & (np.arange(points) < 6),
+                            -1.0, 1.0)
+        flips = scan_flips(g)
+        pick = solver._CellPicker(tau0, root_select)
+        offer_in_blocks(pick, g, ws, widths)
+        want = reference_select_cell(flips, ws, tau0, root_select)
+        assert np.array_equal(pick.idx, want)
+        assert np.array_equal(pick.found, flips.any(axis=1))
+        # G is kept at the left end of the picked cell
+        has = flips.any(axis=1)
+        assert_bitwise(pick.g_left[has], g[has, want[has]])
+        if root_select == "nearest":
+            assert np.array_equal(want[20:40], np.full(20, 2))
 
 
 def test_nearest_matches_neighbour_loop():
@@ -768,9 +805,10 @@ def test_nearest_matches_neighbour_loop():
 
 
 # ---------------------------------------------------------------------------
-# the scalar solve scans one column at a time and shares u(w) between
-# lanes; it stays bitwise the matrix scan that evaluated the curve and the
-# potential on every lane at every scan point, kept here as the reference
+# the scalar solve scans a block of columns at a time and shares each
+# column's u(w) between lanes; it stays bitwise the matrix scan that
+# evaluated the curve and the potential on every lane at every scan point,
+# kept here as the reference
 
 def reference_scan_solve(surface, phi, tau0, cfg, n):
     # ``phi(tau)`` gives phi at tau (n, 1) on every lane, shape (n,)
@@ -901,10 +939,12 @@ def test_scalar_solve_matches_matrix_scan_bitwise(case, root_select):
 
 
 @pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
-def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select):
+def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select,
+                                                               monkeypatch):
     # G = w - u + c (u - r1)(u - r2)(u - r3) has up to three roots per
     # lane, and phi is -inf or +inf where u hits a lane's pole exactly,
-    # which happens at one scan point per lane
+    # which happens at one scan point per lane; blocks of 1, 2, 7 and the
+    # default number of columns put sign changes and poles on their ends
     surf = example3_surface()
     cfg = ImplicitSolveConfig(tau_window=(-24.0, 0.99),
                               root_select=root_select)
@@ -922,18 +962,22 @@ def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select):
         return np.where(u == pole[lanes], side[lanes], u - cubic)
 
     def phi_of_u(u, rows=None):
+        # u is (q,), (rows, q), or a block of scan columns (B, 1, q)
         lanes = slice(None) if rows is None else rows
-        return phi_lanes(u[..., 0], lanes)[:, None]
+        return phi_lanes(u[..., 0], lanes)[..., None]
 
     tau0 = rng.uniform(-24.0, 0.99, n)
     tau0[::9] = np.nan
+    tau0[1::9] = np.inf
     tau, iters, conv = reference_scan_solve(
         surf, lambda t: phi_lanes(surf.value(t)[:, 0], slice(None)), tau0,
         cfg, n)
-    got = solver._solve_scalar(surf, phi_of_u, tau0[:, None], cfg, n)
-    assert_bitwise(got[0], tau)
-    assert np.array_equal(got[1], iters)
-    assert np.array_equal(got[2], conv)
+    for block in (n, 2 * n, 7 * n, solver._SCAN_BLOCK):
+        monkeypatch.setattr(solver, "_SCAN_BLOCK", block)
+        got = solver._solve_scalar(surf, phi_of_u, tau0[:, None], cfg, n)
+        assert_bitwise(got[0], tau)
+        assert np.array_equal(got[1], iters)
+        assert np.array_equal(got[2], conv)
 
 
 def test_scalar_solve_evaluates_curve_once_per_scan_point():
@@ -961,28 +1005,41 @@ def test_scalar_solve_evaluates_curve_once_per_scan_point():
 
 
 @pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
-def test_lowest_scan_ends_once_every_lane_has_its_cell(root_select):
+def test_lowest_scan_ends_once_every_lane_has_its_cell(root_select,
+                                                       monkeypatch):
     # ``lowest`` reads only a lane's first sign change, so the scan ends
-    # when every lane has one; the other rules read every column
+    # after the block of B columns in which every lane has one; the other
+    # rules read every column
     surf, pots, grid, settings, params, space = ex3_all_roots_case()
     env_x, n = solver._env_from_grid(space.independent, grid, params)
     bound = solver.PotentialFn(pots[0], space).bind(env_x)
-    columns = []
-
-    def phi_of_u(u, rows=None):
-        if rows is None:
-            columns.append(u)
-        lanes = bound if rows is None else bound.rows(rows)
-        return lanes.value({"u": u[..., 0]})[:, None]
-
     cfg = ImplicitSolveConfig(root_select=root_select, **settings)
     tau0 = settings["initial_guess"][:, None]
-    conv = solver._solve_scalar(surf, phi_of_u, tau0, cfg, n)[2]
-    assert conv.all()
-    if root_select == "lowest":
-        assert len(columns) < solver._SCAN_POINTS
-    else:
-        assert len(columns) == solver._SCAN_POINTS
+    # the column at which the last lane has its first sign change
+    (lo, hi), (wlo, whi) = surf.tau_ranges[0], settings["tau_window"]
+    ws = np.linspace(max(lo, wlo), min(hi, whi), solver._SCAN_POINTS)
+    us = surf.value(ws[:, None])
+    g = np.stack([w - bound.value({"u": us[j, 0]}) for j, w in enumerate(ws)],
+                 axis=1)
+    last = scan_flips(g).argmax(axis=1).max() + 1
+    for size in (1, 3, 8):
+        monkeypatch.setattr(solver, "_SCAN_BLOCK", size * n)
+        columns = []
+
+        def phi_of_u(u, rows=None):
+            if rows is None:
+                assert u.shape[1:] == (1, 1) and len(u) <= size
+                columns.extend(u[:, 0, 0])
+            lanes = bound if rows is None else bound.rows(rows)
+            return lanes.value({"u": u[..., 0]})[..., None]
+
+        conv = solver._solve_scalar(surf, phi_of_u, tau0, cfg, n)[2]
+        assert conv.all()
+        assert_bitwise(np.array(columns), us[:len(columns), 0])
+        if root_select == "lowest":
+            assert last < len(columns) <= last + size < solver._SCAN_POINTS
+        else:
+            assert len(columns) == solver._SCAN_POINTS
 
 
 def test_bisection_slices_the_bound_potentials_once(monkeypatch):
@@ -1094,6 +1151,13 @@ def test_potential_fn_numeric_lanes():
         assert_bitwise(alone, val[i:i + 1])
     du = pot.du(env)
     assert du.shape == (n, 1) and np.all(np.isfinite(du))
+    # a block of B values of u broadcasts over the lanes
+    bound = pot.bind(env)
+    block = rng.uniform(0.5, 1.0, (3, 1))
+    got = bound.value({"u": block})
+    assert got.shape == (3, n)
+    for b in range(3):
+        assert_bitwise(got[b], bound.value({"u": block[b, 0]}))
     res.phi.check_paths({"x1": 0.7, "x2": 0.9, "u": 0.6})
     res.phi.check_paths(env)
 
@@ -1121,6 +1185,13 @@ def test_potential_fn_binding_keeps_every_lane(text):
         u_rows = {"u": u[rows] if np.ndim(u) else u}
         assert_bitwise(bound.value(u_rows), want[rows])
         assert bound.du(u_rows).shape == (len(rows), 1)
+    # a block of B values of u gives (B, lanes), row b that of u_b alone
+    block = rng.uniform(-2, 0, (4, 1))
+    for bound in (pot.bind(env), pot.bind(env).rows(rows)):
+        got = bound.value({"u": block})
+        assert got.shape == (4, bound.value({"u": block[0, 0]}).shape[0])
+        for b in range(4):
+            assert_bitwise(got[b], bound.value({"u": block[b, 0]}))
 
 
 @pytest.mark.parametrize("missing", ["x", "m", "u"])
