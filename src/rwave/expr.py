@@ -82,9 +82,14 @@ class Expr:
     """Immutable expression node, interned: building the same structure
     twice returns the same node, so ``==`` and hashing are by identity.
     Float constants are keyed by their bits (``0.0`` and ``-0.0`` differ)
-    and a NaN constant equals nothing.  Safe to share across threads."""
+    and a NaN constant equals nothing.  Safe to share across threads.
 
-    __slots__ = ("__weakref__", "_simplified")
+    A node keeps its ``simplify`` result and, per variable, its ``diff``
+    result, for as long as it lives.  A derivative may hold its own node
+    (``exp(a)``, ``a^b``, ``0*b``): such cycles are left to the cyclic
+    collector.  Racing threads store the same interned result."""
+
+    __slots__ = ("__weakref__", "_simplified", "_diffs")
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -102,7 +107,15 @@ class Expr:
         raise NotImplementedError
 
     def diff(self, name: str) -> "Expr":
-        raise NotImplementedError
+        """d/d``name``, derived once per node and variable."""
+        diffs = self._diffs
+        if diffs is None:
+            diffs = {}
+            object.__setattr__(self, "_diffs", diffs)
+        d = diffs.get(name)
+        if d is None:
+            d = diffs[name] = self._derive(name)
+        return d
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         raise NotImplementedError
@@ -146,16 +159,18 @@ _NODES = weakref.WeakValueDictionary()  # (class, structure key) -> node
 _NODES_LOCK = threading.Lock()
 
 
-def _node(cls, key, **fields):
-    """The one live ``cls`` node with structure ``key``; children enter keys
-    by ``id()``, safe as a node holds its children.  Hits read the weak refs
-    in ``_NODES.data`` directly; inserts lock, so threads never get two."""
+def _node(cls, key, *fields):
+    """The one live ``cls`` node with structure ``key`` and ``fields`` in
+    ``cls.__slots__`` order; children enter keys by ``id()``, safe as a node
+    holds its children.  Hits read the weak refs in ``_NODES.data``
+    directly; inserts lock, so threads never get two."""
     ref = _NODES.data.get((cls, key))
     node = None if ref is None else ref()
     if node is None:
         node = object.__new__(cls)
         object.__setattr__(node, "_simplified", None)
-        for name, value in fields.items():
+        object.__setattr__(node, "_diffs", None)
+        for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
         with _NODES_LOCK:
             node = _NODES.setdefault((cls, key), node)
@@ -170,12 +185,12 @@ class Const(Expr):
             value = float(value)  # np.float64 prints as a plain float
             # a NaN gets a key of its own, so it equals no other node
             key = object() if math.isnan(value) else value.hex()
-            return _node(cls, key, value=value)
+            return _node(cls, key, value)
         if isinstance(value, int):
             value = Fraction(value)
         elif not isinstance(value, Fraction):
             raise TypeError(f"bad constant {value!r}")
-        return _node(cls, (value.numerator, value.denominator), value=value)
+        return _node(cls, (value.numerator, value.denominator), value)
 
     @property
     def is_exact(self):
@@ -211,7 +226,7 @@ class Var(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name):
-        return _node(cls, name, name=name)
+        return _node(cls, name, name)
 
     def variables(self):
         return frozenset((self.name,))
@@ -241,7 +256,7 @@ class Bin(Expr):
     def __new__(cls, op, left, right):
         if op not in _PREC:
             raise ValueError(f"bad operator {op!r}")
-        return _node(cls, (op, id(left), id(right)), op=op, left=left, right=right)
+        return _node(cls, (op, id(left), id(right)), op, left, right)
 
     def variables(self):
         return self.left.variables() | self.right.variables()
@@ -271,7 +286,7 @@ class Bin(Expr):
                     raise EvalDomainError(f"zero base with negative exponent in {self}")
             return np.power(np.asarray(a, dtype=float), b)
 
-    def diff(self, name):
+    def _derive(self, name):
         a, b = self.left, self.right
         da, db = a.diff(name), b.diff(name)
         op = self.op
@@ -332,7 +347,7 @@ class Call(Expr):
     def __new__(cls, fn, arg):
         if fn not in FUNCTION_NAMES:
             raise ValueError(f"unknown function {fn!r}")
-        return _node(cls, (fn, id(arg)), fn=fn, arg=arg)
+        return _node(cls, (fn, id(arg)), fn, arg)
 
     def variables(self):
         return self.arg.variables()
@@ -347,7 +362,7 @@ class Call(Expr):
         with np.errstate(all="ignore"):
             return _UNARY_EVAL[self.fn](v)
 
-    def diff(self, name):
+    def _derive(self, name):
         a = self.arg
         da = a.diff(name)
         fn = self.fn

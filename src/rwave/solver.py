@@ -456,7 +456,8 @@ class BoundPotential:
             return BoundPotential(self.pot, None,
                                   tuple(k.rows(rows) for k in self._kernels))
         return BoundPotential(self.pot,
-                              {name: v[rows] for name, v in self._env.items()})
+                              {name: v[rows] if np.ndim(v) else v
+                               for name, v in self._env.items()})
 
     def value(self, u_env):
         if self.pot.symbolic:
@@ -557,7 +558,7 @@ def _env_from_grid(x_names, grid_env, params):
     for name in x_names:
         env[name] = np.broadcast_to(np.asarray(grid_env[name], dtype=float), (n,))
     for k, v in params.items():
-        env[k] = np.broadcast_to(np.asarray(v, dtype=float), (n,))
+        env[k] = np.asarray(v, dtype=float)   # 0-d, shared by every lane
     return env, n
 
 

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -528,10 +529,16 @@ def test_intern_table_keeps_nothing_alive():
 
 def test_interning_across_threads():
     # more threads than cores build the same fresh structures in the same
-    # order, switching often: each structure must still be one node
+    # order, switching often: each structure must still be one node; then
+    # they diff the same fresh trees, racing to keep each derivative, and
+    # must still get one node per derivative
     def build(out):
         out.extend(Bin("+", Var("x"), Const(k + 0.987654321))
                    for k in range(3000))
+        trees = [Bin("^", Call("exp", Bin("*", Var("x"),
+                                          Const(k + 0.456789123))), Var("y"))
+                 for k in range(300)]
+        out.extend(t.diff(name) for t in trees for name in ("x", "y"))
 
     results = [[] for _ in range(8)]
     threads = [threading.Thread(target=build, args=(r,)) for r in results]
@@ -545,6 +552,88 @@ def test_interning_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(len(r) == 3000 for r in results)
+    assert all(len(r) == 3600 for r in results)
     for r in results[1:]:
         assert all(a is b for a, b in zip(results[0], r))
+
+
+# ---------------------------------------------------------------------------
+# derivatives kept on the node
+
+def reference_diff(e, name):
+    """Expr.diff's rules applied afresh at every node, keeping nothing."""
+    if isinstance(e, Const):
+        return Const(0)
+    if isinstance(e, Var):
+        return Const(1) if e.name == name else Const(0)
+    if isinstance(e, Call):
+        a, fn = e.arg, e.fn
+        da = reference_diff(a, name)
+        return {"neg": lambda: Call("neg", da),
+                "sqrt": lambda: Bin("/", da,
+                                    Bin("*", Const(2), Call("sqrt", a))),
+                "ln": lambda: Bin("/", da, a),
+                "abs": lambda: Bin("/", Bin("*", a, da), Call("abs", a)),
+                "exp": lambda: Bin("*", Call("exp", a), da),
+                "sin": lambda: Bin("*", Call("cos", a), da),
+                "cos": lambda: Call("neg", Bin("*", Call("sin", a), da)),
+                }[fn]()
+    a, b, op = e.left, e.right, e.op
+    da, db = reference_diff(a, name), reference_diff(b, name)
+    if op in "+-":
+        return Bin(op, da, db)
+    if op == "*":
+        return Bin("+", Bin("*", da, b), Bin("*", a, db))
+    if op == "/":
+        num = Bin("-", Bin("*", da, b), Bin("*", a, db))
+        return Bin("/", num, Bin("^", b, Const(2)))
+    if isinstance(b, Const):
+        expo = Const(b.value - 1) if b.is_exact else Const(b.value - 1.0)
+        return Bin("*", Bin("*", b, Bin("^", a, expo)), da)
+    term = Bin("+", Bin("*", db, Call("ln", a)), Bin("*", b, Bin("/", da, a)))
+    return Bin("*", e, term)
+
+
+@settings(max_examples=80, deadline=None)
+@given(e=expr_strategy(NAMES, max_depth=8),
+       power=expr_strategy(NAMES, max_depth=3),
+       name=st.sampled_from(NAMES + ("b",)))
+def test_diff_is_kept_on_the_node(e, power, name):
+    # the strategy's powers have constant exponents: add a general one
+    e = Bin("+", e, Bin("^", Bin("+", Const(2), Bin("^", e, Const(2))), power))
+    derived = []
+
+    def counted(rule):
+        def run(node, var):
+            derived.append(node)
+            return rule(node, var)
+        return run
+
+    with mock.patch.object(Bin, "_derive", counted(Bin._derive)), \
+            mock.patch.object(Call, "_derive", counted(Call._derive)):
+        first = e.diff(name)
+        # each rule ran at most once per node, and only on nodes of e
+        assert len(derived) == len(set(derived))
+        assert set(derived) <= set(subtrees(e))
+        del derived[:]
+        assert e.diff(name) is first
+        assert not derived
+    assert first is reference_diff(e, name)
+
+
+def test_kept_derivatives_are_freed_with_their_nodes():
+    gc.collect()
+    before = len(expr._NODES)
+    # fresh names, so no node outlives the tree; the kept derivatives make
+    # cycles (exp(a)' holds exp(a), the general power rule holds x^y, and
+    # (0*b)' holds 0*b), which the cycle collector frees
+    x, y, b = Var("lifetime_x"), Var("lifetime_y"), Var("lifetime_b")
+    tree = Bin("+", Bin("+", Call("exp", Bin("*", Const(0.3141), x)),
+                        Bin("^", x, y)), Bin("*", Const(0), b))
+    kept = [simplify(tree.diff(v.name)) for v in (x, y, b)]
+    kept.append(simplify(tree))
+    assert tree.diff("lifetime_x") is tree.diff("lifetime_x")
+    assert len(expr._NODES) > before + 20
+    del x, y, b, tree, kept
+    gc.collect()
+    assert len(expr._NODES) == before

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwave import exprmat, ode, solver, spline
+from rwave import exprmat, geometry, ode, solver, spline
 from rwave.expr import (
     Box,
     Const,
@@ -1192,6 +1192,35 @@ def test_potential_fn_binding_keeps_every_lane(text):
         assert got.shape == (4, bound.value({"u": block[0, 0]}).shape[0])
         for b in range(4):
             assert_bitwise(got[b], bound.value({"u": block[b, 0]}))
+
+
+def test_grid_parameters_bind_0d_with_the_bits_of_per_lane_values():
+    # the solver's env holds each parameter as one 0-d value; a bound
+    # potential gives the bits it gives with the parameter spread over
+    # every lane: whole, at a row subset and for a block of u, symbolic
+    # and quadrature alike
+    rng = np.random.default_rng(12)
+    n = 40
+    rows = np.array([0, 5, 17, 39])
+    block = {"u": rng.uniform(-2, 0, (5, 1))}
+    cases = [(SP3, parse("t + exp(m)*ln(|x|) - u^2*k/sqrt(m)", SP3),
+              {"m": 1.37, "k": 0.61})]
+    space = VarSpace(("x1", "x2"), ("u",), ("c",))
+    lam = (parse("c*x2^2", space), parse("2*c*x1*x2", space))
+    cases.append((space, geometry.NumericPotential(
+        lam, space, {"x1": 0.2, "x2": 0.2}), {"c": 1.3}))
+    for space, phi, params in cases:
+        grid = {name: rng.uniform(0.5, 2.0, n) for name in space.independent}
+        env, got_n = solver._env_from_grid(space.independent, grid, params)
+        assert got_n == n and all(np.shape(env[p]) == () for p in params)
+        spread = dict(env, **{p: np.full(n, v) for p, v in params.items()})
+        pot = solver.PotentialFn(phi, space)
+        for u in ({"u": np.float64(-0.7)}, block):
+            assert_bitwise(pot.bind(env).value(u), pot.bind(spread).value(u))
+            assert_bitwise(pot.bind(env).rows(rows).value(u),
+                           pot.bind(spread).rows(rows).value(u))
+        assert_bitwise(pot.bind(env).rows(rows).du({"u": np.float64(-0.7)}),
+                       pot.bind(spread).rows(rows).du({"u": np.float64(-0.7)}))
 
 
 @pytest.mark.parametrize("missing", ["x", "m", "u"])
