@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Frame-rescaling demos: a symbolic pair, a pair whose bracket
-coefficients depend on two variables, and a cyclic three-field frame that
-exercises the numeric transport path.
+coefficients depend on two variables (their transports have closed forms
+through ln), and a cyclic three-field frame that exercises the numeric
+transport path.
 
 Exits 1 when the two-variable pair's coefficients are not expressions or
 its rescaled fields do not commute to 1e-6."""
@@ -42,6 +43,8 @@ def main():
     pair_worst = commutation_residual(res.scaled_fields(), box2, rng=5)
     print("pair {(1+y^2) d_x, (1+x^2) d_y}:")
     print(f"  bracket coefficients: {pc.h_first.expr}, {pc.h_second.expr}")
+    for i, f in enumerate(res.factors):
+        print(f"  factor {i}: {f.expr}")
     print(f"  commutation residual: {pair_worst:.3e}")
     status = 0
     if pc.h_first.expr is None or pc.h_second.expr is None:

@@ -1114,7 +1114,9 @@ def is_zero(e: Expr, box: Box, trials: int = DEFAULT_TRIALS,
 def antiderivative(e: Expr, name: str):
     """Antiderivative of ``e`` with respect to ``name`` for recognized shapes:
     sums of terms c(v-free) * atom, where atom is v^n, 1/v, exp(a v),
-    sin(a v), cos(a v) or v-free.  Returns None when not recognized.
+    sin(a v), cos(a v) or v-free, and logarithmic derivatives
+    c * N / D with N = k dD/dv for a v-free k, integrated to c k ln(D)
+    where ``_positive`` proves D > 0.  Returns None when not recognized.
     """
     e = simplify(e)
     terms = []
@@ -1149,6 +1151,9 @@ def _antiderivative_term(t, name):
     coeff = _rebuild("*", free_num) if free_num else ONE
     if free_den:
         coeff = Bin("/", coeff, _rebuild("*", free_den))
+    if len(dep_num) == 1 and len(dep_den) == 1:
+        return _log_derivative_antiderivative(coeff, dep_num[0], dep_den[0],
+                                              name)
     if len(dep_num) + len(dep_den) != 1:
         return None
     if dep_den:
@@ -1158,6 +1163,51 @@ def _antiderivative_term(t, name):
     if atom_anti is None:
         return None
     return simplify(Bin("*", coeff, atom_anti))
+
+
+def _log_derivative_antiderivative(coeff, num, den, name):
+    """coeff k ln(den) when num = k d(den)/dv with k free of v and den
+    provably positive, else None: the logarithmic part of a rational
+    integrand.  ln|den| across a zero of den is no antiderivative, and
+    sampling cannot prove a sign, so the sign is read off the syntax."""
+    if _positive(den) != _POSITIVE:
+        return None
+    k = simplify(Bin("/", num, den.diff(name)))
+    if name in k.variables():
+        return None
+    return simplify(Bin("*", Bin("*", coeff, k), Call("ln", den)))
+
+
+_NONNEGATIVE, _POSITIVE = 1, 2
+
+
+def _positive(e):
+    """_POSITIVE or _NONNEGATIVE where the syntax of ``e`` proves that
+    sign on every point of its domain, else 0: a positive constant and
+    exp are positive, even integer powers and abs nonnegative, a power of
+    a positive base positive; a sum is positive when one term is and the
+    other nonnegative, a product or quotient has the weaker sign of its
+    factors, and a quotient needs a positive divisor."""
+    if isinstance(e, Const):
+        return _POSITIVE if e.value > 0 else _NONNEGATIVE if e.value == 0 \
+            else 0
+    if isinstance(e, Call):
+        return {"exp": _POSITIVE, "abs": _NONNEGATIVE}.get(e.fn, 0)
+    if not isinstance(e, Bin):
+        return 0
+    a = _positive(e.left)
+    if e.op == "^":
+        b = e.right
+        if isinstance(b, Const) and b.is_exact and b.value.denominator == 1 \
+                and b.value.numerator % 2 == 0:
+            return max(a, _NONNEGATIVE)
+        return _POSITIVE if a == _POSITIVE else 0
+    b = _positive(e.right)
+    if e.op == "+":
+        return max(a, b) if min(a, b) else 0
+    if e.op == "*" or (e.op == "/" and b == _POSITIVE):
+        return min(a, b)
+    return 0
 
 
 def _split_rational(t, num, den):

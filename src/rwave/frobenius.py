@@ -24,7 +24,12 @@ and keep it.  The span coefficients of expression fields are
 expressions: a fit of sampled values where one is recognizable, else the
 exact form from the symbolic bracket.  A sampled span check guards their
 construction, and the Gram determinant guards the exact forms'
-evaluation against dependent fields.  Where a numeric factor leaves no
+evaluation against dependent fields.  The guard travels: whatever is
+derived from a guarded scalar (quotients, sums, exp, directional
+derivatives, closed-form transports and so the factors) checks it where
+it is evaluated, so a guarded coefficient may take a closed-form
+transport, except one through ln|.|, which would be singular where the
+flow meets the guard.  Where a numeric factor leaves no
 fit, the coefficients are solved pointwise in one batched two-column
 least-squares solve (`solve_two_columns`).  Brackets come from one table
 per point set (`_bracket_table`): a numeric factor, whose every
@@ -110,34 +115,49 @@ class ScalarFn:
     build a simplified expression when every operand is symbolic, and
     otherwise a closure over the operands' values.
 
-    ``span`` is None or (s, det G), with s = |a|^2 + |b|^2 and G the
-    Gram matrix of the field pair a, b whose span defines an expression
-    scalar: ``ev`` raises NotInSpan (``_check_independent``) where the
-    pair is dependent.  Only negation keeps the guard.  Quotients, ``exp``
-    and sums drop it, and so does any use of ``expr`` alone, such as the
-    symbolic compatibility check; ``solve_transport_system`` therefore
-    flows a guarded source as it is, with no antiderivative or fitted
-    surrogate."""
+    ``guards`` is a tuple of span guards (s, det G), with s = |a|^2 +
+    |b|^2 and G the Gram matrix of a field pair a, b whose span defines
+    an expression scalar: ``ev`` raises NotInSpan (``_check_independent``)
+    where any of the pairs is dependent.  Negation, division, ``exp`` and
+    ``sum`` keep the union of their operands' guards, and so do the
+    derivatives of ``VectorField.directional`` and the closed forms of
+    ``solve_transport_system``.  A closure checks the guards of its
+    operands as it evaluates them and keeps their union for its callers
+    to read."""
 
-    def __init__(self, obj, names, span=None):
+    def __init__(self, obj, names, guards=()):
         self.names = tuple(names)
         if isinstance(obj, (int, float)):
             obj = Const(float(obj)) if isinstance(obj, float) else Const(obj)
         self.expr = obj if isinstance(obj, Expr) else None
         self._fn = None if self.expr is not None else obj
-        self.span = span
+        self.guards = tuple(guards)
         self._kernel = None
+
+    @property
+    def span(self):
+        """The guards, or None for an unguarded scalar."""
+        return self.guards or None
 
     def ev(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.expr is None:
             return np.asarray(self._fn(U), dtype=float).reshape(U.shape[0])
+        if isinstance(self.expr, Const) and not self.guards:
+            return np.full(U.shape[0], float(self.expr.value))
         if self._kernel is None:
-            self._kernel = compile_exprs((self.expr,) + (self.span or ()))
+            self._kernel = compile_exprs(
+                (self.expr,) + tuple(e for g in self.guards for e in g))
         out = self._kernel(_columns(U, self.names))
-        if self.span is not None:
-            _check_independent(out[:, 1], out[:, 2], out[:, 0], U, self.names)
+        for k in range(1, out.shape[1], 2):
+            _check_independent(out[:, k], out[:, k + 1], out[:, 0], U,
+                               self.names)
         return out[:, 0]
+
+    def check(self, U):
+        """Raise NotInSpan where a guard fails at a row of U."""
+        if self.guards:
+            self.ev(U)
 
     def __repr__(self):
         return f"<ScalarFn {self.expr}>" if self.expr is not None \
@@ -146,28 +166,38 @@ class ScalarFn:
     def __neg__(self):
         if self.expr is not None:
             return ScalarFn(simplify(Call("neg", self.expr)), self.names,
-                            self.span)
-        return ScalarFn(lambda U: -self.ev(U), self.names)
+                            self.guards)
+        return ScalarFn(lambda U: -self.ev(U), self.names, self.guards)
 
     def __truediv__(self, other):
+        guards = _union(self.guards, other.guards)
         if self.expr is not None and other.expr is not None:
             return ScalarFn(simplify(Bin("/", self.expr, other.expr)),
-                            self.names)
-        return ScalarFn(lambda U: self.ev(U) / other.ev(U), self.names)
+                            self.names, guards)
+        return ScalarFn(lambda U: self.ev(U) / other.ev(U), self.names,
+                        guards)
 
     def exp(self):
         if self.expr is not None:
-            return ScalarFn(simplify(Call("exp", self.expr)), self.names)
-        return ScalarFn(lambda U: np.exp(self.ev(U)), self.names)
+            return ScalarFn(simplify(Call("exp", self.expr)), self.names,
+                            self.guards)
+        return ScalarFn(lambda U: np.exp(self.ev(U)), self.names, self.guards)
 
     @classmethod
     def sum(cls, terms, names):
-        """The sum of Expr and callable ``terms``, added in term order."""
-        if all(isinstance(t, Expr) for t in terms):
-            return cls(exprmat.sum_exprs(terms), names)
-        fns = [cls(t, names) for t in terms]
+        """The sum of ScalarFn, Expr and callable ``terms``, added in term
+        order."""
+        fns = [t if isinstance(t, ScalarFn) else cls(t, names) for t in terms]
+        guards = _union(*(f.guards for f in fns))
+        if all(f.expr is not None for f in fns):
+            return cls(exprmat.sum_exprs(f.expr for f in fns), names, guards)
         return cls(lambda U: sum((f.ev(U) for f in fns), np.zeros(len(U))),
-                   names)
+                   names, guards)
+
+
+def _union(*guards):
+    """The guard tuples joined in order, each guard once."""
+    return tuple(dict.fromkeys(g for gs in guards for g in gs))
 
 
 class VectorField:
@@ -187,7 +217,7 @@ class VectorField:
         self._kernel = None
         self.bare = self
         self._brackets = {}     # other.exprs -> bare field [self, other]
-        self._directionals = {}  # scalar expr -> ScalarFn of its derivative
+        self._directionals = {}  # (expr, guards) -> derivative ScalarFn
 
     def with_factor(self, factor):
         """The field ``factor`` times this field's components."""
@@ -199,6 +229,11 @@ class VectorField:
     @property
     def symbolic(self):
         return self.factor is None or self.factor.expr is not None
+
+    @property
+    def guards(self):
+        """The factor's guards."""
+        return () if self.factor is None else self.factor.guards
 
     def scaled_exprs(self):
         """Component expressions when fully symbolic, else None."""
@@ -219,23 +254,24 @@ class VectorField:
             self._kernel = compile_exprs(self.exprs)
         return self._kernel(_columns(U, self.names))
 
-    def _directional_fn(self, e: Expr):
-        out = self._directionals.get(e)
+    def directional_fn(self, scalar: ScalarFn):
+        """Symbolic derivative of the expression ``scalar`` along this
+        (symbolic) field, guarded by the scalar's and the factor's guards."""
+        key = (scalar.expr, scalar.guards)
+        out = self._directionals.get(key)
         if out is None:
-            (d,) = directional_derivative((e,), self.scaled_exprs(), self.names)
-            out = self._directionals[e] = ScalarFn(d, self.names)
+            (d,) = directional_derivative((scalar.expr,), self.scaled_exprs(),
+                                          self.names)
+            out = self._directionals[key] = ScalarFn(
+                d, self.names, _union(scalar.guards, self.guards))
         return out
-
-    def directional_expr(self, e: Expr):
-        """Symbolic derivative of ``e`` along this (symbolic) field."""
-        return self._directional_fn(e).expr
 
     def directional(self, scalar: ScalarFn, U):
         """Derivative of ``scalar`` along this field at rows of U; one
         evaluation of a numeric scalar covers both displaced point sets."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if scalar.expr is not None and self.symbolic:
-            return self._directional_fn(scalar.expr).ev(U)
+            return self.directional_fn(scalar).ev(U)
         points, eps = _displaced(U, self.eval(U), _DIRECTIONAL_STEP)
         return _difference_quotient(scalar.ev(points), eps)
 
@@ -396,7 +432,8 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
     time; each correction is solved along a single field, and the loop
     relies on the compatibility of the sources (checked by the caller)
     to leave earlier equations intact.  Returns (terms, worst_residual):
-    g is the sum of the terms, each an Expr or a TransportTerm.
+    g is the sum of the terms, each a closed-form ScalarFn or a
+    TransportTerm.
     """
     g = []
     base_arr = np.asarray([base[nm] for nm in names], dtype=float)
@@ -421,22 +458,20 @@ def solve_transport_system(fields, sources, names, box: Box, base, rng,
         if np.max(np.abs(vals)) <= _TRANSPORT_TOL:
             continue
         term = None
-        # a guarded source keeps its guard only through ev, so the flow,
-        # whose every stage evaluates it, takes it as it is: neither an
-        # antiderivative nor a fitted surrogate would carry the guard
-        guarded = s.span is not None
-        if prefer_symbolic and s.expr is not None and not guarded:
-            ge = ScalarFn.sum(g, names).expr
-            if ge is not None:
-                term = _symbolic_transport(
-                    Y, ScalarFn(_residual_expr(Y, s, ge), names), names, box,
-                    rng)
+        prior = ScalarFn.sum(g, names)
+        guards = _union(s.guards, prior.guards, Y.guards)
+        if prefer_symbolic and s.expr is not None and prior.expr is not None:
+            term = _symbolic_transport(
+                Y, ScalarFn(_residual_expr(Y, s, prior.expr), names, guards),
+                names, box, rng)
         if term is None:
             # flow along the bare expression field: f X(g) = s becomes
             # X(g) = s / f, keeping nested factors out of the flow itself
             bare = Y.bare
             src = resid if Y.factor is None else resid / Y.factor
-            if not guarded:
+            # the flow evaluates a guarded source at every stage, so it
+            # meets the guard; a fitted surrogate would not carry it
+            if not guards:
                 src = _cheapen_source(src, U_samples, names, box, rng)
             vy = bare.eval(base_arr[None])[0]
             if np.linalg.norm(vy) < 1e-12:
@@ -483,14 +518,17 @@ def _residual_expr(Y, s, ge):
 
 
 def _symbolic_transport(Y: VectorField, source: ScalarFn, names, box, rng):
-    """Solve Y(g) = source symbolically when Y moves one coordinate."""
+    """Solve Y(g) = source symbolically when Y moves one coordinate; g
+    keeps the source's guards.  A guarded source takes no closed form
+    with ln|.|: that is singular where its argument changes sign, which
+    the flow crosses, meeting the guard instead."""
     sd = Y.single_direction()
     if sd is None or source.expr is None:
         return None
     idx, coeff = sd
     rhs = simplify(Bin("/", source.expr, coeff))
     F = antiderivative(rhs, names[idx])
-    if F is None:
+    if F is None or (source.guards and _has_log_abs(F)):
         return None
     # confirm Y(F) - source vanishes on the box
     check = simplify(Bin("-", Bin("*", coeff, F.diff(names[idx])), source.expr))
@@ -500,7 +538,17 @@ def _symbolic_transport(Y: VectorField, source: ScalarFn, names, box, rng):
         return None
     if ok.verdict is not ZeroVerdict.PROBABLY_ZERO:
         return None
-    return F
+    return ScalarFn(F, names, source.guards)
+
+
+def _has_log_abs(e):
+    """Whether ``e`` contains ln(abs(.))."""
+    if isinstance(e, Call):
+        return (e.fn == "ln" and isinstance(e.arg, Call)
+                and e.arg.fn == "abs") or _has_log_abs(e.arg)
+    if isinstance(e, Bin):
+        return _has_log_abs(e.left) or _has_log_abs(e.right)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +686,8 @@ def _span_coefficients(Xi, Xj, names):
     <X_j, B>).  det G = |X_i|^2 |X_j|^2 - <X_i, X_j>^2 vanishes exactly
     where the fields are dependent.  The span guard both coefficients
     carry takes det G as the sum of the squared 2x2 minors (Lagrange
-    identity), which keeps its digits where the fields nearly align."""
+    identity), which keeps its digits where the fields nearly align; the
+    guards of the fields' factors ride along."""
     a, b = Xi.scaled_exprs(), Xj.scaled_exprs()
     B = Xi._bare_bracket(Xj).exprs if Xi.factor is None and Xj.factor is None \
         else lie_bracket(a, b, names)
@@ -652,12 +701,13 @@ def _span_coefficients(Xi, Xj, names):
     minors = exprmat.sum_exprs(
         Bin("^", Bin("-", Bin("*", a[p], b[q]), Bin("*", a[q], b[p])),
             Const(2)) for p, q in combinations(range(len(a)), 2))
-    span = (simplify(Bin("+", g11, g22)), minors)
+    guards = _union(((simplify(Bin("+", g11, g22)), minors),), Xi.guards,
+                    Xj.guards)
 
     def coefficient(p, q, r, t):
         return ScalarFn(simplify(Bin("/", Bin("-", Bin("*", p, q),
                                               Bin("*", r, t)), det)),
-                        names, span)
+                        names, guards)
     return coefficient(g22, bi, g12, bj), coefficient(g11, bj, g12, bi)
 
 
@@ -666,7 +716,8 @@ def compatibility_check(h_list, frame_fields, names, box: Box,
     """Symmetry of the stage-1 sources along the straightened frame:
     Y_j(h_i) = Y_i(h_j) for all i < j.  Exact via is_zero when both
     coefficients and fields are symbolic, sampled finite differences
-    otherwise."""
+    otherwise; the symbolic test evaluates the guards of both sides at
+    the check's samples, so a dependent sample raises NotInSpan."""
     rng = np.random.default_rng(rng)
     fields = [f if isinstance(f, VectorField) else VectorField(f, names)
               for f in frame_fields]
@@ -677,9 +728,11 @@ def compatibility_check(h_list, frame_fields, names, box: Box,
         sym_ok = (hs[i].expr is not None and hs[j].expr is not None
                   and fields[i].symbolic and fields[j].symbolic)
         if sym_ok:
-            lhs = fields[j].directional_expr(hs[i].expr)
-            rhs = fields[i].directional_expr(hs[j].expr)
-            chk = is_zero(simplify(Bin("-", lhs, rhs)), box,
+            lhs = fields[j].directional_fn(hs[i])
+            rhs = fields[i].directional_fn(hs[j])
+            lhs.check(U)
+            rhs.check(U)
+            chk = is_zero(simplify(Bin("-", lhs.expr, rhs.expr)), box,
                           trials=_TRANSPORT_TRIALS, rng=rng)
             if chk.verdict is ZeroVerdict.PROVABLY_NONZERO:
                 return ConditionCheck(Verdict.FAILS, abs(chk.value), chk.witness,

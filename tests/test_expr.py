@@ -169,6 +169,71 @@ def test_antiderivative_table():
     assert antiderivative(parse("ln(x+y)", space), "x") is None
 
 
+@pytest.mark.parametrize("text, var, expected", [
+    ("(-2)*y/(y^2 + 1)", "y", "-ln(y^2+1)"),
+    ("2*(y^2 + 1)*x/(x^2 + 1)", "x", "(y^2+1)*ln(x^2+1)"),
+    ("exp(y)/(exp(y)+1)", "y", "ln(exp(y)+1)"),
+])
+def test_antiderivative_log_derivative_table(text, var, expected):
+    rng = np.random.default_rng(2)
+    box = Box.from_dict({"x": (-2.0, 2.0), "y": (-2.0, 2.0)})
+    e = parse(text, ("x", "y"))
+    F = antiderivative(e, var)
+    assert F is not None, text
+    assert is_zero(simplify(F.diff(var) - e), box, rng=rng), (text, str(F))
+    assert is_zero(simplify(F - parse(expected, ("x", "y"))), box, rng=rng)
+
+
+@pytest.mark.parametrize("text, var", [
+    ("3*x^2/(x^3 + 1)", "x"),       # odd power: x^3 + 1 changes sign
+    ("2*y/(y^2 - 1)", "y"),         # a difference proves no sign
+    ("cos(y)/(sin(y) + 2)", "y"),   # positive, but sin is outside the rule
+])
+def test_antiderivative_log_derivative_needs_a_provably_positive_divisor(
+        text, var):
+    # each numerator is the derivative of the divisor, so only the sign
+    # rule refuses
+    assert antiderivative(parse(text, ("x", "y")), var) is None
+
+
+def _in_x(rest):
+    """a*x + rest, a nonzero integer: a part that depends on x."""
+    return st.tuples(st.sampled_from([-2, -1, 1, 2]), rest).map(
+        lambda t: Bin("+", Bin("*", Const(t[0]), Var("x")), t[1]))
+
+
+@st.composite
+def provably_positive(draw):
+    """A sum, positive by the sign rule, of two parts that depend on x."""
+    rest = expr_strategy(("y", "z"), max_depth=4)
+    a, b = draw(_in_x(rest)), draw(_in_x(rest))
+    c = Const(draw(st.sampled_from([1, 2, 0.5, 1.75])))
+    square_b = Bin("^", b, Const(2))
+    positive = draw(st.sampled_from([
+        Call("exp", a),
+        Bin("+", Bin("^", a, Const(2)), c),
+        Bin("/", Call("exp", a), Bin("+", square_b, c)),
+    ]))
+    nonnegative = draw(st.sampled_from([square_b, Call("abs", b),
+                                        Bin("*", c, Call("exp", b))]))
+    return Bin("+", positive, nonnegative)
+
+
+@settings(max_examples=80, deadline=None)
+@given(provably_positive(), expr_strategy(("y", "z"), max_depth=4))
+def test_antiderivative_of_a_log_derivative_differentiates_back(D, kappa):
+    # the rule recognizes kappa by cancelling dD/dx syntactically, so the
+    # integrand is built from the form of D that simplify leaves
+    D = simplify(D)
+    e = Bin("/", Bin("*", kappa, D.diff("x")), D)
+    F = antiderivative(e, "x")
+    assert F is not None, str(e)
+    box = Box.from_dict({n: (-1.5, 1.5) for n in ("x", "y", "z")})
+    check = simplify(F.diff("x") - e)
+    assert is_zero(check, box, rng=np.random.default_rng(0)).verdict \
+        is ZeroVerdict.PROBABLY_ZERO, (str(e), str(F))
+
+
 @settings(max_examples=60, deadline=None)
 @given(expr_strategy(NAMES, max_depth=6))
 def test_roundtrip_print_parse(e):

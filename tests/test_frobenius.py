@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -158,13 +159,14 @@ def test_rescale_grid_path_cyclic_three_fields():
 
 
 def test_rescale_grid_path_pair_two_variable_coefficients():
-    # unscaled commuting fields with two-variable h coefficients force the
-    # numeric transport in the base pair
+    # the base pair's transports of two-variable h coefficients, taken by
+    # the numeric flow (they also have closed forms)
     names = ("x", "y", "z")
     box = Box.from_dict({"x": (-0.6, 0.6), "y": (-0.6, 0.6), "z": (-0.6, 0.6)})
     X1 = (parse("1+y^2", names), Const(0), Const(0))
     X2 = (Const(0), parse("1+x^2", names), Const(0))
-    res = rescale_frame([X1, X2], names, box, rng=16)
+    res = rescale_frame([X1, X2], names, box, rng=16, prefer_symbolic=False)
+    assert all(f.expr is None for f in res.factors)
     worst = commutation_residual(res.scaled_fields(), box, rng=17, n_samples=100)
     assert worst < 1e-6, worst
 
@@ -344,6 +346,80 @@ def test_rescale_raises_where_exact_coefficients_meet_dependence():
     assert abs(err.value.witness["x"]) < 1e-9
 
 
+def guarded_pair():
+    """X1 = (1+y^2) d_x and X2 = x^2 d_y on x in [0.5, 1], with their exact
+    (guarded) span coefficients; the pair is dependent on x = 0."""
+    X1 = VectorField((pexpr("1+y^2"), Const(0), Const(0)), NAMES3)
+    X2 = VectorField((Const(0), pexpr("x^2"), Const(0)), NAMES3)
+    box = Box.from_dict({"x": (0.5, 1.0), "y": (-0.5, 0.5), "z": (-0.5, 0.5)})
+    pc = pair_bracket_coefficients(X1, X2, NAMES3, box, rng=7)
+    assert pc.h_first.guards and pc.h_second.guards
+    return X1, X2, box, pc
+
+
+def test_closed_form_transport_keeps_the_guard_of_its_source():
+    # X2(g) = h_first = -2 x^2 y/(1+y^2) integrates to g = -ln(1+y^2),
+    # which is finite on x = 0; the guard still marks the dependent pair
+    X1, X2, box, pc = guarded_pair()
+    terms, worst = frobenius.solve_transport_system(
+        [X2], [pc.h_first], NAMES3, box, box.midpoint(),
+        np.random.default_rng(8))
+    (term,) = terms
+    assert isinstance(term, ScalarFn) and term.expr is not None
+    assert term.guards == pc.h_first.guards and worst < 1e-12
+    U = np.array([[0.7, 0.3, 0.1], [0.0, 0.2, 0.1]])
+    assert np.allclose(term.ev(U[:1]), -np.log(1.09))
+    other = ScalarFn(pexpr("x*z"), NAMES3)
+    derived = [lambda: term.ev(U), lambda: term.exp().ev(U),
+               lambda: (-term).ev(U), lambda: (other / term.exp()).ev(U),
+               lambda: ScalarFn.sum([term, other], NAMES3).ev(U),
+               lambda: ScalarFn.sum([other.expr, term], NAMES3).ev(U),
+               lambda: X1.directional(term, U)]
+    for k, evaluate in enumerate(derived):
+        with pytest.raises(NotInSpan) as err:
+            evaluate()
+        assert err.value.witness == {"x": 0.0, "y": 0.2, "z": 0.1}, k
+
+
+def test_symbolic_compatibility_check_evaluates_the_guards():
+    # every sample of a box on x = 0 is a dependent point of the pair
+    X1, X2, _, pc = guarded_pair()
+    box = Box.from_dict({"x": (0.0, 0.0), "y": (-0.5, 0.5), "z": (-0.5, 0.5)})
+    with pytest.raises(NotInSpan) as err:
+        compatibility_check([pc.h_first, pc.h_second], [X1, X2], NAMES3, box,
+                            rng=9)
+    assert err.value.witness["x"] == 0.0
+
+
+def test_benchmark_pair_transports_in_closed_form(monkeypatch):
+    fields, names, box = benchmark_pair()
+    flows = []
+    original = frobenius.ode.flow
+
+    def counting(*args, **kwargs):
+        flows.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frobenius.ode, "flow", counting)
+    res = rescale_frame(list(fields), names, box, rng=3)
+    worst = commutation_residual(res.scaled_fields(), box, rng=4,
+                                 n_samples=20)
+    assert "base_pair" in res.stages_run and worst < 1e-6
+    assert not flows
+    assert all(f.expr is not None for f in res.factors)
+    assert [str(f.expr) for f in res.factors] == ["exp(-ln(y^2 + 1))",
+                                                  "exp(-ln(x^2 + 1))"]
+
+
+def test_constant_scalar_evaluates_without_a_kernel(monkeypatch):
+    compiled = count_compiles(monkeypatch)
+    U = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 3))
+    for value in (0, 1.5, Fraction(1, 3)):
+        got = ScalarFn(Const(value), NAMES3).ev(U)
+        assert np.array_equal(bits(got), bits(np.full(5, float(value))))
+    assert not compiled
+
+
 def benchmark_pair():
     label, fields, names, box, _, _ = workloads.frames()[1]
     assert label == "pair"
@@ -396,7 +472,7 @@ def test_numeric_factor_pair_coefficients_stay_pointwise_solves():
 
 def test_pair_frame_transports_build_no_bracket_table(monkeypatch):
     # the pair frame's coefficients depend on two variables each; its
-    # transports evaluate them inside every flow stage
+    # numeric transports evaluate them inside every flow stage
     fields, names, box = benchmark_pair()
     depth, nested, tables = [0], [], []
     call, table = TransportTerm.__call__, frobenius._bracket_table
@@ -414,10 +490,12 @@ def test_pair_frame_transports_build_no_bracket_table(monkeypatch):
 
     monkeypatch.setattr(TransportTerm, "__call__", counting_call)
     monkeypatch.setattr(frobenius, "_bracket_table", counting_table)
-    res = rescale_frame(list(fields), names, box, rng=3)
+    res = rescale_frame(list(fields), names, box, rng=3,
+                        prefer_symbolic=False)
     worst = commutation_residual(res.scaled_fields(), box, rng=4,
                                  n_samples=20)
     assert "base_pair" in res.stages_run and worst < 1e-6
+    assert len(transport_terms(res.factors)) == 2
     assert tables and not nested, (len(tables), len(nested))
 
 
