@@ -8,6 +8,15 @@ import numpy as np
 from .expr import Bin, Call, ONE, ZERO, _lanes, simplify
 
 
+def rows_dot(v, w):
+    """v @ w, rounded alike whatever the number of rows: numpy hands a
+    one-row product to another BLAS routine than a longer one, which rounds
+    otherwise, so a single row is padded to two."""
+    if len(v) == 1:
+        return (np.concatenate([v, v]) @ w)[:1]
+    return v @ w
+
+
 def identity(n):
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 

@@ -394,12 +394,12 @@ class TransportTerm:
     def __call__(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         n, d = U.shape
-        span = -_rows_dot(U - self.base, self.normal)  # psi runs from psi0 to 0
+        span = -exprmat.rows_dot(U - self.base, self.normal)  # psi: psi0 -> 0
 
         def rhs(s, state):
             u = state[:, :d]
             v = self.Y.eval(u)
-            denom = _rows_dot(v, self.normal)
+            denom = exprmat.rows_dot(v, self.normal)
             if np.any(np.abs(denom) < 1e-12):
                 raise StraighteningFailed(
                     "transport field becomes tangent to its section")
@@ -415,15 +415,6 @@ class TransportTerm:
         except ode.StiffnessAbort as err:
             raise StraighteningFailed("transport flow left the domain") from err
         return -out[0, :, d]
-
-
-def _rows_dot(v, w):
-    """v @ w, rounded alike whatever the number of rows: numpy hands a
-    one-row product to BLAS dot, which rounds otherwise than the gemv that
-    takes two or more rows, so a single row is padded to two."""
-    if len(v) == 1:
-        return (np.concatenate([v, v]) @ w)[:1]
-    return v @ w
 
 
 def solve_transport_system(fields, sources, names, box: Box, base, rng,

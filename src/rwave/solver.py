@@ -9,13 +9,15 @@ indicator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import ode
 from .expr import Expr, VarSpace, compile_exprs, simplify
+from .exprmat import rows_dot
 from .geometry import NumericPotential
 from .spline import Spline1D, Spline2D
 
@@ -93,16 +95,11 @@ class Surface1D:
     def tau_ranges(self):
         return ((float(self.s_grid[0]), float(self.s_grid[-1])),)
 
-    def _internal(self, tau, rows):
-        s = np.asarray(tau, dtype=float).reshape(-1)
-        return s if rows is None else s[rows]
+    def value(self, tau):
+        return self._spline(np.asarray(tau, float).reshape(-1))
 
-    def value(self, tau, rows=None):
-        """f at tau; with ``rows``, at those lanes of tau only."""
-        return self._spline(self._internal(tau, rows))
-
-    def jac(self, tau, rows=None):
-        _, d = self._spline(self._internal(tau, rows), grad=True)
+    def jac(self, tau):
+        _, d = self._spline(np.asarray(tau, float).reshape(-1), grad=True)
         return d[:, :, None]
 
 
@@ -139,11 +136,13 @@ class Surface2D:
         return ((float(self.s1_grid[0]), float(self.s1_grid[-1])),
                 (float(self.s2_grid[0]), float(self.s2_grid[-1])))
 
+    # a lane's coordinates must not depend on which other lanes are asked
+    # for, and BLAS rounds a one-row product otherwise (see rows_dot)
     def to_internal(self, tau):
-        return np.asarray(tau, dtype=float) @ self.axes_inv.T
+        return rows_dot(np.asarray(tau, dtype=float), self.axes_inv.T)
 
     def from_internal(self, s):
-        return np.asarray(s, dtype=float) @ self.axes.T
+        return rows_dot(np.asarray(s, dtype=float), self.axes.T)
 
     def clip(self, tau):
         s = self.to_internal(tau)
@@ -152,27 +151,21 @@ class Surface2D:
         s[:, 1] = np.clip(s[:, 1], l2, h2)
         return self.from_internal(s)
 
-    def _internal(self, tau, rows):
-        # the change of coordinates runs over every lane of tau: BLAS rounds
-        # a one-row product differently, and a lane's value must not depend
-        # on which other lanes are asked for
+    def value(self, tau):
         s = self.to_internal(tau)
-        return s if rows is None else s[rows]
-
-    def value(self, tau, rows=None):
-        """f at tau; with ``rows``, at those lanes of tau only."""
-        s = self._internal(tau, rows)
         return self._spline(s[:, 0], s[:, 1])
 
-    def value_and_jac(self, tau, rows=None):
+    def value_and_jac(self, tau):
         """f (n, q) and df/dtau (n, q, 2) at tau, from one spline call."""
-        s = self._internal(tau, rows)
+        s = self.to_internal(tau)
         value, d1, d2 = self._spline(s[:, 0], s[:, 1], grad=True)
-        dfs = np.stack([d1, d2], axis=2)       # (n, q, 2) wrt internal coords
-        return value, dfs @ self.axes_inv      # chain rule to tau
+        # chain rule to tau over all n*q rows at once: the bits of n stacked
+        # (q, 2) @ (2, 2) products, at a fraction of their cost
+        dfs = np.stack([d1.ravel(), d2.ravel()], axis=1)  # wrt internal s
+        return value, rows_dot(dfs, self.axes_inv).reshape(d1.shape + (2,))
 
-    def jac(self, tau, rows=None):
-        return self.value_and_jac(tau, rows)[1]
+    def jac(self, tau):
+        return self.value_and_jac(tau)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +521,6 @@ class SolutionField:
     def k(self):
         return self.tau.shape[1]
 
-    def point_env(self, idx):
-        env = {name: float(self.x[idx, i]) for i, name in enumerate(self.x_names)}
-        env.update(self.params)
-        for j, name in enumerate(self.space.dependent):
-            env[name] = float(self.u[idx, j])
-        return env
-
     def grid_env(self):
         """Every variable at every grid point, as arrays of shape (n,)."""
         env = {name: self.x[:, i] for i, name in enumerate(self.x_names)}
@@ -589,56 +575,35 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
         raise ValueError(f"need {k} potentials, got {len(pots)}")
     x_names = space.independent
     env_x, n = _env_from_grid(x_names, grid_env, params)
-
-    # every function below works on the lanes ``rows`` of the grid (all
-    # when None), with ``tau`` holding every lane and ``u`` those rows, or
-    # one u of shape (q,) shared by them all; ``phi_of_u`` also takes a
-    # block of B such u, shape (B, 1, q), and gives (B, n, k)
     bound = [p.bind(env_x) for p in pots]
-    subset = (None, bound)
-
-    def at(rows):
-        # the bound potentials at ``rows``, sliced once per row set (the
-        # bisection passes one row set throughout)
-        nonlocal subset
-        if rows is None:
-            return bound
-        if subset[0] is not rows:
-            subset = (rows, [b.rows(rows) for b in bound])
-        return subset[1]
-
-    def u_env(u):
-        return {name: u[..., j] for j, name in enumerate(space.dependent)}
-
-    def phi_of_u(u, rows=None):
-        env = u_env(u)
-        # (k, ..., n) with k moved last: cheaper than np.stack
-        phi = np.array([b.value(env) for b in at(rows)])
-        return phi.transpose(*range(1, phi.ndim), 0)
-
-    def jacobian(u, dfdtau, rows):
-        return _jacobian(at(rows), u_env(u), dfdtau)
-
     tau0 = _initial_guess(cfg, bound, surface, n, k)
 
     if k == 1:
+        subset = (None, bound)
+
+        def phi_of_u(u, rows=None):
+            # phi at the lanes ``rows`` (all when None) of u (rows, q), (q,)
+            # or (B, 1, q); the bisection passes one row set, sliced once
+            nonlocal subset
+            if rows is not None and subset[0] is not rows:
+                subset = (rows, [b.rows(rows) for b in bound])
+            return _phi(bound if rows is None else subset[1],
+                        _u_env(space.dependent, u))
+
         tau, iters, conv = _solve_scalar(surface, phi_of_u, tau0, cfg, n)
         u = surface.value(tau)
     else:
-        tau, iters, conv, u, stale = _newton(surface, phi_of_u, jacobian,
-                                             tau0, cfg)
+        tau, iters, conv, u, stale = _newton(surface, bound, tau0, cfg)
         if (~conv).any() and conv.any():
+            # warm-start the lanes that failed from their nearest converged
             bad = np.where(~conv)[0]
-            guess = tau.copy()
-            guess[bad] = tau[_nearest(np.where(conv)[0], bad)]
-            tau2, it2, conv2, u2, stale = _newton(surface, phi_of_u, jacobian,
-                                                  guess, cfg, only=bad)
-            tau[bad] = tau2[bad]
-            iters[bad] += it2[bad]
-            conv[bad] = conv2[bad]
-            u[bad] = u2[bad]
+            guess = tau[_nearest(np.where(conv)[0], bad)]
+            tau[bad], more, conv[bad], u[bad], stale = _newton(
+                surface, [b.rows(bad) for b in bound], guess, cfg)
+            iters[bad] += more
+            stale = bad[stale]
         if stale.size:
-            u[stale] = surface.value(tau, stale)
+            u[stale] = surface.value(tau[stale])
 
     if not conv.any():
         raise SolveFailed("Newton diverged at every grid point")
@@ -646,7 +611,8 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     def determinant():
         with np.errstate(invalid="ignore"):
-            return np.linalg.det(_jacobian(du, u_env(u), surface.jac(tau)))
+            return np.linalg.det(_jacobian(du, _u_env(space.dependent, u),
+                                           surface.jac(tau)))
 
     xs = np.stack([env_x[name] for name in x_names], axis=1)
 
@@ -661,6 +627,16 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
                          iters=iters, converged=conv, determinant=determinant,
                          catastrophe_threshold=cfg.catastrophe_threshold,
                          resolver=resolver)
+
+
+def _u_env(dependent, u):
+    return {name: u[..., j] for j, name in enumerate(dependent)}
+
+
+def _phi(bound, u_env):
+    """phi (..., n, k) of the bound potentials; k moved last, not stacked"""
+    phi = np.array([b.value(u_env) for b in bound])
+    return phi.transpose(*range(1, phi.ndim), 0)
 
 
 def _jacobian(bound, u_env, dfdtau):
@@ -691,75 +667,99 @@ def _nearest(good, bad):
     return np.where(right - bad < bad - left, right, left)
 
 
-def _newton(surface, phi_of_u, jacobian, tau0, cfg, only=None):
-    """Damped Newton on tau - phi(x, f(tau)) = 0 over the lanes ``only``
-    (every lane when None).  Returns tau, iterations, convergence, u and
-    the lanes whose u is not that at their final tau (the last damping
-    trial was halved after it was evaluated).
+def _lanewise(op, a):
+    """``op`` folded over each lane's components of ``a`` (n, ...), one
+    elementwise call per component, far faster than numpy's reduction
+    along a short axis; with np.fmax, np.nanmax without its warning."""
+    return reduce(op, a.reshape(len(a), math.prod(a.shape[1:])).T)
 
-    Each lane keeps phi, u and df/dtau (one surface lookup) with the point
-    they belong to, so a point is evaluated once however often the
-    iteration or its Jacobian asks for it (an accepted trial is the next
-    iterate), and every call covers only the lanes still iterating or, in
-    the damping loop, still halving.
+
+def _newton(surface, bound, tau0, cfg):
+    """Damped Newton on tau - phi(x, f(tau)) = 0 at the lanes of the bound
+    potentials, from tau0.  Returns tau, iterations, convergence, u and
+    the lanes whose u is not that at their final tau (their damping ran
+    out).
+
+    Only the lanes still iterating are kept, in compact arrays: tau, the
+    point their u, df/dtau (one surface lookup) and phi are at, the step
+    and its scale.  A lane leaves them, its results written back, in the
+    iteration it converges; the potentials are sliced once per compaction.
+    A point is looked up once: an accepted trial is the next iterate, and
+    a trial with the bits of the point a lane's values are at is not
+    looked up again.  Lookups, clips and potential calls cover only the
+    lanes still iterating or, in the damping loop, still halving.
     """
-    tau = surface.clip(np.array(tau0, dtype=float))
-    n, k = tau.shape
-    iters = np.zeros(n, dtype=int)
-    conv = np.zeros(n, dtype=bool)
-    phi = np.empty((n, k))
-    u = np.full((n, surface.q), np.nan)
-    dfdtau = np.empty((n, surface.q, k))
-    at = np.empty((n, k))                  # the point phi, u, dfdtau are at
-    known = np.zeros(n, dtype=bool)
-    rows = np.arange(n) if only is None else np.asarray(only)
+    dep = surface.space.dependent
+    t = surface.clip(np.array(tau0, dtype=float))
+    (n, k), q = t.shape, surface.q
+    tau, u = np.empty((n, k)), np.empty((n, q))
+    iters, conv = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    lane = np.arange(n)       # the grid lane of each compact lane
+    uc, dfdtau, phi = np.empty((n, q)), np.empty((n, q, k)), np.empty((n, k))
+    at = np.invert(t.view(np.int64)).view(float)   # no lane looked up yet
 
-    def elsewhere(point, lanes):
+    def moved(point, idx):
         # bit patterns, so that -0.0 and 0.0 (or two NaNs) stay apart
-        return lanes[~known[lanes] | np.any(point[lanes].view(np.int64)
-                                            != at[lanes].view(np.int64), axis=1)]
+        differ = (point.take(idx, 0).view(np.int64)
+                  != at.take(idx, 0).view(np.int64))
+        return idx[_lanewise(np.logical_or, differ)]
 
-    def evaluate(point, lanes):
-        lanes = elsewhere(point, lanes)
-        if lanes.size:
-            ul, dfdtau[lanes] = surface.value_and_jac(point, lanes)
-            u[lanes] = ul
-            phi[lanes] = phi_of_u(ul, lanes)
-            at[lanes] = point[lanes]
-            known[lanes] = True
+    def look(point, idx):
+        idx = moved(point, idx)
+        if idx.size == len(at):             # every lane: no gathers
+            idx, sliced = slice(None), bound
+        elif idx.size:
+            sliced = [b.rows(idx) for b in bound]
+        else:
+            return
+        at[idx] = p = point[idx]
+        ul, dfdtau[idx] = surface.value_and_jac(p)
+        uc[idx], phi[idx] = ul, _phi(sliced, _u_env(dep, ul))
 
-    for _ in range(cfg.max_iter):
-        evaluate(tau, rows)
-        G = tau[rows] - phi[rows]
-        Gn = np.nanmax(np.abs(G), axis=1)
+    pending = lane           # the lanes whose t is a trial not looked up
+    for it in range(cfg.max_iter):
+        look(t, pending)
+        G = t - phi
+        Gn = _lanewise(np.fmax, np.abs(G))
         done = Gn < cfg.newton_tol
-        conv[rows[done]] = True
-        rows, G, Gn = rows[~done], G[~done], Gn[~done]
-        if not rows.size:
-            break
-        J = jacobian(u[rows], dfdtau[rows], rows)
-        ok = np.all(np.isfinite(J), axis=(1, 2)) & np.all(np.isfinite(G), axis=1)
-        solvable = ok & (np.abs(np.linalg.det(np.where(ok[:, None, None], J,
-                                                       np.eye(k)))) > 1e-14)
-        step = np.zeros_like(tau)
+        if done.any():
+            out = lane[done]
+            tau[out], u[out], iters[out] = t[done], uc[done], it
+            conv[out] = True
+            keep = np.flatnonzero(~done)
+            lane, t, at, uc, dfdtau, phi, G, Gn = (
+                a.take(keep, 0) for a in (lane, t, at, uc, dfdtau, phi, G, Gn))
+            if not lane.size:
+                return tau, iters, conv, u, lane    # no lane left stale
+            bound = [b.rows(keep) for b in bound]
+        J = _jacobian(bound, _u_env(dep, uc), dfdtau)
+        ok = (_lanewise(np.logical_and, np.isfinite(J))
+              & _lanewise(np.logical_and, np.isfinite(G)))
+        if not ok.all():
+            J[~ok] = np.eye(k)     # det sees finite lanes; these take no step
+        solvable = ok & (np.abs(np.linalg.det(J)) > 1e-14)
+        step = np.zeros_like(t)
         if solvable.any():
-            step[rows[solvable]] = np.linalg.solve(
-                J[solvable], G[solvable][..., None])[..., 0]
-        scale = np.ones(n)
-        trial = surface.clip(tau - scale[:, None] * step)
-        pending, Gp = rows, Gn
+            sel = slice(None) if solvable.all() else solvable
+            step[sel] = np.linalg.solve(J[sel], G[sel][..., None])[..., 0]
+        scale = np.ones(len(t))
+        trial = surface.clip(t - scale[:, None] * step)
+        pending, Gp = np.arange(len(t)), Gn
         for _ in range(cfg.damping_steps):
-            evaluate(trial, pending)
-            Gt = np.nanmax(np.abs(trial[pending] - phi[pending]), axis=1)
+            look(trial, pending)
+            Gt = _lanewise(np.fmax, np.abs(trial.take(pending, 0)
+                                           - phi.take(pending, 0)))
             worse = ~(Gt <= Gp * (1 - 1e-4) + cfg.newton_tol)
             pending, Gp = pending[worse], Gp[worse]
             if not pending.size:
                 break
             scale[pending] *= 0.5
-            trial = surface.clip(tau - scale[:, None] * step)
-        tau[rows] = trial[rows]
-        iters[rows] += 1
-    return tau, iters, conv, u, elsewhere(tau, rows)
+            trial[pending] = surface.clip(t.take(pending, 0)
+                                          - scale[pending, None]
+                                          * step.take(pending, 0))
+        t = trial
+    tau[lane], u[lane], iters[lane] = t, uc, cfg.max_iter
+    return tau, iters, conv, u, lane[moved(t, pending)]
 
 
 class _CellPicker:

@@ -1,4 +1,5 @@
-"""Shared generators for property tests.
+"""Shared generators for property tests, and helpers shared by test
+modules.
 
 Random expressions are built domain-safe by construction: arguments of
 sqrt and ln are wrapped as (1 + (.)^2) and denominators as (2 + (.)^2),
@@ -59,3 +60,13 @@ def random_polynomial_vector(rng, names, q, max_terms=3):
             e = Bin("+", e, term)
         comps.append(e)
     return tuple(comps)
+
+
+def point_env(field, idx):
+    """Every variable of a SolutionField at grid point ``idx``, as floats."""
+    env = {name: float(field.x[idx, i])
+           for i, name in enumerate(field.x_names)}
+    env.update(field.params)
+    for j, name in enumerate(field.space.dependent):
+        env[name] = float(field.u[idx, j])
+    return env

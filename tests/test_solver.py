@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ from rwave.solver import (
     surface_tangency_residual,
 )
 from rwave.spline import Spline1D, Spline2D
+
+from .strategies import point_env
 
 EX2 = load_fixture("example2")
 SP2 = EX2.space
@@ -457,7 +460,7 @@ def test_double_wave_fixture_residual_zero():
     rng = np.random.default_rng(5)
     idx = rng.choice(field.n, 100, replace=False)
     for i in idx:
-        pt = field.point_env(i)
+        pt = point_env(field, i)
         y = pt["y"]
         J = np.array([[0.0, 0.0, -1.0 / y], [1.0, 0.0, 0.0]])
         res = sys.residual_at(pt, field.u[i], J)
@@ -472,36 +475,38 @@ def test_double_wave_fixture_residual_zero():
 # the reference
 
 class LaneLog:
-    """Surface wrapper recording, per lane, the tau points a lookup
-    (``value`` or ``value_and_jac``) sees, how many lookups there are, and
-    how many lanes ``jac`` sees."""
+    """Surface wrapper recording the tau points the lookups (``value`` or
+    ``value_and_jac``) see, as a Counter of their bytes, the number of
+    points in each lookup, and how many lanes ``jac`` sees."""
 
     def __init__(self, surface):
         self._surface = surface
-        self.points = {}
-        self.lookups = 0
+        self.points = Counter()
+        self.sizes = []
         self.jac_lanes = 0
 
     def __getattr__(self, name):
         return getattr(self._surface, name)
 
-    def _look(self, tau, rows):
-        lanes = range(len(tau)) if rows is None else rows
-        for i in lanes:
-            self.points.setdefault(int(i), []).append(tau[i].tobytes())
-        self.lookups += 1
+    @property
+    def lookups(self):
+        return len(self.sizes)
 
-    def value(self, tau, rows=None):
-        self._look(tau, rows)
-        return self._surface.value(tau, rows)
+    def _look(self, tau):
+        self.points.update(row.tobytes() for row in tau)
+        self.sizes.append(len(tau))
 
-    def value_and_jac(self, tau, rows=None):
-        self._look(tau, rows)
-        return self._surface.value_and_jac(tau, rows)
+    def value(self, tau):
+        self._look(tau)
+        return self._surface.value(tau)
 
-    def jac(self, tau, rows=None):
-        self.jac_lanes += len(tau) if rows is None else len(rows)
-        return self._surface.jac(tau, rows)
+    def value_and_jac(self, tau):
+        self._look(tau)
+        return self._surface.value_and_jac(tau)
+
+    def jac(self, tau):
+        self.jac_lanes += len(tau)
+        return self._surface.jac(tau)
 
 
 def reference_newton(surface, phi_all, jacobian, tau0, cfg, n, only, need):
@@ -677,10 +682,11 @@ def test_newton_evaluates_each_point_once_bitwise(case):
     assert_bitwise(field.u, u)
     assert np.array_equal(field.iters, iters)
     assert np.array_equal(field.converged, conv)
-    # one lookup sees each lane only at the points it still needs, and
-    # gives u and df/dtau together: Newton never calls jac, and each
+    # the lookups see each lane only at the points it still needs, and
+    # give u and df/dtau together: Newton never calls jac, and each
     # lookup is one spline call
-    assert log.points == need.points
+    assert log.points == Counter(p for seq in need.points.values()
+                                 for p in seq)
     assert log.jac_lanes == 0
     assert counted.calls == log.lookups
     # the determinant costs one jac call over every lane, when first read
@@ -713,6 +719,19 @@ def test_resolve_leaves_determinant_until_read():
     assert line.jac_lanes == 0
     field.det_monitor
     assert line.jac_lanes == field.n
+
+
+def test_warm_start_from_converged_lanes_looks_up_once():
+    # a re-solve started where every lane has converged keeps no lane
+    # iterating: one lookup over all n lanes, and no stale u to look up
+    surf = LaneLog(ex2_two_wave_surface())
+    field = solve_implicit(surf, list(ex2_potentials()), ex2_grid(),
+                           ImplicitSolveConfig())
+    assert field.converged.all()
+    surf.sizes.clear()
+    again = field.resolve(ex2_grid(), initial_guess=field.tau)
+    assert surf.sizes == [field.n]
+    assert again.converged.all() and not again.iters.any()
 
 
 def reference_select_cell(flips, ws, tau0, root_select):
@@ -990,9 +1009,9 @@ def test_scalar_solve_evaluates_curve_once_per_scan_point():
         def __getattr__(self, name):
             return getattr(self._surface, name)
 
-        def value(self, tau, rows=None):
-            self.points += len(tau) if rows is None else len(rows)
-            return self._surface.value(tau, rows)
+        def value(self, tau):
+            self.points += len(tau)
+            return self._surface.value(tau)
 
     surf, pots, grid, settings, params, space = ex3_scalar_case()
     counted = Count(surf)
@@ -1349,24 +1368,41 @@ def lane_surfaces():
 LANE_SURFACES = lane_surfaces()
 LANE_COORD = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
     [0.0, -0.0, 2.0, -1.0, np.inf, -np.inf, np.nan]))
+# invertible and not orthogonal: the change of coordinates mixes both
+# components of every lane
+LANE_AXES = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(
+    lambda a: np.reshape(a, (2, 2))).filter(
+    lambda a: abs(np.linalg.det(a)) > 0.1 and abs(a[:, 0] @ a[:, 1]) > 0.01)
 
 
 @settings(max_examples=80, deadline=None)
 @given(points=st.lists(st.tuples(LANE_COORD, LANE_COORD), min_size=1,
                        max_size=40),
-       data=st.data())
-def test_spline_lanes_are_independent_bitwise(points, data):
-    # a lane's value and Jacobian do not depend on which other lanes share
-    # the call: no product runs across lanes
+       axes=LANE_AXES, data=st.data())
+def test_spline_lanes_are_independent_bitwise(points, axes, data):
+    # a lane's coordinates, clip, value and Jacobian do not depend on which
+    # other lanes share the call, a lone lane included (numpy rounds a
+    # one-row product otherwise, so the surface pads it): no product runs
+    # across lanes
     tau = np.array(points, dtype=float)
     n = len(tau)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)),
                     dtype=int)
+    few = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                      max_size=9)), dtype=int)
     sheet, curve = LANE_SURFACES
-    for surf, lanes in ((sheet, tau), (curve, tau[:, :1])):
-        with np.errstate(invalid="ignore"):
-            assert_bitwise(surf.value(lanes, rows), surf.value(lanes)[rows])
-            assert_bitwise(surf.jac(lanes, rows), surf.jac(lanes)[rows])
+    sheet = Surface2D(axes, sheet.s1_grid, sheet.s2_grid, sheet.u_grid,
+                      sheet.space, sheet.tau_names, sheet.provenance)
+    with np.errstate(invalid="ignore"):
+        for part in (rows, few):
+            for op in (sheet.to_internal, sheet.from_internal, sheet.clip,
+                       sheet.value, sheet.jac):
+                assert_bitwise(op(tau[part]), op(tau)[part])
+            for got, want in zip(sheet.value_and_jac(tau[part]),
+                                 sheet.value_and_jac(tau)):
+                assert_bitwise(got, want[part])
+            for op in (curve.value, curve.jac):
+                assert_bitwise(op(tau[part, :1]), op(tau[:, :1])[part])
     sp = Spline2D(sheet.s1_grid, sheet.s2_grid, sheet.u_grid)
     with np.errstate(invalid="ignore"):
         full = sp(tau[:, 0], tau[:, 1], grad=True)

@@ -20,6 +20,8 @@ from rwave.verify import (
     residual_report,
 )
 
+from .strategies import point_env
+
 EX2 = load_fixture("example2")
 EX3 = load_fixture("example3")
 
@@ -88,7 +90,7 @@ def test_recover_decomposition_double_wave():
     field = small_field()
     plus, minus = ex2_elements()
     for idx in range(0, field.n, 7):
-        env = field.point_env(idx)
+        env = point_env(field, idx)
         J = np.array([[0.0, 0.0, -1.0 / float(env["y"])], [1.0, 0.0, 0.0]])
         rec = recover_decomposition(J, [plus, minus], env)
         assert np.allclose(rec.xi, [0.5, 0.5], atol=1e-10)
@@ -251,7 +253,7 @@ def test_constancy_along_kernel_batch_matches_pointwise(directions):
     want = 0.0
     for idx in indices:
         if directions is None:
-            rows = exprmat.eval_vector(lam, field.point_env(idx))[None]
+            rows = exprmat.eval_vector(lam, point_env(field, idx))[None]
             _, s, vt = np.linalg.svd(rows)
             ker_dim = 3 - np.sum(s > 1e-10 * max(s[0], 1.0))
             kernel = [vt[2 - j] for j in range(ker_dim)]
