@@ -102,6 +102,30 @@ def eval_vector(v, env, strict=True):
     return out
 
 
+def distinct_rows(a):
+    """The bitwise-distinct rows of a 2-D float array: ``first``, the index
+    of each one's first appearance, ascending, and ``inverse``, the row of
+    ``a[first]`` each row of ``a`` has the bits of.  Rows compare as bit
+    patterns, so -0.0 and 0.0 (or two NaN payloads) stay apart; they sort
+    by a lexsort of their int64 columns, far cheaper than a sort of rows."""
+    cols = np.ascontiguousarray(a, dtype=float).view(np.int64).T
+    n = cols.shape[1]
+    order = np.lexsort(cols[::-1]) if len(cols) else np.arange(n)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for col in cols:
+        ranked = col.take(order)
+        new[1:] |= ranked[1:] != ranked[:-1]
+    # the sort is stable, so a group's first member is its lowest index
+    heads = order[new]
+    by_first = np.argsort(heads)
+    label = np.empty(len(heads), dtype=np.intp)
+    label[by_first] = np.arange(len(heads))
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = label[np.cumsum(new) - 1]
+    return heads[by_first], inverse
+
+
 def lstsq_stack(A, b, rtol):
     """Least-squares x[i] minimising |A[i] x[i] - b[i]| for a stack A of
     shape (n, m, k), m >= k, and b (n, m), from one stacked SVD.

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .exprmat import distinct_rows
+
 
 def _encode(obj):
     if isinstance(obj, (bool, np.bool_)):
@@ -58,6 +60,13 @@ def solution_field_header(field):
     return cols
 
 
+def _cells(values, fmt):
+    """``fmt`` of each value, called once per bitwise-distinct value."""
+    col = np.asarray(values, dtype=float)
+    first, inverse = distinct_rows(col[:, None])
+    return np.array([*map(fmt, col[first].tolist())], dtype=object)[inverse]
+
+
 def write_solution_field(path, field, residual_norms=None):
     """Tabular export: one row per grid point, stable column order."""
     path = Path(path)
@@ -67,25 +76,15 @@ def write_solution_field(path, field, residual_norms=None):
         else np.full(field.n, np.nan)
     floats = np.column_stack([field.x, field.tau, field.u,
                               np.asarray(res, dtype=float), field.det_monitor])
-    flags = zip(field.iters.tolist(), field.converged.tolist(),
-                field.catastrophe.tolist())
+    cells = [_cells(c, repr) for c in floats.T]
+    cells += [_cells(field.iters, lambda v: str(int(v))),
+              _cells(field.converged, lambda v: str(bool(v))),
+              _cells(field.catastrophe, lambda v: str(bool(v)))]
     with open(path, "w") as fh:
         fh.write("# solution-field v%d\n" % SOLUTION_SCHEMA_VERSION)
         fh.write(",".join(cols) + "\n")
-        fh.writelines(",".join([*map(repr, row), str(int(it)), str(bool(cv)),
-                                str(bool(cat))]) + "\n"
-                      for row, (it, cv, cat) in zip(floats.tolist(), flags))
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return path
-
-
-def read_solution_field_table(path):
-    rows = []
-    with open(path) as fh:
-        version = fh.readline()
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            rows.append(line.strip().split(","))
-    return header, rows
 
 
 def condition_report_payload(report, domain, labels, seed_label=None):

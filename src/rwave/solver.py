@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ode
 from .expr import Expr, VarSpace, compile_exprs, simplify
-from .exprmat import rows_dot
+from .exprmat import distinct_rows, rows_dot
 from .geometry import NumericPotential
 from .spline import Spline1D, Spline2D
 
@@ -575,8 +575,22 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
         raise ValueError(f"need {k} potentials, got {len(pots)}")
     x_names = space.independent
     env_x, n = _env_from_grid(x_names, grid_env, params)
-    bound = [p.bind(env_x) for p in pots]
-    tau0 = _initial_guess(cfg, bound, surface, n, k)
+    # lanes are independent, so each distinct equation is solved once: a
+    # lane is keyed on the grid columns a potential reads (a quadrature
+    # potential reads them all) and on its own warm start, if it has one
+    reads = set().union(*(p.phi.variables() if p.symbolic else x_names
+                          for p in pots))
+    key = [env_x[nm] for nm in x_names if nm in reads]
+    guess = _lane_guess(cfg, n, k)
+    if guess is not None:
+        key += list(guess.T)
+    first, inverse = distinct_rows(np.column_stack(key) if key
+                                   else np.empty((n, 0)))
+    m = len(first)
+    bound = [p.bind({nm: v[first] if np.ndim(v) else v
+                     for nm, v in env_x.items()}) for p in pots]
+    tau0 = (guess[first] if guess is not None
+            else _initial_guess(cfg, bound, surface, m, k))
 
     if k == 1:
         subset = (None, bound)
@@ -590,18 +604,22 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
             return _phi(bound if rows is None else subset[1],
                         _u_env(space.dependent, u))
 
-        tau, iters, conv = _solve_scalar(surface, phi_of_u, tau0, cfg, n)
+        tau, iters, conv = _solve_scalar(surface, phi_of_u, tau0, cfg, m)
         u = surface.value(tau)
     else:
         tau, iters, conv, u, stale = _newton(surface, bound, tau0, cfg)
         if (~conv).any() and conv.any():
-            # warm-start the lanes that failed from their nearest converged
-            bad = np.where(~conv)[0]
-            guess = tau[_nearest(np.where(conv)[0], bad)]
+            # warm-start the lanes that failed from their nearest converged,
+            # in grid order, so from here on every grid lane is solved
+            tau, iters, conv, u = (a[inverse] for a in (tau, iters, conv, u))
+            bad = np.flatnonzero(~conv)
+            warm = tau[_nearest(np.flatnonzero(conv), bad)]
             tau[bad], more, conv[bad], u[bad], stale = _newton(
-                surface, [b.rows(bad) for b in bound], guess, cfg)
+                surface, [b.rows(inverse[bad]) for b in bound], warm, cfg)
             iters[bad] += more
             stale = bad[stale]
+            bound = [b.rows(inverse) for b in bound]
+            inverse = np.arange(len(inverse))
         if stale.size:
             u[stale] = surface.value(tau[stale])
 
@@ -612,7 +630,7 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     def determinant():
         with np.errstate(invalid="ignore"):
             return np.linalg.det(_jacobian(du, _u_env(space.dependent, u),
-                                           surface.jac(tau)))
+                                           surface.jac(tau)))[inverse]
 
     xs = np.stack([env_x[name] for name in x_names], axis=1)
 
@@ -623,8 +641,9 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
         return solve_implicit(surface, pots, new_grid_env, cfg2, params, space)
 
     return SolutionField(space=space, x_names=x_names, x=xs, params=params,
-                         tau_names=surface.tau_names, tau=tau, u=u,
-                         iters=iters, converged=conv, determinant=determinant,
+                         tau_names=surface.tau_names, tau=tau[inverse],
+                         u=u[inverse], iters=iters[inverse],
+                         converged=conv[inverse], determinant=determinant,
                          catastrophe_threshold=cfg.catastrophe_threshold,
                          resolver=resolver)
 
@@ -643,6 +662,15 @@ def _jacobian(bound, u_env, dfdtau):
     """I - (dphi/du)(df/dtau) at each lane, (n, k, k)."""
     dphi = np.stack([b.du(u_env) for b in bound], axis=1)   # (n, k, q)
     return np.eye(len(bound))[None] - dphi @ dfdtau
+
+
+def _lane_guess(cfg, n, k):
+    """The configured initial guess as one tau row per lane, or None when
+    it is a policy or one row for every lane."""
+    g = cfg.initial_guess
+    if isinstance(g, str) or np.shape(g) == (k,):
+        return None
+    return np.asarray(g, dtype=float).reshape(n, k)
 
 
 def _initial_guess(cfg, bound, surface, n, k):

@@ -142,13 +142,18 @@ def recover_decomposition(jac, elements, env) -> DecompositionRecovery:
         cols.append((gam[:, :, None] * lam[:, None, :]).reshape(n, q * p))
     G = np.stack(cols, axis=2)                       # (n, q*p, k)
     b = J.reshape(n, q * p)
+    # each distinct (G, b) is solved once, in order of first appearance, so
+    # the first dependent one is at the first dependent grid index
+    first, inverse = exprmat.distinct_rows(
+        np.concatenate([G.reshape(n, -1), b], axis=1))
+    G, b = G[first], b[first]
     xi, bad = exprmat.lstsq_stack(G, b, 1e-10)
     if bad is not None:
         raise DegenerateElements("wave dyads are linearly dependent at grid "
-                                 f"index {bad}")
+                                 f"index {int(first[bad])}")
     err = np.linalg.norm(np.einsum("nij,nj->ni", G, xi) - b, axis=1)
-    s = np.linalg.svd(J, compute_uv=False)
-    rank = estimate_rank(s)
+    s = np.linalg.svd(J[first], compute_uv=False)
+    xi, err, s, rank = (a[inverse] for a in (xi, err, s, estimate_rank(s)))
     if single:
         return DecompositionRecovery(xi=xi[0], rank=int(rank[0]),
                                      reconstruction_error=float(err[0]),

@@ -45,6 +45,7 @@ from rwave.system import homogenize
 from rwave.verify import fd_jacobian_batch, recover_decomposition
 
 from .strategies import random_polynomial_vector
+from .test_cli import read_solution_field_table
 from .test_system import consistent_jet
 
 
@@ -83,7 +84,6 @@ def test_criterion_1_double_wave_pipeline(tmp_path):
     elapsed = time.perf_counter() - t0
     assert code == EXIT_OK
     ver = json.loads((tmp_path / "out" / "verification.json").read_text())
-    from rwave.reports import read_solution_field_table
     header, rows = read_solution_field_table(tmp_path / "out" / "solution.csv")
     iy = header.index("x:y")
     it = header.index("x:t")

@@ -20,7 +20,14 @@ from rwave.cli import (
 )
 from rwave.fixtures import PRESETS, load_fixture, system_to_dict
 from rwave.frobenius import NotInSpan
-from rwave.reports import read_solution_field_table
+
+
+def read_solution_field_table(path):
+    # the header and the cells of each row of a solution.csv
+    with open(path) as fh:
+        fh.readline()                      # the schema version line
+        header = fh.readline().strip().split(",")
+        return header, [line.strip().split(",") for line in fh]
 
 
 def base_request(tmp_path, **overrides):

@@ -476,6 +476,31 @@ def test_symbolic_sums_match_left_fold(entries):
         for row in A)
 
 
+# a few values, so that rows repeat: -0.0 beside 0.0, two NaN payloads,
+# both infinities and the smallest subnormal
+ROW_VALUES = np.array([0.0, -0.0, np.nan, np.int64(0x7FF8000000000001).view(float),
+                       np.inf, -np.inf, 1.0, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(0, 12), st.integers(0, 3)), data=st.data())
+def test_distinct_rows_first_appearance_bitwise(shape, data):
+    n, c = shape
+    pick = data.draw(st.lists(st.integers(0, len(ROW_VALUES) - 1),
+                              min_size=n * c, max_size=n * c))
+    a = ROW_VALUES[np.array(pick, dtype=int)].reshape(n, c)
+    first, inverse = exprmat.distinct_rows(a)
+    # the reference: a dict of each row's bytes in order of appearance
+    seen = {}
+    want = [seen.setdefault(row.tobytes(), (i, len(seen)))
+            for i, row in enumerate(a)]
+    assert first.tolist() == [i for i, _ in seen.values()]
+    assert inverse.tolist() == [label for _, label in want]
+    assert_bitwise(a[first][inverse], a)
+    assert (np.diff(first) > 0).all()
+    assert (first[inverse] <= np.arange(n)).all()      # each row's first
+
+
 # ---------------------------------------------------------------------------
 # interning: one node per structure
 

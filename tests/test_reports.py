@@ -46,15 +46,34 @@ def awkward_field():
         determinant=lambda: det, catastrophe_threshold=1e-8)
 
 
+def repeating_field():
+    # every column draws from a few values, -0.0 beside 0.0, NaN and both
+    # infinities among them, so that each value repeats down its column
+    rng = np.random.default_rng(4)
+    n = 60
+    pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, -2.5e-17])
+    conv = rng.random(n) < 0.8
+    conv[0] = True
+    det = rng.choice(pool, n)
+    det[0] = 1e-12                         # a catastrophe
+    return SolutionField(
+        space=VarSpace(("t", "x", "y"), ("u1", "u2")),
+        x_names=("t", "x", "y"), x=rng.choice(pool, (n, 3)), params={},
+        tau_names=("a", "b"), tau=rng.choice(pool, (n, 2)),
+        u=rng.choice(pool, (n, 2)), iters=rng.integers(0, 3, n),
+        converged=conv, determinant=lambda: det, catastrophe_threshold=1e-8)
+
+
 def test_solution_writer_bytes_match_per_cell_writer(tmp_path):
-    field = awkward_field()
-    assert field.catastrophe.any() and not field.converged.all()
-    res = np.abs(np.random.default_rng(3).standard_normal(field.n))
-    res[::5] = np.nan
-    res[1] = -0.0
-    res[2] = np.inf
-    for norms in (None, res, list(res)):
-        reports.write_solution_field(tmp_path / "got.csv", field, norms)
-        reference_write_solution_field(tmp_path / "want.csv", field, norms)
-        assert ((tmp_path / "got.csv").read_bytes()
-                == (tmp_path / "want.csv").read_bytes())
+    for field in (awkward_field(), repeating_field()):
+        assert field.catastrophe.any() and not field.converged.all()
+        res = np.abs(np.random.default_rng(3).standard_normal(field.n))
+        res[::5] = np.nan
+        res[1] = -0.0
+        res[2] = np.inf
+        for norms in (None, res, list(res)):
+            reports.write_solution_field(tmp_path / "got.csv", field, norms)
+            reference_write_solution_field(tmp_path / "want.csv", field,
+                                           norms)
+            assert ((tmp_path / "got.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes())

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import gc
 import math
 import os
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwave import exprmat, geometry, ode, solver, spline
@@ -611,17 +613,17 @@ class CallCount:
 
 
 class Needs:
-    """Per lane, the points a reference solve needs ``value`` at, plus the
-    lanes ``jac`` needs and the damping trials taken.  Within one Newton
-    run each point counts once however often in a row the reference asks;
-    a warm-start retry starts a new run, which evaluates its first point
-    even where a lane stopped at that very point."""
+    """Per Newton run and lane, the points a reference solve needs
+    ``value`` at, plus the lanes ``jac`` needs and the damping trials
+    taken.  Within one run each point counts once however often in a row
+    the reference asks; a warm-start retry starts a new run, which
+    evaluates its first point even where a lane stopped at that very
+    point.  The final read of every lane belongs to its last run."""
 
     def __init__(self):
-        self.points = {}
+        self.runs = []            # per run, lane -> its points
         self.jac_lanes = 0
         self.trials = 0
-        self._restarted = set()
 
     def __call__(self, kind, tau, lanes):
         if kind == "jac":
@@ -629,14 +631,20 @@ class Needs:
         elif kind == "halving":
             self.trials += int(lanes.sum())
         elif kind == "run":
-            self._restarted.update(np.where(lanes)[0].tolist())
+            self.runs.append({i: [] for i in np.where(lanes)[0].tolist()})
         else:
             for i in np.where(lanes)[0].tolist():
-                seq = self.points.setdefault(i, [])
-                if (i in self._restarted or not seq
-                        or seq[-1] != tau[i].tobytes()):
+                seq = next(run[i] for run in reversed(self.runs) if i in run)
+                if not seq or seq[-1] != tau[i].tobytes():
                     seq.append(tau[i].tobytes())
-                self._restarted.discard(i)
+
+    def points(self, first):
+        """The points a solve looks up that runs the first Newton run over
+        the lanes ``first`` only, one per distinct equation, and a retry
+        over every lane it restarts."""
+        return Counter(p for r, run in enumerate(self.runs)
+                       for i, seq in run.items() if r or i in first
+                       for p in seq)
 
 
 def ex2_grid(nt=8, nx=3, ny=8):
@@ -685,15 +693,19 @@ def test_newton_evaluates_each_point_once_bitwise(case):
     # the lookups see each lane only at the points it still needs, and
     # give u and df/dtau together: Newton never calls jac, and each
     # lookup is one spline call
-    assert log.points == Counter(p for seq in need.points.values()
-                                 for p in seq)
+    # the first run solves each distinct equation once: the grid's x axis
+    # is read by no potential, so lanes repeat over it
+    first, _ = exprmat.distinct_rows(np.column_stack([grid["t"], grid["y"]]))
+    assert len(first) < field.n
+    assert log.points == need.points(set(first.tolist()))
     assert log.jac_lanes == 0
     assert counted.calls == log.lookups
-    # the determinant costs one jac call over every lane, when first read
+    # the determinant costs one jac call, when first read, over the distinct
+    # lanes, or over every lane once a retry has run on the grid's lanes
     assert_bitwise(field.det_monitor, det)
     assert np.array_equal(field.catastrophe,
                           (np.abs(det) < cfg.catastrophe_threshold) & conv)
-    assert log.jac_lanes == field.n
+    assert log.jac_lanes == (field.n if len(need.runs) > 1 else len(first))
     assert counted.calls == log.lookups + 1
 
 
@@ -704,7 +716,8 @@ def test_resolve_leaves_determinant_until_read():
     again = field.resolve(ex2_grid(3, 2, 3))
     assert surf.jac_lanes == 0       # Newton reads df/dtau from its lookups
     again.catastrophe
-    assert surf.jac_lanes == again.n
+    # one lane per distinct (t, y): no potential reads x
+    assert surf.jac_lanes == 9 < again.n
 
     # the scalar solve takes no Jacobian at all
     line = LaneLog(example3_surface())
@@ -723,15 +736,136 @@ def test_resolve_leaves_determinant_until_read():
 
 def test_warm_start_from_converged_lanes_looks_up_once():
     # a re-solve started where every lane has converged keeps no lane
-    # iterating: one lookup over all n lanes, and no stale u to look up
+    # iterating: one lookup over the distinct lanes, keyed on (t, y) and
+    # the warm start, and no stale u to look up
     surf = LaneLog(ex2_two_wave_surface())
     field = solve_implicit(surf, list(ex2_potentials()), ex2_grid(),
                            ImplicitSolveConfig())
     assert field.converged.all()
     surf.sizes.clear()
     again = field.resolve(ex2_grid(), initial_guess=field.tau)
-    assert surf.sizes == [field.n]
+    assert surf.sizes == [64] and 64 < field.n
     assert again.converged.all() and not again.iters.any()
+
+
+# ---------------------------------------------------------------------------
+# repeated lanes: a grid whose lanes repeat an equation, in any order, gives
+# each lane the bits of a solve over its distinct equations alone, except
+# where a lane needs the warm-start retry, which reads its grid-order
+# neighbours; there it has the bits of the reference that solves every lane
+
+@functools.cache
+def repeated_lanes_cases():
+    # the lanes to repeat, each with two initial guesses: example3's scan
+    # (k = 1), and the "halvings and retry" potentials of example2 (k = 2)
+    # on (t, y) lanes at x = 1, whose guesses are the policy's and that of
+    # another lane
+    surf, pots, grid, settings, params, space = ex3_scalar_case()
+    grid = {name: v[:30] for name, v in grid.items()}
+    guess = mixed_guess(grid)
+    scalar = (surf, pots, grid, settings["tau_window"], params, space,
+              np.stack([guess, -8.0 * grid["t"]], axis=1)[:, :, None])
+    surf = ex2_two_wave_surface()
+    pots = list(wavy_potentials())
+    grid = ex2_grid(8, 1, 8)
+    bound = [solver.PotentialFn(p, SP2).bind(grid) for p in pots]
+    policy = solver._initial_guess(ImplicitSolveConfig(), bound, surf,
+                                   len(grid["t"]), 2)
+    newton = (surf, pots, grid, None, {}, SP2,
+              np.stack([policy, policy[::-1]], axis=1))
+    return {1: scalar, 2: newton}
+
+
+def repeated_lanes_solves(k, lanes, warm, **settings):
+    """The solve on a grid of ``lanes``, each (lane, guess, x) of a case,
+    and the one on its distinct equations alone, each with its config and
+    grid, and the map from the grid's lanes to those equations.  Without
+    ``warm`` every lane starts from the policy's guess.  A solve in which
+    every lane diverges is None."""
+    surf, pots, grid, window, params, space, guesses = \
+        repeated_lanes_cases()[k]
+    lane, guess, x = (np.array(v) for v in zip(*lanes))
+    if not warm:
+        guess[:] = 0
+    distinct, back = np.unique(lane * 2 + guess, return_inverse=True)
+
+    def solve(lane, guess, x):
+        env = {name: v[lane] for name, v in grid.items()}
+        if k == 2:
+            env["x"] = x          # read by no potential
+        cfg = ImplicitSolveConfig(
+            tau_window=window, **settings,
+            **({"initial_guess": guesses[lane, guess]} if warm else {}))
+        try:
+            field = solve_implicit(surf, pots, env, cfg, params=params,
+                                   space=space)
+        except SolveFailed:
+            field = None
+        return field, cfg, env
+
+    return (solve(lane, guess, x),
+            solve(distinct // 2, distinct % 2, np.ones(len(distinct))), back)
+
+
+def lanes_of(field, lanes):
+    """``field`` at ``lanes``, its determinant read now."""
+    det = field.det_monitor[lanes]
+    return dataclasses.replace(
+        field, x=field.x[lanes], tau=field.tau[lanes], u=field.u[lanes],
+        iters=field.iters[lanes], converged=field.converged[lanes],
+        determinant=lambda: det)
+
+
+def assert_lanes_bitwise(got, want):
+    for name in ("tau", "u", "det_monitor"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+    for name in ("iters", "converged", "catastrophe"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+@settings(max_examples=15, deadline=None)
+@given(lanes=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 1),
+                                st.just(1.0)), min_size=1, max_size=40))
+def test_repeated_lanes_scalar_solve_bitwise(root_select, lanes):
+    # the scan's block of 8192 // n columns and the bisection's pass count
+    # (the most any distinct equation needs) come out as on the distinct
+    # lanes alone
+    (got, _, _), (alone, _, _), back = repeated_lanes_solves(
+        1, lanes, True, root_select=root_select)
+    assert (got is None) == (alone is None)
+    if got is not None:
+        assert_lanes_bitwise(got, lanes_of(alone, back))
+
+
+NEWTON_REPEATS = {"halvings and retry": {},
+                  "no damping": {"damping_steps": 0, "max_iter": 8}}
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("case", NEWTON_REPEATS)
+@settings(max_examples=8, deadline=None)
+@given(lanes=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 1),
+                                st.sampled_from([1.0, 2.0, 3.0])),
+                      min_size=1, max_size=30))
+@example(lanes=[(9, 0, 1.0), (0, 0, 1.0), (27, 0, 2.0), (0, 0, 3.0)])
+def test_repeated_lanes_newton_bitwise(case, warm, lanes):
+    # the example: lane 0 fails its first run at (t, y) = (1, 0.2), and its
+    # two copies retry from different grid-order neighbours, lanes 9 and 27
+    (got, cfg, env), (alone, _, _), back = repeated_lanes_solves(
+        2, lanes, warm, **NEWTON_REPEATS[case])
+    surf, pots = repeated_lanes_cases()[2][:2]
+    tau, u, iters, conv, det = reference_solve(surf, pots, env, cfg,
+                                               lambda *args: None)
+    if got is None:
+        assert not conv.any()
+        return
+    assert_lanes_bitwise(got, dataclasses.replace(
+        got, tau=tau, u=u, iters=iters, converged=conv,
+        determinant=lambda: det))
+    first_run = got.iters < cfg.max_iter      # converged before any retry
+    assert_lanes_bitwise(lanes_of(got, first_run),
+                         lanes_of(alone, back[first_run]))
 
 
 def reference_select_cell(flips, ws, tau0, root_select):
