@@ -91,6 +91,9 @@ class AnalysisRequest:
         if any(count <= 0 for _, _, count in self.grid.values()) or (
                 "solve" in self.stages and not self.grid):
             raise RequestError("empty grid")
+        if not all(math.isfinite(b) for lo_hi in (
+                *self.domain.values(), *self.grid.values()) for b in lo_hi[:2]):
+            raise RequestError("--domain and --grid bounds must be finite")
         if not all(math.isfinite(v) and v > 0 for v in (
                 self.tol_newton, self.tol_zero, self.fd_step, self.trials)):
             raise RequestError("--tol-newton, --tol-zero, --fd-step and "

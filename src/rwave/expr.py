@@ -1157,7 +1157,12 @@ def _antiderivative_term(t, name):
     if len(dep_num) + len(dep_den) != 1:
         return None
     if dep_den:
-        atom_anti = _atom_antiderivative_reciprocal(dep_den[0], name)
+        # 1/v^n is the power v^(-n)
+        atom, n = dep_den[0], ONE
+        if isinstance(atom, Bin) and atom.op == "^" \
+                and isinstance(atom.right, Const):
+            atom, n = atom.left, atom.right
+        atom_anti = _atom_antiderivative(Bin("^", atom, Const(-n.value)), name)
     else:
         atom_anti = _atom_antiderivative(dep_num[0], name)
     if atom_anti is None:
@@ -1252,15 +1257,3 @@ def _atom_antiderivative(atom, name):
         return Bin("/", Call("sin", atom.arg), a)
     return None
 
-
-def _atom_antiderivative_reciprocal(atom, name):
-    v = Var(name)
-    if atom is v:
-        return Call("ln", Call("abs", v))
-    if isinstance(atom, Bin) and atom.op == "^" and atom.left is v \
-            and isinstance(atom.right, Const) and atom.right.is_exact:
-        n = -atom.right.value
-        if n == -1:
-            return Call("ln", Call("abs", v))
-        return Bin("/", Bin("^", v, Const(n + 1)), Const(n + 1))
-    return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 
-from .expr import Box, VarSpace, parse
+from .expr import VarSpace, parse
 from .system import QuasilinearSystem
 
 BROWNIAN = {
@@ -191,7 +191,3 @@ def load_fixture(name: str) -> QuasilinearSystem:
         return system_from_dict(SYSTEMS[name])
     except KeyError:
         raise KeyError(f"unknown fixture '{name}'; have {sorted(SYSTEMS)}")
-
-
-def fixture_box(name: str) -> Box:
-    return Box.from_dict(PRESETS[name]["domain"])

@@ -79,7 +79,6 @@ _SURROGATE_TOL = 3e-8      # fit of a symbolic stand-in for a numeric source
 _COMMUTATION_STEP = 1e-4   # central-difference step of commutation_residual
 _DIRECTIONAL_STEP = 1e-4   # central-difference step of a numeric directional
 _TRANSPORT_STEP = 1.0      # largest psi move of a transport's first trial step
-_NONVANISHING_TRIALS = 40  # samples of FrameRescaling.factors_nonvanishing
 _GRID_PER_AXIS = 4         # grid points per axis of a serialized numeric factor
 
 
@@ -755,11 +754,6 @@ class FrameRescaling:
     def scaled_fields(self):
         return [f.with_factor(fac) for f, fac in zip(self.fields, self.factors)]
 
-    def factors_nonvanishing(self, rng=None):
-        rng = np.random.default_rng(rng)
-        U = _sample(self.box, rng, _NONVANISHING_TRIALS, self.names)
-        return all(np.all(np.abs(fac.ev(U)) > 1e-12) for fac in self.factors)
-
     def serializable(self):
         return {
             "names": list(self.names),
@@ -892,13 +886,12 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
                 if not (pair_overrides and (i, nxt) in pair_overrides) \
                 else pair[(i, nxt)]
             hs.append(pci.h_second)  # coefficient on X_next
-        if nxt >= 2:
-            chk = compatibility_check(hs, commuting, names, box, rng=rng)
-            stages.append("compatibility")
-            if chk.verdict is Verdict.FAILS:
-                raise IncompatibleSystem(
-                    f"stage-1 sources are asymmetric ({chk.detail}, "
-                    f"magnitude {chk.magnitude:.2e})", chk.witness)
+        chk = compatibility_check(hs, commuting, names, box, rng=rng)
+        stages.append("compatibility")
+        if chk.verdict is Verdict.FAILS:
+            raise IncompatibleSystem(
+                f"stage-1 sources are asymmetric ({chk.detail}, "
+                f"magnitude {chk.magnitude:.2e})", chk.witness)
         sources = [-h for h in hs]
         g_next, res = solve_transport_system(commuting, sources, names, box,
                                              base, rng,

@@ -80,16 +80,10 @@ class WaveElement:
     label: str = ""
     potential: object = None   # Expr or NumericPotential
 
-    def rescaled(self, factor: Expr, inverse_on_gamma=False):
+    def rescaled(self, factor: Expr):
         lam = tuple(simplify(Bin("*", factor, e)) for e in self.lam)
-        if inverse_on_gamma:
-            gam = tuple(simplify(Bin("/", e, factor)) for e in self.gamma)
-        else:
-            gam = tuple(simplify(Bin("*", factor, e)) for e in self.gamma)
+        gam = tuple(simplify(Bin("*", factor, e)) for e in self.gamma)
         return WaveElement(self.space, lam, gam, self.label, None)
-
-    def wave_residual(self, sys: QuasilinearSystem):
-        return exprmat.mat_vec(sys.wave_matrix(self.lam), self.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +204,6 @@ def directional_derivative(vec, direction, dep_names):
 
 @dataclass
 class BracketDecomposition:
-    coefficients: list          # Expr or None per frame member
     coefficient_samples: np.ndarray   # (n, k) least-squares values
     residual_max: float
     involutive: bool
@@ -253,10 +246,10 @@ def fit_symbolic(samples, env, names):
     return None
 
 
-def _snap(v, tol=1e-9):
+def _snap(v):
     from fractions import Fraction
     fr = Fraction(v).limit_denominator(16)
-    if abs(float(fr) - v) < tol:
+    if abs(float(fr) - v) < 1e-9:
         return fr
     return None
 
@@ -266,8 +259,7 @@ _INVOLUTIVE_TOL = 1e-8   # pointwise residual of an involutive decomposition
 
 
 def decompose_in_frame(v, frame, box: Box, rng=None):
-    """Least-squares coefficients of ``v`` in ``frame`` at sampled points,
-    fitted back to symbolic form when recognizable.
+    """Least-squares coefficients of ``v`` in ``frame`` at sampled points.
 
     One stacked SVD solves every finite sample (``exprmat.lstsq_stack``);
     samples where the frame or ``v`` is not finite are skipped.  The
@@ -289,11 +281,8 @@ def decompose_in_frame(v, frame, box: Box, rng=None):
         raise DegenerateFrame("frame is pointwise dependent", witness)
     resmax = float(np.max(np.abs(np.einsum("nij,nj->ni", A, coeffs) - b),
                           initial=0.0))
-    env_ok = {n: np.asarray(val)[rows] for n, val in env.items()}
-    sym = [fit_symbolic(coeffs[:, j], env_ok, sorted(box.names()))
-           for j in range(len(frame))]
     return BracketDecomposition(
-        coefficients=sym, coefficient_samples=coeffs, residual_max=resmax,
+        coefficient_samples=coeffs, residual_max=resmax,
         involutive=resmax <= _INVOLUTIVE_TOL)
 
 
@@ -674,9 +663,3 @@ def x_fields(sys: QuasilinearSystem, gammas):
                 for A in sys.coeffs))
         out.append(per_alpha)
     return out
-
-
-def contract_covector(lam, fields):
-    """<lambda, X> for each field; zero exactly when the wave relation holds."""
-    return [exprmat.sum_exprs(Bin("*", l, f) for l, f in zip(lam, X))
-            for X in fields]

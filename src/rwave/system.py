@@ -30,10 +30,6 @@ class SystemError(Exception):
     pass
 
 
-class DomainError(SystemError):
-    """The source component pivoted on vanishes identically."""
-
-
 class SingularBlock(SystemError):
     def __init__(self, message, cond):
         super().__init__(f"{message} (condition number {cond:.3e})")
@@ -88,13 +84,9 @@ class QuasilinearSystem:
     def properly_determined(self):
         return self.m == self.q
 
-    def is_homogeneous(self, box: Box | None = None, rng=None) -> bool:
-        """Structurally zero source, or probably-zero on the box if given."""
-        if all(simplify(e) == Const(0) for e in self.source):
-            return True
-        if box is None:
-            return False
-        return all(bool(is_zero(e, box, rng=rng)) for e in self.source)
+    def is_homogeneous(self) -> bool:
+        """Whether every source component simplifies to 0."""
+        return all(simplify(e) == Const(0) for e in self.source)
 
     def residual_at(self, x_point, u_values, jacobian):
         """Evaluate sum_i A^i u_i - b at one point: the one-row case of
@@ -170,7 +162,7 @@ def homogenizing_variable(space, new_var=None):
 
 
 def homogenize(sys: QuasilinearSystem, box: Box | None = None, rng=None,
-               new_var: str | None = None, permute: bool = True) -> HomogenizationResult:
+               new_var: str | None = None) -> HomogenizationResult:
     """Rewrite an inhomogeneous system as a homogeneous one in p+1
     independent variables.
 
@@ -202,9 +194,6 @@ def homogenize(sys: QuasilinearSystem, box: Box | None = None, rng=None,
 
     perm = tuple(range(q))
     if 0 not in nonzero:
-        if not permute:
-            raise DomainError("first source component vanishes identically; "
-                              "enable row permutation or permute the equations")
         first = nonzero[0]
         perm = (first,) + tuple(i for i in range(q) if i != first)
     rows = lambda M: tuple(M[i] for i in perm)
@@ -251,29 +240,6 @@ def check_m_property(result: HomogenizationResult, sys: QuasilinearSystem,
     return checks
 
 
-def independence_check(sys: QuasilinearSystem, result: HomogenizationResult,
-                       u_tilde_fn, x_points, h=1e-6, tol=1e-8):
-    """Test whether u~ + x_new e1 depends on the new variable only through
-    the explicit shift, i.e. whether a homogeneous solution transports back.
-
-    ``u_tilde_fn(point_dict) -> array (q,)`` evaluates the candidate
-    solution of the homogenized system.  Returns (ok, max_deviation).
-    """
-    name = result.substitution.new_var
-    worst = 0.0
-    for pt in x_points:
-        up = dict(pt)
-        up[name] = pt[name] + h
-        dn = dict(pt)
-        dn[name] = pt[name] - h
-        fu = np.asarray(u_tilde_fn(up), dtype=float).copy()
-        fd = np.asarray(u_tilde_fn(dn), dtype=float).copy()
-        fu[0] += up[name]
-        fd[0] += dn[name]
-        worst = max(worst, float(np.max(np.abs(fu - fd) / (2 * h))))
-    return worst <= tol, worst
-
-
 @dataclass(frozen=True)
 class SimpleElementSplit:
     """Regular-stratum chart: gamma_2 and a point determine gamma_1."""
@@ -301,16 +267,6 @@ class SimpleElementSplit:
         if np.linalg.norm(A1 @ g1 - rhs) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
             raise SingularBlock("split system is inconsistent at this point", cond)
         return g1
-
-    def assemble(self, point, gamma2=()):
-        g1 = self.gamma1(point, gamma2)
-        return np.concatenate([g1, np.asarray(gamma2, dtype=float).reshape(-1)])
-
-    def relation_residual(self, point, gamma2=()):
-        gamma = self.assemble(point, gamma2)
-        W = exprmat.eval_matrix(self.system.wave_matrix(self.lam), point)
-        b = exprmat.eval_vector(self.system.source, point)
-        return W @ gamma - b
 
 
 def split_simple_element(sys: QuasilinearSystem, lam, q_h: int) -> SimpleElementSplit:

@@ -96,8 +96,8 @@ def residual_report(sys: QuasilinearSystem, field, h=1e-5,
 
 @dataclass
 class DecompositionRecovery:
-    """One point's recovery; for a stack of n points every field gains a
-    leading axis of length n."""
+    """The recovery at n points; every field has a leading axis of length
+    n."""
 
     xi: np.ndarray
     reconstruction_error: float
@@ -120,20 +120,15 @@ def estimate_rank(singular_values):
 def recover_decomposition(jac, elements, env) -> DecompositionRecovery:
     """Least-squares xi with jac ~ sum_sigma xi^sigma gamma_sigma (x) lam^sigma.
 
-    ``jac`` is one (q, p) Jacobian with a point ``env`` of scalars, or a
-    stack (n, q, p) with ``env`` values of shape (n,); the single case is
-    the one-lane stack.  Each lam and gamma is evaluated once over the
-    stack; one stacked SVD of the dyad matrix (``exprmat.lstsq_stack``)
-    gives both the independence guard and the least-squares solution.
+    ``jac`` is a stack (n, q, p) of Jacobians, with ``env`` values of
+    shape (n,).  Each lam and gamma is evaluated once over the stack; one
+    stacked SVD of the dyad matrix (``exprmat.lstsq_stack``) gives both
+    the independence guard and the least-squares solution.
     The rank estimate comes from the SVD gap of each Jacobian itself.
     Raises DegenerateElements naming the first point whose dyads are
     linearly dependent.
     """
     J = np.asarray(jac, dtype=float)
-    single = J.ndim == 2
-    if single:
-        J = J[None]
-        env = {k: np.reshape(v, 1) for k, v in env.items()}
     n, q, p = J.shape
     cols = []
     for e in elements:
@@ -154,22 +149,17 @@ def recover_decomposition(jac, elements, env) -> DecompositionRecovery:
     err = np.linalg.norm(np.einsum("nij,nj->ni", G, xi) - b, axis=1)
     s = np.linalg.svd(J[first], compute_uv=False)
     xi, err, s, rank = (a[inverse] for a in (xi, err, s, estimate_rank(s)))
-    if single:
-        return DecompositionRecovery(xi=xi[0], rank=int(rank[0]),
-                                     reconstruction_error=float(err[0]),
-                                     singular_values=s[0])
     return DecompositionRecovery(xi=xi, reconstruction_error=err, rank=rank,
                                  singular_values=s)
 
 
-def constancy_along_kernel(field, elements, indices=None, h=1e-5, tol=1e-6,
-                           directions=None):
+def constancy_along_kernel(field, elements, indices=None, h=1e-5, tol=1e-6):
     """Directional derivative of u along the common kernel of the wave
     covectors, by re-solving at displaced points.
 
     The kernel at each sample comes from one stacked SVD of the covector
-    rows (or is ``directions``, the same at every sample); every displaced
-    point, sample x kernel direction x +-h, is re-solved in one grid.
+    rows; every displaced point, sample x kernel direction x +-h, is
+    re-solved in one grid.
     Returns (holds, max_derivative).  Vacuously true when the covectors
     span the whole cotangent space.
     """
@@ -177,18 +167,13 @@ def constancy_along_kernel(field, elements, indices=None, h=1e-5, tol=1e-6,
         indices = range(min(field.n, 20))
     idx = np.asarray(list(indices), dtype=int)
     p = len(field.x_names)
-    if directions is not None:
-        theta = np.asarray(directions, dtype=float).reshape(-1, p)
-        owner = np.repeat(np.arange(idx.size), len(theta))
-        theta = np.tile(theta, (idx.size, 1))
-    else:
-        env = {k: v[idx] for k, v in field.grid_env().items()}
-        lam_rows = np.stack([exprmat.eval_vector(e.lam, env)
-                             for e in elements], axis=1)   # (m, k, p)
-        _, s, vt = np.linalg.svd(lam_rows)
-        ker_dim = p - np.sum(s > 1e-10 * np.maximum(s[:, :1], 1.0), axis=1)
-        kernel = np.arange(p) >= (p - ker_dim)[:, None]  # last rows of vt
-        owner, theta = np.nonzero(kernel)[0], vt[kernel]
+    env = {k: v[idx] for k, v in field.grid_env().items()}
+    lam_rows = np.stack([exprmat.eval_vector(e.lam, env)
+                         for e in elements], axis=1)   # (m, k, p)
+    _, s, vt = np.linalg.svd(lam_rows)
+    ker_dim = p - np.sum(s > 1e-10 * np.maximum(s[:, :1], 1.0), axis=1)
+    kernel = np.arange(p) >= (p - ker_dim)[:, None]  # last rows of vt
+    owner, theta = np.nonzero(kernel)[0], vt[kernel]
     if owner.size == 0:
         return True, 0.0
     theta = theta / np.linalg.norm(theta, axis=1, keepdims=True)

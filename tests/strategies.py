@@ -6,9 +6,12 @@ sqrt and ln are wrapped as (1 + (.)^2) and denominators as (2 + (.)^2),
 so evaluation anywhere in the sample boxes stays real and finite.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
-from rwave.expr import Bin, Call, Const, Var
+from rwave.expr import Bin, Box, Call, Const, Var
+from rwave.fixtures import PRESETS
+from rwave.verify import DecompositionRecovery, recover_decomposition
 
 
 def safe_sqrt(e):
@@ -70,3 +73,18 @@ def point_env(field, idx):
     for j, name in enumerate(field.space.dependent):
         env[name] = float(field.u[idx, j])
     return env
+
+
+def fixture_box(name):
+    """The domain box of a bundled fixture's analysis preset."""
+    return Box.from_dict(PRESETS[name]["domain"])
+
+
+def recover_at(jac, elements, env):
+    """``recover_decomposition`` at one point: a (q, p) Jacobian and a point
+    of scalars, solved as the one-lane stack."""
+    rec = recover_decomposition(np.asarray(jac, dtype=float)[None], elements,
+                                {k: np.reshape(v, 1) for k, v in env.items()})
+    return DecompositionRecovery(
+        xi=rec.xi[0], reconstruction_error=float(rec.reconstruction_error[0]),
+        rank=int(rec.rank[0]), singular_values=rec.singular_values[0])

@@ -17,7 +17,6 @@ from rwave.fixtures import (
     BROWNIAN_HOMOGENIZED,
     PRESETS,
     TRAUTMAN_HOMOGENIZED,
-    fixture_box,
     load_fixture,
     system_from_dict,
 )
@@ -42,9 +41,9 @@ from rwave.solver import (
     solve_implicit,
 )
 from rwave.system import homogenize
-from rwave.verify import fd_jacobian_batch, recover_decomposition
+from rwave.verify import fd_jacobian_batch
 
-from .strategies import random_polynomial_vector
+from .strategies import fixture_box, random_polynomial_vector, recover_at
 from .test_cli import read_solution_field_table
 from .test_system import consistent_jet
 
@@ -338,7 +337,7 @@ def test_criterion_7_property_suites():
             lam = exprmat.eval_vector(e.lam, env)
             gam = exprmat.eval_vector(e.gamma, env)
             J += xv * np.outer(gam, lam)
-        rec = recover_decomposition(J, [plus, minus], env)
+        rec = recover_at(J, [plus, minus], env)
         worst_xi = max(worst_xi, float(np.max(np.abs(rec.xi - xi_true))))
     ok &= worst_xi < 1e-10
     details.append(f"xi round trip {worst_xi:.2e}")

@@ -367,9 +367,14 @@ def test_run_verify_misses_bounds_exit3(tmp_path, monkeypatch):
 
 
 def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
-    # a reversed range, a --solver-config file that does not exist, and
-    # numeric flags that must be positive (and finite): nothing is written
+    # a reversed range, non-finite bounds, a --solver-config file that does
+    # not exist, and numeric flags that must be positive (and finite):
+    # nothing is written
     cases = [("empty range for t", ["--domain", "t=3:1"]),
+             ("bounds must be finite", ["--domain", "t=0:inf"]),
+             ("bounds must be finite", ["--domain", "t=-inf:1"]),
+             ("bounds must be finite",
+              ["--grid", "t=1:3:20,x=1:3:20,y=0.2:inf:20"]),
              ("No such file", ["--solver-config",
                                str(tmp_path / "missing.json")]),
              ("must be positive", ["--trials", "0", "--fd-step", "0"]),
