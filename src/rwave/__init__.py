@@ -17,7 +17,7 @@ from .expr import (
     parse,
     simplify,
 )
-from .system import QuasilinearSystem, homogenize, split_simple_element
+from .system import QuasilinearSystem, homogenize
 from .geometry import (
     WaveElement,
     check_kwave_conditions,
@@ -50,7 +50,7 @@ __all__ = [
     "Box", "Const", "DomainExhausted", "EvalDomainError", "Expr",
     "ParseError", "UnknownIdentifierError", "Var", "VarSpace", "ZeroVerdict",
     "is_zero", "parse", "simplify",
-    "QuasilinearSystem", "homogenize", "split_simple_element",
+    "QuasilinearSystem", "homogenize",
     "WaveElement", "check_kwave_conditions", "decompose_in_frame",
     "find_potential", "kernel_elements", "lie_bracket", "x_fields",
     "compatibility_check", "pair_bracket_coefficients", "rescale_frame",

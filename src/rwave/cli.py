@@ -25,7 +25,6 @@ from .fixtures import PRESETS, SYSTEMS, load_fixture, system_from_dict, system_t
 from .frobenius import FrobeniusError, commutation_residual, rescale_frame
 from .geometry import (
     GeometryError,
-    NumericKernelSampler,
     WaveElement,
     check_kwave_conditions,
     find_potential,
@@ -94,6 +93,8 @@ class AnalysisRequest:
         if not all(math.isfinite(b) for lo_hi in (
                 *self.domain.values(), *self.grid.values()) for b in lo_hi[:2]):
             raise RequestError("--domain and --grid bounds must be finite")
+        if not all(math.isfinite(v) for v in self.parameters.values()):
+            raise RequestError("--param values must be finite")
         if not all(math.isfinite(v) and v > 0 for v in (
                 self.tol_newton, self.tol_zero, self.fd_step, self.trials)):
             raise RequestError("--tol-newton, --tol-zero, --fd-step and "
@@ -219,9 +220,6 @@ def _elements(st):
                                    trials=st.request.trials)
         except (GeometryError, ValueError) as err:  # a bad ansatz
             raise RequestError(str(err)) from err
-        if isinstance(kers, NumericKernelSampler):
-            raise RequestError("kernel is only available as a numeric sampler; "
-                               "supply a symbolic ansatz for the solve stages")
         st.elements.append(WaveElement(space, lam, kers[0], label=f"w{idx}"))
     st.artifacts["elements"] = reports.write_json(st.out / "elements.json", {
         "elements": [{"label": e.label, "lambda": [str(x) for x in e.lam],
@@ -318,7 +316,7 @@ def _verify(st):
                                      replace=False)
     try:
         jacs = fd_jacobian_batch(sol, h=h, richardson=True)
-        rep = residual_report(st.system, sol, h=h, richardson=True, jac=jacs)
+        rep = residual_report(st.system, sol, jacs, h=h, richardson=True)
         rec = recover_decomposition(jacs, elements, sol.grid_env())
         const_ok, const_worst = constancy_along_kernel(sol, elements,
                                                        indices=sample, h=h)
@@ -507,7 +505,10 @@ def main(argv=None):
         params = {}
         for kv in args.param:
             name, _, val = kv.partition("=")
-            params[name.strip()] = float(val)
+            name = name.strip()
+            if name in params:
+                raise RequestError(f"--param names '{name}' twice")
+            params[name] = float(val)
         request = AnalysisRequest(
             system=args.system,
             domain=_parse_ranges(args.domain),

@@ -1053,7 +1053,6 @@ class ZeroTest:
     verdict: ZeroVerdict
     witness: dict | None  # sample where |value| exceeded the threshold
     value: float          # value at the witness, or max |value| seen
-    samples: int
 
     def __bool__(self):
         return self.verdict is ZeroVerdict.PROBABLY_ZERO
@@ -1076,8 +1075,8 @@ def is_zero(e: Expr, box: Box, trials: int = DEFAULT_TRIALS,
     if isinstance(e, Const):
         v = float(e.value)
         if abs(v) > threshold:
-            return ZeroTest(ZeroVerdict.PROVABLY_NONZERO, {}, v, 0)
-        return ZeroTest(ZeroVerdict.PROBABLY_ZERO, None, abs(v), 0)
+            return ZeroTest(ZeroVerdict.PROVABLY_NONZERO, {}, v)
+        return ZeroTest(ZeroVerdict.PROBABLY_ZERO, None, abs(v))
     missing = e.variables() - set(box.names())
     if missing:
         raise MissingVariableError(
@@ -1101,11 +1100,11 @@ def is_zero(e: Expr, box: Box, trials: int = DEFAULT_TRIALS,
             idx = int(np.argmax(np.where(ok, np.abs(vals), -1.0)))
             witness = {k: float(v[idx]) for k, v in env.items()}
             return ZeroTest(ZeroVerdict.PROVABLY_NONZERO, witness,
-                            float(vals[idx]), good + int(ok.sum()))
+                            float(vals[idx]))
         if np.any(ok):
             max_seen = max(max_seen, float(np.max(np.abs(vals[ok]))))
         good += int(ok.sum())
-    return ZeroTest(ZeroVerdict.PROBABLY_ZERO, None, max_seen, good)
+    return ZeroTest(ZeroVerdict.PROBABLY_ZERO, None, max_seen)
 
 
 # ---------------------------------------------------------------------------

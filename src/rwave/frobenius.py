@@ -133,11 +133,6 @@ class ScalarFn:
         self.guards = tuple(guards)
         self._kernel = None
 
-    @property
-    def span(self):
-        """The guards, or None for an unguarded scalar."""
-        return self.guards or None
-
     def ev(self, U):
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.expr is None:
@@ -794,8 +789,8 @@ def commutation_residual(fields, box: Box, rng=None, n_samples=100):
     return worst
 
 
-def rescale_frame(fields, names, box: Box, base=None, rng=None,
-                  pair_overrides=None, prefer_symbolic=True) -> FrameRescaling:
+def rescale_frame(fields, names, box: Box, rng=None, pair_overrides=None,
+                  prefer_symbolic=True) -> FrameRescaling:
     """Factors making the frame commute.
 
     Construction does not measure the result: ``commutation_residual`` on
@@ -816,8 +811,7 @@ def rescale_frame(fields, names, box: Box, base=None, rng=None,
     d = len(names)
     if r < 2:
         raise ValueError("need at least two fields")
-    if base is None:
-        base = box.midpoint()
+    base = box.midpoint()   # where every factor's transport is anchored
     stages = []
 
     pair = {}

@@ -71,47 +71,29 @@ class PathDependent(GeometryError):
 
 @dataclass(frozen=True)
 class WaveElement:
-    """A covector/vector pair satisfying the wave relation, plus the
-    potential once one is attached."""
+    """A covector/vector pair satisfying the wave relation."""
 
     space: VarSpace
     lam: tuple           # p Exprs
     gamma: tuple         # q Exprs
     label: str = ""
-    potential: object = None   # Expr or NumericPotential
 
     def rescaled(self, factor: Expr):
         lam = tuple(simplify(Bin("*", factor, e)) for e in self.lam)
         gam = tuple(simplify(Bin("*", factor, e)) for e in self.gamma)
-        return WaveElement(self.space, lam, gam, self.label, None)
+        return WaveElement(self.space, lam, gam, self.label)
 
 
 # ---------------------------------------------------------------------------
 # kernels
 
-@dataclass(frozen=True)
-class NumericKernelSampler:
-    """Pointwise SVD null-space basis of the wave matrix, for q > 3 where
-    symbolic adjugates blow up."""
-
-    system: QuasilinearSystem
-    lam: tuple
-    TOL = 1e-8   # relative singular value counted as zero
-
-    def at(self, env):
-        W = exprmat.eval_matrix(self.system.wave_matrix(self.lam), env)
-        u, s, vt = np.linalg.svd(W)
-        null = [vt[i] for i in range(len(s)) if s[i] <= self.TOL * max(s[0], 1.0)]
-        extra = vt[len(s):]
-        return [v for v in null] + [v for v in extra]
-
-
 def kernel_elements(sys: QuasilinearSystem, lam, box: Box, rng=None, trials=32):
     """Vectors spanning ker(sum_i lambda_i A^i).
 
-    Symbolic adjugate route for q <= 3 (corank one); otherwise, or when the
-    adjugate vanishes, a numeric SVD sampler.  Raises EmptyKernel when the
-    determinant is provably nonzero on the box.
+    Symbolic adjugate route for q <= 3 (corank one).  Raises EmptyKernel
+    when the determinant is provably nonzero on the box, and GeometryError
+    when the adjugate route finds no kernel vector (q > 3, or a vanishing
+    adjugate): such a kernel is available only numerically.
     """
     if not sys.properly_determined:
         raise GeometryError("kernel computation expects a properly determined system")
@@ -142,7 +124,8 @@ def kernel_elements(sys: QuasilinearSystem, lam, box: Box, rng=None, trials=32):
                     verified.append(gamma)
             if verified:
                 return verified
-    return NumericKernelSampler(system=sys, lam=tuple(lam))
+    raise GeometryError("kernel is only available as a numeric sampler; "
+                        "supply a symbolic ansatz for the solve stages")
 
 
 def _normalize_kernel_column(col, box, rng, trials):
@@ -611,16 +594,14 @@ def find_potential(element: WaveElement, basepoint, box: Box, rng=None,
 
     phi = _symbolic_potential(work.lam, space, box, rng, trials)
     if phi is not None:
-        return PotentialResult(phi=phi, element=WaveElement(
-            space, work.lam, work.gamma, work.label, phi), factor=factor,
-            symbolic=True)
+        return PotentialResult(phi=phi, element=work, factor=factor,
+                               symbolic=True)
 
     pot = NumericPotential(work.lam, space, basepoint)
     probe = dict(box.midpoint())
     pot.check_paths(probe)
-    return PotentialResult(phi=pot, element=WaveElement(
-        space, work.lam, work.gamma, work.label, pot), factor=factor,
-        symbolic=False)
+    return PotentialResult(phi=pot, element=work, factor=factor,
+                           symbolic=False)
 
 
 def _symbolic_potential(lam, space, box, rng, trials):

@@ -25,6 +25,7 @@ _SWAP_TOL = 1e-7         # flow-order swap mismatch a built sheet may have
 _SWAP_PROBES = 5         # probe parameters of the swap-order check
 _TANGENCY_TOL = 1e-8     # relative tangent defect a characteristic may have
 _TANGENCY_POINTS = 17    # where a characteristic's tangent is checked
+_CURVE_POINTS = 241      # samples of a characteristic's spline
 _TANGENCY_SAMPLES = 25   # samples of surface_tangency_residual
 _SCAN_POINTS = 257       # points of the scalar solve's scan window
 _SCAN_BLOCK = 8192       # lane-columns of G per block of the scan
@@ -70,8 +71,6 @@ class ImplicitSolveConfig:
 
 @dataclass(frozen=True)
 class SurfaceProvenance:
-    gamma_labels: tuple
-    mu: tuple | None
     u0: tuple
     tau_base: tuple
 
@@ -229,11 +228,11 @@ def _flow_from_anchor(rhs, y0, start, targets, step):
     return out
 
 
-def integrate_characteristic(gamma, u0, s_range, step, space,
-                             s_name="s", s0=None, n_out=241, provenance=None):
+def integrate_characteristic(gamma, u0, s_range, step, space, s0=None):
     """Characteristic trajectory du/ds = gamma(u, s) anchored at
-    u(s0) = u0 (s0 defaults to the left end of s_range), sampled densely
-    and wrapped as a 1-parameter hodograph surface."""
+    u(s0) = u0 (s0 defaults to the left end of s_range), sampled at
+    ``_CURVE_POINTS`` points and wrapped as a 1-parameter hodograph
+    surface."""
     lo, hi = float(s_range[0]), float(s_range[1])
     if s0 is None:
         s0 = lo
@@ -246,16 +245,14 @@ def integrate_characteristic(gamma, u0, s_range, step, space,
     def rhs(s, u):
         u2 = np.atleast_2d(u)
         env = {name: u2[..., b] for b, name in enumerate(dep)}
-        env[s_name] = np.asarray(s, dtype=float)
+        env["s"] = np.asarray(s, dtype=float)
         return kernel(env).reshape(np.shape(u))
 
-    s_grid = np.linspace(lo, hi, n_out)
+    s_grid = np.linspace(lo, hi, _CURVE_POINTS)
     states = _flow_from_anchor(rhs, np.asarray(u0, dtype=float), s0, s_grid,
                                step)
-    surf = Surface1D(s_grid, states, space, (s_name,),
-                     provenance or SurfaceProvenance(("gamma",), None,
-                                                     tuple(np.asarray(u0, float)),
-                                                     (s0,)))
+    surf = Surface1D(s_grid, states, space, ("s",),
+                     SurfaceProvenance(tuple(np.asarray(u0, float)), (s0,)))
     _check_tangency_1d(surf, rhs)
     return surf
 
@@ -272,34 +269,25 @@ def _check_tangency_1d(surf, rhs):
 
 
 def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
-                    tau_names=None, axes=None, n_grid=161):
+                    tau_names=("tau1", "tau2"), axes=None, n_grid=161):
     """Hodograph surface of a commuting weighted frame.
 
     Solves df/dtau^a = sum_a' mu^a'_a(tau) gamma_(a') by successive flows
     from the anchor (tau_base, u0) over a parameter rectangle in internal
     coordinates (tau = axes @ s; axes defaults to identity).  The flow
     order is swapped at probe points, integrated together as lanes, and a
-    mismatch beyond ``_SWAP_TOL`` raises NonIntegrable.  For k = 1 the
-    surface is the characteristic of ``integrate_characteristic``.
+    mismatch beyond ``_SWAP_TOL`` raises NonIntegrable.  Only k = 2 is
+    built here; a k = 1 surface is the characteristic of
+    ``integrate_characteristic``.
     """
     k = len(gammas)
-    if tau_names is None:
-        tau_names = tuple(f"tau{i+1}" for i in range(k))
+    if k != 2:
+        raise SolverError("build_hodograph builds k = 2 sheets; integrate a "
+                          "k = 1 characteristic instead")
     if axes is None:
         axes = np.eye(k)
     axes = np.asarray(axes, dtype=float)
-    prov = SurfaceProvenance(tuple(f"g{i}" for i in range(k)),
-                             tuple(tuple(str(e) for e in row) for row in mu),
-                             tuple(np.asarray(u0, float)), tuple(tau_base))
-    if k == 1:
-        mu_gamma = tuple(simplify(mu[0][0] * g) for g in gammas[0])
-        return integrate_characteristic(
-            mu_gamma, u0, axis_ranges[0], step, space,
-            s_name=tau_names[0], s0=tau_base[0], n_out=n_grid, provenance=prov)
-
-    if k != 2:
-        raise SolverError("surface construction supports k = 1 or 2")
-
+    prov = SurfaceProvenance(tuple(np.asarray(u0, float)), tuple(tau_base))
     field = _gamma_field(gammas, mu, axes, space, tau_names)
     s_base = np.linalg.solve(axes, np.asarray(tau_base, dtype=float))
     (l1, h1), (l2, h2) = axis_ranges

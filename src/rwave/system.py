@@ -1,9 +1,8 @@
 """First-order quasilinear systems sum_i A^i(x,u) u_i = b(x,u).
 
 Holds the coefficient matrices symbolically, evaluates pointwise
-residuals against supplied jets, reduces inhomogeneous systems to
-homogeneous ones in one extra independent variable, and solves the
-regular-stratum split of simple integral elements.
+residuals against supplied jets, and reduces inhomogeneous systems to
+homogeneous ones in one extra independent variable.
 """
 
 from __future__ import annotations
@@ -28,12 +27,6 @@ from .expr import (
 
 class SystemError(Exception):
     pass
-
-
-class SingularBlock(SystemError):
-    def __init__(self, message, cond):
-        super().__init__(f"{message} (condition number {cond:.3e})")
-        self.cond = cond
 
 
 @dataclass(frozen=True)
@@ -238,45 +231,3 @@ def check_m_property(result: HomogenizationResult, sys: QuasilinearSystem,
         checks.append(is_zero(simplify(Bin("-", got, want)), box, trials=trials,
                               threshold=threshold, rng=rng))
     return checks
-
-
-@dataclass(frozen=True)
-class SimpleElementSplit:
-    """Regular-stratum chart: gamma_2 and a point determine gamma_1."""
-
-    system: QuasilinearSystem
-    lam: tuple
-    q_h: int
-
-    def blocks(self, env):
-        W = exprmat.eval_matrix(self.system.wave_matrix(self.lam), env)
-        return W[:, :self.q_h], W[:, self.q_h:]
-
-    def gamma1(self, point, gamma2=()):
-        A1, A2 = self.blocks(point)
-        b = exprmat.eval_vector(self.system.source, point)
-        g2 = np.asarray(gamma2, dtype=float).reshape(-1)
-        if g2.size != self.system.q - self.q_h:
-            raise ValueError("gamma2 must supply the trailing q - q_h components")
-        rhs = b - (A2 @ g2 if g2.size else 0.0)
-        sv = np.linalg.svd(A1, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        if sv.size < self.q_h or sv[-1] <= 1e-12 * max(sv[0], 1.0):
-            raise SingularBlock("leading block is rank deficient at this point", cond)
-        g1, *_ = np.linalg.lstsq(A1, rhs, rcond=None)
-        if np.linalg.norm(A1 @ g1 - rhs) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
-            raise SingularBlock("split system is inconsistent at this point", cond)
-        return g1
-
-
-def split_simple_element(sys: QuasilinearSystem, lam, q_h: int) -> SimpleElementSplit:
-    """Chart on simple integral elements over the regular stratum.
-
-    The leading m x q_h block of sum_i lambda_i A^i must have full column
-    rank at query points; gamma_1 then solves
-    (A_1 lambda) gamma_1 = b - (A_2 lambda) gamma_2.  Rectangular consistent
-    blocks are solved by least squares with a consistency check.
-    """
-    if not 1 <= q_h <= sys.q:
-        raise ValueError(f"q_h must lie in [1, {sys.q}]")
-    return SimpleElementSplit(system=sys, lam=tuple(lam), q_h=q_h)

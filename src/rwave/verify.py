@@ -32,6 +32,7 @@ class DegenerateElements(VerifyError):
 
 SVD_GAP = 1e6  # sigma_i / sigma_{i+1} beyond this marks the rank cut
 _RANK_FLOOR = 1e-12  # singular values at or below this never count
+_CONSTANCY_TOL = 1e-6  # derivative of u along the kernel counted as zero
 
 
 def fd_jacobian_batch(field, h=1e-5, richardson=False):
@@ -77,15 +78,14 @@ class ResidualReport:
                 "failures": list(self.failures)}
 
 
-def residual_report(sys: QuasilinearSystem, field, h=1e-5,
-                    richardson=False, jac=None) -> ResidualReport:
+def residual_report(sys: QuasilinearSystem, field, jac, h=1e-5,
+                    richardson=False) -> ResidualReport:
     """Finite-difference residual of the system at every converged point.
 
-    ``jac`` takes the (n, q, p) Jacobians from ``fd_jacobian_batch`` when
-    the caller already has them; otherwise they are computed here.
+    ``jac`` holds the (n, q, p) Jacobians from ``fd_jacobian_batch``, made
+    with step ``h`` and ``richardson``, which the report records.
     """
-    J = jac if jac is not None else fd_jacobian_batch(field, h, richardson)
-    res = sys.residual_batch(field.grid_env(), J)
+    res = sys.residual_batch(field.grid_env(), jac)
     norms = np.max(np.abs(res), axis=1)
     failures = [int(i) for i in np.where(~field.converged)[0]]
     ok = field.converged
@@ -102,7 +102,6 @@ class DecompositionRecovery:
     xi: np.ndarray
     reconstruction_error: float
     rank: int
-    singular_values: np.ndarray
 
 
 def estimate_rank(singular_values):
@@ -147,13 +146,13 @@ def recover_decomposition(jac, elements, env) -> DecompositionRecovery:
         raise DegenerateElements("wave dyads are linearly dependent at grid "
                                  f"index {int(first[bad])}")
     err = np.linalg.norm(np.einsum("nij,nj->ni", G, xi) - b, axis=1)
-    s = np.linalg.svd(J[first], compute_uv=False)
-    xi, err, s, rank = (a[inverse] for a in (xi, err, s, estimate_rank(s)))
-    return DecompositionRecovery(xi=xi, reconstruction_error=err, rank=rank,
-                                 singular_values=s)
+    rank = estimate_rank(np.linalg.svd(J[first], compute_uv=False))
+    return DecompositionRecovery(xi=xi[inverse],
+                                 reconstruction_error=err[inverse],
+                                 rank=rank[inverse])
 
 
-def constancy_along_kernel(field, elements, indices=None, h=1e-5, tol=1e-6):
+def constancy_along_kernel(field, elements, indices=None, h=1e-5):
     """Directional derivative of u along the common kernel of the wave
     covectors, by re-solving at displaced points.
 
@@ -186,4 +185,4 @@ def constancy_along_kernel(field, elements, indices=None, h=1e-5, tol=1e-6):
         raise NeighborDiverged("displaced solve failed at index "
                                f"{int(idx[owner[np.argmin(ok)]])}")
     worst = float(np.max(np.abs(sol.u[:m] - sol.u[m:]))) / (2 * h)
-    return worst <= tol, worst
+    return worst <= _CONSTANCY_TOL, worst

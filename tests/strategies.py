@@ -87,4 +87,4 @@ def recover_at(jac, elements, env):
                                 {k: np.reshape(v, 1) for k, v in env.items()})
     return DecompositionRecovery(
         xi=rec.xi[0], reconstruction_error=float(rec.reconstruction_error[0]),
-        rank=int(rec.rank[0]), singular_values=rec.singular_values[0])
+        rank=int(rec.rank[0]))

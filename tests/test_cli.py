@@ -367,14 +367,16 @@ def test_run_verify_misses_bounds_exit3(tmp_path, monkeypatch):
 
 
 def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
-    # a reversed range, non-finite bounds, a --solver-config file that does
-    # not exist, and numeric flags that must be positive (and finite):
-    # nothing is written
+    # a reversed range, non-finite bounds and parameter values, a
+    # --solver-config file that does not exist, and numeric flags that must
+    # be positive (and finite): nothing is written
     cases = [("empty range for t", ["--domain", "t=3:1"]),
              ("bounds must be finite", ["--domain", "t=0:inf"]),
              ("bounds must be finite", ["--domain", "t=-inf:1"]),
              ("bounds must be finite",
               ["--grid", "t=1:3:20,x=1:3:20,y=0.2:inf:20"]),
+             ("--param values must be finite", ["--param", "m=nan"]),
+             ("--param values must be finite", ["--param", "m=inf"]),
              ("No such file", ["--solver-config",
                                str(tmp_path / "missing.json")]),
              ("must be positive", ["--trials", "0", "--fd-step", "0"]),
@@ -505,8 +507,17 @@ def test_cli_entrypoint_subprocess(tmp_path):
 
 def test_run_early_request_errors_write_outcomes(tmp_path, capsys):
     # no covector for the elements stage, a covector that does not parse,
-    # and one of the wrong length: exit 2, with outcomes.json naming the
-    # failed stage
+    # one of the wrong length, and one whose kernel has no symbolic basis
+    # (a q = 4 block system with a two-dimensional kernel at lambda =
+    # (1, 0)): exit 2, with outcomes.json naming the failed stage
+    block = tmp_path / "block.json"
+    block.write_text(json.dumps({
+        "independent": ["x", "y"], "dependent": ["w1", "w2", "w3", "w4"],
+        "A": [[["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0"] * 4,
+               ["0"] * 4],
+              [["0"] * 4, ["0"] * 4, ["0", "0", "1", "0"],
+               ["0", "0", "0", "1"]]],
+        "b": ["0"] * 4}))
     cases = {
         "brownian": base_request(tmp_path, system="brownian",
                                  out_dir=str(tmp_path / "brownian"),
@@ -519,6 +530,12 @@ def test_run_early_request_errors_write_outcomes(tmp_path, capsys):
         "arity": base_request(tmp_path, out_dir=str(tmp_path / "arity"),
                               stages=("homogenize", "elements"),
                               lambdas=[["1", "0"]]),
+        "kernel": base_request(tmp_path, system=str(block),
+                               out_dir=str(tmp_path / "kernel"),
+                               stages=("homogenize", "elements"),
+                               domain={n: (0.0, 1.0) for n in
+                                       ("x", "y", "w1", "w2", "w3", "w4")},
+                               lambdas=[["1", "0"]]),
     }
     for name, req in cases.items():
         code, _ = run(req)
@@ -527,7 +544,13 @@ def test_run_early_request_errors_write_outcomes(tmp_path, capsys):
         assert outcomes["homogenize"]["ok"] is True, name
         assert outcomes["elements"]["ok"] is False, name
         assert outcomes["elements"]["detail"], name
-    assert "--covector" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--covector" in err
+    refused = ("kernel is only available as a numeric sampler; supply a "
+               "symbolic ansatz for the solve stages")
+    assert f"elements: {refused}\n" in err
+    assert read_report(cases["kernel"], "outcomes.json")["elements"][
+        "detail"] == refused
 
 
 def test_run_homogenize_error_writes_outcomes(tmp_path):
@@ -595,14 +618,18 @@ def test_run_undeclared_domain_name_exit2(tmp_path, capsys):
 
 
 def test_run_repeated_range_name_exit2(tmp_path, capsys):
-    # the last range used to win silently
-    for flag, spec in (("--grid", "t=0.1:1:3,t=0.2:1:3,x=1:3:3,y=1:3:3"),
-                       ("--domain", "t=0.1:1,x=1:3,t=0.2:1")):
-        out = tmp_path / flag.strip("-")
-        assert main(["run", "--system", "example3", flag, spec,
-                     "--out", str(out)]) == EXIT_REQUEST, flag
-        assert "names 't' twice" in capsys.readouterr().err, flag
-        assert not out.exists(), flag
+    # the last range, or the last --param value, used to win silently
+    for message, argv in (
+            ("grid names 't' twice",
+             ["--grid", "t=0.1:1:3,t=0.2:1:3,x=1:3:3,y=1:3:3"]),
+            ("domain names 't' twice",
+             ["--domain", "t=0.1:1,x=1:3,t=0.2:1"]),
+            ("--param names 'm' twice", ["--param", "m=1", "--param", "m=2"])):
+        out = tmp_path / argv[0].strip("-")
+        assert main(["run", "--system", "example3", *argv,
+                     "--out", str(out)]) == EXIT_REQUEST, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_run_grid_axes_must_be_the_independent_variables(tmp_path):

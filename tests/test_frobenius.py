@@ -347,7 +347,7 @@ def test_rescale_raises_where_exact_coefficients_meet_dependence():
     box = Box.from_dict({"x": (-0.1, 0.3), "y": (-0.2, 0.2),
                          "z": (-0.2, 0.2), "w": (-0.2, 0.2)})
     pc = pair_bracket_coefficients(X1, X2, NAMES4, box, rng=1)
-    assert pc.h_first.span is not None and pc.h_second.span is not None
+    assert pc.h_first.guards and pc.h_second.guards
     with pytest.raises(NotInSpan) as err:
         rescale_frame([X1, X2, X3], NAMES4, box, rng=1)
     assert abs(err.value.witness["x"]) < 1e-9

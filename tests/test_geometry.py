@@ -22,7 +22,7 @@ from rwave.geometry import (
     DegenerateFrame,
     DependentElements,
     EmptyKernel,
-    NumericKernelSampler,
+    GeometryError,
     Verdict,
     WaveElement,
     check_kwave_conditions,
@@ -97,7 +97,8 @@ def test_kernel_q1_example3():
 
 
 def test_kernel_numeric_sampler_q4():
-    # block system with a two-dimensional kernel at lambda = (1, 0)
+    # block system with a two-dimensional kernel at lambda = (1, 0): the
+    # kernel has no symbolic basis, and is refused rather than sampled
     data = {
         "independent": ["x", "y"],
         "dependent": ["w1", "w2", "w3", "w4"],
@@ -113,12 +114,10 @@ def test_kernel_numeric_sampler_q4():
     from rwave.fixtures import system_from_dict
     sys = system_from_dict(data)
     box = Box.from_dict({n: (0.0, 1.0) for n in ("x", "y", "w1", "w2", "w3", "w4")})
-    res = kernel_elements(sys, (Const(1), Const(0)), box, rng=0)
-    assert isinstance(res, NumericKernelSampler)
-    basis = res.at(box.midpoint())
-    assert len(basis) == 2
-    for v in basis:
-        assert np.allclose(v[:2], 0.0, atol=1e-12)
+    with pytest.raises(GeometryError, match="only available as a numeric") \
+            as refused:
+        kernel_elements(sys, (Const(1), Const(0)), box, rng=0)
+    assert refused.type is GeometryError   # not EmptyKernel
 
 
 def test_lie_bracket_pair_vanishes():

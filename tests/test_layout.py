@@ -1,10 +1,14 @@
-"""Every top-level function of the package has a caller outside the tests.
+"""Every top-level function and class member of the package has a reader
+outside the tests.
 
 A function is used when its name appears outside its own ``def`` in the
 package, in ``scripts/`` or in ``perfbench/`` (as a name, an attribute,
 an import, or a string such as a probe target or an ``__all__`` entry).
-Test-only helpers belong in ``tests/``; independent checks that only the
-tests call are listed in ORACLES with the reason they stay.
+A method, property or dataclass field is used when it is read as an
+attribute, or named in a dotted string such as ``"Class.method"``,
+outside its own definition in those places.  Test-only helpers belong in
+``tests/``; independent checks that only the tests call are listed in
+ORACLES and MEMBER_ORACLES with the reason they stay.
 """
 
 import ast
@@ -21,6 +25,16 @@ ORACLES = {
                            "hodograph surface, independently of the build",
     "surface_tangency_residual": "samples a surface's defining property, "
                                  "df/dtau in the mu-weighted gamma frame",
+}
+
+MEMBER_ORACLES = {
+    "QuasilinearSystem.residual_at": "the residual at one point from a "
+                                     "supplied jet, which checks exact "
+                                     "solutions against a system",
+    "HomogenizationResult.transport_jet": "carries a solution's jet over to "
+                                          "the homogenized system, which "
+                                          "checks homogenize against the "
+                                          "original system's solutions",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -42,11 +56,28 @@ def _names(node):
     return found
 
 
+def _attribute_reads(node):
+    """Counter of the attribute names a syntax tree reads, directly or as a
+    part of a dotted string."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and "." in sub.value and _DOTTED.fullmatch(sub.value):
+            found.update(sub.value.split("."))
+    return found
+
+
+def _trees():
+    for path in sorted(p for place in PLACES for p in place.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_every_top_level_function_has_a_caller_outside_the_tests():
     everywhere = Counter()
     defined = []   # (module, name, names inside its own def)
-    for path in sorted(p for place in PLACES for p in place.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _trees():
         everywhere.update(_names(tree))
         if path.parent == PACKAGE:
             defined.extend((path.stem, stmt.name, _names(stmt))
@@ -57,3 +88,37 @@ def test_every_top_level_function_has_a_caller_outside_the_tests():
     assert not unused, ("functions named nowhere outside their own def; "
                         f"move them into tests/ or delete them: {unused}")
     assert set(ORACLES) <= {name for _, name, _ in defined}
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    # methods and properties (dunders are called by Python itself) and
+    # annotated class attributes, which are the dataclass fields
+    everywhere = Counter()
+    defined = []   # (module, class, member, reads inside its own definition)
+    for path, tree in _trees():
+        everywhere.update(_attribute_reads(tree))
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    name = stmt.name
+                    if name.startswith("__") and name.endswith("__"):
+                        continue
+                elif isinstance(stmt, ast.AnnAssign) and \
+                        isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                defined.append((path.stem, cls.name, name,
+                                _attribute_reads(stmt)))
+    unused = sorted(f"{module}.{cls}.{name}"
+                    for module, cls, name, own in defined
+                    if everywhere[name] == own[name]
+                    and f"{cls}.{name}" not in MEMBER_ORACLES)
+    assert not unused, ("members read nowhere outside their own definition; "
+                        f"move them into tests/ or delete them: {unused}")
+    assert set(MEMBER_ORACLES) <= {f"{cls}.{name}"
+                                   for _, cls, name, _ in defined}

@@ -258,15 +258,6 @@ def test_build_hodograph_half_weights_quarter_form():
     assert np.max(np.abs(vals[:, 1] - (tp + tm) / 2.0)) < 1e-9
 
 
-def test_build_hodograph_k1_reduces_to_characteristic():
-    space = VarSpace((), ("u",))
-    mu = [[Const(1)]]
-    surf = build_hodograph([(Const(1),)], mu, [0.0], [0.0], [(-1.0, 2.0)],
-                           step=0.05, space=space, tau_names=("s",))
-    s = np.linspace(-1, 2, 7)
-    assert np.allclose(surf.value(s)[:, 0], s, atol=1e-12)
-
-
 def test_build_hodograph_noncommuting_raises():
     space = VarSpace((), ("u1", "u2"))
     g1 = (Const(1), Const(0))          # d_u1
@@ -1482,7 +1473,7 @@ def test_spline_needs_four_points_per_axis():
         Spline2D(np.linspace(0, 1, 5), x, np.zeros((5, 3, 1)))
     Spline1D(np.linspace(0, 1, 4), np.zeros((4, 1)))
     space = VarSpace((), ("u",))
-    prov = solver.SurfaceProvenance(("g",), None, (0.0,), (0.0,))
+    prov = solver.SurfaceProvenance((0.0,), (0.0,))
     with pytest.raises(ValueError):
         solver.Surface1D(x, x[:, None], space, ("s",), prov)
 
@@ -1490,7 +1481,7 @@ def test_spline_needs_four_points_per_axis():
 def lane_surfaces():
     rng = np.random.default_rng(5)
     space = VarSpace((), ("u1", "u2"))
-    prov = solver.SurfaceProvenance(("g0", "g1"), None, (0.0, 0.0), (0.0, 0.0))
+    prov = solver.SurfaceProvenance((0.0, 0.0), (0.0, 0.0))
     s1, s2 = np.linspace(0.0, 2.0, 17), np.linspace(-1.0, 1.0, 13)
     sheet = Surface2D([[1.0, 0.3], [0.7, -1.1]], s1, s2,
                       rng.normal(size=(17, 13, 2)), space, ("tau1", "tau2"),

@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from rwave import exprmat
-from rwave.expr import Box, Const, VarSpace, ZeroVerdict, is_zero, parse, simplify
+from rwave.expr import Box, ZeroVerdict, is_zero, simplify
 from rwave.fixtures import (
     BROWNIAN_HOMOGENIZED,
     TRAUTMAN_HOMOGENIZED,
     load_fixture,
     system_from_dict,
 )
-from rwave.system import (
-    SingularBlock,
-    check_m_property,
-    homogenize,
-    split_simple_element,
-)
+from rwave.system import check_m_property, homogenize
 
 from .strategies import fixture_box
 
@@ -171,65 +166,3 @@ def test_homogenize_permutes_rows():
     rng = np.random.default_rng(8)
     res = homogenize(sys, box=box, rng=rng)
     assert res.substitution.row_permutation == (1, 0)
-
-
-def relation_residual(split, point, gamma2):
-    """W gamma - b at one point, gamma completed from gamma2 by the split."""
-    gamma = np.concatenate([split.gamma1(point, gamma2), gamma2])
-    W = exprmat.eval_matrix(split.system.wave_matrix(split.lam), point)
-    return W @ gamma - exprmat.eval_vector(split.system.source, point)
-
-
-def test_split_properly_determined_zero_source():
-    sys = load_fixture("example2")
-    lam = [parse(s, sys.space) for s in ("1", "1", "1")]
-    split = split_simple_element(sys, lam, q_h=2)
-    pt = {"t": 1.0, "x": 1.5, "y": 0.5, "u1": 2.0, "u2": 0.3}
-    g1 = split.gamma1(pt, gamma2=())
-    assert np.allclose(g1, 0.0, atol=1e-12)
-
-
-def test_split_example2_recovers_characteristic_component():
-    sys = load_fixture("example2")
-    lam = [parse(s, sys.space) for s in ("1", "0", "-(1/(y*sqrt(u1)))")]
-    split = split_simple_element(sys, lam, q_h=1)
-    pt = {"t": 1.0, "x": 1.5, "y": 0.5, "u1": 4.0, "u2": 0.3}
-    g1 = split.gamma1(pt, gamma2=[1.0])
-    assert g1[0] == pytest.approx(2.0, abs=1e-12)
-    assert np.max(np.abs(relation_residual(split, pt, [1.0]))) < 1e-10
-
-
-def test_split_random_underdetermined_property():
-    rng = np.random.default_rng(9)
-    space = VarSpace(("x", "y"), ("w1", "w2", "w3"))
-    for trial in range(20):
-        data = {
-            "independent": ["x", "y"],
-            "dependent": ["w1", "w2", "w3"],
-            "parameters": [],
-            "A": [
-                [[repr(rng.uniform(-2, 2)) for _ in range(3)] for _ in range(2)],
-                [[repr(rng.uniform(-2, 2)) for _ in range(3)] for _ in range(2)],
-            ],
-            "b": [repr(rng.uniform(-1, 1)), repr(rng.uniform(-1, 1))],
-        }
-        sys = system_from_dict(data)
-        lam = [Const(float(rng.uniform(0.5, 1.5))), Const(float(rng.uniform(0.5, 1.5)))]
-        split = split_simple_element(sys, lam, q_h=2)
-        pt = {"x": 1.0, "y": 1.0, "w1": 0.0, "w2": 0.0, "w3": 0.0}
-        g2 = [float(rng.uniform(-1, 1))]
-        assert np.max(np.abs(relation_residual(split, pt, g2))) < 1e-10
-
-
-def test_split_singular_block_reports_condition():
-    data = {
-        "independent": ["x"],
-        "dependent": ["w1", "w2"],
-        "parameters": [],
-        "A": [[["1", "0"], ["1", "0"]]],  # columns dependent -> singular block
-        "b": ["0", "1"],
-    }
-    sys = system_from_dict(data)
-    split = split_simple_element(sys, [Const(1)], q_h=2)
-    with pytest.raises(SingularBlock):
-        split.gamma1({"x": 0.0, "w1": 0.0, "w2": 0.0}, gamma2=())

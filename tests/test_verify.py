@@ -81,7 +81,8 @@ def test_fd_jacobian_richardson_ratio():
 
 def test_residual_report_double_wave():
     field = small_field()
-    rep = residual_report(EX2, field, h=1e-5)
+    rep = residual_report(EX2, field, fd_jacobian_batch(field, h=1e-5),
+                          h=1e-5)
     assert rep.max < 1e-6
     assert rep.failures == []
 
@@ -156,9 +157,8 @@ def test_recover_decomposition_stack_matches_pointwise_lstsq():
         assert np.max(np.abs(rec.xi[i] - want)) <= 1e-12 * np.max(np.abs(want))
         err = np.linalg.norm(G[i] @ want - J[i].ravel())
         assert abs(rec.reconstruction_error[i] - err) <= 1e-12 * max(err, 1e-3)
-        s = np.linalg.svd(J[i], compute_uv=False)
-        assert np.array_equal(rec.singular_values[i], s)
-        assert rec.rank[i] == estimate_rank(s)
+        assert rec.rank[i] == estimate_rank(np.linalg.svd(J[i],
+                                                         compute_uv=False))
 
 
 def test_recover_decomposition_synthesized_roundtrip():
