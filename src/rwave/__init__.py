@@ -25,7 +25,6 @@ from .geometry import (
     find_potential,
     kernel_elements,
     lie_bracket,
-    x_fields,
 )
 from .frobenius import (
     compatibility_check,
@@ -52,7 +51,7 @@ __all__ = [
     "is_zero", "parse", "simplify",
     "QuasilinearSystem", "homogenize",
     "WaveElement", "check_kwave_conditions", "decompose_in_frame",
-    "find_potential", "kernel_elements", "lie_bracket", "x_fields",
+    "find_potential", "kernel_elements", "lie_bracket",
     "compatibility_check", "pair_bracket_coefficients", "rescale_frame",
     "ImplicitSolveConfig", "SolutionField", "build_hodograph",
     "double_wave_fixture", "integrate_characteristic", "solve_implicit",

@@ -19,11 +19,9 @@ import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
-
-Number = Union[int, float, Fraction]
 
 FUNCTION_NAMES = ("neg", "sqrt", "ln", "abs", "exp", "sin", "cos")
 
@@ -326,6 +324,9 @@ class Bin(Expr):
 def _wrap(e, parent_prec, right_side, parent):
     if isinstance(e, Call) and e.fn == "neg" and parent == "^" and not right_side:
         return f"({e})"
+    if isinstance(e, Const) and isinstance(e.value, Fraction) \
+            and e.value.denominator != 1 and e.value >= 0:
+        return f"({e})"     # 3/2; a negative constant prints its own parentheses
     if isinstance(e, Bin):
         p = _PREC[e.op]
         need = p < parent_prec

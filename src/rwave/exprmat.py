@@ -73,32 +73,24 @@ def adjugate(A):
     return tuple(tuple(row) for row in out)
 
 
-def _lead_shape(env):
-    """() for a point env of scalars; (n,) when env holds arrays over n
-    lanes (see ``expr._lanes``)."""
-    if any(isinstance(v, np.ndarray) and v.ndim for v in env.values()):
-        return (_lanes(env),)
-    return ()
-
-
 def eval_matrix(A, env, strict=True):
-    """Evaluate an expression matrix: (m, q) at a point env of scalars,
-    (n, m, q) over the n lanes of an env holding arrays, constant entries
-    included."""
-    out = np.empty(_lead_shape(env) + (len(A), len(A[0])))
+    """Evaluate an expression matrix over the n lanes of an env (see
+    ``expr._lanes``; n = 1 for an env of scalars): (n, m, q), constant
+    entries included."""
+    out = np.empty((_lanes(env), len(A), len(A[0])))
     for i, row in enumerate(A):
         for j, e in enumerate(row):
-            out[..., i, j] = e.evaluate(env, strict=strict)
+            out[:, i, j] = e.evaluate(env, strict=strict)
     return out
 
 
 def eval_vector(v, env, strict=True):
-    """Evaluate an expression vector: (m,) at a point env of scalars,
-    (n, m) over the n lanes of an env holding arrays, constant entries
-    included."""
-    out = np.empty(_lead_shape(env) + (len(v),))
+    """Evaluate an expression vector over the n lanes of an env (see
+    ``expr._lanes``; n = 1 for an env of scalars): (n, m), constant
+    entries included."""
+    out = np.empty((_lanes(env), len(v)))
     for j, e in enumerate(v):
-        out[..., j] = e.evaluate(env, strict=strict)
+        out[:, j] = e.evaluate(env, strict=strict)
     return out
 
 

@@ -25,19 +25,6 @@ BROWNIAN = {
     "b": ["a", "0"],
 }
 
-# target of homogenize(BROWNIAN) with the new variable named y
-BROWNIAN_HOMOGENIZED = {
-    "independent": ["t", "x", "y"],
-    "dependent": ["a", "c"],
-    "parameters": ["beta"],
-    "A": [
-        [["0", "0"], ["0", "-1"]],
-        [["0", "(1+beta^2*x^2)/(a+y)"], ["1", "0"]],
-        [["1", "0"], ["0", "1"]],
-    ],
-    "b": ["0", "0"],
-}
-
 TRAUTMAN = {
     "independent": ["t", "x"],
     "dependent": ["v0", "v1", "u"],
@@ -47,22 +34,6 @@ TRAUTMAN = {
         [["0", "-1", "0"], ["0", "0", "0"], ["0", "0", "1"]],
     ],
     "b": ["-k^2*u", "v0", "v1"],
-}
-
-TRAUTMAN_HOMOGENIZED = {
-    "independent": ["t", "x", "xhat"],
-    "dependent": ["v0", "v1", "u"],
-    "parameters": ["k"],
-    "A": [
-        [["1/(-(k^2*u))", "0", "0"],
-         ["-(v0+xhat)/(-(k^2*u))", "0", "1"],
-         ["-v1/(-(k^2*u))", "0", "0"]],
-        [["0", "1/(k^2*u)", "0"],
-         ["0", "-((v0+xhat)/(k^2*u))", "0"],
-         ["0", "-(v1/(k^2*u))", "1"]],
-        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-    ],
-    "b": ["0", "0", "0"],
 }
 
 EXAMPLE2 = {

@@ -134,7 +134,6 @@ class ScalarFn:
         self._kernel = None
 
     def ev(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.expr is None:
             return np.asarray(self._fn(U), dtype=float).reshape(U.shape[0])
         if isinstance(self.expr, Const) and not self.guards:
@@ -241,7 +240,6 @@ class VectorField:
         return self._scaled
 
     def eval(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.factor is not None:
             return self.bare.eval(U) * self.factor.ev(U)[:, None]
         if self._kernel is None:
@@ -263,7 +261,6 @@ class VectorField:
     def directional(self, scalar: ScalarFn, U):
         """Derivative of ``scalar`` along this field at rows of U; one
         evaluation of a numeric scalar covers both displaced point sets."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         if scalar.expr is not None and self.symbolic:
             return self.directional_fn(scalar).ev(U)
         points, eps = _displaced(U, self.eval(U), _DIRECTIONAL_STEP)
@@ -320,7 +317,6 @@ def _bracket_table(fields, pairs, U, h=1e-5):
     U +/- eps_k X_k of all its partners k stacked, so a factor made of
     transport terms marches twice per table however many pairs it is in.
     """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
     bare = [X.bare.eval(U) for X in fields]
     fac = [np.ones(len(U)) if X.factor is None else X.factor.ev(U)
            for X in fields]
@@ -386,7 +382,6 @@ class TransportTerm:
         self.normal = normal / np.linalg.norm(normal)
 
     def __call__(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         n, d = U.shape
         span = -exprmat.rows_dot(U - self.base, self.normal)  # psi: psi0 -> 0
 
@@ -594,7 +589,6 @@ def _coefficient_fn(Xi, Xj, col, names):
     """Coefficient ``col`` of [X_i, X_j] in span{X_i, X_j} at rows of U."""
 
     def fn(U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         (B,), (Vi, Vj) = _bracket_table([Xi, Xj], [(0, 1)], U)
         return solve_two_columns(Vi, Vj, B, U, names)[:, col]
     return fn
@@ -607,11 +601,6 @@ def _coefficient_fn(Xi, Xj, col, names):
 class PairCoefficients:
     h_first: ScalarFn
     h_second: ScalarFn
-    residual_max: float
-
-    @property
-    def symbolic(self):
-        return self.h_first.expr is not None and self.h_second.expr is not None
 
 
 def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None):
@@ -627,10 +616,9 @@ def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None):
     """
     Xi = Xi if isinstance(Xi, VectorField) else VectorField(Xi, names)
     Xj = Xj if isinstance(Xj, VectorField) else VectorField(Xj, names)
-    coeffs, U, worst = _span_check(Xi, Xj, names, box,
-                                   np.random.default_rng(rng))
+    coeffs, U, _ = _span_check(Xi, Xj, names, box, np.random.default_rng(rng))
     hf, hs = _span_fns(Xi, Xj, coeffs, U, names, (0, 1))
-    return PairCoefficients(h_first=hf, h_second=hs, residual_max=worst)
+    return PairCoefficients(h_first=hf, h_second=hs)
 
 
 def _span_check(Xi, Xj, names, box, rng):
@@ -820,8 +808,7 @@ def rescale_frame(fields, names, box: Box, rng=None, pair_overrides=None,
             hi, hj = pair_overrides[(i, j)]
             pair[(i, j)] = PairCoefficients(
                 h_first=hi if isinstance(hi, ScalarFn) else ScalarFn(hi, names),
-                h_second=hj if isinstance(hj, ScalarFn) else ScalarFn(hj, names),
-                residual_max=0.0)
+                h_second=hj if isinstance(hj, ScalarFn) else ScalarFn(hj, names))
         elif (i, j) == (0, 1):
             pair[(i, j)] = pair_bracket_coefficients(
                 fields[i], fields[j], names, box, rng=rng)

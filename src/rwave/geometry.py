@@ -535,7 +535,6 @@ class PotentialResult:
     phi: object               # Expr or NumericPotential
     element: WaveElement      # possibly rescaled so lam = d_x phi
     factor: Expr              # integrating factor applied (1 when none)
-    symbolic: bool
 
 
 _FACTOR_CANDIDATE_POWERS = (1, -1, 2, -2)
@@ -594,14 +593,12 @@ def find_potential(element: WaveElement, basepoint, box: Box, rng=None,
 
     phi = _symbolic_potential(work.lam, space, box, rng, trials)
     if phi is not None:
-        return PotentialResult(phi=phi, element=work, factor=factor,
-                               symbolic=True)
+        return PotentialResult(phi=phi, element=work, factor=factor)
 
     pot = NumericPotential(work.lam, space, basepoint)
     probe = dict(box.midpoint())
     pot.check_paths(probe)
-    return PotentialResult(phi=pot, element=work, factor=factor,
-                           symbolic=False)
+    return PotentialResult(phi=pot, element=work, factor=factor)
 
 
 def _symbolic_potential(lam, space, box, rng, trials):
@@ -624,23 +621,3 @@ def _symbolic_potential(lam, space, box, rng, trials):
         if not is_zero(delta, box, trials=trials, rng=rng):
             return None
     return phi
-
-
-# ---------------------------------------------------------------------------
-# hydrodynamic vector fields on x-space
-
-def x_fields(sys: QuasilinearSystem, gammas):
-    """For each gamma, the q vector fields on x-space with components
-    X^{alpha, i} = sum_beta A^{i alpha}_beta gamma^beta."""
-    out = []
-    for gamma in gammas:
-        if len(gamma) != sys.q:
-            raise ValueError("each gamma must have q components")
-        per_alpha = []
-        for alpha in range(sys.m):
-            per_alpha.append(tuple(
-                exprmat.sum_exprs(Bin("*", A[alpha][beta], gamma[beta])
-                                  for beta in range(sys.q))
-                for A in sys.coeffs))
-        out.append(per_alpha)
-    return out

@@ -1,9 +1,10 @@
 """Integrators batched over lanes: an embedded Runge-Kutta pair with
 per-lane step control and dense output, and a fixed-step RK4 march.
 
-The right-hand sides f(t, y) take y of shape (q,) for one trajectory (a
-characteristic curve, the first sweep of a sheet) or (n, q) for n lanes,
-and return an array of the same shape.
+The right-hand sides f(t, y) take the per-lane times t of shape (n,) and
+the states y of shape (n, q) of n lanes, one lane for a single trajectory
+(a characteristic curve, the first sweep of a sheet), and return an array
+of the same shape as y.
 """
 
 from __future__ import annotations
@@ -114,14 +115,14 @@ def _combine(coeffs, K):
 
 def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
     """States at the output times ``ts``, sorted away from t0 in either
-    direction, of y' = f(t, y) with y(t0) = y0; shape (len(ts),) + y0.shape.
+    direction, of y' = f(t, y) with y(t0) = y0 of shape (n, q); shape
+    (len(ts), n, q).
 
-    For y0 of shape (n, q), each lane keeps its own t, step size and
-    accept/reject, and f receives every lane at every stage with t of
-    shape (n,); a lane that has reached the last output time takes steps
-    of size 0.  So, provided f computes every row of its result on its
-    own, a lane's result does not depend on which other lanes share the
-    call.  For y0 of shape (q,), f receives a float t.
+    Each lane keeps its own t, step size and accept/reject, and f
+    receives every lane at every stage with t of shape (n,); a lane that
+    has reached the last output time takes steps of size 0.  So, provided
+    f computes every row of its result on its own, a lane's result does
+    not depend on which other lanes share the call.
 
     A step is accepted when the RMS over a lane's components of the
     scaled error estimate is below 1, with absolute and relative
@@ -131,17 +132,10 @@ def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
     raises StiffnessAbort.  Output times inside a step are read from the
     7th-order interpolant; one that a step ends on takes the step's state.
     """
-    y0 = np.asarray(y0, dtype=float)
+    y = np.asarray(y0, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    single = y0.ndim == 1
-    y = np.atleast_2d(y0)
     n, q = y.shape
     out = np.empty((len(ts), n, q))
-    if single:
-        def rhs(t, u):
-            return np.reshape(f(float(t[0]), u[0]), (1, q))
-    else:
-        rhs = f
     start = np.count_nonzero(ts == t0)  # outputs at t0 itself
     out[:start] = y
     t_end = ts[-1]
@@ -155,7 +149,7 @@ def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
     nxt = np.full(n, start)
     rejected = np.zeros(n, dtype=bool)
     live = t != t_end
-    k_first = rhs(t, y) if live.any() else None
+    k_first = f(t, y) if live.any() else None
     with np.errstate(all="ignore"):
         while live.any():
             t_new = np.where(live, t + h, t)
@@ -165,7 +159,7 @@ def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
             K = [k_first]
             ok = np.isfinite(k_first).all(axis=1)
             for s in range(1, 13):
-                K.append(rhs(t + _C[s] * hs, y + _combine(_A[s], K) * hc))
+                K.append(f(t + _C[s] * hs, y + _combine(_A[s], K) * hc))
                 ok &= np.isfinite(K[s]).all(axis=1)
             y_new = y + _combine(_A[12], K) * hc
             ok &= np.isfinite(y_new).all(axis=1)
@@ -190,14 +184,14 @@ def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
                 raise StiffnessAbort(f"step underflow at t={float(t[lane])}")
             stop = np.where(accept, np.searchsorted(key, direction * t_new,
                                                     side="right"), nxt)
-            _dense(rhs, out, ts, t, t_new, y, y_new, K, nxt, stop)
+            _dense(f, out, ts, t, t_new, y, y_new, K, nxt, stop)
             y = np.where(accept[:, None], y_new, y)
             k_first = np.where(accept[:, None], K[12], k_first)
             t = np.where(accept, t_new, t)
             nxt = stop
             rejected = retry
             live = t != t_end
-    return out[:, 0] if single else out
+    return out
 
 
 def _dense(rhs, out, ts, t, t_new, y, y_new, K, first, stop):

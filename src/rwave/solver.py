@@ -30,6 +30,7 @@ _TANGENCY_SAMPLES = 25   # samples of surface_tangency_residual
 _SCAN_POINTS = 257       # points of the scalar solve's scan window
 _SCAN_BLOCK = 8192       # lane-columns of G per block of the scan
 _DU_STEP = 1e-6          # central-difference step of a numeric potential's du
+_CATASTROPHE = 1e-8      # |det| below which a converged point is a catastrophe
 
 
 class SolverError(Exception):
@@ -55,15 +56,14 @@ class ImplicitSolveConfig:
 
     newton_tol: float = 1e-12
     max_iter: int = 60
-    catastrophe_threshold: float = 1e-8
     initial_guess: object = "potential_at_base"  # policy or array
     tau_window: tuple | None = None   # scan window for the scalar solve
     root_select: str = "nearest"      # nearest | lowest | highest
     damping_steps: int = 25
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.catastrophe_threshold <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
         if self.root_select not in ("nearest", "lowest", "highest"):
             raise ValueError(f"root_select must be nearest, lowest or "
                              f"highest, got {self.root_select!r}")
@@ -175,8 +175,9 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
     V_a = sum_a' mu[a'][a](tau) gamma_a'(u).
 
     The returned closure flows one internal coordinate while the others
-    stay fixed; both the flowing and the fixed coordinates may be scalars
-    shared by every lane or arrays with one value per lane.
+    stay fixed, over lanes u (n, q); both the flowing and the fixed
+    coordinates may be scalars shared by every lane or arrays with one
+    value per lane.
     """
     dep = space.dependent
     k = len(gammas)
@@ -191,33 +192,32 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
                  if axes[a][axis_idx] != 0.0]
 
         def rhs(s, u):
-            u2 = np.atleast_2d(np.asarray(u, dtype=float))
-            lanes = u2.shape[0]
-            s_mat = np.empty((lanes, k))
+            s_mat = np.empty((len(u), k))
             for a in range(k):
                 s_mat[:, a] = s if a == axis_idx else fixed_coords[a]
             tau = s_mat @ axes.T
             env = {name: tau[:, a] for a, name in enumerate(tau_names)}
             for b, name in enumerate(dep):
-                env[name] = u2[:, b]
+                env[name] = u[:, b]
             vals = kernel(env)
-            out = np.zeros(u2.shape)
+            out = np.zeros(u.shape)
             for a, coeff in terms:
-                acc = np.zeros(u2.shape)
+                acc = np.zeros(u.shape)
                 for ap in range(k):
                     acc += (vals[:, k * q + ap * k + a, None]
                             * vals[:, ap * q:(ap + 1) * q])
                 out += coeff * acc
-            return out.reshape(np.shape(u))
+            return out
         return rhs
     return field
 
 
 def _flow_from_anchor(rhs, y0, start, targets, step):
-    """States at the sorted ``targets``: integrate down and up from the
-    anchor y(start) = y0, each sweep's first trial step ``step``, then
-    stitch the two sweeps in target order."""
-    out = np.empty((len(targets),) + np.shape(y0))
+    """States (len(targets), n, q) at the sorted ``targets`` of the lanes
+    y0 (n, q): integrate down and up from the anchor y(start) = y0, each
+    sweep's first trial step ``step``, then stitch the two sweeps in
+    target order."""
+    out = np.empty((len(targets),) + y0.shape)
     below = targets < start
     if below.any():
         out[np.where(below)[0][::-1]] = ode.flow(
@@ -243,14 +243,13 @@ def integrate_characteristic(gamma, u0, s_range, step, space, s0=None):
     kernel = compile_exprs(tuple(gamma))
 
     def rhs(s, u):
-        u2 = np.atleast_2d(u)
-        env = {name: u2[..., b] for b, name in enumerate(dep)}
-        env["s"] = np.asarray(s, dtype=float)
-        return kernel(env).reshape(np.shape(u))
+        env = {name: u[:, b] for b, name in enumerate(dep)}
+        env["s"] = s
+        return kernel(env)
 
     s_grid = np.linspace(lo, hi, _CURVE_POINTS)
-    states = _flow_from_anchor(rhs, np.asarray(u0, dtype=float), s0, s_grid,
-                               step)
+    states = _flow_from_anchor(rhs, np.asarray(u0, dtype=float)[None], s0,
+                               s_grid, step)[:, 0]
     surf = Surface1D(s_grid, states, space, ("s",),
                      SurfaceProvenance(tuple(np.asarray(u0, float)), (s0,)))
     _check_tangency_1d(surf, rhs)
@@ -296,7 +295,8 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
 
     # sweep axis 1 from the anchor, then all s1 lanes together along axis 2
     line = _flow_from_anchor(field(0, [None, s_base[1]]),
-                             np.asarray(u0, float), s_base[0], s1_grid, step)
+                             np.asarray(u0, float)[None], s_base[0], s1_grid,
+                             step)[:, 0]
     states = _flow_from_anchor(field(1, [s1_grid, None]), line, s_base[1],
                                s2_grid, step)
     u_grid = np.transpose(states, (1, 0, 2))  # (n1, n2, q)
@@ -385,12 +385,11 @@ class PotentialFn:
     """Uniform batch interface over symbolic and quadrature potentials:
     phi and dphi/du (n, q) at the lanes of an env, where a 0-d value is
     shared by every lane.  ``bind(env)`` fixes the lanes' x and parameters
-    and leaves u free (see BoundPotential); ``value(env)`` and ``du(env)``
-    are a bind followed by one call.  A symbolic phi compiles one kernel
-    for the value and one for the derivatives, each staged on u, so a bound
-    potential evaluates its u-free subtrees once and each call computes
-    only what it returns; a quadrature phi integrates every lane in one
-    pass.
+    and leaves u free (see BoundPotential).  A symbolic phi compiles one
+    kernel for the value and one for the derivatives, each staged on u, so
+    a bound potential evaluates its u-free subtrees once and each call
+    computes only what it returns; a quadrature phi integrates every lane
+    in one pass.
     """
 
     def __init__(self, phi, space: VarSpace):
@@ -409,12 +408,6 @@ class PotentialFn:
 
     def bind(self, env):
         return BoundPotential(self, env)
-
-    def value(self, env):
-        return self.bind(env).value(env)
-
-    def du(self, env):
-        return self.bind(env).du(env)
 
 
 class BoundPotential:
@@ -475,7 +468,7 @@ class SolutionField:
 
     ``det_monitor``, det(I - (dphi/du)(df/dtau)) at each point, is computed
     by ``determinant()`` when it or ``catastrophe`` (|det| below
-    ``catastrophe_threshold`` at a converged point) is first read, and kept;
+    ``_CATASTROPHE`` at a converged point) is first read, and kept;
     a re-solve whose caller reads only ``u`` never computes it.
     """
 
@@ -489,7 +482,6 @@ class SolutionField:
     iters: np.ndarray
     converged: np.ndarray
     determinant: object    # callable() -> det_monitor
-    catastrophe_threshold: float
     resolver: object = None   # callable(env_x, initial_guess) -> SolutionField
 
     @cached_property
@@ -498,8 +490,7 @@ class SolutionField:
 
     @cached_property
     def catastrophe(self):
-        return ((np.abs(self.det_monitor) < self.catastrophe_threshold)
-                & self.converged)
+        return (np.abs(self.det_monitor) < _CATASTROPHE) & self.converged
 
     @property
     def n(self):
@@ -581,18 +572,7 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
             else _initial_guess(cfg, bound, surface, m, k))
 
     if k == 1:
-        subset = (None, bound)
-
-        def phi_of_u(u, rows=None):
-            # phi at the lanes ``rows`` (all when None) of u (rows, q), (q,)
-            # or (B, 1, q); the bisection passes one row set, sliced once
-            nonlocal subset
-            if rows is not None and subset[0] is not rows:
-                subset = (rows, [b.rows(rows) for b in bound])
-            return _phi(bound if rows is None else subset[1],
-                        _u_env(space.dependent, u))
-
-        tau, iters, conv = _solve_scalar(surface, phi_of_u, tau0, cfg, m)
+        tau, iters, conv = _solve_scalar(surface, bound, tau0, cfg)
         u = surface.value(tau)
     else:
         tau, iters, conv, u, stale = _newton(surface, bound, tau0, cfg)
@@ -632,7 +612,6 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
                          tau_names=surface.tau_names, tau=tau[inverse],
                          u=u[inverse], iters=iters[inverse],
                          converged=conv[inverse], determinant=determinant,
-                         catastrophe_threshold=cfg.catastrophe_threshold,
                          resolver=resolver)
 
 
@@ -828,19 +807,22 @@ class _CellPicker:
         self.g_left[lanes] = g[cell, lanes]
 
 
-def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
-    """Per lane, a root of G(tau) = tau - phi(x, f(tau)) on a curve: scan
-    the window for sign changes, pick a cell while scanning and bisect it
-    until its ends are adjacent floats on every lane.  The scan runs in
-    blocks of B = ``_SCAN_BLOCK`` // n columns of G, each one
-    ``phi_of_u`` call with the block's u broadcast over the lanes (never
-    repeated) and one cell pick that starts at the last column of the
-    block before, so memory grows with the lanes only.  The curve is
-    evaluated once per scan point.  Under ``lowest`` a lane reads only its
-    first sign change, so the scan ends after the block in which every
-    lane has its cell; ``highest`` and ``nearest`` scan every point.  The
-    bisection passes one row set to ``phi_of_u`` throughout.  Returns tau
-    (n, 1), bisection steps and whether a lane has a root."""
+def _solve_scalar(surface, bound, tau0, cfg):
+    """Per lane of the bound potential, a root of G(tau) = tau - phi(x,
+    f(tau)) on a curve, from the guesses tau0 (n, 1): scan the window for
+    sign changes, pick a cell while scanning and bisect it until its ends
+    are adjacent floats on every lane.  The scan runs in blocks of B =
+    ``_SCAN_BLOCK`` // n columns of G, each one potential call with the
+    block's u broadcast over the lanes (never repeated) and one cell pick
+    that starts at the last column of the block before, so memory grows
+    with the lanes only.  The curve is evaluated once per scan point.
+    Under ``lowest`` a lane reads only its first sign change, so the scan
+    ends after the block in which every lane has its cell; ``highest``
+    and ``nearest`` scan every point.  The bisection slices the potential
+    once, to the lanes with a cell.  Returns tau (n, 1), bisection steps
+    and whether a lane has a root."""
+    dep = surface.space.dependent
+    n = len(tau0)
     (lo, hi) = surface.tau_ranges[0]
     if cfg.tau_window is not None:
         lo = max(lo, cfg.tau_window[0])
@@ -854,11 +836,12 @@ def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
     lowest = cfg.root_select == "lowest"
     size = max(1, _SCAN_BLOCK // max(n, 1))
     g = np.empty((size + 1, n))     # row 0: the block before's last column
-    g[0] = ws[0] - phi_of_u(us[:1, None])[0, :, 0]
+    g[0] = ws[0] - _phi(bound, _u_env(dep, us[:1, None]))[0, :, 0]
     for j in range(1, len(ws), size):
         cols = slice(j, j + size)
         width = len(ws[cols])
-        g[1:width + 1] = ws[cols, None] - phi_of_u(us[cols, None])[..., 0]
+        g[1:width + 1] = (ws[cols, None]
+                          - _phi(bound, _u_env(dep, us[cols, None]))[..., 0])
         pick.offer(j - 1, g[:width + 1], centres[j - 1:j - 1 + width])
         if lowest and pick.found.all():
             break
@@ -870,11 +853,12 @@ def _solve_scalar(surface, phi_of_u, tau0, cfg, n):
         return tau, iters, conv
 
     rows = np.where(conv)[0]
+    bound = [p.rows(rows) for p in bound]
     idx = pick.idx[rows]
     a, b, ga = ws[idx], ws[idx + 1], pick.g_left[rows]
     for _ in range(90):
         mid = 0.5 * (a + b)
-        gm = mid - phi_of_u(surface.value(mid), rows)[:, 0]
+        gm = mid - _phi(bound, _u_env(dep, surface.value(mid)))[:, 0]
         left = ga * gm <= 0
         b = np.where(left, mid, b)
         a = np.where(left, a, mid)
@@ -923,6 +907,4 @@ def double_wave_fixture(grid_env=None):
         space=space, x_names=space.independent, x=xs, params={},
         tau_names=("taup", "taum"), tau=tau, u=u,
         iters=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool),
-        determinant=lambda: np.full(n, 2.0),
-        catastrophe_threshold=ImplicitSolveConfig.catastrophe_threshold,
-        resolver=resolver)
+        determinant=lambda: np.full(n, 2.0), resolver=resolver)

@@ -105,15 +105,14 @@ class DecompositionRecovery:
 
 
 def estimate_rank(singular_values):
-    """Count of leading singular values above ``_RANK_FLOOR`` with no ratio
-    to the predecessor beyond ``SVD_GAP``; a stack (..., m) gives one per
-    row."""
+    """Per row of a stack (n, m) of singular values, the count of leading
+    ones above ``_RANK_FLOOR`` with no ratio to the predecessor beyond
+    ``SVD_GAP``."""
     s = np.asarray(singular_values, dtype=float)
     keep = s > _RANK_FLOOR
     with np.errstate(over="ignore"):
-        keep[..., 1:] &= s[..., :-1] / np.maximum(s[..., 1:], 1e-300) <= SVD_GAP
-    rank = np.cumprod(keep, axis=-1).sum(axis=-1)
-    return int(rank) if s.ndim == 1 else rank
+        keep[:, 1:] &= s[:, :-1] / np.maximum(s[:, 1:], 1e-300) <= SVD_GAP
+    return np.cumprod(keep, axis=1).sum(axis=1)
 
 
 def recover_decomposition(jac, elements, env) -> DecompositionRecovery:

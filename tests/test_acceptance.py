@@ -13,13 +13,7 @@ import numpy as np
 from rwave import exprmat
 from rwave.cli import EXIT_OK, AnalysisRequest, run
 from rwave.expr import Bin, Box, Const, Var, ZeroVerdict, is_zero, parse, simplify
-from rwave.fixtures import (
-    BROWNIAN_HOMOGENIZED,
-    PRESETS,
-    TRAUTMAN_HOMOGENIZED,
-    load_fixture,
-    system_from_dict,
-)
+from rwave.fixtures import PRESETS, load_fixture, system_from_dict
 from rwave.frobenius import (
     IncompatibleSystem,
     commutation_residual,
@@ -45,7 +39,11 @@ from rwave.verify import fd_jacobian_batch
 
 from .strategies import fixture_box, random_polynomial_vector, recover_at
 from .test_cli import read_solution_field_table
-from .test_system import consistent_jet
+from .test_system import (
+    BROWNIAN_HOMOGENIZED,
+    TRAUTMAN_HOMOGENIZED,
+    consistent_jet,
+)
 
 
 def report(criterion, ok, detail=""):
@@ -334,8 +332,8 @@ def test_criterion_7_property_suites():
         xi_true = rng.uniform(0.3, 2.0, 2)
         J = np.zeros((2, 3))
         for e, xv in zip((plus, minus), xi_true):
-            lam = exprmat.eval_vector(e.lam, env)
-            gam = exprmat.eval_vector(e.gamma, env)
+            lam = exprmat.eval_vector(e.lam, env)[0]
+            gam = exprmat.eval_vector(e.gamma, env)[0]
             J += xv * np.outer(gam, lam)
         rec = recover_at(J, [plus, minus], env)
         worst_xi = max(worst_xi, float(np.max(np.abs(rec.xi - xi_true))))

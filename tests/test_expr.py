@@ -247,6 +247,20 @@ def test_roundtrip_print_parse(e):
                        rtol=1e-12, atol=1e-12)
 
 
+def test_fractional_constant_operands_print_and_parse_back():
+    # printed bare, 3/2 as an operand parses as two: x^3/2 is (x^3)/2
+    x = Var("x")
+    half = Const(Fraction(1, 2))
+    env = {"x": np.array([0.25, 2.0, 7.0])}
+    for e, text in ((Bin("^", x, Const(Fraction(3, 2))), "x^(3/2)"),
+                    (Bin("/", x, half), "x/(1/2)"),
+                    (antiderivative(Bin("/", Const(1), Bin("^", x, half)), "x"),
+                     "x^(1/2)/(1/2)")):
+        assert str(e) == text
+        assert np.array_equal(parse(text, ("x",)).evaluate(env),
+                              e.evaluate(env))
+
+
 @settings(max_examples=60, deadline=None)
 @given(expr_strategy(NAMES, max_depth=6))
 def test_diff_matches_finite_difference(e):
@@ -333,7 +347,7 @@ def test_compiled_kernel_nan_lanes_and_signed_zeros():
 
 def test_eval_vector_and_matrix_shape_contract():
     # over n lanes every entry gets a lane axis, constant entries included;
-    # a point env keeps the point shape; values are the tree-walk's bits
+    # a point env is one lane; values are the tree-walk's bits
     v = (Const(2), parse("x*u1", SPACE), Const(0.5))
     A = ((Const(1), parse("sqrt(y)", SPACE)), (parse("x - u1", SPACE), Const(-3)))
     consts_v = (Const(1), Const(-0.25))
@@ -344,7 +358,7 @@ def test_eval_vector_and_matrix_shape_contract():
              "u1": rng.uniform(-1, 1, n), "u2": np.float64(0.3)}
     point = {name: float(val[0]) if np.ndim(val) else float(val)
              for name, val in lanes.items()}
-    for env, lead in ((lanes, (n,)), (point, ())):
+    for env, lead in ((lanes, (n,)), (point, (1,))):
         for vec in (v, consts_v):
             got = exprmat.eval_vector(vec, env, strict=False)
             assert got.shape == lead + (len(vec),)

@@ -11,6 +11,7 @@ from rwave.expr import (
     Box,
     Call,
     Const,
+    Expr,
     Var,
     VarSpace,
     is_zero,
@@ -30,7 +31,6 @@ from rwave.geometry import (
     find_potential,
     kernel_elements,
     lie_bracket,
-    x_fields,
 )
 
 from .strategies import fixture_box, random_polynomial_vector
@@ -398,7 +398,7 @@ def test_find_potential_example2():
     for elem, expected in ((plus, "t - ln(|y|)/sqrt(u1)"),
                            (minus, "t + ln(|y|)/sqrt(u1)")):
         res = find_potential(elem, base, EX2_BOX, rng=rng)
-        assert res.symbolic
+        assert isinstance(res.phi, Expr)
         want = parse(expected, EX2.space)
         assert is_zero(simplify(res.phi - want), EX2_BOX, rng=rng)
         for i, name in enumerate(EX2.space.independent):
@@ -413,7 +413,7 @@ def test_find_potential_example3():
     lam = tuple(parse(s, sys.space) for s in PRESETS["example3"]["lambdas"][0])
     elem = WaveElement(sys.space, lam, (Const(1),), label="simple")
     res = find_potential(elem, box.midpoint(), box, rng=rng)
-    assert res.symbolic
+    assert isinstance(res.phi, Expr)
     want = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", sys.space)
     assert is_zero(simplify(res.phi - want), box, rng=rng)
 
@@ -449,45 +449,9 @@ def test_find_potential_numeric_fallback_and_gradient():
     lam = (parse("x2^2", space), parse("2*x1*x2", space))
     elem = WaveElement(space, lam, (Const(1),))
     res = find_potential(elem, {"x1": 0.2, "x2": 0.2}, box, rng=18)
-    assert not res.symbolic
+    assert not isinstance(res.phi, Expr)
     pot = res.phi
     pt = {"x1": 0.7, "x2": 0.9, "u": 0.6}
     want = 0.7 * 0.9**2 - 0.2 * 0.2**2
     assert pot.evaluate(pt) == pytest.approx(want, abs=1e-10)
     pot.check_paths(pt)
-
-
-def test_x_fields_example2_contraction():
-    plus, _ = ex2_elements()
-    fields = x_fields(EX2, [plus.gamma])[0]
-    rng = np.random.default_rng(19)
-    for X in fields:
-        comp = exprmat.sum_exprs(Bin("*", l, f) for l, f in zip(plus.lam, X))
-        assert is_zero(comp, EX2_BOX, trials=20, rng=rng)
-
-
-def test_x_fields_brownian_specialization():
-    hom = load_fixture("brownian")
-    from rwave.system import homogenize
-    box = fixture_box("brownian")
-    res = homogenize(hom, box=box, rng=0, new_var="y")
-    sys = res.system
-    g1 = Var("a")  # stand-in for a nonzero first component
-    gammas = [(g1, Const(0))]
-    fields = x_fields(sys, gammas)[0]
-    rng = np.random.default_rng(20)
-    # X^1 = gamma^1 d_y (components over t, x, y)
-    assert is_zero(simplify(fields[0][0]), box, rng=rng)
-    assert is_zero(simplify(fields[0][1]), box, rng=rng)
-    assert is_zero(simplify(fields[0][2] - g1), box, rng=rng)
-    # X^2 = gamma^1 d_x
-    assert is_zero(simplify(fields[1][0]), box, rng=rng)
-    assert is_zero(simplify(fields[1][1] - g1), box, rng=rng)
-    assert is_zero(simplify(fields[1][2]), box, rng=rng)
-
-
-def test_x_fields_zero_gamma():
-    fields = x_fields(EX2, [(Const(0), Const(0))])[0]
-    for per_alpha in fields:
-        for comp in per_alpha:
-            assert simplify(comp) == Const(0)

@@ -1,14 +1,16 @@
-"""Every top-level function and class member of the package has a reader
-outside the tests.
+"""Every top-level function, module-level name and class member of the
+package has a reader outside the tests.
 
-A function is used when its name appears outside its own ``def`` in the
-package, in ``scripts/`` or in ``perfbench/`` (as a name, an attribute,
-an import, or a string such as a probe target or an ``__all__`` entry).
-A method, property or dataclass field is used when it is read as an
+A function, or a name a module binds by assignment (dunders excepted), is
+used when its name appears outside its own definition in the package, in
+``scripts/`` or in ``perfbench/`` (as a name, an attribute, an import, or
+a string such as a probe target).  The package's ``__init__.py`` does not
+count: its imports and ``__all__`` name everything it re-exports.  A
+method, property or dataclass field is used when it is read as an
 attribute, or named in a dotted string such as ``"Class.method"``,
-outside its own definition in those places.  Test-only helpers belong in
-``tests/``; independent checks that only the tests call are listed in
-ORACLES and MEMBER_ORACLES with the reason they stay.
+outside its own definition in those places.  Test-only helpers and data
+belong in ``tests/``; independent checks that only the tests call are
+listed in ORACLES and MEMBER_ORACLES with the reason they stay.
 """
 
 import ast
@@ -25,6 +27,8 @@ ORACLES = {
                            "hodograph surface, independently of the build",
     "surface_tangency_residual": "samples a surface's defining property, "
                                  "df/dtau in the mu-weighted gamma frame",
+    "double_wave_fixture": "the explicit two-wave field that the verify "
+                           "tests check against",
 }
 
 MEMBER_ORACLES = {
@@ -71,22 +75,44 @@ def _attribute_reads(node):
 
 def _trees():
     for path in sorted(p for place in PLACES for p in place.rglob("*.py")):
-        yield path, ast.parse(path.read_text(), filename=str(path))
+        if path != PACKAGE / "__init__.py":
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _top_level(tree):
+    """(name, definition) of each function a module defines and each name
+    it binds by assignment, dunders excepted."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+            continue
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store) \
+                        and not (sub.id.startswith("__")
+                                 and sub.id.endswith("__")):
+                    yield sub.id, stmt
 
 
 def test_every_top_level_function_has_a_caller_outside_the_tests():
     everywhere = Counter()
-    defined = []   # (module, name, names inside its own def)
+    defined = []   # (module, name, names inside its own definition)
     for path, tree in _trees():
         everywhere.update(_names(tree))
         if path.parent == PACKAGE:
-            defined.extend((path.stem, stmt.name, _names(stmt))
-                           for stmt in tree.body
-                           if isinstance(stmt, ast.FunctionDef))
+            defined.extend((path.stem, name, _names(stmt))
+                           for name, stmt in _top_level(tree))
     unused = sorted(f"{module}.{name}" for module, name, own in defined
                     if everywhere[name] == own[name] and name not in ORACLES)
-    assert not unused, ("functions named nowhere outside their own def; "
-                        f"move them into tests/ or delete them: {unused}")
+    assert not unused, ("functions and module-level names named nowhere "
+                        "outside their own definition; move them into "
+                        f"tests/ or delete them: {unused}")
     assert set(ORACLES) <= {name for _, name, _ in defined}
 
 

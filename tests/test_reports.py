@@ -43,7 +43,7 @@ def awkward_field():
         space=VarSpace(("t", "x", "y"), ("u1", "u2")),
         x_names=("t", "x", "y"), x=x, params={}, tau_names=("a", "b"),
         tau=tau, u=u, iters=rng.integers(0, 90, n), converged=conv,
-        determinant=lambda: det, catastrophe_threshold=1e-8)
+        determinant=lambda: det)
 
 
 def repeating_field():
@@ -61,7 +61,7 @@ def repeating_field():
         x_names=("t", "x", "y"), x=rng.choice(pool, (n, 3)), params={},
         tau_names=("a", "b"), tau=rng.choice(pool, (n, 2)),
         u=rng.choice(pool, (n, 2)), iters=rng.integers(0, 3, n),
-        converged=conv, determinant=lambda: det, catastrophe_threshold=1e-8)
+        converged=conv, determinant=lambda: det)
 
 
 def test_solution_writer_bytes_match_per_cell_writer(tmp_path):

@@ -18,6 +18,7 @@ from rwave import exprmat, geometry, ode, solver, spline
 from rwave.expr import (
     Box,
     Const,
+    Expr,
     MissingVariableError,
     VarSpace,
     parse,
@@ -161,7 +162,8 @@ def test_swap_order_lanes_match_serial_probes(frame):
     a, b = solver._flow_both_orders(field, s_base, u0, probes, step)
 
     def serial(rhs, y0, start, end):
-        return ode.flow(rhs, y0, start, [end], tol=1e-12, first_step=step)[0]
+        return ode.flow(rhs, y0[None], start, [end], tol=1e-12,
+                        first_step=step)[0, 0]
 
     for i, (s1, s2) in enumerate(probes):
         # reference: one single-lane integration per leg and probe
@@ -214,10 +216,10 @@ def test_gamma_field_kernel_matches_tree_walk_bitwise(frame):
         fixed[axis] = None
         assert_bitwise(field(axis, fixed)(s[:, axis], u),
                        tree_walk_gamma_rhs(gammas, mu, surf, axis, s, u))
-    # one state and scalar coordinates, as in a single-lane RK4 march
-    got = field(1, [s[0, 0], None])(s[0, 1], u[0])
+    # one lane and a scalar fixed coordinate, as in the sweep from the anchor
+    got = field(1, [s[0, 0], None])(s[:1, 1], u[:1])
     assert_bitwise(got, tree_walk_gamma_rhs(gammas, mu, surf, 1, s[:1],
-                                            u[:1])[0])
+                                            u[:1]))
 
 
 @pytest.mark.parametrize("phi", [*ex2_potentials(), parse("t + 2*u1", SP2)])
@@ -227,7 +229,7 @@ def test_potential_fn_kernel_matches_tree_walk_bitwise(phi):
     env = {"t": rng.uniform(1, 3, n), "x": rng.uniform(1, 3, n),
            "y": rng.uniform(0.2, 0.9, n), "u1": rng.uniform(0.25, 4, n),
            "u2": rng.uniform(1, 3, n)}
-    pot = solver.PotentialFn(phi, SP2)
+    pot = solver.PotentialFn(phi, SP2).bind(env)
     assert_bitwise(pot.value(env),
                    np.asarray(phi.evaluate(env, strict=False), dtype=float))
     want_du = np.stack([np.broadcast_to(np.asarray(
@@ -564,10 +566,11 @@ def reference_solve(surface, potentials, grid, cfg, need):
         env = dict(env_x)
         for j, name in enumerate(SP2.dependent):
             env[name] = u[:, j]
-        return np.stack([p.value(env) for p in pots], axis=1), u, env
+        return (np.stack([p.bind(env).value(env) for p in pots], axis=1), u,
+                env)
 
     def jacobian(tau, env):
-        dphi = np.stack([p.du(env) for p in pots], axis=1)
+        dphi = np.stack([p.bind(env).du(env) for p in pots], axis=1)
         return np.eye(2)[None] - dphi @ surface.jac(tau)
 
     tau0 = solver._initial_guess(cfg, [p.bind(env_x) for p in pots],
@@ -695,7 +698,7 @@ def test_newton_evaluates_each_point_once_bitwise(case):
     # lanes, or over every lane once a retry has run on the grid's lanes
     assert_bitwise(field.det_monitor, det)
     assert np.array_equal(field.catastrophe,
-                          (np.abs(det) < cfg.catastrophe_threshold) & conv)
+                          (np.abs(det) < solver._CATASTROPHE) & conv)
     assert log.jac_lanes == (field.n if len(need.runs) > 1 else len(first))
     assert counted.calls == log.lookups + 1
 
@@ -1105,10 +1108,18 @@ def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select,
                             * (u - roots[2, lanes]))
         return np.where(u == pole[lanes], side[lanes], u - cubic)
 
-    def phi_of_u(u, rows=None):
-        # u is (q,), (rows, q), or a block of scan columns (B, 1, q)
-        lanes = slice(None) if rows is None else rows
-        return phi_lanes(u[..., 0], lanes)[..., None]
+    class Cubic:
+        """A stand-in bound potential at the lanes ``lanes``; u is per
+        lane, or a block of scan columns (B, 1)."""
+
+        def __init__(self, lanes=slice(None)):
+            self.lanes = lanes
+
+        def value(self, u_env):
+            return phi_lanes(u_env["u"], self.lanes)
+
+        def rows(self, rows):
+            return Cubic(rows)
 
     tau0 = rng.uniform(-24.0, 0.99, n)
     tau0[::9] = np.nan
@@ -1118,7 +1129,7 @@ def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select,
         cfg, n)
     for block in (n, 2 * n, 7 * n, solver._SCAN_BLOCK):
         monkeypatch.setattr(solver, "_SCAN_BLOCK", block)
-        got = solver._solve_scalar(surf, phi_of_u, tau0[:, None], cfg, n)
+        got = solver._solve_scalar(surf, [Cubic()], tau0[:, None], cfg)
         assert_bitwise(got[0], tau)
         assert np.array_equal(got[1], iters)
         assert np.array_equal(got[2], conv)
@@ -1170,14 +1181,19 @@ def test_lowest_scan_ends_once_every_lane_has_its_cell(root_select,
         monkeypatch.setattr(solver, "_SCAN_BLOCK", size * n)
         columns = []
 
-        def phi_of_u(u, rows=None):
-            if rows is None:
-                assert u.shape[1:] == (1, 1) and len(u) <= size
-                columns.extend(u[:, 0, 0])
-            lanes = bound if rows is None else bound.rows(rows)
-            return lanes.value({"u": u[..., 0]})[..., None]
+        class Recording:
+            """The bound potential, recording the scan columns it sees."""
 
-        conv = solver._solve_scalar(surf, phi_of_u, tau0, cfg, n)[2]
+            def value(self, u_env):
+                u = u_env["u"]
+                assert u.shape[1:] == (1,) and len(u) <= size
+                columns.extend(u[:, 0])
+                return bound.value(u_env)
+
+            def rows(self, rows):
+                return bound.rows(rows)
+
+        conv = solver._solve_scalar(surf, [Recording()], tau0, cfg)[2]
         assert conv.all()
         assert_bitwise(np.array(columns), us[:len(columns), 0])
         if root_select == "lowest":
@@ -1260,17 +1276,17 @@ def test_potential_fn_value_and_du_kernels_bitwise(space, text, shared_u):
         u = {name: v[0] for name, v in u.items()}    # numpy 0-d scalars
     env.update(u)
     pot = solver.PotentialFn(phi, space)
-    assert_bitwise(pot.value(env), np.broadcast_to(np.asarray(
+    assert_bitwise(pot.bind(env).value(env), np.broadcast_to(np.asarray(
         phi.evaluate(env, strict=False), dtype=float), (n,)))
     want_du = np.stack([np.broadcast_to(np.asarray(
         simplify(phi.diff(nm)).evaluate(env, strict=False), dtype=float), (n,))
         for nm in space.dependent], axis=1)
-    assert_bitwise(pot.du(env), want_du)
+    assert_bitwise(pot.bind(env).du(env), want_du)
     if shared_u:
         # a shared u gives the bits of the same u spread over every lane
         full = dict(env, **{name: np.full(n, v) for name, v in u.items()})
-        assert_bitwise(pot.value(env), pot.value(full))
-        assert_bitwise(pot.du(env), pot.du(full))
+        assert_bitwise(pot.bind(env).value(env), pot.bind(full).value(full))
+        assert_bitwise(pot.bind(env).du(env), pot.bind(full).du(full))
 
 
 def test_potential_fn_numeric_lanes():
@@ -1281,19 +1297,20 @@ def test_potential_fn_numeric_lanes():
     lam = (parse("x2^2", space), parse("2*x1*x2", space))
     res = find_potential(WaveElement(space, lam, (Const(1),)),
                          {"x1": 0.2, "x2": 0.2}, box, rng=18)
-    assert not res.symbolic
+    assert not isinstance(res.phi, Expr)
     pot = solver.PotentialFn(res.phi, space)
     rng = np.random.default_rng(4)
     n = 50
     env = {"x1": rng.uniform(0.2, 1.0, n), "x2": rng.uniform(0.2, 1.0, n),
            "u": rng.uniform(0.5, 1.0, n)}
-    val = pot.value(env)
+    val = pot.bind(env).value(env)
     assert val.shape == (n,)
     assert np.max(np.abs(val - (env["x1"] * env["x2"] ** 2 - 0.008))) < 1e-12
     for i in range(n):
-        alone = pot.value({k: float(v[i]) for k, v in env.items()})
+        point = {k: float(v[i]) for k, v in env.items()}
+        alone = pot.bind(point).value(point)
         assert_bitwise(alone, val[i:i + 1])
-    du = pot.du(env)
+    du = pot.bind(env).du(env)
     assert du.shape == (n, 1) and np.all(np.isfinite(du))
     # a block of B values of u broadcasts over the lanes
     bound = pot.bind(env)
@@ -1323,8 +1340,8 @@ def test_potential_fn_binding_keeps_every_lane(text):
         full = dict(env, u=u)
         want = np.broadcast_to(np.asarray(phi.evaluate(full, strict=False),
                                           dtype=float), (n,))
-        assert_bitwise(pot.value(full), want)
-        assert pot.du(full).shape == (n, 1)
+        assert_bitwise(pot.bind(full).value(full), want)
+        assert pot.bind(full).du(full).shape == (n, 1)
         bound = pot.bind(env).rows(rows)
         u_rows = {"u": u[rows] if np.ndim(u) else u}
         assert_bitwise(bound.value(u_rows), want[rows])
@@ -1376,9 +1393,9 @@ def test_potential_fn_missing_variable_raises(missing):
     del env[missing]
     message = f"^no value assigned for '{missing}'$"
     with pytest.raises(MissingVariableError, match=message):
-        pot.value(env)
+        pot.bind(env).value(env)
     with pytest.raises(MissingVariableError, match=message):
-        pot.du(env)
+        pot.bind(env).du(env)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,41 @@ import pytest
 
 from rwave import exprmat
 from rwave.expr import Box, ZeroVerdict, is_zero, simplify
-from rwave.fixtures import (
-    BROWNIAN_HOMOGENIZED,
-    TRAUTMAN_HOMOGENIZED,
-    load_fixture,
-    system_from_dict,
-)
+from rwave.fixtures import load_fixture, system_from_dict
 from rwave.system import check_m_property, homogenize
 
 from .strategies import fixture_box
+
+
+# target of homogenize(BROWNIAN) with the new variable named y
+BROWNIAN_HOMOGENIZED = {
+    "independent": ["t", "x", "y"],
+    "dependent": ["a", "c"],
+    "parameters": ["beta"],
+    "A": [
+        [["0", "0"], ["0", "-1"]],
+        [["0", "(1+beta^2*x^2)/(a+y)"], ["1", "0"]],
+        [["1", "0"], ["0", "1"]],
+    ],
+    "b": ["0", "0"],
+}
+
+# target of homogenize(TRAUTMAN) with the new variable named xhat
+TRAUTMAN_HOMOGENIZED = {
+    "independent": ["t", "x", "xhat"],
+    "dependent": ["v0", "v1", "u"],
+    "parameters": ["k"],
+    "A": [
+        [["1/(-(k^2*u))", "0", "0"],
+         ["-(v0+xhat)/(-(k^2*u))", "0", "1"],
+         ["-v1/(-(k^2*u))", "0", "0"]],
+        [["0", "1/(k^2*u)", "0"],
+         ["0", "-((v0+xhat)/(k^2*u))", "0"],
+         ["0", "-(v1/(k^2*u))", "1"]],
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    ],
+    "b": ["0", "0", "0"],
+}
 
 
 def consistent_jet(sys, env, rng):
@@ -22,9 +48,9 @@ def consistent_jet(sys, env, rng):
     p, q, m = sys.p, sys.q, sys.m
     A = np.zeros((m, q * p))
     for i in range(p):
-        Ai = exprmat.eval_matrix(sys.coeffs[i], env)
+        Ai = exprmat.eval_matrix(sys.coeffs[i], env)[0]
         A[:, i::p] += Ai  # column block for d/dx^i: J[beta, i]
-    b = exprmat.eval_vector(sys.source, env)
+    b = exprmat.eval_vector(sys.source, env)[0]
     Jflat, *_ = np.linalg.lstsq(A, b, rcond=None)
     # null space: the right singular vectors past the numerical rank
     _, sv, Vt = np.linalg.svd(A)
@@ -108,7 +134,7 @@ def test_homogenize_brownian_matches_target():
     # M invertible at sampled points
     for _ in range(20):
         env = {n: v[0] for n, v in box.sample(rng, 1).items()}
-        Mv = exprmat.eval_matrix(res.m_matrix, env)
+        Mv = exprmat.eval_matrix(res.m_matrix, env)[0]
         assert np.isfinite(np.linalg.cond(Mv))
 
 

@@ -157,8 +157,8 @@ def test_recover_decomposition_stack_matches_pointwise_lstsq():
         assert np.max(np.abs(rec.xi[i] - want)) <= 1e-12 * np.max(np.abs(want))
         err = np.linalg.norm(G[i] @ want - J[i].ravel())
         assert abs(rec.reconstruction_error[i] - err) <= 1e-12 * max(err, 1e-3)
-        assert rec.rank[i] == estimate_rank(np.linalg.svd(J[i],
-                                                         compute_uv=False))
+        assert rec.rank[i] == estimate_rank(np.linalg.svd(J[i:i + 1],
+                                                         compute_uv=False))[0]
 
 
 def test_recover_decomposition_synthesized_roundtrip():
@@ -172,8 +172,8 @@ def test_recover_decomposition_synthesized_roundtrip():
         from rwave import exprmat
         J = np.zeros((2, 3))
         for e, xv in zip((plus, minus), xi_true):
-            lam = exprmat.eval_vector(e.lam, env)
-            gam = exprmat.eval_vector(e.gamma, env)
+            lam = exprmat.eval_vector(e.lam, env)[0]
+            gam = exprmat.eval_vector(e.gamma, env)[0]
             J += xv * np.outer(gam, lam)
         rec = recover_at(J, [plus, minus], env)
         assert np.max(np.abs(rec.xi - xi_true)) < 1e-10
@@ -181,10 +181,10 @@ def test_recover_decomposition_synthesized_roundtrip():
 
 
 def test_estimate_rank_gap():
-    assert estimate_rank([1.0, 0.5, 1e-9]) == 2
-    assert estimate_rank([1.0, 1e-8]) == 1
-    assert estimate_rank([0.0]) == 0
-    assert estimate_rank([1.0, 0.9, 0.8]) == 3
+    assert estimate_rank([[1.0, 0.5, 1e-9]]).tolist() == [2]
+    assert estimate_rank([[1.0, 1e-8]]).tolist() == [1]
+    assert estimate_rank([[0.0]]).tolist() == [0]
+    assert estimate_rank([[1.0, 0.9, 0.8]]).tolist() == [3]
     stack = [[1.0, 0.5, 1e-9], [1.0, 1e-8, 0.0], [0.0, 0.0, 0.0],
              [1.0, 0.9, 0.8]]
     assert estimate_rank(stack).tolist() == [2, 1, 0, 3]
@@ -247,7 +247,7 @@ def test_constancy_along_kernel_batch_matches_pointwise():
     # reference: one re-solve per displaced point
     want = 0.0
     for idx in indices:
-        rows = exprmat.eval_vector(lam, point_env(field, idx))[None]
+        rows = exprmat.eval_vector(lam, point_env(field, idx))
         _, s, vt = np.linalg.svd(rows)
         ker_dim = 3 - np.sum(s > 1e-10 * max(s[0], 1.0))
         for theta in (vt[2 - j] for j in range(ker_dim)):
