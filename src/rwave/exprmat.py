@@ -94,13 +94,25 @@ def eval_vector(v, env, strict=True):
     return out
 
 
-def distinct_rows(a):
+def distinct_rows(a, plan=None):
     """The bitwise-distinct rows of a 2-D float array: ``first``, the index
     of each one's first appearance, ascending, and ``inverse``, the row of
     ``a[first]`` each row of ``a`` has the bits of.  Rows compare as bit
     patterns, so -0.0 and 0.0 (or two NaN payloads) stay apart; they sort
-    by a lexsort of their int64 columns, far cheaper than a sort of rows."""
-    cols = np.ascontiguousarray(a, dtype=float).view(np.int64).T
+    by a lexsort of their int64 columns, far cheaper than a sort of rows.
+
+    ``plan``, the (first, inverse) of other rows as many, is returned as
+    it is when every row of ``a`` has the bits of ``a[first[inverse]]``,
+    for one gather and one compare instead of the sort.  Its groups may
+    then be finer than the distinct rows: rows equal in bits may lie in
+    different groups, but no group holds rows that differ.
+    """
+    bits = np.ascontiguousarray(a, dtype=float).view(np.int64)
+    if plan is not None and len(plan[1]) == len(bits):
+        first, inverse = plan
+        if np.array_equal(bits.take(first.take(inverse), 0), bits):
+            return plan
+    cols = bits.T
     n = cols.shape[1]
     order = np.lexsort(cols[::-1]) if len(cols) else np.arange(n)
     new = np.zeros(n, dtype=bool)

@@ -3,8 +3,9 @@ per-lane step control and dense output, and a fixed-step RK4 march.
 
 The right-hand sides f(t, y) take the per-lane times t of shape (n,) and
 the states y of shape (n, q) of n lanes, one lane for a single trajectory
-(a characteristic curve, the first sweep of a sheet), and return an array
-of the same shape as y.
+(a characteristic curve, the first sweep of a sheet), and 2n lanes when a
+flow integrates down and up from its anchor in one march, and return an
+array of the same shape as y.
 """
 
 from __future__ import annotations
@@ -114,42 +115,56 @@ def _combine(coeffs, K):
 
 
 def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
-    """States at the output times ``ts``, sorted away from t0 in either
-    direction, of y' = f(t, y) with y(t0) = y0 of shape (n, q); shape
-    (len(ts), n, q).
+    """States at the output times ``ts`` of y' = f(t, y) with y(t0) = y0
+    of shape (n, q); shape (len(ts), n, q), in the order of ``ts``, and
+    the anchor itself at outputs at t0.
 
-    Each lane keeps its own t, step size and accept/reject, and f
-    receives every lane at every stage with t of shape (n,); a lane that
-    has reached the last output time takes steps of size 0.  So, provided
-    f computes every row of its result on its own, a lane's result does
-    not depend on which other lanes share the call.
+    Each lane keeps its own direction, end time, t, step size and
+    accept/reject, and f receives every lane at every stage with t of
+    shape (n,); a lane that has reached its last output time takes steps
+    of size 0.  When ``ts`` lies on both sides of t0, one march
+    integrates down and up: f receives the n lanes going down followed by
+    the same n going up.  So, provided f computes every row of its result
+    on its own, a lane's result does not depend on which other lanes share
+    the call, nor on whether the march is one- or two-sided.
 
     A step is accepted when the RMS over a lane's components of the
     scaled error estimate is below 1, with absolute and relative
     tolerance ``tol``; ``first_step`` (positive, a scalar or one per lane)
-    is the size of the first trial step.  A step with a non-finite stage
-    or error estimate is rejected and h halves; below ``_MIN_STEP`` that
-    raises StiffnessAbort.  Output times inside a step are read from the
-    7th-order interpolant; one that a step ends on takes the step's state.
+    is the size of the first trial step, on both sides.  A step with a
+    non-finite stage or error estimate is rejected and h halves; below
+    ``_MIN_STEP`` that raises StiffnessAbort.  Output times inside a step
+    are read from the 7th-order interpolant; one that a step ends on takes
+    the step's state.
     """
-    y = np.asarray(y0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    n, q = y.shape
-    out = np.empty((len(ts), n, q))
-    start = np.count_nonzero(ts == t0)  # outputs at t0 itself
-    out[:start] = y
-    t_end = ts[-1]
-    direction = 1.0 if t_end >= t0 else -1.0
-    key = direction * ts    # ascending
-    t = np.full(n, float(t0))
+    n, q = y0.shape
     first = np.broadcast_to(np.asarray(first_step, dtype=float), (n,))
     if not np.all(first > 0.0):
         raise ValueError("first_step must be positive")
-    h = direction * first
-    nxt = np.full(n, start)
-    rejected = np.zeros(n, dtype=bool)
+    out = np.empty((len(ts), n, q))
+    out[ts == t0] = y0
+    # per side of t0 that has outputs, a block of n lanes; the side's
+    # outputs are slots lo[s]:lo[s + 1], in the order the side reaches them
+    sides = [(d, idx[np.argsort(d * ts[idx], kind="stable")])
+             for d in (-1.0, 1.0)
+             for idx in [np.flatnonzero(d * (ts - t0) > 0)] if idx.size]
+    if not sides:
+        return out
+    seq = np.concatenate([idx for _, idx in sides])  # the output of a slot
+    keys = [(d, d * ts[idx]) for d, idx in sides]    # ascending
+    lo = np.cumsum([0] + [len(idx) for _, idx in sides])
+    direction = np.repeat([d for d, _ in sides], n)
+    t_end = np.repeat([ts[idx[-1]] for _, idx in sides], n)
+    y = np.tile(y0, (len(sides), 1))
+    t = np.full(len(y), float(t0))
+    h = direction * np.tile(first, len(sides))
+    nxt = np.repeat(lo[:-1], n)
+    got, ts_seq = np.empty((len(seq), n, q)), ts[seq]
+    rejected = np.zeros(len(y), dtype=bool)
     live = t != t_end
-    k_first = f(t, y) if live.any() else None
+    k_first = f(t, y)
     with np.errstate(all="ignore"):
         while live.any():
             t_new = np.where(live, t + h, t)
@@ -182,22 +197,26 @@ def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
             if small.any():
                 lane = int(np.argmax(small))
                 raise StiffnessAbort(f"step underflow at t={float(t[lane])}")
-            stop = np.where(accept, np.searchsorted(key, direction * t_new,
-                                                    side="right"), nxt)
-            _dense(f, out, ts, t, t_new, y, y_new, K, nxt, stop)
+            reach = np.concatenate([lo[s] + np.searchsorted(
+                key, d * t_new[s * n:(s + 1) * n], side="right")
+                for s, (d, key) in enumerate(keys)])
+            stop = np.where(accept, reach, nxt)
+            _dense(f, got, ts_seq, t, t_new, y, y_new, K, nxt, stop)
             y = np.where(accept[:, None], y_new, y)
             k_first = np.where(accept[:, None], K[12], k_first)
             t = np.where(accept, t_new, t)
             nxt = stop
             rejected = retry
             live = t != t_end
+    out[seq] = got
     return out
 
 
 def _dense(rhs, out, ts, t, t_new, y, y_new, K, first, stop):
-    """Fill out[j, i] for the outputs first[i] <= j < stop[i] that lane i's
-    step from t to t_new covers: y_new where the step ends on ts[j], else
-    the dense output, whose extra stages run only if some lane needs them."""
+    """Fill out[j, i % n] for the output slots first[i] <= j < stop[i],
+    at the times ts[j], that lane i's step from t to t_new covers, with n
+    = out.shape[1]: y_new where the step ends on ts[j], else the dense
+    output, whose extra stages run only if some lane needs them."""
     count = stop - first
     if not count.any():
         return
@@ -206,6 +225,7 @@ def _dense(rhs, out, ts, t, t_new, y, y_new, K, first, stop):
     offsets = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
                                                  count)
     js = np.repeat(first, count) + offsets
+    cols = lanes % out.shape[1]
     ends = ts[js] == t_new[lanes]
     inside = ~ends
     if inside.any():
@@ -222,8 +242,8 @@ def _dense(rhs, out, ts, t, t_new, y, y_new, K, first, stop):
         for i, coeff in enumerate(reversed(F)):
             acc += coeff[li]
             acc *= x if i % 2 == 0 else 1.0 - x
-        out[js[inside], li] = acc + y[li]
-    out[js[ends], lanes[ends]] = y_new[lanes[ends]]
+        out[js[inside], cols[inside]] = acc + y[li]
+    out[js[ends], cols[ends]] = y_new[lanes[ends]]
 
 
 rk4 = flow  # the name the per-layer probes wrap

@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from . import ode
-from .expr import Expr, VarSpace, compile_exprs, simplify
+from .expr import Bin, Const, Expr, VarSpace, compile_exprs, simplify
 from .exprmat import distinct_rows, rows_dot
 from .geometry import NumericPotential
 from .spline import Spline1D, Spline2D
@@ -174,58 +174,60 @@ def _gamma_field(gammas, mu, axes, space, tau_names):
     """du/ds_j along internal axis j: sum_a axes[a][j] V_a(tau, u) with
     V_a = sum_a' mu[a'][a](tau) gamma_a'(u).
 
-    The returned closure flows one internal coordinate while the others
-    stay fixed, over lanes u (n, q); both the flowing and the fixed
-    coordinates may be scalars shared by every lane or arrays with one
-    value per lane.
+    ``field(axis, fixed)`` is the right-hand side that flows internal
+    coordinate ``axis`` over lanes u (n, q) while the others stay at
+    ``fixed``: k coordinates, each a scalar shared by every lane or an
+    array with one value per lane, the flowing one ignored (None will do).
+    ``axis`` may also be an array with one axis per lane.  When rhs gets
+    more lanes than ``fixed`` has, the fixed rows repeat, so the 2n lanes
+    of a two-sided march share n rows.
     """
     dep = space.dependent
     k = len(gammas)
-    q = len(dep)
     axes = np.asarray(axes, dtype=float)
-    # columns: gamma_a's q components for each a, then mu[a'][a] row-major
-    kernel = compile_exprs([e for g in gammas for e in g]
-                           + [m for row in mu for m in row])
 
-    def field(axis_idx, fixed_coords):
-        terms = [(a, axes[a][axis_idx]) for a in range(k)
-                 if axes[a][axis_idx] != 0.0]
+    def weighted(j):
+        # sums accumulated from 0.0 as a loop over zeros does, 0.0 + mu*gamma
+        # then 0.0 + c*acc, never simplified: 0.0 + (-0.0) is 0.0, not -0.0
+        cols = []
+        for g in zip(*gammas):
+            out = Const(0.0)
+            for a in range(k):
+                if axes[a][j] != 0.0:
+                    acc = Const(0.0)
+                    for ap in range(k):
+                        acc = Bin("+", acc, Bin("*", mu[ap][a], g[ap]))
+                    out = Bin("+", out, Bin("*", Const(float(axes[a][j])),
+                                            acc))
+            cols.append(out)
+        return cols
+
+    # one kernel per axis, so that each returns a contiguous (n, q) array
+    # for the stages of ode.flow, and one over every axis for per-lane axes
+    sums = [weighted(j) for j in range(k)]
+    kernels = [compile_exprs(cols) for cols in sums]
+    every = compile_exprs([e for cols in sums for e in cols])
+
+    def field(axis, fixed):
+        fixed = np.column_stack(np.broadcast_arrays(
+            *(0.0 if c is None else c for c in fixed)))
+        per_lane = np.ndim(axis) > 0
+        lanes = np.arange(len(axis)) if per_lane else slice(None)
 
         def rhs(s, u):
             s_mat = np.empty((len(u), k))
-            for a in range(k):
-                s_mat[:, a] = s if a == axis_idx else fixed_coords[a]
-            tau = s_mat @ axes.T
+            s_mat.reshape(-1, len(fixed), k)[:] = fixed
+            s_mat[lanes, axis] = s
+            # a lane's bits must not depend on how many lanes share the call
+            tau = rows_dot(s_mat, axes.T)
             env = {name: tau[:, a] for a, name in enumerate(tau_names)}
             for b, name in enumerate(dep):
                 env[name] = u[:, b]
-            vals = kernel(env)
-            out = np.zeros(u.shape)
-            for a, coeff in terms:
-                acc = np.zeros(u.shape)
-                for ap in range(k):
-                    acc += (vals[:, k * q + ap * k + a, None]
-                            * vals[:, ap * q:(ap + 1) * q])
-                out += coeff * acc
-            return out
+            if per_lane:
+                return every(env).reshape(len(u), k, -1)[lanes, axis]
+            return kernels[axis](env)
         return rhs
     return field
-
-
-def _flow_from_anchor(rhs, y0, start, targets, step):
-    """States (len(targets), n, q) at the sorted ``targets`` of the lanes
-    y0 (n, q): integrate down and up from the anchor y(start) = y0, each
-    sweep's first trial step ``step``, then stitch the two sweeps in
-    target order."""
-    out = np.empty((len(targets),) + y0.shape)
-    below = targets < start
-    if below.any():
-        out[np.where(below)[0][::-1]] = ode.flow(
-            rhs, y0, start, targets[below][::-1], tol=1e-12, first_step=step)
-    if (~below).any():
-        out[np.where(~below)[0]] = ode.flow(
-            rhs, y0, start, targets[~below], tol=1e-12, first_step=step)
-    return out
 
 
 def integrate_characteristic(gamma, u0, s_range, step, space, s0=None):
@@ -248,8 +250,8 @@ def integrate_characteristic(gamma, u0, s_range, step, space, s0=None):
         return kernel(env)
 
     s_grid = np.linspace(lo, hi, _CURVE_POINTS)
-    states = _flow_from_anchor(rhs, np.asarray(u0, dtype=float)[None], s0,
-                               s_grid, step)[:, 0]
+    states = ode.flow(rhs, np.asarray(u0, dtype=float)[None], s0, s_grid,
+                      tol=1e-12, first_step=step)[:, 0]
     surf = Surface1D(s_grid, states, space, ("s",),
                      SurfaceProvenance(tuple(np.asarray(u0, float)), (s0,)))
     _check_tangency_1d(surf, rhs)
@@ -293,12 +295,12 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
     s1_grid = np.linspace(l1, h1, n_grid)
     s2_grid = np.linspace(l2, h2, n_grid)
 
-    # sweep axis 1 from the anchor, then all s1 lanes together along axis 2
-    line = _flow_from_anchor(field(0, [None, s_base[1]]),
-                             np.asarray(u0, float)[None], s_base[0], s1_grid,
-                             step)[:, 0]
-    states = _flow_from_anchor(field(1, [s1_grid, None]), line, s_base[1],
-                               s2_grid, step)
+    # sweep axis 1 from the anchor, then all s1 lanes together along axis
+    # 2, each sweep one march down and up from the anchor
+    line = ode.flow(field(0, [None, s_base[1]]), np.asarray(u0, float)[None],
+                    s_base[0], s1_grid, tol=1e-12, first_step=step)[:, 0]
+    states = ode.flow(field(1, [s1_grid, None]), line, s_base[1], s2_grid,
+                      tol=1e-12, first_step=step)
     u_grid = np.transpose(states, (1, 0, 2))  # (n1, n2, q)
 
     surf = Surface2D(axes, s1_grid, s2_grid, u_grid, space, tau_names, prov)
@@ -309,15 +311,17 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
 
 def _flow_both_orders(field, s_base, u0, probes, step):
     """End states at each probe (s1, s2) flowing axis 1 then axis 2 (a)
-    and axis 2 then axis 1 (b).  Probes are lanes: each leg integrates
-    sigma in [0, 1] with the right-hand side scaled by each lane's span,
-    and a lane's first trial step moves it at most ``step`` in s."""
-    s1, s2 = probes[:, 0], probes[:, 1]
-    y0 = np.tile(u0, (len(probes), 1))
+    and axis 2 then axis 1 (b).  Probes are lanes, and the first legs of
+    both orders are one march, then the second legs: each lane integrates
+    sigma in [0, 1] along its own axis with the right-hand side scaled by
+    its span, and its first trial step moves it at most ``step`` in s."""
+    n = len(probes)
+    ends = np.concatenate([probes, probes])
 
-    def leg(axis_idx, fixed_coords, y, start, end):
-        span = end - start
-        rhs = field(axis_idx, fixed_coords)
+    def legs(axis, fixed, y):
+        start = s_base[axis]
+        span = np.choose(axis, ends.T) - start
+        rhs = field(axis, fixed)
 
         def f(sigma, u):
             return span[:, None] * rhs(start + sigma * span, u)
@@ -325,11 +329,12 @@ def _flow_both_orders(field, s_base, u0, probes, step):
         return ode.flow(f, y, 0.0, [1.0], tol=1e-12,
                         first_step=step / np.maximum(np.abs(span), step))[0]
 
-    a = leg(0, [None, s_base[1]], y0, s_base[0], s1)
-    a = leg(1, [s1, None], a, s_base[1], s2)
-    b = leg(1, [s_base[0], None], y0, s_base[1], s2)
-    b = leg(0, [None, s2], b, s_base[0], s1)
-    return a, b
+    # a first leg holds the other coordinate at the anchor's, and a second
+    # leg at the probe's
+    axis = np.repeat([0, 1], n)
+    y = legs(axis, s_base, np.tile(u0, (2 * n, 1)))
+    y = legs(1 - axis, ends.T, y)
+    return y[:n], y[n:]
 
 
 def _swap_order_check(surf, field, s_base, u0, step, tol):
@@ -528,7 +533,7 @@ def _env_from_grid(x_names, grid_env, params):
 
 
 def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
-                   params=None, space=None):
+                   params=None, space=None, plan=None):
     """Solve tau = phi(x, f(tau)) at every grid point.
 
     ``grid_env`` maps independent-variable names to equal-length arrays.
@@ -539,7 +544,10 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     bisection (see ``_solve_scalar``); the multi-parameter case runs a
     damped, vectorized Newton iteration from the configured initial guess
     with warm-start retries from converged neighbors.  No point failure is
-    fatal; SolveFailed is raised only when every point diverges.
+    fatal; SolveFailed is raised only when every point diverges.  ``plan``
+    is an earlier solve's grouping of its lanes into equations, which a
+    re-solve takes in place of sorting its own where it still holds (see
+    ``exprmat.distinct_rows``).
     """
     params = dict(params or {})
     if space is None:
@@ -563,8 +571,8 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     guess = _lane_guess(cfg, n, k)
     if guess is not None:
         key += list(guess.T)
-    first, inverse = distinct_rows(np.column_stack(key) if key
-                                   else np.empty((n, 0)))
+    plan = first, inverse = distinct_rows(
+        np.column_stack(key) if key else np.empty((n, 0)), plan)
     m = len(first)
     bound = [p.bind({nm: v[first] if np.ndim(v) else v
                      for nm, v in env_x.items()}) for p in pots]
@@ -587,7 +595,8 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
             iters[bad] += more
             stale = bad[stale]
             bound = [b.rows(inverse) for b in bound]
-            inverse = np.arange(len(inverse))
+            # every grid lane is its own equation from here on: no plan
+            inverse, plan = np.arange(len(inverse)), None
         if stale.size:
             u[stale] = surface.value(tau[stale])
 
@@ -606,7 +615,8 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
         cfg2 = cfg
         if initial_guess is not None and k > 1 and conv.all():
             cfg2 = replace(cfg, initial_guess=initial_guess)
-        return solve_implicit(surface, pots, new_grid_env, cfg2, params, space)
+        return solve_implicit(surface, pots, new_grid_env, cfg2, params, space,
+                              plan)
 
     return SolutionField(space=space, x_names=x_names, x=xs, params=params,
                          tau_names=surface.tau_names, tau=tau[inverse],

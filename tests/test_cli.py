@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rwave import cli
@@ -20,6 +21,7 @@ from rwave.cli import (
 )
 from rwave.fixtures import PRESETS, load_fixture, system_to_dict
 from rwave.frobenius import NotInSpan
+from rwave.solver import SolutionField
 
 
 def read_solution_field_table(path):
@@ -172,6 +174,40 @@ def test_run_dependent_covectors_exit3(tmp_path, capsys):
     assert "conditions:" in capsys.readouterr().err
     outcomes = json.loads((Path(req.out_dir) / "outcomes.json").read_text())
     assert outcomes["conditions"]["ok"] is False
+
+
+def test_run_example2_displaced_resolves_make_no_sort(tmp_path, monkeypatch):
+    # the 12 finite-difference re-solves take the base solve's lane plan:
+    # each lane's displaced key and warm start have the bits of the rest of
+    # its group, so no re-solve falls back to sorting its lanes
+    sorts, resolves, inside = [], [], []
+    lexsort, resolve = np.lexsort, SolutionField.resolve
+    fd_jacobian_batch = cli.fd_jacobian_batch
+
+    def counted_sort(keys):
+        if inside:
+            sorts.append(len(keys))
+        return lexsort(keys)
+
+    def counted_resolve(field, *args):
+        if inside:
+            resolves.append(field.n)
+        return resolve(field, *args)
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return fd_jacobian_batch(*args, **kwargs)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(np, "lexsort", counted_sort)
+    monkeypatch.setattr(SolutionField, "resolve", counted_resolve)
+    monkeypatch.setattr(cli, "fd_jacobian_batch", traced)
+    req = base_request(tmp_path)
+    assert run(req)[0] == EXIT_OK
+    assert resolves == [75] * 12
+    assert sorts == []
 
 
 def test_run_verify_neighbor_diverged_exit4(tmp_path, monkeypatch, capsys):

@@ -515,6 +515,44 @@ def test_distinct_rows_first_appearance_bitwise(shape, data):
     assert (first[inverse] <= np.arange(n)).all()      # each row's first
 
 
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(0, 12), st.integers(0, 3)), data=st.data())
+def test_distinct_rows_takes_a_plan_only_where_it_holds(shape, data):
+    # a plan from other rows as many is taken as it is when each of its
+    # groups holds rows of one bit pattern, and otherwise a fresh sort runs
+    n, c = shape
+    values = st.lists(st.integers(0, len(ROW_VALUES) - 1), min_size=n * c,
+                      max_size=n * c)
+    b = ROW_VALUES[np.array(data.draw(values), dtype=int)].reshape(n, c)
+    a = ROW_VALUES[np.array(data.draw(values), dtype=int)].reshape(n, c)
+    plan = exprmat.distinct_rows(b)
+    got = exprmat.distinct_rows(a, plan)
+    first, inverse = plan
+    holds = np.array_equal(a[first[inverse]].view(np.int64), a.view(np.int64))
+    if holds:
+        assert got is plan
+    else:
+        fresh = exprmat.distinct_rows(a)
+        assert got is not plan
+        assert all(np.array_equal(g, f) for g, f in zip(got, fresh))
+    assert_bitwise(a[got[0]][got[1]], a)
+
+
+def test_distinct_rows_plan_keeps_signed_zeros_apart():
+    # one row's -0.0 where the rest of its group has 0.0: the plan does not
+    # hold, and the fresh sort puts that row in a group of its own
+    b = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    plan = exprmat.distinct_rows(b)
+    assert plan[0].tolist() == [0, 1] and plan[1].tolist() == [0, 1, 0, 0]
+    assert exprmat.distinct_rows(b.copy(), plan) is plan
+    a = b.copy()
+    a[2, 1] = -0.0
+    first, inverse = exprmat.distinct_rows(a, plan)
+    assert first.tolist() == [0, 1, 2] and inverse.tolist() == [0, 1, 2, 0]
+    # a plan over another number of rows is not taken
+    assert exprmat.distinct_rows(b[:3], plan)[1].tolist() == [0, 1, 0]
+
+
 # ---------------------------------------------------------------------------
 # interning: one node per structure
 

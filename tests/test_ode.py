@@ -89,6 +89,46 @@ def test_flow_lane_subsets_match_full_call_bitwise(seed, n, backward):
     assert np.array_equal(part.view(np.uint64), full[:, rows].view(np.uint64))
 
 
+@pytest.mark.parametrize("anchor", ["inside", "first", "last"])
+@pytest.mark.parametrize("descending", [False, True])
+def test_two_sided_flow_matches_its_one_sided_calls_bitwise(anchor, descending):
+    # outputs on both sides of t0 are one march: f sees the n lanes going
+    # down, then the same n going up, and each lane has the bits of a
+    # one-sided call over the outputs on its side, sorted away from t0
+    rng = np.random.default_rng(17)
+    n = 3
+    y0 = np.concatenate([rng.uniform(-1.0, 1.0, (n, 2)),
+                         rng.uniform(0.0, 3.0, (n, 1))], axis=1)
+    first = rng.uniform(0.01, 0.5, n)
+    grid = np.linspace(-1.5, 2.0, 12)
+    t0 = {"inside": grid[4], "first": grid[0], "last": grid[-1]}[anchor]
+    ts = np.sort(np.concatenate([grid, [t0, 0.3]]))   # t0 and 0.3 twice
+    if descending:
+        ts = ts[::-1]
+    seen = []
+
+    def recorded(t, y):
+        seen.append(t)
+        return damped_turn(t, y)
+
+    got = ode.flow(recorded, y0, t0, ts, tol=1e-10, first_step=first)
+    want = np.empty_like(got)
+    want[ts == t0] = y0
+    for side in (ts < t0, ts > t0):
+        idx = np.flatnonzero(side)
+        if idx.size:
+            idx = idx[np.argsort(np.abs(ts[idx] - t0), kind="stable")]
+            want[idx] = ode.flow(damped_turn, y0, t0, ts[idx], tol=1e-10,
+                                 first_step=first)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got[ts == t0], np.broadcast_to(y0, (2, n, 3)))
+    if anchor == "inside":
+        assert {len(t) for t in seen} == {2 * n}
+        assert (seen[1][:n] < t0).all() and (seen[1][n:] > t0).all()
+    else:
+        assert {len(t) for t in seen} == {n}
+
+
 @pytest.mark.parametrize("y0", [[[0.0]], [[0.0], [1.0]]])
 def test_flow_into_a_nan_region_aborts(y0):
     def root(t, y):

@@ -181,6 +181,41 @@ def assert_bitwise(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("frame", [ex2_frame, tau_weighted_frame])
+def test_paired_swap_legs_match_one_lane_legs_bitwise(frame):
+    # the first legs of both orders share one march, then the second legs:
+    # each probe's end states have the bits of one-lane legs in the same
+    # sigma form
+    surf, gammas, mu = frame()
+    field = solver._gamma_field(gammas, mu, surf.axes, surf.space,
+                                surf.tau_names)
+    s_base = np.linalg.solve(surf.axes, np.asarray(surf.provenance.tau_base))
+    u0 = np.asarray(surf.provenance.u0)
+    step = 0.02
+    rng = np.random.default_rng(2)
+    (l1, h1), (l2, h2) = surf.tau_ranges
+    probes = np.stack([rng.uniform(l1, h1, 5), rng.uniform(l2, h2, 5)], axis=1)
+    a, b = solver._flow_both_orders(field, s_base, u0, probes, step)
+
+    def leg(axis, fixed, y, start, end):
+        span = np.array([end - start])
+        rhs = field(axis, fixed)
+
+        def f(sigma, u):
+            return span[:, None] * rhs(start + sigma * span, u)
+
+        return ode.flow(f, y[None], 0.0, [1.0], tol=1e-12,
+                        first_step=step / np.maximum(np.abs(span), step))[0, 0]
+
+    for i, (s1, s2) in enumerate(probes):
+        want_a = leg(0, [None, s_base[1]], u0, s_base[0], s1)
+        want_a = leg(1, [s1, None], want_a, s_base[1], s2)
+        want_b = leg(1, [s_base[0], None], u0, s_base[1], s2)
+        want_b = leg(0, [None, s2], want_b, s_base[0], s1)
+        assert_bitwise(a[i], want_a)
+        assert_bitwise(b[i], want_b)
+
+
 def tree_walk_gamma_rhs(gammas, mu, surf, axis_idx, s_mat, u):
     """The weighted frame along one internal axis, tree-walking every gamma
     and mu entry per call."""
@@ -726,6 +761,85 @@ def test_resolve_leaves_determinant_until_read():
     assert line.jac_lanes == 0
     field.det_monitor
     assert line.jac_lanes == field.n
+
+
+def displaced_grids(grid, h=1e-5):
+    """The 12 grids a Richardson finite-difference Jacobian re-solves on:
+    each axis moved by +-h and +-h/2."""
+    return [{**grid, name: grid[name] + sign * step}
+            for step in (h, h / 2) for name in grid for sign in (1.0, -1.0)]
+
+
+def counting_sorts(monkeypatch):
+    """The number of lexsorts made from here on, as a one-item list."""
+    sorts = [0]
+    lexsort = np.lexsort
+
+    def counted(keys):
+        sorts[0] += 1
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return sorts
+
+
+def assert_fields_bitwise(got, want):
+    for name in ("tau", "u"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+    for name in ("iters", "converged"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("case", ["example2", "halvings and retry"])
+def test_resolves_match_fresh_solves_bitwise(case, monkeypatch):
+    # warm-started re-solves on displaced grids: after a solve without a
+    # retry each takes the base solve's lane plan and sorts nothing; after
+    # the retry none is offered, and each sorts its own lanes.  Either way
+    # a re-solve has the bits of a fresh solve on its grid
+    surf = ex2_two_wave_surface()
+    pots = list(NEWTON_CASES[case][0]())
+    cfg = ImplicitSolveConfig()
+    grid = ex2_grid()
+    field = solve_implicit(surf, pots, grid, cfg)
+    retried = (field.iters > cfg.max_iter).any()
+    assert retried == (case == "halvings and retry")
+    # the resolver warm-starts only a field whose every lane converged
+    warm = (dataclasses.replace(cfg, initial_guess=field.tau)
+            if field.converged.all() else cfg)
+    # a solve with a retry is slow, so it re-solves on one grid only
+    for moved in displaced_grids(grid)[:1 if retried else None]:
+        sorts = counting_sorts(monkeypatch)
+        again = field.resolve(moved, field.tau)
+        assert sorts[0] == (1 if retried else 0)
+        assert_fields_bitwise(again, solve_implicit(surf, pots, moved, warm))
+        monkeypatch.undo()
+
+
+def test_resolve_with_a_signed_zero_warm_start_sorts_afresh(monkeypatch):
+    # one lane's warm start differs from the rest of its base group only in
+    # the sign of a zero: the plan does not hold, so the re-solve sorts, and
+    # that lane is its own equation
+    surf = ex2_two_wave_surface()
+    pots = list(ex2_potentials())
+    grid = ex2_grid()
+    field = solve_implicit(surf, pots, grid, ImplicitSolveConfig())
+    group = np.flatnonzero((grid["t"] == grid["t"][0])
+                           & (grid["y"] == grid["y"][0]))
+    assert len(group) == 3
+    guess = field.tau.copy()
+    guess[group, 1] = 0.0
+    guess[group[1], 1] = -0.0
+    sorts = counting_sorts(monkeypatch)
+    again = field.resolve(grid, guess)
+    assert sorts[0] == 1
+    monkeypatch.undo()
+    fresh = solve_implicit(surf, pots, grid,
+                           ImplicitSolveConfig(initial_guess=guess))
+    assert_fields_bitwise(again, fresh)
+    # the fresh solve's own plan holds for the same warm start
+    sorts = counting_sorts(monkeypatch)
+    assert_fields_bitwise(fresh.resolve(grid, guess), fresh)
+    assert sorts[0] == 0
 
 
 def test_warm_start_from_converged_lanes_looks_up_once():
