@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 import threading
 import weakref
@@ -33,6 +34,13 @@ _UNARY_EVAL = {
     "exp": np.exp,
     "sin": np.sin,
     "cos": np.cos,
+}
+_BIN_EVAL = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": np.true_divide,
+    "^": lambda a, b: np.power(np.asarray(a, dtype=float), b),
 }
 
 
@@ -264,25 +272,17 @@ class Bin(Expr):
         b = self.right.evaluate(env, strict)
         op = self.op
         with np.errstate(all="ignore"):
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if strict and np.any(b == 0):
-                    raise EvalDomainError(f"division by zero in {self}")
-                return np.true_divide(a, b)
+            if strict and op == "/" and np.any(b == 0):
+                raise EvalDomainError(f"division by zero in {self}")
             # power: non-integer exponents require a positive base
-            if strict:
+            if strict and op == "^":
                 bad = (np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))
                 if np.any(bad):
                     raise EvalDomainError(
                         f"negative base with non-integer exponent in {self}")
                 if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
                     raise EvalDomainError(f"zero base with negative exponent in {self}")
-            return np.power(np.asarray(a, dtype=float), b)
+            return _BIN_EVAL[op](a, b)
 
     def _derive(self, name):
         a, b = self.left, self.right
@@ -455,7 +455,8 @@ def compile_exprs(exprs, late=()):
     ``exprs[j].evaluate(env, strict=False)`` bitwise, broadcast to the n
     lanes of ``env`` (see ``_lanes``).  It runs the same numpy operations
     as the tree-walk, but once per distinct subexpression and under one
-    ``np.errstate``; variable-free subexpressions are evaluated once here.
+    ``np.errstate``; variable-free subexpressions are evaluated once here,
+    each node from its children's values.
     Domain violations give NaN lanes, and a missing variable raises
     MissingVariableError.  Compiling costs about ten tree-walks, so it
     pays only for expressions evaluated over and over.
@@ -492,7 +493,12 @@ def compile_exprs(exprs, late=()):
         if isinstance(e, Var):
             line = f"env[{e.name!r}]"
         elif all(k in consts for k in kids):
-            ns[name] = e.evaluate({}, strict=False)
+            # the tree-walk's operation on the children's folded values
+            vals = [ns[k] for k in kids]
+            with np.errstate(all="ignore"):
+                ns[name] = (_BIN_EVAL[e.op](*vals) if isinstance(e, Bin)
+                            else _UNARY_EVAL[e.fn](*vals) if isinstance(e, Call)
+                            else e.evaluate({}))
             consts.add(name)
             return name
         elif isinstance(e, Bin):

@@ -174,9 +174,10 @@ def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
             K = [k_first]
             ok = np.isfinite(k_first).all(axis=1)
             for s in range(1, 13):
-                K.append(f(t + _C[s] * hs, y + _combine(_A[s], K) * hc))
+                y_new = y + _combine(_A[s], K) * hc
+                K.append(f(t + _C[s] * hs, y_new))
                 ok &= np.isfinite(K[s]).all(axis=1)
-            y_new = y + _combine(_A[12], K) * hc
+            # stage 12 is f at the 8th-order solution: y_new is its state
             ok &= np.isfinite(y_new).all(axis=1)
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
             e5 = np.sum((_combine(_E5, K) / scale) ** 2, axis=1)

@@ -47,7 +47,8 @@ class NonIntegrable(SolverError):
 
 
 class SolveFailed(SolverError):
-    """Newton diverged at every grid point."""
+    """No grid point has a solution: Newton diverged at every one, or (k =
+    1) none has a sign change in the scan window."""
 
 
 @dataclass
@@ -96,6 +97,13 @@ class Surface1D:
 
     def value(self, tau):
         return self._spline(np.asarray(tau, float).reshape(-1))
+
+    def cell(self, tau):
+        return self._spline.cell(np.asarray(tau, float).reshape(-1))
+
+    def at(self, cells, tau):
+        """``value`` with tau taken on the spline cells ``cells``."""
+        return self._spline.at(cells, np.asarray(tau, float).reshape(-1))
 
     def jac(self, tau):
         _, d = self._spline(np.asarray(tau, float).reshape(-1), grad=True)
@@ -544,7 +552,7 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     bisection (see ``_solve_scalar``); the multi-parameter case runs a
     damped, vectorized Newton iteration from the configured initial guess
     with warm-start retries from converged neighbors.  No point failure is
-    fatal; SolveFailed is raised only when every point diverges.  ``plan``
+    fatal; SolveFailed is raised only when no point has a solution.  ``plan``
     is an earlier solve's grouping of its lanes into equations, which a
     re-solve takes in place of sorting its own where it still holds (see
     ``exprmat.distinct_rows``).
@@ -601,7 +609,9 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
             u[stale] = surface.value(tau[stale])
 
     if not conv.any():
-        raise SolveFailed("Newton diverged at every grid point")
+        raise SolveFailed("no grid point has a sign change of tau - phi in "
+                          "the scan window" if k == 1 else
+                          "Newton diverged at every grid point")
     du = [b.du_only() for b in bound]    # all that determinant() reads
 
     def determinant():
@@ -796,6 +806,8 @@ class _CellPicker:
         if self.root_select == "lowest":
             has &= ~self.found
         lanes = np.flatnonzero(has)
+        if not lanes.size:
+            return
         flip = flip[:, lanes]
         if self.root_select == "lowest":
             cell = flip.argmax(axis=0)
@@ -817,6 +829,22 @@ class _CellPicker:
         self.g_left[lanes] = g[cell, lanes]
 
 
+def _mid_cell(ends, cell, ia, b, mid, wide):
+    """The spline cell of each bisection midpoint ``mid`` from the cell ia
+    of its bracket's lower end and its upper end b, where cell i ends at
+    ``ends[i]`` (+inf past the last cell): ia plus one comparison with the
+    knot that ends it while the bracket spans one or two cells, and a
+    search (``cell``) on the lanes whose bracket reaches a third.
+    Brackets only narrow, so once no lane needed a search none will: the
+    returned ``wide`` says whether one did, and a False one skips the test."""
+    im = ia + (mid >= ends.take(ia))
+    if wide:
+        lanes = np.flatnonzero(b >= ends.take(ia + 1))
+        im[lanes] = cell(mid[lanes])
+        wide = lanes.size > 0
+    return im, wide
+
+
 def _solve_scalar(surface, bound, tau0, cfg):
     """Per lane of the bound potential, a root of G(tau) = tau - phi(x,
     f(tau)) on a curve, from the guesses tau0 (n, 1): scan the window for
@@ -829,9 +857,12 @@ def _solve_scalar(surface, bound, tau0, cfg):
     Under ``lowest`` a lane reads only its first sign change, so the scan
     ends after the block in which every lane has its cell; ``highest``
     and ``nearest`` scan every point.  The bisection slices the potential
-    once, to the lanes with a cell.  Returns tau (n, 1), bisection steps
-    and whether a lane has a root."""
+    once, to the lanes with a cell, and carries the spline cell of each
+    lane's lower bracket end, so a midpoint's curve point takes no search
+    (see ``_mid_cell``).  Returns tau (n, 1), bisection steps and whether
+    a lane has a root."""
     dep = surface.space.dependent
+    (phi,) = bound
     n = len(tau0)
     (lo, hi) = surface.tau_ranges[0]
     if cfg.tau_window is not None:
@@ -840,18 +871,19 @@ def _solve_scalar(surface, bound, tau0, cfg):
     if not lo < hi:
         raise SolverError("empty scan window")
     ws = np.linspace(lo, hi, _SCAN_POINTS)
-    us = surface.value(ws[:, None])
+    cw = surface.cell(ws)
+    us = surface.at(cw, ws)
     centres = 0.5 * (ws[:-1] + ws[1:])
     pick = _CellPicker(tau0[:, 0], cfg.root_select)
     lowest = cfg.root_select == "lowest"
     size = max(1, _SCAN_BLOCK // max(n, 1))
     g = np.empty((size + 1, n))     # row 0: the block before's last column
-    g[0] = ws[0] - _phi(bound, _u_env(dep, us[:1, None]))[0, :, 0]
+    np.subtract(ws[0], phi.value(_u_env(dep, us[:1, None]))[0], out=g[0])
     for j in range(1, len(ws), size):
         cols = slice(j, j + size)
         width = len(ws[cols])
-        g[1:width + 1] = (ws[cols, None]
-                          - _phi(bound, _u_env(dep, us[cols, None]))[..., 0])
+        np.subtract(ws[cols, None], phi.value(_u_env(dep, us[cols, None])),
+                    out=g[1:width + 1])
         pick.offer(j - 1, g[:width + 1], centres[j - 1:j - 1 + width])
         if lowest and pick.found.all():
             break
@@ -863,20 +895,30 @@ def _solve_scalar(surface, bound, tau0, cfg):
         return tau, iters, conv
 
     rows = np.where(conv)[0]
-    bound = [p.rows(rows) for p in bound]
+    phi = phi.rows(rows)
     idx = pick.idx[rows]
     a, b, ga = ws[idx], ws[idx + 1], pick.g_left[rows]
-    for _ in range(90):
-        mid = 0.5 * (a + b)
-        gm = mid - _phi(bound, _u_env(dep, surface.value(mid)))[:, 0]
+    ia, mid, wide = cw[idx], 0.5 * (a + b), True
+    ends = np.append(surface.s_grid[1:-1], (np.inf, np.inf))
+    # no lane can end before step ``quiet``: with u twice the float spacing
+    # at the largest |end|, a step leaves at least w/2 - u/2 of a bracket's
+    # width w, so after s steps w > w0/2^s - u, and a midpoint can equal an
+    # end only once w <= u
+    u = 2 * np.spacing(max(np.abs(a).max(), np.abs(b).max()))
+    quiet = int(np.log2((b - a).min() / (2 * u))) - 1
+    for steps in range(1, 91):
+        im, wide = _mid_cell(ends, surface.cell, ia, b, mid, wide)
+        gm = mid - phi.value(_u_env(dep, surface.at(im, mid)))
         left = ga * gm <= 0
         b = np.where(left, mid, b)
         a = np.where(left, a, mid)
+        ia = np.where(left, ia, im)
         ga = np.where(left, ga, gm)
-        iters[rows] += 1
         mid = 0.5 * (a + b)
-        if np.all((mid == a) | (mid == b)):  # adjacent floats on every lane
+        # adjacent floats on every lane
+        if steps > quiet and np.all((mid == a) | (mid == b)):
             break
+    iters[rows] = steps
     tau[rows, 0] = mid
     return tau, iters, conv
 

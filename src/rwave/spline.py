@@ -9,8 +9,10 @@ power-form coefficients about each cell's lower corner.  A call finds every poin
 cell with one ``searchsorted`` per axis and applies Horner's rule to the
 gathered coefficients, so the value and the first partials come from one
 interval search; the 2-D coefficients are lane-major, so every Horner step
-runs over whole lanes.  Every operation on the points is elementwise: a
-point's result does not depend on which other points share the call.
+runs over whole lanes.  The 1-D spline also evaluates on cells its caller
+already knows (``at``), with no search.  Every operation on the points is
+elementwise: a point's result does not depend on which other points share
+the call.
 
 Outside the grid the 1-D spline extrapolates with its end cubic, and the
 2-D spline clamps each coordinate to its range (infinities too).  NaN in
@@ -109,9 +111,18 @@ class Spline1D:
 
     def __call__(self, s, grad=False):
         """Values (m, q) at the points s (m,); with ``grad``, also d/ds."""
-        i, t = _cells(self.x, np.asarray(s, dtype=float))
-        c = self.c.take(i, axis=0)
-        t = t[:, None]
+        s = np.asarray(s, dtype=float)
+        return self.at(self.cell(s), s, grad)
+
+    def cell(self, s):
+        """The cell of each point s (m,), as ``_cells`` finds it."""
+        return np.searchsorted(self.x[1:-1], s, side="right")
+
+    def at(self, cells, s, grad=False):
+        """As ``__call__``, with the point s[i] taken on cell cells[i]; the
+        bits of ``__call__`` where cells are the points' own."""
+        c = self.c.take(cells, axis=0)
+        t = (s - self.x.take(cells))[:, None]
         value = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
         if not grad:
             return value

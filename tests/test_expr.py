@@ -345,6 +345,56 @@ def test_compiled_kernel_nan_lanes_and_signed_zeros():
         assert_kernel_matches_tree_walk(exprs, env)
 
 
+def test_compiled_kernel_folds_deep_constant_trees_bitwise(monkeypatch):
+    # a chain of 300 constant nodes, each on the one before and another
+    # node or leaf, with -0.0, NaN and ^(3/2) among them: every node is
+    # folded from its children's values in one operation, with the
+    # tree-walk's bits, and only the leaves are evaluated
+    rng = np.random.default_rng(21)
+    three_halves = Const(Fraction(3, 2))
+    leaves = [Const(-0.0), Const(0.0), Const(float("nan")), Const(2),
+              Const(-1.75), three_halves, Const(0.3), Const(1e300)]
+    nodes = list(leaves)
+    for _ in range(300):
+        a, b = nodes[-1], nodes[rng.integers(len(nodes))]
+        kind = rng.integers(4)
+        if kind == 0:
+            pair = (a, b) if rng.random() < 0.5 else (b, a)
+            nodes.append(Bin(str(rng.choice(list("+-*/"))), *pair))
+        elif kind == 1:
+            nodes.append(Bin("^", a, three_halves))
+        elif kind == 2:
+            nodes.append(Call(str(rng.choice(expr.FUNCTION_NAMES)), a))
+        else:
+            nodes.append(leaves[rng.integers(len(leaves))])
+    exprs = (*nodes, Bin("*", Var("x"), nodes[-1]), Bin("+", nodes[150],
+                                                       Var("x")))
+    env = {"x": np.array([-1.0, -0.0, 2.5])}
+    want = [np.broadcast_to(np.asarray(e.evaluate(env, strict=False),
+                                       dtype=float), (3,)) for e in exprs]
+    leaf_calls = []
+    const_evaluate = Const.evaluate
+
+    def leaf(self, env, strict=True):
+        leaf_calls.append(self)
+        return const_evaluate(self, env, strict)
+
+    def refuse(self, env, strict=True):
+        raise AssertionError(f"{self} evaluated as a subtree")
+
+    monkeypatch.setattr(Const, "evaluate", leaf)
+    monkeypatch.setattr(Bin, "evaluate", refuse)
+    monkeypatch.setattr(Call, "evaluate", refuse)
+    got = compile_exprs(exprs)(env)
+    assert len(leaf_calls) == len(set(leaf_calls)) <= len(leaves)
+    for j, w in enumerate(want):
+        assert_bitwise(got[:, j], w)
+    # the chain reaches finite values, NaN, infinities and -0.0
+    values = np.concatenate(want)
+    assert np.isfinite(values).sum() > 100 and np.isnan(values).any()
+    assert np.isinf(values).any() and np.signbit(values[values == 0]).any()
+
+
 def test_eval_vector_and_matrix_shape_contract():
     # over n lanes every entry gets a lane axis, constant entries included;
     # a point env is one lane; values are the tree-walk's bits

@@ -457,7 +457,9 @@ def test_solve_failed_when_no_roots():
     pot = parse("t", VarSpace(("t",), ("u",)))
     cfg = ImplicitSolveConfig(initial_guess=np.array([0.5]),
                               tau_window=(0.0, 1.0))
-    with pytest.raises(SolveFailed):
+    # no Newton iteration runs in a scalar solve, so the message says why
+    with pytest.raises(SolveFailed, match="^no grid point has a sign change "
+                       "of tau - phi in the scan window$"):
         solve_implicit(surf, [pot], {"t": np.array([5.0])}, cfg,
                        space=VarSpace(("t",), ("u",)))
 
@@ -1251,7 +1253,8 @@ def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select,
 
 def test_scalar_solve_evaluates_curve_once_per_scan_point():
     # the scan evaluates the curve at each scan point once, and the
-    # bisection only on the lanes with a root
+    # bisection only on the lanes with a root, whether it looks the cells
+    # up (``value``) or is given them (``at``)
     class Count:
         def __init__(self, surface):
             self._surface, self.points = surface, 0
@@ -1263,6 +1266,10 @@ def test_scalar_solve_evaluates_curve_once_per_scan_point():
             self.points += len(tau)
             return self._surface.value(tau)
 
+        def at(self, cells, tau):
+            self.points += len(tau)
+            return self._surface.at(cells, tau)
+
     surf, pots, grid, settings, params, space = ex3_scalar_case()
     counted = Count(surf)
     cfg = ImplicitSolveConfig(root_select="lowest", **settings)
@@ -1271,6 +1278,90 @@ def test_scalar_solve_evaluates_curve_once_per_scan_point():
     assert not field.converged.all()
     # scan points, bisection steps, then u at every lane's final tau
     assert counted.points == solver._SCAN_POINTS + field.iters.sum() + field.n
+
+
+def knot_scan_case():
+    # a curve whose 257 knots are dyadic, so that the scan points of its
+    # full window are its knots bit for bit; lanes with t = 0 have G = tau
+    # - x, zero at the knot x
+    space = VarSpace((), ("u",))
+    prov = solver.SurfaceProvenance((0.0,), (0.0,))
+    s = np.linspace(-4.0, 4.0, 257)
+    surf = solver.Surface1D(s, (0.5 * s + 0.25 * np.sin(3.0 * s))[:, None],
+                            space, ("s",), prov)
+    rng = np.random.default_rng(14)
+    n = 120
+    grid = {"t": rng.uniform(-1.0, 3.0, n), "x": rng.uniform(-3.0, 3.0, n),
+            "y": np.zeros(n)}
+    grid["t"][:23] = 0.0
+    grid["x"][:23] = [*rng.choice(s[1:-1], 20), -4.0, 4.0, s[-2]]
+    return (surf, [parse("x + t*u", SP3)], grid,
+            {"initial_guess": mixed_guess(grid)}, {"m": 1.0, "k": 1.0}, SP3)
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+@pytest.mark.parametrize("points", [solver._SCAN_POINTS, 33, 9])
+def test_scalar_solve_on_knot_scan_points_matches_matrix_scan_bitwise(
+        root_select, points, monkeypatch):
+    # at 257 points every bracket is one spline cell between two knots; at
+    # 33 and 9 it spans 8 and 32 cells, so the first bisection steps look
+    # the midpoints' cells up (the fallback of _mid_cell)
+    monkeypatch.setattr(solver, "_SCAN_POINTS", points)
+    surf, pots, grid, settings, params, space = knot_scan_case()
+    assert_bitwise(np.linspace(-4.0, 4.0, points),
+                   surf.s_grid[::256 // (points - 1)])
+    spans = []
+    mid_cell = solver._mid_cell
+
+    def recording(ends, cell, ia, b, mid, wide):
+        spans.append(int((cell(b) - ia).max()))
+        return mid_cell(ends, cell, ia, b, mid, wide)
+
+    monkeypatch.setattr(solver, "_mid_cell", recording)
+    cfg = ImplicitSolveConfig(root_select=root_select, **settings)
+    tau, iters, conv = reference_solve_scalar(surf, pots, grid, cfg, params,
+                                              space)
+    assert conv[:23].all() and not conv.all()
+    field = solve_implicit(surf, pots, grid, cfg, params=params, space=space)
+    assert_bitwise(field.tau, tau)
+    assert np.array_equal(field.iters, iters)
+    assert np.array_equal(field.converged, conv)
+    assert max(spans) == 256 // (points - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 30))
+def test_carried_cell_gives_the_bits_of_a_search_at_every_midpoint(seed, n):
+    # brackets over one, two, three or more cells, some with an end on a
+    # knot; lanes that always keep one end run their midpoints onto it
+    rng = np.random.default_rng(seed)
+    x = uneven_grid(rng, -1.0, 2.0, n)
+    sp = Spline1D(x, rng.normal(size=(n, 2)))
+    m = 300
+    lo = rng.integers(0, n - 1, m)
+    hi = np.minimum(lo + rng.integers(0, 4, m), n - 2)
+    a = x[lo] + rng.random(m) * (x[lo + 1] - x[lo])
+    b = x[hi] + rng.random(m) * (x[hi + 1] - x[hi])
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    on = rng.random((2, m)) < 0.4
+    a, b = np.where(on[0], x[lo], a), np.where(on[1], x[hi + 1], b)
+    ia = sp.cell(a)
+    assert set(np.minimum(sp.cell(b) - ia, 2)) == {0, 1, 2}
+    ends = np.append(x[1:-1], (np.inf, np.inf))
+    keep_left = rng.choice([0.0, 0.5, 1.0], m)
+    wide = True
+    for _ in range(70):
+        mid = 0.5 * (a + b)
+        im, wide = solver._mid_cell(ends, sp.cell, ia, b, mid, wide)
+        assert_bitwise(sp.at(im, mid), sp(mid))
+        assert_bitwise(sp.at(im, mid, grad=True)[1], sp(mid, grad=True)[1])
+        left = rng.random(m) < keep_left
+        b = np.where(left, mid, b)
+        a, ia = np.where(left, a, mid), np.where(left, ia, im)
+    # some lanes kept an end on a knot, below and above, and after 70
+    # halvings their midpoints are on it
+    assert np.isin(a[keep_left == 1.0], x).any()
+    assert np.isin(b[keep_left == 0.0], x).any()
 
 
 @pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
