@@ -504,8 +504,10 @@ def main(argv=None):
             solver_cfg = json.loads(Path(args.solver_config).read_text())
         params = {}
         for kv in args.param:
-            name, _, val = kv.partition("=")
+            name, sep, val = kv.partition("=")
             name = name.strip()
+            if not (sep and name):
+                raise RequestError(f"--param {kv!r} must be name=value")
             if name in params:
                 raise RequestError(f"--param names '{name}' twice")
             params[name] = float(val)

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rwave import cli
+from rwave import cli, expr
 from rwave.cli import (
     EXIT_CONDITION,
     EXIT_OK,
@@ -293,6 +294,41 @@ def test_run_seed_reproducibility_byte_identical(tmp_path):
         assert a == b, f"{name} differs between identical seeded runs"
 
 
+def count_source_compiles(monkeypatch):
+    """The sources ``rwave.expr`` hands to Python's ``compile`` from now on."""
+    compiled = []
+
+    def counting(source, *args):
+        compiled.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(expr, "compile", counting, raising=False)
+    return compiled
+
+
+@pytest.mark.parametrize("system, grid", [
+    ("example2", {"t": (1.0, 3.0, 5), "x": (1.0, 3.0, 3), "y": (0.2, 0.9, 5)}),
+    ("example3", {"t": (0.1, 1.0, 5), "x": (1.0, 3.0, 4), "y": (1.0, 3.0, 4)})])
+def test_second_run_compiles_no_kernel_source(tmp_path, monkeypatch, system,
+                                              grid):
+    # every kernel source of a run is compiled by the first run in a
+    # process; a second run takes each code object from the cache and
+    # writes the first run's bytes
+    first = base_request(tmp_path, system=system, grid=grid,
+                         out_dir=str(tmp_path / "first"))
+    assert run(first)[0] == EXIT_OK
+    compiled = count_source_compiles(monkeypatch)
+    again = dataclasses.replace(first, out_dir=str(tmp_path / "again"))
+    assert run(again)[0] == EXIT_OK
+    assert compiled == []
+    names = sorted(p.name for p in (tmp_path / "first").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "again").iterdir())
+    for name in names:
+        if name != "metadata.json":
+            assert ((tmp_path / "first" / name).read_bytes()
+                    == (tmp_path / "again" / name).read_bytes()), name
+
+
 def test_run_example3_pipeline(tmp_path):
     req = base_request(tmp_path, system="example3",
                        grid={"t": (0.1, 1.0, 5), "x": (1.0, 3.0, 4),
@@ -403,8 +439,8 @@ def test_run_verify_misses_bounds_exit3(tmp_path, monkeypatch):
 
 
 def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
-    # a reversed range, non-finite bounds and parameter values, a
-    # --solver-config file that does not exist, and numeric flags that must
+    # a reversed range, non-finite bounds and parameter values, a --param
+    # entry that is not name=value, a --solver-config file that does not exist, and numeric flags that must
     # be positive (and finite): nothing is written
     cases = [("empty range for t", ["--domain", "t=3:1"]),
              ("bounds must be finite", ["--domain", "t=0:inf"]),
@@ -413,6 +449,8 @@ def test_run_bad_arguments_exit2_write_nothing(tmp_path, capsys):
               ["--grid", "t=1:3:20,x=1:3:20,y=0.2:inf:20"]),
              ("--param values must be finite", ["--param", "m=nan"]),
              ("--param values must be finite", ["--param", "m=inf"]),
+             ("--param 'foo' must be name=value", ["--param", "foo"]),
+             ("--param '=1' must be name=value", ["--param", "=1"]),
              ("No such file", ["--solver-config",
                                str(tmp_path / "missing.json")]),
              ("must be positive", ["--trials", "0", "--fd-step", "0"]),

@@ -516,6 +516,120 @@ def test_staged_kernel_missing_variable_raises_at_its_step():
     assert point({"u1": np.ones(5)}).shape == (5, 1)
 
 
+# ---------------------------------------------------------------------------
+# one code object per generated kernel source
+
+def one_shape(c, x="x", y="y"):
+    """Three expressions whose kernel source is the same for every constant
+    ``c``: the one ``Const(c)`` node is read twice and folded under exp."""
+    k, x, y = Const(c), Var(x), Var(y)
+    return (Bin("+", Bin("*", x, k), Call("sin", Bin("/", k, y))),
+            Bin("^", Bin("-", x, k), Const(Fraction(3, 2))),
+            Bin("*", Call("exp", k), y))
+
+
+def tree_walk(exprs, env, lanes):
+    return np.stack([np.broadcast_to(np.asarray(
+        e.evaluate(env, strict=False), dtype=float), (lanes,)) for e in exprs],
+        axis=-1)
+
+
+EDGE_ENV = {"x": np.array([-1.0, -0.0, 0.5, 2.5, np.nan, 1e200]),
+            "y": np.array([0.3, -2.0, 0.0, 1.0, 4.0, -0.0])}
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.0, -0.0),
+                                  (float("nan"), 1e300)])
+def test_kernels_of_one_shape_share_code_and_keep_their_constants(a, b):
+    # the source holds slot names, never constant values, so the second
+    # tree hits the first one's code object; each kernel reads its own
+    # folded constants from its own namespace
+    for late in ((), ("y",)):
+        first = compile_exprs(one_shape(a), late=late)
+        before = expr._code.cache_info()
+        second = compile_exprs(one_shape(b), late=late)
+        after = expr._code.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert first.__code__ is second.__code__
+        for c, kernel in ((a, first), (b, second)):
+            got = (kernel({"x": EDGE_ENV["x"]})({"y": EDGE_ENV["y"]})
+                   if late else kernel(EDGE_ENV))
+            assert_bitwise(got, tree_walk(one_shape(c), EDGE_ENV, 6))
+
+
+def test_kernels_differing_in_a_name_or_late_set_get_their_own_code():
+    env = dict(EDGE_ENV, u1=EDGE_ENV["y"][::-1].copy())
+    kernels = {names: compile_exprs(one_shape(2.0, *names))
+               for names in (("x", "y"), ("x", "u1"), ("u1", "y"))}
+    assert len({k.__code__ for k in kernels.values()}) == 3
+    for names, kernel in kernels.items():
+        assert_bitwise(kernel(env), tree_walk(one_shape(2.0, *names), env, 6))
+    exprs = one_shape(2.0)
+    binds = {late: compile_exprs(exprs, late=late)
+             for late in (("x",), ("y",), ("x", "y"))}
+    assert len({b.__code__ for b in binds.values()}) == 3
+    for late, bind in binds.items():
+        early = {n: v for n, v in EDGE_ENV.items() if n not in late}
+        bound = bind(early)({n: EDGE_ENV[n] for n in late})
+        assert_bitwise(bound, tree_walk(exprs, EDGE_ENV, 6))
+
+
+def test_kernel_code_cache_across_threads():
+    # more threads than cores compile the same fresh shapes at once, with
+    # their own constants, switching often: every kernel gets its tree-walk
+    # bits, whichever thread compiled the code it runs
+    x, y = "race_x", "race_y"
+    env = {x: EDGE_ENV["x"], y: EDGE_ENV["y"]}
+    shapes = [lambda c: one_shape(c, x, y),
+              lambda c: (Call("ln", Bin("-", Var(y), Const(c))),),
+              lambda c: (Bin("/", Const(c), Bin("*", Var(x), Var(y))),
+                         Call("cos", Const(c)))]
+
+    def build(failures):
+        for k in range(40):
+            c = (k - 20) * 0.37
+            for shape in shapes:
+                exprs = shape(c)
+                want = tree_walk(exprs, env, 6)
+                got = (compile_exprs(exprs, late=(y,))({x: env[x]})({y: env[y]})
+                       if k % 2 else compile_exprs(exprs)(env))
+                if not np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)):
+                    failures.append((k, exprs))
+
+    failures = [[] for _ in range(8)]
+    threads = [threading.Thread(target=build, args=(f,)) for f in failures]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not any(failures), failures
+
+
+def test_kernel_code_cache_keeps_no_node_alive():
+    gc.collect()
+    before = len(expr._NODES)
+    # fresh names and constants, so every node is new; the cached code
+    # objects must hold none of them
+    exprs = (*one_shape(0.6180339887, "cached_x", "cached_y"),
+             Call("sqrt", Bin("+", Var("cached_x"), Const(0.7071067811))))
+    env = {"cached_x": np.array([0.25, 2.0]), "cached_y": np.array([1.0, -3.0])}
+    kernels = [compile_exprs(exprs),
+               compile_exprs(exprs, late=("cached_y",))]
+    assert kernels[0](env).shape == (2, 4)
+    assert kernels[1]({"cached_x": env["cached_x"]})(env).shape == (2, 4)
+    assert len(expr._NODES) > before + 10
+    del exprs, kernels
+    gc.collect()
+    assert len(expr._NODES) == before
+
+
 def reference_fold(terms):
     # the hand-rolled sum the matrix, bracket and contraction helpers built
     acc = Const(0)

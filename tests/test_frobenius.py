@@ -1,3 +1,4 @@
+import builtins
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench import workloads
-from rwave import exprmat, frobenius
+from rwave import expr, exprmat, frobenius
 from rwave.expr import Bin, Box, Call, Const, Expr, is_zero, parse, simplify
 from rwave.frobenius import (
     FrobeniusError,
@@ -577,6 +578,34 @@ def test_repeated_field_evaluation_compiles_once(monkeypatch):
         counts.append(len(compiled))
     # the first round compiles every kernel it needs, later rounds none
     assert counts[0] > 0 and counts == counts[:1] * 3, counts
+
+
+def test_second_rescaling_of_the_pair_compiles_no_kernel_source(monkeypatch):
+    # the benchmark's frames pair builds every object afresh on each
+    # operation, but their kernel sources repeat: a second operation takes
+    # each code object from the cache and gives the first one's bits
+    fields, names, box = benchmark_pair()
+
+    def operation():
+        res = rescale_frame(list(fields), names, box, rng=5)
+        worst = commutation_residual(res.scaled_fields(), box, rng=6,
+                                     n_samples=20)
+        return res.stages_run, bits(np.array(res.stage1_residuals)), bits(
+            np.float64(worst))
+
+    stages, residuals, worst = operation()
+    compiled = []
+
+    def counting(source, *args):
+        compiled.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(expr, "compile", counting, raising=False)
+    again, again_residuals, again_worst = operation()
+    assert compiled == []
+    assert again == stages and "base_pair" in stages
+    assert np.array_equal(again_residuals, residuals)
+    assert again_worst == worst
 
 
 def test_rescaled_frame_compiles_each_factor_once(monkeypatch):
