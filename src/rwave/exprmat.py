@@ -101,16 +101,24 @@ def distinct_rows(a, plan=None):
     patterns, so -0.0 and 0.0 (or two NaN payloads) stay apart; they sort
     by a lexsort of their int64 columns, far cheaper than a sort of rows.
 
-    ``plan``, the (first, inverse) of other rows as many, is returned as
-    it is when every row of ``a`` has the bits of ``a[first[inverse]]``,
-    for one gather and one compare instead of the sort.  Its groups may
-    then be finer than the distinct rows: rows equal in bits may lie in
-    different groups, but no group holds rows that differ.
+    ``plan``, the (first, inverse) of m other rows, where ``a`` has c·m
+    rows, serves ``a`` as c consecutive copies of those m rows: it is
+    returned so repeated when every row of ``a`` has the bits of the
+    group it maps to, for one gather and one compare instead of the sort.
+    Its groups may then be finer than the distinct rows: rows equal in
+    bits may lie in different groups, but no group holds rows that
+    differ.
     """
     bits = np.ascontiguousarray(a, dtype=float).view(np.int64)
-    if plan is not None and len(plan[1]) == len(bits):
+    if plan is not None:
         first, inverse = plan
-        if np.array_equal(bits.take(first.take(inverse), 0), bits):
+        copies = len(bits) // max(len(inverse), 1)
+        if copies > 1 and copies * len(inverse) == len(bits):
+            step = np.arange(copies)[:, None]
+            plan = first, inverse = ((first + len(inverse) * step).ravel(),
+                                     (inverse + len(first) * step).ravel())
+        if len(inverse) == len(bits) and np.array_equal(
+                bits.take(first.take(inverse), 0), bits):
             return plan
     cols = bits.T
     n = cols.shape[1]

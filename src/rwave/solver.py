@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from numbers import Real
 
 import numpy as np
 
@@ -29,6 +30,7 @@ _CURVE_POINTS = 241      # samples of a characteristic's spline
 _TANGENCY_SAMPLES = 25   # samples of surface_tangency_residual
 _SCAN_POINTS = 257       # points of the scalar solve's scan window
 _SCAN_BLOCK = 8192       # lane-columns of G per block of the scan
+_BOUND_CELLS = 16        # scan cells per block a rounded-interval bound skips
 _DU_STEP = 1e-6          # central-difference step of a numeric potential's du
 _CATASTROPHE = 1e-8      # |det| below which a converged point is a catastrophe
 
@@ -68,6 +70,13 @@ class ImplicitSolveConfig:
         if self.root_select not in ("nearest", "lowest", "highest"):
             raise ValueError(f"root_select must be nearest, lowest or "
                              f"highest, got {self.root_select!r}")
+        w = self.tau_window
+        if w is not None and not (
+                len(w) == 2
+                and all(isinstance(v, Real) and math.isfinite(v) for v in w)
+                and w[0] < w[1]):
+            raise ValueError(f"tau_window must be two finite numbers lo < "
+                             f"hi, got {list(w)!r}")
 
 
 @dataclass(frozen=True)
@@ -414,8 +423,10 @@ class PotentialFn:
             self._bind_value = compile_exprs([phi], late=late)
             self._bind_du = compile_exprs(
                 [simplify(phi.diff(n)) for n in late], late=late)
+            self._bound = _BoundPlan.of(phi, late)
         elif isinstance(phi, NumericPotential):
             self.symbolic = False
+            self._bound = None
         else:
             raise TypeError(f"unsupported potential {phi!r}")
 
@@ -454,6 +465,14 @@ class BoundPotential:
         return np.broadcast_to(value, np.broadcast_shapes(
             value.shape, *map(np.shape, u_env.values())))
 
+    def value_rows(self, rows):
+        """``rows(rows)`` for ``value`` only: a symbolic potential slices
+        its bound value kernel alone."""
+        if self.pot.symbolic:
+            return BoundPotential(self.pot, None,
+                                  (self._kernels[0].rows(rows), None))
+        return self.rows(rows)
+
     def du_only(self):
         """The potential without its bound value kernel, for ``du`` only."""
         if self.pot.symbolic:
@@ -470,6 +489,199 @@ class BoundPotential:
             dn = self.value({**u_env, name: u - _DU_STEP})
             cols.append((up - dn) / (2 * _DU_STEP))
         return np.stack(cols, axis=1)
+
+    def scan_bound(self, u_env, edges):
+        """The bound of G = w - phi over each block of scan points between
+        consecutive ``edges``, at every lane, with u at the scan points in
+        ``u_env`` (see _BoundPlan); None for a phi with no bound plan, or a
+        potential cut by ``rows``."""
+        if self.pot._bound is None or self._env is None:
+            return None
+        return self.pot._bound.at(self._env, u_env, edges)
+
+
+def _interval_product(alo, ahi, blo, bhi):
+    if isinstance(blo, float):
+        alo, ahi, blo, bhi = blo, bhi, alo, ahi
+    if isinstance(alo, float):
+        # one a for every lane: a*b is monotone in b at each end of a
+        return (np.minimum(alo * (blo if alo >= 0 else bhi),
+                           ahi * (blo if ahi >= 0 else bhi)),
+                np.maximum(alo * (bhi if alo >= 0 else blo),
+                           ahi * (bhi if ahi >= 0 else blo)))
+    corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return reduce(np.minimum, corners), reduce(np.maximum, corners)
+
+
+def _interval_quotient(alo, ahi, blo, bhi):
+    # a finite divisor of one strict sign, or the whole line
+    ok = ((blo > 0) | (bhi < 0)) & np.isfinite(blo) & np.isfinite(bhi)
+    corners = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+    return (np.where(ok, reduce(np.minimum, corners), -np.inf),
+            np.where(ok, reduce(np.maximum, corners), np.inf))
+
+
+def _interval_sqrt(lo, hi):
+    ok = lo >= 0
+    return np.where(ok, np.sqrt(lo), -np.inf), np.where(ok, np.sqrt(hi), np.inf)
+
+
+# a mixing node's interval from its children's [lo, hi], by the node's own
+# operation on their ends; np.minimum and np.maximum keep a NaN end, and a
+# comparison that a NaN fails gives the whole line
+_INTERVAL = {
+    "+": lambda alo, ahi, blo, bhi: (alo + blo, ahi + bhi),
+    "-": lambda alo, ahi, blo, bhi: (alo - bhi, ahi - blo),
+    "*": _interval_product,
+    "/": _interval_quotient,
+    "neg": lambda lo, hi: (-hi, -lo),
+    "abs": lambda lo, hi: (np.maximum(np.maximum(lo, -hi), 0.0),
+                           np.maximum(-lo, hi)),
+    "sqrt": _interval_sqrt,
+}
+
+
+class _BoundPlan:
+    """A rounded-interval bound of a symbolic phi over a block of scan
+    points, lane by lane.
+
+    A node of phi is row-only when it reads late (dependent) names and no
+    other, lane-only when it reads none, and mixing otherwise.  The
+    maximal row-only and lane-only subtrees are the leaves.  A row-only
+    leaf is bounded by the least and greatest of its values at the
+    block's points, which one kernel computes at every scan point; a
+    lane-only leaf by its value at the lane.  Each leaf interval is
+    widened outward by one ulp, so that a last-bit difference from the
+    value kernel cannot make a bound unsound.  Each mixing node applies
+    phi's own operation to its children's interval ends (``_INTERVAL``).
+    Those operations are correctly rounded, so monotone, and every value
+    the value kernel computes at the block's points lies in the bound; a
+    non-finite value there gives a non-finite end.  A phi with a mixing
+    node of another operation (``^``, exp, ln, sin, cos) has no plan.
+    """
+
+    def __init__(self, rows, lanes, program, root):
+        self._rows = compile_exprs(rows)
+        self._lanes = compile_exprs(lanes)
+        self._lane_reads = [e.variables() for e in lanes]
+        self._program = program    # (slot, op, child slots), in order
+        self._root = root          # phi's slot
+
+    @classmethod
+    def of(cls, phi, late):
+        """The plan of ``phi`` with the ``late`` names, or None."""
+        late = frozenset(late)
+        rows, lanes, program, refs = {}, {}, [], {}
+
+        def visit(e):
+            if e in refs:
+                return refs[e]
+            reads = e.variables()
+            if reads <= late or not reads & late:
+                kind = 0 if reads & late else 1
+                leaves = (rows, lanes)[kind]
+                ref = (kind, leaves.setdefault(e, len(leaves)))
+            else:
+                kids = [visit(c) for c in ((e.left, e.right)
+                                           if isinstance(e, Bin) else (e.arg,))]
+                op = e.op if isinstance(e, Bin) else e.fn
+                ref = None
+                if op in _INTERVAL and None not in kids:
+                    program.append((op, kids))
+                    ref = (2, len(program) - 1)
+            refs[e] = ref
+            return ref
+
+        root = visit(phi)
+        if root is None:
+            return None
+        # slots: row leaves, lane leaves, then mixing nodes in the order
+        # they are evaluated
+        base = (0, len(rows), len(rows) + len(lanes))
+
+        def slot(ref):
+            return base[ref[0]] + ref[1]
+
+        return cls(list(rows), list(lanes),
+                   [(base[2] + j, op, [slot(k) for k in kids])
+                    for j, (op, kids) in enumerate(program)], slot(root))
+
+    def at(self, env, u_env, edges):
+        """The plan over the blocks between consecutive scan points
+        ``edges``, at the lanes of ``env``; u at every scan point is in
+        ``u_env``.  A lane-only leaf that reads only 0-d values, and a
+        mixing node over such leaves and row-only ones, has one interval
+        per block for every lane: these are evaluated here, over all
+        blocks at once."""
+        vals = self._rows(u_env)
+        rows = vals.shape[1]
+        lo = np.full((len(edges) - 1, rows + len(self._lane_reads)
+                      + len(self._program)), np.nan)
+        hi = lo.copy()
+        # a block's points are its cells' left ends and its last point
+        for ext, out, away in ((np.minimum, lo, -np.inf),
+                               (np.maximum, hi, np.inf)):
+            out[:, :rows] = np.nextafter(ext(
+                ext.reduceat(vals[:-1], edges[:-1]), vals[edges[1:]]), away)
+        vals = self._lanes(env)
+        lanes = {}                   # leaf slot -> its interval per lane
+        for j, reads in enumerate(self._lane_reads):
+            slot = rows + j
+            if any(np.ndim(env[nm]) for nm in reads):
+                lanes[slot] = (np.nextafter(vals[:, j], -np.inf),
+                               np.nextafter(vals[:, j], np.inf))
+            else:
+                lo[:, slot] = np.nextafter(vals[0, j], -np.inf)
+                hi[:, slot] = np.nextafter(vals[0, j], np.inf)
+        varying, program = set(lanes), []
+        with np.errstate(all="ignore"):
+            for slot, op, kids in self._program:
+                if varying.intersection(kids):
+                    varying.add(slot)
+                    program.append((slot, op, kids))
+                else:
+                    lo[:, slot], hi[:, slot] = _INTERVAL[op](
+                        *(v for k in kids for v in (lo[:, k], hi[:, k])))
+        return _ScanBound(lo, hi, lanes, program, self._root, len(vals))
+
+
+class _ScanBound:
+    """A _BoundPlan at the lanes of one scan: the intervals of each block
+    that hold for every lane, those of the lane-only leaves that differ
+    between lanes, and the mixing nodes over those, evaluated block by
+    block; ``take`` narrows its lanes."""
+
+    def __init__(self, lo, hi, lanes, program, root, n):
+        self._lo, self._hi, self._lanes = lo, hi, lanes
+        self._program, self._root, self._n = program, root, n
+
+    def take(self, keep):
+        """Keep only the lanes ``keep`` (a mask of the lanes kept so far)."""
+        self._lanes = {k: (lo[keep], hi[keep])
+                       for k, (lo, hi) in self._lanes.items()}
+        self._n = int(np.count_nonzero(keep))
+
+    def phi(self, block):
+        """phi's interval [lo, hi] over ``block`` at each lane, or one
+        interval of floats for every lane."""
+        lo, hi = self._lo[block].tolist(), self._hi[block].tolist()
+        for k, (lane_lo, lane_hi) in self._lanes.items():
+            lo[k], hi[k] = lane_lo, lane_hi
+        for slot, op, kids in self._program:
+            lo[slot], hi[slot] = _INTERVAL[op](
+                *(v for k in kids for v in (lo[k], hi[k])))
+        return lo[self._root], hi[self._root]
+
+    def proven(self, block, w_first, w_last):
+        """Per lane, whether G = w - phi keeps one strict sign, finite, at
+        every point of ``block``, whose scan points run from ``w_first``
+        to ``w_last``.  G's bound there is [w_first - phi_hi, w_last -
+        phi_lo], and its lower end is above 0 just when phi_hi < w_first;
+        a NaN or infinite end proves nothing."""
+        with np.errstate(all="ignore"):
+            lo, hi = self.phi(block)
+            sure = ((hi < w_first) | (lo > w_last)) & np.isfinite(lo + hi)
+        return np.broadcast_to(sure, (self._n,))
 
 
 # ---------------------------------------------------------------------------
@@ -778,12 +990,12 @@ def _newton(surface, bound, tau0, cfg):
 
 
 class _CellPicker:
-    """Per lane, the sign-change cell ``root_select`` picks, offered a
-    block of consecutive cells at a time in scan order: the lowest, the
-    highest, or the one whose centre is nearest ``tau0`` (the lowest of
-    equals, and the first when ``tau0`` is NaN or infinite).  A lane keeps
-    whether it has a cell, its index (0 without one), G at its left end
-    and its distance."""
+    """Per lane, the sign-change cell ``root_select`` picks, offered
+    blocks of consecutive cells in scan order: the lowest, the highest, or
+    the one whose centre is nearest ``tau0`` (the lowest of equals, and
+    the first when ``tau0`` is NaN or infinite).  A lane keeps whether it
+    has a cell, its index (0 without one), G at its left end and its
+    distance."""
 
     def __init__(self, tau0, root_select):
         n = len(tau0)
@@ -794,21 +1006,24 @@ class _CellPicker:
         self.g_left = np.zeros(n)
         self.dist = np.full(n, np.inf)
 
-    def offer(self, first, g, centres):
+    def offer(self, first, g, centres, lanes=None):
         """The cells ``first``, ``first`` + 1, ... between consecutive rows
-        of ``g`` (b + 1, n), G at consecutive scan points; ``centres`` (b,)
-        are the cells' centres."""
+        of ``g`` (b + 1, m), G at consecutive scan points of the lanes
+        ``lanes`` (all n when None); ``centres`` (b,) are the cells'
+        centres."""
         # both ends finite, and G changes sign or is zero at an end
         pos, zero, finite = g > 0, g == 0, np.isfinite(g)
         flip = (((pos[:-1] != pos[1:]) | zero[:-1] | zero[1:])
                 & finite[:-1] & finite[1:])
         has = flip.any(axis=0)
+        if lanes is None:
+            lanes = np.arange(g.shape[1])
         if self.root_select == "lowest":
-            has &= ~self.found
-        lanes = np.flatnonzero(has)
-        if not lanes.size:
+            has &= ~self.found[lanes]
+        cols = np.flatnonzero(has)
+        if not cols.size:
             return
-        flip = flip[:, lanes]
+        flip, lanes = flip[:, cols], lanes[cols]
         if self.root_select == "lowest":
             cell = flip.argmax(axis=0)
         elif self.root_select == "highest":
@@ -822,11 +1037,77 @@ class _CellPicker:
             # the first flip is never replaced
             cell = np.where(dist < np.inf, cell, flip.argmax(axis=0))
             better = ~self.found[lanes] | (dist < self.dist[lanes])
-            lanes, cell = lanes[better], cell[better]
+            cols, lanes, cell = cols[better], lanes[better], cell[better]
             self.dist[lanes] = dist[better]
         self.found[lanes] = True
         self.idx[lanes] = first + cell
-        self.g_left[lanes] = g[cell, lanes]
+        self.g_left[lanes] = g[cell, cols]
+
+
+def _scan(phi, dep, ws, us, pick, lowest):
+    """Offer ``pick`` the cells between the scan points ``ws``, where u is
+    ``us``, in which G = w - phi can change sign, in scan order.
+
+    With a bound (``BoundPotential.scan_bound``) the cells go in blocks of
+    ``_BOUND_CELLS``, and G is evaluated only at the lanes whose block the
+    bound does not prove free of a sign change, a zero and a non-finite
+    value, where the picker would pick nothing; without one every lane
+    scans the whole window as one block.  A bound is taken only past
+    ``_SCAN_BLOCK`` // ``_BOUND_CELLS`` lanes, where a call without it
+    covers fewer points than a block: below that the scan makes no more
+    calls than there are blocks, and the bound's own work per block costs
+    more than it saves.
+
+    Each potential call takes B scan points broadcast over the m lanes it
+    evaluates (B <= ``_SCAN_BLOCK`` // m, never repeated), and each pick
+    starts at the last point of the call before, so memory grows with the
+    lanes only.  A lane evaluated in consecutive blocks carries G at their
+    shared point.  Under ``lowest`` a lane reads only its first sign
+    change, so it leaves once it has its cell; ``highest`` and
+    ``nearest`` keep every lane."""
+    n, cells = len(pick.found), len(ws) - 1
+    centres = 0.5 * (ws[:-1] + ws[1:])
+    edges = [*range(0, cells, _BOUND_CELLS), cells]
+    bound = (phi.scan_bound(_u_env(dep, us), edges)
+             if isinstance(phi, BoundPotential)
+             and n * _BOUND_CELLS > _SCAN_BLOCK else None)
+    if bound is None:
+        edges = [0, cells]
+    active = np.arange(n)
+    last, at = np.empty(n), np.full(n, -1)   # G at the point ``at``
+    for block, (s, e) in enumerate(zip(edges[:-1], edges[1:])):
+        lanes = active
+        if bound is not None:
+            lanes = active[~bound.proven(block, ws[s], ws[e])]
+        m = len(lanes)
+        if m:
+            sub = phi if m == n else phi.value_rows(lanes)
+            size = min(max(1, _SCAN_BLOCK // m), e + 1 - s)
+            g = np.empty((size + 1, m))
+            # rows of g that hold G already, at the points before ``j``
+            j, held = s, 0
+            if (at[lanes] == s).all():
+                g[0], j, held = last[lanes], s + 1, 1
+            while j <= e:
+                width = min(size, e + 1 - j)
+                np.subtract(ws[j:j + width, None],
+                            sub.value(_u_env(dep, us[j:j + width, None])),
+                            out=g[held:held + width])
+                j, held = j + width, held + width
+                pick.offer(j - held, g[:held], centres[j - held:j - 1], lanes)
+                if lowest and pick.found[lanes].all():
+                    break
+                g[0], held = g[held - 1], 1
+            else:
+                last[lanes], at[lanes] = g[0], e
+        if lowest:
+            keep = ~pick.found[active]
+            if not keep.all():
+                active = active[keep]
+                if not active.size:
+                    return
+                if bound is not None:
+                    bound.take(keep)
 
 
 def _mid_cell(ends, cell, ia, b, mid, wide):
@@ -848,15 +1129,9 @@ def _mid_cell(ends, cell, ia, b, mid, wide):
 def _solve_scalar(surface, bound, tau0, cfg):
     """Per lane of the bound potential, a root of G(tau) = tau - phi(x,
     f(tau)) on a curve, from the guesses tau0 (n, 1): scan the window for
-    sign changes, pick a cell while scanning and bisect it until its ends
-    are adjacent floats on every lane.  The scan runs in blocks of B =
-    ``_SCAN_BLOCK`` // n columns of G, each one potential call with the
-    block's u broadcast over the lanes (never repeated) and one cell pick
-    that starts at the last column of the block before, so memory grows
-    with the lanes only.  The curve is evaluated once per scan point.
-    Under ``lowest`` a lane reads only its first sign change, so the scan
-    ends after the block in which every lane has its cell; ``highest``
-    and ``nearest`` scan every point.  The bisection slices the potential
+    sign changes, pick a cell while scanning (see ``_scan``) and bisect it
+    until its ends are adjacent floats on every lane.  The curve is
+    evaluated once per scan point.  The bisection slices the potential
     once, to the lanes with a cell, and carries the spline cell of each
     lane's lower bracket end, so a midpoint's curve point takes no search
     (see ``_mid_cell``).  Returns tau (n, 1), bisection steps and whether
@@ -873,21 +1148,8 @@ def _solve_scalar(surface, bound, tau0, cfg):
     ws = np.linspace(lo, hi, _SCAN_POINTS)
     cw = surface.cell(ws)
     us = surface.at(cw, ws)
-    centres = 0.5 * (ws[:-1] + ws[1:])
     pick = _CellPicker(tau0[:, 0], cfg.root_select)
-    lowest = cfg.root_select == "lowest"
-    size = max(1, _SCAN_BLOCK // max(n, 1))
-    g = np.empty((size + 1, n))     # row 0: the block before's last column
-    np.subtract(ws[0], phi.value(_u_env(dep, us[:1, None]))[0], out=g[0])
-    for j in range(1, len(ws), size):
-        cols = slice(j, j + size)
-        width = len(ws[cols])
-        np.subtract(ws[cols, None], phi.value(_u_env(dep, us[cols, None])),
-                    out=g[1:width + 1])
-        pick.offer(j - 1, g[:width + 1], centres[j - 1:j - 1 + width])
-        if lowest and pick.found.all():
-            break
-        g[0] = g[width]
+    _scan(phi, dep, ws, us, pick, cfg.root_select == "lowest")
     conv = pick.found
     tau = np.full((n, 1), np.nan)
     iters = np.zeros(n, dtype=int)

@@ -5,7 +5,8 @@ from the solver's own internals: residual reports against the defining
 system, tangent-map recovery onto the wave dyads, rank estimation, and
 constancy of u along the common kernel of the wave covectors.  Each
 check makes one batched pass over the grid: stacked Jacobians, stacked
-SVDs, and one re-solve per displaced grid.
+SVDs, and one re-solve per displaced grid, or per group of displaced
+grids of a k = 1 field.
 """
 
 from __future__ import annotations
@@ -33,33 +34,63 @@ class DegenerateElements(VerifyError):
 SVD_GAP = 1e6  # sigma_i / sigma_{i+1} beyond this marks the rank cut
 _RANK_FLOOR = 1e-12  # singular values at or below this never count
 _CONSTANCY_TOL = 1e-6  # derivative of u along the kernel counted as zero
+_GROUP_LANES = 4096  # lanes of a group of displaced k = 1 grids per resolve
 
 
 def fd_jacobian_batch(field, h=1e-5, richardson=False):
     """Central-difference Jacobians du/dx for every grid point, re-solving
-    whole displaced grids at once, warm-started from the field's tau.
-    Returns (n, q, p).
+    whole displaced grids, warm-started from the field's tau.  Returns
+    (n, q, p).
 
     With ``richardson=True`` combines steps h and h/2 for an O(h^4)
     estimate.
-    """
-    def jac_at(step):
-        J = np.empty((field.n, field.u.shape[1], len(field.x_names)))
-        base = {nm: field.x[:, j] for j, nm in enumerate(field.x_names)}
-        for i, name in enumerate(field.x_names):
-            up = field.resolve({**base, name: base[name] + step}, field.tau)
-            dn = field.resolve({**base, name: base[name] - step}, field.tau)
-            ok = up.converged & dn.converged
-            if not ok.all():
-                raise NeighborDiverged("displaced solve failed at point "
-                                       f"{int(np.argmin(ok))} along {name}")
-            J[:, :, i] = (up.u - dn.u) / (2.0 * step)
-        return J
 
-    J = jac_at(h)
+    The displaced grids of a k = 1 field are re-solved in groups of
+    consecutive grids of at most ``_GROUP_LANES`` lanes, one ``resolve``
+    per group: a k = 1 solve shares nothing between lanes but the
+    bisection's step count, and extra steps move no finished lane's tau.
+    A k >= 2 field re-solves one grid at a time, as its Newton retries
+    from converged grid neighbours.  A grid none of whose lanes converged
+    fails as any failed lane does, with NeighborDiverged, unless its whole
+    group failed.
+    """
+    names, n = field.x_names, field.n
+    base = {nm: field.x[:, j] for j, nm in enumerate(names)}
+    steps = (h, h / 2.0) if richardson else (h,)
+    # each step, each name, the grid displaced up then down
+    moves = [(step, name, up) for step in steps for name in names
+             for up in (True, False)]
+
+    def displaced(step, name, up):
+        return {**base, name: base[name] + step if up else base[name] - step}
+
+    per = max(1, _GROUP_LANES // n) if field.k == 1 else 1
+    J = np.empty((len(steps), n, field.u.shape[1], len(names)))
+    u, ok = [], []
+    for first in range(0, len(moves), per):
+        group = [displaced(*m) for m in moves[first:first + per]]
+        if len(group) > 1:
+            env = {nm: np.concatenate([g[nm] for g in group]) for nm in names}
+            guess = np.concatenate([field.tau] * len(group))
+        else:
+            (env,), guess = group, field.tau
+        sol = field.resolve(env, guess)
+        u += np.split(sol.u, len(group))
+        ok += np.split(sol.converged, len(group))
+        # each pair of grids, up and down, once both are solved; its u is
+        # let go once read
+        for j in range(first // 2, len(ok) // 2):
+            s, i = divmod(j, len(names))
+            both = ok[2 * j] & ok[2 * j + 1]
+            if not both.all():
+                raise NeighborDiverged("displaced solve failed at point "
+                                       f"{int(np.argmin(both))} along "
+                                       f"{names[i]}")
+            J[s, :, :, i] = (u[2 * j] - u[2 * j + 1]) / (2.0 * steps[s])
+            u[2 * j] = u[2 * j + 1] = None
     if richardson:
-        J = (4.0 * jac_at(h / 2.0) - J) / 3.0
-    return J
+        return (4.0 * J[1] - J[0]) / 3.0
+    return J[0]
 
 
 @dataclass

@@ -4,14 +4,20 @@ Each test prints one PASS/FAIL line (visible with -s); the assertions pin
 the same numbers.
 """
 
+import functools
 import json
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rwave import exprmat
-from rwave.cli import EXIT_OK, AnalysisRequest, run
+from rwave import cli, exprmat
+from rwave.cli import EXIT_OK, PIPELINE, AnalysisRequest, run
 from rwave.expr import Bin, Box, Const, Var, ZeroVerdict, is_zero, parse, simplify
 from rwave.fixtures import PRESETS, load_fixture, system_from_dict
 from rwave.frobenius import (
@@ -34,8 +40,13 @@ from rwave.solver import (
     integrate_characteristic,
     solve_implicit,
 )
+from rwave.reports import write_solution_field
 from rwave.system import homogenize
-from rwave.verify import fd_jacobian_batch
+from rwave.verify import (
+    fd_jacobian_batch,
+    recover_decomposition,
+    residual_report,
+)
 
 from .strategies import fixture_box, random_polynomial_vector, recover_at
 from .test_cli import read_solution_field_table
@@ -410,3 +421,86 @@ def test_criterion_8_catastrophe_detection():
     ok &= track < 1e-7
     report(8, ok, f"root {t_root:.4f} bracketed in [{below.max():.4f}, "
                   f"{above.min():.4f}], monitor err {track:.2e}")
+
+
+# ---------------------------------------------------------------------------
+# lane independence, end to end: a lane's bits do not depend on which other
+# lanes share a call
+
+@functools.cache
+def preset_run(system, root_select):
+    """A run of ``system`` on its preset grid, and the arguments and result
+    of each of its calls to the solve, the Jacobians, the residuals and
+    the recovery, and the rows of its solution.csv."""
+    seen = {}
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            seen[name] = (args, kwargs, fn(*args, **kwargs))
+            return seen[name][2]
+        return call
+
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        for name in ("solve_implicit", "fd_jacobian_batch", "residual_report",
+                     "recover_decomposition"):
+            mp.setattr(cli, name, recording(name, getattr(cli, name)))
+        req = AnalysisRequest(
+            system=system, domain={}, stages=PIPELINE,
+            grid=PRESETS[system]["grid"], out_dir=out, seed=5,
+            solver={"root_select": root_select} if root_select else {})
+        assert run(req)[0] == EXIT_OK
+        rows = read_solution_field_table(Path(out) / "solution.csv")[1]
+    return seen, rows
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64) if got.dtype == float else got,
+                          want.view(np.int64) if want.dtype == float else want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from([("example2", None), ("example3", "lowest"),
+                             ("example3", "highest"),
+                             ("example3", "nearest")]),
+       picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=120))
+@example(case=("example2", None), picks=[4321])          # one lane alone
+@example(case=("example3", "nearest"), picks=[7, 7, 3])
+def test_lanes_match_the_full_grid_end_to_end(case, picks):
+    # a random subset of a preset grid's lanes, with repeats and in any
+    # order, through the solve, the Richardson Jacobians, the residuals,
+    # the recovery and the row writer: each lane has the full grid's bits
+    # a k = 1 lane's iteration count is its solve's bisection step count,
+    # the most any of its lanes needs, so it alone is left out there
+    seen, rows = preset_run(*case)
+    (surface, phis, grid, cfg), kwargs, full = seen["solve_implicit"]
+    per_lane = ["tau", "u", "converged", "det_monitor"]
+    if surface.k > 1:
+        # no lane of the preset takes the warm-start retry, the one step
+        # that reads other lanes (its grid-order neighbours)
+        assert (full.iters < cfg.max_iter).all()
+        per_lane.append("iters")
+    lanes = np.array(picks) % full.n
+    field = solve_implicit(surface, phis,
+                           {nm: np.asarray(v)[lanes] for nm, v in grid.items()},
+                           cfg, **kwargs)
+    jac = fd_jacobian_batch(field, **seen["fd_jacobian_batch"][1])
+    (system, *_), res_kwargs, res_full = seen["residual_report"]
+    res = residual_report(system, field, jac, **res_kwargs)
+    (_, elements, _), _, rec_full = seen["recover_decomposition"]
+    rec = recover_decomposition(jac, elements, field.grid_env())
+    for name in per_lane:
+        assert_bits(getattr(field, name), getattr(full, name)[lanes])
+    assert_bits(jac, seen["fd_jacobian_batch"][2][lanes])
+    assert_bits(res.norms, res_full.norms[lanes])
+    for name in ("xi", "reconstruction_error", "rank"):
+        assert_bits(getattr(rec, name), getattr(rec_full, name)[lanes])
+    with tempfile.TemporaryDirectory() as out:
+        path = write_solution_field(Path(out) / "solution.csv", field,
+                                    residual_norms=res.norms)
+        header, got = read_solution_field_table(path)
+    keep = [j for j, col in enumerate(header)
+            if col != "newton_iters" or "iters" in per_lane]
+    assert ([[row[j] for j in keep] for row in got]
+            == [[rows[i][j] for j in keep] for i in lanes])

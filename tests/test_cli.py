@@ -534,6 +534,26 @@ def test_run_unknown_root_select_exit4(tmp_path):
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("window", ["[NaN, -0.3]", "[-0.3]", "[-0.3, -24.0]",
+                                    "[-2.0, -2.0]"],
+                         ids=["NaN end", "one end", "lo > hi", "lo = hi"])
+def test_run_bad_tau_window_exit4(tmp_path, window):
+    # a NaN end must not fall back to the curve's own end, and one end
+    # must not fail as an IndexError
+    cfg = tmp_path / "w.json"
+    cfg.write_text(f'{{"tau_window": {window}}}')
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example3", "--grid",
+                 "t=0.1:1:3,x=1:3:3,y=1:3:3", "--solver-config", str(cfg),
+                 "--out", str(out)]) == EXIT_SOLVER
+    outcomes = json.loads((out / "outcomes.json").read_text())
+    assert outcomes["rescale"]["ok"] is True
+    assert outcomes["solve"]["ok"] is False
+    assert outcomes["solve"]["detail"].startswith(
+        "ValueError: tau_window must be two finite numbers lo < hi")
+    assert not (out / "solution.csv").exists()
+
+
 def test_run_unknown_root_select_fails_before_the_surface(tmp_path,
                                                           monkeypatch):
     built = []

@@ -702,6 +702,31 @@ def test_distinct_rows_takes_a_plan_only_where_it_holds(shape, data):
     assert_bitwise(a[got[0]][got[1]], a)
 
 
+def test_distinct_rows_plan_serves_copies_of_its_rows(monkeypatch):
+    # a plan of m rows serves c*m rows as c copies of them, each copy's
+    # groups its own, without a sort; a copy with a row off its group's
+    # bits is sorted afresh
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1)
+                        or lexsort(keys))
+    b = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+    plan = exprmat.distinct_rows(b)
+    a = np.concatenate([b, b + 5.0, b])
+    sorts.clear()
+    first, inverse = exprmat.distinct_rows(a, plan)
+    assert not sorts
+    assert first.tolist() == [0, 1, 3, 4, 6, 7]
+    assert inverse.tolist() == [0, 1, 0, 2, 3, 2, 4, 5, 4]
+    a[5, 0] = 9.0
+    first, inverse = exprmat.distinct_rows(a, plan)
+    assert sorts
+    assert first.tolist() == [0, 1, 3, 4, 5]
+    assert inverse.tolist() == [0, 1, 0, 2, 3, 4, 0, 1, 0]
+    # rows that are no whole number of copies are sorted
+    assert exprmat.distinct_rows(a[:4], plan)[0].tolist() == [0, 1, 3]
+
+
 def test_distinct_rows_plan_keeps_signed_zeros_apart():
     # one row's -0.0 where the rest of its group has 0.0: the plan does not
     # hold, and the fresh sort puts that row in a group of its own

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from rwave import exprmat, geometry, ode, solver, spline
 from rwave.expr import (
+    Bin,
     Box,
+    Call,
     Const,
     Expr,
     MissingVariableError,
@@ -1202,6 +1204,16 @@ def test_scalar_solve_matches_matrix_scan_bitwise(case, root_select):
 
 
 @pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_bounded_scalar_solve_matches_matrix_scan_bitwise(case, root_select,
+                                                          monkeypatch):
+    # the cases above at calls of 1 024 lane-columns, where their 120 or
+    # 150 lanes take the scan's bound
+    monkeypatch.setattr(solver, "_SCAN_BLOCK", 1024)
+    test_scalar_solve_matches_matrix_scan_bitwise(case, root_select)
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
 def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select,
                                                                monkeypatch):
     # G = w - u + c (u - r1)(u - r2)(u - r3) has up to three roots per
@@ -1458,6 +1470,195 @@ def test_scalar_solve_memory_linear_in_lanes():
         tracemalloc.stop()
     assert field.converged.all()
     assert peak < 1024 * n
+
+
+# ---------------------------------------------------------------------------
+# the bounded scan: the scan skips a block of cells at the lanes where a
+# rounded-interval bound proves G of one strict sign, finite, at every
+# point; every other cell is offered with the same G, so the solve keeps
+# the bits of the matrix scan
+
+ROW_ATOMS = ("u", "sin(u)", "exp(u)", "u^2", "ln(|u|)", "sqrt(u)", "1/u")
+LANE_ATOMS = ("x", "t", "y", "m", "ln(|y|)", "exp(x)", "cos(t)", "2", "0.5")
+
+
+def bound_phi_strategy(max_leaves=8):
+    # leaves that read only u, with transcendentals, NaN below u = 0 and
+    # infinities at u = 0, or no u; nodes over them that a bound covers,
+    # and now and then one it does not
+    leaves = st.sampled_from([parse(a, SP3) for a in ROW_ATOMS + LANE_ATOMS])
+
+    def extend(kids):
+        binary = st.tuples(st.sampled_from("+-*/"), kids, kids).map(
+            lambda a: Bin(*a))
+        unary = st.tuples(st.sampled_from(["neg", "abs", "sqrt"]), kids).map(
+            lambda a: Call(*a))
+        other = st.one_of(
+            st.tuples(st.sampled_from(["exp", "sin", "ln"]), kids).map(
+                lambda a: Call(*a)),
+            kids.map(lambda k: Bin("^", k, Const(2))))
+        return st.one_of(binary, binary, unary, other)
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def bound_scan_lanes(seed, n=30):
+    # the knot curve of knot_scan_case, whose scan points are its knots;
+    # lanes with t = 0 have G = w - x for phi = x + t*q, zero at the knot
+    # x, four of them on a block's end; a NaN and an infinite x
+    surf = knot_scan_case()[0]
+    rng = np.random.default_rng(seed)
+    s = surf.s_grid
+    grid = {"t": rng.uniform(-0.5, 0.5, n), "x": rng.uniform(-3.5, 3.5, n),
+            "y": rng.uniform(0.2, 3.0, n)}
+    grid["t"][:8] = 0.0
+    grid["x"][:8] = [*rng.choice(s[16:-1:16], 4), *rng.choice(s[1:-1], 4)]
+    grid["x"][8:10] = [np.nan, np.inf]
+    grid["y"][10] = 0.0
+    return surf, grid, {"m": 1.3, "k": 0.7}
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi=bound_phi_strategy(), seed=st.integers(0, 2 ** 32 - 1))
+@example(phi=parse("sin(u)*(x*u) - u^2*(y - u)", SP3), seed=1)
+@example(phi=parse("(x*u)*(t - u) + (u^2 + 1)/(x*u)", SP3), seed=2)
+@example(phi=parse("sqrt(abs(x*u)) - abs(t - u) - m*u", SP3), seed=3)
+def test_scan_bound_holds_every_kernel_value(phi, seed):
+    # on random blocks: phi and G = w - phi as the value kernel computes
+    # them lie in the block's bounds at every point, and a proven block has
+    # G finite and of one strict sign, so a block with a zero, NaN or
+    # infinite G is never proven
+    surf, grid, params = bound_scan_lanes(seed)
+    rng = np.random.default_rng(seed)
+    env, n = solver._env_from_grid(SP3.independent, grid, params)
+    bound = solver.PotentialFn(phi, SP3).bind(env)
+    ws, dep = surf.s_grid, SP3.dependent
+    us = surf.value(ws)
+    edges = sorted({0, 256, *rng.integers(1, 256, rng.integers(0, 20))})
+    plan = bound.scan_bound(solver._u_env(dep, us), edges)
+    if plan is None:
+        return
+    with np.errstate(all="ignore"):
+        for b, (s, e) in enumerate(zip(edges[:-1], edges[1:])):
+            phi = bound.value(solver._u_env(dep, us[s:e + 1, None]))
+            g = ws[s:e + 1, None] - phi
+            lo, hi = plan.phi(b)
+            g_lo, g_hi = ws[s] - np.asarray(hi), ws[e] - np.asarray(lo)
+            for v, v_lo, v_hi in ((phi, lo, hi), (g, g_lo, g_hi)):
+                assert ((v_lo <= v) & (v <= v_hi) | np.isnan(v)
+                        | np.isnan(v_lo) | np.isnan(v_hi)).all()
+            sure = plan.proven(b, ws[s], ws[e])
+            assert sure.shape == (n,)
+            assert np.isfinite(g[:, sure]).all()
+            assert ((g > 0).all(axis=0) | (g < 0).all(axis=0))[sure].all()
+
+
+def test_scan_bound_widens_each_leaf_by_one_ulp():
+    # a row-only phi is bounded by the extremes of its values at a block's
+    # points, and a lane-only one by its value at the lane, each moved one
+    # ulp outward
+    surf, grid, params = bound_scan_lanes(3)
+    env, n = solver._env_from_grid(SP3.independent, grid, params)
+    ws, dep = surf.s_grid, SP3.dependent
+    us = surf.value(ws)
+    for text in ("sin(u)*u + exp(u)", "m*exp(t) - ln(|y|)"):
+        bound = solver.PotentialFn(parse(text, SP3), SP3).bind(env)
+        plan = bound.scan_bound(solver._u_env(dep, us), [0, 16, 40, 256])
+        for b, (s, e) in enumerate([(0, 16), (16, 40), (40, 256)]):
+            with np.errstate(all="ignore"):
+                phi = bound.value(solver._u_env(dep, us[s:e + 1, None]))
+            lo, hi = plan.phi(b)
+            assert_bitwise(np.broadcast_to(lo, (n,)),
+                           np.nextafter(phi.min(axis=0), -np.inf))
+            assert_bitwise(np.broadcast_to(hi, (n,)),
+                           np.nextafter(phi.max(axis=0), np.inf))
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+@settings(max_examples=25, deadline=None)
+@given(q=bound_phi_strategy(max_leaves=6), seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from([64, 256]))
+@example(q=parse("exp(x*u)", SP3), seed=1, block=64)           # no bound
+@example(q=parse("u*m + u^2*k", SP3), seed=2, block=64)
+def test_bounded_scan_matches_matrix_scan_bitwise(root_select, q, seed,
+                                                  block):
+    # phi = x + t*q: roots on block ends, G exactly 0 at a scan point,
+    # lanes whose G is NaN or infinite, and potentials with and without a
+    # bound; 30 lanes take a bound at calls of 64 or 256 lane-columns,
+    # which evaluate 2 or 8 points of a 16-cell block a call
+    surf, grid, params = bound_scan_lanes(seed)
+    phi = Bin("+", parse("x", SP3), Bin("*", parse("t", SP3), q))
+    cfg = ImplicitSolveConfig(root_select=root_select,
+                              initial_guess=mixed_guess(grid))
+    tau, iters, conv = reference_solve_scalar(surf, [phi], grid, cfg, params,
+                                              SP3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SCAN_BLOCK", block)
+        if not conv.any():
+            with pytest.raises(SolveFailed):
+                solve_implicit(surf, [phi], grid, cfg, params=params,
+                               space=SP3)
+            return
+        field = solve_implicit(surf, [phi], grid, cfg, params=params,
+                               space=SP3)
+    assert_bitwise(field.tau, tau)
+    assert np.array_equal(field.iters, iters)
+    assert np.array_equal(field.converged, conv)
+
+
+@pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
+def test_quadrature_potential_scans_without_a_bound_bitwise(root_select):
+    space = VarSpace(("x1", "x2"), ("u",), ("c",))
+    lam = (parse("c*x2^2 + u", space), parse("2*c*x1*x2", space))
+    pot = geometry.NumericPotential(lam, space, {"x1": 0.2, "x2": 0.2})
+    surf = knot_scan_case()[0]
+    rng = np.random.default_rng(15)
+    n = 24
+    grid = {"x1": rng.uniform(-1.5, 1.5, n), "x2": rng.uniform(-1.5, 1.5, n)}
+    env, _ = solver._env_from_grid(space.independent, grid, {"c": 1.3})
+    bound = solver.PotentialFn(pot, space).bind(env)
+    assert bound.scan_bound({"u": surf.s_grid}, [0, 256]) is None
+    cfg = ImplicitSolveConfig(root_select=root_select,
+                              initial_guess=rng.uniform(-4.0, 4.0, n))
+
+    def phi(tau):
+        return pot.evaluate({**env, "u": surf.value(tau)[:, 0]})
+
+    tau, iters, conv = reference_scan_solve(surf, phi,
+                                            cfg.initial_guess, cfg, n)
+    assert 0 < conv.sum()
+    field = solve_implicit(surf, [pot], grid, cfg, params={"c": 1.3},
+                           space=space)
+    assert_bitwise(field.tau, tau)
+    assert np.array_equal(field.iters, iters)
+    assert np.array_equal(field.converged, conv)
+
+
+@pytest.mark.parametrize("block", [solver._SCAN_BLOCK, 1024])
+def test_example3_scan_evaluates_few_blocks(block, monkeypatch):
+    # the preset's potential has a bound, which 150 lanes take at calls of
+    # 1 024 lane-columns but not of 8 192; with it most of the scan's
+    # (block, lane) pairs are proven, and under ``lowest`` no lane is
+    # evaluated at more than a few blocks
+    monkeypatch.setattr(solver, "_SCAN_BLOCK", block)
+    surf, pots, grid, settings, params, space = ex3_all_roots_case()
+    calls = []
+    value_rows = solver.BoundPotential.value_rows
+
+    def counting(self, rows):
+        calls.append(len(rows))
+        return value_rows(self, rows)
+
+    cfg = ImplicitSolveConfig(root_select="lowest", **settings)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver.BoundPotential, "value_rows", counting)
+        field = solve_implicit(surf, pots, grid, cfg, params=params,
+                               space=space)
+    assert field.converged.all()
+    if field.n * solver._BOUND_CELLS > block:
+        assert 0 < sum(calls) < 4 * field.n
+    else:
+        assert not calls
 
 
 # ---------------------------------------------------------------------------

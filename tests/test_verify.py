@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rwave import exprmat
+from rwave import exprmat, verify
 from rwave.expr import Const, VarSpace, parse
 from rwave.fixtures import PRESETS, load_fixture
 from rwave.geometry import WaveElement
@@ -77,6 +77,78 @@ def test_fd_jacobian_richardson_ratio():
     eh10 = np.max(np.abs(fd_jacobian_batch(field, h=1e-5)[0] - exact))
     ratio = eh / eh10
     assert 50 <= ratio <= 200
+
+
+def reference_fd_jacobian(field, h, richardson):
+    # one resolve per displaced grid, each pair of grids checked in turn
+    base = {nm: field.x[:, j] for j, nm in enumerate(field.x_names)}
+
+    def jac_at(step):
+        J = np.empty((field.n, field.u.shape[1], len(field.x_names)))
+        for i, name in enumerate(field.x_names):
+            up = field.resolve({**base, name: base[name] + step}, field.tau)
+            dn = field.resolve({**base, name: base[name] - step}, field.tau)
+            assert (up.converged & dn.converged).all()
+            J[:, :, i] = (up.u - dn.u) / (2.0 * step)
+        return J
+
+    J = jac_at(h)
+    return (4.0 * jac_at(h / 2.0) - J) / 3.0 if richardson else J
+
+
+def example3_grid_field(side):
+    surf = integrate_characteristic((Const(1),), [0.0], (-25.0, 1.0),
+                                    step=0.05, space=EX3.space, s0=0.0)
+    axes = np.meshgrid(np.linspace(0.1, 1.0, side),
+                       np.linspace(1.0, 3.0, side),
+                       np.linspace(1.0, 3.0, side), indexing="ij")
+    grid = dict(zip("txy", (a.ravel() for a in axes)))
+    pot = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", EX3.space)
+    cfg = ImplicitSolveConfig(initial_guess=np.array([-2.0]),
+                              tau_window=(-24.0, -0.3), root_select="lowest")
+    return solve_implicit(surf, [pot], grid, cfg,
+                          params={"m": 1.0, "k": 1.0}, space=EX3.space)
+
+
+def counting_resolves(field):
+    calls = []
+    resolver = field.resolver
+
+    def counted(env, initial_guess=None):
+        calls.append(len(next(iter(env.values()))))
+        return resolver(env, initial_guess)
+
+    field.resolver = counted
+    return calls
+
+
+@pytest.mark.parametrize("side,group,per", [
+    (10, verify._GROUP_LANES, 4),      # example3's grid: 3 groups of 4 grids
+    (3, 100, 3),                       # pairs of grids across two groups
+    (5, 100, 1),                       # a grid larger than a group
+])
+@pytest.mark.parametrize("richardson", [False, True])
+def test_grouped_displaced_resolves_match_one_per_grid_bitwise(
+        side, group, per, richardson, monkeypatch):
+    monkeypatch.setattr(verify, "_GROUP_LANES", group)
+    field = example3_grid_field(side)
+    assert field.converged.all()
+    want = reference_fd_jacobian(field, 1e-4, richardson)
+    calls = counting_resolves(field)
+    got = fd_jacobian_batch(field, h=1e-4, richardson=richardson)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    grids = 12 if richardson else 6
+    assert calls == [n * field.n for n in
+                     [per] * (grids // per) + [grids % per] * (grids % per > 0)]
+
+
+def test_k2_field_resolves_one_grid_at_a_time():
+    # the warm-start retry of a k = 2 solve reads grid neighbours, so its
+    # displaced grids are never joined
+    field = small_field()
+    calls = counting_resolves(field)
+    fd_jacobian_batch(field, h=1e-5, richardson=True)
+    assert calls == [field.n] * 12
 
 
 def test_residual_report_double_wave():
