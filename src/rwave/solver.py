@@ -423,12 +423,17 @@ class PotentialFn:
             self._bind_value = compile_exprs([phi], late=late)
             self._bind_du = compile_exprs(
                 [simplify(phi.diff(n)) for n in late], late=late)
-            self._bound = _BoundPlan.of(phi, late)
         elif isinstance(phi, NumericPotential):
             self.symbolic = False
-            self._bound = None
         else:
             raise TypeError(f"unsupported potential {phi!r}")
+
+    @cached_property
+    def _bound(self):
+        """phi's _BoundPlan, or None; built when a scan first asks, so a
+        potential that never takes the bound never compiles its kernels."""
+        return (_BoundPlan.of(self.phi, self.space.dependent)
+                if self.symbolic else None)
 
     def bind(self, env):
         return BoundPotential(self, env)
@@ -501,14 +506,6 @@ class BoundPotential:
 
 
 def _interval_product(alo, ahi, blo, bhi):
-    if isinstance(blo, float):
-        alo, ahi, blo, bhi = blo, bhi, alo, ahi
-    if isinstance(alo, float):
-        # one a for every lane: a*b is monotone in b at each end of a
-        return (np.minimum(alo * (blo if alo >= 0 else bhi),
-                           ahi * (blo if ahi >= 0 else bhi)),
-                np.maximum(alo * (bhi if alo >= 0 else blo),
-                           ahi * (bhi if ahi >= 0 else blo)))
     corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     return reduce(np.minimum, corners), reduce(np.maximum, corners)
 
@@ -734,12 +731,14 @@ class SolutionField:
             env[name] = self.u[:, j]
         return env
 
-    def resolve(self, env_x, initial_guess=None):
+    def resolve(self, env_x, initial_guess=None, lanes=None):
         """Re-solve at the points of ``env_x``; ``initial_guess`` (one tau
-        row per point) warm-starts the Newton iteration."""
+        row per point) warm-starts the Newton iteration.  ``lanes`` names,
+        for each point, the lane of this field it was moved from, so that a
+        configured per-lane initial guess goes with its lane."""
         if self.resolver is None:
             raise SolverError("this field does not carry a resolver")
-        return self.resolver(env_x, initial_guess)
+        return self.resolver(env_x, initial_guess, lanes)
 
 
 def _env_from_grid(x_names, grid_env, params):
@@ -833,10 +832,12 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     xs = np.stack([env_x[name] for name in x_names], axis=1)
 
-    def resolver(new_grid_env, initial_guess=None):
+    def resolver(new_grid_env, initial_guess=None, lanes=None):
         cfg2 = cfg
         if initial_guess is not None and k > 1 and conv.all():
             cfg2 = replace(cfg, initial_guess=initial_guess)
+        elif guess is not None and lanes is not None:
+            cfg2 = replace(cfg, initial_guess=guess[lanes])
         return solve_implicit(surface, pots, new_grid_env, cfg2, params, space,
                               plan)
 
@@ -1214,7 +1215,7 @@ def double_wave_fixture(grid_env=None):
     tau = np.stack([tv + 2 * root, tv - 2 * root], axis=1)
     xs = np.stack([env_x[nm] for nm in space.independent], axis=1)
 
-    def resolver(new_grid_env, initial_guess=None):
+    def resolver(new_grid_env, initial_guess=None, lanes=None):
         return double_wave_fixture(new_grid_env)
 
     return SolutionField(

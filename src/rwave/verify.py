@@ -39,8 +39,9 @@ _GROUP_LANES = 4096  # lanes of a group of displaced k = 1 grids per resolve
 
 def fd_jacobian_batch(field, h=1e-5, richardson=False):
     """Central-difference Jacobians du/dx for every grid point, re-solving
-    whole displaced grids, warm-started from the field's tau.  Returns
-    (n, q, p).
+    whole displaced grids, warm-started from the field's tau when k >= 2;
+    a displaced lane keeps the configured guess of the lane it was moved
+    from.  Returns (n, q, p).
 
     With ``richardson=True`` combines steps h and h/2 for an O(h^4)
     estimate.
@@ -69,12 +70,10 @@ def fd_jacobian_batch(field, h=1e-5, richardson=False):
     u, ok = [], []
     for first in range(0, len(moves), per):
         group = [displaced(*m) for m in moves[first:first + per]]
-        if len(group) > 1:
-            env = {nm: np.concatenate([g[nm] for g in group]) for nm in names}
-            guess = np.concatenate([field.tau] * len(group))
-        else:
-            (env,), guess = group, field.tau
-        sol = field.resolve(env, guess)
+        env = {nm: np.concatenate([g[nm] for g in group]) for nm in names}
+        # a k = 1 solve takes no warm start; each lane keeps its own guess
+        sol = field.resolve(env, field.tau if field.k > 1 else None,
+                            np.tile(np.arange(n), len(group)))
         u += np.split(sol.u, len(group))
         ok += np.split(sol.converged, len(group))
         # each pair of grids, up and down, once both are solved; its u is
@@ -188,7 +187,7 @@ def constancy_along_kernel(field, elements, indices=None, h=1e-5):
 
     The kernel at each sample comes from one stacked SVD of the covector
     rows; every displaced point, sample x kernel direction x +-h, is
-    re-solved in one grid.
+    re-solved in one grid, with the configured guess of its sample's lane.
     Returns (holds, max_derivative).  Vacuously true when the covectors
     span the whole cotangent space.
     """
@@ -208,7 +207,8 @@ def constancy_along_kernel(field, elements, indices=None, h=1e-5):
     theta = theta / np.linalg.norm(theta, axis=1, keepdims=True)
     base = field.x[idx[owner]]
     pts = np.concatenate([base + h * theta, base - h * theta])
-    sol = field.resolve({nm: pts[:, j] for j, nm in enumerate(field.x_names)})
+    sol = field.resolve({nm: pts[:, j] for j, nm in enumerate(field.x_names)},
+                        None, np.tile(idx[owner], 2))
     m = owner.size
     ok = sol.converged[:m] & sol.converged[m:]
     if not ok.all():

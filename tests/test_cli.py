@@ -218,8 +218,8 @@ def test_run_verify_neighbor_diverged_exit4(tmp_path, monkeypatch, capsys):
         field = real_solve(*args, **kwargs)
         resolve = field.resolver
 
-        def resolver(env, initial_guess=None):
-            out = resolve(env, initial_guess)
+        def resolver(env, initial_guess=None, lanes=None):
+            out = resolve(env, initial_guess, lanes)
             out.converged[:] = False
             return out
 
@@ -552,6 +552,23 @@ def test_run_bad_tau_window_exit4(tmp_path, window):
     assert outcomes["solve"]["detail"].startswith(
         "ValueError: tau_window must be two finite numbers lo < hi")
     assert not (out / "solution.csv").exists()
+
+
+def test_run_verifies_with_a_guess_per_lane(tmp_path):
+    # the displaced re-solves of verify, grouped or at the constancy
+    # check's samples, give each point the guess of the lane it came from
+    guess = [0.5 if i % 2 == 0 else -0.8 * (1 + 4.5 * (i // 9))
+             for i in range(27)]
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"initial_guess": guess,
+                               "root_select": "nearest",
+                               "tau_window": [-24.0, 0.99]}))
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example3", "--grid",
+                 "t=0.1:1:3,x=1:3:3,y=1:3:3", "--solver-config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
+    ver = json.loads((out / "verification.json").read_text())
+    assert ver["constancy_along_kernel"]["holds"] is True
 
 
 def test_run_unknown_root_select_fails_before_the_surface(tmp_path,

@@ -21,6 +21,7 @@ from rwave.verify import (
 )
 
 from .strategies import point_env, recover_at
+from .test_solver import mixed_guess
 
 EX2 = load_fixture("example2")
 EX3 = load_fixture("example3")
@@ -58,7 +59,7 @@ def test_fd_jacobian_constant_field_zero():
     # constant resolver: freeze u
     const_u = field.u.copy()
 
-    def resolver(env, initial_guess=None):
+    def resolver(env, initial_guess=None, lanes=None):
         n = len(next(iter(env.values())))
         out = double_wave_fixture(env)
         out.u = np.tile(const_u[:1], (n, 1))
@@ -96,16 +97,21 @@ def reference_fd_jacobian(field, h, richardson):
     return (4.0 * jac_at(h / 2.0) - J) / 3.0 if richardson else J
 
 
-def example3_grid_field(side):
+def example3_grid_field(side, grid=None, **settings):
     surf = integrate_characteristic((Const(1),), [0.0], (-25.0, 1.0),
                                     step=0.05, space=EX3.space, s0=0.0)
-    axes = np.meshgrid(np.linspace(0.1, 1.0, side),
-                       np.linspace(1.0, 3.0, side),
-                       np.linspace(1.0, 3.0, side), indexing="ij")
-    grid = dict(zip("txy", (a.ravel() for a in axes)))
+    if grid is None:
+        axes = np.meshgrid(np.linspace(0.1, 1.0, side),
+                           np.linspace(1.0, 3.0, side),
+                           np.linspace(1.0, 3.0, side), indexing="ij")
+        grid = dict(zip("txy", (a.ravel() for a in axes)))
     pot = parse("-(t*(u*m+u^2*k)) + m*ln(|x|) + k*ln(|y|)", EX3.space)
-    cfg = ImplicitSolveConfig(initial_guess=np.array([-2.0]),
-                              tau_window=(-24.0, -0.3), root_select="lowest")
+    settings = {"initial_guess": np.array([-2.0]),
+                "tau_window": (-24.0, -0.3), "root_select": "lowest",
+                **settings}
+    if callable(settings["initial_guess"]):
+        settings["initial_guess"] = settings["initial_guess"](grid)
+    cfg = ImplicitSolveConfig(**settings)
     return solve_implicit(surf, [pot], grid, cfg,
                           params={"m": 1.0, "k": 1.0}, space=EX3.space)
 
@@ -114,9 +120,9 @@ def counting_resolves(field):
     calls = []
     resolver = field.resolver
 
-    def counted(env, initial_guess=None):
+    def counted(env, initial_guess=None, lanes=None):
         calls.append(len(next(iter(env.values()))))
-        return resolver(env, initial_guess)
+        return resolver(env, initial_guess, lanes)
 
     field.resolver = counted
     return calls
@@ -140,6 +146,57 @@ def test_grouped_displaced_resolves_match_one_per_grid_bitwise(
     grids = 12 if richardson else 6
     assert calls == [n * field.n for n in
                      [per] * (grids // per) + [grids % per] * (grids % per > 0)]
+
+
+@pytest.mark.parametrize("side,group,per", [
+    (10, verify._GROUP_LANES, 4),
+    (3, 100, 3),
+])
+@pytest.mark.parametrize("richardson", [False, True])
+def test_grouped_resolves_keep_each_lanes_configured_guess(
+        side, group, per, richardson, monkeypatch):
+    # a guess per lane picks the nearest of two roots, so every copy of
+    # the grid in a group must carry it, lane for lane
+    monkeypatch.setattr(verify, "_GROUP_LANES", group)
+    field = example3_grid_field(side, initial_guess=mixed_guess,
+                                tau_window=(-24.0, 0.99),
+                                root_select="nearest")
+    assert field.converged.all()
+    want = reference_fd_jacobian(field, 1e-4, richardson)
+    calls = counting_resolves(field)
+    got = fd_jacobian_batch(field, h=1e-4, richardson=richardson)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert max(calls) == per * field.n
+
+
+def test_constancy_keeps_each_samples_configured_guess():
+    # 20 samples x 2 kernel directions x +-h = 80 displaced points of a
+    # 27-lane grid; each takes the guess of its own sample's lane, as a
+    # one-point solve with that guess does
+    field = example3_grid_field(3, initial_guess=mixed_guess,
+                                tau_window=(-24.0, 0.99),
+                                root_select="nearest")
+    guess = mixed_guess(field.grid_env())
+    lam = tuple(parse(s, EX3.space) for s in PRESETS["example3"]["lambdas"][0])
+    elem = WaveElement(EX3.space, lam, (Const(1),))
+    h = 1e-4
+    holds, worst = constancy_along_kernel(field, [elem], h=h)
+    want = 0.0
+    for idx in range(20):
+        rows = exprmat.eval_vector(lam, point_env(field, idx))
+        _, s, vt = np.linalg.svd(rows)
+        ker_dim = 3 - np.sum(s > 1e-10 * max(s[0], 1.0))
+        for theta in (vt[2 - j] for j in range(ker_dim)):
+            theta = theta / np.linalg.norm(theta)
+            u = [example3_grid_field(
+                1, initial_guess=np.array([guess[idx]]),
+                tau_window=(-24.0, 0.99), root_select="nearest",
+                grid={nm: np.array([field.x[idx, j] + sign * h * theta[j]])
+                      for j, nm in enumerate(field.x_names)}).u[0]
+                 for sign in (1, -1)]
+            want = max(want, float(np.max(np.abs(u[0] - u[1])) / (2 * h)))
+    assert holds == (want <= 1e-6)
+    assert worst == want
 
 
 def test_k2_field_resolves_one_grid_at_a_time():
