@@ -59,10 +59,12 @@ class RequestError(Exception):
     pass
 
 
-# the solver-config keys that the solve stage reads
-_SOLVER_KEYS = frozenset(("u0", "s_range", "s0", "grid_step", "gamma_scale",
-                         "mu", "tau_base", "axis_ranges", "axes",
-                         "initial_guess", "tau_window", "root_select"))
+# the solver-config keys that the solve stage reads, the ImplicitSolveConfig
+# fields among them first
+_SOLVE_KEYS = ("initial_guess", "tau_window", "root_select")
+_SOLVER_KEYS = frozenset((*_SOLVE_KEYS, "u0", "s_range", "s0", "grid_step",
+                          "gamma_scale", "mu", "tau_base", "axis_ranges",
+                          "axes"))
 
 
 @dataclass
@@ -235,7 +237,7 @@ def _conditions(st):
         st.out / "conditions.json",
         reports.condition_report_payload(report, st.box,
                                          [e.label for e in st.elements],
-                                         seed_label=f"request:{st.request.seed}"))
+                                         f"request:{st.request.seed}"))
     if not report.all_hold():
         raise GeometryError("a k-wave existence condition failed; see "
                             "conditions.json")
@@ -287,10 +289,7 @@ def _solve(st):
         # the settings are checked before the surface is built
         solve_cfg = ImplicitSolveConfig(
             newton_tol=st.request.tol_newton,
-            initial_guess=cfg.get("initial_guess", "potential_at_base"),
-            tau_window=tuple(cfg["tau_window"]) if cfg.get("tau_window")
-            else None,
-            root_select=cfg.get("root_select", "nearest"))
+            **{key: cfg[key] for key in _SOLVE_KEYS if key in cfg})
         surface = _build_surface(st.system, st.potentials, cfg)
         st.solution = solve_implicit(
             surface, [p.phi for p in st.potentials],
@@ -315,11 +314,11 @@ def _verify(st):
     sample = st.rng("verify").choice(sol.n, size=min(sol.n, 20),
                                      replace=False)
     try:
-        jacs = fd_jacobian_batch(sol, h=h, richardson=True)
-        rep = residual_report(st.system, sol, jacs, h=h, richardson=True)
+        jacs = fd_jacobian_batch(sol, h=h)
+        rep = residual_report(st.system, sol, jacs, h=h)
         rec = recover_decomposition(jacs, elements, sol.grid_env())
-        const_ok, const_worst = constancy_along_kernel(sol, elements,
-                                                       indices=sample, h=h)
+        const_ok, const_worst = constancy_along_kernel(sol, elements, sample,
+                                                       h)
     except (NeighborDiverged, DegenerateElements):
         st.artifacts["solution"] = reports.write_solution_field(
             st.out / "solution.csv", sol)

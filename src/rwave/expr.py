@@ -1090,7 +1090,7 @@ _RESAMPLE_FACTOR = 10
 
 
 def is_zero(e: Expr, box: Box, trials: int = DEFAULT_TRIALS,
-            threshold: float = DEFAULT_ZERO_TOL, rng=None) -> ZeroTest:
+            threshold: float = DEFAULT_ZERO_TOL, *, rng) -> ZeroTest:
     """Decide whether ``e`` vanishes identically on ``box``.
 
     Samples uniformly; any sample with |value| > threshold is a

@@ -73,14 +73,14 @@ def adjugate(A):
     return tuple(tuple(row) for row in out)
 
 
-def eval_matrix(A, env, strict=True):
+def eval_matrix(A, env):
     """Evaluate an expression matrix over the n lanes of an env (see
     ``expr._lanes``; n = 1 for an env of scalars): (n, m, q), constant
-    entries included."""
+    entries included; a domain violation raises EvalDomainError."""
     out = np.empty((_lanes(env), len(A), len(A[0])))
     for i, row in enumerate(A):
         for j, e in enumerate(row):
-            out[:, i, j] = e.evaluate(env, strict=strict)
+            out[:, i, j] = e.evaluate(env)
     return out
 
 

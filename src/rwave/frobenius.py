@@ -399,7 +399,7 @@ class TransportTerm:
         state0 = np.concatenate([U, np.zeros((n, 1))], axis=1)
         step = _TRANSPORT_STEP
         try:
-            out = ode.flow(rhs, state0, 0.0, [1.0], tol=1e-12,
+            out = ode.flow(rhs, state0, 0.0, [1.0],
                            first_step=step / np.maximum(np.abs(span), step))
         except ode.StiffnessAbort as err:
             raise StraighteningFailed("transport flow left the domain") from err
@@ -603,7 +603,7 @@ class PairCoefficients:
     h_second: ScalarFn
 
 
-def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng=None):
+def pair_bracket_coefficients(Xi, Xj, names, box: Box, rng):
     """Coefficients with [X_i, X_j] = h^i X_i + h^j X_j.
 
     The bracket is checked against the pairwise span at samples, through
@@ -685,7 +685,7 @@ def _span_coefficients(Xi, Xj, names):
 
 
 def compatibility_check(h_list, frame_fields, names, box: Box,
-                        rng=None) -> ConditionCheck:
+                        rng) -> ConditionCheck:
     """Symmetry of the stage-1 sources along the straightened frame:
     Y_j(h_i) = Y_i(h_j) for all i < j.  Exact via is_zero when both
     coefficients and fields are symbolic, sampled finite differences
@@ -761,7 +761,7 @@ def _serializable_factor(fac: ScalarFn, names, box: Box):
             "interpolation": "multilinear over the axis product"}
 
 
-def commutation_residual(fields, box: Box, rng=None, n_samples=100):
+def commutation_residual(fields, box: Box, rng, n_samples=100):
     """Max pairwise commutator magnitude at samples, relative to the field
     scale, via the factored Leibniz expansion."""
     rng = np.random.default_rng(rng)
@@ -777,7 +777,7 @@ def commutation_residual(fields, box: Box, rng=None, n_samples=100):
     return worst
 
 
-def rescale_frame(fields, names, box: Box, rng=None, pair_overrides=None,
+def rescale_frame(fields, names, box: Box, rng, pair_overrides=None,
                   prefer_symbolic=True) -> FrameRescaling:
     """Factors making the frame commute.
 

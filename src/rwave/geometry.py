@@ -87,7 +87,7 @@ class WaveElement:
 # ---------------------------------------------------------------------------
 # kernels
 
-def kernel_elements(sys: QuasilinearSystem, lam, box: Box, rng=None, trials=32):
+def kernel_elements(sys: QuasilinearSystem, lam, box: Box, rng, trials=32):
     """Vectors spanning ker(sum_i lambda_i A^i).
 
     Symbolic adjugate route for q <= 3 (corank one).  Raises EmptyKernel
@@ -239,9 +239,10 @@ def _snap(v):
 
 _FRAME_SAMPLES = 40
 _INVOLUTIVE_TOL = 1e-8   # pointwise residual of an involutive decomposition
+_CONDITION_TOL = 1e-7    # magnitude a holding existence condition may have
 
 
-def decompose_in_frame(v, frame, box: Box, rng=None):
+def decompose_in_frame(v, frame, box: Box, rng):
     """Least-squares coefficients of ``v`` in ``frame`` at sampled points.
 
     One stacked SVD solves every finite sample (``exprmat.lstsq_stack``);
@@ -361,8 +362,9 @@ def independence_min_singular(vectors, env_samples):
 
 
 def check_kwave_conditions(sys: QuasilinearSystem, elements, box: Box,
-                           rng=None, trials=32, threshold=1e-7) -> ConditionReport:
-    """Run the four existence checks on a family of wave elements."""
+                           rng, trials=32) -> ConditionReport:
+    """Run the four existence checks on a family of wave elements; a
+    sampled magnitude above ``_CONDITION_TOL`` fails a check."""
     seed = rng
     rng = np.random.default_rng(rng)
     k = len(elements)
@@ -403,7 +405,7 @@ def check_kwave_conditions(sys: QuasilinearSystem, elements, box: Box,
                     if s3 in (s1, s2):
                         continue
                     mags = np.abs(dec.coefficient_samples[:, s3])
-                    if mags.size and float(np.max(mags)) > threshold:
+                    if mags.size and float(np.max(mags)) > _CONDITION_TOL:
                         cross_worst = max(cross_worst, float(np.max(mags)))
                         cross_witness = (s1, s2, s3)
             if inv.verdict is Verdict.HOLDS:
@@ -426,7 +428,7 @@ def check_kwave_conditions(sys: QuasilinearSystem, elements, box: Box,
             mag, witness = _triple_wedge_max(
                 [elements[sig].lam, deriv, elements[s].lam], env)
             worst = max(worst, mag)
-            if mag > threshold:
+            if mag > _CONDITION_TOL:
                 prof = ConditionCheck(Verdict.FAILS, mag, witness,
                                       detail=f"pair (sigma={sig}, s={s})")
                 break
@@ -441,7 +443,8 @@ def check_kwave_conditions(sys: QuasilinearSystem, elements, box: Box,
             continue
         comps = closedness_three_form(e.lam, ind)
         for triple, comp in comps.items():
-            chk = is_zero(comp, box, trials=trials, threshold=threshold, rng=rng)
+            chk = is_zero(comp, box, trials=trials, threshold=_CONDITION_TOL,
+                          rng=rng)
             if chk.verdict is ZeroVerdict.PROVABLY_NONZERO:
                 closed = ConditionCheck(Verdict.FAILS, abs(chk.value), chk.witness,
                                         detail=f"element {e.label} triple {triple}")
@@ -454,7 +457,7 @@ def check_kwave_conditions(sys: QuasilinearSystem, elements, box: Box,
 
     return ConditionReport(involutivity=inv, cross_coefficients=cross,
                            lambda_profile=prof, closedness=closed,
-                           trials=trials, seed=seed, threshold=threshold)
+                           trials=trials, seed=seed, threshold=_CONDITION_TOL)
 
 
 def _triple_wedge_max(rows, env):
@@ -551,7 +554,7 @@ def _integrating_factor_candidates(space):
     return cands
 
 
-def find_potential(element: WaveElement, basepoint, box: Box, rng=None,
+def find_potential(element: WaveElement, basepoint, box: Box, rng,
                    trials=32) -> PotentialResult:
     """Potential phi with d_x phi = lambda.
 

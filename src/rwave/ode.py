@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 _MIN_STEP = 1e-12  # |h| below which flow gives up with StiffnessAbort
+_TOL = 1e-12       # absolute and relative tolerance of flow's error control
 
 
 class BlowUp(Exception):
@@ -114,7 +115,7 @@ def _combine(coeffs, K):
     return acc
 
 
-def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
+def flow(f, y0, t0, ts, first_step):
     """States at the output times ``ts`` of y' = f(t, y) with y(t0) = y0
     of shape (n, q); shape (len(ts), n, q), in the order of ``ts``, and
     the anchor itself at outputs at t0.
@@ -130,7 +131,7 @@ def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
 
     A step is accepted when the RMS over a lane's components of the
     scaled error estimate is below 1, with absolute and relative
-    tolerance ``tol``; ``first_step`` (positive, a scalar or one per lane)
+    tolerance ``_TOL``; ``first_step`` (positive, a scalar or one per lane)
     is the size of the first trial step, on both sides.  A step with a
     non-finite stage or error estimate is rejected and h halves; below
     ``_MIN_STEP`` that raises StiffnessAbort.  Output times inside a step
@@ -179,7 +180,7 @@ def flow(f, y0, t0, ts, tol=1e-12, first_step=0.01):
                 ok &= np.isfinite(K[s]).all(axis=1)
             # stage 12 is f at the 8th-order solution: y_new is its state
             ok &= np.isfinite(y_new).all(axis=1)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            scale = _TOL + np.maximum(np.abs(y), np.abs(y_new)) * _TOL
             e5 = np.sum((_combine(_E5, K) / scale) ** 2, axis=1)
             e3 = np.sum((_combine(_E3, K) / scale) ** 2, axis=1)
             denom = e5 + 0.01 * e3

@@ -41,11 +41,9 @@ def write_json(path, data):
     return path
 
 
-def write_metadata(path, extra=None):
-    data = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    if extra:
-        data.update(extra)
-    return write_json(path, data)
+def write_metadata(path, extra):
+    return write_json(path, {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                             **extra})
 
 
 SOLUTION_SCHEMA_VERSION = 1
@@ -87,10 +85,9 @@ def write_solution_field(path, field, residual_norms=None):
     return path
 
 
-def condition_report_payload(report, domain, labels, seed_label=None):
+def condition_report_payload(report, domain, labels, seed_label):
     data = report.as_dict()
-    if seed_label is not None:
-        data["seed"] = seed_label
+    data["seed"] = seed_label
     data["domain"] = {n: [lo, hi] for n, lo, hi in domain.ranges}
     data["elements"] = list(labels)
     return data

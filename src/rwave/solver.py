@@ -31,8 +31,11 @@ _TANGENCY_SAMPLES = 25   # samples of surface_tangency_residual
 _SCAN_POINTS = 257       # points of the scalar solve's scan window
 _SCAN_BLOCK = 8192       # lane-columns of G per block of the scan
 _BOUND_CELLS = 16        # scan cells per block a rounded-interval bound skips
+_SHEET_POINTS = 161      # grid points of a sheet's spline along each axis
 _DU_STEP = 1e-6          # central-difference step of a numeric potential's du
 _CATASTROPHE = 1e-8      # |det| below which a converged point is a catastrophe
+_MAX_ITER = 60           # Newton iterations of the multi-parameter solve
+_DAMPING_STEPS = 25      # step halvings of a Newton iteration
 
 
 class SolverError(Exception):
@@ -58,15 +61,18 @@ class ImplicitSolveConfig:
     """Newton settings for the implicit Riemann-invariant solve."""
 
     newton_tol: float = 1e-12
-    max_iter: int = 60
     initial_guess: object = "potential_at_base"  # policy or array
     tau_window: tuple | None = None   # scan window for the scalar solve
     root_select: str = "nearest"      # nearest | lowest | highest
-    damping_steps: int = 25
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        g = self.initial_guess
+        if not (g == "potential_at_base" if isinstance(g, str)
+                else np.size(g) and np.asarray(g).dtype.kind in "iuf"):
+            raise ValueError(f"initial_guess must be 'potential_at_base' or "
+                             f"numbers, got {g!r}")
         if self.root_select not in ("nearest", "lowest", "highest"):
             raise ValueError(f"root_select must be nearest, lowest or "
                              f"highest, got {self.root_select!r}")
@@ -268,7 +274,7 @@ def integrate_characteristic(gamma, u0, s_range, step, space, s0=None):
 
     s_grid = np.linspace(lo, hi, _CURVE_POINTS)
     states = ode.flow(rhs, np.asarray(u0, dtype=float)[None], s0, s_grid,
-                      tol=1e-12, first_step=step)[:, 0]
+                      first_step=step)[:, 0]
     surf = Surface1D(s_grid, states, space, ("s",),
                      SurfaceProvenance(tuple(np.asarray(u0, float)), (s0,)))
     _check_tangency_1d(surf, rhs)
@@ -287,7 +293,7 @@ def _check_tangency_1d(surf, rhs):
 
 
 def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
-                    tau_names=("tau1", "tau2"), axes=None, n_grid=161):
+                    tau_names=("tau1", "tau2"), axes=None):
     """Hodograph surface of a commuting weighted frame.
 
     Solves df/dtau^a = sum_a' mu^a'_a(tau) gamma_(a') by successive flows
@@ -309,15 +315,15 @@ def build_hodograph(gammas, mu, u0, tau_base, axis_ranges, step, space,
     field = _gamma_field(gammas, mu, axes, space, tau_names)
     s_base = np.linalg.solve(axes, np.asarray(tau_base, dtype=float))
     (l1, h1), (l2, h2) = axis_ranges
-    s1_grid = np.linspace(l1, h1, n_grid)
-    s2_grid = np.linspace(l2, h2, n_grid)
+    s1_grid = np.linspace(l1, h1, _SHEET_POINTS)
+    s2_grid = np.linspace(l2, h2, _SHEET_POINTS)
 
     # sweep axis 1 from the anchor, then all s1 lanes together along axis
     # 2, each sweep one march down and up from the anchor
     line = ode.flow(field(0, [None, s_base[1]]), np.asarray(u0, float)[None],
-                    s_base[0], s1_grid, tol=1e-12, first_step=step)[:, 0]
+                    s_base[0], s1_grid, first_step=step)[:, 0]
     states = ode.flow(field(1, [s1_grid, None]), line, s_base[1], s2_grid,
-                      tol=1e-12, first_step=step)
+                      first_step=step)
     u_grid = np.transpose(states, (1, 0, 2))  # (n1, n2, q)
 
     surf = Surface2D(axes, s1_grid, s2_grid, u_grid, space, tau_names, prov)
@@ -343,7 +349,7 @@ def _flow_both_orders(field, s_base, u0, probes, step):
         def f(sigma, u):
             return span[:, None] * rhs(start + sigma * span, u)
 
-        return ode.flow(f, y, 0.0, [1.0], tol=1e-12,
+        return ode.flow(f, y, 0.0, [1.0],
                         first_step=step / np.maximum(np.abs(span), step))[0]
 
     # a first leg holds the other coordinate at the anchor's, and a second
@@ -704,7 +710,7 @@ class SolutionField:
     iters: np.ndarray
     converged: np.ndarray
     determinant: object    # callable() -> det_monitor
-    resolver: object = None   # callable(env_x, initial_guess) -> SolutionField
+    resolver: object       # callable(env_x, initial_guess, lanes) -> field
 
     @cached_property
     def det_monitor(self):
@@ -731,13 +737,11 @@ class SolutionField:
             env[name] = self.u[:, j]
         return env
 
-    def resolve(self, env_x, initial_guess=None, lanes=None):
+    def resolve(self, env_x, initial_guess, lanes):
         """Re-solve at the points of ``env_x``; ``initial_guess`` (one tau
-        row per point) warm-starts the Newton iteration.  ``lanes`` names,
-        for each point, the lane of this field it was moved from, so that a
-        configured per-lane initial guess goes with its lane."""
-        if self.resolver is None:
-            raise SolverError("this field does not carry a resolver")
+        row per point, or None) warm-starts the Newton iteration.  ``lanes``
+        names, for each point, the lane of this field it was moved from, so
+        that a configured per-lane initial guess goes with its lane."""
         return self.resolver(env_x, initial_guess, lanes)
 
 
@@ -752,14 +756,13 @@ def _env_from_grid(x_names, grid_env, params):
 
 
 def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
-                   params=None, space=None, plan=None):
+                   params, space, plan=None):
     """Solve tau = phi(x, f(tau)) at every grid point.
 
-    ``grid_env`` maps independent-variable names to equal-length arrays.
-    ``space`` is the full analysis variable space (defaults to the
-    surface's, which suffices only when it already lists the independent
-    variables).  The scalar case scans ``cfg.tau_window`` for sign
-    changes, selects a root per ``cfg.root_select``, and polishes by
+    ``grid_env`` maps independent-variable names to equal-length arrays,
+    and ``params`` parameter names to values.  ``space`` is the full
+    analysis variable space.  The scalar case scans ``cfg.tau_window`` for
+    sign changes, selects a root per ``cfg.root_select``, and polishes by
     bisection (see ``_solve_scalar``); the multi-parameter case runs a
     damped, vectorized Newton iteration from the configured initial guess
     with warm-start retries from converged neighbors.  No point failure is
@@ -768,9 +771,7 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     re-solve takes in place of sorting its own where it still holds (see
     ``exprmat.distinct_rows``).
     """
-    params = dict(params or {})
-    if space is None:
-        space = surface.space
+    params = dict(params)
     if tuple(space.dependent) != tuple(surface.space.dependent):
         raise ValueError("surface and analysis space disagree on the "
                          "dependent variables")
@@ -832,11 +833,11 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     xs = np.stack([env_x[name] for name in x_names], axis=1)
 
-    def resolver(new_grid_env, initial_guess=None, lanes=None):
+    def resolver(new_grid_env, initial_guess, lanes):
         cfg2 = cfg
         if initial_guess is not None and k > 1 and conv.all():
             cfg2 = replace(cfg, initial_guess=initial_guess)
-        elif guess is not None and lanes is not None:
+        elif guess is not None:
             cfg2 = replace(cfg, initial_guess=guess[lanes])
         return solve_implicit(surface, pots, new_grid_env, cfg2, params, space,
                               plan)
@@ -870,20 +871,20 @@ def _lane_guess(cfg, n, k):
     g = cfg.initial_guess
     if isinstance(g, str) or np.shape(g) == (k,):
         return None
+    if np.size(g) != n * k:
+        raise ValueError(f"initial_guess must hold k = {k} or n*k = {n * k} "
+                         f"values, got {np.size(g)} of shape {np.shape(g)}")
     return np.asarray(g, dtype=float).reshape(n, k)
 
 
 def _initial_guess(cfg, bound, surface, n, k):
     g = cfg.initial_guess
-    if isinstance(g, str) and g == "potential_at_base":
+    if isinstance(g, str):
         u0 = surface.provenance.u0
         env = {name: np.full(n, u0[j])
                for j, name in enumerate(surface.space.dependent)}
         return np.stack([b.value(env) for b in bound], axis=1)
-    arr = np.asarray(g, dtype=float)
-    if arr.shape == (k,):
-        return np.tile(arr, (n, 1))
-    return arr.reshape(n, k)
+    return np.tile(np.asarray(g, dtype=float), (n, 1))
 
 
 def _nearest(good, bad):
@@ -945,7 +946,7 @@ def _newton(surface, bound, tau0, cfg):
         uc[idx], phi[idx] = ul, _phi(sliced, _u_env(dep, ul))
 
     pending = lane           # the lanes whose t is a trial not looked up
-    for it in range(cfg.max_iter):
+    for it in range(_MAX_ITER):
         look(t, pending)
         G = t - phi
         Gn = _lanewise(np.fmax, np.abs(G))
@@ -973,7 +974,7 @@ def _newton(surface, bound, tau0, cfg):
         scale = np.ones(len(t))
         trial = surface.clip(t - scale[:, None] * step)
         pending, Gp = np.arange(len(t)), Gn
-        for _ in range(cfg.damping_steps):
+        for _ in range(_DAMPING_STEPS):
             look(trial, pending)
             Gt = _lanewise(np.fmax, np.abs(trial.take(pending, 0)
                                            - phi.take(pending, 0)))
@@ -986,7 +987,7 @@ def _newton(surface, bound, tau0, cfg):
                                           - scale[pending, None]
                                           * step.take(pending, 0))
         t = trial
-    tau[lane], u[lane], iters[lane] = t, uc, cfg.max_iter
+    tau[lane], u[lane], iters[lane] = t, uc, _MAX_ITER
     return tau, iters, conv, u, lane[moved(t, pending)]
 
 
@@ -1007,18 +1008,15 @@ class _CellPicker:
         self.g_left = np.zeros(n)
         self.dist = np.full(n, np.inf)
 
-    def offer(self, first, g, centres, lanes=None):
+    def offer(self, first, g, centres, lanes):
         """The cells ``first``, ``first`` + 1, ... between consecutive rows
         of ``g`` (b + 1, m), G at consecutive scan points of the lanes
-        ``lanes`` (all n when None); ``centres`` (b,) are the cells'
-        centres."""
+        ``lanes``; ``centres`` (b,) are the cells' centres."""
         # both ends finite, and G changes sign or is zero at an end
         pos, zero, finite = g > 0, g == 0, np.isfinite(g)
         flip = (((pos[:-1] != pos[1:]) | zero[:-1] | zero[1:])
                 & finite[:-1] & finite[1:])
         has = flip.any(axis=0)
-        if lanes is None:
-            lanes = np.arange(g.shape[1])
         if self.root_select == "lowest":
             has &= ~self.found[lanes]
         cols = np.flatnonzero(has)
@@ -1070,8 +1068,7 @@ def _scan(phi, dep, ws, us, pick, lowest):
     centres = 0.5 * (ws[:-1] + ws[1:])
     edges = [*range(0, cells, _BOUND_CELLS), cells]
     bound = (phi.scan_bound(_u_env(dep, us), edges)
-             if isinstance(phi, BoundPotential)
-             and n * _BOUND_CELLS > _SCAN_BLOCK else None)
+             if n * _BOUND_CELLS > _SCAN_BLOCK else None)
     if bound is None:
         edges = [0, cells]
     active = np.arange(n)
@@ -1215,7 +1212,7 @@ def double_wave_fixture(grid_env=None):
     tau = np.stack([tv + 2 * root, tv - 2 * root], axis=1)
     xs = np.stack([env_x[nm] for nm in space.independent], axis=1)
 
-    def resolver(new_grid_env, initial_guess=None, lanes=None):
+    def resolver(new_grid_env, initial_guess, lanes):
         return double_wave_fixture(new_grid_env)
 
     return SolutionField(

@@ -154,7 +154,7 @@ def homogenizing_variable(space, new_var=None):
     return name
 
 
-def homogenize(sys: QuasilinearSystem, box: Box | None = None, rng=None,
+def homogenize(sys: QuasilinearSystem, box: Box, rng,
                new_var: str | None = None) -> HomogenizationResult:
     """Rewrite an inhomogeneous system as a homogeneous one in p+1
     independent variables.
@@ -167,16 +167,13 @@ def homogenize(sys: QuasilinearSystem, box: Box | None = None, rng=None,
     if not sys.properly_determined:
         raise SystemError("homogenization requires a properly determined system")
     q = sys.q
-    zero_box = box
     src = [simplify(e) for e in sys.source]
 
     def source_is_zero(e):
         e = simplify(e)
         if e == Const(0):
             return True
-        if zero_box is None:
-            return False
-        return bool(is_zero(e, zero_box, rng=rng))
+        return bool(is_zero(e, box, rng=rng))
 
     nonzero = [i for i, e in enumerate(src) if not source_is_zero(e)]
     if not nonzero:
@@ -220,14 +217,14 @@ def homogenize(sys: QuasilinearSystem, box: Box | None = None, rng=None,
 
 
 def check_m_property(result: HomogenizationResult, sys: QuasilinearSystem,
-                     box: Box, rng=None, trials=32, threshold=1e-12):
-    """Verify M b = e1 entrywise on the box (sampled)."""
+                     box: Box, rng):
+    """Verify M b = e1 entrywise on the box (sampled), to 1e-12."""
     perm = result.substitution.row_permutation
     b_perm = tuple(sys.source[i] for i in perm)
     mb = exprmat.mat_vec(result.m_matrix, b_perm)
     target = (ONE,) + tuple(Const(0) for _ in range(len(mb) - 1))
     checks = []
     for got, want in zip(mb, target):
-        checks.append(is_zero(simplify(Bin("-", got, want)), box, trials=trials,
-                              threshold=threshold, rng=rng))
+        checks.append(is_zero(simplify(Bin("-", got, want)), box,
+                              threshold=1e-12, rng=rng))
     return checks

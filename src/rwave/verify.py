@@ -37,14 +37,12 @@ _CONSTANCY_TOL = 1e-6  # derivative of u along the kernel counted as zero
 _GROUP_LANES = 4096  # lanes of a group of displaced k = 1 grids per resolve
 
 
-def fd_jacobian_batch(field, h=1e-5, richardson=False):
+def fd_jacobian_batch(field, h):
     """Central-difference Jacobians du/dx for every grid point, re-solving
     whole displaced grids, warm-started from the field's tau when k >= 2;
     a displaced lane keeps the configured guess of the lane it was moved
-    from.  Returns (n, q, p).
-
-    With ``richardson=True`` combines steps h and h/2 for an O(h^4)
-    estimate.
+    from.  Returns (n, q, p), the Richardson combination of steps h and
+    h/2, an O(h^4) estimate.
 
     The displaced grids of a k = 1 field are re-solved in groups of
     consecutive grids of at most ``_GROUP_LANES`` lanes, one ``resolve``
@@ -57,7 +55,7 @@ def fd_jacobian_batch(field, h=1e-5, richardson=False):
     """
     names, n = field.x_names, field.n
     base = {nm: field.x[:, j] for j, nm in enumerate(names)}
-    steps = (h, h / 2.0) if richardson else (h,)
+    steps = (h, h / 2.0)
     # each step, each name, the grid displaced up then down
     moves = [(step, name, up) for step in steps for name in names
              for up in (True, False)]
@@ -87,9 +85,7 @@ def fd_jacobian_batch(field, h=1e-5, richardson=False):
                                        f"{names[i]}")
             J[s, :, :, i] = (u[2 * j] - u[2 * j + 1]) / (2.0 * steps[s])
             u[2 * j] = u[2 * j + 1] = None
-    if richardson:
-        return (4.0 * J[1] - J[0]) / 3.0
-    return J[0]
+    return (4.0 * J[1] - J[0]) / 3.0
 
 
 @dataclass
@@ -98,22 +94,20 @@ class ResidualReport:
     max: float
     mean: float
     fd_step: float
-    richardson: bool
     failures: list
 
     def as_dict(self):
         return {"max": self.max, "mean": self.mean, "fd_step": self.fd_step,
-                "richardson": self.richardson,
+                "richardson": True,
                 "n_points": int(self.norms.size),
                 "failures": list(self.failures)}
 
 
-def residual_report(sys: QuasilinearSystem, field, jac, h=1e-5,
-                    richardson=False) -> ResidualReport:
+def residual_report(sys: QuasilinearSystem, field, jac, h) -> ResidualReport:
     """Finite-difference residual of the system at every converged point.
 
     ``jac`` holds the (n, q, p) Jacobians from ``fd_jacobian_batch``, made
-    with step ``h`` and ``richardson``, which the report records.
+    with step ``h``, which the report records.
     """
     res = sys.residual_batch(field.grid_env(), jac)
     norms = np.max(np.abs(res), axis=1)
@@ -121,7 +115,7 @@ def residual_report(sys: QuasilinearSystem, field, jac, h=1e-5,
     ok = field.converged
     return ResidualReport(norms=norms, max=float(np.max(norms[ok])),
                           mean=float(np.mean(norms[ok])), fd_step=h,
-                          richardson=richardson, failures=failures)
+                          failures=failures)
 
 
 @dataclass
@@ -181,9 +175,9 @@ def recover_decomposition(jac, elements, env) -> DecompositionRecovery:
                                  rank=rank[inverse])
 
 
-def constancy_along_kernel(field, elements, indices=None, h=1e-5):
-    """Directional derivative of u along the common kernel of the wave
-    covectors, by re-solving at displaced points.
+def constancy_along_kernel(field, elements, indices, h):
+    """Derivative of u along the common kernel of the wave covectors at
+    the grid points ``indices``, by re-solving points displaced by ``h``.
 
     The kernel at each sample comes from one stacked SVD of the covector
     rows; every displaced point, sample x kernel direction x +-h, is
@@ -191,8 +185,6 @@ def constancy_along_kernel(field, elements, indices=None, h=1e-5):
     Returns (holds, max_derivative).  Vacuously true when the covectors
     span the whole cotangent space.
     """
-    if indices is None:
-        indices = range(min(field.n, 20))
     idx = np.asarray(list(indices), dtype=int)
     p = len(field.x_names)
     env = {k: v[idx] for k, v in field.grid_env().items()}

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with -s); the assertions pin
 the same numbers.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwave import cli, exprmat
+from rwave import cli, exprmat, solver
 from rwave.cli import EXIT_OK, PIPELINE, AnalysisRequest, run
 from rwave.expr import Bin, Box, Const, Var, ZeroVerdict, is_zero, parse, simplify
 from rwave.fixtures import PRESETS, load_fixture, system_from_dict
@@ -50,6 +51,7 @@ from rwave.verify import (
 
 from .strategies import fixture_box, random_polynomial_vector, recover_at
 from .test_cli import read_solution_field_table
+from .test_solver import mixed_guess
 from .test_system import (
     BROWNIAN_HOMOGENIZED,
     TRAUTMAN_HOMOGENIZED,
@@ -133,7 +135,8 @@ def test_criterion_2_simple_wave_closed_forms():
         grid = {"t": rng.uniform(*tbox, n), "x": rng.uniform(1, 3, n),
                 "y": rng.uniform(*ybox, n)}
         cfg = ImplicitSolveConfig(root_select="lowest")
-        field = solve_implicit(surf, [pot], grid, cfg)
+        field = solve_implicit(surf, [pot], grid, cfg, params={},
+                               space=EX2.space)
         assert field.converged.all()
         want_tau = np.array([tau_closed_form(t, y, sign)
                              for t, y in zip(grid["t"], grid["y"])])
@@ -173,7 +176,7 @@ def test_criterion_3_example3_explicit_solution():
     want = np.array([example3_closed_form(t, x, y)
                      for t, x, y in zip(grid["t"], grid["x"], grid["y"])])
     u_err = float(np.max(np.abs(field.u[:, 0] - want)))
-    J = fd_jacobian_batch(field, h=3e-4, richardson=True)
+    J = fd_jacobian_batch(field, h=3e-4)
     env = {nm: field.x[:, j] for j, nm in enumerate(field.x_names)}
     env.update({k: np.broadcast_to(v, (n,)) for k, v in field.params.items()})
     env["u"] = field.u[:, 0]
@@ -279,6 +282,19 @@ def test_criterion_6_frame_rescaling():
            f"incompatible rejected: {rejected}")
 
 
+def central_difference(field, h):
+    """The one-step central-difference Jacobians du/dx (n, q, p), from
+    re-solves of the grid moved by +-h along each axis."""
+    base = {nm: field.x[:, j] for j, nm in enumerate(field.x_names)}
+    lanes = np.arange(field.n)
+    cols = []
+    for name in field.x_names:
+        up = field.resolve({**base, name: base[name] + h}, None, lanes)
+        dn = field.resolve({**base, name: base[name] - h}, None, lanes)
+        cols.append((up.u - dn.u) / (2.0 * h))
+    return np.stack(cols, axis=2)
+
+
 def test_criterion_7_property_suites():
     """Structural properties at their stated tolerances."""
     rng = np.random.default_rng(7000)
@@ -367,21 +383,23 @@ def test_criterion_7_property_suites():
     mu = [[parse(str(e), tau_space) for e in row] for row in cfg["mu"]]
     gam_p = (parse("sqrt(u1)", EX2.space), Const(1))
     gam_m = (parse("-sqrt(u1)", EX2.space), Const(1))
-    surf = build_hodograph([gam_p, gam_m], mu, cfg["u0"], cfg["tau_base"],
-                           cfg["axis_ranges"], step=cfg["grid_step"],
-                           space=EX2.space, tau_names=("tau1", "tau2"),
-                           axes=cfg["axes"], n_grid=61)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SHEET_POINTS", 61)
+        surf = build_hodograph([gam_p, gam_m], mu, cfg["u0"], cfg["tau_base"],
+                               cfg["axis_ranges"], step=cfg["grid_step"],
+                               space=EX2.space, tau_names=("tau1", "tau2"),
+                               axes=cfg["axes"])
     mismatch = flow_order_mismatch(surf, [gam_p, gam_m], mu,
                                    step=cfg["grid_step"])
     ok &= mismatch < 1e-7
     details.append(f"flow swap {mismatch:.2e}")
 
-    # Richardson ratio of the finite-difference Jacobian on a smooth field
+    # Richardson ratio of the one-step central difference on a smooth field
     field = double_wave_fixture({"t": np.array([1.7]), "x": np.array([2.0]),
                                  "y": np.array([0.45])})
     exact = np.array([[0.0, 0.0, -1.0 / 0.45], [1.0, 0.0, 0.0]])
-    e1 = np.max(np.abs(fd_jacobian_batch(field, h=1e-4)[0] - exact))
-    e2 = np.max(np.abs(fd_jacobian_batch(field, h=1e-5)[0] - exact))
+    e1 = np.max(np.abs(central_difference(field, 1e-4)[0] - exact))
+    e2 = np.max(np.abs(central_difference(field, 1e-5)[0] - exact))
     ratio = e1 / e2
     ok &= 50 <= ratio <= 200
     details.append(f"FD ratio {ratio:.0f}")
@@ -425,14 +443,21 @@ def test_criterion_8_catastrophe_detection():
 
 # ---------------------------------------------------------------------------
 # lane independence, end to end: a lane's bits do not depend on which other
-# lanes share a call
+# lanes share a call (the lane contract and its two exceptions, README)
 
 @functools.cache
-def preset_run(system, root_select):
+def preset_run(system, root_select, guesses=None):
     """A run of ``system`` on its preset grid, and the arguments and result
     of each of its calls to the solve, the Jacobians, the residuals and
-    the recovery, and the rows of its solution.csv."""
+    the recovery, and the rows of its solution.csv.  With ``guesses``,
+    example3's scan window reaches its roots above 0, and the lanes'
+    configured guesses lie on both roots' sides."""
     seen = {}
+    solver_cfg = {"root_select": root_select} if root_select else {}
+    if guesses:
+        grid = cli._grid_env(PRESETS[system]["grid"])
+        solver_cfg.update(tau_window=[-24.0, 0.99],
+                          initial_guess=mixed_guess(grid).tolist())
 
     def recording(name, fn):
         def call(*args, **kwargs):
@@ -447,7 +472,7 @@ def preset_run(system, root_select):
         req = AnalysisRequest(
             system=system, domain={}, stages=PIPELINE,
             grid=PRESETS[system]["grid"], out_dir=out, seed=5,
-            solver={"root_select": root_select} if root_select else {})
+            solver=solver_cfg)
         assert run(req)[0] == EXIT_OK
         rows = read_solution_field_table(Path(out) / "solution.csv")[1]
     return seen, rows
@@ -463,10 +488,12 @@ def assert_bits(got, want):
 @settings(max_examples=20, deadline=None)
 @given(case=st.sampled_from([("example2", None), ("example3", "lowest"),
                              ("example3", "highest"),
-                             ("example3", "nearest")]),
+                             ("example3", "nearest"),
+                             ("example3", "nearest", "guess per lane")]),
        picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=120))
 @example(case=("example2", None), picks=[4321])          # one lane alone
 @example(case=("example3", "nearest"), picks=[7, 7, 3])
+@example(case=("example3", "nearest", "guess per lane"), picks=[7, 7, 3, 8])
 def test_lanes_match_the_full_grid_end_to_end(case, picks):
     # a random subset of a preset grid's lanes, with repeats and in any
     # order, through the solve, the Richardson Jacobians, the residuals,
@@ -479,9 +506,13 @@ def test_lanes_match_the_full_grid_end_to_end(case, picks):
     if surface.k > 1:
         # no lane of the preset takes the warm-start retry, the one step
         # that reads other lanes (its grid-order neighbours)
-        assert (full.iters < cfg.max_iter).all()
+        assert (full.iters < solver._MAX_ITER).all()
         per_lane.append("iters")
     lanes = np.array(picks) % full.n
+    guess = solver._lane_guess(cfg, full.n, surface.k)
+    if guess is not None:
+        # a lane keeps its configured guess
+        cfg = dataclasses.replace(cfg, initial_guess=guess[lanes])
     field = solve_implicit(surface, phis,
                            {nm: np.asarray(v)[lanes] for nm, v in grid.items()},
                            cfg, **kwargs)

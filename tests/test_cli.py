@@ -313,7 +313,7 @@ def test_second_run_compiles_no_kernel_source(tmp_path, monkeypatch, system,
                                               grid):
     # every kernel source of a run is compiled by the first run in a
     # process; a second run takes each code object from the cache and
-    # writes the first run's bytes
+    # writes the first run's bytes (the lane contract, README)
     first = base_request(tmp_path, system=system, grid=grid,
                          out_dir=str(tmp_path / "first"))
     assert run(first)[0] == EXIT_OK
@@ -535,11 +535,12 @@ def test_run_unknown_root_select_exit4(tmp_path):
 
 
 @pytest.mark.parametrize("window", ["[NaN, -0.3]", "[-0.3]", "[-0.3, -24.0]",
-                                    "[-2.0, -2.0]"],
-                         ids=["NaN end", "one end", "lo > hi", "lo = hi"])
+                                    "[-2.0, -2.0]", "[]"],
+                         ids=["NaN end", "one end", "lo > hi", "lo = hi",
+                              "no ends"])
 def test_run_bad_tau_window_exit4(tmp_path, window):
-    # a NaN end must not fall back to the curve's own end, and one end
-    # must not fail as an IndexError
+    # a NaN end must not fall back to the curve's own end, one end must not
+    # fail as an IndexError, and no ends must not scan the whole curve
     cfg = tmp_path / "w.json"
     cfg.write_text(f'{{"tau_window": {window}}}')
     out = tmp_path / "out"
@@ -551,6 +552,30 @@ def test_run_bad_tau_window_exit4(tmp_path, window):
     assert outcomes["solve"]["ok"] is False
     assert outcomes["solve"]["detail"].startswith(
         "ValueError: tau_window must be two finite numbers lo < hi")
+    assert not (out / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("guess, detail", [
+    ('"bogus"', "initial_guess must be 'potential_at_base' or numbers, got "
+                "'bogus'"),
+    ("null", "initial_guess must be 'potential_at_base' or numbers, got "
+             "None"),
+    ("[-2.0, -1.0, -0.5]", "initial_guess must hold k = 1 or n*k = 27 "
+                           "values, got 3"),
+], ids=["a string", "null", "3 values on 27 lanes"])
+def test_run_bad_initial_guess_exit4(tmp_path, guess, detail):
+    # the solve fails naming the setting, not as a float conversion or a
+    # reshape deep in the solve
+    cfg = tmp_path / "g.json"
+    cfg.write_text(f'{{"initial_guess": {guess}}}')
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example3", "--grid",
+                 "t=0.1:1:3,x=1:3:3,y=1:3:3", "--solver-config", str(cfg),
+                 "--out", str(out)]) == EXIT_SOLVER
+    outcomes = json.loads((out / "outcomes.json").read_text())
+    assert outcomes["rescale"]["ok"] is True
+    assert outcomes["solve"]["ok"] is False
+    assert outcomes["solve"]["detail"].startswith("ValueError: " + detail)
     assert not (out / "solution.csv").exists()
 
 

@@ -304,6 +304,8 @@ def assert_bitwise(got, want):
 
 
 def assert_kernel_matches_tree_walk(exprs, env):
+    # each lane has the tree walk's bits, whatever the number of lanes (the
+    # lane contract, README)
     got = compile_exprs(exprs)(env)
     lanes = max([len(v) for v in env.values() if np.ndim(v)], default=1)
     assert got.shape == (lanes, len(exprs))
@@ -397,9 +399,11 @@ def test_compiled_kernel_folds_deep_constant_trees_bitwise(monkeypatch):
 
 def test_eval_vector_and_matrix_shape_contract():
     # over n lanes every entry gets a lane axis, constant entries included;
-    # a point env is one lane; values are the tree-walk's bits
+    # a point env is one lane; values are the tree-walk's bits, non-strict
+    # for a vector and strict for a matrix
     v = (Const(2), parse("x*u1", SPACE), Const(0.5))
-    A = ((Const(1), parse("sqrt(y)", SPACE)), (parse("x - u1", SPACE), Const(-3)))
+    A = ((Const(1), parse("sqrt(|y|)", SPACE)),
+         (parse("x - u1", SPACE), Const(-3)))
     consts_v = (Const(1), Const(-0.25))
     consts_A = ((Const(1), Const(2)), (Const(0), Const(4)))
     rng = np.random.default_rng(8)
@@ -416,12 +420,14 @@ def test_eval_vector_and_matrix_shape_contract():
                 assert_bitwise(got[..., j], np.broadcast_to(np.asarray(
                     e.evaluate(env, strict=False), dtype=float), lead))
         for mat in (A, consts_A):
-            got = exprmat.eval_matrix(mat, env, strict=False)
+            got = exprmat.eval_matrix(mat, env)
             assert got.shape == lead + (2, 2)
             for i, row in enumerate(mat):
                 for j, e in enumerate(row):
                     assert_bitwise(got[..., i, j], np.broadcast_to(np.asarray(
-                        e.evaluate(env, strict=False), dtype=float), lead))
+                        e.evaluate(env), dtype=float), lead))
+    with pytest.raises(EvalDomainError):
+        exprmat.eval_matrix(((parse("sqrt(y)", SPACE),),), lanes)
 
 
 def test_compiled_kernel_missing_variable_raises():

@@ -205,7 +205,7 @@ def test_rescale_rejects_full_rank_frame():
     X2 = (Const(0), parse("exp(x)", names))
     with pytest.raises(FrobeniusError):
         rescale_frame([X1, X2], names, Box.from_dict({"x": (0, 1),
-                                                      "y": (0, 1)}))
+                                                      "y": (0, 1)}), rng=0)
 
 
 def test_rescale_full_rank_commuting_frame_is_identity():

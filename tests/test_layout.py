@@ -11,6 +11,13 @@ attribute, or named in a dotted string such as ``"Class.method"``,
 outside its own definition in those places.  Test-only helpers and data
 belong in ``tests/``; independent checks that only the tests call are
 listed in ORACLES and MEMBER_ORACLES with the reason they stay.
+
+Every default of a package function or dataclass field is given by some
+call in those places (by keyword, by position, through a ``*`` or ``**``
+splat, or, for a field, through ``dataclasses.replace``), matched by
+name; the rest are listed in UNGIVEN with their reasons.  A setting that
+only the tests vary is a module constant.  No ``rng`` parameter outside
+ORACLES has a default.
 """
 
 import ast
@@ -148,3 +155,97 @@ def test_every_class_member_is_read_outside_the_tests():
                         f"move them into tests/ or delete them: {unused}")
     assert set(MEMBER_ORACLES) <= {f"{cls}.{name}"
                                    for _, cls, name, _ in defined}
+
+
+# defaulted parameters and dataclass fields that no call outside the tests
+# gives, with the reason each keeps its default
+UNGIVEN = {
+    "main.argv": "the console script calls main() with no arguments, and "
+                 "argparse then reads sys.argv",
+}
+
+
+def _defaults(tree):
+    """(name, parameter, position or None, definition) of each defaulted
+    parameter of a function or method, nested ones included, dunders
+    excepted, and of each defaulted dataclass field; a method's position
+    leaves out ``self``, as a call through an attribute does."""
+    methods = {id(stmt) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for stmt in cls.body
+               if isinstance(stmt, ast.FunctionDef) and not any(
+                   isinstance(d, ast.Name) and d.id == "staticmethod"
+                   for d in stmt.decorator_list)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            shift = 1 if id(node) in methods else 0
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, i - shift, node
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None, node
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [stmt for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+            for i, stmt in enumerate(fields):
+                if stmt.value is not None:
+                    yield node.name, stmt.target.id, i, node
+
+
+def _calls(trees):
+    """Per callee name, the (positional count, keyword names, splat) of
+    each call to it; ``replace(obj, name=...)`` also gives ``name`` to
+    every dataclass."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            splat = any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, splat))
+    return calls
+
+
+def test_every_default_is_given_by_a_call_outside_the_tests():
+    # a setting that only the tests change is a module constant, and a
+    # default that every call gives is a required argument
+    trees = dict(_trees())
+    calls = _calls(trees.values())
+    replaced = {kw for _, kws, _ in calls.get("replace", []) for kw in kws}
+    ungiven, defined = [], set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for name, param, pos, node in _defaults(tree):
+            defined.add(f"{name}.{param}")
+            if name in ORACLES:
+                continue
+            given = any(splat or param in kws or (pos is not None and n > pos)
+                        for n, kws, splat in calls.get(name, []))
+            if isinstance(node, ast.ClassDef):
+                given |= param in replaced
+            if not given and f"{name}.{param}" not in UNGIVEN:
+                ungiven.append(f"{name}.{param}")
+    assert not ungiven, ("defaults that no call outside the tests gives; "
+                         "make each a module constant, or list it in "
+                         f"UNGIVEN with its reason: {sorted(ungiven)}")
+    assert set(UNGIVEN) <= defined
+
+
+def test_no_random_generator_has_a_default():
+    # a forgotten seed must fail, not draw from the operating system
+    defaulted = sorted(f"{name}.{param}"
+                       for path, tree in _trees() if path.parent == PACKAGE
+                       for name, param, _, _ in _defaults(tree)
+                       if param == "rng" and name not in ORACLES)
+    assert not defaulted, f"rng parameters with a default: {defaulted}"

@@ -95,16 +95,23 @@ def test_integrate_characteristic_ex2_closed_form(sign):
     assert np.allclose(vals[:, 1], s, atol=1e-10)
 
 
+def sheet(points, *args, **kwargs):
+    """``build_hodograph`` with ``points`` grid points along each axis."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SHEET_POINTS", points)
+        return build_hodograph(*args, **kwargs)
+
+
 def ex2_two_wave_surface():
     gam_p = (parse("sqrt(u1)", SP2), Const(1))
     gam_m = (parse("-sqrt(u1)", SP2), Const(1))
     cfg = PRESETS["example2"]["solver"]
     mu = [[parse(e, VarSpace((), (), ("taup", "taum"))) for e in row]
           for row in cfg["mu"]]
-    return build_hodograph(
-        [gam_p, gam_m], mu, cfg["u0"], cfg["tau_base"], cfg["axis_ranges"],
-        step=cfg["grid_step"], space=SP2, tau_names=("taup", "taum"),
-        axes=cfg["axes"], n_grid=121)
+    return sheet(
+        121, [gam_p, gam_m], mu, cfg["u0"], cfg["tau_base"],
+        cfg["axis_ranges"], step=cfg["grid_step"], space=SP2,
+        tau_names=("taup", "taum"), axes=cfg["axes"])
 
 
 def test_build_hodograph_two_wave_matches_closed_form():
@@ -143,10 +150,9 @@ def tau_weighted_frame():
     gammas = [(Const(1), Const(0)), (Const(0), Const(1))]
     mu = [[parse("tau1", tau_space), Const(0)],
           [Const(0), parse("tau2", tau_space)]]
-    surf = build_hodograph(gammas, mu, [0.0, 0.0], [1.0, 1.0],
-                           [[1.0, 2.0], [-0.5, 0.5]], step=0.02, space=space,
-                           tau_names=("tau1", "tau2"),
-                           axes=[[1.0, 1.0], [1.0, -1.0]], n_grid=21)
+    surf = sheet(21, gammas, mu, [0.0, 0.0], [1.0, 1.0],
+                 [[1.0, 2.0], [-0.5, 0.5]], step=0.02, space=space,
+                 tau_names=("tau1", "tau2"), axes=[[1.0, 1.0], [1.0, -1.0]])
     return surf, gammas, mu
 
 
@@ -164,8 +170,7 @@ def test_swap_order_lanes_match_serial_probes(frame):
     a, b = solver._flow_both_orders(field, s_base, u0, probes, step)
 
     def serial(rhs, y0, start, end):
-        return ode.flow(rhs, y0[None], start, [end], tol=1e-12,
-                        first_step=step)[0, 0]
+        return ode.flow(rhs, y0[None], start, [end], first_step=step)[0, 0]
 
     for i, (s1, s2) in enumerate(probes):
         # reference: one single-lane integration per leg and probe
@@ -206,7 +211,7 @@ def test_paired_swap_legs_match_one_lane_legs_bitwise(frame):
         def f(sigma, u):
             return span[:, None] * rhs(start + sigma * span, u)
 
-        return ode.flow(f, y[None], 0.0, [1.0], tol=1e-12,
+        return ode.flow(f, y[None], 0.0, [1.0],
                         first_step=step / np.maximum(np.abs(span), step))[0, 0]
 
     for i, (s1, s2) in enumerate(probes):
@@ -284,10 +289,9 @@ def test_build_hodograph_half_weights_quarter_form():
     zero = parse("0", tau_space)
     mu = [[half, zero], [zero, half]]
     # anchor on that surface: u = (((tp-tm)/4)^2, (tp+tm)/2) at (2, -2) -> (1, 0)
-    surf = build_hodograph([gam_p, gam_m], mu, [1.0, 0.0], [2.0, -2.0],
-                           [[-0.5, 0.5], [1.0, 3.0]], step=0.02, space=SP2,
-                           tau_names=("taup", "taum"),
-                           axes=[[1.0, 1.0], [1.0, -1.0]], n_grid=81)
+    surf = sheet(81, [gam_p, gam_m], mu, [1.0, 0.0], [2.0, -2.0],
+                 [[-0.5, 0.5], [1.0, 3.0]], step=0.02, space=SP2,
+                 tau_names=("taup", "taum"), axes=[[1.0, 1.0], [1.0, -1.0]])
     rng = np.random.default_rng(2)
     s = np.stack([rng.uniform(-0.4, 0.4, 20), rng.uniform(1.1, 2.9, 20)], axis=1)
     tau = surf.from_internal(s)
@@ -303,9 +307,8 @@ def test_build_hodograph_noncommuting_raises():
     g2 = (Const(0), parse("u1", space))  # u1 d_u2
     mu = [[Const(1), Const(0)], [Const(0), Const(1)]]
     with pytest.raises(NonIntegrable):
-        build_hodograph([g1, g2], mu, [0.0, 0.0], [0.0, 0.0],
-                        [[-1.0, 1.0], [-1.0, 1.0]], step=0.05, space=space,
-                        n_grid=21)
+        sheet(21, [g1, g2], mu, [0.0, 0.0], [0.0, 0.0],
+              [[-1.0, 1.0], [-1.0, 1.0]], step=0.05, space=space)
 
 
 @pytest.mark.parametrize("sign,box", [
@@ -331,7 +334,7 @@ def test_solve_implicit_simple_wave_matches_closed_form(sign, box):
             "y": rng.uniform(*box["y"], n)}
     cfg = ImplicitSolveConfig(initial_guess="potential_at_base",
                               root_select="lowest", tau_window=window)
-    field = solve_implicit(surf, [pot], grid, cfg)
+    field = solve_implicit(surf, [pot], grid, cfg, params={}, space=SP2)
     assert field.converged.all()
     want_tau = np.array([tau_pm_closed_form(t, y, sign)
                          for t, y in zip(grid["t"], grid["y"])])
@@ -406,7 +409,7 @@ def test_solve_implicit_two_wave_grid():
     T, X, Y = np.meshgrid(t, x, y, indexing="ij")
     grid = {"t": T.ravel(), "x": X.ravel(), "y": Y.ravel()}
     cfg = ImplicitSolveConfig()
-    field = solve_implicit(surf, list(pots), grid, cfg)
+    field = solve_implicit(surf, list(pots), grid, cfg, params={}, space=SP2)
     assert field.converged.all()
     want_u1 = -np.log(grid["y"])
     assert np.max(np.abs(field.u[:, 0] - want_u1)) < 1e-8
@@ -462,7 +465,7 @@ def test_solve_failed_when_no_roots():
     # no Newton iteration runs in a scalar solve, so the message says why
     with pytest.raises(SolveFailed, match="^no grid point has a sign change "
                        "of tau - phi in the scan window$"):
-        solve_implicit(surf, [pot], {"t": np.array([5.0])}, cfg,
+        solve_implicit(surf, [pot], {"t": np.array([5.0])}, cfg, params={},
                        space=VarSpace(("t",), ("u",)))
 
 
@@ -475,7 +478,7 @@ def test_double_wave_fixture_values():
     assert np.allclose(field.u[:, 0], -np.log(field.x[:, 2]), atol=1e-14)
     assert np.allclose(field.u[:, 1], field.x[:, 0], atol=1e-14)
     sub = field.resolve({"t": np.array([2.0]), "x": np.array([5.0]),
-                         "y": np.array([0.5])})
+                         "y": np.array([0.5])}, None, np.array([0]))
     assert sub.u[0, 0] == pytest.approx(math.log(2.0), abs=1e-15)
     assert sub.u[0, 1] == 2.0
     # central differences of the re-solve match the closed-form Jacobian
@@ -484,7 +487,8 @@ def test_double_wave_fixture_values():
     h = 1e-6
     pts = np.array([2.0, 5.0, 0.5]) + np.repeat(np.eye(3), 2, axis=0) \
         * np.tile([h, -h], 3)[:, None]
-    moved = field.resolve({nm: pts[:, k] for k, nm in enumerate("txy")})
+    moved = field.resolve({nm: pts[:, k] for k, nm in enumerate("txy")},
+                          None, np.zeros(6, dtype=int))
     assert np.allclose(((moved.u[0::2] - moved.u[1::2]) / (2 * h)).T, J)
 
 
@@ -555,7 +559,7 @@ def reference_newton(surface, phi_all, jacobian, tau0, cfg, n, only, need):
         active[only] = True
     tau = surface.clip(tau)
     need("run", tau, active)
-    for it in range(cfg.max_iter):
+    for it in range(solver._MAX_ITER):
         phi_vals, u, env = phi_all(tau)
         need("value", tau, active)
         G = tau - phi_vals
@@ -578,7 +582,7 @@ def reference_newton(surface, phi_all, jacobian, tau0, cfg, n, only, need):
         scale = np.ones(n)
         trial = surface.clip(tau - scale[:, None] * step)
         halving = active
-        for _ in range(cfg.damping_steps):
+        for _ in range(solver._DAMPING_STEPS):
             phi_t, _, _ = phi_all(trial)
             need("value", trial, halving)
             need("halving", trial, halving)
@@ -592,6 +596,14 @@ def reference_newton(surface, phi_all, jacobian, tau0, cfg, n, only, need):
         tau = np.where(active[:, None], trial, tau)
         iters[active] += 1
     return tau, iters, conv
+
+
+def configured_guess(cfg, bound, surface, n, k):
+    """The initial guess of each lane, taken as solve_implicit takes it."""
+    guess = solver._lane_guess(cfg, n, k)
+    if guess is None:
+        guess = solver._initial_guess(cfg, bound, surface, n, k)
+    return guess
 
 
 def reference_solve(surface, potentials, grid, cfg, need):
@@ -612,8 +624,8 @@ def reference_solve(surface, potentials, grid, cfg, need):
         dphi = np.stack([p.bind(env).du(env) for p in pots], axis=1)
         return np.eye(2)[None] - dphi @ surface.jac(tau)
 
-    tau0 = solver._initial_guess(cfg, [p.bind(env_x) for p in pots],
-                                 surface, n, 2)
+    tau0 = configured_guess(cfg, [p.bind(env_x) for p in pots], surface,
+                            n, 2)
     tau, iters, conv = reference_newton(surface, phi_all, jacobian, tau0, cfg,
                                         n, None, need)
     if (~conv).any() and conv.any():
@@ -695,30 +707,38 @@ def wavy_potentials():
     return plus, simplify(minus + parse("0.5*sin(4*u1)", SP2))
 
 
+# each case's potentials, and the values of the solver's Newton constants
+# it sets
 NEWTON_CASES = {
     "example2": (ex2_potentials, {}),
     "halvings and retry": (wavy_potentials, {}),
-    "damping runs out": (wavy_potentials, {"damping_steps": 3}),
-    "no damping": (wavy_potentials, {"damping_steps": 0, "max_iter": 8}),
+    "damping runs out": (wavy_potentials, {"_DAMPING_STEPS": 3}),
+    "no damping": (wavy_potentials, {"_DAMPING_STEPS": 0, "_MAX_ITER": 8}),
 }
 
 
+def set_constants(mp, constants):
+    for name, value in constants.items():
+        mp.setattr(solver, name, value)
+
+
 @pytest.mark.parametrize("case", NEWTON_CASES)
-def test_newton_evaluates_each_point_once_bitwise(case):
-    make_pots, settings = NEWTON_CASES[case]
+def test_newton_evaluates_each_point_once_bitwise(case, monkeypatch):
+    make_pots, constants = NEWTON_CASES[case]
+    set_constants(monkeypatch, constants)
     surf = ex2_two_wave_surface()
     pots = list(make_pots())
     grid = ex2_grid()
-    cfg = ImplicitSolveConfig(**settings)
+    cfg = ImplicitSolveConfig()
     need = Needs()
     tau, u, iters, conv, det = reference_solve(surf, pots, grid, cfg, need)
     counted = surf._spline = CallCount(surf._spline)
     log = LaneLog(surf)
-    field = solve_implicit(log, pots, grid, cfg)
+    field = solve_implicit(log, pots, grid, cfg, params={}, space=SP2)
 
     if case == "halvings and retry":
         assert need.trials > need.jac_lanes           # some steps halved
-        assert (iters > cfg.max_iter).any()           # some lanes retried
+        assert (iters > solver._MAX_ITER).any()       # some lanes retried
     assert_bitwise(field.tau, tau)
     assert_bitwise(field.u, u)
     assert np.array_equal(field.iters, iters)
@@ -745,8 +765,9 @@ def test_newton_evaluates_each_point_once_bitwise(case):
 def test_resolve_leaves_determinant_until_read():
     surf = LaneLog(ex2_two_wave_surface())
     pots = list(ex2_potentials())
-    field = solve_implicit(surf, pots, ex2_grid(), ImplicitSolveConfig())
-    again = field.resolve(ex2_grid(3, 2, 3))
+    field = solve_implicit(surf, pots, ex2_grid(), ImplicitSolveConfig(),
+                           params={}, space=SP2)
+    again = field.resolve(ex2_grid(3, 2, 3), None, np.arange(18))
     assert surf.jac_lanes == 0       # Newton reads df/dtau from its lookups
     again.catastrophe
     # one lane per distinct (t, y): no potential reads x
@@ -761,7 +782,7 @@ def test_resolve_leaves_determinant_until_read():
             "y": np.full(5, 1.5)}
     field = solve_implicit(line, [pot], grid, cfg, params={"m": 1.0, "k": 1.0},
                            space=SP3)
-    field.resolve(grid)
+    field.resolve(grid, None, np.arange(5))
     assert line.jac_lanes == 0
     field.det_monitor
     assert line.jac_lanes == field.n
@@ -804,8 +825,8 @@ def test_resolves_match_fresh_solves_bitwise(case, monkeypatch):
     pots = list(NEWTON_CASES[case][0]())
     cfg = ImplicitSolveConfig()
     grid = ex2_grid()
-    field = solve_implicit(surf, pots, grid, cfg)
-    retried = (field.iters > cfg.max_iter).any()
+    field = solve_implicit(surf, pots, grid, cfg, params={}, space=SP2)
+    retried = (field.iters > solver._MAX_ITER).any()
     assert retried == (case == "halvings and retry")
     # the resolver warm-starts only a field whose every lane converged
     warm = (dataclasses.replace(cfg, initial_guess=field.tau)
@@ -813,9 +834,10 @@ def test_resolves_match_fresh_solves_bitwise(case, monkeypatch):
     # a solve with a retry is slow, so it re-solves on one grid only
     for moved in displaced_grids(grid)[:1 if retried else None]:
         sorts = counting_sorts(monkeypatch)
-        again = field.resolve(moved, field.tau)
+        again = field.resolve(moved, field.tau, np.arange(field.n))
         assert sorts[0] == (1 if retried else 0)
-        assert_fields_bitwise(again, solve_implicit(surf, pots, moved, warm))
+        assert_fields_bitwise(again, solve_implicit(surf, pots, moved, warm,
+                                                    params={}, space=SP2))
         monkeypatch.undo()
 
 
@@ -826,7 +848,8 @@ def test_resolve_with_a_signed_zero_warm_start_sorts_afresh(monkeypatch):
     surf = ex2_two_wave_surface()
     pots = list(ex2_potentials())
     grid = ex2_grid()
-    field = solve_implicit(surf, pots, grid, ImplicitSolveConfig())
+    field = solve_implicit(surf, pots, grid, ImplicitSolveConfig(), params={},
+                           space=SP2)
     group = np.flatnonzero((grid["t"] == grid["t"][0])
                            & (grid["y"] == grid["y"][0]))
     assert len(group) == 3
@@ -834,15 +857,17 @@ def test_resolve_with_a_signed_zero_warm_start_sorts_afresh(monkeypatch):
     guess[group, 1] = 0.0
     guess[group[1], 1] = -0.0
     sorts = counting_sorts(monkeypatch)
-    again = field.resolve(grid, guess)
+    lanes = np.arange(field.n)
+    again = field.resolve(grid, guess, lanes)
     assert sorts[0] == 1
     monkeypatch.undo()
     fresh = solve_implicit(surf, pots, grid,
-                           ImplicitSolveConfig(initial_guess=guess))
+                           ImplicitSolveConfig(initial_guess=guess),
+                           params={}, space=SP2)
     assert_fields_bitwise(again, fresh)
     # the fresh solve's own plan holds for the same warm start
     sorts = counting_sorts(monkeypatch)
-    assert_fields_bitwise(fresh.resolve(grid, guess), fresh)
+    assert_fields_bitwise(fresh.resolve(grid, guess, lanes), fresh)
     assert sorts[0] == 0
 
 
@@ -852,10 +877,10 @@ def test_warm_start_from_converged_lanes_looks_up_once():
     # the warm start, and no stale u to look up
     surf = LaneLog(ex2_two_wave_surface())
     field = solve_implicit(surf, list(ex2_potentials()), ex2_grid(),
-                           ImplicitSolveConfig())
+                           ImplicitSolveConfig(), params={}, space=SP2)
     assert field.converged.all()
     surf.sizes.clear()
-    again = field.resolve(ex2_grid(), initial_guess=field.tau)
+    again = field.resolve(ex2_grid(), field.tau, np.arange(field.n))
     assert surf.sizes == [64] and 64 < field.n
     assert again.converged.all() and not again.iters.any()
 
@@ -865,6 +890,7 @@ def test_warm_start_from_converged_lanes_looks_up_once():
 # each lane the bits of a solve over its distinct equations alone, except
 # where a lane needs the warm-start retry, which reads its grid-order
 # neighbours; there it has the bits of the reference that solves every lane
+# (the lane contract and its exceptions, README)
 
 @functools.cache
 def repeated_lanes_cases():
@@ -951,7 +977,7 @@ def test_repeated_lanes_scalar_solve_bitwise(root_select, lanes):
 
 
 NEWTON_REPEATS = {"halvings and retry": {},
-                  "no damping": {"damping_steps": 0, "max_iter": 8}}
+                  "no damping": {"_DAMPING_STEPS": 0, "_MAX_ITER": 8}}
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -964,18 +990,21 @@ NEWTON_REPEATS = {"halvings and retry": {},
 def test_repeated_lanes_newton_bitwise(case, warm, lanes):
     # the example: lane 0 fails its first run at (t, y) = (1, 0.2), and its
     # two copies retry from different grid-order neighbours, lanes 9 and 27
-    (got, cfg, env), (alone, _, _), back = repeated_lanes_solves(
-        2, lanes, warm, **NEWTON_REPEATS[case])
-    surf, pots = repeated_lanes_cases()[2][:2]
-    tau, u, iters, conv, det = reference_solve(surf, pots, env, cfg,
-                                               lambda *args: None)
+    with pytest.MonkeyPatch.context() as mp:
+        set_constants(mp, NEWTON_REPEATS[case])
+        (got, cfg, env), (alone, _, _), back = repeated_lanes_solves(
+            2, lanes, warm)
+        surf, pots = repeated_lanes_cases()[2][:2]
+        tau, u, iters, conv, det = reference_solve(surf, pots, env, cfg,
+                                                   lambda *args: None)
+        max_iter = solver._MAX_ITER
     if got is None:
         assert not conv.any()
         return
     assert_lanes_bitwise(got, dataclasses.replace(
         got, tau=tau, u=u, iters=iters, converged=conv,
         determinant=lambda: det))
-    first_run = got.iters < cfg.max_iter      # converged before any retry
+    first_run = got.iters < max_iter          # converged before any retry
     assert_lanes_bitwise(lanes_of(got, first_run),
                          lanes_of(alone, back[first_run]))
 
@@ -1010,7 +1039,8 @@ def offer_in_blocks(pick, g, ws, widths):
     first = 0
     for width in widths:
         block = np.ascontiguousarray(g[:, first:first + width + 1].T)
-        pick.offer(first, block, centers[first:first + width])
+        pick.offer(first, block, centers[first:first + width],
+                   np.arange(len(g)))
         first += width
 
 
@@ -1122,8 +1152,8 @@ def reference_solve_scalar(surface, potentials, grid, cfg, params, space):
             env, strict=False), dtype=float), (n,))
 
     pots = [solver.PotentialFn(p, space) for p in potentials]
-    tau0 = solver._initial_guess(cfg, [p.bind(env_x) for p in pots],
-                                 surface, n, 1)[:, 0]
+    tau0 = configured_guess(cfg, [p.bind(env_x) for p in pots], surface,
+                            n, 1)[:, 0]
     return reference_scan_solve(surface, phi, tau0, cfg, n)
 
 
@@ -1248,6 +1278,9 @@ def test_scalar_scan_skips_cells_with_an_infinite_end_bitwise(root_select,
 
         def rows(self, rows):
             return Cubic(rows)
+
+        def scan_bound(self, u_env, edges):
+            return None
 
     tau0 = rng.uniform(-24.0, 0.99, n)
     tau0[::9] = np.nan
@@ -1409,6 +1442,9 @@ def test_lowest_scan_ends_once_every_lane_has_its_cell(root_select,
 
             def rows(self, rows):
                 return bound.rows(rows)
+
+            def scan_bound(self, u_env, edges):
+                return None
 
         conv = solver._solve_scalar(surf, [Recording()], tau0, cfg)[2]
         assert conv.all()
@@ -1931,7 +1967,7 @@ def test_spline_lanes_are_independent_bitwise(points, axes, data):
     # a lane's coordinates, clip, value and Jacobian do not depend on which
     # other lanes share the call, a lone lane included (numpy rounds a
     # one-row product otherwise, so the surface pads it): no product runs
-    # across lanes
+    # across lanes (the lane contract, README)
     tau = np.array(points, dtype=float)
     n = len(tau)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=n)),
@@ -2031,7 +2067,8 @@ def test_solution_field_keeps_only_du_kernels(monkeypatch):
 
     monkeypatch.setattr(solver.BoundPotential, "__init__", record)
     field = solve_implicit(ex2_two_wave_surface(), list(ex2_potentials()),
-                           ex2_grid(), ImplicitSolveConfig())
+                           ex2_grid(), ImplicitSolveConfig(), params={},
+                           space=SP2)
     gc.collect()
     alive = [b for b in (r() for r in made) if b is not None]
     assert len(alive) == 2

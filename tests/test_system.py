@@ -129,7 +129,7 @@ def test_homogenize_brownian_matches_target():
     _assert_same_system(res.system, BROWNIAN_HOMOGENIZED, box, rng)
     # last coefficient matrix is the identity
     assert res.system.coeffs[-1] == exprmat.identity(2)
-    for chk in check_m_property(res, sys, box, rng=rng, threshold=1e-12):
+    for chk in check_m_property(res, sys, box, rng=rng):
         assert chk.verdict is ZeroVerdict.PROBABLY_ZERO
     # M invertible at sampled points
     for _ in range(20):
@@ -144,7 +144,7 @@ def test_homogenize_trautman_matches_target():
     rng = np.random.default_rng(6)
     res = homogenize(sys, box=box, rng=rng, new_var="xhat")
     _assert_same_system(res.system, TRAUTMAN_HOMOGENIZED, box, rng)
-    for chk in check_m_property(res, sys, box, rng=rng, threshold=1e-12):
+    for chk in check_m_property(res, sys, box, rng=rng):
         assert chk.verdict is ZeroVerdict.PROBABLY_ZERO
 
 
@@ -173,7 +173,7 @@ def test_homogenize_solution_transport(name):
 
 def test_homogenize_already_homogeneous_flagged():
     sys = load_fixture("example2")
-    res = homogenize(sys)
+    res = homogenize(sys, fixture_box("example2"), np.random.default_rng(9))
     assert res.all_sources_zero
     assert res.system is sys
     assert res.m_matrix == exprmat.identity(2)

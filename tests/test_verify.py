@@ -59,7 +59,7 @@ def test_fd_jacobian_constant_field_zero():
     # constant resolver: freeze u
     const_u = field.u.copy()
 
-    def resolver(env, initial_guess=None, lanes=None):
+    def resolver(env, initial_guess, lanes):
         n = len(next(iter(env.values())))
         out = double_wave_fixture(env)
         out.u = np.tile(const_u[:1], (n, 1))
@@ -70,31 +70,24 @@ def test_fd_jacobian_constant_field_zero():
     assert np.allclose(J, 0.0, atol=1e-12)
 
 
-def test_fd_jacobian_richardson_ratio():
-    field = double_wave_fixture({"t": np.array([1.7]), "x": np.array([2.0]),
-                                 "y": np.array([0.45])})
-    exact = np.array([[0.0, 0.0, -1.0 / 0.45], [1.0, 0.0, 0.0]])
-    eh = np.max(np.abs(fd_jacobian_batch(field, h=1e-4)[0] - exact))
-    eh10 = np.max(np.abs(fd_jacobian_batch(field, h=1e-5)[0] - exact))
-    ratio = eh / eh10
-    assert 50 <= ratio <= 200
-
-
-def reference_fd_jacobian(field, h, richardson):
+def reference_fd_jacobian(field, h):
     # one resolve per displaced grid, each pair of grids checked in turn
     base = {nm: field.x[:, j] for j, nm in enumerate(field.x_names)}
+    lanes = np.arange(field.n)
 
     def jac_at(step):
         J = np.empty((field.n, field.u.shape[1], len(field.x_names)))
         for i, name in enumerate(field.x_names):
-            up = field.resolve({**base, name: base[name] + step}, field.tau)
-            dn = field.resolve({**base, name: base[name] - step}, field.tau)
+            up = field.resolve({**base, name: base[name] + step}, field.tau,
+                               lanes)
+            dn = field.resolve({**base, name: base[name] - step}, field.tau,
+                               lanes)
             assert (up.converged & dn.converged).all()
             J[:, :, i] = (up.u - dn.u) / (2.0 * step)
         return J
 
     J = jac_at(h)
-    return (4.0 * jac_at(h / 2.0) - J) / 3.0 if richardson else J
+    return (4.0 * jac_at(h / 2.0) - J) / 3.0
 
 
 def example3_grid_field(side, grid=None, **settings):
@@ -120,7 +113,7 @@ def counting_resolves(field):
     calls = []
     resolver = field.resolver
 
-    def counted(env, initial_guess=None, lanes=None):
+    def counted(env, initial_guess, lanes):
         calls.append(len(next(iter(env.values()))))
         return resolver(env, initial_guess, lanes)
 
@@ -128,22 +121,34 @@ def counting_resolves(field):
     return calls
 
 
+def resolved_again(field, resolved):
+    """``field``, or with ``resolved`` its re-solve on its own grid: a field
+    that is itself a re-solve carries its solve's lane grouping and each
+    lane's configured guess into its own re-solves."""
+    if not resolved:
+        return field
+    return field.resolve({nm: field.x[:, j]
+                          for j, nm in enumerate(field.x_names)},
+                         None, np.arange(field.n))
+
+
 @pytest.mark.parametrize("side,group,per", [
     (10, verify._GROUP_LANES, 4),      # example3's grid: 3 groups of 4 grids
     (3, 100, 3),                       # pairs of grids across two groups
     (5, 100, 1),                       # a grid larger than a group
+    (3, 140, 5),                       # a last group of two grids
 ])
-@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("resolved", [False, True])
 def test_grouped_displaced_resolves_match_one_per_grid_bitwise(
-        side, group, per, richardson, monkeypatch):
+        side, group, per, resolved, monkeypatch):
     monkeypatch.setattr(verify, "_GROUP_LANES", group)
-    field = example3_grid_field(side)
+    field = resolved_again(example3_grid_field(side), resolved)
     assert field.converged.all()
-    want = reference_fd_jacobian(field, 1e-4, richardson)
+    want = reference_fd_jacobian(field, 1e-4)
     calls = counting_resolves(field)
-    got = fd_jacobian_batch(field, h=1e-4, richardson=richardson)
+    got = fd_jacobian_batch(field, 1e-4)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    grids = 12 if richardson else 6
+    grids = 12
     assert calls == [n * field.n for n in
                      [per] * (grids // per) + [grids % per] * (grids % per > 0)]
 
@@ -152,19 +157,20 @@ def test_grouped_displaced_resolves_match_one_per_grid_bitwise(
     (10, verify._GROUP_LANES, 4),
     (3, 100, 3),
 ])
-@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("resolved", [False, True])
 def test_grouped_resolves_keep_each_lanes_configured_guess(
-        side, group, per, richardson, monkeypatch):
+        side, group, per, resolved, monkeypatch):
     # a guess per lane picks the nearest of two roots, so every copy of
     # the grid in a group must carry it, lane for lane
     monkeypatch.setattr(verify, "_GROUP_LANES", group)
-    field = example3_grid_field(side, initial_guess=mixed_guess,
-                                tau_window=(-24.0, 0.99),
-                                root_select="nearest")
+    field = resolved_again(example3_grid_field(side, initial_guess=mixed_guess,
+                                               tau_window=(-24.0, 0.99),
+                                               root_select="nearest"),
+                           resolved)
     assert field.converged.all()
-    want = reference_fd_jacobian(field, 1e-4, richardson)
+    want = reference_fd_jacobian(field, 1e-4)
     calls = counting_resolves(field)
-    got = fd_jacobian_batch(field, h=1e-4, richardson=richardson)
+    got = fd_jacobian_batch(field, 1e-4)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert max(calls) == per * field.n
 
@@ -180,7 +186,7 @@ def test_constancy_keeps_each_samples_configured_guess():
     lam = tuple(parse(s, EX3.space) for s in PRESETS["example3"]["lambdas"][0])
     elem = WaveElement(EX3.space, lam, (Const(1),))
     h = 1e-4
-    holds, worst = constancy_along_kernel(field, [elem], h=h)
+    holds, worst = constancy_along_kernel(field, [elem], range(20), h)
     want = 0.0
     for idx in range(20):
         rows = exprmat.eval_vector(lam, point_env(field, idx))
@@ -204,7 +210,7 @@ def test_k2_field_resolves_one_grid_at_a_time():
     # displaced grids are never joined
     field = small_field()
     calls = counting_resolves(field)
-    fd_jacobian_batch(field, h=1e-5, richardson=True)
+    fd_jacobian_batch(field, 1e-5)
     assert calls == [field.n] * 12
 
 
@@ -323,7 +329,8 @@ def test_constancy_along_kernel_double_wave():
     field = small_field()
     plus, minus = ex2_elements()
     # the common kernel of the two covectors is d_x; u has no x dependence
-    holds, worst = constancy_along_kernel(field, [plus, minus], h=1e-5)
+    holds, worst = constancy_along_kernel(field, [plus, minus], range(20),
+                                          1e-5)
     assert holds and worst < 1e-12, worst
 
 
@@ -334,7 +341,7 @@ def test_constancy_vacuous_when_covectors_span():
         WaveElement(EX2.space, (Const(0), Const(1), Const(0)), (Const(0), Const(1))),
         WaveElement(EX2.space, (Const(0), Const(0), Const(1)), (Const(1), Const(1))),
     ]
-    holds, worst = constancy_along_kernel(field, elems, indices=range(4))
+    holds, worst = constancy_along_kernel(field, elems, range(4), 1e-5)
     assert holds and worst == 0.0
 
 
@@ -345,7 +352,8 @@ def test_fd_jacobian_batch_matches_pointwise():
         J = fd_jacobian_batch(field, h=1e-5)
         idx = [0, 5, 17]
         sub = field.resolve({nm: field.x[idx, j]
-                             for j, nm in enumerate(field.x_names)})
+                             for j, nm in enumerate(field.x_names)},
+                            None, np.array(idx))
         assert np.allclose(J[idx], fd_jacobian_batch(sub, h=1e-5), atol=1e-12)
 
 
@@ -372,7 +380,7 @@ def test_constancy_along_kernel_batch_matches_pointwise():
     elem = WaveElement(EX3.space, lam, (Const(1),))
     indices = range(0, field.n, 4)
     h = 1e-4
-    holds, worst = constancy_along_kernel(field, [elem], indices=indices, h=h)
+    holds, worst = constancy_along_kernel(field, [elem], indices, h)
     # reference: one re-solve per displaced point
     want = 0.0
     for idx in indices:
@@ -382,9 +390,11 @@ def test_constancy_along_kernel_batch_matches_pointwise():
         for theta in (vt[2 - j] for j in range(ker_dim)):
             theta = theta / np.linalg.norm(theta)
             up = field.resolve({nm: np.array([field.x[idx, j] + h * theta[j]])
-                                for j, nm in enumerate(field.x_names)})
+                                for j, nm in enumerate(field.x_names)},
+                               None, np.array([idx]))
             dn = field.resolve({nm: np.array([field.x[idx, j] - h * theta[j]])
-                                for j, nm in enumerate(field.x_names)})
+                                for j, nm in enumerate(field.x_names)},
+                               None, np.array([idx]))
             want = max(want, float(np.max(np.abs(up.u[0] - dn.u[0])) / (2 * h)))
     assert holds == (want <= 1e-6)
     assert abs(worst - want) <= 1e-12
