@@ -417,8 +417,12 @@ def _build_surface(system, potentials, solver_cfg):
     if k == 2:
         tau_names = ("tau1", "tau2")
         tau_space = VarSpace((), (), tau_names)
-        mu = [[parse(str(e), tau_space) for e in row]
-              for row in solver_cfg["mu"]]
+        try:
+            mu = [[parse(str(e), tau_space) for e in row]
+                  for row in solver_cfg["mu"]]
+        except ParseError as err:
+            raise ValueError(f"mu must hold expressions in "
+                             f"{', '.join(tau_names)}: {err}") from err
         gammas = [p.element.gamma for p in potentials]
         return build_hodograph(
             gammas, mu, solver_cfg["u0"], solver_cfg["tau_base"],

@@ -79,7 +79,8 @@ class ImplicitSolveConfig:
         w = self.tau_window
         if w is not None and not (
                 len(w) == 2
-                and all(isinstance(v, Real) and math.isfinite(v) for v in w)
+                and all(isinstance(v, Real) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in w)
                 and w[0] < w[1]):
             raise ValueError(f"tau_window must be two finite numbers lo < "
                              f"hi, got {list(w)!r}")
@@ -710,7 +711,7 @@ class SolutionField:
     iters: np.ndarray
     converged: np.ndarray
     determinant: object    # callable() -> det_monitor
-    resolver: object       # callable(env_x, initial_guess, lanes) -> field
+    resolver: object       # callable(env_x, lanes) -> field
 
     @cached_property
     def det_monitor(self):
@@ -724,10 +725,6 @@ class SolutionField:
     def n(self):
         return self.x.shape[0]
 
-    @property
-    def k(self):
-        return self.tau.shape[1]
-
     def grid_env(self):
         """Every variable at every grid point, as arrays of shape (n,)."""
         env = {name: self.x[:, i] for i, name in enumerate(self.x_names)}
@@ -737,12 +734,12 @@ class SolutionField:
             env[name] = self.u[:, j]
         return env
 
-    def resolve(self, env_x, initial_guess, lanes):
-        """Re-solve at the points of ``env_x``; ``initial_guess`` (one tau
-        row per point, or None) warm-starts the Newton iteration.  ``lanes``
-        names, for each point, the lane of this field it was moved from, so
-        that a configured per-lane initial guess goes with its lane."""
-        return self.resolver(env_x, initial_guess, lanes)
+    def resolve(self, env_x, lanes):
+        """Re-solve at the points of ``env_x``.  ``lanes`` names, for each
+        point, the lane of this field it was moved from; the point starts
+        from that lane's tau when every lane has converged and k >= 2,
+        and otherwise from that lane's configured initial guess."""
+        return self.resolver(env_x, lanes)
 
 
 def _env_from_grid(x_names, grid_env, params):
@@ -833,10 +830,10 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
 
     xs = np.stack([env_x[name] for name in x_names], axis=1)
 
-    def resolver(new_grid_env, initial_guess, lanes):
+    def resolver(new_grid_env, lanes):
         cfg2 = cfg
-        if initial_guess is not None and k > 1 and conv.all():
-            cfg2 = replace(cfg, initial_guess=initial_guess)
+        if k > 1 and conv.all():
+            cfg2 = replace(cfg, initial_guess=tau[inverse[lanes]])
         elif guess is not None:
             cfg2 = replace(cfg, initial_guess=guess[lanes])
         return solve_implicit(surface, pots, new_grid_env, cfg2, params, space,
@@ -1212,7 +1209,7 @@ def double_wave_fixture(grid_env=None):
     tau = np.stack([tv + 2 * root, tv - 2 * root], axis=1)
     xs = np.stack([env_x[nm] for nm in space.independent], axis=1)
 
-    def resolver(new_grid_env, initial_guess, lanes):
+    def resolver(new_grid_env, lanes):
         return double_wave_fixture(new_grid_env)
 
     return SolutionField(

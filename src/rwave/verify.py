@@ -5,8 +5,8 @@ from the solver's own internals: residual reports against the defining
 system, tangent-map recovery onto the wave dyads, rank estimation, and
 constancy of u along the common kernel of the wave covectors.  Each
 check makes one batched pass over the grid: stacked Jacobians, stacked
-SVDs, and one re-solve per displaced grid, or per group of displaced
-grids of a k = 1 field.
+SVDs, and one re-solve per group of displaced grids.  The solver picks
+where each displaced point starts, from the lane it was moved from.
 """
 
 from __future__ import annotations
@@ -34,24 +34,23 @@ class DegenerateElements(VerifyError):
 SVD_GAP = 1e6  # sigma_i / sigma_{i+1} beyond this marks the rank cut
 _RANK_FLOOR = 1e-12  # singular values at or below this never count
 _CONSTANCY_TOL = 1e-6  # derivative of u along the kernel counted as zero
-_GROUP_LANES = 4096  # lanes of a group of displaced k = 1 grids per resolve
+_GROUP_LANES = 4096  # lanes of a group of displaced grids per resolve
 
 
 def fd_jacobian_batch(field, h):
     """Central-difference Jacobians du/dx for every grid point, re-solving
-    whole displaced grids, warm-started from the field's tau when k >= 2;
-    a displaced lane keeps the configured guess of the lane it was moved
-    from.  Returns (n, q, p), the Richardson combination of steps h and
-    h/2, an O(h^4) estimate.
+    whole displaced grids; each displaced lane starts as the solver picks
+    for the lane it was moved from (see ``SolutionField.resolve``).
+    Returns (n, q, p), the Richardson combination of steps h and h/2, an
+    O(h^4) estimate.
 
-    The displaced grids of a k = 1 field are re-solved in groups of
-    consecutive grids of at most ``_GROUP_LANES`` lanes, one ``resolve``
-    per group: a k = 1 solve shares nothing between lanes but the
-    bisection's step count, and extra steps move no finished lane's tau.
-    A k >= 2 field re-solves one grid at a time, as its Newton retries
-    from converged grid neighbours.  A grid none of whose lanes converged
-    fails as any failed lane does, with NeighborDiverged, unless its whole
-    group failed.
+    The displaced grids are re-solved in groups of consecutive grids of at
+    most ``_GROUP_LANES`` lanes, one ``resolve`` per group: lanes share
+    nothing in a solve but a k = 1 bisection's step count, where extra
+    steps move no finished lane's tau, and a k >= 2 warm-start retry,
+    which reads the nearest converged lane in the group's order.  A grid
+    none of whose lanes converged fails as any failed lane does, with
+    NeighborDiverged, unless its whole group failed.
     """
     names, n = field.x_names, field.n
     base = {nm: field.x[:, j] for j, nm in enumerate(names)}
@@ -63,15 +62,13 @@ def fd_jacobian_batch(field, h):
     def displaced(step, name, up):
         return {**base, name: base[name] + step if up else base[name] - step}
 
-    per = max(1, _GROUP_LANES // n) if field.k == 1 else 1
+    per = max(1, _GROUP_LANES // n)
     J = np.empty((len(steps), n, field.u.shape[1], len(names)))
     u, ok = [], []
     for first in range(0, len(moves), per):
         group = [displaced(*m) for m in moves[first:first + per]]
         env = {nm: np.concatenate([g[nm] for g in group]) for nm in names}
-        # a k = 1 solve takes no warm start; each lane keeps its own guess
-        sol = field.resolve(env, field.tau if field.k > 1 else None,
-                            np.tile(np.arange(n), len(group)))
+        sol = field.resolve(env, np.tile(np.arange(n), len(group)))
         u += np.split(sol.u, len(group))
         ok += np.split(sol.converged, len(group))
         # each pair of grids, up and down, once both are solved; its u is
@@ -181,7 +178,8 @@ def constancy_along_kernel(field, elements, indices, h):
 
     The kernel at each sample comes from one stacked SVD of the covector
     rows; every displaced point, sample x kernel direction x +-h, is
-    re-solved in one grid, with the configured guess of its sample's lane.
+    re-solved in one grid, started as the solver picks for its sample's
+    lane (see ``SolutionField.resolve``).
     Returns (holds, max_derivative).  Vacuously true when the covectors
     span the whole cotangent space.
     """
@@ -200,7 +198,7 @@ def constancy_along_kernel(field, elements, indices, h):
     base = field.x[idx[owner]]
     pts = np.concatenate([base + h * theta, base - h * theta])
     sol = field.resolve({nm: pts[:, j] for j, nm in enumerate(field.x_names)},
-                        None, np.tile(idx[owner], 2))
+                        np.tile(idx[owner], 2))
     m = owner.size
     ok = sol.converged[:m] & sol.converged[m:]
     if not ok.all():

@@ -44,6 +44,7 @@ from rwave.solver import (
 from rwave.reports import write_solution_field
 from rwave.system import homogenize
 from rwave.verify import (
+    constancy_along_kernel,
     fd_jacobian_batch,
     recover_decomposition,
     residual_report,
@@ -289,8 +290,8 @@ def central_difference(field, h):
     lanes = np.arange(field.n)
     cols = []
     for name in field.x_names:
-        up = field.resolve({**base, name: base[name] + h}, None, lanes)
-        dn = field.resolve({**base, name: base[name] - h}, None, lanes)
+        up = field.resolve({**base, name: base[name] + h}, lanes)
+        dn = field.resolve({**base, name: base[name] - h}, lanes)
         cols.append((up.u - dn.u) / (2.0 * h))
     return np.stack(cols, axis=2)
 
@@ -446,18 +447,26 @@ def test_criterion_8_catastrophe_detection():
 # lanes share a call (the lane contract and its two exceptions, README)
 
 @functools.cache
-def preset_run(system, root_select, guesses=None):
+def preset_run(system, root_select, variant=None):
     """A run of ``system`` on its preset grid, and the arguments and result
-    of each of its calls to the solve, the Jacobians, the residuals and
-    the recovery, and the rows of its solution.csv.  With ``guesses``,
-    example3's scan window reaches its roots above 0, and the lanes'
-    configured guesses lie on both roots' sides."""
+    of each of its calls to the solve, the Jacobians, the residuals, the
+    recovery and the kernel check, and the rows of its solution.csv.
+    Under "guess per lane", example3's scan window reaches its roots above
+    0, and the lanes' configured guesses lie on both roots' sides.  Under
+    "inexact axes", example2's sheet axes are scaled by 1.1, so that its
+    coordinate changes round (the preset's are exact in binary)."""
     seen = {}
     solver_cfg = {"root_select": root_select} if root_select else {}
-    if guesses:
+    if variant == "guess per lane":
         grid = cli._grid_env(PRESETS[system]["grid"])
         solver_cfg.update(tau_window=[-24.0, 0.99],
                           initial_guess=mixed_guess(grid).tolist())
+    elif variant == "inexact axes":
+        preset = PRESETS[system]["solver"]
+        solver_cfg.update(
+            axes=[[1.1 * a for a in row] for row in preset["axes"]],
+            axis_ranges=[[end / 1.1 for end in r]
+                         for r in preset["axis_ranges"]])
 
     def recording(name, fn):
         def call(*args, **kwargs):
@@ -467,7 +476,7 @@ def preset_run(system, root_select, guesses=None):
 
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
         for name in ("solve_implicit", "fd_jacobian_batch", "residual_report",
-                     "recover_decomposition"):
+                     "recover_decomposition", "constancy_along_kernel"):
             mp.setattr(cli, name, recording(name, getattr(cli, name)))
         req = AnalysisRequest(
             system=system, domain={}, stages=PIPELINE,
@@ -489,9 +498,11 @@ def assert_bits(got, want):
 @given(case=st.sampled_from([("example2", None), ("example3", "lowest"),
                              ("example3", "highest"),
                              ("example3", "nearest"),
-                             ("example3", "nearest", "guess per lane")]),
+                             ("example3", "nearest", "guess per lane"),
+                             ("example2", None, "inexact axes")]),
        picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=120))
 @example(case=("example2", None), picks=[4321])          # one lane alone
+@example(case=("example2", None, "inexact axes"), picks=[4321])
 @example(case=("example3", "nearest"), picks=[7, 7, 3])
 @example(case=("example3", "nearest", "guess per lane"), picks=[7, 7, 3, 8])
 def test_lanes_match_the_full_grid_end_to_end(case, picks):
@@ -535,3 +546,30 @@ def test_lanes_match_the_full_grid_end_to_end(case, picks):
             if col != "newton_iters" or "iters" in per_lane]
     assert ([[row[j] for j in keep] for row in got]
             == [[rows[i][j] for j in keep] for i in lanes])
+    # the kernel check's re-solve, every lane a sample, in reverse: its
+    # points come as copies of the field's lanes in another order than the
+    # solve's lane plan, so that plan must fail its bit check
+    (*_, h), _, _ = seen["constancy_along_kernel"]
+    got, want = (kernel_resolve(f, elements, idx, h) for f, idx in (
+        (field, np.arange(field.n)[::-1]), (full, lanes[::-1])))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in per_lane:
+            if name != "det_monitor":
+                assert_bits(getattr(a, name), getattr(b, name))
+
+
+def kernel_resolve(field, elements, indices, h):
+    """The re-solves that ``constancy_along_kernel`` makes on ``field``."""
+    resolver, made = field.resolver, []
+
+    def recorded(env, lanes):
+        made.append(resolver(env, lanes))
+        return made[-1]
+
+    field.resolver = recorded
+    try:
+        constancy_along_kernel(field, elements, indices, h)
+    finally:
+        field.resolver = resolver
+    return made

@@ -178,9 +178,10 @@ def test_run_dependent_covectors_exit3(tmp_path, capsys):
 
 
 def test_run_example2_displaced_resolves_make_no_sort(tmp_path, monkeypatch):
-    # the 12 finite-difference re-solves take the base solve's lane plan:
-    # each lane's displaced key and warm start have the bits of the rest of
-    # its group, so no re-solve falls back to sorting its lanes
+    # the 12 finite-difference re-solves go in one group of 12 grids and
+    # take the base solve's lane plan, repeated for each grid: each lane's
+    # displaced key and warm start have the bits of the rest of its group,
+    # so the re-solve does not fall back to sorting its lanes
     sorts, resolves, inside = [], [], []
     lexsort, resolve = np.lexsort, SolutionField.resolve
     fd_jacobian_batch = cli.fd_jacobian_batch
@@ -190,10 +191,10 @@ def test_run_example2_displaced_resolves_make_no_sort(tmp_path, monkeypatch):
             sorts.append(len(keys))
         return lexsort(keys)
 
-    def counted_resolve(field, *args):
+    def counted_resolve(field, env_x, lanes):
         if inside:
-            resolves.append(field.n)
-        return resolve(field, *args)
+            resolves.append(len(lanes))
+        return resolve(field, env_x, lanes)
 
     def traced(*args, **kwargs):
         inside.append(True)
@@ -207,7 +208,7 @@ def test_run_example2_displaced_resolves_make_no_sort(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "fd_jacobian_batch", traced)
     req = base_request(tmp_path)
     assert run(req)[0] == EXIT_OK
-    assert resolves == [75] * 12
+    assert resolves == [75 * 12]
     assert sorts == []
 
 
@@ -218,8 +219,8 @@ def test_run_verify_neighbor_diverged_exit4(tmp_path, monkeypatch, capsys):
         field = real_solve(*args, **kwargs)
         resolve = field.resolver
 
-        def resolver(env, initial_guess=None, lanes=None):
-            out = resolve(env, initial_guess, lanes)
+        def resolver(env, lanes):
+            out = resolve(env, lanes)
             out.converged[:] = False
             return out
 
@@ -270,7 +271,8 @@ def test_run_noncharacteristic_ansatz_exit2(tmp_path):
 def test_run_constancy_grid_of_field_size_not_warm_started(tmp_path):
     # 40 points, and the constancy check re-solves 2 x 20 samples x 1
     # kernel direction = 40 displaced points, unrelated to the grid points
-    # of the same index; a cold start finds u exactly constant there
+    # of the same index; each starts from its own sample's tau, not from
+    # that of the lane of its index, and finds u exactly constant there
     req = base_request(tmp_path, seed=4, grid={"t": (1.0, 3.0, 2),
                                                "x": (1.0, 3.0, 4),
                                                "y": (0.2, 0.9, 5)})
@@ -535,12 +537,13 @@ def test_run_unknown_root_select_exit4(tmp_path):
 
 
 @pytest.mark.parametrize("window", ["[NaN, -0.3]", "[-0.3]", "[-0.3, -24.0]",
-                                    "[-2.0, -2.0]", "[]"],
+                                    "[-2.0, -2.0]", "[]", "[-24, true]"],
                          ids=["NaN end", "one end", "lo > hi", "lo = hi",
-                              "no ends"])
+                              "no ends", "a boolean end"])
 def test_run_bad_tau_window_exit4(tmp_path, window):
     # a NaN end must not fall back to the curve's own end, one end must not
-    # fail as an IndexError, and no ends must not scan the whole curve
+    # fail as an IndexError, no ends must not scan the whole curve, and a
+    # boolean must not be read as 1
     cfg = tmp_path / "w.json"
     cfg.write_text(f'{{"tau_window": {window}}}')
     out = tmp_path / "out"
@@ -552,6 +555,23 @@ def test_run_bad_tau_window_exit4(tmp_path, window):
     assert outcomes["solve"]["ok"] is False
     assert outcomes["solve"]["detail"].startswith(
         "ValueError: tau_window must be two finite numbers lo < hi")
+    assert not (out / "solution.csv").exists()
+
+
+def test_run_unparsable_mu_exit4(tmp_path):
+    # a mu entry is a solver setting: one that does not parse fails the
+    # solve naming mu, not the request
+    cfg = tmp_path / "mu.json"
+    cfg.write_text('{"mu": [["x", "0"], ["0", "1"]]}')
+    out = tmp_path / "out"
+    assert main(["run", "--system", "example2", "--grid",
+                 "t=1:3:3,x=1:3:3,y=0.2:0.9:3", "--solver-config", str(cfg),
+                 "--out", str(out)]) == EXIT_SOLVER
+    outcomes = json.loads((out / "outcomes.json").read_text())
+    assert outcomes["rescale"]["ok"] is True
+    assert outcomes["solve"] == {
+        "ok": False, "detail": "ValueError: mu must hold expressions in tau1, "
+                               "tau2: unknown identifier 'x' (byte 0)"}
     assert not (out / "solution.csv").exists()
 
 

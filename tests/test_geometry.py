@@ -373,6 +373,17 @@ def test_conditions_relabel_invariance():
         assert a.verdict == b.verdict
 
 
+def test_condition_report_dict_repeats_at_one_seed():
+    # callers pass a Generator, whose repr names its address, so the report
+    # keeps none; the seed key is left for the caller's label
+    plus, minus = ex2_elements()
+    got = [check_kwave_conditions(EX2, [plus, minus], EX2_BOX,
+                                  rng=np.random.default_rng(13)).as_dict()
+           for _ in range(2)]
+    assert got[0] == got[1]
+    assert got[0]["seed"] is None
+
+
 def test_conditions_dependent_elements_raise():
     plus, _ = ex2_elements()
     clone = WaveElement(EX2.space, plus.lam, plus.gamma, label="clone")

@@ -478,7 +478,7 @@ def test_double_wave_fixture_values():
     assert np.allclose(field.u[:, 0], -np.log(field.x[:, 2]), atol=1e-14)
     assert np.allclose(field.u[:, 1], field.x[:, 0], atol=1e-14)
     sub = field.resolve({"t": np.array([2.0]), "x": np.array([5.0]),
-                         "y": np.array([0.5])}, None, np.array([0]))
+                         "y": np.array([0.5])}, np.array([0]))
     assert sub.u[0, 0] == pytest.approx(math.log(2.0), abs=1e-15)
     assert sub.u[0, 1] == 2.0
     # central differences of the re-solve match the closed-form Jacobian
@@ -488,7 +488,7 @@ def test_double_wave_fixture_values():
     pts = np.array([2.0, 5.0, 0.5]) + np.repeat(np.eye(3), 2, axis=0) \
         * np.tile([h, -h], 3)[:, None]
     moved = field.resolve({nm: pts[:, k] for k, nm in enumerate("txy")},
-                          None, np.zeros(6, dtype=int))
+                          np.zeros(6, dtype=int))
     assert np.allclose(((moved.u[0::2] - moved.u[1::2]) / (2 * h)).T, J)
 
 
@@ -767,7 +767,11 @@ def test_resolve_leaves_determinant_until_read():
     pots = list(ex2_potentials())
     field = solve_implicit(surf, pots, ex2_grid(), ImplicitSolveConfig(),
                            params={}, space=SP2)
-    again = field.resolve(ex2_grid(3, 2, 3), None, np.arange(18))
+    # 18 of the grid's lanes, at 3 t, 2 x and 3 y, each re-solved where it
+    # lies, so each starts from its own tau
+    at = np.ravel_multi_index(np.ix_([0, 3, 7], [0, 2], [0, 4, 7]),
+                              (8, 3, 8)).ravel()
+    again = field.resolve({nm: v[at] for nm, v in ex2_grid().items()}, at)
     assert surf.jac_lanes == 0       # Newton reads df/dtau from its lookups
     again.catastrophe
     # one lane per distinct (t, y): no potential reads x
@@ -782,7 +786,7 @@ def test_resolve_leaves_determinant_until_read():
             "y": np.full(5, 1.5)}
     field = solve_implicit(line, [pot], grid, cfg, params={"m": 1.0, "k": 1.0},
                            space=SP3)
-    field.resolve(grid, None, np.arange(5))
+    field.resolve(grid, np.arange(5))
     assert line.jac_lanes == 0
     field.det_monitor
     assert line.jac_lanes == field.n
@@ -834,17 +838,18 @@ def test_resolves_match_fresh_solves_bitwise(case, monkeypatch):
     # a solve with a retry is slow, so it re-solves on one grid only
     for moved in displaced_grids(grid)[:1 if retried else None]:
         sorts = counting_sorts(monkeypatch)
-        again = field.resolve(moved, field.tau, np.arange(field.n))
+        again = field.resolve(moved, np.arange(field.n))
         assert sorts[0] == (1 if retried else 0)
         assert_fields_bitwise(again, solve_implicit(surf, pots, moved, warm,
                                                     params={}, space=SP2))
         monkeypatch.undo()
 
 
-def test_resolve_with_a_signed_zero_warm_start_sorts_afresh(monkeypatch):
-    # one lane's warm start differs from the rest of its base group only in
-    # the sign of a zero: the plan does not hold, so the re-solve sorts, and
-    # that lane is its own equation
+def test_resolve_from_another_groups_lane_sorts_afresh(monkeypatch):
+    # one point of a base group (the lanes of one (t, y)) is re-solved as if
+    # moved from a lane of the next y: its warm start differs from the rest
+    # of its group, so the plan does not hold, the re-solve sorts, and that
+    # lane is its own equation
     surf = ex2_two_wave_surface()
     pots = list(ex2_potentials())
     grid = ex2_grid()
@@ -853,22 +858,17 @@ def test_resolve_with_a_signed_zero_warm_start_sorts_afresh(monkeypatch):
     group = np.flatnonzero((grid["t"] == grid["t"][0])
                            & (grid["y"] == grid["y"][0]))
     assert len(group) == 3
-    guess = field.tau.copy()
-    guess[group, 1] = 0.0
-    guess[group[1], 1] = -0.0
-    sorts = counting_sorts(monkeypatch)
     lanes = np.arange(field.n)
-    again = field.resolve(grid, guess, lanes)
+    lanes[group[1]] += 1
+    assert grid["y"][lanes[group[1]]] != grid["y"][group[1]]
+    sorts = counting_sorts(monkeypatch)
+    again = field.resolve(grid, lanes)
     assert sorts[0] == 1
     monkeypatch.undo()
     fresh = solve_implicit(surf, pots, grid,
-                           ImplicitSolveConfig(initial_guess=guess),
+                           ImplicitSolveConfig(initial_guess=field.tau[lanes]),
                            params={}, space=SP2)
     assert_fields_bitwise(again, fresh)
-    # the fresh solve's own plan holds for the same warm start
-    sorts = counting_sorts(monkeypatch)
-    assert_fields_bitwise(fresh.resolve(grid, guess, lanes), fresh)
-    assert sorts[0] == 0
 
 
 def test_warm_start_from_converged_lanes_looks_up_once():
@@ -880,7 +880,7 @@ def test_warm_start_from_converged_lanes_looks_up_once():
                            ImplicitSolveConfig(), params={}, space=SP2)
     assert field.converged.all()
     surf.sizes.clear()
-    again = field.resolve(ex2_grid(), field.tau, np.arange(field.n))
+    again = field.resolve(ex2_grid(), np.arange(field.n))
     assert surf.sizes == [64] and 64 < field.n
     assert again.converged.all() and not again.iters.any()
 

@@ -21,7 +21,14 @@ from rwave.verify import (
 )
 
 from .strategies import point_env, recover_at
-from .test_solver import mixed_guess
+from .test_solver import (
+    assert_lanes_bitwise,
+    ex2_grid,
+    ex2_potentials,
+    ex2_two_wave_surface,
+    lanes_of,
+    mixed_guess,
+)
 
 EX2 = load_fixture("example2")
 EX3 = load_fixture("example3")
@@ -59,7 +66,7 @@ def test_fd_jacobian_constant_field_zero():
     # constant resolver: freeze u
     const_u = field.u.copy()
 
-    def resolver(env, initial_guess, lanes):
+    def resolver(env, lanes):
         n = len(next(iter(env.values())))
         out = double_wave_fixture(env)
         out.u = np.tile(const_u[:1], (n, 1))
@@ -78,10 +85,8 @@ def reference_fd_jacobian(field, h):
     def jac_at(step):
         J = np.empty((field.n, field.u.shape[1], len(field.x_names)))
         for i, name in enumerate(field.x_names):
-            up = field.resolve({**base, name: base[name] + step}, field.tau,
-                               lanes)
-            dn = field.resolve({**base, name: base[name] - step}, field.tau,
-                               lanes)
+            up = field.resolve({**base, name: base[name] + step}, lanes)
+            dn = field.resolve({**base, name: base[name] - step}, lanes)
             assert (up.converged & dn.converged).all()
             J[:, :, i] = (up.u - dn.u) / (2.0 * step)
         return J
@@ -113,9 +118,9 @@ def counting_resolves(field):
     calls = []
     resolver = field.resolver
 
-    def counted(env, initial_guess, lanes):
+    def counted(env, lanes):
         calls.append(len(next(iter(env.values()))))
-        return resolver(env, initial_guess, lanes)
+        return resolver(env, lanes)
 
     field.resolver = counted
     return calls
@@ -129,7 +134,17 @@ def resolved_again(field, resolved):
         return field
     return field.resolve({nm: field.x[:, j]
                           for j, nm in enumerate(field.x_names)},
-                         None, np.arange(field.n))
+                         np.arange(field.n))
+
+
+def example2_grid_field():
+    """A converged k = 2 solve of 192 lanes on example2's sheet, and the
+    surface and potentials it was solved with."""
+    surf, pots = ex2_two_wave_surface(), list(ex2_potentials())
+    field = solve_implicit(surf, pots, ex2_grid(), ImplicitSolveConfig(),
+                           params={}, space=EX2.space)
+    assert field.converged.all()
+    return field, surf, pots
 
 
 @pytest.mark.parametrize("side,group,per", [
@@ -137,12 +152,14 @@ def resolved_again(field, resolved):
     (3, 100, 3),                       # pairs of grids across two groups
     (5, 100, 1),                       # a grid larger than a group
     (3, 140, 5),                       # a last group of two grids
+    ("example2", verify._GROUP_LANES, 12),   # k = 2: one group of 12 grids
 ])
 @pytest.mark.parametrize("resolved", [False, True])
 def test_grouped_displaced_resolves_match_one_per_grid_bitwise(
         side, group, per, resolved, monkeypatch):
     monkeypatch.setattr(verify, "_GROUP_LANES", group)
-    field = resolved_again(example3_grid_field(side), resolved)
+    field = resolved_again(example2_grid_field()[0] if side == "example2"
+                           else example3_grid_field(side), resolved)
     assert field.converged.all()
     want = reference_fd_jacobian(field, 1e-4)
     calls = counting_resolves(field)
@@ -205,13 +222,27 @@ def test_constancy_keeps_each_samples_configured_guess():
     assert worst == want
 
 
-def test_k2_field_resolves_one_grid_at_a_time():
-    # the warm-start retry of a k = 2 solve reads grid neighbours, so its
-    # displaced grids are never joined
-    field = small_field()
-    calls = counting_resolves(field)
-    fd_jacobian_batch(field, 1e-5)
-    assert calls == [field.n] * 12
+def test_constancy_of_a_k2_field_starts_from_its_samples_tau():
+    # a converged k = 2 field's displaced points each start from the tau of
+    # their sample's lane, as one-point solves started there do; the kernel
+    # is d_x, which no potential reads, so no point takes a Newton step
+    field, surf, pots = example2_grid_field()
+    resolver, seen = field.resolver, []
+
+    def recorded(env, lanes):
+        seen.append((env, lanes, resolver(env, lanes)))
+        return seen[-1][2]
+
+    field.resolver = recorded
+    constancy_along_kernel(field, ex2_elements(), range(20), 1e-5)
+    (env, lanes, got), = seen
+    assert len(lanes) == 40 and not got.iters.any()
+    for i, lane in enumerate(lanes):
+        one = solve_implicit(surf, pots, {nm: v[i:i + 1] for nm, v in
+                                          env.items()},
+                             ImplicitSolveConfig(initial_guess=field.tau[lane]),
+                             params={}, space=EX2.space)
+        assert_lanes_bitwise(lanes_of(got, [i]), one)
 
 
 def test_residual_report_double_wave():
@@ -353,7 +384,7 @@ def test_fd_jacobian_batch_matches_pointwise():
         idx = [0, 5, 17]
         sub = field.resolve({nm: field.x[idx, j]
                              for j, nm in enumerate(field.x_names)},
-                            None, np.array(idx))
+                            np.array(idx))
         assert np.allclose(J[idx], fd_jacobian_batch(sub, h=1e-5), atol=1e-12)
 
 
@@ -391,10 +422,10 @@ def test_constancy_along_kernel_batch_matches_pointwise():
             theta = theta / np.linalg.norm(theta)
             up = field.resolve({nm: np.array([field.x[idx, j] + h * theta[j]])
                                 for j, nm in enumerate(field.x_names)},
-                               None, np.array([idx]))
+                               np.array([idx]))
             dn = field.resolve({nm: np.array([field.x[idx, j] - h * theta[j]])
                                 for j, nm in enumerate(field.x_names)},
-                               None, np.array([idx]))
+                               np.array([idx]))
             want = max(want, float(np.max(np.abs(up.u[0] - dn.u[0])) / (2 * h)))
     assert holds == (want <= 1e-6)
     assert abs(worst - want) <= 1e-12
