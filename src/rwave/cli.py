@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -402,9 +403,27 @@ def run(request: AnalysisRequest):
     return code, st.artifacts
 
 
+# the surface settings that hold numbers: one, or lists of them, nested
+_SURFACE_NUMBERS = ("u0", "s_range", "s0", "grid_step", "gamma_scale",
+                    "tau_base", "axis_ranges", "axes")
+
+
+def _numbers(value):
+    """Whether ``value`` is a finite number (not a bool) or a list of such
+    values, nested to any depth."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers, value))
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _build_surface(system, potentials, solver_cfg):
     """Hodograph surface from the solver settings (bundled with fixtures,
     or user-supplied via --solver-config)."""
+    for key in _SURFACE_NUMBERS:
+        if key in solver_cfg and not _numbers(solver_cfg[key]):
+            raise ValueError(f"{key} must be a finite number or a list of "
+                             f"them, got {solver_cfg[key]!r}")
     k = len(potentials)
     space = system.space
     if k == 1:

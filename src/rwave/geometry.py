@@ -11,7 +11,8 @@ For a k-element family the four checkable conditions are:
   (d) each lambda is closed up to scale in x: d_x lambda ^ lambda = 0.
 
 Closedness enables potentials phi with lambda_i = d phi / d x^i, found
-symbolically for recognized forms and by quadrature otherwise.
+symbolically for recognized forms and by quadrature otherwise; either
+way phi is an expression.
 """
 
 from __future__ import annotations
@@ -481,59 +482,42 @@ def _triple_wedge_max(rows, env):
 # ---------------------------------------------------------------------------
 # potentials
 
-_QUAD_NODES = 48   # Gauss-Legendre nodes per segment of a numeric potential
-_PATH_TOL = 1e-8   # segment-order mismatch a numeric potential may have
+_QUAD_NODES = 48   # Gauss-Legendre nodes per segment of a quadrature potential
+_PATH_TOL = 1e-8   # segment-order mismatch a quadrature potential may have
 
 
-class NumericPotential:
-    """Line-integral potential of an x-closed covector, u frozen.
+def quadrature_potential(lam, space: VarSpace, basepoint, order):
+    """Line-integral potential of an x-closed covector as an expression.
 
-    phi(x; u) integrates the covector from the base point along axis
-    segments; path independence is spot-checked against the reversed
-    segment order.  A point gives a scalar; point values of shape (n,)
-    give phi over n lanes, each lane's nodes a row of an (n, _QUAD_NODES)
-    grid.
+    The path runs from the base point along one axis segment per
+    independent variable, in ``order``.  Segment i contributes
+    (x_i - lo_i) * sum_k w_k lam_i[x_i -> lo_i + (x_i - lo_i) t_k], with
+    the variables later in ``order`` at the base point and the earlier
+    ones, u and the parameters left free; the node terms are added left
+    to right.
     """
-
-    def __init__(self, lam, space: VarSpace, basepoint):
-        self.lam = tuple(lam)
-        self.space = space
-        self.base = {n: float(basepoint[n]) for n in space.independent}
-        nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
-        self._nodes = 0.5 * (nodes + 1.0)
-        self._weights = 0.5 * weights
-
-    def evaluate_path(self, point, order):
-        # each lane's nodes are a row; a sum over each row (not a product
-        # with the weights) keeps a lane's value independent of the others
-        pt = {n: np.asarray(point[n], dtype=float)[..., None]
-              for n in self.space.all_names if n in point}
-        env = dict(pt, **self.base)
-        total = 0.0
-        for name in order:
-            lo, hi = self.base[name], pt[name]
-            env[name] = lo + (hi - lo) * self._nodes
-            idx = self.space.independent.index(name)
-            vals = self.lam[idx].evaluate(env, strict=True)
-            total = total + (hi - lo)[..., 0] * (vals * self._weights).sum(axis=-1)
-            env[name] = hi
-        return total
-
-    def evaluate(self, point):
-        return self.evaluate_path(point, self.space.independent)
-
-    def check_paths(self, point):
-        fwd = self.evaluate_path(point, self.space.independent)
-        rev = self.evaluate_path(point, tuple(reversed(self.space.independent)))
-        gap = float(np.max(np.abs(fwd - rev)))
-        if gap > _PATH_TOL:
-            raise PathDependent(f"segment-order mismatch {gap:.2e} at {point}")
-        return fwd
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    base = {n: Const(float(basepoint[n])) for n in space.independent}
+    at = dict(base)
+    phi = None
+    for name in order:
+        lo = base[name]
+        span = Bin("-", Var(name), lo)
+        lam_i = lam[space.independent.index(name)]
+        total = None
+        for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+            at[name] = Bin("+", lo, Bin("*", span, Const(float(t))))
+            term = Bin("*", lam_i.substitute(at), Const(float(w)))
+            total = term if total is None else Bin("+", total, term)
+        term = Bin("*", span, total)
+        phi = term if phi is None else Bin("+", phi, term)
+        del at[name]        # free from here on: the point's value
+    return phi
 
 
 @dataclass
 class PotentialResult:
-    phi: object               # Expr or NumericPotential
+    phi: Expr
     element: WaveElement      # possibly rescaled so lam = d_x phi
     factor: Expr              # integrating factor applied (1 when none)
 
@@ -560,7 +544,9 @@ def find_potential(element: WaveElement, basepoint, box: Box, rng,
     table when every component involves a single independent variable;
     covectors closed only up to scale are first rescaled by a searched
     integrating factor (the matching gamma is rescaled by the same
-    function); everything else falls back to a numeric line integral.
+    function); everything else falls back to a Gauss-Legendre line
+    integral written as an expression (``quadrature_potential``), whose
+    two segment orders must agree at the box's upper corner.
     """
     rng = np.random.default_rng(rng)
     space = element.space
@@ -596,10 +582,15 @@ def find_potential(element: WaveElement, basepoint, box: Box, rng,
     if phi is not None:
         return PotentialResult(phi=phi, element=work, factor=factor)
 
-    pot = NumericPotential(work.lam, space, basepoint)
-    probe = dict(box.midpoint())
-    pot.check_paths(probe)
-    return PotentialResult(phi=pot, element=work, factor=factor)
+    phi = quadrature_potential(work.lam, space, basepoint, ind)
+    # both segment orders at the box's upper corner, away from the base
+    # point, where the two paths are not both empty
+    probe = {name: hi for name, _, hi in box.ranges}
+    gap = abs(phi.evaluate(probe) - quadrature_potential(
+        work.lam, space, basepoint, ind[::-1]).evaluate(probe))
+    if gap > _PATH_TOL:
+        raise PathDependent(f"segment-order mismatch {gap:.2e} at {probe}")
+    return PotentialResult(phi=phi, element=work, factor=factor)
 
 
 def _symbolic_potential(lam, space, box, rng, trials):

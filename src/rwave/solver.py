@@ -17,9 +17,8 @@ from numbers import Real
 import numpy as np
 
 from . import ode
-from .expr import Bin, Const, Expr, VarSpace, compile_exprs, simplify
+from .expr import Bin, Const, VarSpace, compile_exprs, simplify
 from .exprmat import distinct_rows, rows_dot
-from .geometry import NumericPotential
 from .spline import Spline1D, Spline2D
 
 _SWAP_TOL = 1e-7         # flow-order swap mismatch a built sheet may have
@@ -32,7 +31,6 @@ _SCAN_POINTS = 257       # points of the scalar solve's scan window
 _SCAN_BLOCK = 8192       # lane-columns of G per block of the scan
 _BOUND_CELLS = 16        # scan cells per block a rounded-interval bound skips
 _SHEET_POINTS = 161      # grid points of a sheet's spline along each axis
-_DU_STEP = 1e-6          # central-difference step of a numeric potential's du
 _CATASTROPHE = 1e-8      # |det| below which a converged point is a catastrophe
 _MAX_ITER = 60           # Newton iterations of the multi-parameter solve
 _DAMPING_STEPS = 25      # step halvings of a Newton iteration
@@ -411,36 +409,29 @@ def surface_tangency_residual(surf, gammas, mu, rng=None):
 # potentials as batch-evaluable functions
 
 class PotentialFn:
-    """Uniform batch interface over symbolic and quadrature potentials:
-    phi and dphi/du (n, q) at the lanes of an env, where a 0-d value is
-    shared by every lane.  ``bind(env)`` fixes the lanes' x and parameters
-    and leaves u free (see BoundPotential).  A symbolic phi compiles one
-    kernel for the value and one for the derivatives, each staged on u, so
-    a bound potential evaluates its u-free subtrees once and each call
-    computes only what it returns; a quadrature phi integrates every lane
-    in one pass.
+    """A potential expression phi as a batch function: phi and dphi/du
+    (n, q) at the lanes of an env, where a 0-d value is shared by every
+    lane.  ``bind(env)`` fixes the lanes' x and parameters and leaves u
+    free (see BoundPotential).  phi compiles one kernel for the value and
+    one for the derivatives, each staged on u, so a bound potential
+    evaluates its u-free subtrees once and each call computes only what it
+    returns.  A quadrature potential (``geometry.quadrature_potential``)
+    is such an expression too.
     """
 
     def __init__(self, phi, space: VarSpace):
         self.space = space
         self.phi = phi
-        if isinstance(phi, Expr):
-            self.symbolic = True
-            late = space.dependent
-            self._bind_value = compile_exprs([phi], late=late)
-            self._bind_du = compile_exprs(
-                [simplify(phi.diff(n)) for n in late], late=late)
-        elif isinstance(phi, NumericPotential):
-            self.symbolic = False
-        else:
-            raise TypeError(f"unsupported potential {phi!r}")
+        late = space.dependent
+        self._bind_value = compile_exprs([phi], late=late)
+        self._bind_du = compile_exprs(
+            [simplify(phi.diff(n)) for n in late], late=late)
 
     @cached_property
     def _bound(self):
         """phi's _BoundPlan, or None; built when a scan first asks, so a
         potential that never takes the bound never compiles its kernels."""
-        return (_BoundPlan.of(self.phi, self.space.dependent)
-                if self.symbolic else None)
+        return _BoundPlan.of(self.phi, self.space.dependent)
 
     def bind(self, env):
         return BoundPotential(self, env)
@@ -451,56 +442,35 @@ class BoundPotential:
     (n,) and ``du(u_env)`` (n, q) read only the dependent variables of
     ``u_env``, per lane or 0-d; ``value`` also takes a block of B values
     of shape (B, 1) and gives (B, n).  ``rows(rows)`` is the potential at
-    a subset of the lanes; a symbolic one slices its bound kernels, so
-    their u-free parts are evaluated once per bind.
+    a subset of the lanes, its bound kernels sliced, so their u-free parts
+    are evaluated once per bind.
     """
 
     def __init__(self, pot, env, kernels=None):
         self.pot, self._env = pot, env
-        if pot.symbolic and kernels is None:
+        if kernels is None:
             kernels = (pot._bind_value(env), pot._bind_du(env))
         self._kernels = kernels
 
     def rows(self, rows):
-        if self.pot.symbolic:
-            return BoundPotential(self.pot, None,
-                                  tuple(k.rows(rows) for k in self._kernels))
-        return BoundPotential(self.pot,
-                              {name: v[rows] if np.ndim(v) else v
-                               for name, v in self._env.items()})
+        return BoundPotential(self.pot, None,
+                              tuple(k.rows(rows) for k in self._kernels))
 
     def value(self, u_env):
-        if self.pot.symbolic:
-            return self._kernels[0](u_env)[..., 0]
-        value = np.atleast_1d(self.pot.phi.evaluate({**self._env, **u_env}))
-        # a phi free of u still spreads over a block of u
-        return np.broadcast_to(value, np.broadcast_shapes(
-            value.shape, *map(np.shape, u_env.values())))
+        return self._kernels[0](u_env)[..., 0]
 
     def value_rows(self, rows):
-        """``rows(rows)`` for ``value`` only: a symbolic potential slices
-        its bound value kernel alone."""
-        if self.pot.symbolic:
-            return BoundPotential(self.pot, None,
-                                  (self._kernels[0].rows(rows), None))
-        return self.rows(rows)
+        """``rows(rows)`` for ``value`` only: the bound value kernel alone
+        is sliced."""
+        return BoundPotential(self.pot, None,
+                              (self._kernels[0].rows(rows), None))
 
     def du_only(self):
         """The potential without its bound value kernel, for ``du`` only."""
-        if self.pot.symbolic:
-            return BoundPotential(self.pot, None, (None, self._kernels[1]))
-        return self
+        return BoundPotential(self.pot, None, (None, self._kernels[1]))
 
     def du(self, u_env):
-        if self.pot.symbolic:
-            return self._kernels[1](u_env)
-        cols = []
-        for name in self.pot.space.dependent:
-            u = np.asarray(u_env[name])
-            up = self.value({**u_env, name: u + _DU_STEP})
-            dn = self.value({**u_env, name: u - _DU_STEP})
-            cols.append((up - dn) / (2 * _DU_STEP))
-        return np.stack(cols, axis=1)
+        return self._kernels[1](u_env)
 
     def scan_bound(self, u_env, edges):
         """The bound of G = w - phi over each block of scan points between
@@ -546,8 +516,8 @@ _INTERVAL = {
 
 
 class _BoundPlan:
-    """A rounded-interval bound of a symbolic phi over a block of scan
-    points, lane by lane.
+    """A rounded-interval bound of phi over a block of scan points, lane
+    by lane.
 
     A node of phi is row-only when it reads late (dependent) names and no
     other, lane-only when it reads none, and mixing otherwise.  The
@@ -780,10 +750,9 @@ def solve_implicit(surface, potentials, grid_env, cfg: ImplicitSolveConfig,
     x_names = space.independent
     env_x, n = _env_from_grid(x_names, grid_env, params)
     # lanes are independent, so each distinct equation is solved once: a
-    # lane is keyed on the grid columns a potential reads (a quadrature
-    # potential reads them all) and on its own warm start, if it has one
-    reads = set().union(*(p.phi.variables() if p.symbolic else x_names
-                          for p in pots))
+    # lane is keyed on the grid columns a potential reads and on its own
+    # warm start, if it has one
+    reads = set().union(*(p.phi.variables() for p in pots))
     key = [env_x[nm] for nm in x_names if nm in reads]
     guess = _lane_guess(cfg, n, k)
     if guess is not None:

@@ -575,6 +575,70 @@ def test_run_unparsable_mu_exit4(tmp_path):
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("system, setting", [
+    ("example2", '{"grid_step": true}'),
+    ("example2", '{"grid_step": "0.1"}'),
+    ("example2", '{"u0": [true, 2.0]}'),
+    ("example2", '{"u0": ["1", 2.0]}'),
+    ("example2", '{"axes": [[true, 1.0], [1.0, -1.0]]}'),
+    ("example2", '{"tau_base": [3.0, NaN]}'),
+    ("example2", '{"axis_ranges": [[0.8, 3.4], [0.08, Infinity]]}'),
+    ("example3", '{"gamma_scale": true}'),
+    ("example3", '{"s0": false}'),
+    ("example3", '{"s_range": [-25.0, "1"]}'),
+], ids=["grid_step true", "grid_step a string", "u0 true", "u0 a string",
+        "axes true", "tau_base NaN", "axis_ranges inf", "gamma_scale true",
+        "s0 false", "s_range a string"])
+def test_run_surface_setting_not_numbers_exit4(tmp_path, system, setting):
+    # a boolean is not read as 1 or 0, and a string or a non-finite value
+    # fails naming the key, before the surface is built
+    key, value = next(iter(json.loads(setting).items()))
+    cfg = tmp_path / "s.json"
+    cfg.write_text(setting)
+    out = tmp_path / "out"
+    grid = ("t=1:3:3,x=1:3:3,y=0.2:0.9:3" if system == "example2"
+            else "t=0.1:1:3,x=1:3:3,y=1:3:3")
+    assert main(["run", "--system", system, "--grid", grid,
+                 "--solver-config", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    outcomes = json.loads((out / "outcomes.json").read_text())
+    assert outcomes["rescale"]["ok"] is True
+    assert outcomes["solve"] == {
+        "ok": False, "detail": f"ValueError: {key} must be a finite number "
+                               f"or a list of them, got {value!r}"}
+    assert not (out / "solution.csv").exists()
+
+
+QUADRATURE_SYSTEM = {"independent": ["x1", "x2"], "dependent": ["u"],
+                     "A": [[["2*x1*x2"]], [["-(x2^2)"]]], "b": ["0"]}
+
+
+def test_run_quadrature_potential_end_to_end(tmp_path):
+    # 2*x1*x2*u_x1 - x2^2*u_x2 = 0 with the covector d_x(x1*x2^2), which no
+    # antiderivative splits: its potential is the quadrature expression
+    # from the box's midpoint (1, 1), exact for this polynomial, and u = s
+    # + 3 on the characteristic, so tau = x1*x2^2 - 1 at every point
+    system = tmp_path / "quad.json"
+    system.write_text(json.dumps(QUADRATURE_SYSTEM))
+    req = base_request(
+        tmp_path, system=str(system),
+        domain={"x1": (0.5, 1.5), "x2": (0.5, 1.5), "u": (-3.0, 3.0)},
+        grid={"x1": (0.5, 1.5, 30), "x2": (0.5, 1.5, 30)},
+        lambdas=[["x2^2", "2*x1*x2"]],
+        solver={"u0": [0], "s_range": [-3, 3], "grid_step": 0.05,
+                "tau_window": [-2.9, 2.9], "root_select": "lowest"})
+    code, _ = run(req)
+    assert code == EXIT_OK
+    ver = read_report(req, "verification.json")
+    assert ver["rank_min"] == ver["rank_max"] == 1
+    assert ver["residual"]["max"] < 1e-6
+    header, rows = read_solution_field_table(Path(req.out_dir) / "solution.csv")
+    assert len(rows) == 900
+    x1, x2, tau = (header.index(c) for c in ("x:x1", "x:x2", "tau:s"))
+    for row in rows:
+        want = float(row[x1]) * float(row[x2]) ** 2 - 1.0
+        assert abs(float(row[tau]) - want) <= 1e-12
+
+
 @pytest.mark.parametrize("guess, detail", [
     ('"bogus"', "initial_guess must be 'potential_at_base' or numbers, got "
                 "'bogus'"),

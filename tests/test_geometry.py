@@ -24,6 +24,7 @@ from rwave.geometry import (
     DependentElements,
     EmptyKernel,
     GeometryError,
+    PathDependent,
     Verdict,
     WaveElement,
     check_kwave_conditions,
@@ -31,6 +32,7 @@ from rwave.geometry import (
     find_potential,
     kernel_elements,
     lie_bracket,
+    quadrature_potential,
 )
 
 from .strategies import fixture_box, random_polynomial_vector
@@ -454,15 +456,35 @@ def test_find_potential_integrating_factor():
 
 def test_find_potential_numeric_fallback_and_gradient():
     # exact but not a sum of univariate terms: lam = d_x(x1*x2^2) needs the
-    # quadrature path
+    # quadrature path, whose potential is the quadrature expression
     space = VarSpace(("x1", "x2"), ("u",))
     box = Box.from_dict({"x1": (0.2, 1.0), "x2": (0.2, 1.0), "u": (0.5, 1)})
     lam = (parse("x2^2", space), parse("2*x1*x2", space))
     elem = WaveElement(space, lam, (Const(1),))
-    res = find_potential(elem, {"x1": 0.2, "x2": 0.2}, box, rng=18)
-    assert not isinstance(res.phi, Expr)
+    base = {"x1": 0.2, "x2": 0.2}
+    res = find_potential(elem, base, box, rng=18)
     pot = res.phi
+    assert pot is quadrature_potential(lam, space, base, ("x1", "x2"))
     pt = {"x1": 0.7, "x2": 0.9, "u": 0.6}
     want = 0.7 * 0.9**2 - 0.2 * 0.2**2
     assert pot.evaluate(pt) == pytest.approx(want, abs=1e-10)
-    pot.check_paths(pt)
+    # the reversed segment order agrees at the point, and the gradient in
+    # x is lam
+    rev = quadrature_potential(lam, space, base, ("x2", "x1"))
+    assert abs(pot.evaluate(pt) - rev.evaluate(pt)) <= geometry._PATH_TOL
+    for name, comp in zip(space.independent, lam):
+        assert pot.diff(name).evaluate(pt) == pytest.approx(
+            comp.evaluate(pt), abs=1e-10)
+
+
+def test_find_potential_path_check_probes_off_the_base_point():
+    # d_x lam = -1e-10 is below the zero test's threshold, so lam gets a
+    # quadrature potential; with the box's midpoint as base point the two
+    # segment orders differ by 2.5e-7 at the upper corner (100, 100)
+    space = VarSpace(("x1", "x2"), ("u",))
+    box = Box.from_dict({"x1": (0.0, 100.0), "x2": (0.0, 100.0),
+                         "u": (0.0, 1.0)})
+    lam = (parse("1e-10*x2", space), Const(0))
+    elem = WaveElement(space, lam, (Const(1),))
+    with pytest.raises(PathDependent, match="mismatch 2.50e-07"):
+        find_potential(elem, box.midpoint(), box, rng=19)

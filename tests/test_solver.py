@@ -20,7 +20,6 @@ from rwave.expr import (
     Box,
     Call,
     Const,
-    Expr,
     MissingVariableError,
     VarSpace,
     parse,
@@ -1559,6 +1558,9 @@ def bound_scan_lanes(seed, n=30):
 @example(phi=parse("sin(u)*(x*u) - u^2*(y - u)", SP3), seed=1)
 @example(phi=parse("(x*u)*(t - u) + (u^2 + 1)/(x*u)", SP3), seed=2)
 @example(phi=parse("sqrt(abs(x*u)) - abs(t - u) - m*u", SP3), seed=3)
+@example(phi=geometry.quadrature_potential(
+    [parse(text, SP3) for text in ("x*u", "t*u", "2*y*m")], SP3,
+    {"t": 0.1, "x": 1.0, "y": 1.5}, SP3.independent), seed=4)
 def test_scan_bound_holds_every_kernel_value(phi, seed):
     # on random blocks: phi and G = w - phi as the value kernel computes
     # them lie in the block's bounds at every point, and a proven block has
@@ -1644,30 +1646,38 @@ def test_bounded_scan_matches_matrix_scan_bitwise(root_select, q, seed,
 
 @pytest.mark.parametrize("root_select", ["lowest", "highest", "nearest"])
 def test_quadrature_potential_scans_without_a_bound_bitwise(root_select):
+    # 24 lanes scan the whole window without the bound, which a quadrature
+    # potential has; a scan block of 256 lane-columns makes them take it,
+    # and both match the reference scan of the potential's tree-walk
     space = VarSpace(("x1", "x2"), ("u",), ("c",))
     lam = (parse("c*x2^2 + u", space), parse("2*c*x1*x2", space))
-    pot = geometry.NumericPotential(lam, space, {"x1": 0.2, "x2": 0.2})
+    pot = geometry.quadrature_potential(lam, space, {"x1": 0.2, "x2": 0.2},
+                                        space.independent)
     surf = knot_scan_case()[0]
     rng = np.random.default_rng(15)
     n = 24
+    assert n * solver._BOUND_CELLS <= solver._SCAN_BLOCK
     grid = {"x1": rng.uniform(-1.5, 1.5, n), "x2": rng.uniform(-1.5, 1.5, n)}
     env, _ = solver._env_from_grid(space.independent, grid, {"c": 1.3})
     bound = solver.PotentialFn(pot, space).bind(env)
-    assert bound.scan_bound({"u": surf.s_grid}, [0, 256]) is None
+    assert bound.scan_bound({"u": surf.s_grid}, [0, 256]) is not None
     cfg = ImplicitSolveConfig(root_select=root_select,
                               initial_guess=rng.uniform(-4.0, 4.0, n))
 
     def phi(tau):
-        return pot.evaluate({**env, "u": surf.value(tau)[:, 0]})
+        return pot.evaluate({**env, "u": surf.value(tau)[:, 0]}, strict=False)
 
     tau, iters, conv = reference_scan_solve(surf, phi,
                                             cfg.initial_guess, cfg, n)
     assert 0 < conv.sum()
-    field = solve_implicit(surf, [pot], grid, cfg, params={"c": 1.3},
-                           space=space)
-    assert_bitwise(field.tau, tau)
-    assert np.array_equal(field.iters, iters)
-    assert np.array_equal(field.converged, conv)
+    for block in (solver._SCAN_BLOCK, 256):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_SCAN_BLOCK", block)
+            field = solve_implicit(surf, [pot], grid, cfg, params={"c": 1.3},
+                                   space=space)
+        assert_bitwise(field.tau, tau)
+        assert np.array_equal(field.iters, iters)
+        assert np.array_equal(field.converged, conv)
 
 
 @pytest.mark.parametrize("block", [solver._SCAN_BLOCK, 1024])
@@ -1732,14 +1742,16 @@ def test_potential_fn_value_and_du_kernels_bitwise(space, text, shared_u):
 
 
 def test_potential_fn_numeric_lanes():
-    # d_x(x1*x2^2) needs the quadrature potential; every lane is integrated
-    # in one pass and gets the bits it gets alone
+    # d_x(x1*x2^2) needs the quadrature potential, an expression: every
+    # lane is evaluated in one pass and gets the bits it gets alone
     space = VarSpace(("x1", "x2"), ("u",))
     box = Box.from_dict({"x1": (0.2, 1.0), "x2": (0.2, 1.0), "u": (0.5, 1)})
     lam = (parse("x2^2", space), parse("2*x1*x2", space))
-    res = find_potential(WaveElement(space, lam, (Const(1),)),
-                         {"x1": 0.2, "x2": 0.2}, box, rng=18)
-    assert not isinstance(res.phi, Expr)
+    base = {"x1": 0.2, "x2": 0.2}
+    res = find_potential(WaveElement(space, lam, (Const(1),)), base, box,
+                         rng=18)
+    assert res.phi is geometry.quadrature_potential(lam, space, base,
+                                                    space.independent)
     pot = solver.PotentialFn(res.phi, space)
     rng = np.random.default_rng(4)
     n = 50
@@ -1752,8 +1764,9 @@ def test_potential_fn_numeric_lanes():
         point = {k: float(v[i]) for k, v in env.items()}
         alone = pot.bind(point).value(point)
         assert_bitwise(alone, val[i:i + 1])
+    # lam reads no u, so the exact dphi/du is 0
     du = pot.bind(env).du(env)
-    assert du.shape == (n, 1) and np.all(np.isfinite(du))
+    assert du.shape == (n, 1) and np.all(du == 0.0)
     # a block of B values of u broadcasts over the lanes
     bound = pot.bind(env)
     block = rng.uniform(0.5, 1.0, (3, 1))
@@ -1761,8 +1774,12 @@ def test_potential_fn_numeric_lanes():
     assert got.shape == (3, n)
     for b in range(3):
         assert_bitwise(got[b], bound.value({"u": block[b, 0]}))
-    res.phi.check_paths({"x1": 0.7, "x2": 0.9, "u": 0.6})
-    res.phi.check_paths(env)
+    # the reversed segment order agrees at a point and at every lane
+    rev = geometry.quadrature_potential(lam, space, base,
+                                        space.independent[::-1])
+    for at in ({"x1": 0.7, "x2": 0.9, "u": 0.6}, env):
+        assert np.max(np.abs(res.phi.evaluate(at) - rev.evaluate(at))) \
+            <= geometry._PATH_TOL
 
 
 @pytest.mark.parametrize("text", ["t + m*ln(|x|)", "u^2*k", "2*u"],
@@ -1810,8 +1827,8 @@ def test_grid_parameters_bind_0d_with_the_bits_of_per_lane_values():
               {"m": 1.37, "k": 0.61})]
     space = VarSpace(("x1", "x2"), ("u",), ("c",))
     lam = (parse("c*x2^2", space), parse("2*c*x1*x2", space))
-    cases.append((space, geometry.NumericPotential(
-        lam, space, {"x1": 0.2, "x2": 0.2}), {"c": 1.3}))
+    cases.append((space, geometry.quadrature_potential(
+        lam, space, {"x1": 0.2, "x2": 0.2}, space.independent), {"c": 1.3}))
     for space, phi, params in cases:
         grid = {name: rng.uniform(0.5, 2.0, n) for name in space.independent}
         env, got_n = solver._env_from_grid(space.independent, grid, params)
