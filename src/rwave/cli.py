@@ -304,8 +304,11 @@ def _solve(st):
         st.artifacts["solution"] = reports.write_solution_field(
             st.out / "solution.csv", st.solution)
     if not conv.all():
+        # a k = 1 solve scans for a root: a point fails when none is found
+        failed = ("have no sign change of tau - phi in the scan window"
+                  if len(st.potentials) == 1 else "diverged")
         raise SolverError(f"{int((~conv).sum())} of {conv.size} grid points "
-                          "diverged")
+                          f"{failed}")
     return f"{int(conv.sum())}/{conv.size}"
 
 

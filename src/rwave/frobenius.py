@@ -13,9 +13,14 @@ frame, solves the stage-1 transport system for the new factor, and then
 re-rescales the previous fields along the new one (stage 2).  Transport
 equations are solved symbolically when the flow field moves a single
 coordinate and the source has a recognized antiderivative, and otherwise
-by backward flows to a transversal section with an accumulator, one
-DOP853 march per term in which every point keeps its own steps, so its
-value does not depend on the other points evaluated with it.
+by backward flows to a transversal section with an accumulator: DOP853
+marches in which every point keeps its own steps, so its value does not
+depend on the other points, nor on the other terms, marched with it.
+A term whose field is bare and whose source is an unguarded expression
+evaluates both in one compiled kernel per right-hand side.  A term keeps
+the values of the last few point sets it marched, and the terms that
+one evaluation needs at once (the leaves of a numeric ``ScalarFn``)
+march together, each point set of each term once.
 
 The flows evaluate bracket coefficients at every stage.  Each field
 derives a symbolic bracket once and caches it on itself, and fields and
@@ -32,10 +37,11 @@ transport, except one through ln|.|, which would be singular where the
 flow meets the guard.  Where a numeric factor leaves no
 fit, the coefficients are solved pointwise in one batched two-column
 least-squares solve (`solve_two_columns`).  Brackets come from one table
-per point set (`_bracket_table`): a numeric factor, whose every
-evaluation is a transport march, is evaluated once at the points and once
-at their displacements along all its partner fields, for the finite
-differences of the Leibniz rule, however many pairs share it.
+per point set (`_bracket_table`): every numeric factor is evaluated
+once at the points and once at their displacements along all its partner
+fields, for the finite differences of the Leibniz rule, however many
+pairs share it, and the transport terms of all the factors march once at
+the points and once at all their displacements.
 """
 
 from __future__ import annotations
@@ -122,19 +128,30 @@ class ScalarFn:
     derivatives of ``VectorField.directional`` and the closed forms of
     ``solve_transport_system``.  A closure checks the guards of its
     operands as it evaluates them and keeps their union for its callers
-    to read."""
+    to read.
 
-    def __init__(self, obj, names, guards=()):
+    ``leaves`` are the TransportTerms a numeric scalar evaluates at the
+    points it is evaluated at: a term's own scalar has the term, negation,
+    division, ``exp`` and ``sum`` the union of their operands' leaves, and
+    any other callable none.  An evaluation with several leaves marches
+    them together first (``_march_leaves``), and so does a bracket table
+    for all its factors."""
+
+    def __init__(self, obj, names, guards=(), leaves=()):
         self.names = tuple(names)
         if isinstance(obj, (int, float)):
             obj = Const(float(obj)) if isinstance(obj, float) else Const(obj)
         self.expr = obj if isinstance(obj, Expr) else None
         self._fn = None if self.expr is not None else obj
         self.guards = tuple(guards)
+        self.leaves = (obj,) if isinstance(obj, TransportTerm) \
+            else tuple(leaves)
         self._kernel = None
 
     def ev(self, U):
         if self.expr is None:
+            if len(self.leaves) > 1:
+                _march_leaves([(self, U)])
             return np.asarray(self._fn(U), dtype=float).reshape(U.shape[0])
         if isinstance(self.expr, Const) and not self.guards:
             return np.full(U.shape[0], float(self.expr.value))
@@ -160,7 +177,8 @@ class ScalarFn:
         if self.expr is not None:
             return ScalarFn(simplify(Call("neg", self.expr)), self.names,
                             self.guards)
-        return ScalarFn(lambda U: -self.ev(U), self.names, self.guards)
+        return ScalarFn(lambda U: -self.ev(U), self.names, self.guards,
+                        self.leaves)
 
     def __truediv__(self, other):
         guards = _union(self.guards, other.guards)
@@ -168,13 +186,14 @@ class ScalarFn:
             return ScalarFn(simplify(Bin("/", self.expr, other.expr)),
                             self.names, guards)
         return ScalarFn(lambda U: self.ev(U) / other.ev(U), self.names,
-                        guards)
+                        guards, _union(self.leaves, other.leaves))
 
     def exp(self):
         if self.expr is not None:
             return ScalarFn(simplify(Call("exp", self.expr)), self.names,
                             self.guards)
-        return ScalarFn(lambda U: np.exp(self.ev(U)), self.names, self.guards)
+        return ScalarFn(lambda U: np.exp(self.ev(U)), self.names, self.guards,
+                        self.leaves)
 
     @classmethod
     def sum(cls, terms, names):
@@ -185,12 +204,12 @@ class ScalarFn:
         if all(f.expr is not None for f in fns):
             return cls(exprmat.sum_exprs(f.expr for f in fns), names, guards)
         return cls(lambda U: sum((f.ev(U) for f in fns), np.zeros(len(U))),
-                   names, guards)
+                   names, guards, _union(*(f.leaves for f in fns)))
 
 
-def _union(*guards):
-    """The guard tuples joined in order, each guard once."""
-    return tuple(dict.fromkeys(g for gs in guards for g in gs))
+def _union(*tuples):
+    """The guard (or leaf) tuples joined in order, each member once."""
+    return tuple(dict.fromkeys(g for gs in tuples for g in gs))
 
 
 class VectorField:
@@ -314,9 +333,12 @@ def _bracket_table(fields, pairs, U, h=1e-5):
     symbolic except for the directionals X(g), Y(f) that take central
     differences because a factor or the field it runs along is numeric.
     Each factor is evaluated once at U and once over the displaced points
-    U +/- eps_k X_k of all its partners k stacked, so a factor made of
-    transport terms marches twice per table however many pairs it is in.
+    U +/- eps_k X_k of all its partners k stacked.  The transport terms of
+    all the factors march together: once at U, and once at all their
+    displaced points (which depend on the factors' values at U, so the two
+    cannot share a march).
     """
+    _march_leaves([(X.factor, U) for X in fields if X.factor is not None])
     bare = [X.bare.eval(U) for X in fields]
     fac = [np.ones(len(U)) if X.factor is None else X.factor.ev(U)
            for X in fields]
@@ -328,18 +350,25 @@ def _bracket_table(fields, pairs, U, h=1e-5):
             along.setdefault(j, {})[i] = None
         if fields[i].factor is not None:
             along.setdefault(i, {})[j] = None
+    displaced = {}  # factor k -> (partners, points, eps) of its differences
+    for k, partners in along.items():
+        g = fields[k].factor
+        numeric = [m for m in partners
+                   if g.expr is None or not fields[m].symbolic]
+        if numeric:
+            points, eps = zip(*(_displaced(U, values[m], h) for m in numeric))
+            displaced[k] = numeric, np.concatenate(points), eps
+    _march_leaves([(fields[k].factor, points)
+                   for k, (_, points, _) in displaced.items()])
     deriv = {}      # (k, m) -> X_m(f_k)
     for k, partners in along.items():
         g = fields[k].factor
-        numeric = []
+        numeric, points, eps = displaced.get(k, ((), None, ()))
         for m in partners:
-            if g.expr is not None and fields[m].symbolic:
+            if m not in numeric:
                 deriv[k, m] = fields[m].directional(g, U)
-            else:
-                numeric.append(m)
         if numeric:
-            points, eps = zip(*(_displaced(U, values[m], h) for m in numeric))
-            vals = np.split(g.ev(np.concatenate(points)), len(numeric))
+            vals = np.split(g.ev(points), len(numeric))
             for m, e, v in zip(numeric, eps, vals):
                 deriv[k, m] = _difference_quotient(v, e)
 
@@ -368,10 +397,14 @@ class TransportTerm:
     flow in s in [0, 1], each with its right-hand side scaled by its own
     span -psi0, and are read at s = 1.  The flow keeps each lane's steps
     and runs the tangency check row by row, so a point's value does not
-    depend on which other points are asked for at the same time.
-    Requires <normal, Y> to stay bounded away from zero along the orbits,
-    i.e. the field crosses its section transversally throughout the
-    working box.
+    depend on which other points, or which other terms' points, march
+    with it (``_march``).  Requires <normal, Y> to stay bounded away from
+    zero along the orbits, i.e. the field crosses its section
+    transversally throughout the working box.
+
+    A term keeps its values at every point set it marched, so a point set
+    asked for again within its lifetime (one rescaling and its
+    measurement) is not marched again.
     """
 
     def __init__(self, Y: VectorField, source: ScalarFn, base, normal):
@@ -380,30 +413,106 @@ class TransportTerm:
         self.base = np.asarray(base, dtype=float)
         normal = np.asarray(normal, dtype=float)
         self.normal = normal / np.linalg.norm(normal)
+        # a bare field with an unguarded expression source (over the same
+        # coordinates) evaluates both in one kernel
+        self._fused = (Y.factor is None and source.expr is not None
+                       and not source.guards and source.names == Y.names)
+        self._kernel = None
+        self._marched = {}      # _points_key(U) -> values at U
 
     def __call__(self, U):
-        n, d = U.shape
-        span = -exprmat.rows_dot(U - self.base, self.normal)  # psi: psi0 -> 0
+        U = np.asarray(U, dtype=float)
+        key = _points_key(U)
+        if key not in self._marched:
+            (self._marched[key],) = _march([(self, U)])
+        return self._marched[key].copy()
 
-        def rhs(s, state):
-            u = state[:, :d]
-            v = self.Y.eval(u)
-            denom = exprmat.rows_dot(v, self.normal)
-            if np.any(np.abs(denom) < 1e-12):
-                raise StraighteningFailed(
-                    "transport field becomes tangent to its section")
-            src = self.source.ev(u)
-            return span[:, None] * np.concatenate(
-                [v / denom[:, None], (src / denom)[:, None]], axis=1)
+    def rhs(self, span, u):
+        """The flow's right-hand side (Y, source) / <normal, Y> times
+        ``span`` at the points u, one row per lane."""
+        if self._fused:
+            if self._kernel is None:
+                self._kernel = compile_exprs(self.Y.exprs
+                                             + (self.source.expr,))
+            out = self._kernel(_columns(u, self.Y.names))
+            # a contiguous copy: a strided slice may take another product
+            # path in rows_dot and round otherwise
+            denom = exprmat.rows_dot(np.ascontiguousarray(out[:, :-1]),
+                                     self.normal)
+            _check_transversal(denom)
+            return span[:, None] * (out / denom[:, None])
+        v = self.Y.eval(u)
+        denom = exprmat.rows_dot(v, self.normal)
+        _check_transversal(denom)
+        src = self.source.ev(u)
+        return span[:, None] * np.concatenate(
+            [v / denom[:, None], (src / denom)[:, None]], axis=1)
 
-        state0 = np.concatenate([U, np.zeros((n, 1))], axis=1)
-        step = _TRANSPORT_STEP
-        try:
-            out = ode.flow(rhs, state0, 0.0, [1.0],
-                           first_step=step / np.maximum(np.abs(span), step))
-        except ode.StiffnessAbort as err:
-            raise StraighteningFailed("transport flow left the domain") from err
-        return -out[0, :, d]
+
+def _check_transversal(denom):
+    if (np.abs(denom) < 1e-12).any():
+        raise StraighteningFailed(
+            "transport field becomes tangent to its section")
+
+
+def _points_key(U):
+    return U.shape, U.tobytes()
+
+
+def _march(requests):
+    """The values of each transport term of ``requests`` [(term, U)] at
+    its points U, all in one ``ode.flow`` march: each request's lanes are
+    one contiguous block, whose right-hand side the term evaluates on its
+    rows alone, and every lane's first trial step is _TRANSPORT_STEP /
+    max(|span|, _TRANSPORT_STEP).  So each request gets the bits of its
+    own march.  A lane whose request is done is evaluated again only at
+    its accepted end state, which its last stage already checked.  Raises
+    StraighteningFailed where a field becomes tangent to its section or a
+    flow leaves the domain."""
+    d = requests[0][1].shape[1]
+    bounds = np.cumsum([0] + [len(U) for _, U in requests])
+    # psi: psi0 -> 0 on each lane
+    blocks = [(term, -exprmat.rows_dot(U - term.base, term.normal), a, b)
+              for (term, U), a, b in zip(requests, bounds, bounds[1:])]
+
+    def rhs(s, state):
+        u = state[:, :d]
+        parts = [term.rhs(span, u[a:b]) for term, span, a, b in blocks]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    U = np.concatenate([U for _, U in requests])
+    state0 = np.concatenate([U, np.zeros((len(U), 1))], axis=1)
+    span = np.concatenate([span for _, span, _, _ in blocks])
+    step = _TRANSPORT_STEP
+    try:
+        out = ode.flow(rhs, state0, 0.0, [1.0],
+                       first_step=step / np.maximum(np.abs(span), step))
+    except ode.StiffnessAbort as err:
+        raise StraighteningFailed("transport flow left the domain") from err
+    return [-out[0, a:b, d] for _, _, a, b in blocks]
+
+
+def _march_leaves(requests):
+    """March together the transport terms that the scalars of ``requests``
+    [(ScalarFn, U)] read at their points U, except where a term already
+    has its values there, and keep the values on each term.  A march that
+    fails keeps nothing: evaluating the scalars then marches each term on
+    its own and raises what that march raises."""
+    todo = {}       # (term, key) -> U
+    for fn, U in requests:
+        U = np.asarray(U, dtype=float)
+        key = _points_key(U)
+        for term in fn.leaves:
+            if key not in term._marched:
+                todo.setdefault((term, key), U)
+    if not todo:
+        return
+    try:
+        values = _march([(term, U) for (term, _), U in todo.items()])
+    except FrobeniusError:
+        return
+    for (term, key), v in zip(todo, values):
+        term._marched[key] = v
 
 
 def solve_transport_system(fields, sources, names, box: Box, base, rng,

@@ -342,18 +342,35 @@ def test_run_example3_pipeline(tmp_path):
     assert ver["rank_min"] == ver["rank_max"] == 1
 
 
-def test_run_solver_failure_exit4(tmp_path):
-    # shift the scan window away from every root: all points diverge
+def solve_in_window(tmp_path, window):
+    """The solve outcome of example3 on a 3^3 grid with ``window`` as its
+    scan window."""
     req = base_request(tmp_path, system="example3",
                        grid={"t": (0.1, 1.0, 3), "x": (1.0, 3.0, 3),
                              "y": (1.0, 3.0, 3)},
-                       solver={"tau_window": [0.5, 0.9]})
+                       solver={"tau_window": window})
     code, _ = run(req)
     assert code == 4
-    assert read_report(req, "outcomes.json")["solve"] == {
-        "ok": False, "detail": "16 of 27 grid points diverged"}
+    return req, read_report(req, "outcomes.json")["solve"]
+
+
+def test_run_solver_failure_exit4(tmp_path):
+    # shift the scan window away from the roots of most points: a k = 1
+    # solve scans, so a point without a root has no sign change, and no
+    # Newton iteration diverged
+    req, solve = solve_in_window(tmp_path, [0.5, 0.9])
+    assert solve == {"ok": False, "detail": "16 of 27 grid points have no "
+                     "sign change of tau - phi in the scan window"}
     assert (Path(req.out_dir) / "solution.csv").exists()
     assert not (Path(req.out_dir) / "verification.json").exists()
+
+
+def test_run_k1_window_below_the_roots_names_no_divergence(tmp_path):
+    # the window [-24, -6] of the preset's 10^3 grid, where 800 points
+    # have no root in it
+    _, solve = solve_in_window(tmp_path, [-24, -6])
+    assert solve == {"ok": False, "detail": "18 of 27 grid points have no "
+                     "sign change of tau - phi in the scan window"}
 
 
 def test_run_solver_config_errors_exit4(tmp_path):

@@ -486,12 +486,12 @@ def test_pair_frame_transports_build_no_bracket_table(monkeypatch):
     # numeric transports evaluate them inside every flow stage
     fields, names, box = benchmark_pair()
     depth, nested, tables = [0], [], []
-    call, table = TransportTerm.__call__, frobenius._bracket_table
+    march, table = frobenius._march, frobenius._bracket_table
 
-    def counting_call(self, U):
+    def counting_march(requests):
         depth[0] += 1
         try:
-            return call(self, U)
+            return march(requests)
         finally:
             depth[0] -= 1
 
@@ -499,7 +499,7 @@ def test_pair_frame_transports_build_no_bracket_table(monkeypatch):
         (nested if depth[0] else tables).append(1)
         return table(*args, **kwargs)
 
-    monkeypatch.setattr(TransportTerm, "__call__", counting_call)
+    monkeypatch.setattr(frobenius, "_march", counting_march)
     monkeypatch.setattr(frobenius, "_bracket_table", counting_table)
     res = rescale_frame(list(fields), names, box, rng=3,
                         prefer_symbolic=False)
@@ -808,23 +808,62 @@ def transport_terms(factors):
     return found
 
 
-def test_commutation_residual_marches_each_transport_twice(benchmark_frames,
-                                                          monkeypatch):
-    label, res, box, r2, _ = benchmark_frames[0]
+def count_marches(monkeypatch):
+    """(flows, marched): the ``ode.flow`` marches the transports make, and
+    a Counter of the (term, point set) pairs they march."""
+    flows, marched = [], Counter()
+    flow, march = frobenius.ode.flow, frobenius._march
+
+    def counting_flow(*args, **kwargs):
+        flows.append(len(args[1]))
+        return flow(*args, **kwargs)
+
+    def recording(requests):
+        marched.update((term, U.shape, U.tobytes()) for term, U in requests)
+        return march(requests)
+
+    monkeypatch.setattr(frobenius.ode, "flow", counting_flow)
+    monkeypatch.setattr(frobenius, "_march", recording)
+    return flows, marched
+
+
+def test_factor_leaves_are_the_terms_its_closures_read(benchmark_frames):
+    for label, res, _, _, _ in benchmark_frames:
+        for fac in res.factors:
+            assert set(fac.leaves) == set(transport_terms([fac])), label
+    assert len(transport_terms(benchmark_frames[0][1].factors)) == 3
+
+
+def test_commutation_residual_marches_each_transport_twice(monkeypatch):
+    # a fresh rescaling: the terms keep the values they marched
+    bench = workloads.FramesWorkload(1)
+    (label, fields, names, box, opts, _), (r1, r2) = bench.frames[0], \
+        bench.rngs[0]
     assert label == "cyclic"
+    res = rescale_frame(list(fields), names, box, rng=r1, **opts)
     terms = transport_terms(res.factors)
-    calls = Counter()
-    original = TransportTerm.__call__
-
-    def counting(self, U):
-        calls[self] += 1
-        return original(self, U)
-
-    monkeypatch.setattr(TransportTerm, "__call__", counting)
+    flows, marched = count_marches(monkeypatch)
     commutation_residual(res.scaled_fields(), box, rng=r2, n_samples=20)
-    # once at the samples and once at every partner's displaced samples;
-    # the per-pair loop marched each term 7 times on this frame
-    assert len(terms) == 3 and calls == {t: 2 for t in terms}, calls
+    # all three terms march together at the samples, then together at all
+    # their partners' displaced samples; the per-pair loop marched each
+    # term 7 times on this frame, one march each
+    assert flows == [60, 240], flows
+    assert len(terms) == 3 and Counter(key[0] for key in marched) == {
+        t: 2 for t in terms}, marched
+    assert set(marched.values()) == {1}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_frames_operation_marches_each_point_set_once(seed, monkeypatch):
+    bench = workloads.FramesWorkload(seed)
+    flows, marched = count_marches(monkeypatch)
+    outcome = bench.check(0, bench.run(0, "op"))
+    assert outcome.ok, outcome.detail
+    # the cyclic frame's: 13 in rescale_frame and 2 in commutation_residual
+    # (24 when every evaluation marched each term on its own); the pair's
+    # transports are closed forms
+    assert len(flows) == 15, flows
+    assert marched and set(marched.values()) == {1}, marched
 
 
 def test_numeric_directional_is_one_evaluation_of_both_sides():
@@ -921,3 +960,113 @@ def test_transport_matches_closed_form(source, closed_form):
         got = term(U)
     assert np.max(np.abs(got - closed_form(y))) < 1e-11
     assert got[3] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# transports sharing one march
+
+def reference_transport(term, U):
+    """g(U) as one term marched alone before transports shared marches: the
+    field and the source evaluated on their own at every stage."""
+    n, d = U.shape
+    span = -exprmat.rows_dot(U - term.base, term.normal)
+
+    def rhs(s, state):
+        u = state[:, :d]
+        v = term.Y.eval(u)
+        denom = exprmat.rows_dot(v, term.normal)
+        if np.any(np.abs(denom) < 1e-12):
+            raise StraighteningFailed(
+                "transport field becomes tangent to its section")
+        src = term.source.ev(u)
+        return span[:, None] * np.concatenate(
+            [v / denom[:, None], (src / denom)[:, None]], axis=1)
+
+    state0 = np.concatenate([U, np.zeros((n, 1))], axis=1)
+    out = frobenius.ode.flow(rhs, state0, 0.0, [1.0],
+                             first_step=1.0 / np.maximum(np.abs(span), 1.0))
+    return -out[0, :, d]
+
+
+SHARED_FIELDS = (("exp(y)", "0", "0", "0"),
+                 ("0", "1+x^2", "0", "0"),
+                 ("1", "0.5", "0", "z"),
+                 ("exp(z)", "w", "1", "0"))
+# expression sources share the field's kernel; a constant one broadcasts,
+# and a numeric one is evaluated on its own
+SHARED_SOURCES = ("x*z", "-exp(y)", "1",
+                  lambda U: np.sin(U[:, 0] + 2.0 * U[:, 3]))
+
+
+def shared_term(field, source, scaled):
+    """The transport along SHARED_FIELDS[field] (scaled by 1 + x^2 when
+    ``scaled``) of SHARED_SOURCES[source], to the section through the
+    origin normal to the field there."""
+    Y = VectorField([pexpr(c, NAMES4) for c in SHARED_FIELDS[field]], NAMES4)
+    if scaled:
+        Y = Y.with_factor(ScalarFn(pexpr("1+x^2", NAMES4), NAMES4))
+    src = SHARED_SOURCES[source]
+    src = ScalarFn(src if callable(src) else pexpr(src, NAMES4), NAMES4)
+    return TransportTerm(Y, src, np.zeros(4), Y.eval(np.zeros((1, 4)))[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.booleans(), st.integers(1, 50)),
+                min_size=1, max_size=4),
+       st.integers(0, 3), st.integers(0, 10_000))
+def test_shared_march_gives_each_term_its_own_bits(drawn, single, seed):
+    # one term has a single lane, and one lane of a term lies on its
+    # section (a span of zero)
+    rng = np.random.default_rng(seed)
+    single %= len(drawn)
+    requests = []
+    for k, (field, source, scaled, n) in enumerate(drawn):
+        U = rng.uniform(-0.5, 0.5, (1 if k == single else n, 4))
+        if k == len(drawn) - 1:
+            U[-1] = 0.0
+        requests.append((shared_term(field, source, scaled), U))
+    got = frobenius._march(requests)
+    for (term, U), values in zip(requests, got):
+        assert np.array_equal(bits(values), bits(reference_transport(term, U)))
+
+
+def test_shared_march_with_a_term_leaving_the_domain_fails():
+    # the second term's source is infinite on y = 0, which its first
+    # lane's orbit follows; the first term alone marches
+    Y = VectorField((Const(1), Const(0), Const(0)), NAMES3)
+    good = TransportTerm(Y, ScalarFn(pexpr("x*z"), NAMES3), np.zeros(3),
+                         [1.0, 0.0, 0.0])
+    bad = TransportTerm(Y, ScalarFn(lambda U: 1.0 / U[:, 1], NAMES3),
+                        np.zeros(3), [1.0, 0.0, 0.0])
+    U = np.array([[0.5, 0.0, 0.1], [0.3, 0.2, 0.0]])
+    with np.errstate(all="ignore"):
+        with pytest.raises(StraighteningFailed) as alone:
+            bad(U)
+        with pytest.raises(StraighteningFailed) as shared:
+            frobenius._march([(good, U), (bad, U)])
+        assert str(shared.value) == str(alone.value)
+        # a sum of both marches them together, fails, and then raises what
+        # the failing term's own march raises, after the first term's
+        # values are kept
+        total = ScalarFn.sum([good, bad], NAMES3)
+        assert total.leaves == (good, bad)
+        with pytest.raises(StraighteningFailed) as summed:
+            total.ev(U)
+        assert str(summed.value) == str(alone.value)
+    assert np.array_equal(bits(good(U)), bits(reference_transport(good, U)))
+
+
+def test_scalar_of_several_terms_marches_them_once(monkeypatch):
+    # exp of a sum of two terms and a closed form: the outer evaluation
+    # marches both terms together, and the sum inside it finds them marched
+    first, second = shared_term(0, 0, False), shared_term(3, 3, True)
+    U = np.random.default_rng(12).uniform(-0.5, 0.5, (9, 4))
+    want = np.exp(np.zeros(9) + reference_transport(first, U)
+                  + np.cos(U[:, 1]) + reference_transport(second, U))
+    factor = ScalarFn.sum([first, lambda U: np.cos(U[:, 1]), second],
+                          NAMES4).exp()
+    assert factor.leaves == (first, second)
+    flows, marched = count_marches(monkeypatch)
+    assert np.array_equal(bits(factor.ev(U)), bits(want))
+    assert flows == [18] and set(marched.values()) == {1}, (flows, marched)
