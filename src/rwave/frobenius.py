@@ -18,9 +18,9 @@ marches in which every point keeps its own steps, so its value does not
 depend on the other points, nor on the other terms, marched with it.
 A term whose field is bare and whose source is an unguarded expression
 evaluates both in one compiled kernel per right-hand side.  A term keeps
-the values of the last few point sets it marched, and the terms that
-one evaluation needs at once (the leaves of a numeric ``ScalarFn``)
-march together, each point set of each term once.
+the values of every point set it marched, and the terms that one
+evaluation needs at once (the leaves of a numeric ``ScalarFn``) march
+together, so each term marches each point set once.
 
 The flows evaluate bracket coefficients at every stage.  Each field
 derives a symbolic bracket once and caches it on itself, and fields and
