@@ -845,8 +845,8 @@ def test_commutation_residual_marches_each_transport_twice(monkeypatch):
     flows, marched = count_marches(monkeypatch)
     commutation_residual(res.scaled_fields(), box, rng=r2, n_samples=20)
     # all three terms march together at the samples, then together at all
-    # their partners' displaced samples; the per-pair loop marched each
-    # term 7 times on this frame, one march each
+    # their partners' displaced samples: 2 marches, where a march per term
+    # and point set makes 6
     assert flows == [60, 240], flows
     assert len(terms) == 3 and Counter(key[0] for key in marched) == {
         t: 2 for t in terms}, marched
@@ -966,8 +966,8 @@ def test_transport_matches_closed_form(source, closed_form):
 # transports sharing one march
 
 def reference_transport(term, U):
-    """g(U) as one term marched alone before transports shared marches: the
-    field and the source evaluated on their own at every stage."""
+    """g(U) from a march of this term alone, with the field and the source
+    evaluated on their own at every stage."""
     n, d = U.shape
     span = -exprmat.rows_dot(U - term.base, term.normal)
 
